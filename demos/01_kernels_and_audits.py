@@ -15,7 +15,6 @@ from edgrow import (
     bda_residual,
     condensing_kernel,
     constant_kernel,
-    eval_kernel,
     separable_kernel,
 )
 
@@ -28,7 +27,7 @@ families = {
     "additive (no DBC)   K = k + 2(j+1)": additive_kernel(1.0, 2.0),
 }
 for label, kernel in families.items():
-    sample = [eval_kernel(kernel, k, j) for k, j in [(1, 0), (2, 9), (5, 7)]]
+    sample = [kernel(k, j) for k, j in [(1, 0), (2, 9), (5, 7)]]
     print(f"  {label:45s} K(1,0), K(2,9), K(5,7) = {sample}")
 
 print()

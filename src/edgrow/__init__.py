@@ -17,7 +17,6 @@ from .kernels import (
     bda_residual,
     condensing_kernel,
     constant_kernel,
-    eval_kernel,
     kernel_from_spec,
     kernel_spec,
     separable_kernel,

@@ -70,7 +70,6 @@ def _resolve(config: Mapping[str, Any]) -> dict:
     analysis.setdefault("audit_l_max", 100)
     resolved = dict(config)
     resolved["analysis"] = analysis
-    resolved.setdefault("seed", 0)
     resolved.setdefault("n_trunc", 256)
     return resolved
 

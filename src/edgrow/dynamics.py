@@ -4,8 +4,9 @@ The infinite birth-death hierarchy is cut at a truncation size ``N`` with
 zero flux past ``N``, which conserves both the cluster count and the total
 mass exactly.  The right-hand side is assembled from state-dependent birth
 rates ``A_k[c] = sum_l K(l, k) c_l`` and death rates
-``B_k[c] = sum_l K(k, l-1) c_{l-1}``; separable kernels get an O(N) fast
-path, everything else goes through a cached dense rate table.
+``B_k[c] = sum_l K(k, l-1) c_{l-1}``.  Every kernel is a short sum of
+products ``sum_r b_r(k) a_r(j)``, so both sums cost O(N) per term:
+``A = sum_r a_r (b_r . c_{1..N})`` and ``B = sum_r b_r (a_r . c_{0..N-1})``.
 
 Integration uses an embedded Runge-Kutta 4(5) pair with PI step-size control
 and positivity-aware rejection: a step that would push any component below
@@ -25,7 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .equilibrium import EquilibriumProfile
-from .kernels import Kernel, kernel_matrix
+from .kernels import Kernel, _factor_vectors
 
 __all__ = [
     "ConcentrationProfile",
@@ -132,35 +133,23 @@ class RatesView:
     b: np.ndarray
 
 
-def _rate_arrays(kernel: Kernel, c: np.ndarray, force_generic: bool = False):
-    n = len(c) - 1
-    if kernel.separable is not None and not force_generic:
-        b_fn, a_fn = kernel.separable
-        ks = np.arange(1, n + 1, dtype=float)
-        js = np.arange(0, n, dtype=float)
-        b_vals = b_fn(ks)  # donor factor at sizes 1..N
-        a_vals = a_fn(js)  # acceptor factor at sizes 0..N-1
-        donor_sum = float(np.dot(b_vals, c[1:]))
-        acceptor_sum = float(np.dot(a_vals, c[:-1]))
-        a_rates = a_vals * donor_sum
-        b_rates = b_vals * acceptor_sum
-        return a_rates, b_rates
-    table = kernel_matrix(kernel, n)  # table[i-1, j] = K(i, j)
-    a_rates = table.T @ c[1:]
-    b_rates = table @ c[:-1]
+def _rate_arrays(kernel: Kernel, c: np.ndarray):
+    donor = c[1:]
+    acceptor = c[:-1]
+    (b_vals, a_vals), *rest = _factor_vectors(kernel, len(c) - 1)
+    # Starting from the first term keeps rank-1 kernels to one product each.
+    a_rates = a_vals * float(np.dot(b_vals, donor))
+    b_rates = b_vals * float(np.dot(a_vals, acceptor))
+    for b_vals, a_vals in rest:
+        a_rates += a_vals * float(np.dot(b_vals, donor))
+        b_rates += b_vals * float(np.dot(a_vals, acceptor))
     return a_rates, b_rates
 
 
-def birth_death_rates(
-    kernel: Kernel, state: ConcentrationProfile, force_generic: bool = False
-) -> RatesView:
-    """State-dependent birth/death rates of the truncated chain.
-
-    ``force_generic`` bypasses the separable fast path, which is how the two
-    paths are cross-checked against each other.
-    """
-    a_rates, b_rates = _rate_arrays(kernel, state.c, force_generic)
-    return RatesView(a=np.asarray(a_rates, dtype=float), b=np.asarray(b_rates, dtype=float))
+def birth_death_rates(kernel: Kernel, state: ConcentrationProfile) -> RatesView:
+    """State-dependent birth/death rates of the truncated chain."""
+    a_rates, b_rates = _rate_arrays(kernel, state.c)
+    return RatesView(a=a_rates, b=b_rates)
 
 
 def net_fluxes(rates: RatesView, state: ConcentrationProfile) -> np.ndarray:

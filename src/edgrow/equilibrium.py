@@ -164,8 +164,8 @@ def chemical_potential(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     ls = np.arange(1, k_max + 1, dtype=float)
-    attach = kernel.rate_fn(np.ones_like(ls), ls - 1.0)  # K(1, l-1)
-    detach = kernel.rate_fn(ls, np.zeros_like(ls))  # K(l, 0)
+    attach = kernel(np.ones(1), ls - 1.0)  # K(1, l-1)
+    detach = kernel(ls, np.zeros(1))  # K(l, 0)
     bad = np.nonzero((attach <= 0.0) | (detach <= 0.0))[0]
     if bad.size:
         l = int(bad[0]) + 1

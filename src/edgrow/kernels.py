@@ -1,11 +1,13 @@
 """Rate kernels for monomer exchange between clusters.
 
 A kernel assigns the rate ``K(k, j)`` at which a cluster of size ``k >= 1``
-hands a monomer to a cluster of size ``j >= 0``.  Built-in families cover the
-constant kernel, the "condensing" family ``1 + c/k`` (finite critical
-density), separable products ``b_k * a_j`` defined through a small rational
-expression grammar, and an additive family that violates the curl-free
-(Becker-Doring) condition and is useful as a negative control.
+hands a monomer to a cluster of size ``j >= 0``.  Every kernel is stored as a
+short sum of products ``K(k, j) = sum_r b_r(k) a_r(j)``.  Built-in families
+cover the constant kernel, the "condensing" family ``1 + c/k`` (finite
+critical density), separable products ``b_k * a_j`` defined through a small
+rational expression grammar (all of rank 1), and an additive family of rank 2
+that violates the curl-free (Becker-Doring) condition and is useful as a
+negative control.
 
 The module also hosts executable audits of the structural conditions the
 longtime theory needs: linear growth bounds, discrete regularity, continuity
@@ -16,7 +18,7 @@ audits sample a finite grid and say so; they are evidence, not proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional, Tuple
 
@@ -35,11 +37,9 @@ __all__ = [
     "additive_kernel",
     "kernel_from_spec",
     "kernel_spec",
-    "eval_kernel",
     "bda_residual",
     "audit_assumptions",
     "kernel_matrix",
-    "log_kernel_matrix",
 ]
 
 
@@ -59,58 +59,56 @@ class Kernel:
     ----------
     family:
         Label of the built-in family (or ``"custom"``).
+    terms:
+        ``((b_1, a_1), (b_2, a_2), ...)`` vectorized factor maps with
+        ``K(k, j) = sum_r b_r(k) * a_r(j)``.  This is the only description of
+        the rates: evaluation, grids and the O(N) birth/death sums all derive
+        from it.  Curl-free families have one term.
     growth_constant:
         Declared constant ``C`` such that ``K(k, j) <= C * k * (j + 1)`` is
         expected to hold; the audit checks it on a grid.
-    separable:
-        ``(b, a)`` vectorized factor maps when ``K(k, j) = b(k) * a(j)``
-        exactly, else ``None``.  Enables the O(N) birth/death fast path.
     params:
         Constructor parameters, kept so a kernel can be serialized back into
         a config (checkpoints are self-describing).
     """
 
     family: str
-    rate_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    terms: Tuple[Tuple[Callable, Callable], ...]
     growth_constant: float
-    separable: Optional[Tuple[Callable, Callable]] = None
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __call__(self, k, j):
         """Rate of a size-``k`` cluster passing a monomer to a size-``j`` one."""
-        k_arr = np.asarray(k)
-        j_arr = np.asarray(j)
+        k_arr = np.asarray(k, dtype=float)
+        j_arr = np.asarray(j, dtype=float)
         if np.any(k_arr < 1):
             raise KernelDomainError("donor size k must be >= 1")
         if np.any(j_arr < 0):
             raise KernelDomainError("acceptor size j must be >= 0")
-        out = self.rate_fn(np.asarray(k_arr, dtype=float), np.asarray(j_arr, dtype=float))
+        (b_fn, a_fn), *rest = self.terms
+        out = b_fn(k_arr) * a_fn(j_arr)
+        for b_fn, a_fn in rest:
+            out = out + b_fn(k_arr) * a_fn(j_arr)
         if np.ndim(k) == 0 and np.ndim(j) == 0:
             return float(out)
         return out
 
-    def rate_grid(self, n_k: int, n_j: int) -> np.ndarray:
-        """Dense table ``K(k, j)`` for ``k = 1..n_k``, ``j = 0..n_j-1``."""
-        ks = np.arange(1, n_k + 1, dtype=float)[:, None]
-        js = np.arange(0, n_j, dtype=float)[None, :]
-        return self.rate_fn(np.broadcast_to(ks, (n_k, n_j)), np.broadcast_to(js, (n_k, n_j)))
 
+@lru_cache(maxsize=8)
+def _factor_vectors(kernel: Kernel, n: int) -> tuple:
+    """Read-only ``(b_r(1..n), a_r(0..n-1))`` per term, cached per ``(kernel, n)``.
 
-def eval_kernel(kernel: Kernel, k: int, j: int) -> float:
-    """Evaluate one rate with domain checks (pure; same inputs, same output)."""
-    if k < 1:
-        raise KernelDomainError("donor size k must be >= 1")
-    if j < 0:
-        raise KernelDomainError("acceptor size j must be >= 0")
-    return float(kernel(k, j))
-
-
-def _probe_growth_constant(rate_fn, n: int = 64) -> float:
-    ks = np.arange(1, n + 1, dtype=float)[:, None]
-    js = np.arange(0, n, dtype=float)[None, :]
-    table = rate_fn(np.broadcast_to(ks, (n, n)), np.broadcast_to(js, (n, n)))
-    ratio = table / (ks * (js + 1.0))
-    return float(np.max(ratio))
+    These are the donor and acceptor factors the birth/death sums and the
+    rank-1 dissipation need; kernels are immutable, so caching by identity
+    is safe.
+    """
+    ks = np.arange(1, n + 1, dtype=float)
+    js = np.arange(0, n, dtype=float)
+    vectors = tuple((b_fn(ks), a_fn(js)) for b_fn, a_fn in kernel.terms)
+    for pair in vectors:
+        for vec in pair:
+            vec.flags.writeable = False
+    return vectors
 
 
 def constant_kernel(value: float = 1.0) -> Kernel:
@@ -118,13 +116,10 @@ def constant_kernel(value: float = 1.0) -> Kernel:
     if value <= 0:
         raise ValueError("constant kernel rate must be positive")
     v = float(value)
-    b = compile_rational(v)
-    a = compile_rational(1.0)
     return Kernel(
         family="constant",
-        rate_fn=lambda k, j: np.full(np.broadcast(k, j).shape, v),
+        terms=((compile_rational(v), compile_rational(1.0)),),
         growth_constant=v,
-        separable=(b, a),
         params={"value": v},
     )
 
@@ -139,38 +134,31 @@ def condensing_kernel(strength: float = 3.0) -> Kernel:
     if strength <= 0:
         raise ValueError("condensing strength must be positive")
     s = float(strength)
-    b = compile_rational(f"1 + {s!r}/k")
-    a = compile_rational(1.0)
     return Kernel(
         family="condensing",
-        rate_fn=lambda k, j: (1.0 + s / k) * np.ones(np.broadcast(k, j).shape),
+        terms=((compile_rational(f"1 + {s!r}/k"), compile_rational(1.0)),),
         growth_constant=1.0 + s,
-        separable=(b, a),
         params={"c": s},
     )
 
 
 def separable_kernel(b="k", a="1", growth_constant: Optional[float] = None) -> Kernel:
     """Product kernel ``K(k, j) = b(k) * a(j)`` from rational expressions."""
-    b_fn = compile_rational(b)
-    a_fn = compile_rational(a)
-
-    def rate(k, j):
-        return b_fn(k) * a_fn(j)
-
-    if growth_constant is None:
-        growth_constant = _probe_growth_constant(rate)
-    return Kernel(
+    kernel = Kernel(
         family="separable",
-        rate_fn=rate,
-        growth_constant=float(growth_constant),
-        separable=(b_fn, a_fn),
+        terms=((compile_rational(b), compile_rational(a)),),
+        growth_constant=math.nan,
         params={"b": str(b), "a": str(a)},
     )
+    if growth_constant is None:
+        # Smallest C with K(k, j) <= C k (j + 1) on a 64 x 64 probe grid.
+        sizes = np.arange(1, 65, dtype=float)
+        growth_constant = np.max(kernel_matrix(kernel, 64) / np.outer(sizes, sizes))
+    return replace(kernel, growth_constant=float(growth_constant))
 
 
 def additive_kernel(donor_coeff: float = 1.0, acceptor_coeff: float = 2.0) -> Kernel:
-    """Non-separable ``K(k, j) = donor_coeff*k + acceptor_coeff*(j+1)``.
+    """Rank-2 ``K(k, j) = donor_coeff*k + acceptor_coeff*(j+1)``.
 
     Violates the curl-free condition, so it has no product-form equilibria;
     used to exercise the audit failure paths.
@@ -180,14 +168,13 @@ def additive_kernel(donor_coeff: float = 1.0, acceptor_coeff: float = 2.0) -> Ke
     if ck < 0 or cj < 0 or ck + cj == 0:
         raise ValueError("additive kernel needs nonnegative, not both zero, coefficients")
 
-    def rate(k, j):
-        return ck * k + cj * (j + 1.0)
-
     return Kernel(
         family="additive",
-        rate_fn=rate,
+        terms=(
+            (lambda k: ck * k, compile_rational(1.0)),
+            (compile_rational(cj), lambda j: j + 1.0),
+        ),
         growth_constant=ck + cj,
-        separable=None,
         params={"donor_coeff": ck, "acceptor_coeff": cj},
     )
 
@@ -220,22 +207,15 @@ def kernel_spec(kernel: Kernel) -> dict:
     return {"family": kernel.family, **dict(kernel.params)}
 
 
-@lru_cache(maxsize=8)
 def kernel_matrix(kernel: Kernel, n: int) -> np.ndarray:
-    """Cached table ``M[i-1, j] = K(i, j)`` for ``i = 1..n``, ``j = 0..n-1``.
+    """Dense table ``M[i-1, j] = K(i, j)`` for ``i = 1..n``, ``j = 0..n-1``.
 
-    This single table drives both the generic O(N^2) birth/death sums and the
-    pairwise dissipation loops.  Kernels are immutable, so caching by identity
-    is safe.
+    The one grid builder: the audits, the rank >= 2 dissipation sum and the
+    Onsager assembly index it, and tests use it as the oracle for the
+    factored O(N) paths.  It is O(n^2) in time and memory and not cached.
     """
-    return kernel.rate_grid(n, n)
-
-
-@lru_cache(maxsize=8)
-def log_kernel_matrix(kernel: Kernel, n: int) -> np.ndarray:
-    """Cached elementwise log of :func:`kernel_matrix` (−inf where the rate is 0)."""
-    with np.errstate(divide="ignore"):
-        return np.log(kernel_matrix(kernel, n))
+    sizes = np.arange(n, dtype=float)
+    return kernel(sizes[:, None] + 1.0, sizes[None, :])
 
 
 def bda_residual(kernel: Kernel, k: int, l: int) -> float:
@@ -319,9 +299,8 @@ def audit_assumptions(kernel: Kernel, k_max: int, l_max: int) -> AssumptionRepor
     n_k, n_l = int(k_max), int(l_max)
     ks = np.arange(1, n_k + 1, dtype=float)
     js = np.arange(0, n_l, dtype=float)  # acceptor sizes j = l - 1
-    table = kernel.rate_fn(
-        np.broadcast_to(ks[:, None], (n_k, n_l)), np.broadcast_to(js[None, :], (n_k, n_l))
-    )
+    square = kernel_matrix(kernel, max(n_k, n_l))
+    table = square[:n_k, :n_l]
     c_k = kernel.growth_constant
 
     # Linear growth: 0 <= K(k, l-1) <= C k l on the whole grid.
@@ -363,7 +342,8 @@ def audit_assumptions(kernel: Kernel, k_max: int, l_max: int) -> AssumptionRepor
             d_profile = b_profile
     k4_ok = _sampled_sublinear(b_profile) and _sampled_sublinear(d_profile)
 
-    bda_max, zero_pairs = _bda_grid(kernel, min(n_k, n_l))
+    n_pairs = min(n_k, n_l)
+    bda_max, zero_pairs = _bda_grid(square[:n_pairs, :n_pairs])
 
     return AssumptionReport(
         k1_ok=k1_ok,
@@ -377,19 +357,22 @@ def audit_assumptions(kernel: Kernel, k_max: int, l_max: int) -> AssumptionRepor
     )
 
 
-def _bda_grid(kernel: Kernel, n: int) -> Tuple[float, int]:
-    """Max curl-free defect over the n x n pair grid, counting undefined pairs."""
-    ks = np.arange(1, n + 1, dtype=float)
-    pair_k = np.broadcast_to(ks[:, None], (n, n))
-    pair_l = np.broadcast_to(ks[None, :], (n, n))
-    terms = [
-        kernel.rate_fn(pair_k, pair_l - 1.0),
-        kernel.rate_fn(np.ones_like(pair_k), pair_k - 1.0),
-        kernel.rate_fn(pair_l, np.zeros_like(pair_l)),
-        kernel.rate_fn(pair_l, pair_k - 1.0),
-        kernel.rate_fn(np.ones_like(pair_l), pair_l - 1.0),
-        kernel.rate_fn(pair_k, np.zeros_like(pair_k)),
-    ]
+def _bda_grid(table: np.ndarray) -> Tuple[float, int]:
+    """Max curl-free defect over the n x n pair grid, counting undefined pairs.
+
+    ``table`` is :func:`kernel_matrix` at ``n``; entry ``(k-1, l-1)`` of each
+    factor below is the factor at the pair ``(k, l)``.
+    """
+    first_row = table[0, :]  # K(1, m - 1)
+    first_col = table[:, 0]  # K(m, 0)
+    terms = np.broadcast_arrays(
+        table,  # K(k, l-1)
+        first_row[:, None],  # K(1, k-1)
+        first_col[None, :],  # K(l, 0)
+        table.T,  # K(l, k-1)
+        first_row[None, :],  # K(1, l-1)
+        first_col[:, None],  # K(k, 0)
+    )
     stacked = np.stack(terms)
     defined = np.all(stacked > 0.0, axis=0)
     zero_pairs = int(stacked.shape[1] * stacked.shape[2] - np.count_nonzero(defined))

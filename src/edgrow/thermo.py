@@ -11,6 +11,8 @@ that operator densely so the identity can be checked numerically.
 Boundary-of-cone conventions: ``0 log 0 = 0`` in ``F``; ``psi(x, 0) = +inf``
 for ``x > 0`` and is reported as an infinity marker with a count of such
 terms; the logarithmic mean satisfies ``L(s, s) = s`` and ``L(s, 0) = 0``.
+Whether a flux is zero is read from the support of the kernel and the
+state, never from the floating-point product, which may underflow.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .dynamics import ConcentrationProfile, _rhs_from_c
 from .equilibrium import ChemicalPotential, EquilibriumProfile
-from .kernels import Kernel, kernel_matrix, log_kernel_matrix
+from .kernels import Kernel, _factor_vectors, kernel_matrix
 
 __all__ = [
     "DissipationResult",
@@ -108,38 +110,60 @@ def dissipation(kernel: Kernel, state: ConcentrationProfile) -> DissipationResul
     """Entropy production of the truncated dynamics at a state.
 
     Pairwise over reactions ``(k, l)``: compares the unidirectional fluxes
-    ``K(k, l-1) c_k c_{l-1}`` and ``K(l, k-1) c_l c_{k-1}``.  Pairs with both
-    fluxes zero contribute nothing; a single vanishing flux makes the term
-    infinite (value ``inf``, counted), which is the honest reading at
-    monodisperse starts.
+    ``K(k, l-1) c_k c_{l-1}`` and ``K(l, k-1) c_l c_{k-1}``.  A flux counts
+    as positive when its rate and both concentrations are, even if the
+    product underflows.  Pairs with both fluxes zero contribute nothing; a
+    single vanishing flux makes the term infinite (value ``inf``, counted),
+    which is the honest reading at monodisperse starts.  Rank-1 kernels take
+    an O(N) covariance form, other kernels the dense pair table.
     """
-    c = state.c
-    n = state.n_trunc
-    table = kernel_matrix(kernel, n)
-    log_table = log_kernel_matrix(kernel, n)
-    with np.errstate(divide="ignore"):
-        log_c = np.log(c)
-    forward = table * np.outer(c[1:], c[:-1])  # flux of (k -> l-1 uptake)
-    backward = forward.T
-    pos_f = forward > 0.0
-    pos_b = backward > 0.0
-    infinite_terms = int(np.count_nonzero(pos_f ^ pos_b))
-    both = pos_f & pos_b
-    if not np.any(both):
-        finite_part = 0.0
-    else:
-        with np.errstate(invalid="ignore"):
-            log_ratio_state = log_c[1:] - log_c[:-1]  # log c_k - log c_{k-1}, k = 1..N
-            delta = (
-                log_table
-                - log_table.T
-                + log_ratio_state[:, None]
-                - log_ratio_state[None, :]
-            )
-            contrib = (forward - backward) * delta
-        finite_part = 0.5 * float(np.sum(contrib[both]))
+    pair_sum = _rank1_pair_sum if len(kernel.terms) == 1 else _dense_pair_sum
+    infinite_terms, finite_part = pair_sum(kernel, state.c)
     value = math.inf if infinite_terms else finite_part
     return DissipationResult(value=value, infinite_terms=infinite_terms, finite_part=finite_part)
+
+
+def _rank1_pair_sum(kernel: Kernel, c: np.ndarray) -> tuple:
+    """For ``K = b(k) a(j)`` pair ``(k, l)`` has fluxes ``x_k y_l`` and ``x_l y_k``
+    with ``x_k = b_k c_k``, ``y_k = a_{k-1} c_{k-1}``.  Over the common support
+    ``S = {x > 0, y > 0}`` the sum is ``Y sum_S (x - rbar y)(u - ubar)`` with
+    ``u = log x - log y``, ``Y = sum_S y``, ``rbar = sum_S x / Y`` and
+    ``ubar = sum_S y u / Y``; centring keeps it accurate next to equilibrium.
+    """
+    ((b_vals, a_vals),) = _factor_vectors(kernel, len(c) - 1)
+    donor, acceptor = c[1:], c[:-1]
+    pos_x = (b_vals > 0.0) & (donor > 0.0)
+    pos_y = (a_vals > 0.0) & (acceptor > 0.0)
+    common = pos_x & pos_y
+    n_common = int(np.count_nonzero(common))
+    infinite_terms = 2 * (int(np.count_nonzero(pos_x)) * int(np.count_nonzero(pos_y)) - n_common**2)
+    if not n_common:
+        return infinite_terms, 0.0
+    b_s, a_s, donor_s, acceptor_s = (v[common] for v in (b_vals, a_vals, donor, acceptor))
+    x, y = b_s * donor_s, a_s * acceptor_s
+    # log x - log y factorwise, so an underflowing product stays finite
+    u = np.log(b_s) + np.log(donor_s) - np.log(a_s) - np.log(acceptor_s)
+    y_total = float(np.sum(y))
+    r_bar = float(np.sum(x)) / y_total
+    u_bar = float(np.dot(y, u)) / y_total
+    return infinite_terms, y_total * float(np.dot(x - r_bar * y, u - u_bar))
+
+
+def _dense_pair_sum(kernel: Kernel, c: np.ndarray) -> tuple:
+    table = kernel_matrix(kernel, len(c) - 1)
+    positive = c > 0.0
+    pos_f = (table > 0.0) & positive[1:, None] & positive[None, :-1]
+    infinite_terms = int(np.count_nonzero(pos_f ^ pos_f.T))
+    both = pos_f & pos_f.T
+    if not np.any(both):
+        return infinite_terms, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_table = np.log(table)
+        log_ratio_state = np.diff(np.log(c))  # log c_k - log c_{k-1}, k = 1..N
+        delta = log_table - log_table.T + log_ratio_state[:, None] - log_ratio_state[None, :]
+        forward = table * np.outer(c[1:], c[:-1])  # flux of (k -> l-1 uptake)
+        contrib = (forward - forward.T) * delta
+    return infinite_terms, 0.5 * float(np.sum(contrib[both]))
 
 
 @dataclass(frozen=True)

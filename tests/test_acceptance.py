@@ -297,24 +297,24 @@ def test_criterion_12_separable_fast_path_performance():
     c = rng.random(4097)
     c /= c.sum()
     state = ConcentrationProfile(c)
-    kernel_matrix(kernel, 4096)  # pay the table build before timing
+    table = kernel_matrix(kernel, 4096)  # pay the table build before timing
     start = time.perf_counter()
     for _ in range(5):
-        generic = birth_death_rates(kernel, state, force_generic=True)
-    t_generic = (time.perf_counter() - start) / 5
+        dense_a, dense_b = table.T @ c[1:], table @ c[:-1]
+    t_dense = (time.perf_counter() - start) / 5
     start = time.perf_counter()
     for _ in range(50):
         fast = birth_death_rates(kernel, state)
     t_fast = (time.perf_counter() - start) / 50
     agreement = max(
-        float(np.max(np.abs(fast.a - generic.a) / np.maximum(np.abs(generic.a), 1e-300))),
-        float(np.max(np.abs(fast.b - generic.b) / np.maximum(np.abs(generic.b), 1e-300))),
+        float(np.max(np.abs(fast.a - dense_a) / np.maximum(np.abs(dense_a), 1e-300))),
+        float(np.max(np.abs(fast.b - dense_b) / np.maximum(np.abs(dense_b), 1e-300))),
     )
-    assert agreement <= 1e-12, f"fast path disagrees: {agreement}"
-    speedup = t_generic / t_fast
-    # soft target (reported, not gating): fast path should be >= 10x
+    assert agreement <= 1e-12, f"factored rates disagree with the dense table: {agreement}"
+    speedup = t_dense / t_fast
+    # soft target (reported, not gating): factored rates should be >= 10x
     report(
         12,
-        f"fast path: agreement {agreement:.1e}, speedup {speedup:.0f}x at N=4096 "
-        f"({'meets' if speedup >= 10 else 'MISSES'} the soft 10x target)",
+        f"factored rates: agreement {agreement:.1e} with the dense table, speedup "
+        f"{speedup:.0f}x at N=4096 ({'meets' if speedup >= 10 else 'MISSES'} the soft 10x target)",
     )

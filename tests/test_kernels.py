@@ -12,8 +12,8 @@ from edgrow.kernels import (
     bda_residual,
     condensing_kernel,
     constant_kernel,
-    eval_kernel,
     kernel_from_spec,
+    kernel_matrix,
     kernel_spec,
     separable_kernel,
 )
@@ -24,24 +24,42 @@ ADDITIVE_RESIDUAL_2_3 = math.log(50.0 / 49.0)
 
 
 def test_eval_examples():
-    assert eval_kernel(constant_kernel(), 5, 7) == 1.0
-    assert eval_kernel(condensing_kernel(3.0), 2, 9) == 2.5
-    assert eval_kernel(separable_kernel("k", "1"), 3, 0) == 3.0
+    assert constant_kernel()(5, 7) == 1.0
+    assert condensing_kernel(3.0)(2, 9) == 2.5
+    assert separable_kernel("k", "1")(3, 0) == 3.0
+    assert additive_kernel(1.0, 2.0)(2, 3) == 10.0
 
 
 def test_domain_errors():
     kernel = constant_kernel()
     with pytest.raises(KernelDomainError):
-        eval_kernel(kernel, 0, 3)
+        kernel(0, 3)
     with pytest.raises(KernelDomainError):
-        eval_kernel(kernel, 2, -1)
+        kernel(2, -1)
+    with pytest.raises(KernelDomainError):
+        kernel(np.array([1, 0]), np.array([0, 0]))
 
 
 def test_eval_is_pure():
     kernel = condensing_kernel(3.0)
-    first = eval_kernel(kernel, 17, 23)
+    first = kernel(17, 23)
     for _ in range(5):
-        assert eval_kernel(kernel, 17, 23) == first
+        assert kernel(17, 23) == first
+
+
+def test_terms_reproduce_closed_forms():
+    # The factored terms must give exactly the closed-form rates.
+    ks = np.arange(1, 41, dtype=float)[:, None]
+    js = np.arange(0, 40, dtype=float)[None, :]
+    shape = (40, 40)
+    cases = [
+        (constant_kernel(2.5), np.full(shape, 2.5)),
+        (condensing_kernel(3.0), (1.0 + 3.0 / ks) * np.ones(shape)),
+        (additive_kernel(0.3, 0.7), 0.3 * ks + 0.7 * (js + 1.0)),
+    ]
+    for kernel, expected in cases:
+        assert np.array_equal(kernel_matrix(kernel, 40), expected), kernel.family
+    assert [len(kernel.terms) for kernel, _ in cases] == [1, 1, 2]
 
 
 def test_bda_residual_separable_vanishes():
@@ -121,7 +139,7 @@ def test_spec_round_trip():
     ):
         kernel = kernel_from_spec(spec)
         again = kernel_from_spec(kernel_spec(kernel))
-        assert eval_kernel(kernel, 3, 4) == eval_kernel(again, 3, 4)
+        assert kernel(3, 4) == again(3, 4)
 
 
 def test_spec_rejects_unknown_family():
@@ -135,7 +153,7 @@ def test_vectorized_matches_scalar():
     js = np.array([0, 3, 4, 8])
     grid = kernel(ks, js)
     for k, j, value in zip(ks, js, grid):
-        assert value == pytest.approx(eval_kernel(kernel, int(k), int(j)))
+        assert value == pytest.approx(kernel(int(k), int(j)))
 
 
 class TestRationalGrammar:

@@ -6,6 +6,7 @@ import pytest
 from edgrow.dynamics import (
     ConcentrationProfile,
     IntegratorConfig,
+    geometric_state,
     integrate,
     monodisperse_state,
     rhs,
@@ -87,6 +88,32 @@ def test_dissipation_examples(const, cp_const):
     at_eq = dissipation(const, state_from_profile(profile, 256))
     assert at_eq.infinite_terms == 0
     assert at_eq.value <= 1e-9
+
+
+def test_dissipation_finite_when_flux_products_underflow(const):
+    # Strictly positive state whose tail products c_k c_l underflow to 0.0:
+    # every flux is positive by support, so no term is infinite.
+    traj = integrate(
+        const, monodisperse_state(1.0, 1, 256), IntegratorConfig(t_end=20.0, record_every=20.0)
+    )
+    c = traj.final_state.c
+    assert np.all(c > 0.0)
+    assert np.min(np.outer(c, c)) == 0.0
+    result = dissipation(const, traj.final_state)
+    assert result.infinite_terms == 0
+    assert result.value == pytest.approx(6.0315e-6, rel=1e-4)
+
+
+def test_dissipation_counts_infinities_past_underflow(const):
+    # c_l = 0.05**l underflows to exact zeros after the last positive size m;
+    # the pairs (k, m+1) and (m+1, k), k = 1..m, pair a positive flux with a
+    # zero one.
+    state = geometric_state(0.05, 256)
+    m = int(np.nonzero(state.c)[0][-1])
+    assert m < 256
+    result = dissipation(const, state)
+    assert result.infinite_terms == 2 * m
+    assert math.isinf(result.value)
 
 
 def test_dissipation_positive_off_equilibrium(const):
