@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -337,6 +338,18 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     return EXIT_OK
 
 
+@lru_cache(maxsize=4)
+def _sweep_chemical_potential(kernel_json: str, k_max: int) -> equilibrium.ChemicalPotential:
+    """Chemical potential shared by all sweep rows of one process.
+
+    Every row of a sweep uses the same kernel and range; returning the same
+    object also lets the identity-keyed cache of ``critical_density_info``
+    hit on every row after the first.
+    """
+    kernel = _build_kernel({"kernel": json.loads(kernel_json)})
+    return equilibrium.chemical_potential(kernel, k_max)
+
+
 def _sweep_row(args: tuple) -> dict:
     """One density of a sweep; runs in a worker process, so takes plain data."""
     config_json, rho = args
@@ -346,7 +359,9 @@ def _sweep_row(args: tuple) -> dict:
         kernel = _build_kernel(resolved)
         cfg = _build_integrator(resolved)
         analysis = resolved["analysis"]
-        cp = equilibrium.chemical_potential(kernel, int(analysis["equilibrium_k_max"]))
+        cp = _sweep_chemical_potential(
+            json.dumps(resolved["kernel"], sort_keys=True), int(analysis["equilibrium_k_max"])
+        )
         n_trunc = int(resolved["n_trunc"])
         ic = dict(resolved.get("initial_condition", {"type": "monodisperse"}))
         if ic.get("type", "monodisperse") == "monodisperse":
@@ -377,7 +392,9 @@ def _sweep_row(args: tuple) -> dict:
             "boundary_mass": report.boundary_mass_series[-1],
             "status": "ok",
         }
-    except Exception as exc:  # per-row failures must not kill the sweep
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # Numerical and configuration failures of one row must not kill the
+        # sweep; anything else is a programming error and propagates.
         return {"rho": rho, "status": f"error: {exc}"}
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import ConcentrationProfile, TrajectoryRecord
+from .dynamics import ConcentrationProfile, TrajectoryRecord, strong_norm
 from .equilibrium import (
     ChemicalPotential,
     InconclusiveDensityError,
@@ -72,27 +72,25 @@ def tail_mass(state: StateLike, l: int) -> float:
     return float(np.dot(ks, c[l:]))
 
 
-def _padded_pair(a: StateLike, b: StateLike):
+def _difference(a: StateLike, b: StateLike) -> np.ndarray:
+    """``a - b`` with the shorter sequence padded by zeros."""
     ca, cb = _coefficients(a), _coefficients(b)
     n = max(len(ca), len(cb))
     if len(ca) < n:
         ca = np.concatenate([ca, np.zeros(n - len(ca))])
     if len(cb) < n:
         cb = np.concatenate([cb, np.zeros(n - len(cb))])
-    return ca, cb
+    return ca - cb
 
 
 def weak_distance(a: StateLike, b: StateLike) -> float:
     """Plain l1 distance of coefficient sequences (metrizes weak-* on balls)."""
-    ca, cb = _padded_pair(a, b)
-    return float(np.sum(np.abs(ca - cb)))
+    return float(np.sum(np.abs(_difference(a, b))))
 
 
 def strong_norm_distance(a: StateLike, b: StateLike) -> float:
     """Mass-weighted distance ``sum (1+l) |a_l - b_l|``."""
-    ca, cb = _padded_pair(a, b)
-    ls = np.arange(len(ca), dtype=float)
-    return float(np.dot(1.0 + ls, np.abs(ca - cb)))
+    return strong_norm(_difference(a, b))
 
 
 @dataclass(frozen=True)

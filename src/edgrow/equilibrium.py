@@ -229,9 +229,21 @@ def _geometric_tail(cp: ChemicalPotential, phi: float, log_terms: np.ndarray) ->
     return last * q / (1.0 - q)
 
 
-# Series terms below this fraction of the peak cannot move the sum by an ulp;
-# dropping them is the evaluation-time form of adaptive truncation.
+# Series terms below this fraction of the peak cannot move the sum by an ulp,
+# so _log_sum drops them.  density_at_fugacity goes one step further and does
+# not evaluate a suffix of the series whose every term is certain to be
+# dropped: for 0 < phi < phi_c the terms are ``t_l = s_l + l log(phi/phi_c)``
+# with ``s_l = log_q[l] + l log phi_c``, so ``max_{l >= L} s_l + L log(phi/phi_c)``
+# bounds every term from size L on.  A suffix is skipped when that bound lies
+# _CUT_MARGIN nats below ``peak bound + _LOG_CUTOFF``; the peak is at least
+# t_0 = 0 for the normalization and its first term t_1 for the size-weighted
+# sum.  The margin covers the rounding of ``l log phi + log_q[l]`` and
+# ``l log phi_c + log_q[l]``, a few ulps of their magnitude (under 1e-6 nats
+# for k_max <= 10**6 and |log_q| < 1e9), so every skipped term is one
+# _log_sum would drop, and the kept terms, their order and their sum are
+# bit-identical to the full range.
 _LOG_CUTOFF = math.log(1e-18)
+_CUT_MARGIN = 2.0
 
 
 def _log_sum(values: np.ndarray) -> float:
@@ -243,13 +255,61 @@ def _log_sum(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(kept - m))))
 
 
+@lru_cache(maxsize=64)
+def _suffix_peaks(cp: ChemicalPotential) -> Tuple[Tuple[int, float, float], ...]:
+    """``(L, max_{l >= L} s_l, max_{l >= L} (s_l + log l))`` on the dyadic
+    ladder ``L = 2, 4, ... <= k_max``, with ``s_l = log_q[l] + l log phi_c``.
+
+    Needs a finite positive ``phi_c``.  Built once per chemical potential;
+    only O(log k_max) floats are kept.
+    """
+    starts = [1 << j for j in range(1, cp.k_max.bit_length())]
+    ls = np.arange(cp.k_max + 1, dtype=float)
+    s = ls * math.log(cp.phi_c_estimate) + cp.log_q
+    with np.errstate(divide="ignore"):
+        s_num = s + np.log(ls)
+    peaks = [
+        np.maximum.accumulate(np.maximum.reduceat(v, starts)[::-1])[::-1].tolist()
+        for v in (s, s_num)
+    ]
+    return tuple(zip(starts, *peaks))
+
+
+def _series_length(cp: ChemicalPotential, log_phi: float) -> int:
+    """Number of leading terms of the series at ``log phi`` that can survive
+    the cutoff of :func:`_log_sum` (see ``_LOG_CUTOFF``)."""
+    full = cp.k_max + 1
+    phi_c = cp.phi_c_estimate
+    if not (math.isfinite(phi_c) and phi_c > 0.0):
+        return full
+    step = log_phi - math.log(phi_c)
+    if not step < 0.0:
+        return full
+    # The peaks are at least t_0 = 0 (denominator) and t_1 (numerator).
+    floor_den = _LOG_CUTOFF - _CUT_MARGIN
+    floor_num = log_phi + float(cp.log_q[1]) + floor_den
+    for length, peak, peak_num in _suffix_peaks(cp):
+        if peak + length * step < floor_den and peak_num + length * step < floor_num:
+            return length
+    return full
+
+
 def density_at_fugacity(cp: ChemicalPotential, phi: float) -> float:
-    """Mean cluster mass of the equilibrium state at fugacity ``phi``."""
+    """Mean cluster mass of the equilibrium state at fugacity ``phi``.
+
+    For ``0 < phi < phi_c`` only the leading terms that can pass the cutoff
+    of the log-sum are evaluated (see ``_LOG_CUTOFF``); every term past the
+    cut would be dropped by the full-range sum, so the result is
+    bit-identical to summing all ``k_max + 1`` terms.  At or beyond
+    ``phi_c``, or with an infinite radius, the full range is summed.
+    """
     _check_fugacity(cp, phi)
     if phi == 0.0:
         return 0.0
-    t = _log_terms(cp, phi)
-    ls = np.arange(cp.k_max + 1, dtype=float)
+    log_phi = math.log(phi)
+    n = _series_length(cp, log_phi)
+    ls = np.arange(n, dtype=float)
+    t = ls * log_phi + cp.log_q[:n]
     with np.errstate(divide="ignore"):
         log_num = _log_sum(t[1:] + np.log(ls[1:]))
     log_den = _log_sum(t)
@@ -320,7 +380,7 @@ class CriticalDensityInfo:
     ``ladder`` holds the densities along the dyadic fugacity ladder
     ``phi_j = phi_c (1 - 2^-j)``; ``last_increment`` is the final ladder step;
     ``method`` is one of ``"infinite-radius"``, ``"ladder-divergent"``,
-    ``"direct-tail"`` or ``"ladder"``.
+    ``"direct-tail"``, ``"ladder"`` or ``"ladder-ceiling"``.
     """
 
     value: float
@@ -500,13 +560,24 @@ def profile_to_csv(profile: EquilibriumProfile, cp: ChemicalPotential, path) -> 
 
 
 def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
-    """Self-describing scalar summary of an equilibrium computation."""
+    """Self-describing scalar summary of an equilibrium computation.
+
+    Besides the values it records how ``phi_c`` and ``rho_c`` were obtained:
+    the ``phi_c`` convergence flag and the ``rho_c`` method, ladder length and
+    last ladder increment (``None`` when the ladder has fewer than two rungs).
+    """
+    info = critical_density_info(cp)
+    last = info.last_increment
     return {
         "phi": profile.phi,
         "z": tagged_value(profile.z_value),
         "density": profile.density,
-        "rho_c": tagged_value(critical_density(cp)),
+        "rho_c": tagged_value(info.value),
+        "rho_c_method": info.method,
+        "rho_c_ladder_length": len(info.ladder),
+        "rho_c_last_increment": None if math.isnan(last) else tagged_value(last),
         "phi_c": tagged_value(cp.phi_c_estimate),
+        "phi_c_converged": cp.phi_c_converged,
         "truncation_tail_bound": tagged_value(profile.truncation_tail_bound),
         "k_max": cp.k_max,
     }

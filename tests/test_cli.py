@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from edgrow import cli, dynamics, equilibrium
 from edgrow.cli import (
     EXIT_AUDIT_FAILED,
     EXIT_CONFIG,
@@ -80,6 +81,32 @@ def test_equilibrium_condensing(tmp_path):
     assert summary["phi"] == pytest.approx(0.25, abs=1e-9)
     assert summary["z"]["value"] == pytest.approx(1.5, abs=1e-7)
     assert summary["rho_c"]["value"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_equilibrium_summary_records_how_constants_were_obtained(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"kernel": CONDENSING, "analysis": FAST_ANALYSIS})
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", cfg, "--out", str(out), "--rho", "0.5"]) == EXIT_OK
+    summary = json.loads((out / "equilibrium_summary.json").read_text())
+    assert summary["phi_c_converged"] is True
+    assert summary["rho_c_method"] == "direct-tail"
+    assert summary["rho_c_ladder_length"] >= 3
+    assert summary["rho_c_last_increment"]["finite"] is True
+    assert 0.0 <= summary["rho_c_last_increment"]["value"] < 1e-6
+
+    # separable b = k, a = 1: the rate ratio grows without bound, phi_c = inf
+    cfg = write_config(
+        tmp_path,
+        "k.json",
+        {"kernel": {"family": "separable", "b": "k", "a": "1"}, "analysis": FAST_ANALYSIS},
+    )
+    assert main(["equilibrium", "--config", cfg, "--out", str(out), "--rho", "1.0"]) == EXIT_OK
+    summary = json.loads((out / "equilibrium_summary.json").read_text())
+    assert summary["rho_c_method"] == "infinite-radius"
+    assert summary["rho_c"] == {"finite": False, "value": None}
+    assert summary["phi_c"] == {"finite": False, "value": None}
+    assert summary["rho_c_ladder_length"] == 0
+    assert summary["rho_c_last_increment"] is None
 
 
 def test_equilibrium_supercritical_exit(tmp_path, capsys):
@@ -221,6 +248,48 @@ def test_sweep_row_independence(tmp_path):
     kept = {line.split(",")[0]: line for line in lines_all[1:]}
     for line in lines_small[1:]:
         assert line == kept[line.split(",")[0]]
+
+
+def test_sweep_builds_chemical_potential_once_per_process(tmp_path, monkeypatch):
+    builds = []
+    build = equilibrium.chemical_potential
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "chemical_potential", counting_build)
+    cli._sweep_chemical_potential.cache_clear()
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 1.0, 2.0]))
+    out_serial, out_pool = tmp_path / "serial", tmp_path / "pool"
+    misses = equilibrium.critical_density_info.cache_info().misses
+    assert main(["sweep", "--config", cfg, "--out", str(out_serial), "--parallel", "1"]) == EXIT_OK
+    assert len(builds) == 1
+    assert equilibrium.critical_density_info.cache_info().misses == misses + 1
+    assert main(["sweep", "--config", cfg, "--out", str(out_pool), "--parallel", "2"]) == EXIT_OK
+    assert (out_serial / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
+
+
+def test_sweep_row_programming_error_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken integrator call")
+
+    monkeypatch.setattr(dynamics, "integrate", broken)
+    config = dict(SWEEP_CONFIG, densities=[0.5])
+    with pytest.raises(TypeError, match="broken integrator call"):
+        cli.cmd_sweep(config, str(tmp_path / "out"), parallel=1)
+
+
+def test_sweep_row_numerical_error_becomes_error_row(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise dynamics.IntegratorError("step size underflow")
+
+    monkeypatch.setattr(dynamics, "integrate", failing)
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5]))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "1"]) == EXIT_OK
+    rows = read_rows(out / "sweep.csv")
+    assert rows[1][0] == "0.5" and rows[1][-1] == "error: step size underflow"
 
 
 def test_sweep_empty_densities(tmp_path):

@@ -1,8 +1,9 @@
-"""Properties pairing the factored O(N) paths with dense oracles.
+"""Properties pairing the fast paths with dense oracles.
 
 Birth/death rates are checked against the dense rate table, dissipation
 against a scalar loop over all reaction pairs that reads positivity of a
-flux from the support of the kernel and the state.
+flux from the support of the kernel and the state, and the cut equilibrium
+series against the sum over its full range.
 """
 
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgrow.dynamics import ConcentrationProfile, birth_death_rates
+from edgrow.equilibrium import chemical_potential, density_at_fugacity
 from edgrow.kernels import (
     additive_kernel,
     condensing_kernel,
@@ -84,3 +86,43 @@ def test_dissipation_matches_pair_loop(name, c):
     assert result.infinite_terms == infinite_terms
     assert result.finite_part == pytest.approx(finite_part, rel=1e-9, abs=1e-14)
     assert math.isinf(result.value) == (infinite_terms > 0)
+
+
+def full_range_density(cp, phi) -> float:
+    """Density at ``phi`` summed over all sizes ``0..k_max``, dropping terms
+    below 1e-18 of the peak of each sum only after evaluating them."""
+
+    def log_sum(values):
+        m = float(np.max(values))
+        kept = values[values >= m + math.log(1e-18)]
+        return m + math.log(float(np.sum(np.exp(kept - m))))
+
+    ls = np.arange(cp.k_max + 1, dtype=float)
+    t = ls * math.log(phi) + cp.log_q
+    with np.errstate(divide="ignore"):
+        log_num = log_sum(t[1:] + np.log(ls[1:]))
+    return math.exp(log_num - log_sum(t))
+
+
+SERIES_KERNELS = st.one_of(
+    st.just(constant_kernel(1.0)),
+    st.floats(min_value=0.5, max_value=5.0).map(condensing_kernel),
+    st.just(separable_kernel("k", "j + 10")),  # phi_c = 10
+)
+FUGACITY_RATIOS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+    st.integers(min_value=1, max_value=2**13).map(lambda k: 1.0 - k * 2.0**-53),
+)
+
+
+@given(
+    kernel=SERIES_KERNELS,
+    k_max=st.integers(min_value=16, max_value=5000),
+    ratio=FUGACITY_RATIOS,
+)
+@settings(max_examples=200, deadline=None)
+def test_cut_density_series_matches_full_range(kernel, k_max, ratio):
+    cp = chemical_potential(kernel, k_max)
+    assert math.isfinite(cp.phi_c_estimate)
+    phi = ratio * cp.phi_c_estimate
+    assert density_at_fugacity(cp, phi) == full_range_density(cp, phi)
