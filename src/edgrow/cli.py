@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import math
 import os
@@ -135,13 +136,23 @@ def _build_integrator(config: Mapping[str, Any]) -> dynamics.IntegratorConfig:
 
 
 def _write_json(path: str, payload: Mapping) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with dynamics._atomic_writer(path) as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+@contextlib.contextmanager
+def _phase(phase_seconds: dict, name: str):
+    """Add the wall time of the ``with`` body to ``phase_seconds[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        phase_seconds[name] += time.perf_counter() - start
 
 
 def _ensure_out(out_dir: str) -> str:
@@ -211,30 +222,44 @@ def cmd_equilibrium(
 
 
 def _write_trajectory_csv(traj: dynamics.TrajectoryRecord, path: str) -> None:
+    """Long-format ``t,k,c_k`` rows, one ``%`` template per sample.
+
+    The template holds ``%s,k,%.17g`` for ``k = 0..N``; its even cells take
+    the sample time already formatted by :func:`_fmt`, its odd cells the
+    sample's row as Python floats.  ``"%.17g" % x`` and ``f"{x:.17g}"`` run
+    the same float-to-string conversion with the same spec, and ``tolist()``
+    yields floats with the array's values, so every byte is the one the
+    per-cell ``_fmt`` formula gives.  Rows are converted one sample at a
+    time so no Python copy of the whole state matrix is ever held.
+    """
+    n_cells = traj.n_trunc + 1
+    template = "".join(f"%s,{k},%.17g\n" for k in range(n_cells))
+    cells: list = [None] * (2 * n_cells)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,k,c_k\n")
-        for i, t in enumerate(traj.times):
-            row = traj.states[i]
-            t_s = _fmt(t)
-            for k in range(traj.n_trunc + 1):
-                fh.write(f"{t_s},{k},{_fmt(row[k])}\n")
+        for t, row in zip(traj.times.tolist(), traj.states):
+            cells[0::2] = [_fmt(t)] * n_cells
+            cells[1::2] = row.tolist()
+            fh.write(template % tuple(cells))
 
 
 def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str) -> None:
-    have_thermo = "F" in traj.extras
+    """``t,M0,rho,boundary_mass,F,D,D_infinite_terms`` rows from one template.
+
+    Floats are written with ``%.17g`` (the same conversion as :func:`_fmt`)
+    and the infinite-term count with ``%d``, which equals ``f"{int(x)}"`` for
+    the integral-valued counts.  Without thermo columns the last three cells
+    stay empty.
+    """
+    columns = [traj.times, traj.zeroth_moments, traj.first_moments, traj.boundary_mass]
+    if "F" in traj.extras:
+        template = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+        columns += [traj.extras[key] for key in ("F", "D", "D_infinite_terms")]
+    else:
+        template = "%.17g,%.17g,%.17g,%.17g,,,\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,M0,rho,boundary_mass,F,D,D_infinite_terms\n")
-        for i, t in enumerate(traj.times):
-            if have_thermo:
-                f_s = _fmt(traj.extras["F"][i])
-                d_s = _fmt(traj.extras["D"][i])
-                n_inf = f"{int(traj.extras['D_infinite_terms'][i])}"
-            else:
-                f_s = d_s = n_inf = ""
-            fh.write(
-                f"{_fmt(t)},{_fmt(traj.zeroth_moments[i])},{_fmt(traj.first_moments[i])},"
-                f"{_fmt(traj.boundary_mass[i])},{f_s},{d_s},{n_inf}\n"
-            )
+        fh.writelines(template % row for row in zip(*(col.tolist() for col in columns)))
 
 
 def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> int:
@@ -243,6 +268,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     analysis = resolved["analysis"]
     out = _ensure_out(out_dir)
     started = time.perf_counter()
+    phase_seconds = {"integrate": 0.0, "write_csv": 0.0, "classify": 0.0}
 
     cfg = _build_integrator(resolved)
     if resume is not None:
@@ -278,15 +304,16 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         dynamics.save_checkpoint(checkpoint_path, t, state, kernels.kernel_spec(kernel), cfg)
 
     try:
-        traj = dynamics.integrate(
-            kernel,
-            state0,
-            cfg,
-            observers=observers,
-            t0=t0,
-            checkpoint_hook=checkpoint_hook,
-            checkpoint_every=analysis["checkpoint_every"],
-        )
+        with _phase(phase_seconds, "integrate"):
+            traj = dynamics.integrate(
+                kernel,
+                state0,
+                cfg,
+                observers=observers,
+                t0=t0,
+                checkpoint_hook=checkpoint_hook,
+                checkpoint_every=analysis["checkpoint_every"],
+            )
     except dynamics.IntegratorError as exc:
         _write_json(
             os.path.join(out, "run_report.json"),
@@ -295,24 +322,27 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         print(f"integrator failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
 
-    _write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-    _write_summary_csv(traj, os.path.join(out, "summary.csv"))
+    with _phase(phase_seconds, "write_csv"):
+        _write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
+        _write_summary_csv(traj, os.path.join(out, "summary.csv"))
 
     convergence: dict
     if analysis["classify"] and cp is not None and traj.sample_count >= 10:
         try:
-            report = diagnostics.classify_longtime(
-                traj,
-                cp,
-                diagnostics.AnalysisConfig(
-                    excess_band_start=int(analysis["excess_band_start"]),
-                    low_band=int(analysis["low_band"]),
-                ),
-            )
+            with _phase(phase_seconds, "classify"):
+                report = diagnostics.classify_longtime(
+                    traj,
+                    cp,
+                    diagnostics.AnalysisConfig(
+                        excess_band_start=int(analysis["excess_band_start"]),
+                        low_band=int(analysis["low_band"]),
+                    ),
+                )
             convergence = report.as_dict()
-            diagnostics.write_convergence_series_csv(
-                report, os.path.join(out, "distances.csv")
-            )
+            with _phase(phase_seconds, "write_csv"):
+                diagnostics.write_convergence_series_csv(
+                    report, os.path.join(out, "distances.csv")
+                )
         except diagnostics.RhoCUnavailableError as exc:
             convergence = {"error": str(exc)}
     else:
@@ -332,6 +362,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
                 "mass": float(traj.clamp_mass1[-1]),
             },
             "boundary_contaminated_from": traj.boundary_contaminated_from,
+            "phase_seconds": phase_seconds,
             "runtime_seconds": time.perf_counter() - started,
         },
     )

@@ -17,8 +17,10 @@ honest.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
@@ -261,8 +263,9 @@ class StepResult:
     clamped_mass1: float
 
 
-def _rk_stages(kernel: Kernel, c: np.ndarray, dt: float) -> list:
-    stages = [_rhs_from_c(kernel, c)]
+def _rk_stages(kernel: Kernel, c: np.ndarray, dt: float, f0: np.ndarray) -> list:
+    """Stages of one attempt from ``c``; ``f0 = f(c)`` does not depend on ``dt``."""
+    stages = [f0]
     for row in _RK_A[1:]:
         increment = np.zeros_like(c)
         for coeff, stage in zip(row, stages):
@@ -292,10 +295,12 @@ def step(
     t_scale = max(cfg.t_end, 1.0)
     dt = min(dt_suggest, cfg.max_step)
     safety, fac_min, fac_max = 0.9, 0.2, 5.0
+    # Rejected attempts retry from the same state, so they share stage 0.
+    f0 = _rhs_from_c(kernel, c)
     while True:
         if dt < 1e-14 * t_scale:
             raise IntegratorError(f"step underflow: dt={dt!r}")
-        stages = _rk_stages(kernel, c, dt)
+        stages = _rk_stages(kernel, c, dt, f0)
         c_new = c + dt * sum(b * k for b, k in zip(_RK_B5, stages))
         err_vec = dt * sum(e * k for e, k in zip(_RK_ERR, stages))
         err = float(np.max(np.abs(err_vec)))
@@ -541,7 +546,11 @@ def positivity_bound_margin(
 def save_checkpoint(
     path, t: float, state: ConcentrationProfile, kernel_spec: Mapping, cfg: IntegratorConfig
 ) -> None:
-    """Persist enough JSON to resume the run bit-compatibly at this state."""
+    """Persist enough JSON to resume the run bit-compatibly at this state.
+
+    The file is replaced atomically, so an interrupted write keeps the
+    previous checkpoint loadable.
+    """
     payload = {
         "t": t,
         "N": state.n_trunc,
@@ -549,8 +558,27 @@ def save_checkpoint(
         "kernel_spec": dict(kernel_spec),
         "cfg": cfg.as_dict(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_writer(path) as fh:
         json.dump(payload, fh, indent=1)
+
+
+@contextlib.contextmanager
+def _atomic_writer(path):
+    """Text handle whose contents replace ``path`` only once fully written.
+
+    Writes go to ``<path>.tmp`` in the same directory and ``os.replace``
+    swaps it in after the handle closes, so a failure or a kill mid-write
+    leaves the previous file intact.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

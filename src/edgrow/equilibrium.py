@@ -379,8 +379,8 @@ class CriticalDensityInfo:
 
     ``ladder`` holds the densities along the dyadic fugacity ladder
     ``phi_j = phi_c (1 - 2^-j)``; ``last_increment`` is the final ladder step;
-    ``method`` is one of ``"infinite-radius"``, ``"ladder-divergent"``,
-    ``"direct-tail"``, ``"ladder"`` or ``"ladder-ceiling"``.
+    ``method`` is one of ``"infinite-radius"``, ``"direct-tail"``,
+    ``"ladder"`` or ``"ladder-ceiling"``.
     """
 
     value: float
@@ -418,7 +418,9 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     """Supremum of the density map on ``[0, phi_c]`` with extrapolation detail.
 
     The dyadic ladder establishes whether the supremum is finite (a ladder
-    racing past 1e12 means an infinite critical density).  When the series
+    that climbs until the series overflows the truncation window means an
+    infinite critical density; a truncated density is a mean of sizes
+    ``<= k_max``, so the ladder itself stays finite).  When the series
     still converges at ``phi_c`` itself, the truncated direct sums are
     completed with an algebraic tail estimate, which is what makes the value
     accurate to ~1/k_max^2 instead of the raw 1/k_max truncation error.
@@ -440,10 +442,6 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
             stable_steps = stable_steps + 1 if increment < 1e-8 else 0
         ladder.append(value)
         phi_last = phi_j
-        if value > 1e12:
-            return CriticalDensityInfo(
-                math.inf, tuple(ladder), math.inf, "ladder-divergent"
-            )
         if stable_steps >= 2:
             break
     last_inc = abs(ladder[-1] - ladder[-2]) if len(ladder) >= 2 else math.nan

@@ -159,6 +159,33 @@ def test_simulate_deterministic_outputs(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_simulate_reports_phase_times(tmp_path):
+    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "run_report.json").read_text())
+    phases = report["phase_seconds"]
+    assert sorted(phases) == ["classify", "integrate", "write_csv"]
+    assert all(value >= 0.0 for value in phases.values())
+    assert sum(phases.values()) <= report["runtime_seconds"]
+
+
+def test_write_json_keeps_previous_file_when_dump_fails(tmp_path, monkeypatch):
+    path = str(tmp_path / "report.json")
+    cli._write_json(path, {"run": 1})
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write("{")
+        raise TypeError("not serializable")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(TypeError):
+        cli._write_json(path, {"run": 2})
+    monkeypatch.undo()
+    assert json.loads((tmp_path / "report.json").read_text()) == {"run": 1}
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
 def test_simulate_zero_horizon(tmp_path):
     payload = dict(SIM_CONFIG)
     payload["integrator"] = {"t_end": 0.0}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -236,6 +237,34 @@ def test_checkpoint_round_trip(tmp_path, const):
     assert np.array_equal(state.c, traj.final_state.c)  # bit-compatible
     assert spec["family"] == "constant"
     assert cfg_back.t_end == cfg.t_end
+
+
+def test_checkpoint_survives_failed_rewrite(tmp_path, const, monkeypatch):
+    spec = {"family": "constant", "value": 1.0}
+    cfg = IntegratorConfig(t_end=1.0, record_every=0.25)
+    first = monodisperse_state(1.0, 1, 32)
+    path = tmp_path / "ckpt.json"
+    real_dump = json.dump
+    calls = []
+
+    def dump_failing_on_second_call(obj, fh, **kwargs):
+        calls.append(obj["t"])
+        if len(calls) == 2:
+            fh.write('{"t": ')  # the write dies half way
+            raise OSError("disk full")
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_failing_on_second_call)
+    save_checkpoint(path, 0.5, first, spec, cfg)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, 1.0, monodisperse_state(1.0, 2, 32), spec, cfg)
+    monkeypatch.undo()
+
+    assert calls == [0.5, 1.0]
+    t, state, _, _ = load_checkpoint(path)
+    assert t == 0.5
+    assert np.array_equal(state.c, first.c)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 def test_boundary_mass_warning():

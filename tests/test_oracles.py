@@ -2,17 +2,23 @@
 
 Birth/death rates are checked against the dense rate table, dissipation
 against a scalar loop over all reaction pairs that reads positivity of a
-flux from the support of the kernel and the state, and the cut equilibrium
-series against the sum over its full range.
+flux from the support of the kernel and the state, the cut equilibrium
+series against the sum over its full range, and the bulk CSV writers
+against per-cell formatting.
 """
 
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from edgrow.dynamics import ConcentrationProfile, birth_death_rates
+from edgrow.cli import _write_summary_csv, _write_trajectory_csv
+from edgrow.diagnostics import ConvergenceReport, write_convergence_series_csv
+from edgrow.dynamics import ConcentrationProfile, TrajectoryRecord, birth_death_rates
 from edgrow.equilibrium import chemical_potential, density_at_fugacity
 from edgrow.kernels import (
     additive_kernel,
@@ -126,3 +132,117 @@ def test_cut_density_series_matches_full_range(kernel, k_max, ratio):
     assert math.isfinite(cp.phi_c_estimate)
     phi = ratio * cp.phi_c_estimate
     assert density_at_fugacity(cp, phi) == full_range_density(cp, phi)
+
+
+EDGE_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.min, sys.float_info.max,
+    -sys.float_info.max, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0,
+)
+CELLS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(min_value=0, max_value=2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+    ),
+    st.floats(),
+)
+
+
+def cell(x) -> str:
+    """One CSV cell as the per-cell writers formatted it."""
+    return f"{x:.17g}"
+
+
+@st.composite
+def trajectories(draw) -> TrajectoryRecord:
+    """Records with N in 1..64, edge-case cells everywhere, and optionally
+    thermo columns whose ``D = inf`` rows carry a positive count."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    samples = draw(st.integers(min_value=1, max_value=6))
+
+    def series():
+        return draw(arrays(np.float64, samples, elements=CELLS))
+
+    extras = {}
+    if draw(st.booleans()):
+        d = series()
+        d[draw(arrays(np.bool_, samples))] = math.inf
+        counts = draw(arrays(np.int64, samples, elements=st.integers(1, 2 * n * n)))
+        extras = {
+            "F": series(),
+            "D": d,
+            "D_infinite_terms": np.where(np.isinf(d), counts, 0).astype(float),
+        }
+    return TrajectoryRecord(
+        times=series(),
+        states=draw(arrays(np.float64, (samples, n + 1), elements=CELLS)),
+        n_trunc=n,
+        zeroth_moments=series(),
+        first_moments=series(),
+        clamp_mass0=series(),
+        clamp_mass1=series(),
+        boundary_mass=series(),
+        extras=extras,
+    )
+
+
+@given(traj=trajectories())
+@settings(max_examples=150, deadline=None)
+def test_trajectory_and_summary_writers_match_per_cell_format(traj, tmp_path_factory):
+    out = tmp_path_factory.mktemp("writers")
+    _write_trajectory_csv(traj, out / "trajectory.csv")
+    _write_summary_csv(traj, out / "summary.csv")
+
+    expected = ["t,k,c_k\n"]
+    for i, t in enumerate(traj.times):
+        for k in range(traj.n_trunc + 1):
+            expected.append(f"{cell(t)},{k},{cell(traj.states[i][k])}\n")
+    assert (out / "trajectory.csv").read_text() == "".join(expected)
+
+    expected = ["t,M0,rho,boundary_mass,F,D,D_infinite_terms\n"]
+    for i, t in enumerate(traj.times):
+        if traj.extras:
+            thermo = [
+                cell(traj.extras["F"][i]),
+                cell(traj.extras["D"][i]),
+                f"{int(traj.extras['D_infinite_terms'][i])}",
+            ]
+        else:
+            thermo = ["", "", ""]
+        moments = [traj.zeroth_moments[i], traj.first_moments[i], traj.boundary_mass[i]]
+        expected.append(",".join([cell(t)] + [cell(m) for m in moments] + thermo) + "\n")
+    assert (out / "summary.csv").read_text() == "".join(expected)
+
+
+@given(
+    data=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(5)), elements=CELLS),
+    f_limit=CELLS,
+)
+@settings(max_examples=150, deadline=None)
+def test_convergence_series_writer_matches_per_cell_format(data, f_limit, tmp_path_factory):
+    times, weak, strong, excess, f_series = (np.ascontiguousarray(col) for col in data.T)
+    report = ConvergenceReport(
+        target_density=1.0,
+        rho_c=math.inf,
+        regime="subcritical",
+        times=times,
+        weak_distance_series=weak,
+        strong_distance_series=strong,
+        low_band_distance_series=weak,
+        excess_mass_series=excess,
+        free_energy_series=f_series,
+        free_energy_limit=f_limit,
+        free_energy_limit_gap=0.0,
+        boundary_mass_series=excess,
+        truncation_contaminated_from=None,
+    )
+    path = tmp_path_factory.mktemp("distances") / "distances.csv"
+    with np.errstate(invalid="ignore", over="ignore"):
+        write_convergence_series_csv(report, path)
+        expected = ["t,weak_d,strong_d,excess_mass,F_gap\n"]
+        for i, t in enumerate(times):
+            gap = f_series[i] - f_limit
+            expected.append(
+                f"{cell(t)},{cell(weak[i])},{cell(strong[i])},{cell(excess[i])},{cell(gap)}\n"
+            )
+    assert path.read_text() == "".join(expected)
