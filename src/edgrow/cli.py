@@ -60,7 +60,10 @@ def _load_config(path: str) -> dict:
 
 def _resolve(config: Mapping[str, Any]) -> dict:
     """Fill defaults so outputs can echo the exact run parameters."""
-    analysis = dict(config.get("analysis", {}))
+    analysis = config.get("analysis", {})
+    if not isinstance(analysis, Mapping):
+        raise ConfigError("analysis must be a JSON object")
+    analysis = dict(analysis)
     analysis.setdefault("equilibrium_k_max", 10**6)
     analysis.setdefault("profile_k_max", 1024)
     analysis.setdefault("excess_band_start", 64)
@@ -394,13 +397,12 @@ def _sweep_row(args: tuple) -> dict:
             json.dumps(resolved["kernel"], sort_keys=True), int(analysis["equilibrium_k_max"])
         )
         n_trunc = int(resolved["n_trunc"])
-        ic = dict(resolved.get("initial_condition", {"type": "monodisperse"}))
-        if ic.get("type", "monodisperse") == "monodisperse":
-            ic["type"] = "monodisperse"
-            ic["rho"] = rho
-            ic.setdefault("m", max(1, math.ceil(rho)))
-            if rho == 0.0:
-                ic = {"type": "vacuum"}
+        ic = dict(resolved.get("initial_condition", {}))
+        ic["type"] = "monodisperse"
+        ic["rho"] = rho
+        ic.setdefault("m", max(1, math.ceil(rho)))
+        if rho == 0.0:
+            ic = {"type": "vacuum"}
         row_config = dict(resolved)
         row_config["initial_condition"] = ic
         state0 = _build_state(row_config, n_trunc, cp)
@@ -439,6 +441,10 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
         raise ConfigError("sweep densities must be distinct")
     if any(float(r) < 0 for r in densities):
         raise ConfigError("sweep densities must be nonnegative")
+    ic = resolved.get("initial_condition", {})
+    if not isinstance(ic, Mapping) or ic.get("type", "monodisperse") != "monodisperse":
+        # Each row sets its own density, which only a monodisperse state carries.
+        raise ConfigError("sweep initial_condition must be monodisperse")
     _build_kernel(resolved)  # validate before spawning workers
     if densities:
         _build_integrator(resolved)

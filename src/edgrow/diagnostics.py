@@ -100,8 +100,6 @@ class AnalysisConfig:
     excess_band_start: int = 64
     low_band: int = 10
     dead_band: float = 1e-6
-    boundary_fraction: float = 0.9
-    boundary_warn_ratio: float = 0.01
 
 
 @dataclass

@@ -80,6 +80,8 @@ class ConcentrationProfile:
         )
 
     def validate(self) -> None:
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError("concentrations must be finite")
         if np.any(self.c < 0):
             raise ValueError("concentrations must be nonnegative")
 
@@ -198,7 +200,6 @@ class IntegratorConfig:
     atol: float = 1e-12
     max_step: float = math.inf
     record_every: Optional[float] = None
-    positivity_floor: float = 0.0
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -220,7 +221,6 @@ class IntegratorConfig:
             "atol": self.atol,
             "max_step": None if math.isinf(self.max_step) else self.max_step,
             "record_every": self.record_every,
-            "positivity_floor": self.positivity_floor,
         }
 
     @staticmethod
@@ -234,7 +234,6 @@ class IntegratorConfig:
             record_every=(
                 None if data.get("record_every") is None else float(data["record_every"])
             ),
-            positivity_floor=float(data.get("positivity_floor", 0.0)),
         )
 
 
@@ -285,8 +284,8 @@ def step(
 
     Rejects and halves when the componentwise error exceeds
     ``rtol * ||c|| + atol`` or any component would drop below ``-atol``;
-    accepted components in ``[-atol, 0)`` are clamped to the positivity floor
-    with the clamped mass reported for the drift ledger.
+    accepted components in ``[-atol, 0)`` are clamped to 0 with the clamped
+    mass reported for the drift ledger.
     """
     if dt_suggest <= 0:
         raise ValueError("dt_suggest must be positive")
@@ -322,7 +321,7 @@ def step(
     clamped_mass1 = float(-np.dot(np.nonzero(clamp)[0].astype(float), c_new[clamp]))
     if np.any(clamp):
         c_new = c_new.copy()
-        c_new[clamp] = cfg.positivity_floor
+        c_new[clamp] = 0.0
 
     err_ratio = err / tol if tol > 0 else 0.0
     if err_ratio <= 0.0:

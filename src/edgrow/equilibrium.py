@@ -9,7 +9,9 @@ diagram: densities up to ``rho_c`` are carried by a normalizable state,
 anything beyond condenses.
 
 Everything is computed in log space: the weights ``Q_l`` span hundreds of
-orders of magnitude already for geometric-type kernels.
+orders of magnitude already for geometric-type kernels.  Every quantity at
+a fugacity comes from one evaluator, ``_series``, which forms and log-sums
+only the prefix of the series that can pass the log-sum cutoff.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ class ChemicalPotential:
     k_max: int
 
     def __post_init__(self):
+        if self.k_max < 1:
+            raise ValueError("k_max must be >= 1")
         if self.log_q[0] != 0.0:
             raise ValueError("log_q[0] must be 0 (unit weight at size 0)")
         if len(self.log_q) != self.k_max + 1:
@@ -184,11 +188,6 @@ def chemical_potential(
     )
 
 
-def _log_terms(cp: ChemicalPotential, phi: float) -> np.ndarray:
-    ls = np.arange(cp.k_max + 1, dtype=float)
-    return ls * math.log(phi) + cp.log_q
-
-
 def _check_fugacity(cp: ChemicalPotential, phi: float) -> None:
     if phi < 0.0:
         raise ValueError("fugacity must be nonnegative")
@@ -210,28 +209,29 @@ def partition_sum(cp: ChemicalPotential, phi: float) -> Tuple[float, float]:
     _check_fugacity(cp, phi)
     if phi == 0.0:
         return 1.0, 0.0
-    t = _log_terms(cp, phi)
-    log_z = _log_sum(t)
+    _, log_z, _ = _series(cp, math.log(phi), weighted=False)
     z = math.exp(log_z) if log_z < 709.0 else math.inf
-    tail = _geometric_tail(cp, phi, t)
-    return z, tail
+    return z, _geometric_tail(cp, phi)
 
 
-def _geometric_tail(cp: ChemicalPotential, phi: float, log_terms: np.ndarray) -> float:
-    ratios = np.exp(np.diff(log_terms))
-    top = ratios[max(0, int(0.9 * len(ratios))) :]
-    q = float(np.max(top)) if top.size else 0.0
+def _geometric_tail(cp: ChemicalPotential, phi: float) -> float:
+    """Geometric majorant of the series beyond ``k_max``, from the terms of
+    the top decile of the range only."""
+    start = int(0.9 * cp.k_max)
+    t = np.arange(start, cp.k_max + 1, dtype=float) * math.log(phi) + cp.log_q[start:]
+    ratios = np.exp(np.diff(t))
+    q = float(np.max(ratios))
     if math.isfinite(cp.phi_c_estimate) and cp.phi_c_estimate > 0.0:
         q = max(q, phi / cp.phi_c_estimate)
     if q >= 1.0 - 1e-12:
         return math.inf
-    last = math.exp(log_terms[-1])
+    last = math.exp(t[-1])
     return last * q / (1.0 - q)
 
 
 # Series terms below this fraction of the peak cannot move the sum by an ulp,
-# so _log_sum drops them.  density_at_fugacity goes one step further and does
-# not evaluate a suffix of the series whose every term is certain to be
+# so _log_sum drops them.  _series goes one step further and does not
+# evaluate a suffix of the series whose every term is certain to be
 # dropped: for 0 < phi < phi_c the terms are ``t_l = s_l + l log(phi/phi_c)``
 # with ``s_l = log_q[l] + l log phi_c``, so ``max_{l >= L} s_l + L log(phi/phi_c)``
 # bounds every term from size L on.  A suffix is skipped when that bound lies
@@ -252,7 +252,8 @@ def _log_sum(values: np.ndarray) -> float:
     if not math.isfinite(m):
         return -math.inf
     kept = values[values >= m + _LOG_CUTOFF]
-    return m + math.log(float(np.sum(np.exp(kept - m))))
+    kept -= m  # in place: no further full-length temporaries
+    return m + math.log(float(np.sum(np.exp(kept, out=kept))))
 
 
 @lru_cache(maxsize=64)
@@ -294,25 +295,30 @@ def _series_length(cp: ChemicalPotential, log_phi: float) -> int:
     return full
 
 
-def density_at_fugacity(cp: ChemicalPotential, phi: float) -> float:
-    """Mean cluster mass of the equilibrium state at fugacity ``phi``.
+def _series(
+    cp: ChemicalPotential, log_phi: float, n_terms: int = 0, weighted: bool = True
+) -> Tuple[np.ndarray, float, float]:
+    """Leading terms ``t_l = l log phi + log_q[l]`` at ``phi = exp(log_phi) > 0``
+    with the logs of ``sum exp(t_l)`` and (if ``weighted``, else NaN) of
+    ``sum l exp(t_l)``.
 
-    For ``0 < phi < phi_c`` only the leading terms that can pass the cutoff
-    of the log-sum are evaluated (see ``_LOG_CUTOFF``); every term past the
-    cut would be dropped by the full-range sum, so the result is
-    bit-identical to summing all ``k_max + 1`` terms.  At or beyond
-    ``phi_c``, or with an infinite radius, the full range is summed.
+    Forms at least ``n_terms`` terms, and all that can pass the cutoff of
+    the log-sum (see ``_LOG_CUTOFF``), so both sums are bit-identical to
+    summing all ``k_max + 1`` terms.
     """
+    n = max(_series_length(cp, log_phi), n_terms)
+    ls = np.arange(n, dtype=float)
+    t = ls * log_phi + cp.log_q[:n]
+    log_num = _log_sum(t[1:] + np.log(ls[1:])) if weighted else math.nan
+    return t, _log_sum(t), log_num
+
+
+def density_at_fugacity(cp: ChemicalPotential, phi: float) -> float:
+    """Mean cluster mass of the equilibrium state at fugacity ``phi``."""
     _check_fugacity(cp, phi)
     if phi == 0.0:
         return 0.0
-    log_phi = math.log(phi)
-    n = _series_length(cp, log_phi)
-    ls = np.arange(n, dtype=float)
-    t = ls * log_phi + cp.log_q[:n]
-    with np.errstate(divide="ignore"):
-        log_num = _log_sum(t[1:] + np.log(ls[1:]))
-    log_den = _log_sum(t)
+    _, log_den, log_num = _series(cp, math.log(phi))
     return math.exp(log_num - log_den)
 
 
@@ -389,28 +395,20 @@ class CriticalDensityInfo:
     method: str
 
 
-def _algebraic_tail(
-    log_terms: np.ndarray, k_max: int
-) -> Optional[Tuple[float, float]]:
+def _algebraic_tail(t_half: float, t_n: float, n: int) -> Optional[float]:
     """Tail estimate for an eventually algebraically decaying positive series.
 
-    Fits the local power ``p`` from the term ratio between ``k_max/2`` and
-    ``k_max`` and integrates ``C l^-p`` beyond the truncation.  Returns
-    ``(tail, p)`` or ``None`` when the terms do not decay algebraically.
+    Fits the local power ``p`` from the log terms ``t_half`` at ``n // 2``
+    and ``t_n`` at the truncation ``n`` and integrates ``C l^-p`` beyond it.
+    Returns ``None`` when the terms do not decay algebraically.
     """
-    n = k_max
     half = n // 2
-    if half < 2:
-        return None
-    t_n = log_terms[n]
-    t_half = log_terms[half]
-    if not (math.isfinite(t_n) and math.isfinite(t_half)) or t_n >= t_half:
+    if half < 2 or not (math.isfinite(t_n) and math.isfinite(t_half)) or t_n >= t_half:
         return None
     p = (t_half - t_n) / math.log(n / half)
     if p <= 1.05:
         return None
-    tail = math.exp(t_n) * n / (p - 1.0)
-    return tail, p
+    return math.exp(t_n) * n / (p - 1.0)
 
 
 @lru_cache(maxsize=64)
@@ -433,15 +431,14 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
 
     ladder = []
     stable_steps = 0
-    phi_last = phi_c * 0.5
     for j in range(1, 49):
-        phi_j = phi_c * (1.0 - 0.5**j)
-        value = density_at_fugacity(cp, phi_j)
+        log_phi_last = math.log(phi_c * (1.0 - 0.5**j))
+        _, log_den, log_num_last = _series(cp, log_phi_last)
+        value = math.exp(log_num_last - log_den)
         if ladder:
             increment = abs(value - ladder[-1]) / max(abs(value), 1e-300)
             stable_steps = stable_steps + 1 if increment < 1e-8 else 0
         ladder.append(value)
-        phi_last = phi_j
         if stable_steps >= 2:
             break
     last_inc = abs(ladder[-1] - ladder[-2]) if len(ladder) >= 2 else math.nan
@@ -450,25 +447,23 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     # A ladder that flattens out may have hit the truncation ceiling rather
     # than a genuine limit: the density series at the last rung must have
     # decayed within the available range for the plateau to mean anything.
-    t_last = _log_terms(cp, phi_last)
-    ls_all = np.arange(cp.k_max + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_density_terms = t_last + np.log(ls_all)
-    log_series_sum = _log_sum(log_density_terms[1:])
-    truncation_clean = (log_density_terms[-1] - log_series_sum) < math.log(1e-10)
+    last_term = cp.k_max * log_phi_last + cp.log_q[-1] + np.log(cp.k_max)
+    truncation_clean = (last_term - log_num_last) < math.log(1e-10)
 
     # Direct evaluation at phi_c, completed by algebraic tails when available.
-    t = _log_terms(cp, phi_c)
-    ls = np.arange(cp.k_max + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_num_terms = t + np.log(ls)
-    num_tail = _algebraic_tail(log_num_terms, cp.k_max)
-    den_tail = _algebraic_tail(t, cp.k_max)
+    log_phi_c = math.log(phi_c)
+    ends = np.array([cp.k_max // 2, cp.k_max])
+    den_ends = ends * log_phi_c + cp.log_q[ends]
+    with np.errstate(divide="ignore"):  # k_max // 2 is 0 when k_max = 1
+        num_ends = den_ends + np.log(ends)
+    num_tail = _algebraic_tail(*num_ends, cp.k_max)
+    den_tail = _algebraic_tail(*den_ends, cp.k_max)
     if num_tail is not None and den_tail is not None:
-        num = math.exp(_log_sum(log_num_terms[1:])) + num_tail[0]
-        den = math.exp(_log_sum(t)) + den_tail[0]
+        _, log_den, log_num = _series(cp, log_phi_c)
+        num = math.exp(log_num) + num_tail
+        den = math.exp(log_den) + den_tail
         direct = num / den
-        defect = num_tail[0] / den
+        defect = num_tail / den
         if direct >= ladder[-1] - 1e-9 and direct - ladder[-1] <= 3.0 * defect + 1e-6 * max(
             1.0, direct
         ):
@@ -509,7 +504,7 @@ def equilibrium_profile(
     if phi is None:
         phi = fugacity_for_density(cp, rho)
     k_prof = cp.k_max if k_max is None else min(int(k_max), cp.k_max)
-    z, series_tail = partition_sum(cp, phi)
+    _check_fugacity(cp, phi)
     if phi == 0.0:
         omega = np.zeros(k_prof + 1)
         omega[0] = 1.0
@@ -517,19 +512,18 @@ def equilibrium_profile(
             omega=omega, phi=0.0, z_value=1.0, log_z=0.0, density=0.0,
             truncation_tail_bound=0.0, k_max=k_prof,
         )
-    t = _log_terms(cp, phi)
-    log_z = _log_sum(t)
+    t, log_z, log_num = _series(cp, math.log(phi), k_prof + 1)
     omega = np.exp(t[: k_prof + 1] - log_z)
-    density = density_at_fugacity(cp, phi)
     mass_defect = max(0.0, 1.0 - float(np.sum(omega)))
-    z_for_bound = math.exp(log_z)
-    tail_bound = mass_defect + (series_tail / z_for_bound if math.isfinite(series_tail) else math.inf)
+    series_tail = _geometric_tail(cp, phi)
+    z = math.exp(log_z)
+    tail_bound = mass_defect + (series_tail / z if math.isfinite(series_tail) else math.inf)
     return EquilibriumProfile(
         omega=omega,
         phi=float(phi),
-        z_value=z,
+        z_value=z if log_z < 709.0 else math.inf,
         log_z=log_z,
-        density=density,
+        density=math.exp(log_num - log_z),
         truncation_tail_bound=tail_bound,
         k_max=k_prof,
     )

@@ -59,6 +59,12 @@ def test_missing_kernel_key(tmp_path):
     assert main(["check-kernel", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_non_object_analysis_is_config_error(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"kernel": CONDENSING, "analysis": [1, 2]})
+    out = str(tmp_path / "out")
+    assert main(["equilibrium", "--config", cfg, "--out", out, "--rho", "0.5"]) == EXIT_CONFIG
+
+
 def test_equilibrium_constant(tmp_path):
     cfg = write_config(
         tmp_path, "c.json", {"kernel": {"family": "constant"}, "analysis": {"equilibrium_k_max": 4000, "profile_k_max": 64}}
@@ -232,6 +238,15 @@ def test_simulate_resume_matches_uninterrupted(tmp_path):
     assert float(np.dot(weights, np.abs(gap))) <= 1e-9
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_simulate_rejects_non_finite_explicit_state(tmp_path, bad):
+    payload = dict(SIM_CONFIG, initial_condition={"type": "explicit", "values": [0.5, bad, 0.0]})
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_simulate_integrator_failure(tmp_path):
     payload = dict(SIM_CONFIG)
     payload["integrator"] = {"t_end": 1.0, "rtol": 1e-300, "atol": 1e-300}
@@ -324,6 +339,23 @@ def test_sweep_empty_densities(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert len(read_rows(out / "sweep.csv")) == 1
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [
+        {"type": "geometric", "phi": 0.3},
+        {"type": "explicit", "values": [0.5, 0.5]},
+        {"type": "vacuum"},
+        {"type": "equilibrium", "rho": 0.5},
+    ],
+)
+def test_sweep_rejects_initial_condition_without_row_density(tmp_path, initial):
+    payload = dict(SWEEP_CONFIG, densities=[0.2, 0.6], initial_condition=initial)
+    cfg = write_config(tmp_path, "s.json", payload)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "1"]) == EXIT_CONFIG
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_rejects_duplicates(tmp_path):

@@ -47,6 +47,12 @@ def test_profile_moments_cached():
     assert state.first_moment == pytest.approx(0.5 + 0.6)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_from_values_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        state_from_values([0.5, bad])
+
+
 def test_monodisperse_validation():
     with pytest.raises(ValueError):
         monodisperse_state(3.0, 2, 16)  # rho > m
@@ -237,6 +243,21 @@ def test_checkpoint_round_trip(tmp_path, const):
     assert np.array_equal(state.c, traj.final_state.c)  # bit-compatible
     assert spec["family"] == "constant"
     assert cfg_back.t_end == cfg.t_end
+
+
+def test_checkpoint_with_positivity_floor_key_loads(tmp_path):
+    # Checkpoints written while IntegratorConfig still had a positivity_floor
+    # field carry the key; it is ignored.
+    path = tmp_path / "ckpt.json"
+    cfg = {"t_end": 2.0, "rtol": 1e-8, "atol": 1e-12, "max_step": None,
+           "record_every": 0.25, "positivity_floor": 0.0}
+    payload = {"t": 1.0, "N": 2, "c": ["0.5", "0.25", "0.25"],
+               "kernel_spec": {"family": "constant", "value": 1.0}, "cfg": cfg}
+    path.write_text(json.dumps(payload, indent=1))
+    t, state, _, cfg_back = load_checkpoint(path)
+    assert t == 1.0 and state.c.tolist() == [0.5, 0.25, 0.25]
+    assert cfg_back == IntegratorConfig(t_end=2.0, record_every=0.25)
+    assert "positivity_floor" not in cfg_back.as_dict()
 
 
 def test_checkpoint_survives_failed_rewrite(tmp_path, const, monkeypatch):

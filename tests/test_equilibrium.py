@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edgrow.equilibrium import (
+    ChemicalPotential,
     DivergentSeriesError,
     SupercriticalDensityError,
     chemical_potential,
@@ -62,6 +63,12 @@ def test_log_q_increments(cp_condensing):
         expected = math.log(kernel(1, l - 1)) - math.log(kernel(l, 0))
         got = cp_condensing.log_q[l] - cp_condensing.log_q[l - 1]
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_chemical_potential_needs_a_size_past_zero():
+    # The series evaluator reads log_q[1]; a range without it is rejected.
+    with pytest.raises(ValueError, match="k_max"):
+        ChemicalPotential(np.zeros(1), 2.0, True, 0)
 
 
 def test_zero_rate_names_offender():

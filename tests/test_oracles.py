@@ -2,9 +2,9 @@
 
 Birth/death rates are checked against the dense rate table, dissipation
 against a scalar loop over all reaction pairs that reads positivity of a
-flux from the support of the kernel and the state, the cut equilibrium
-series against the sum over its full range, and the bulk CSV writers
-against per-cell formatting.
+flux from the support of the kernel and the state, every equilibrium
+quantity from the cut series against sums over the full range, and the
+bulk CSV writers against per-cell formatting.
 """
 
 import math
@@ -19,7 +19,15 @@ from hypothesis.extra.numpy import arrays
 from edgrow.cli import _write_summary_csv, _write_trajectory_csv
 from edgrow.diagnostics import ConvergenceReport, write_convergence_series_csv
 from edgrow.dynamics import ConcentrationProfile, TrajectoryRecord, birth_death_rates
-from edgrow.equilibrium import chemical_potential, density_at_fugacity
+from edgrow.equilibrium import (
+    EquilibriumProfile,
+    InconclusiveDensityError,
+    chemical_potential,
+    critical_density_info,
+    density_at_fugacity,
+    equilibrium_profile,
+    partition_sum,
+)
 from edgrow.kernels import (
     additive_kernel,
     condensing_kernel,
@@ -94,20 +102,94 @@ def test_dissipation_matches_pair_loop(name, c):
     assert math.isinf(result.value) == (infinite_terms > 0)
 
 
-def full_range_density(cp, phi) -> float:
-    """Density at ``phi`` summed over all sizes ``0..k_max``, dropping terms
-    below 1e-18 of the peak of each sum only after evaluating them."""
+def log_sum(values) -> float:
+    """Log of a sum of exponentials, dropping terms below 1e-18 of the peak
+    only after they have been evaluated."""
+    m = float(np.max(values))
+    if not math.isfinite(m):
+        return -math.inf
+    kept = values[values >= m + math.log(1e-18)]
+    return m + math.log(float(np.sum(np.exp(kept - m))))
 
-    def log_sum(values):
-        m = float(np.max(values))
-        kept = values[values >= m + math.log(1e-18)]
-        return m + math.log(float(np.sum(np.exp(kept - m))))
 
+def full_range_terms(cp, phi) -> tuple:
+    """Log terms of the series and of the size-weighted series at ``phi``
+    for every size ``0..k_max``."""
     ls = np.arange(cp.k_max + 1, dtype=float)
     t = ls * math.log(phi) + cp.log_q
     with np.errstate(divide="ignore"):
-        log_num = log_sum(t[1:] + np.log(ls[1:]))
-    return math.exp(log_num - log_sum(t))
+        return t, t + np.log(ls)
+
+
+def full_range_density(cp, phi) -> float:
+    t, t_num = full_range_terms(cp, phi)
+    return math.exp(log_sum(t_num[1:]) - log_sum(t))
+
+
+def full_range_partition_sum(cp, phi) -> tuple:
+    """``(z, tail_bound, log_z)``; the geometric bound takes the largest term
+    ratio over the top decile of all ``k_max`` ratios."""
+    t, _ = full_range_terms(cp, phi)
+    log_z = log_sum(t)
+    ratios = np.exp(np.diff(t))
+    q = max(float(np.max(ratios[int(0.9 * cp.k_max) :])), phi / cp.phi_c_estimate)
+    tail = math.inf if q >= 1.0 - 1e-12 else math.exp(t[-1]) * q / (1.0 - q)
+    return (math.exp(log_z) if log_z < 709.0 else math.inf), tail, log_z
+
+
+def full_range_profile(cp, phi, k_prof) -> EquilibriumProfile:
+    z, tail, log_z = full_range_partition_sum(cp, phi)
+    t, _ = full_range_terms(cp, phi)
+    omega = np.exp(t[: k_prof + 1] - log_z)
+    mass_defect = max(0.0, 1.0 - float(np.sum(omega)))
+    bound = mass_defect + (tail / math.exp(log_z) if math.isfinite(tail) else math.inf)
+    return EquilibriumProfile(omega, phi, z, log_z, full_range_density(cp, phi), bound, k_prof)
+
+
+def algebraic_tail(log_terms, n):
+    """``C l^-p`` integrated past ``n``, with ``p`` fitted between ``n // 2``
+    and ``n``; ``None`` when the terms do not decay algebraically."""
+    half = n // 2
+    if half < 2:
+        return None
+    t_n, t_half = log_terms[n], log_terms[half]
+    if not (math.isfinite(t_n) and math.isfinite(t_half)) or t_n >= t_half:
+        return None
+    p = (t_half - t_n) / math.log(n / half)
+    return None if p <= 1.05 else math.exp(t_n) * n / (p - 1.0)
+
+
+def full_range_critical_density(cp):
+    """``(value, ladder, last_increment, method)`` of the critical density,
+    every sum taken over the full range; ``None`` when inconclusive."""
+    phi_c = cp.phi_c_estimate
+    ladder, stable_steps = [], 0
+    for j in range(1, 49):
+        phi = phi_c * (1.0 - 0.5**j)
+        ladder.append(full_range_density(cp, phi))
+        if len(ladder) > 1:
+            increment = abs(ladder[-1] - ladder[-2]) / max(abs(ladder[-1]), 1e-300)
+            stable_steps = stable_steps + 1 if increment < 1e-8 else 0
+        if stable_steps >= 2:
+            break
+    last_inc = abs(ladder[-1] - ladder[-2])
+    _, t_num = full_range_terms(cp, phi)
+    truncation_clean = t_num[-1] - log_sum(t_num[1:]) < math.log(1e-10)
+    t, t_num = full_range_terms(cp, phi_c)
+    num_tail, den_tail = algebraic_tail(t_num, cp.k_max), algebraic_tail(t, cp.k_max)
+    if num_tail is not None and den_tail is not None:
+        den = math.exp(log_sum(t)) + den_tail
+        direct = (math.exp(log_sum(t_num[1:])) + num_tail) / den
+        defect = num_tail / den
+        if direct >= ladder[-1] - 1e-9 and direct - ladder[-1] <= 3.0 * defect + 1e-6 * max(
+            1.0, direct
+        ):
+            return direct, tuple(ladder), last_inc, "direct-tail"
+    if stable_steps >= 2 and truncation_clean:
+        return ladder[-1], tuple(ladder), last_inc, "ladder"
+    if not truncation_clean and all(b >= a * (1.0 - 1e-12) for a, b in zip(ladder, ladder[1:])):
+        return math.inf, tuple(ladder), last_inc, "ladder-ceiling"
+    return None
 
 
 SERIES_KERNELS = st.one_of(
@@ -118,6 +200,7 @@ SERIES_KERNELS = st.one_of(
 FUGACITY_RATIOS = st.one_of(
     st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
     st.integers(min_value=1, max_value=2**13).map(lambda k: 1.0 - k * 2.0**-53),
+    st.just(1.0),
 )
 
 
@@ -125,13 +208,28 @@ FUGACITY_RATIOS = st.one_of(
     kernel=SERIES_KERNELS,
     k_max=st.integers(min_value=16, max_value=5000),
     ratio=FUGACITY_RATIOS,
+    k_prof=st.one_of(st.none(), st.integers(min_value=0, max_value=5000)),
 )
 @settings(max_examples=200, deadline=None)
-def test_cut_density_series_matches_full_range(kernel, k_max, ratio):
+def test_cut_density_series_matches_full_range(kernel, k_max, ratio, k_prof):
     cp = chemical_potential(kernel, k_max)
     assert math.isfinite(cp.phi_c_estimate)
     phi = ratio * cp.phi_c_estimate
     assert density_at_fugacity(cp, phi) == full_range_density(cp, phi)
+    assert partition_sum(cp, phi) == full_range_partition_sum(cp, phi)[:2]
+
+    profile = equilibrium_profile(cp, phi=phi, k_max=k_prof)
+    expected = full_range_profile(cp, phi, k_max if k_prof is None else min(k_prof, k_max))
+    assert np.array_equal(profile.omega, expected.omega)
+    for name in ("phi", "z_value", "log_z", "density", "truncation_tail_bound", "k_max"):
+        assert getattr(profile, name) == getattr(expected, name), name
+
+    try:
+        info = critical_density_info(cp)
+        found = (info.value, info.ladder, info.last_increment, info.method)
+    except InconclusiveDensityError:
+        found = None
+    assert found == full_range_critical_density(cp)
 
 
 EDGE_FLOATS = (
