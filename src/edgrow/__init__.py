@@ -42,12 +42,14 @@ from .dynamics import (
     ConcentrationProfile,
     IntegratorConfig,
     IntegratorError,
+    IntegratorStats,
     RatesView,
     TrajectoryRecord,
     birth_death_rates,
     geometric_state,
     integrate,
     load_checkpoint,
+    load_controller,
     moment_identity_residual,
     monodisperse_state,
     net_fluxes,

@@ -278,11 +278,13 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         # The checkpoint provides the state and clock; the config stays the
         # description of the full run (t_end, tolerances, outputs).
         t0, resumed_state, kernel_spec, _ = dynamics.load_checkpoint(resume)
+        controller = dynamics.load_controller(resume)
         kernel = kernels.kernel_from_spec(kernel_spec)
         resolved["kernel"] = dict(kernel_spec)
     else:
         t0 = 0.0
         resumed_state = None
+        controller = None
         kernel = _build_kernel(resolved)
 
     cp: Optional[equilibrium.ChemicalPotential] = None
@@ -303,8 +305,12 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
 
     checkpoint_path = os.path.join(out, "checkpoint.json")
 
-    def checkpoint_hook(t: float, state: dynamics.ConcentrationProfile) -> None:
-        dynamics.save_checkpoint(checkpoint_path, t, state, kernels.kernel_spec(kernel), cfg)
+    def checkpoint_hook(
+        t: float, state: dynamics.ConcentrationProfile, controller: Optional[dict]
+    ) -> None:
+        dynamics.save_checkpoint(
+            checkpoint_path, t, state, kernels.kernel_spec(kernel), cfg, controller
+        )
 
     try:
         with _phase(phase_seconds, "integrate"):
@@ -316,6 +322,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
                 t0=t0,
                 checkpoint_hook=checkpoint_hook,
                 checkpoint_every=analysis["checkpoint_every"],
+                controller=controller,
             )
     except dynamics.IntegratorError as exc:
         _write_json(
@@ -365,6 +372,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
                 "mass": float(traj.clamp_mass1[-1]),
             },
             "boundary_contaminated_from": traj.boundary_contaminated_from,
+            "integrator": traj.stats.as_dict(),
             "phase_seconds": phase_seconds,
             "runtime_seconds": time.perf_counter() - started,
         },

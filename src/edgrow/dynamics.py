@@ -12,7 +12,11 @@ Integration uses an embedded Runge-Kutta 4(5) pair with PI step-size control
 and positivity-aware rejection: a step that would push any component below
 ``-atol`` is halved, tiny negative survivors are clamped to zero and the
 clamped mass is accounted in a drift ledger so conservation checks stay
-honest.
+honest.  One stepper object runs every step: it owns the state, preallocated
+stage and scratch buffers, the controller and the :class:`IntegratorStats`
+counters, and :func:`integrate` builds a profile only at sample points.
+Checkpoints carry the controller, so a resumed run repeats the uninterrupted
+one bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "RatesView",
     "IntegratorConfig",
     "StepResult",
+    "IntegratorStats",
     "TrajectoryRecord",
     "IntegratorError",
     "vacuum_state",
@@ -52,6 +57,7 @@ __all__ = [
     "positivity_bound_margin",
     "save_checkpoint",
     "load_checkpoint",
+    "load_controller",
 ]
 
 
@@ -137,16 +143,21 @@ class RatesView:
     b: np.ndarray
 
 
-def _rate_arrays(kernel: Kernel, c: np.ndarray):
+def _rate_arrays(kernel: Kernel, c: np.ndarray, work: Optional[np.ndarray] = None):
+    """Birth rates ``A_0..A_{N-1}`` and death rates ``B_1..B_N`` at ``c``, in
+    rows 0 and 1 of the ``3 x N`` array ``work`` (allocated if not given)."""
     donor = c[1:]
     acceptor = c[:-1]
+    if work is None:
+        work = np.empty((3, len(donor)))
+    a_rates, b_rates, scratch = work
     (b_vals, a_vals), *rest = _factor_vectors(kernel, len(c) - 1)
     # Starting from the first term keeps rank-1 kernels to one product each.
-    a_rates = a_vals * float(np.dot(b_vals, donor))
-    b_rates = b_vals * float(np.dot(a_vals, acceptor))
+    np.multiply(a_vals, float(np.dot(b_vals, donor)), out=a_rates)
+    np.multiply(b_vals, float(np.dot(a_vals, acceptor)), out=b_rates)
     for b_vals, a_vals in rest:
-        a_rates += a_vals * float(np.dot(b_vals, donor))
-        b_rates += b_vals * float(np.dot(a_vals, acceptor))
+        a_rates += np.multiply(a_vals, float(np.dot(b_vals, donor)), out=scratch)
+        b_rates += np.multiply(b_vals, float(np.dot(a_vals, acceptor)), out=scratch)
     return a_rates, b_rates
 
 
@@ -168,12 +179,16 @@ def net_fluxes(rates: RatesView, state: ConcentrationProfile) -> np.ndarray:
     return rates.a * c[:-1] - rates.b * c[1:]
 
 
-def _rhs_from_c(kernel: Kernel, c: np.ndarray) -> np.ndarray:
-    a_rates, b_rates = _rate_arrays(kernel, c)
-    flux = a_rates * c[:-1] - b_rates * c[1:]
-    out = np.empty_like(c)
+def _rhs_from_c(kernel: Kernel, c: np.ndarray, out=None, work=None) -> np.ndarray:
+    """``dc/dt`` at ``c`` written into ``out``, with the rates in ``work``
+    (see :func:`_rate_arrays`); either is allocated when not given."""
+    if out is None:
+        out = np.empty_like(c)
+    a_rates, b_rates = _rate_arrays(kernel, c, work)
+    flux = np.multiply(a_rates, c[:-1], out=a_rates)
+    flux -= np.multiply(b_rates, c[1:], out=b_rates)
     out[0] = -flux[0]
-    out[1:-1] = flux[:-1] - flux[1:]
+    np.subtract(flux[:-1], flux[1:], out=out[1:-1])
     out[-1] = flux[-1]
     return out
 
@@ -250,6 +265,12 @@ _RK_A = (
 _RK_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
 _RK_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
 _RK_ERR = _RK_B5 - _RK_B4
+# The same coefficients as columns, to scale a block of stage rows at once.
+_RK_A_COLUMNS = tuple(np.array(row)[:, None] for row in _RK_A[1:])
+_RK_B5_COLUMN = _RK_B5[:, None]
+_RK_ERR_COLUMN = _RK_ERR[:, None]
+
+_SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 
 
 @dataclass(frozen=True)
@@ -262,15 +283,195 @@ class StepResult:
     clamped_mass1: float
 
 
-def _rk_stages(kernel: Kernel, c: np.ndarray, dt: float, f0: np.ndarray) -> list:
-    """Stages of one attempt from ``c``; ``f0 = f(c)`` does not depend on ``dt``."""
-    stages = [f0]
-    for row in _RK_A[1:]:
-        increment = np.zeros_like(c)
-        for coeff, stage in zip(row, stages):
-            increment += coeff * stage
-        stages.append(_rhs_from_c(kernel, c + dt * increment))
-    return stages
+@dataclass
+class IntegratorStats:
+    """Where the steps of an integration went.
+
+    ``rhs_evals`` counts right-hand-side evaluations: one per accepted step
+    for stage 0, which rejected attempts share, and five per attempt, so it
+    equals ``6 * accepted + 5 * rejected``.  ``dt_min``/``dt_max`` range
+    over accepted steps; ``clamp_events`` counts accepted steps that clamped
+    at least one component to zero.
+    """
+
+    accepted: int = 0
+    rejected_error: int = 0
+    rejected_positivity: int = 0
+    rejected_non_finite: int = 0
+    rhs_evals: int = 0
+    dt_min: float = math.inf
+    dt_max: float = 0.0
+    clamp_events: int = 0
+
+    @property
+    def rejected(self) -> int:
+        return self.rejected_error + self.rejected_positivity + self.rejected_non_finite
+
+    def as_dict(self) -> dict:
+        return {
+            "accepted": self.accepted,
+            "rejected": {
+                "error": self.rejected_error,
+                "positivity": self.rejected_positivity,
+                "non_finite": self.rejected_non_finite,
+            },
+            "rhs_evals": self.rhs_evals,
+            "dt_min": self.dt_min if self.accepted else None,
+            "dt_max": self.dt_max if self.accepted else None,
+            "clamp_events": self.clamp_events,
+        }
+
+
+class _Stepper:
+    """Embedded RK4(5) steps of one state, in place.
+
+    Owns the state ``c``, a ``6 x (N+1)`` stage buffer with one products
+    buffer and scratch rows, the strong-norm weights ``1 + l``, the
+    step-size controller (``dt_next``, ``err_prev_ratio``, the tolerance at
+    the current state, the clamp totals) and the :class:`IntegratorStats`.
+    A step allocates no array of size ``N`` unless it clamps.
+
+    Every weighted stage sum is one multiply into the products buffer and
+    one reduction over its rows.  Row 0 of that buffer stays ``+0.0`` and
+    the reduction adds rows in order, so each sum is
+    ``0 + w_0 k_0 + w_1 k_1 + ...`` exactly as Python's ``sum`` forms it.
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        c: np.ndarray,
+        cfg: IntegratorConfig,
+        dt_next: float = 0.0,
+        err_prev_ratio: Optional[float] = None,
+        clamp_mass0: float = 0.0,
+        clamp_mass1: float = 0.0,
+    ):
+        self.kernel = kernel
+        self.cfg = cfg
+        self.c = np.array(c, dtype=float)
+        size = len(self.c)
+        self.stages = np.empty((6, size))
+        self.products = np.zeros((7, size))
+        self.c_new = np.empty(size)
+        self.scratch = np.empty(size)
+        self.rate_work = np.empty((3, size - 1))
+        self.weights = 1.0 + np.arange(size, dtype=float)
+        self.tol = self._tolerance(self.c)
+        self.dt_next = dt_next
+        self.err_prev_ratio = err_prev_ratio
+        self.clamp_mass0 = clamp_mass0
+        self.clamp_mass1 = clamp_mass1
+        self.stats = IntegratorStats()
+        # the last accepted step
+        self.dt_used = 0.0
+        self.error_estimate = 0.0
+        self.clamped_mass0 = 0.0
+        self.clamped_mass1 = 0.0
+
+    def _tolerance(self, c: np.ndarray) -> float:
+        """``rtol * strong_norm(c) + atol``."""
+        norm = float(np.dot(self.weights, np.abs(c, out=self.scratch)))
+        return self.cfg.rtol * norm + self.cfg.atol
+
+    def _weighted_stages(self, column: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = 0 + column[0] k_0 + column[1] k_1 + ...``, summed in that order."""
+        m = len(column)
+        np.multiply(self.stages[:m], column, out=self.products[1 : m + 1])
+        return np.add.reduce(self.products[: m + 1], axis=0, out=out)
+
+    def advance(self, dt_suggest: float) -> None:
+        """One accepted step of length at most ``min(dt_suggest, max_step)``.
+
+        Rejects and retries as :func:`step` documents, then clamps, updates
+        the clamp totals and the controller, and swaps the new state in.
+        """
+        if dt_suggest <= 0:
+            raise ValueError("dt_suggest must be positive")
+        cfg, c, stages, stats = self.cfg, self.c, self.stages, self.stats
+        tol = self.tol
+        t_scale = max(cfg.t_end, 1.0)
+        dt = min(dt_suggest, cfg.max_step)
+        # Rejected attempts retry from the same state, so they share stage 0.
+        # ``_rhs_from_c`` is looked up in the module on every call, so a
+        # wrapper installed there sees each evaluation.
+        _rhs_from_c(self.kernel, c, out=stages[0], work=self.rate_work)
+        stats.rhs_evals += 1
+        while True:
+            if dt < 1e-14 * t_scale:
+                raise IntegratorError(f"step underflow: dt={dt!r}")
+            for i, column in enumerate(_RK_A_COLUMNS, start=1):
+                stage_input = self._weighted_stages(column, self.scratch)
+                stage_input *= dt
+                np.add(c, stage_input, out=stage_input)
+                _rhs_from_c(self.kernel, stage_input, out=stages[i], work=self.rate_work)
+            stats.rhs_evals += 5
+            err_vec = self._weighted_stages(_RK_ERR_COLUMN, self.scratch)
+            err_vec *= dt
+            err = float(np.abs(err_vec, out=err_vec).max())
+            if not math.isfinite(err):
+                stats.rejected_non_finite += 1
+                dt *= 0.5
+                continue
+            if err > tol:
+                stats.rejected_error += 1
+                dt *= max(_FAC_MIN, min(1.0, _SAFETY * (tol / err) ** 0.2))
+                continue
+            c_new = self._weighted_stages(_RK_B5_COLUMN, self.c_new)
+            c_new *= dt
+            np.add(c, c_new, out=c_new)
+            min_c = float(c_new.min())
+            if min_c < -cfg.atol:
+                stats.rejected_positivity += 1
+                dt *= 0.5
+                continue
+            break
+
+        # Accepted, so no component is below -atol: every negative one clamps.
+        clamped_mass0 = clamped_mass1 = 0.0
+        if min_c < 0.0:
+            clamp = c_new < 0.0
+            clamped_mass0 = float(-np.sum(c_new[clamp]))
+            clamped_mass1 = float(-np.dot(np.nonzero(clamp)[0].astype(float), c_new[clamp]))
+            c_new[clamp] = 0.0
+            stats.clamp_events += 1
+        self.c, self.c_new = c_new, c
+        self.clamp_mass0 += clamped_mass0
+        self.clamp_mass1 += clamped_mass1
+
+        # The error is weighed against the tolerance the step used, and
+        # carried to the next step against the tolerance at the new state,
+        # which is also that step's tolerance.
+        tol_new = self._tolerance(c_new)
+        err_ratio = err / tol
+        if err_ratio <= 0.0:
+            factor = _FAC_MAX
+        elif self.err_prev_ratio is None or self.err_prev_ratio <= 0.0:
+            factor = _SAFETY * err_ratio ** (-0.2)
+        else:
+            # PI control: respond to the current ratio, damped by the previous one.
+            factor = _SAFETY * err_ratio ** (-0.14) * self.err_prev_ratio**0.08
+        self.dt_next = min(dt * max(_FAC_MIN, min(_FAC_MAX, factor)), cfg.max_step)
+        self.err_prev_ratio = err / tol_new
+        self.tol = tol_new
+
+        self.dt_used = dt
+        self.error_estimate = err
+        self.clamped_mass0 = clamped_mass0
+        self.clamped_mass1 = clamped_mass1
+        stats.accepted += 1
+        stats.dt_min = min(stats.dt_min, dt)
+        stats.dt_max = max(stats.dt_max, dt)
+
+    def controller(self, next_record: float) -> dict:
+        """The controller block a checkpoint needs to continue this run exactly."""
+        return {
+            "dt_next": self.dt_next,
+            "err_prev_ratio": self.err_prev_ratio,
+            "next_record": next_record,
+            "clamp_mass0": self.clamp_mass0,
+            "clamp_mass1": self.clamp_mass1,
+        }
 
 
 def step(
@@ -279,67 +480,30 @@ def step(
     dt_suggest: float,
     cfg: IntegratorConfig,
     err_prev_ratio: Optional[float] = None,
-) -> StepResult:
+) -> Optional[StepResult]:
     """One accepted embedded RK4(5) step with PI step-size control.
 
-    Rejects and halves when the componentwise error exceeds
-    ``rtol * ||c|| + atol`` or any component would drop below ``-atol``;
-    accepted components in ``[-atol, 0)`` are clamped to 0 with the clamped
-    mass reported for the drift ledger.
+    Rejects and halves when the step would not be finite or any component
+    would drop below ``-atol``, and shrinks it when the componentwise error
+    exceeds ``rtol * ||c|| + atol``; accepted components in ``[-atol, 0)``
+    are clamped to 0 with the clamped mass reported for the drift ledger.
+
+    :func:`integrate` passes its running stepper as ``state``: it advances
+    in place and ``None`` is returned, so every accepted step is one call
+    here without a profile being built for it.
     """
-    if dt_suggest <= 0:
-        raise ValueError("dt_suggest must be positive")
-    c = state.c
-    tol = cfg.rtol * strong_norm(c) + cfg.atol
-    t_scale = max(cfg.t_end, 1.0)
-    dt = min(dt_suggest, cfg.max_step)
-    safety, fac_min, fac_max = 0.9, 0.2, 5.0
-    # Rejected attempts retry from the same state, so they share stage 0.
-    f0 = _rhs_from_c(kernel, c)
-    while True:
-        if dt < 1e-14 * t_scale:
-            raise IntegratorError(f"step underflow: dt={dt!r}")
-        stages = _rk_stages(kernel, c, dt, f0)
-        c_new = c + dt * sum(b * k for b, k in zip(_RK_B5, stages))
-        err_vec = dt * sum(e * k for e, k in zip(_RK_ERR, stages))
-        err = float(np.max(np.abs(err_vec)))
-        if not math.isfinite(err):
-            dt *= 0.5
-            continue
-        if err > tol:
-            ratio = (tol / err) ** 0.2
-            dt *= max(fac_min, min(1.0, safety * ratio))
-            continue
-        min_c = float(np.min(c_new))
-        if min_c < -cfg.atol:
-            dt *= 0.5
-            continue
-        break
-
-    clamp = (c_new < 0.0) & (c_new >= -cfg.atol)
-    clamped_mass0 = float(-np.sum(c_new[clamp]))
-    clamped_mass1 = float(-np.dot(np.nonzero(clamp)[0].astype(float), c_new[clamp]))
-    if np.any(clamp):
-        c_new = c_new.copy()
-        c_new[clamp] = 0.0
-
-    err_ratio = err / tol if tol > 0 else 0.0
-    if err_ratio <= 0.0:
-        factor = fac_max
-    elif err_prev_ratio is None or err_prev_ratio <= 0.0:
-        factor = safety * err_ratio ** (-0.2)
-    else:
-        # PI control: respond to the current ratio, damped by the previous one.
-        factor = safety * err_ratio ** (-0.14) * err_prev_ratio**0.08
-    dt_next = dt * max(fac_min, min(fac_max, factor))
-    dt_next = min(dt_next, cfg.max_step)
+    if isinstance(state, _Stepper):
+        state.advance(dt_suggest)
+        return None
+    stepper = _Stepper(kernel, state.c, cfg, err_prev_ratio=err_prev_ratio)
+    stepper.advance(dt_suggest)
     return StepResult(
-        state=ConcentrationProfile(c_new),
-        dt_used=dt,
-        dt_next=dt_next,
-        error_estimate=err,
-        clamped_mass0=clamped_mass0,
-        clamped_mass1=clamped_mass1,
+        state=ConcentrationProfile(stepper.c),
+        dt_used=stepper.dt_used,
+        dt_next=stepper.dt_next,
+        error_estimate=stepper.error_estimate,
+        clamped_mass0=stepper.clamped_mass0,
+        clamped_mass1=stepper.clamped_mass1,
     )
 
 
@@ -349,8 +513,10 @@ class TrajectoryRecord:
 
     ``extras`` holds observer series (free energy, dissipation, ...) keyed by
     name.  ``clamp_mass0/1`` are the cumulative moment deficits introduced by
-    positivity clamping up to each sample; they bound how much of any moment
-    drift is a numerical artifact of the clamp.
+    positivity clamping up to each sample, counted from the start of the run
+    (a resumed run starts from the totals its checkpoint carried); they bound
+    how much of any moment drift is a numerical artifact of the clamp.
+    ``stats`` says where the steps went.
     """
 
     times: np.ndarray
@@ -363,6 +529,7 @@ class TrajectoryRecord:
     boundary_mass: np.ndarray
     extras: dict
     boundary_contaminated_from: Optional[float] = None
+    stats: Optional[IntegratorStats] = None
 
     @property
     def sample_count(self) -> int:
@@ -382,6 +549,7 @@ class TrajectoryRecord:
 
 
 Observer = Callable[[ConcentrationProfile, float], Mapping[str, float]]
+CheckpointHook = Callable[[float, ConcentrationProfile, Optional[dict]], None]
 
 
 def integrate(
@@ -390,14 +558,19 @@ def integrate(
     cfg: IntegratorConfig,
     observers: Optional[Sequence[Observer]] = None,
     t0: float = 0.0,
-    checkpoint_hook: Optional[Callable[[float, ConcentrationProfile], None]] = None,
+    checkpoint_hook: Optional[CheckpointHook] = None,
     checkpoint_every: Optional[float] = None,
+    controller: Optional[Mapping] = None,
 ) -> TrajectoryRecord:
     """Integrate to ``cfg.t_end`` recording at the configured cadence.
 
     ``t_end <= t0`` records the initial state only.  ``checkpoint_hook`` is
-    invoked at most every ``checkpoint_every`` time units (at sample points),
-    which is how the CLI persists resumable state.
+    invoked at most every ``checkpoint_every`` time units (at sample points)
+    and once at the end, with the time, the state and the controller block
+    (see :func:`save_checkpoint`; ``None`` if ``t_end <= t0`` and none was
+    given).  ``controller`` is such a block from a checkpoint: the run then
+    continues exactly as the run that wrote it would have.  Without one the
+    controller starts afresh.
     """
     state0.validate()
     observers = list(observers or [])
@@ -405,14 +578,17 @@ def integrate(
     boundary_lo = int(math.ceil(0.9 * n))
     weights_boundary = np.arange(n + 1, dtype=float)
     rho0 = state0.first_moment
+    clamp0 = 0.0 if controller is None else float(controller["clamp_mass0"])
+    clamp1 = 0.0 if controller is None else float(controller["clamp_mass1"])
 
     times = [t0]
     states = [state0.c.copy()]
     extras: dict = {}
-    clamp0_list = [0.0]
-    clamp1_list = [0.0]
+    clamp0_list = [clamp0]
+    clamp1_list = [clamp1]
     boundary_list = [float(np.dot(weights_boundary[boundary_lo:], state0.c[boundary_lo:]))]
     contaminated_from: Optional[float] = None
+    stats = IntegratorStats()
 
     def observe(state: ConcentrationProfile, t: float) -> None:
         for obs in observers:
@@ -423,32 +599,44 @@ def integrate(
 
     if cfg.t_end > t0:
         cadence = cfg.cadence()
-        state = state0
+        if controller is None:
+            controller = {
+                "dt_next": min(cadence, cfg.max_step, (cfg.t_end - t0)) * 0.05,
+                "err_prev_ratio": None,
+                "next_record": t0 + cadence,
+                "clamp_mass0": clamp0,
+                "clamp_mass1": clamp1,
+            }
+        stepper = _Stepper(
+            kernel,
+            state0.c,
+            cfg,
+            dt_next=float(controller["dt_next"]),
+            err_prev_ratio=controller["err_prev_ratio"],
+            clamp_mass0=clamp0,
+            clamp_mass1=clamp1,
+        )
+        stats = stepper.stats
         t = t0
-        clamp0 = clamp1 = 0.0
-        next_record = min(t0 + cadence, cfg.t_end)
+        # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
+        # t_end, so a checkpoint names the grid point a longer run records next.
+        next_grid = float(controller["next_record"])
         next_checkpoint = (
             t0 + checkpoint_every if (checkpoint_every and checkpoint_hook) else math.inf
         )
-        dt_next = min(cadence, cfg.max_step, (cfg.t_end - t0)) * 0.05
-        err_prev_ratio: Optional[float] = None
         time_eps = 1e-12 * max(cfg.t_end, 1.0)
         while t < cfg.t_end - time_eps:
-            dt_try = min(dt_next, next_record - t)
-            result = step(kernel, state, dt_try, cfg, err_prev_ratio)
-            state = result.state
-            t += result.dt_used
-            dt_next = result.dt_next
-            tol = cfg.rtol * strong_norm(state.c) + cfg.atol
-            err_prev_ratio = result.error_estimate / tol if tol > 0 else None
-            clamp0 += result.clamped_mass0
-            clamp1 += result.clamped_mass1
+            next_record = min(next_grid, cfg.t_end)
+            step(kernel, stepper, min(stepper.dt_next, next_record - t), cfg)
+            t += stepper.dt_used
             if t >= next_record - time_eps:
+                c = stepper.c.copy()
+                state = ConcentrationProfile(c)
                 times.append(t)
-                states.append(state.c.copy())
-                clamp0_list.append(clamp0)
-                clamp1_list.append(clamp1)
-                b_mass = float(np.dot(weights_boundary[boundary_lo:], state.c[boundary_lo:]))
+                states.append(c)
+                clamp0_list.append(stepper.clamp_mass0)
+                clamp1_list.append(stepper.clamp_mass1)
+                b_mass = float(np.dot(weights_boundary[boundary_lo:], c[boundary_lo:]))
                 boundary_list.append(b_mass)
                 if contaminated_from is None and rho0 > 0 and b_mass > 0.01 * rho0:
                     contaminated_from = t
@@ -459,10 +647,12 @@ def integrate(
                         stacklevel=2,
                     )
                 observe(state, t)
+                if t >= next_grid - time_eps:
+                    next_grid += cadence
+                controller = stepper.controller(next_grid)
                 if t >= next_checkpoint - time_eps and checkpoint_hook is not None:
-                    checkpoint_hook(t, state)
+                    checkpoint_hook(t, state, controller)
                     next_checkpoint = t + (checkpoint_every or math.inf)
-                next_record = min(next_record + cadence, cfg.t_end)
 
     record = TrajectoryRecord(
         times=np.asarray(times),
@@ -475,9 +665,10 @@ def integrate(
         boundary_mass=np.asarray(boundary_list),
         extras={key: np.asarray(vals) for key, vals in extras.items()},
         boundary_contaminated_from=contaminated_from,
+        stats=stats,
     )
     if checkpoint_hook is not None:
-        checkpoint_hook(float(record.times[-1]), record.final_state)
+        checkpoint_hook(float(record.times[-1]), record.final_state, controller)
     return record
 
 
@@ -543,12 +734,20 @@ def positivity_bound_margin(
 
 
 def save_checkpoint(
-    path, t: float, state: ConcentrationProfile, kernel_spec: Mapping, cfg: IntegratorConfig
+    path,
+    t: float,
+    state: ConcentrationProfile,
+    kernel_spec: Mapping,
+    cfg: IntegratorConfig,
+    controller: Optional[Mapping] = None,
 ) -> None:
     """Persist enough JSON to resume the run bit-compatibly at this state.
 
-    The file is replaced atomically, so an interrupted write keeps the
-    previous checkpoint loadable.
+    ``controller`` is the block :func:`integrate` hands its checkpoint hook:
+    ``dt_next``, ``err_prev_ratio``, ``next_record`` and the clamp totals
+    ``clamp_mass0``/``clamp_mass1``.  With it a resumed run repeats the
+    uninterrupted one bit for bit.  The file is replaced atomically, so an
+    interrupted write keeps the previous checkpoint loadable.
     """
     payload = {
         "t": t,
@@ -557,6 +756,8 @@ def save_checkpoint(
         "kernel_spec": dict(kernel_spec),
         "cfg": cfg.as_dict(),
     }
+    if controller is not None:
+        payload["controller"] = dict(controller)
     with _atomic_writer(path) as fh:
         json.dump(payload, fh, indent=1)
 
@@ -581,12 +782,36 @@ def _atomic_writer(path):
 
 
 def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; floats round-trip exactly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Inverse of :func:`save_checkpoint`; floats round-trip exactly.
+
+    Returns ``(t, state, kernel_spec, cfg)``; :func:`load_controller` reads
+    the controller block.
+    """
+    payload = _read_checkpoint(path)
     c = np.array([float(x) for x in payload["c"]], dtype=float)
     if len(c) != payload["N"] + 1:
         raise ValueError("checkpoint truncation does not match its state length")
     state = ConcentrationProfile(c)
     cfg = IntegratorConfig.from_dict(payload["cfg"])
     return float(payload["t"]), state, payload["kernel_spec"], cfg
+
+
+def load_controller(path) -> Optional[dict]:
+    """The controller block of a checkpoint, or ``None`` for a checkpoint
+    written without one (the resumed controller then starts afresh)."""
+    block = _read_checkpoint(path).get("controller")
+    if block is None:
+        return None
+    err_prev_ratio = block["err_prev_ratio"]
+    return {
+        "dt_next": float(block["dt_next"]),
+        "err_prev_ratio": None if err_prev_ratio is None else float(err_prev_ratio),
+        "next_record": float(block["next_record"]),
+        "clamp_mass0": float(block["clamp_mass0"]),
+        "clamp_mass1": float(block["clamp_mass1"]),
+    }
+
+
+def _read_checkpoint(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)

@@ -64,11 +64,10 @@ class DissipationResult(NamedTuple):
 
 @dataclass(frozen=True)
 class FreeEnergySample:
-    """Free energy, entropy part, and dissipation at one instant."""
+    """Free energy and dissipation at one instant."""
 
     t: float
     f_value: float
-    s_value: float
     d_value: float
     d_infinite_terms: int
 
@@ -257,20 +256,18 @@ def free_energy_sample(
     return FreeEnergySample(
         t=t,
         f_value=free_energy(state, cp),
-        s_value=entropy(state),
         d_value=diss.value,
         d_infinite_terms=diss.infinite_terms,
     )
 
 
 def make_thermo_observer(kernel: Kernel, cp: ChemicalPotential):
-    """Observer for :func:`edgrow.dynamics.integrate` recording F, S, D."""
+    """Observer for :func:`edgrow.dynamics.integrate` recording F and D."""
 
     def observe(state: ConcentrationProfile, t: float):
         sample = free_energy_sample(kernel, state, cp, t)
         return {
             "F": sample.f_value,
-            "S": sample.s_value,
             "D": sample.d_value,
             "D_infinite_terms": float(sample.d_infinite_terms),
         }

@@ -238,6 +238,103 @@ def test_simulate_resume_matches_uninterrupted(tmp_path):
     assert float(np.dot(weights, np.abs(gap))) <= 1e-9
 
 
+RESUME_CONFIG = {
+    "kernel": {"family": "condensing", "c": 3.0},
+    "n_trunc": 64,
+    "initial_condition": {"type": "monodisperse", "rho": 0.5, "m": 1},
+    "integrator": {"t_end": 6.0, "record_every": 0.5},
+    "analysis": {"equilibrium_k_max": 20000, "checkpoint_every": 2.0, "classify": False},
+}
+
+
+class SimulatedCrash(Exception):
+    pass
+
+
+def crash_after_checkpoint(monkeypatch, t_crash):
+    """Make the run die right after writing its checkpoint at ``t_crash``."""
+    real_save = dynamics.save_checkpoint
+
+    def save_then_crash(path, t, *args, **kwargs):
+        real_save(path, t, *args, **kwargs)
+        if t == t_crash:
+            raise SimulatedCrash
+
+    monkeypatch.setattr(dynamics, "save_checkpoint", save_then_crash)
+
+
+def trajectory_rows(out_dir):
+    return (out_dir / "trajectory.csv").read_bytes().splitlines()
+
+
+def test_simulate_resume_after_crash_is_byte_identical(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "c.json", RESUME_CONFIG)
+    out_crashed, out_resumed, out_full = (tmp_path / n for n in ("c", "r", "f"))
+    crash_after_checkpoint(monkeypatch, 4.0)
+    with pytest.raises(SimulatedCrash):
+        main(["simulate", "--config", cfg, "--out", str(out_crashed)])
+    monkeypatch.undo()
+    checkpoint = json.loads((out_crashed / "checkpoint.json").read_text())
+    assert checkpoint["t"] == 4.0 and checkpoint["controller"]["next_record"] == 4.5
+
+    assert main(["simulate", "--config", cfg, "--out", str(out_full)]) == EXIT_OK
+    resume = ["--resume", str(out_crashed / "checkpoint.json")]
+    assert main(["simulate", "--config", cfg, "--out", str(out_resumed)] + resume) == EXIT_OK
+    full, resumed = trajectory_rows(out_full), trajectory_rows(out_resumed)
+    assert resumed[-1] == full[-1]
+    assert resumed[1:] == full[-(len(resumed) - 1):]  # every sample from t = 4 on
+    reports = [json.loads((out / "run_report.json").read_text()) for out in (out_full, out_resumed)]
+    assert reports[1]["clamped_mass"] == reports[0]["clamped_mass"]
+
+
+def test_simulate_resume_extends_a_finished_run_byte_identically(tmp_path):
+    # The checkpoint of a finished run names the next point of the recording
+    # grid, so a longer run resumed from it samples where the long run does.
+    short = dict(RESUME_CONFIG, integrator=dict(RESUME_CONFIG["integrator"], t_end=3.0))
+    cfg_short = write_config(tmp_path, "short.json", short)
+    cfg_full = write_config(tmp_path, "full.json", RESUME_CONFIG)
+    out_short, out_resumed, out_full = (tmp_path / n for n in ("s", "r", "f"))
+    assert main(["simulate", "--config", cfg_short, "--out", str(out_short)]) == EXIT_OK
+    assert main(["simulate", "--config", cfg_full, "--out", str(out_full)]) == EXIT_OK
+    resume = ["--resume", str(out_short / "checkpoint.json")]
+    assert main(["simulate", "--config", cfg_full, "--out", str(out_resumed)] + resume) == EXIT_OK
+    full, resumed = trajectory_rows(out_full), trajectory_rows(out_resumed)
+    assert resumed[1:] == full[-(len(resumed) - 1):]
+
+
+def test_simulate_resumes_checkpoint_without_controller(tmp_path):
+    cfg = write_config(tmp_path, "c.json", RESUME_CONFIG)
+    out_first, out_resumed = tmp_path / "a", tmp_path / "b"
+    half = dict(RESUME_CONFIG, integrator=dict(RESUME_CONFIG["integrator"], t_end=3.0))
+    assert main(["simulate", "--config", write_config(tmp_path, "h.json", half),
+                 "--out", str(out_first)]) == EXIT_OK
+    path = out_first / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    del payload["controller"]  # as written before checkpoints carried one
+    path.write_text(json.dumps(payload))
+    assert dynamics.load_controller(path) is None
+    assert main(["simulate", "--config", cfg, "--out", str(out_resumed),
+                 "--resume", str(path)]) == EXIT_OK
+    report = json.loads((out_resumed / "run_report.json").read_text())
+    assert report["t_final"] == 6.0
+    assert report["integrator"]["accepted"] > 0
+    assert read_rows(out_resumed / "trajectory.csv")[1][0] == "3"
+
+
+def test_simulate_reports_integrator_stats(tmp_path):
+    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    stats = json.loads((out / "run_report.json").read_text())["integrator"]
+    assert sorted(stats) == [
+        "accepted", "clamp_events", "dt_max", "dt_min", "rejected", "rhs_evals",
+    ]
+    assert sorted(stats["rejected"]) == ["error", "non_finite", "positivity"]
+    assert stats["accepted"] >= 12  # at least one step per sample
+    assert stats["rhs_evals"] == 6 * stats["accepted"] + 5 * sum(stats["rejected"].values())
+    assert 0.0 < stats["dt_min"] <= stats["dt_max"] <= 0.25
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_simulate_rejects_non_finite_explicit_state(tmp_path, bad):
     payload = dict(SIM_CONFIG, initial_condition={"type": "explicit", "values": [0.5, bad, 0.0]})

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from edgrow import dynamics
 from edgrow.dynamics import (
     ConcentrationProfile,
     IntegratorConfig,
@@ -13,6 +14,7 @@ from edgrow.dynamics import (
     geometric_state,
     integrate,
     load_checkpoint,
+    load_controller,
     moment_identity_residual,
     monodisperse_state,
     net_fluxes,
@@ -297,3 +299,102 @@ def test_boundary_mass_warning():
     with pytest.warns(RuntimeWarning, match="boundary mass"):
         traj = integrate(kernel, state0, IntegratorConfig(t_end=0.5, record_every=0.25))
     assert traj.boundary_contaminated_from is not None
+
+
+def stiff_additive_run(n_trunc=64, t_end=2.0, record_every=0.5):
+    """Additive kernel with few samples: both error and positivity rejections."""
+    cfg = IntegratorConfig(t_end=t_end, record_every=record_every)
+    return integrate(additive_kernel(1.0, 2.0), monodisperse_state(1.0, 1, n_trunc), cfg)
+
+
+def test_trace_contract_counts_match_stats(monkeypatch):
+    # Wrap the module attributes the way the benchmark tracer does: what it
+    # counts must be what the integrator reports.
+    calls = {"step": 0, "rhs": 0}
+    real_step, real_rhs = dynamics.step, dynamics._rhs_from_c
+
+    def counted_step(*args, **kwargs):
+        calls["step"] += 1
+        return real_step(*args, **kwargs)
+
+    def counted_rhs(*args, **kwargs):
+        calls["rhs"] += 1
+        return real_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", counted_step)
+    monkeypatch.setattr(dynamics, "_rhs_from_c", counted_rhs)
+    stats = stiff_additive_run().stats
+    assert stats.accepted > 0 and stats.rejected_error > 0 and stats.rejected_positivity > 0
+    assert calls["step"] == stats.accepted
+    assert calls["rhs"] == stats.rhs_evals
+    assert stats.rhs_evals == 6 * stats.accepted + 5 * stats.rejected
+
+
+def test_integrator_stats_report():
+    traj = stiff_additive_run()
+    report = traj.stats.as_dict()
+    assert report["rejected"] == {
+        "error": traj.stats.rejected_error,
+        "positivity": traj.stats.rejected_positivity,
+        "non_finite": 0,
+    }
+    assert 0.0 < report["dt_min"] <= report["dt_max"] <= 0.5
+    assert report["clamp_events"] > 0
+    assert (traj.clamp_mass0[-1] > 0.0) and (traj.clamp_mass1[-1] > 0.0)
+    idle = integrate(constant_kernel(), vacuum_state(8), IntegratorConfig(t_end=0.0)).stats
+    assert idle.as_dict() == {
+        "accepted": 0,
+        "rejected": {"error": 0, "positivity": 0, "non_finite": 0},
+        "rhs_evals": 0,
+        "dt_min": None,
+        "dt_max": None,
+        "clamp_events": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "kernel, n_trunc, cfg, accepted, rejected, rhs_evals",
+    [
+        # the stiff-additive and relax-thermo benchmark workloads at seed 0
+        (additive_kernel(1.0, 2.0), 512, IntegratorConfig(t_end=5.0), 2065, 1101, 17895),
+        (constant_kernel(1.0), 256, IntegratorConfig(t_end=200.0, record_every=0.1), 2156, 0, 12936),
+    ],
+)
+def test_integrator_stats_of_benchmark_runs(kernel, n_trunc, cfg, accepted, rejected, rhs_evals):
+    stats = integrate(kernel, monodisperse_state(1.0, 1, n_trunc), cfg).stats
+    assert (stats.accepted, stats.rejected, stats.rhs_evals) == (accepted, rejected, rhs_evals)
+
+
+def test_resume_from_controller_repeats_the_run_exactly(const):
+    cfg = IntegratorConfig(t_end=4.0, record_every=0.25)
+    state0 = monodisperse_state(1.0, 1, 48)
+    saved = []
+    whole = integrate(
+        const, state0, cfg,
+        checkpoint_hook=lambda t, state, controller: saved.append((t, state, controller)),
+        checkpoint_every=1.0,
+    )
+    t_mid, state_mid, controller = saved[1]
+    assert t_mid == 2.0 and controller["next_record"] == 2.25
+    rest = integrate(const, state_mid, cfg, t0=t_mid, controller=controller)
+    start = int(np.flatnonzero(whole.times == t_mid)[0])
+    assert np.array_equal(rest.times, whole.times[start:])
+    assert np.array_equal(rest.states, whole.states[start:])
+    assert np.array_equal(rest.clamp_mass1, whole.clamp_mass1[start:])
+
+
+def test_checkpoint_controller_round_trip(tmp_path, const):
+    controller = {
+        "dt_next": 0.1 / 3.0,
+        "err_prev_ratio": 2.0 / 3.0,
+        "next_record": 1.25,
+        "clamp_mass0": 1e-17 / 3.0,
+        "clamp_mass1": 0.0,
+    }
+    path = tmp_path / "ckpt.json"
+    spec = {"family": "constant", "value": 1.0}
+    cfg = IntegratorConfig(t_end=2.0)
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
+    assert load_controller(path) == controller  # exact floats
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg)
+    assert load_controller(path) is None

@@ -3,8 +3,9 @@
 Birth/death rates are checked against the dense rate table, dissipation
 against a scalar loop over all reaction pairs that reads positivity of a
 flux from the support of the kernel and the state, every equilibrium
-quantity from the cut series against sums over the full range, and the
-bulk CSV writers against per-cell formatting.
+quantity from the cut series against sums over the full range, the bulk
+CSV writers against per-cell formatting, and the in-place RK stepper and
+right-hand side against an allocate-everything Fehlberg step.
 """
 
 import math
@@ -18,7 +19,20 @@ from hypothesis.extra.numpy import arrays
 
 from edgrow.cli import _write_summary_csv, _write_trajectory_csv
 from edgrow.diagnostics import ConvergenceReport, write_convergence_series_csv
-from edgrow.dynamics import ConcentrationProfile, TrajectoryRecord, birth_death_rates
+from edgrow.dynamics import (
+    _RK_A,
+    _RK_B5,
+    _RK_ERR,
+    ConcentrationProfile,
+    IntegratorConfig,
+    IntegratorError,
+    TrajectoryRecord,
+    _rhs_from_c,
+    _Stepper,
+    birth_death_rates,
+    step,
+    strong_norm,
+)
 from edgrow.equilibrium import (
     EquilibriumProfile,
     InconclusiveDensityError,
@@ -29,6 +43,7 @@ from edgrow.equilibrium import (
     partition_sum,
 )
 from edgrow.kernels import (
+    _factor_vectors,
     additive_kernel,
     condensing_kernel,
     constant_kernel,
@@ -344,3 +359,141 @@ def test_convergence_series_writer_matches_per_cell_format(data, f_limit, tmp_pa
                 f"{cell(t)},{cell(weak[i])},{cell(strong[i])},{cell(excess[i])},{cell(gap)}\n"
             )
     assert path.read_text() == "".join(expected)
+
+
+STEP_KERNELS = ("constant", "condensing", "additive")
+
+
+def reference_rhs(kernel, c) -> np.ndarray:
+    """``dc/dt`` from freshly allocated rates, fluxes and output."""
+    donor, acceptor = c[1:], c[:-1]
+    (b_vals, a_vals), *rest = _factor_vectors(kernel, len(c) - 1)
+    a_rates = a_vals * float(np.dot(b_vals, donor))
+    b_rates = b_vals * float(np.dot(a_vals, acceptor))
+    for b_vals, a_vals in rest:
+        a_rates += a_vals * float(np.dot(b_vals, donor))
+        b_rates += b_vals * float(np.dot(a_vals, acceptor))
+    flux = a_rates * c[:-1] - b_rates * c[1:]
+    return np.concatenate(([-flux[0]], flux[:-1] - flux[1:], [flux[-1]]))
+
+
+def reference_step(kernel, c, dt_suggest, cfg, err_prev_ratio=None) -> tuple:
+    """One Fehlberg 4(5) step with new arrays for every stage, weighted sums
+    by Python ``sum`` and the tolerance by :func:`strong_norm`.
+
+    Returns ``(c_new, dt_used, dt_next, err, clamped_mass0, clamped_mass1,
+    err / tol(c_new))``; the last is what the next step weighs its PI factor by.
+    """
+    tol = cfg.rtol * strong_norm(c) + cfg.atol
+    dt = min(dt_suggest, cfg.max_step)
+    safety, fac_min, fac_max = 0.9, 0.2, 5.0
+    f0 = reference_rhs(kernel, c)
+    while True:
+        if dt < 1e-14 * max(cfg.t_end, 1.0):
+            raise IntegratorError(f"step underflow: dt={dt!r}")
+        stages = [f0]
+        for row in _RK_A[1:]:
+            increment = np.zeros_like(c)
+            for coeff, stage in zip(row, stages):
+                increment += coeff * stage
+            stages.append(reference_rhs(kernel, c + dt * increment))
+        c_new = c + dt * sum(b * k for b, k in zip(_RK_B5, stages))
+        err = float(np.max(np.abs(dt * sum(e * k for e, k in zip(_RK_ERR, stages)))))
+        if not math.isfinite(err):
+            dt *= 0.5
+        elif err > tol:
+            dt *= max(fac_min, min(1.0, safety * (tol / err) ** 0.2))
+        elif float(np.min(c_new)) < -cfg.atol:
+            dt *= 0.5
+        else:
+            break
+    clamp = (c_new < 0.0) & (c_new >= -cfg.atol)
+    clamped_mass0 = float(-np.sum(c_new[clamp]))
+    clamped_mass1 = float(-np.dot(np.nonzero(clamp)[0].astype(float), c_new[clamp]))
+    c_new[clamp] = 0.0
+    err_ratio = err / tol
+    if err_ratio <= 0.0:
+        factor = fac_max
+    elif err_prev_ratio is None or err_prev_ratio <= 0.0:
+        factor = safety * err_ratio ** (-0.2)
+    else:
+        factor = safety * err_ratio ** (-0.14) * err_prev_ratio**0.08
+    dt_next = min(dt * max(fac_min, min(fac_max, factor)), cfg.max_step)
+    err_next = err / (cfg.rtol * strong_norm(c_new) + cfg.atol)
+    return c_new, dt, dt_next, err, clamped_mass0, clamped_mass1, err_next
+
+
+@st.composite
+def near_boundary_states(draw) -> np.ndarray:
+    """``c_0..c_N`` over ten decades, with exact zeros (of both signs) and
+    entries in ``[-1.2 atol, 0.5 atol]`` for ``atol = 1e-12``."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    c = rng.random(n + 1) * 10.0 ** rng.uniform(-10.0, 0.0, size=n + 1)
+    kind = rng.integers(0, 4, size=n + 1)
+    c[kind == 1] = 0.0
+    c[kind == 2] = -0.0
+    near = kind == 3
+    c[near] = rng.uniform(-1.2e-12, 0.5e-12, size=int(np.count_nonzero(near)))
+    return c
+
+
+@given(
+    name=st.sampled_from(STEP_KERNELS),
+    c=near_boundary_states(),
+    dt_log10=st.floats(min_value=-4.0, max_value=8.0),
+    err_prev_ratio=st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0)),
+    max_step=st.sampled_from([math.inf, 0.05]),
+    rtol=st.sampled_from([1e-8, 1e-4, 1e-2, 0.3]),
+)
+@settings(max_examples=200, deadline=None)
+@np.errstate(over="ignore", invalid="ignore")
+def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ratio, max_step, rtol):
+    # Large rtol lets the error test pass while a component still overshoots
+    # below -atol; steps up to 1e8 overflow, so every rejection cause and the
+    # underflow error are reached.
+    kernel = KERNELS[name]
+    cfg = IntegratorConfig(t_end=1.0, rtol=rtol, max_step=max_step)
+    dt = 10.0**dt_log10
+    try:
+        expected = reference_step(kernel, c.copy(), dt, cfg, err_prev_ratio)
+    except IntegratorError:
+        with pytest.raises(IntegratorError, match="underflow"):
+            step(kernel, ConcentrationProfile(c.copy()), dt, cfg, err_prev_ratio)
+        return
+    c_new, dt_used, dt_next, err, clamped0, clamped1, err_next = expected
+    result = step(kernel, ConcentrationProfile(c.copy()), dt, cfg, err_prev_ratio)
+    assert result.state.c.tobytes() == c_new.tobytes()  # bits, signed zeros too
+    assert result.dt_used == dt_used
+    assert result.dt_next == dt_next
+    assert result.error_estimate == err
+    assert result.clamped_mass0 == clamped0
+    assert result.clamped_mass1 == clamped1
+
+    # A running stepper carries err / tol(c_new) and that tolerance on to
+    # its next step; chain two more steps against the reference.
+    stepper = _Stepper(kernel, c, cfg, err_prev_ratio=err_prev_ratio)
+    step(kernel, stepper, dt, cfg)
+    for _ in range(2):
+        try:
+            c_new, dt_used, dt_next, err, _, _, err_next = reference_step(
+                kernel, c_new, dt_next, cfg, err_next
+            )
+        except IntegratorError:
+            return
+        step(kernel, stepper, stepper.dt_next, cfg)
+        assert stepper.c.tobytes() == c_new.tobytes()
+        assert (stepper.dt_used, stepper.dt_next) == (dt_used, dt_next)
+        assert (stepper.error_estimate, stepper.err_prev_ratio) == (err, err_next)
+
+
+@given(name=st.sampled_from(sorted(KERNELS)), c=near_boundary_states())
+@settings(max_examples=100, deadline=None)
+def test_rhs_into_buffers_matches_allocating_call(name, c):
+    kernel = KERNELS[name]
+    out = np.full(len(c), np.nan)
+    work = np.full((3, len(c) - 1), np.nan)
+    written = _rhs_from_c(kernel, c, out=out, work=work)
+    assert written is out
+    assert out.tobytes() == _rhs_from_c(kernel, c).tobytes()
+    assert out.tobytes() == reference_rhs(kernel, c).tobytes()
