@@ -277,9 +277,12 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     if resume is not None:
         # The checkpoint provides the state and clock; the config stays the
         # description of the full run (t_end, tolerances, outputs).
-        t0, resumed_state, kernel_spec, _ = dynamics.load_checkpoint(resume)
-        controller = dynamics.load_controller(resume)
-        kernel = kernels.kernel_from_spec(kernel_spec)
+        try:
+            t0, resumed_state, kernel_spec, _ = dynamics.load_checkpoint(resume)
+            controller = dynamics.load_controller(resume)
+            kernel = kernels.kernel_from_spec(kernel_spec)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot resume from {resume!r}: {exc!r}") from exc
         resolved["kernel"] = dict(kernel_spec)
     else:
         t0 = 0.0
@@ -382,28 +385,97 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
 
 @lru_cache(maxsize=4)
 def _sweep_chemical_potential(kernel_json: str, k_max: int) -> equilibrium.ChemicalPotential:
-    """Chemical potential shared by all sweep rows of one process.
+    """Chemical potential shared by all sweep jobs of one process.
 
-    Every row of a sweep uses the same kernel and range; returning the same
-    object also lets the identity-keyed cache of ``critical_density_info``
-    hit on every row after the first.
+    Every job of a sweep uses the same kernel and range; returning the same
+    object also lets the identity-keyed caches of ``critical_density_info``
+    and the phi_c sums hit on every row after the first.
     """
     kernel = _build_kernel({"kernel": json.loads(kernel_json)})
     return equilibrium.chemical_potential(kernel, k_max)
 
 
+def _sweep_cp(resolved: Mapping[str, Any]) -> equilibrium.ChemicalPotential:
+    return _sweep_chemical_potential(
+        json.dumps(resolved["kernel"], sort_keys=True),
+        int(resolved["analysis"]["equilibrium_k_max"]),
+    )
+
+
+def _sweep_rho_c_job(args: tuple):
+    """Rung ``j`` of the ``rho_c`` ladder, or the phi_c sums for ``j = 0``;
+    ``None`` when the kernel's ``rho_c`` needs no ladder.  Runs in a worker
+    process, so takes plain data."""
+    config_json, j = args
+    cp = _sweep_cp(_resolve(json.loads(config_json)))
+    if not equilibrium._ladder_needed(cp):
+        return None
+    return equilibrium._phi_c_sums(cp) if j == 0 else equilibrium._ladder_rung(cp, j)
+
+
+def _sweep_rho_c_inputs(run, degree: int, config_json: str):
+    """Walk the ``rho_c`` ladder once for the whole sweep.
+
+    ``run`` maps :func:`_sweep_rho_c_job` over jobs (the builtin ``map`` or a
+    pool's).  Each round evaluates the next ``degree`` rungs, the first one
+    also the phi_c sums; only the stop test runs here, and rungs past the
+    stop (at most ``degree - 1``) are discarded.  Returns ``(rungs,
+    phi_c_sums)`` for the rows to adopt, or ``None`` when no ladder is
+    needed or a job failed numerically (the rows then meet that failure
+    themselves and report it), together with the ``rho_c`` block of
+    ``sweep_report.json``.
+    """
+    started = time.perf_counter()
+    rungs: list = []
+    ladder: list = []
+    phi_c_sums = None
+    evaluated = 0
+    try:
+        while not equilibrium._ladder_complete(ladder):
+            first = len(rungs) + 1
+            jobs = list(range(first, min(first + degree, equilibrium._LADDER_RUNGS + 1)))
+            if not rungs:
+                jobs.insert(0, 0)
+            results = list(run(_sweep_rho_c_job, [(config_json, j) for j in jobs]))
+            if results[0] is None:
+                break
+            if not rungs:
+                phi_c_sums = results.pop(0)
+            evaluated += len(results)
+            for rung in results:
+                rungs.append(rung)
+                ladder.append(rung[0])
+                if equilibrium._ladder_complete(ladder):
+                    break
+    except (ValueError, RuntimeError, ArithmeticError):
+        rungs = []
+    block = {  # ladder_seconds includes building the workers' chemical potentials
+        "ladder_length": len(rungs),
+        "rungs_evaluated": evaluated,
+        "ladder_seconds": time.perf_counter() - started,
+    }
+    return ((tuple(rungs), phi_c_sums) if rungs else None), block
+
+
 def _sweep_row(args: tuple) -> dict:
-    """One density of a sweep; runs in a worker process, so takes plain data."""
-    config_json, rho = args
+    """One density of a sweep; runs in a worker process, so takes plain data.
+
+    ``critical`` is the ``(rungs, phi_c_sums)`` pair the sweep computed
+    once, or ``None``; the row adopts it, so no process walks the ``rho_c``
+    ladder itself.  Besides the CSV columns the row carries its
+    ``runtime_s``, the ``integrator`` block and the ``rho_c_method``.
+    """
+    config_json, rho, critical = args
+    started = time.perf_counter()
     config = json.loads(config_json)
     resolved = _resolve(config)
     try:
         kernel = _build_kernel(resolved)
         cfg = _build_integrator(resolved)
         analysis = resolved["analysis"]
-        cp = _sweep_chemical_potential(
-            json.dumps(resolved["kernel"], sort_keys=True), int(analysis["equilibrium_k_max"])
-        )
+        cp = _sweep_cp(resolved)
+        if critical is not None:
+            equilibrium._adopt_critical_inputs(cp, *critical)
         n_trunc = int(resolved["n_trunc"])
         ic = dict(resolved.get("initial_condition", {}))
         ic["type"] = "monodisperse"
@@ -432,15 +504,27 @@ def _sweep_row(args: tuple) -> dict:
             "f_gap": report.free_energy_limit_gap,
             "boundary_mass": report.boundary_mass_series[-1],
             "status": "ok",
+            "runtime_s": time.perf_counter() - started,
+            "integrator": traj.stats.as_dict(),
+            "rho_c_method": equilibrium.critical_density_info(cp).method,
         }
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # Numerical and configuration failures of one row must not kill the
         # sweep; anything else is a programming error and propagates.
-        return {"rho": rho, "status": f"error: {exc}"}
+        return {
+            "rho": rho,
+            "status": f"error: {exc}",
+            "runtime_s": time.perf_counter() - started,
+        }
 
 
 def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int:
-    """Run one simulation per density and aggregate the phase-diagram rows."""
+    """Run one simulation per density and aggregate the phase-diagram rows.
+
+    The ``rho_c`` ladder and the phi_c sums are computed once, spread over
+    the same workers as the rows (:func:`_sweep_rho_c_inputs`), and handed
+    to every row.
+    """
     resolved = _resolve(config)
     densities = resolved.get("densities")
     if densities is None or not isinstance(densities, list):
@@ -457,15 +541,22 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     if densities:
         _build_integrator(resolved)
     degree = parallel if parallel is not None else int(resolved.get("parallelism", 1))
-    degree = max(1, degree)
+    degree = max(1, degree) if len(densities) > 1 else 1
 
     config_json = json.dumps(resolved, sort_keys=True)
-    jobs = [(config_json, float(rho)) for rho in densities]
-    if degree == 1 or len(jobs) <= 1:
-        rows = [_sweep_row(job) for job in jobs]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=degree) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+    with contextlib.ExitStack() as stack:
+        run = map
+        if degree > 1:
+            run = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=degree)
+            ).map
+        critical, rho_c_block = None, None
+        if densities:
+            critical, rho_c_block = _sweep_rho_c_inputs(run, degree, config_json)
+        rows = list(run(_sweep_row, [(config_json, float(rho), critical) for rho in densities]))
+    if rho_c_block is not None:
+        methods = [row["rho_c_method"] for row in rows if "rho_c_method" in row]
+        rho_c_block["method"] = methods[0] if methods else None
 
     out = _ensure_out(out_dir)
     columns = [
@@ -485,7 +576,15 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
             fh.write(",".join(cells) + "\n")
     _write_json(
         os.path.join(out, "sweep_report.json"),
-        {"config": resolved, "rows": len(rows)},
+        {
+            "config": resolved,
+            "rows": len(rows),
+            "row_telemetry": [
+                {key: row.get(key) for key in ("rho", "status", "runtime_s", "integrator")}
+                for row in rows
+            ],
+            "rho_c": rho_c_block,
+        },
     )
     return EXIT_OK
 

@@ -17,9 +17,10 @@ only the prefix of the series that can pass the log-sum cutoff.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -280,11 +281,8 @@ def _series_length(cp: ChemicalPotential, log_phi: float) -> int:
     """Number of leading terms of the series at ``log phi`` that can survive
     the cutoff of :func:`_log_sum` (see ``_LOG_CUTOFF``)."""
     full = cp.k_max + 1
-    phi_c = cp.phi_c_estimate
-    if not (math.isfinite(phi_c) and phi_c > 0.0):
-        return full
-    step = log_phi - math.log(phi_c)
-    if not step < 0.0:
+    step = log_phi - _log_phi_c(cp)
+    if not step < 0.0:  # also NaN: no finite positive phi_c
         return full
     # The peaks are at least t_0 = 0 (denominator) and t_1 (numerator).
     floor_den = _LOG_CUTOFF - _CUT_MARGIN
@@ -295,6 +293,12 @@ def _series_length(cp: ChemicalPotential, log_phi: float) -> int:
     return full
 
 
+def _log_phi_c(cp: ChemicalPotential) -> float:
+    """``log phi_c``, or NaN unless ``phi_c`` is finite and positive."""
+    phi_c = cp.phi_c_estimate
+    return math.log(phi_c) if math.isfinite(phi_c) and phi_c > 0.0 else math.nan
+
+
 def _series(
     cp: ChemicalPotential, log_phi: float, n_terms: int = 0, weighted: bool = True
 ) -> Tuple[np.ndarray, float, float]:
@@ -302,15 +306,66 @@ def _series(
     with the logs of ``sum exp(t_l)`` and (if ``weighted``, else NaN) of
     ``sum l exp(t_l)``.
 
-    Forms at least ``n_terms`` terms, and all that can pass the cutoff of
-    the log-sum (see ``_LOG_CUTOFF``), so both sums are bit-identical to
-    summing all ``k_max + 1`` terms.
+    Returns at least ``n_terms`` terms.  Both sums are bit-identical to
+    summing all ``k_max + 1`` terms: they run over every term that can pass
+    the cutoff of the log-sum (see ``_LOG_CUTOFF``), and at ``phi_c``, where
+    that is the full range, they come from :func:`_phi_c_sums`, so only the
+    ``n_terms`` requested terms are formed.
     """
     n = max(_series_length(cp, log_phi), n_terms)
+    if n > cp.k_max and log_phi == _log_phi_c(cp):
+        t = np.arange(n_terms, dtype=float) * log_phi + cp.log_q[:n_terms]
+        log_den, log_num = _phi_c_sums(cp)
+        return t, log_den, log_num if weighted else math.nan
+    return _summed_terms(cp, log_phi, n, weighted)
+
+
+def _summed_terms(
+    cp: ChemicalPotential, log_phi: float, n: int, weighted: bool = True
+) -> Tuple[np.ndarray, float, float]:
+    """The first ``n`` terms at ``log phi`` and the log-sums of :func:`_series`."""
     ls = np.arange(n, dtype=float)
     t = ls * log_phi + cp.log_q[:n]
     log_num = _log_sum(t[1:] + np.log(ls[1:])) if weighted else math.nan
     return t, _log_sum(t), log_num
+
+
+# Ladder rungs and phi_c sums computed in other processes (the sweep's
+# worker pool, see :func:`_adopt_critical_inputs`), keyed by the chemical
+# potential of this process they belong to.
+_ADOPTED: "weakref.WeakKeyDictionary[ChemicalPotential, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _adopt_critical_inputs(
+    cp: ChemicalPotential,
+    rungs: Sequence[Tuple[float, float, float]],
+    phi_c_sums: Tuple[float, float],
+) -> None:
+    """Let :func:`critical_density_info` and :func:`_phi_c_sums` use rungs
+    (from :func:`_ladder_rung`, cut by :func:`_ladder_complete`) and phi_c
+    sums that another process computed for an identically built ``cp``.
+
+    Only the arithmetic moves: the decision still runs here, from the same
+    floats the serial walk would produce, so adopting after either cached
+    function has run for ``cp`` changes nothing.
+    """
+    _ADOPTED[cp] = (tuple(rungs), tuple(phi_c_sums))
+
+
+@lru_cache(maxsize=64)
+def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float]:
+    """``(log sum exp(t_l), log sum l exp(t_l))`` over the full range at
+    ``phi_c``, the one sum no cut shortens; needs a finite positive ``phi_c``.
+
+    Shared by the direct tail of :func:`critical_density_info`, ``rho_hi``
+    of :func:`fugacity_for_density`, and :func:`partition_sum` and
+    :func:`equilibrium_profile` at ``phi_c``.
+    """
+    adopted = _ADOPTED.get(cp)
+    if adopted is not None:
+        return adopted[1]
+    _, log_den, log_num = _summed_terms(cp, _log_phi_c(cp), cp.k_max + 1)
+    return log_den, log_num
 
 
 def density_at_fugacity(cp: ChemicalPotential, phi: float) -> float:
@@ -411,38 +466,44 @@ def _algebraic_tail(t_half: float, t_n: float, n: int) -> Optional[float]:
     return math.exp(t_n) * n / (p - 1.0)
 
 
-@lru_cache(maxsize=64)
-def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
-    """Supremum of the density map on ``[0, phi_c]`` with extrapolation detail.
+_LADDER_RUNGS = 48
 
-    The dyadic ladder establishes whether the supremum is finite (a ladder
-    that climbs until the series overflows the truncation window means an
-    infinite critical density; a truncated density is a mean of sizes
-    ``<= k_max``, so the ladder itself stays finite).  When the series
-    still converges at ``phi_c`` itself, the truncated direct sums are
-    completed with an algebraic tail estimate, which is what makes the value
-    accurate to ~1/k_max^2 instead of the raw 1/k_max truncation error.
-    """
-    phi_c = cp.phi_c_estimate
-    if math.isinf(phi_c):
-        return CriticalDensityInfo(math.inf, (), math.nan, "infinite-radius")
-    if phi_c <= 0.0:
-        return CriticalDensityInfo(0.0, (), 0.0, "ladder")
 
-    ladder = []
-    stable_steps = 0
-    for j in range(1, 49):
-        log_phi_last = math.log(phi_c * (1.0 - 0.5**j))
-        _, log_den, log_num_last = _series(cp, log_phi_last)
-        value = math.exp(log_num_last - log_den)
-        if ladder:
-            increment = abs(value - ladder[-1]) / max(abs(value), 1e-300)
-            stable_steps = stable_steps + 1 if increment < 1e-8 else 0
-        ladder.append(value)
-        if stable_steps >= 2:
-            break
+def _ladder_needed(cp: ChemicalPotential) -> bool:
+    """Whether :func:`critical_density_info` walks the ladder for ``cp``
+    (it does not for an infinite or vanishing ``phi_c``)."""
+    return not (math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0)
+
+
+def _ladder_rung(cp: ChemicalPotential, j: int) -> Tuple[float, float, float]:
+    """Rung ``j >= 1`` of the ladder at ``phi_j = phi_c (1 - 2^-j)``:
+    ``(density, log phi_j, log sum l exp(t_l))``."""
+    log_phi = math.log(cp.phi_c_estimate * (1.0 - 0.5**j))
+    _, log_den, log_num = _series(cp, log_phi)
+    return math.exp(log_num - log_den), log_phi, log_num
+
+
+def _stabilized(ladder: Sequence[float]) -> bool:
+    """Whether the last two ladder steps each moved the density by less
+    than a relative ``1e-8``."""
+    return len(ladder) >= 3 and all(
+        abs(b - a) / max(abs(b), 1e-300) < 1e-8 for a, b in zip(ladder[-3:-1], ladder[-2:])
+    )
+
+
+def _ladder_complete(ladder: Sequence[float]) -> bool:
+    """Stop test of the walk, on the rung densities ``1..len(ladder)``: it
+    ends at the first stabilized prefix, or after ``_LADDER_RUNGS`` rungs."""
+    return len(ladder) >= _LADDER_RUNGS or _stabilized(ladder)
+
+
+def _critical_density_decision(
+    cp: ChemicalPotential, rungs: Sequence[Tuple[float, float, float]]
+) -> CriticalDensityInfo:
+    """The critical density from a complete ladder (see :func:`critical_density_info`)."""
+    ladder = tuple(value for value, _, _ in rungs)
+    _, log_phi_last, log_num_last = rungs[-1]
     last_inc = abs(ladder[-1] - ladder[-2]) if len(ladder) >= 2 else math.nan
-    stabilized = stable_steps >= 2
 
     # A ladder that flattens out may have hit the truncation ceiling rather
     # than a genuine limit: the density series at the last rung must have
@@ -451,7 +512,7 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     truncation_clean = (last_term - log_num_last) < math.log(1e-10)
 
     # Direct evaluation at phi_c, completed by algebraic tails when available.
-    log_phi_c = math.log(phi_c)
+    log_phi_c = math.log(cp.phi_c_estimate)
     ends = np.array([cp.k_max // 2, cp.k_max])
     den_ends = ends * log_phi_c + cp.log_q[ends]
     with np.errstate(divide="ignore"):  # k_max // 2 is 0 when k_max = 1
@@ -467,19 +528,49 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
         if direct >= ladder[-1] - 1e-9 and direct - ladder[-1] <= 3.0 * defect + 1e-6 * max(
             1.0, direct
         ):
-            return CriticalDensityInfo(float(direct), tuple(ladder), last_inc, "direct-tail")
-    if stabilized and truncation_clean:
-        return CriticalDensityInfo(ladder[-1], tuple(ladder), last_inc, "ladder")
+            return CriticalDensityInfo(float(direct), ladder, last_inc, "direct-tail")
+    if _stabilized(ladder) and truncation_clean:
+        return CriticalDensityInfo(ladder[-1], ladder, last_inc, "ladder")
     if not truncation_clean and all(
         b >= a * (1.0 - 1e-12) for a, b in zip(ladder, ladder[1:])
     ):
         # The ladder kept climbing until the series overflowed the truncation
         # window; in the untruncated system it would climb without bound.
-        return CriticalDensityInfo(math.inf, tuple(ladder), last_inc, "ladder-ceiling")
+        return CriticalDensityInfo(math.inf, ladder, last_inc, "ladder-ceiling")
     raise InconclusiveDensityError(
         "inconclusive: fugacity ladder did not stabilize and the critical-point "
         "series offers no algebraic tail"
     )
+
+
+@lru_cache(maxsize=64)
+def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
+    """Supremum of the density map on ``[0, phi_c]`` with extrapolation detail.
+
+    The dyadic ladder establishes whether the supremum is finite (a ladder
+    that climbs until the series overflows the truncation window means an
+    infinite critical density; a truncated density is a mean of sizes
+    ``<= k_max``, so the ladder itself stays finite).  When the series
+    still converges at ``phi_c`` itself, the truncated direct sums are
+    completed with an algebraic tail estimate, which is what makes the value
+    accurate to ~1/k_max^2 instead of the raw 1/k_max truncation error.
+
+    Three pieces do the work: :func:`_ladder_rung` evaluates one rung,
+    :func:`_ladder_complete` says when the walk stops, and
+    :func:`_critical_density_decision` picks the method.  The walk here is
+    serial and starts from the rungs another process computed for ``cp``, if
+    any were adopted (:func:`_adopt_critical_inputs`); since rungs depend
+    only on ``cp`` and their index, the result is the same either way.
+    """
+    if not _ladder_needed(cp):
+        if math.isinf(cp.phi_c_estimate):
+            return CriticalDensityInfo(math.inf, (), math.nan, "infinite-radius")
+        return CriticalDensityInfo(0.0, (), 0.0, "ladder")
+    adopted = _ADOPTED.get(cp)
+    rungs = list(adopted[0]) if adopted is not None else []
+    while not _ladder_complete([value for value, _, _ in rungs]):
+        rungs.append(_ladder_rung(cp, len(rungs) + 1))
+    return _critical_density_decision(cp, rungs)
 
 
 def critical_density(cp: ChemicalPotential) -> float:

@@ -238,6 +238,20 @@ def test_simulate_resume_matches_uninterrupted(tmp_path):
     assert float(np.dot(weights, np.abs(gap))) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "checkpoint", [None, "{not json", json.dumps({"t": 0.5}), json.dumps([0.5])]
+)
+def test_simulate_bad_resume_file_is_config_error(tmp_path, checkpoint):
+    path = tmp_path / "checkpoint.json"
+    if checkpoint is not None:
+        path.write_text(checkpoint)
+    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", cfg, "--out", str(out), "--resume", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert not (out / "trajectory.csv").exists()
+
+
 RESUME_CONFIG = {
     "kernel": {"family": "condensing", "c": 3.0},
     "n_trunc": 64,
@@ -407,6 +421,60 @@ def test_sweep_builds_chemical_potential_once_per_process(tmp_path, monkeypatch)
     assert equilibrium.critical_density_info.cache_info().misses == misses + 1
     assert main(["sweep", "--config", cfg, "--out", str(out_pool), "--parallel", "2"]) == EXIT_OK
     assert (out_serial / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
+
+
+SWEEP_KERNELS = {
+    "direct-tail": CONDENSING,
+    "ladder-ceiling": {"family": "constant", "value": 1.0},
+    "infinite-radius": {"family": "separable", "b": "k", "a": "1"},
+    "rows fail": {"family": "separable", "b": "k - 1", "a": "1"},  # K(1, j) = 0
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_KERNELS))
+def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypatch, case):
+    # Every rung evaluation, from any process, is logged; rows that walked the
+    # ladder themselves would add rungs beyond those the report counts.
+    log = tmp_path / "rungs.log"
+    rung = equilibrium._ladder_rung
+
+    def logged_rung(cp, j):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{j}\n")
+        return rung(cp, j)
+
+    monkeypatch.setattr(equilibrium, "_ladder_rung", logged_rung)
+    config = dict(
+        SWEEP_CONFIG,
+        kernel=SWEEP_KERNELS[case],
+        densities=[0.5, 2.0, 0.25],
+        integrator={"t_end": 5.0, "record_every": 0.25},
+    )
+    cfg = write_config(tmp_path, "s.json", config)
+    outputs = {}
+    for degree in (1, 2):
+        cli._sweep_chemical_potential.cache_clear()
+        log.write_text("")
+        out = tmp_path / f"p{degree}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
+        report = json.loads((out / "sweep_report.json").read_text())
+        rho_c = report["rho_c"]
+        assert len(log.read_text().split()) == rho_c["rungs_evaluated"]
+        assert 0 <= rho_c["rungs_evaluated"] - rho_c["ladder_length"] <= degree - 1
+        assert rho_c["ladder_seconds"] >= 0.0
+        rows = report["row_telemetry"]
+        assert [row["rho"] for row in rows] == config["densities"]
+        assert all(row["runtime_s"] > 0.0 for row in rows)
+        if case == "rows fail":
+            assert rho_c["method"] is None and rho_c["ladder_length"] == 0
+            assert all(row["status"].startswith("error: zero-rate") for row in rows)
+            assert all(row["integrator"] is None for row in rows)
+        else:
+            assert rho_c["method"] == case
+            assert all(row["status"] == "ok" for row in rows)
+            assert all(row["integrator"]["accepted"] > 0 for row in rows)
+        outputs[degree] = (out / "sweep.csv").read_bytes()
+    assert outputs[1] == outputs[2]
 
 
 def test_sweep_row_programming_error_propagates(tmp_path, monkeypatch):

@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edgrow.cli import _write_summary_csv, _write_trajectory_csv
+from edgrow.cli import (
+    _sweep_rho_c_inputs,
+    _sweep_rho_c_job,
+    _write_summary_csv,
+    _write_trajectory_csv,
+)
 from edgrow.diagnostics import ConvergenceReport, write_convergence_series_csv
 from edgrow.dynamics import (
     _RK_A,
@@ -36,6 +41,10 @@ from edgrow.dynamics import (
 from edgrow.equilibrium import (
     EquilibriumProfile,
     InconclusiveDensityError,
+    _adopt_critical_inputs,
+    _ladder_needed,
+    _ladder_rung,
+    _phi_c_sums,
     chemical_potential,
     critical_density_info,
     density_at_fugacity,
@@ -178,6 +187,10 @@ def full_range_critical_density(cp):
     """``(value, ladder, last_increment, method)`` of the critical density,
     every sum taken over the full range; ``None`` when inconclusive."""
     phi_c = cp.phi_c_estimate
+    if math.isinf(phi_c):
+        return math.inf, (), math.nan, "infinite-radius"
+    if phi_c <= 0.0:
+        return 0.0, (), 0.0, "ladder"
     ladder, stable_steps = [], 0
     for j in range(1, 49):
         phi = phi_c * (1.0 - 0.5**j)
@@ -205,6 +218,16 @@ def full_range_critical_density(cp):
     if not truncation_clean and all(b >= a * (1.0 - 1e-12) for a, b in zip(ladder, ladder[1:])):
         return math.inf, tuple(ladder), last_inc, "ladder-ceiling"
     return None
+
+
+def critical_or_none(cp):
+    """``(value, ladder, last_increment, method)`` from
+    :func:`critical_density_info`; ``None`` when it is inconclusive."""
+    try:
+        info = critical_density_info(cp)
+    except InconclusiveDensityError:
+        return None
+    return info.value, info.ladder, info.last_increment, info.method
 
 
 SERIES_KERNELS = st.one_of(
@@ -239,12 +262,56 @@ def test_cut_density_series_matches_full_range(kernel, k_max, ratio, k_prof):
     for name in ("phi", "z_value", "log_z", "density", "truncation_tail_bound", "k_max"):
         assert getattr(profile, name) == getattr(expected, name), name
 
-    try:
-        info = critical_density_info(cp)
-        found = (info.value, info.ladder, info.last_increment, info.method)
-    except InconclusiveDensityError:
-        found = None
-    assert found == full_range_critical_density(cp)
+    assert critical_or_none(cp) == full_range_critical_density(cp)
+
+
+# One chemical potential per way of obtaining rho_c.  The "ladder" rate
+# 1 + 1e8/k^4 puts all but ~1e-8 of the mass at size 0 (phi_c ~ 1e-8); its
+# terms at phi_c stop decaying past k ~ 100, so no algebraic tail fits, while
+# the ladder settles long before the range ends.  A phi_c far above the true
+# radius of the constant kernel piles the mass at k_max, where log terms of
+# order 2e4 leave the saturated ladder dipping by rounding: no method applies.
+CRITICAL_CASES = {
+    "infinite-radius": (separable_kernel("k", "1"), 100, None),
+    "direct-tail": (condensing_kernel(3.0), 2000, None),
+    "ladder": (separable_kernel("1 + 1e8/k^4", "1"), 1000, None),
+    "ladder, phi_c = 0": (separable_kernel("1/k", "1"), 100, None),
+    "ladder-ceiling": (constant_kernel(1.0), 500, None),
+    # the last size-weighted term is 1e-9.7 of the sum, 1e-11.7 without its
+    # factor k_max: the truncation-clean test needs that factor to fail
+    "ladder-ceiling, near the clean bound": (separable_kernel("1 + 1e4/k^4", "1"), 100, None),
+    "inconclusive": (constant_kernel(1.0), 1000, 874944811.7646654),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_critical_density_from_rounds_matches_serial_walk(case, degree):
+    kernel, k_max, phi_c = CRITICAL_CASES[case]
+    worker_cp = chemical_potential(kernel, k_max, phi_c)
+
+    def run(job, jobs):
+        # The sweep's rho_c jobs, evaluated on a chemical potential other than
+        # the one the rows adopt into, as in another process.
+        assert job is _sweep_rho_c_job
+        if not _ladder_needed(worker_cp):
+            return [None] * len(jobs)
+        return [
+            _phi_c_sums(worker_cp) if j == 0 else _ladder_rung(worker_cp, j)
+            for _, j in jobs
+        ]
+
+    critical, block = _sweep_rho_c_inputs(run, degree, "{}")
+    assert 0 <= block["rungs_evaluated"] - block["ladder_length"] <= degree - 1
+    row_cp = chemical_potential(kernel, k_max, phi_c)
+    if critical is not None:
+        _adopt_critical_inputs(row_cp, *critical)
+    serial = critical_or_none(chemical_potential(kernel, k_max, phi_c))
+    assert critical_or_none(row_cp) == serial == full_range_critical_density(row_cp)
+    expected = None if case == "inconclusive" else case.partition(",")[0]
+    assert (serial and serial[3]) == expected
+    if serial is not None:
+        assert block["ladder_length"] == len(serial[1])
 
 
 EDGE_FLOATS = (
