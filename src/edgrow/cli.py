@@ -388,8 +388,8 @@ def _sweep_chemical_potential(kernel_json: str, k_max: int) -> equilibrium.Chemi
     """Chemical potential shared by all sweep jobs of one process.
 
     Every job of a sweep uses the same kernel and range; returning the same
-    object also lets the identity-keyed caches of ``critical_density_info``
-    and the phi_c sums hit on every row after the first.
+    object also lets what ``equilibrium`` keeps on it (the ``rho_c`` ladder
+    and the phi_c sums) serve every row after the first.
     """
     kernel = _build_kernel({"kernel": json.loads(kernel_json)})
     return equilibrium.chemical_potential(kernel, k_max)
@@ -403,67 +403,20 @@ def _sweep_cp(resolved: Mapping[str, Any]) -> equilibrium.ChemicalPotential:
 
 
 def _sweep_rho_c_job(args: tuple):
-    """Rung ``j`` of the ``rho_c`` ladder, or the phi_c sums for ``j = 0``;
-    ``None`` when the kernel's ``rho_c`` needs no ladder.  Runs in a worker
-    process, so takes plain data."""
+    """Index ``j`` of the ``rho_c`` ladder walk
+    (:func:`equilibrium.critical_ladder_input`); runs in a worker process,
+    so takes plain data."""
     config_json, j = args
-    cp = _sweep_cp(_resolve(json.loads(config_json)))
-    if not equilibrium._ladder_needed(cp):
-        return None
-    return equilibrium._phi_c_sums(cp) if j == 0 else equilibrium._ladder_rung(cp, j)
-
-
-def _sweep_rho_c_inputs(run, degree: int, config_json: str):
-    """Walk the ``rho_c`` ladder once for the whole sweep.
-
-    ``run`` maps :func:`_sweep_rho_c_job` over jobs (the builtin ``map`` or a
-    pool's).  Each round evaluates the next ``degree`` rungs, the first one
-    also the phi_c sums; only the stop test runs here, and rungs past the
-    stop (at most ``degree - 1``) are discarded.  Returns ``(rungs,
-    phi_c_sums)`` for the rows to adopt, or ``None`` when no ladder is
-    needed or a job failed numerically (the rows then meet that failure
-    themselves and report it), together with the ``rho_c`` block of
-    ``sweep_report.json``.
-    """
-    started = time.perf_counter()
-    rungs: list = []
-    ladder: list = []
-    phi_c_sums = None
-    evaluated = 0
-    try:
-        while not equilibrium._ladder_complete(ladder):
-            first = len(rungs) + 1
-            jobs = list(range(first, min(first + degree, equilibrium._LADDER_RUNGS + 1)))
-            if not rungs:
-                jobs.insert(0, 0)
-            results = list(run(_sweep_rho_c_job, [(config_json, j) for j in jobs]))
-            if results[0] is None:
-                break
-            if not rungs:
-                phi_c_sums = results.pop(0)
-            evaluated += len(results)
-            for rung in results:
-                rungs.append(rung)
-                ladder.append(rung[0])
-                if equilibrium._ladder_complete(ladder):
-                    break
-    except (ValueError, RuntimeError, ArithmeticError):
-        rungs = []
-    block = {  # ladder_seconds includes building the workers' chemical potentials
-        "ladder_length": len(rungs),
-        "rungs_evaluated": evaluated,
-        "ladder_seconds": time.perf_counter() - started,
-    }
-    return ((tuple(rungs), phi_c_sums) if rungs else None), block
+    return equilibrium.critical_ladder_input(_sweep_cp(_resolve(json.loads(config_json))), j)
 
 
 def _sweep_row(args: tuple) -> dict:
     """One density of a sweep; runs in a worker process, so takes plain data.
 
-    ``critical`` is the ``(rungs, phi_c_sums)`` pair the sweep computed
-    once, or ``None``; the row adopts it, so no process walks the ``rho_c``
-    ladder itself.  Besides the CSV columns the row carries its
-    ``runtime_s``, the ``integrator`` block and the ``rho_c_method``.
+    ``critical`` is the ``rho_c`` ladder the sweep walked once, or ``None``;
+    the row adopts it, so no process walks the ladder itself.  Besides the
+    CSV columns the row carries its ``runtime_s``, the ``integrator`` block
+    and the ``rho_c_method``.
     """
     config_json, rho, critical = args
     started = time.perf_counter()
@@ -475,7 +428,7 @@ def _sweep_row(args: tuple) -> dict:
         analysis = resolved["analysis"]
         cp = _sweep_cp(resolved)
         if critical is not None:
-            equilibrium._adopt_critical_inputs(cp, *critical)
+            equilibrium.adopt_critical_ladder(cp, critical)
         n_trunc = int(resolved["n_trunc"])
         ic = dict(resolved.get("initial_condition", {}))
         ic["type"] = "monodisperse"
@@ -521,9 +474,9 @@ def _sweep_row(args: tuple) -> dict:
 def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int:
     """Run one simulation per density and aggregate the phase-diagram rows.
 
-    The ``rho_c`` ladder and the phi_c sums are computed once, spread over
-    the same workers as the rows (:func:`_sweep_rho_c_inputs`), and handed
-    to every row.
+    The ``rho_c`` ladder and the phi_c sums are computed once, in rounds of
+    one rung per worker (:func:`equilibrium.walk_critical_ladder`), and
+    handed to every row.  There are at most as many workers as densities.
     """
     resolved = _resolve(config)
     densities = resolved.get("densities")
@@ -540,8 +493,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     _build_kernel(resolved)  # validate before spawning workers
     if densities:
         _build_integrator(resolved)
-    degree = parallel if parallel is not None else int(resolved.get("parallelism", 1))
-    degree = max(1, degree) if len(densities) > 1 else 1
+    degree = max(1, min(parallel or 1, len(densities)))
 
     config_json = json.dumps(resolved, sort_keys=True)
     with contextlib.ExitStack() as stack:
@@ -552,7 +504,20 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
             ).map
         critical, rho_c_block = None, None
         if densities:
-            critical, rho_c_block = _sweep_rho_c_inputs(run, degree, config_json)
+            started = time.perf_counter()
+            try:
+                critical, evaluated = equilibrium.walk_critical_ladder(
+                    lambda indices: run(_sweep_rho_c_job, [(config_json, j) for j in indices]),
+                    degree,
+                )
+            except (ValueError, RuntimeError, ArithmeticError):
+                # The rows meet the same failure themselves and report it.
+                critical, evaluated = None, 0
+            rho_c_block = {  # ladder_seconds includes building the workers' cp
+                "ladder_length": len(critical[0]) if critical else 0,
+                "rungs_evaluated": evaluated,
+                "ladder_seconds": time.perf_counter() - started,
+            }
         rows = list(run(_sweep_row, [(config_json, float(rho), critical) for rho in densities]))
     if rho_c_block is not None:
         methods = [row["rho_c_method"] for row in rows if "rho_c_method" in row]

@@ -654,12 +654,13 @@ def integrate(
                     checkpoint_hook(t, state, controller)
                     next_checkpoint = t + (checkpoint_every or math.inf)
 
+    samples = np.asarray(states)
     record = TrajectoryRecord(
         times=np.asarray(times),
-        states=np.asarray(states),
+        states=samples,
         n_trunc=n,
-        zeroth_moments=np.sum(np.asarray(states), axis=1),
-        first_moments=np.asarray(states) @ np.arange(n + 1, dtype=float),
+        zeroth_moments=np.sum(samples, axis=1),
+        first_moments=samples @ np.arange(n + 1, dtype=float),
         clamp_mass0=np.asarray(clamp0_list),
         clamp_mass1=np.asarray(clamp1_list),
         boundary_mass=np.asarray(boundary_list),

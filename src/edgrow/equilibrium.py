@@ -12,15 +12,20 @@ Everything is computed in log space: the weights ``Q_l`` span hundreds of
 orders of magnitude already for geometric-type kernels.  Every quantity at
 a fugacity comes from one evaluator, ``_series``, which forms and log-sums
 only the prefix of the series that can pass the log-sum cutoff.
+
+What is derived once from a chemical potential (the suffix peaks that size
+the cut, the sums at ``phi_c``, the ``rho_c`` ladder and decision) is kept
+on that object, so it is freed with it.  :func:`walk_critical_ladder` is
+the one ``rho_c`` ladder walk, run rung by rung by
+:func:`critical_density_info` or in rounds over a worker pool, whose result
+other processes take through :func:`adopt_critical_ladder`.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +46,9 @@ __all__ = [
     "fugacity_for_density",
     "critical_density",
     "critical_density_info",
+    "critical_ladder_input",
+    "walk_critical_ladder",
+    "adopt_critical_ladder",
     "equilibrium_profile",
     "equilibrium_free_energy",
     "profile_to_csv",
@@ -79,13 +87,15 @@ class ChemicalPotential:
     ``log_q[l]`` is the log weight of size ``l`` with ``log_q[0] = 0`` and
     increments ``log K(1, l-1) - log K(l, 0)``.  ``phi_c_estimate`` is the
     sampled radius of convergence of the associated power series (may be
-    ``inf``).
+    ``inf``).  ``_memo`` holds what this module derives from the instance
+    (suffix peaks, phi_c sums, adopted ladder rungs, the critical density).
     """
 
     log_q: np.ndarray
     phi_c_estimate: float
     phi_c_converged: bool
     k_max: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -257,24 +267,25 @@ def _log_sum(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(kept, out=kept))))
 
 
-@lru_cache(maxsize=64)
 def _suffix_peaks(cp: ChemicalPotential) -> Tuple[Tuple[int, float, float], ...]:
     """``(L, max_{l >= L} s_l, max_{l >= L} (s_l + log l))`` on the dyadic
     ladder ``L = 2, 4, ... <= k_max``, with ``s_l = log_q[l] + l log phi_c``.
 
-    Needs a finite positive ``phi_c``.  Built once per chemical potential;
-    only O(log k_max) floats are kept.
+    Needs a finite positive ``phi_c``.  Built once per chemical potential and
+    kept on it; only O(log k_max) floats are kept.
     """
-    starts = [1 << j for j in range(1, cp.k_max.bit_length())]
-    ls = np.arange(cp.k_max + 1, dtype=float)
-    s = ls * math.log(cp.phi_c_estimate) + cp.log_q
-    with np.errstate(divide="ignore"):
-        s_num = s + np.log(ls)
-    peaks = [
-        np.maximum.accumulate(np.maximum.reduceat(v, starts)[::-1])[::-1].tolist()
-        for v in (s, s_num)
-    ]
-    return tuple(zip(starts, *peaks))
+    if "suffix_peaks" not in cp._memo:
+        starts = [1 << j for j in range(1, cp.k_max.bit_length())]
+        ls = np.arange(cp.k_max + 1, dtype=float)
+        s = ls * math.log(cp.phi_c_estimate) + cp.log_q
+        with np.errstate(divide="ignore"):
+            s_num = s + np.log(ls)
+        peaks = [
+            np.maximum.accumulate(np.maximum.reduceat(v, starts)[::-1])[::-1].tolist()
+            for v in (s, s_num)
+        ]
+        cp._memo["suffix_peaks"] = tuple(zip(starts, *peaks))
+    return cp._memo["suffix_peaks"]
 
 
 def _series_length(cp: ChemicalPotential, log_phi: float) -> int:
@@ -330,42 +341,18 @@ def _summed_terms(
     return t, _log_sum(t), log_num
 
 
-# Ladder rungs and phi_c sums computed in other processes (the sweep's
-# worker pool, see :func:`_adopt_critical_inputs`), keyed by the chemical
-# potential of this process they belong to.
-_ADOPTED: "weakref.WeakKeyDictionary[ChemicalPotential, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _adopt_critical_inputs(
-    cp: ChemicalPotential,
-    rungs: Sequence[Tuple[float, float, float]],
-    phi_c_sums: Tuple[float, float],
-) -> None:
-    """Let :func:`critical_density_info` and :func:`_phi_c_sums` use rungs
-    (from :func:`_ladder_rung`, cut by :func:`_ladder_complete`) and phi_c
-    sums that another process computed for an identically built ``cp``.
-
-    Only the arithmetic moves: the decision still runs here, from the same
-    floats the serial walk would produce, so adopting after either cached
-    function has run for ``cp`` changes nothing.
-    """
-    _ADOPTED[cp] = (tuple(rungs), tuple(phi_c_sums))
-
-
-@lru_cache(maxsize=64)
 def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float]:
     """``(log sum exp(t_l), log sum l exp(t_l))`` over the full range at
     ``phi_c``, the one sum no cut shortens; needs a finite positive ``phi_c``.
 
-    Shared by the direct tail of :func:`critical_density_info`, ``rho_hi``
-    of :func:`fugacity_for_density`, and :func:`partition_sum` and
-    :func:`equilibrium_profile` at ``phi_c``.
+    Kept on ``cp`` and shared by the direct tail of
+    :func:`critical_density_info`, ``rho_hi`` of :func:`fugacity_for_density`,
+    and :func:`partition_sum` and :func:`equilibrium_profile` at ``phi_c``.
     """
-    adopted = _ADOPTED.get(cp)
-    if adopted is not None:
-        return adopted[1]
-    _, log_den, log_num = _summed_terms(cp, _log_phi_c(cp), cp.k_max + 1)
-    return log_den, log_num
+    if "phi_c_sums" not in cp._memo:
+        _, log_den, log_num = _summed_terms(cp, _log_phi_c(cp), cp.k_max + 1)
+        cp._memo["phi_c_sums"] = (log_den, log_num)
+    return cp._memo["phi_c_sums"]
 
 
 def density_at_fugacity(cp: ChemicalPotential, phi: float) -> float:
@@ -469,18 +456,24 @@ def _algebraic_tail(t_half: float, t_n: float, n: int) -> Optional[float]:
 _LADDER_RUNGS = 48
 
 
-def _ladder_needed(cp: ChemicalPotential) -> bool:
-    """Whether :func:`critical_density_info` walks the ladder for ``cp``
-    (it does not for an infinite or vanishing ``phi_c``)."""
-    return not (math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0)
-
-
 def _ladder_rung(cp: ChemicalPotential, j: int) -> Tuple[float, float, float]:
     """Rung ``j >= 1`` of the ladder at ``phi_j = phi_c (1 - 2^-j)``:
     ``(density, log phi_j, log sum l exp(t_l))``."""
     log_phi = math.log(cp.phi_c_estimate * (1.0 - 0.5**j))
     _, log_den, log_num = _series(cp, log_phi)
     return math.exp(log_num - log_den), log_phi, log_num
+
+
+def critical_ladder_input(cp: ChemicalPotential, j: int):
+    """Index ``j`` of :func:`walk_critical_ladder` for ``cp``: the phi_c sums
+    for ``j = 0``, else rung ``j`` (as adopted, if it was); ``None`` when
+    ``cp`` needs no ladder, which is when ``phi_c`` is infinite or zero."""
+    if math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0:
+        return None
+    if j == 0:
+        return _phi_c_sums(cp)
+    adopted = cp._memo.get("rungs", ())
+    return adopted[j - 1] if j <= len(adopted) else _ladder_rung(cp, j)
 
 
 def _stabilized(ladder: Sequence[float]) -> bool:
@@ -491,16 +484,53 @@ def _stabilized(ladder: Sequence[float]) -> bool:
     )
 
 
-def _ladder_complete(ladder: Sequence[float]) -> bool:
-    """Stop test of the walk, on the rung densities ``1..len(ladder)``: it
-    ends at the first stabilized prefix, or after ``_LADDER_RUNGS`` rungs."""
-    return len(ladder) >= _LADDER_RUNGS or _stabilized(ladder)
+def walk_critical_ladder(evaluate: Callable[[list], Iterable], batch: int) -> tuple:
+    """Walk the ``rho_c`` ladder of one chemical potential in rounds of ``batch`` rungs.
+
+    ``evaluate`` maps a list of indices to their :func:`critical_ladder_input`
+    for an identically built ``cp``, here or in a worker pool; the first
+    round also asks for index 0.  The walk ends at the first stabilized
+    prefix of the rung densities, or after ``_LADDER_RUNGS`` rungs; rungs
+    evaluated past that (at most ``batch - 1``) are dropped, so every batch
+    size yields the same rungs.  Returns ``(ladder, evaluated)``:
+    ``(rungs, phi_c_sums)`` for :func:`adopt_critical_ladder`, or ``None``
+    when ``cp`` needs no ladder, and the number of rungs evaluated.
+    """
+    rungs: list = []
+    pending: list = []
+    phi_c_sums = None
+    evaluated = 0
+    while len(rungs) < _LADDER_RUNGS and not _stabilized([value for value, _, _ in rungs[-3:]]):
+        if not pending:
+            first = len(rungs) + 1
+            indices = list(range(first, min(first + batch, _LADDER_RUNGS + 1)))
+            pending = list(evaluate(indices if rungs else [0] + indices))
+            if pending[0] is None:
+                return None, evaluated
+            if not rungs:
+                phi_c_sums = pending.pop(0)
+            evaluated += len(pending)
+        rungs.append(pending.pop(0))
+    return (tuple(rungs), phi_c_sums), evaluated
+
+
+def adopt_critical_ladder(cp: ChemicalPotential, ladder: tuple) -> None:
+    """Let ``cp`` use the ``(rungs, phi_c_sums)`` that :func:`walk_critical_ladder`
+    found for an identically built chemical potential, possibly in another
+    process; the decision still runs on ``cp``, from the same floats."""
+    rungs, phi_c_sums = ladder
+    cp._memo["rungs"] = tuple(rungs)
+    cp._memo["phi_c_sums"] = tuple(phi_c_sums)
 
 
 def _critical_density_decision(
     cp: ChemicalPotential, rungs: Sequence[Tuple[float, float, float]]
 ) -> CriticalDensityInfo:
     """The critical density from a complete ladder (see :func:`critical_density_info`)."""
+    if not rungs:  # no ladder: phi_c is infinite or zero
+        if math.isinf(cp.phi_c_estimate):
+            return CriticalDensityInfo(math.inf, (), math.nan, "infinite-radius")
+        return CriticalDensityInfo(0.0, (), 0.0, "ladder")
     ladder = tuple(value for value, _, _ in rungs)
     _, log_phi_last, log_num_last = rungs[-1]
     last_inc = abs(ladder[-1] - ladder[-2]) if len(ladder) >= 2 else math.nan
@@ -531,9 +561,15 @@ def _critical_density_decision(
             return CriticalDensityInfo(float(direct), ladder, last_inc, "direct-tail")
     if _stabilized(ladder) and truncation_clean:
         return CriticalDensityInfo(ladder[-1], ladder, last_inc, "ladder")
-    if not truncation_clean and all(
-        b >= a * (1.0 - 1e-12) for a, b in zip(ladder, ladder[1:])
-    ):
+    # A rung density is exp(log_num - log_den), a difference of log-sums as
+    # large as the terms l log phi + log_q[l], and each term is rounded to
+    # about an ulp of its magnitude.  So rungs that are equal in exact
+    # arithmetic (mass piled at k_max) can differ relatively by a few ulps
+    # of that magnitude, and a ladder is monotone up to that slack.
+    log_phi_max = max(abs(log_phi) for _, log_phi, _ in rungs)
+    magnitude = cp.k_max * log_phi_max + float(np.max(np.abs(cp.log_q)))
+    slack = 4.0 * math.ulp(max(magnitude, 1.0))
+    if not truncation_clean and all(b >= a * (1.0 - slack) for a, b in zip(ladder, ladder[1:])):
         # The ladder kept climbing until the series overflowed the truncation
         # window; in the untruncated system it would climb without bound.
         return CriticalDensityInfo(math.inf, ladder, last_inc, "ladder-ceiling")
@@ -543,7 +579,6 @@ def _critical_density_decision(
     )
 
 
-@lru_cache(maxsize=64)
 def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     """Supremum of the density map on ``[0, phi_c]`` with extrapolation detail.
 
@@ -555,22 +590,18 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     completed with an algebraic tail estimate, which is what makes the value
     accurate to ~1/k_max^2 instead of the raw 1/k_max truncation error.
 
-    Three pieces do the work: :func:`_ladder_rung` evaluates one rung,
-    :func:`_ladder_complete` says when the walk stops, and
-    :func:`_critical_density_decision` picks the method.  The walk here is
-    serial and starts from the rungs another process computed for ``cp``, if
-    any were adopted (:func:`_adopt_critical_inputs`); since rungs depend
-    only on ``cp`` and their index, the result is the same either way.
+    The ladder is walked here by :func:`walk_critical_ladder`, one rung at a
+    time, starting from any rungs adopted for ``cp``
+    (:func:`adopt_critical_ladder`); since a rung depends only on ``cp`` and
+    its index, the result is the same either way.  The result is kept on
+    ``cp``, so the walk runs once per chemical potential.
     """
-    if not _ladder_needed(cp):
-        if math.isinf(cp.phi_c_estimate):
-            return CriticalDensityInfo(math.inf, (), math.nan, "infinite-radius")
-        return CriticalDensityInfo(0.0, (), 0.0, "ladder")
-    adopted = _ADOPTED.get(cp)
-    rungs = list(adopted[0]) if adopted is not None else []
-    while not _ladder_complete([value for value, _, _ in rungs]):
-        rungs.append(_ladder_rung(cp, len(rungs) + 1))
-    return _critical_density_decision(cp, rungs)
+    if "info" not in cp._memo:
+        ladder, _ = walk_critical_ladder(
+            lambda indices: [critical_ladder_input(cp, j) for j in indices], 1
+        )
+        cp._memo["info"] = _critical_density_decision(cp, ladder[0] if ladder else ())
+    return cp._memo["info"]
 
 
 def critical_density(cp: ChemicalPotential) -> float:

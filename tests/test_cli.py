@@ -411,14 +411,22 @@ def test_sweep_builds_chemical_potential_once_per_process(tmp_path, monkeypatch)
         builds.append(args)
         return build(*args, **kwargs)
 
+    rungs = []
+    rung = equilibrium._ladder_rung
+
+    def counting_rung(cp, j):
+        rungs.append(j)
+        return rung(cp, j)
+
     monkeypatch.setattr(equilibrium, "chemical_potential", counting_build)
+    monkeypatch.setattr(equilibrium, "_ladder_rung", counting_rung)
     cli._sweep_chemical_potential.cache_clear()
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 1.0, 2.0]))
     out_serial, out_pool = tmp_path / "serial", tmp_path / "pool"
-    misses = equilibrium.critical_density_info.cache_info().misses
     assert main(["sweep", "--config", cfg, "--out", str(out_serial), "--parallel", "1"]) == EXIT_OK
     assert len(builds) == 1
-    assert equilibrium.critical_density_info.cache_info().misses == misses + 1
+    report = json.loads((out_serial / "sweep_report.json").read_text())
+    assert rungs and len(rungs) == report["rho_c"]["rungs_evaluated"]
     assert main(["sweep", "--config", cfg, "--out", str(out_pool), "--parallel", "2"]) == EXIT_OK
     assert (out_serial / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
 
@@ -475,6 +483,37 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
             assert all(row["integrator"]["accepted"] > 0 for row in rows)
         outputs[degree] = (out / "sweep.csv").read_bytes()
     assert outputs[1] == outputs[2]
+
+
+def test_sweep_pool_has_at_most_one_worker_per_density(tmp_path, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records ``max_workers`` and runs the jobs here: no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = dict(SWEEP_CONFIG, densities=[0.5, 2.0, 0.25])
+    cfg = write_config(tmp_path, "s.json", config)
+    out = str(tmp_path / "a")
+    assert main(["sweep", "--config", cfg, "--out", out, "--parallel", "5000"]) == EXIT_OK
+    assert sizes == [3]
+    # The pool size has one setting, --parallel; a "parallelism" key is not read.
+    cfg = write_config(tmp_path, "p.json", dict(config, parallelism=4))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert sizes == [3]
+    assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
 def test_sweep_row_programming_error_propagates(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from edgrow.equilibrium import (
     ChemicalPotential,
     DivergentSeriesError,
     SupercriticalDensityError,
+    adopt_critical_ladder,
     chemical_potential,
     critical_density,
     critical_density_info,
+    critical_ladder_input,
     density_at_fugacity,
     equilibrium_free_energy,
     equilibrium_profile,
@@ -18,6 +22,7 @@ from edgrow.equilibrium import (
     partition_sum,
     profile_summary,
     profile_to_csv,
+    walk_critical_ladder,
 )
 from edgrow.kernels import (
     ZeroRateError,
@@ -209,3 +214,22 @@ def test_serialization(tmp_path, cp_condensing):
     prof_inf = equilibrium_profile(cp_inf, phi=0.5, k_max=8)
     tagged = profile_summary(prof_inf, cp_inf)["rho_c"]
     assert tagged == {"finite": False, "value": None}
+
+
+def test_chemical_potentials_are_freed_with_what_they_derived():
+    kernel = condensing_kernel(3.0)
+    walked, adopting = chemical_potential(kernel, 2000), chemical_potential(kernel, 2000)
+    refs = [weakref.ref(walked), weakref.ref(adopting)]
+    ladder, _ = walk_critical_ladder(
+        lambda indices: [critical_ladder_input(walked, j) for j in indices], 2
+    )
+    adopt_critical_ladder(adopting, ladder)
+    for cp in (walked, adopting):
+        assert critical_density_info(cp).method == "direct-tail"
+        for phi in (0.5 * cp.phi_c_estimate, cp.phi_c_estimate):
+            partition_sum(cp, phi)
+            density_at_fugacity(cp, phi)
+            equilibrium_profile(cp, phi=phi)
+    del cp, walked, adopting
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

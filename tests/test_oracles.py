@@ -17,12 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edgrow.cli import (
-    _sweep_rho_c_inputs,
-    _sweep_rho_c_job,
-    _write_summary_csv,
-    _write_trajectory_csv,
-)
+from edgrow import equilibrium
+from edgrow.cli import _write_summary_csv, _write_trajectory_csv
 from edgrow.diagnostics import ConvergenceReport, write_convergence_series_csv
 from edgrow.dynamics import (
     _RK_A,
@@ -41,15 +37,14 @@ from edgrow.dynamics import (
 from edgrow.equilibrium import (
     EquilibriumProfile,
     InconclusiveDensityError,
-    _adopt_critical_inputs,
-    _ladder_needed,
-    _ladder_rung,
-    _phi_c_sums,
+    adopt_critical_ladder,
     chemical_potential,
     critical_density_info,
+    critical_ladder_input,
     density_at_fugacity,
     equilibrium_profile,
     partition_sum,
+    walk_critical_ladder,
 )
 from edgrow.kernels import (
     _factor_vectors,
@@ -191,9 +186,10 @@ def full_range_critical_density(cp):
         return math.inf, (), math.nan, "infinite-radius"
     if phi_c <= 0.0:
         return 0.0, (), 0.0, "ladder"
-    ladder, stable_steps = [], 0
+    ladder, log_phis, stable_steps = [], [], 0
     for j in range(1, 49):
         phi = phi_c * (1.0 - 0.5**j)
+        log_phis.append(abs(math.log(phi)))
         ladder.append(full_range_density(cp, phi))
         if len(ladder) > 1:
             increment = abs(ladder[-1] - ladder[-2]) / max(abs(ladder[-1]), 1e-300)
@@ -215,7 +211,9 @@ def full_range_critical_density(cp):
             return direct, tuple(ladder), last_inc, "direct-tail"
     if stable_steps >= 2 and truncation_clean:
         return ladder[-1], tuple(ladder), last_inc, "ladder"
-    if not truncation_clean and all(b >= a * (1.0 - 1e-12) for a, b in zip(ladder, ladder[1:])):
+    # monotone up to a few ulps of the largest term magnitude
+    slack = 4.0 * math.ulp(max(cp.k_max * max(log_phis) + float(np.max(np.abs(cp.log_q))), 1.0))
+    if not truncation_clean and all(b >= a * (1.0 - slack) for a, b in zip(ladder, ladder[1:])):
         return math.inf, tuple(ladder), last_inc, "ladder-ceiling"
     return None
 
@@ -269,8 +267,8 @@ def test_cut_density_series_matches_full_range(kernel, k_max, ratio, k_prof):
 # 1 + 1e8/k^4 puts all but ~1e-8 of the mass at size 0 (phi_c ~ 1e-8); its
 # terms at phi_c stop decaying past k ~ 100, so no algebraic tail fits, while
 # the ladder settles long before the range ends.  A phi_c far above the true
-# radius of the constant kernel piles the mass at k_max, where log terms of
-# order 2e4 leave the saturated ladder dipping by rounding: no method applies.
+# radius of the constant kernel piles the mass at k_max ("ulps"), where log
+# terms of order 2e4 leave the saturated ladder dipping by one of their ulps.
 CRITICAL_CASES = {
     "infinite-radius": (separable_kernel("k", "1"), 100, None),
     "direct-tail": (condensing_kernel(3.0), 2000, None),
@@ -280,38 +278,29 @@ CRITICAL_CASES = {
     # the last size-weighted term is 1e-9.7 of the sum, 1e-11.7 without its
     # factor k_max: the truncation-clean test needs that factor to fail
     "ladder-ceiling, near the clean bound": (separable_kernel("1 + 1e4/k^4", "1"), 100, None),
-    "inconclusive": (constant_kernel(1.0), 1000, 874944811.7646654),
+    "ladder-ceiling, ulps": (constant_kernel(1.0), 1000, 874944811.7646654),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-def test_critical_density_from_rounds_matches_serial_walk(case, degree):
+def test_critical_density_from_rounds_matches_serial_walk(case, degree, monkeypatch):
     kernel, k_max, phi_c = CRITICAL_CASES[case]
+    # The rungs are walked in rounds on a chemical potential other than the
+    # one that adopts them, as in another process.
     worker_cp = chemical_potential(kernel, k_max, phi_c)
-
-    def run(job, jobs):
-        # The sweep's rho_c jobs, evaluated on a chemical potential other than
-        # the one the rows adopt into, as in another process.
-        assert job is _sweep_rho_c_job
-        if not _ladder_needed(worker_cp):
-            return [None] * len(jobs)
-        return [
-            _phi_c_sums(worker_cp) if j == 0 else _ladder_rung(worker_cp, j)
-            for _, j in jobs
-        ]
-
-    critical, block = _sweep_rho_c_inputs(run, degree, "{}")
-    assert 0 <= block["rungs_evaluated"] - block["ladder_length"] <= degree - 1
+    ladder, evaluated = walk_critical_ladder(
+        lambda indices: [critical_ladder_input(worker_cp, j) for j in indices], degree
+    )
     row_cp = chemical_potential(kernel, k_max, phi_c)
-    if critical is not None:
-        _adopt_critical_inputs(row_cp, *critical)
+    if ladder is not None:
+        assert 0 <= evaluated - len(ladder[0]) <= degree - 1
+        adopt_critical_ladder(row_cp, ladder)
     serial = critical_or_none(chemical_potential(kernel, k_max, phi_c))
+    monkeypatch.setattr(equilibrium, "_ladder_rung", None)  # no rung is evaluated again
     assert critical_or_none(row_cp) == serial == full_range_critical_density(row_cp)
-    expected = None if case == "inconclusive" else case.partition(",")[0]
-    assert (serial and serial[3]) == expected
-    if serial is not None:
-        assert block["ladder_length"] == len(serial[1])
+    assert serial[3] == case.partition(",")[0]
+    assert (len(ladder[0]) if ladder else 0) == len(serial[1])
 
 
 EDGE_FLOATS = (
