@@ -3,13 +3,27 @@
 Kernel configs may define the separable factors b_k and a_j as strings such
 as ``"k"``, ``"1 + 3/k"`` or ``"(k+2)^2 / (k+1)"``.  The grammar is
 deliberately restricted to rational functions of a single integer variable
-with real coefficients: numbers, one variable (spelled ``k``, ``j`` or
-``l``), ``+ - * /``, integer powers via ``^`` (or ``**``) and parentheses.
-Anything else is rejected at parse time, so configs can never inject code.
+with real coefficients: numbers, one variable (spelled ``k``, ``j``, ``l``
+or ``n``), ``+ - * /``, integer powers via ``^`` (or ``**``) and
+parentheses.  Precedence and associativity are Python's: ``-k^2`` is
+``-(k^2)``, ``2^-1`` is ``1/2`` and ``k/2/2`` is ``(k/2)/2``.  An exponent is
+an integer literal with optional signs, also in parentheses (``k^(2)``,
+``k^(-1)``).
+
+The text is split into numbers, variable names and operators by ``_TOKEN``,
+so spellings only Python knows (comments, ``1_0``, ``0x1``, ``True``,
+``1j``, strings, attributes, calls) never get further.  The tokens are
+rebuilt as Python source, each number as a placeholder name, and read by
+:func:`ast.parse`; only the nodes of the grammar are converted into the
+tree that :func:`_evaluate` walks, and anything else is rejected.  Nothing
+is compiled or run as Python.  A number keeps its own text: a value is
+``float`` of it and an exponent ``int`` of it.  Every failure, including
+input nested too deeply for the parser, is a :class:`RateExpressionError`.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from typing import Callable, Union
 
@@ -25,122 +39,98 @@ _TOKEN = re.compile(
 )
 
 _VAR_NAMES = {"k", "j", "l", "n"}
+_SIGNS = ("+", "-")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 class RateExpressionError(ValueError):
     """Raised when a rate expression does not fit the rational grammar."""
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    """``(kind, token)`` pairs of ``text``; the kind is ``num``, ``var`` or ``op``."""
+    tokens: list[tuple[str, str]] = []
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
             if text[pos:].strip() == "":
                 break
-            raise RateExpressionError(
-                f"unexpected character {text[pos]!r} in rate expression {text!r}"
-            )
-        tokens.append(match.group().strip())
+            raise RateExpressionError(f"unexpected character {text[pos]!r}")
+        tokens.append((match.lastgroup, match.group(match.lastgroup)))
         pos = match.end()
-    tokens.append("<end>")
     return tokens
 
 
-class _Parser:
-    """Recursive descent over: expr := term (('+'|'-') term)*,
-    term := signed (('*'|'/') signed)*, signed := ('+'|'-')* power,
-    power := atom (('^'|'**') signed_int)?, atom := number | var | '(' expr ')'.
+def _python_source(text: str) -> tuple[str, dict]:
+    """``text`` as Python source, with the map from placeholder names to numbers.
+
+    A sign that follows two signs is folded into the one before it (both
+    are unary), so a run of signs nests no deeper than two.
     """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def take(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        if self.take() != tok:
-            raise RateExpressionError(f"expected {tok!r} in {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() != "<end>":
-            raise RateExpressionError(f"trailing input in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = ("+" if op == "+" else "-", node, rhs)
-        return node
-
-    def term(self):
-        node = self.signed()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.signed()
-            node = (op, node, rhs)
-        return node
-
-    def signed(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        node = self.power()
-        if sign < 0:
-            node = ("neg", node)
-        return node
-
-    def power(self):
-        node = self.atom()
-        if self.peek() in ("^", "**"):
-            self.take()
-            exponent = self.integer_exponent()
-            node = ("pow", node, exponent)
-        return node
-
-    def integer_exponent(self) -> int:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        tok = self.take()
-        try:
-            value = int(tok)
-        except ValueError:
+    source: list[str] = []
+    numbers: dict = {}
+    for kind, tok in _tokenize(text):
+        if kind == "num":
+            name = f"_{len(numbers)}"
+            numbers[name] = tok
+            source.append(name)
+        elif kind == "var" and tok not in _VAR_NAMES:
             raise RateExpressionError(
-                f"exponent must be an integer, got {tok!r} in {self.text!r}"
-            ) from None
-        return sign * value
+                f"unknown symbol {tok!r}; the only variable is the cluster index"
+            )
+        elif tok in _SIGNS and len(source) >= 2 and source[-1] in _SIGNS and source[-2] in _SIGNS:
+            source[-1] = "+" if source[-1] == tok else "-"
+        else:
+            source.append("**" if tok == "^" else tok)
+    return " ".join(source), numbers
 
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if re.fullmatch(r"[A-Za-z_]\w*", tok):
-            if tok not in _VAR_NAMES:
-                raise RateExpressionError(
-                    f"unknown symbol {tok!r}; the only variable is the cluster index"
-                )
+
+def _node(node: ast.AST, numbers: dict):
+    """The ``(op, ...)`` tree of a parsed grammar node."""
+    match node:
+        case ast.Name(id=name) if name in _VAR_NAMES:
             return ("var",)
-        try:
-            return ("const", float(tok))
-        except ValueError:
-            raise RateExpressionError(f"bad token {tok!r} in {self.text!r}") from None
+        case ast.Name(id=name):
+            return ("const", float(numbers[name]))
+        case ast.UnaryOp(op=ast.UAdd(), operand=operand):
+            return _node(operand, numbers)
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            return ("neg", _node(operand, numbers))
+        case ast.BinOp(left=left, op=ast.Pow(), right=right):
+            return ("pow", _node(left, numbers), _exponent(right, numbers))
+        case ast.BinOp(left=left, op=op, right=right) if type(op) in _BINARY:
+            return (_BINARY[type(op)], _node(left, numbers), _node(right, numbers))
+    raise RateExpressionError(f"{type(node).__name__} is not part of the grammar")
+
+
+def _exponent(node: ast.AST, numbers: dict) -> int:
+    """The value of an integer literal with optional signs."""
+    match node:
+        case ast.UnaryOp(op=ast.UAdd(), operand=operand):
+            return _exponent(operand, numbers)
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            return -_exponent(operand, numbers)
+        case ast.Name(id=name) if name in numbers:
+            try:
+                return int(numbers[name])
+            except ValueError:
+                pass
+    raise RateExpressionError("exponent must be an integer")
+
+
+def _parse(text: str):
+    """The ``(op, ...)`` tree of a rate expression."""
+    try:
+        source, numbers = _python_source(text)
+        return _node(ast.parse(source, mode="eval").body, numbers)
+    except SyntaxError as exc:
+        reason = exc.msg
+    except (RecursionError, MemoryError):
+        reason = "nested too deeply"
+    except RateExpressionError as exc:
+        reason = str(exc)
+    raise RateExpressionError(f"rate expression {text!r}: {reason}")
 
 
 def _evaluate(node, x: np.ndarray) -> np.ndarray:
@@ -177,7 +167,7 @@ def compile_rational(
     if isinstance(expression, (int, float)):
         value = float(expression)
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-    tree = _Parser(str(expression)).parse()
+    tree = _parse(str(expression))
 
     def evaluate(x):
         return _evaluate(tree, np.asarray(x, dtype=float))

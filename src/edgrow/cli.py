@@ -30,7 +30,6 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from . import diagnostics, dynamics, equilibrium, kernels, thermo
-from ._expr import RateExpressionError
 
 __all__ = ["main", "ConfigError"]
 
@@ -85,7 +84,7 @@ def _build_kernel(config: Mapping[str, Any]) -> kernels.Kernel:
         raise ConfigError("config needs a 'kernel' entry")
     try:
         return kernels.kernel_from_spec(spec)
-    except (RateExpressionError, ValueError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad kernel spec: {exc}") from exc
 
 
@@ -126,6 +125,13 @@ def _build_state(
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad initial condition: {exc}") from exc
     raise ConfigError(f"unknown initial condition type {kind!r}")
+
+
+def _analysis_config(analysis: Mapping[str, Any]) -> diagnostics.AnalysisConfig:
+    return diagnostics.AnalysisConfig(
+        excess_band_start=int(analysis["excess_band_start"]),
+        low_band=int(analysis["low_band"]),
+    )
 
 
 def _build_integrator(config: Mapping[str, Any]) -> dynamics.IntegratorConfig:
@@ -343,14 +349,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     if analysis["classify"] and cp is not None and traj.sample_count >= 10:
         try:
             with _phase(phase_seconds, "classify"):
-                report = diagnostics.classify_longtime(
-                    traj,
-                    cp,
-                    diagnostics.AnalysisConfig(
-                        excess_band_start=int(analysis["excess_band_start"]),
-                        low_band=int(analysis["low_band"]),
-                    ),
-                )
+                report = diagnostics.classify_longtime(traj, cp, _analysis_config(analysis))
             convergence = report.as_dict()
             with _phase(phase_seconds, "write_csv"):
                 diagnostics.write_convergence_series_csv(
@@ -389,7 +388,8 @@ def _sweep_chemical_potential(kernel_json: str, k_max: int) -> equilibrium.Chemi
 
     Every job of a sweep uses the same kernel and range; returning the same
     object also lets what ``equilibrium`` keeps on it (the ``rho_c`` ladder
-    and the phi_c sums) serve every row after the first.
+    and the phi_c sums) serve every row after the first.  :func:`cmd_sweep`
+    clears the cache when it returns.
     """
     kernel = _build_kernel({"kernel": json.loads(kernel_json)})
     return equilibrium.chemical_potential(kernel, k_max)
@@ -403,7 +403,7 @@ def _sweep_cp(resolved: Mapping[str, Any]) -> equilibrium.ChemicalPotential:
 
 
 def _sweep_rho_c_job(args: tuple):
-    """Index ``j`` of the ``rho_c`` ladder walk
+    """Rung ``j`` of the ``rho_c`` ladder walk
     (:func:`equilibrium.critical_ladder_input`); runs in a worker process,
     so takes plain data."""
     config_json, j = args
@@ -440,14 +440,7 @@ def _sweep_row(args: tuple) -> dict:
         row_config["initial_condition"] = ic
         state0 = _build_state(row_config, n_trunc, cp)
         traj = dynamics.integrate(kernel, state0, cfg)
-        report = diagnostics.classify_longtime(
-            traj,
-            cp,
-            diagnostics.AnalysisConfig(
-                excess_band_start=int(analysis["excess_band_start"]),
-                low_band=int(analysis["low_band"]),
-            ),
-        )
+        report = diagnostics.classify_longtime(traj, cp, _analysis_config(analysis))
         return {
             "rho": rho,
             "regime": report.regime,
@@ -474,9 +467,10 @@ def _sweep_row(args: tuple) -> dict:
 def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int:
     """Run one simulation per density and aggregate the phase-diagram rows.
 
-    The ``rho_c`` ladder and the phi_c sums are computed once, in rounds of
-    one rung per worker (:func:`equilibrium.walk_critical_ladder`), and
-    handed to every row.  There are at most as many workers as densities.
+    The ``rho_c`` ladder is walked once, in rounds of one rung per worker
+    (:func:`equilibrium.walk_critical_ladder`), and handed to every row.
+    There are at most as many workers as densities.  The sweep's chemical
+    potential is dropped on return, also when it runs in this process.
     """
     resolved = _resolve(config)
     densities = resolved.get("densities")
@@ -497,6 +491,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
 
     config_json = json.dumps(resolved, sort_keys=True)
     with contextlib.ExitStack() as stack:
+        stack.callback(_sweep_chemical_potential.cache_clear)
         run = map
         if degree > 1:
             run = stack.enter_context(
@@ -514,7 +509,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
                 # The rows meet the same failure themselves and report it.
                 critical, evaluated = None, 0
             rho_c_block = {  # ladder_seconds includes building the workers' cp
-                "ladder_length": len(critical[0]) if critical else 0,
+                "ladder_length": len(critical) if critical else 0,
                 "rungs_evaluated": evaluated,
                 "ladder_seconds": time.perf_counter() - started,
             }

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import ConcentrationProfile, TrajectoryRecord, strong_norm
+from .dynamics import ConcentrationProfile, TrajectoryRecord, state_from_profile, strong_norm
 from .equilibrium import (
     ChemicalPotential,
     InconclusiveDensityError,
@@ -172,9 +172,7 @@ def classify_longtime(
 
     target = min(rho, rho_c)
     profile = equilibrium_profile(cp, rho=target, k_max=max(traj.n_trunc, cfg.low_band))
-    omega = np.zeros(traj.n_trunc + 1)
-    upto = min(traj.n_trunc, profile.k_max)
-    omega[: upto + 1] = profile.omega[: upto + 1]
+    omega = state_from_profile(profile, traj.n_trunc).c
 
     n_samples = traj.sample_count
     weak = np.empty(n_samples)

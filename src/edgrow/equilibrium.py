@@ -23,6 +23,7 @@ other processes take through :func:`adopt_critical_ladder`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
@@ -190,7 +191,7 @@ def chemical_potential(
     increments = np.log(attach) - np.log(detach)
     log_q = np.concatenate(([0.0], np.cumsum(increments)))
     if phi_c is None:
-        estimate = estimate_critical_fugacity(kernel, max(1 << 16, 16))
+        estimate = estimate_critical_fugacity(kernel)
         phi_c_value, converged = estimate.value, estimate.converged
     else:
         phi_c_value, converged = float(phi_c), True
@@ -465,13 +466,11 @@ def _ladder_rung(cp: ChemicalPotential, j: int) -> Tuple[float, float, float]:
 
 
 def critical_ladder_input(cp: ChemicalPotential, j: int):
-    """Index ``j`` of :func:`walk_critical_ladder` for ``cp``: the phi_c sums
-    for ``j = 0``, else rung ``j`` (as adopted, if it was); ``None`` when
-    ``cp`` needs no ladder, which is when ``phi_c`` is infinite or zero."""
+    """Rung ``j >= 1`` of :func:`walk_critical_ladder` for ``cp`` (as adopted,
+    if it was); ``None`` when ``cp`` needs no ladder, which is when ``phi_c``
+    is infinite or zero."""
     if math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0:
         return None
-    if j == 0:
-        return _phi_c_sums(cp)
     adopted = cp._memo.get("rungs", ())
     return adopted[j - 1] if j <= len(adopted) else _ladder_rung(cp, j)
 
@@ -487,40 +486,34 @@ def _stabilized(ladder: Sequence[float]) -> bool:
 def walk_critical_ladder(evaluate: Callable[[list], Iterable], batch: int) -> tuple:
     """Walk the ``rho_c`` ladder of one chemical potential in rounds of ``batch`` rungs.
 
-    ``evaluate`` maps a list of indices to their :func:`critical_ladder_input`
-    for an identically built ``cp``, here or in a worker pool; the first
-    round also asks for index 0.  The walk ends at the first stabilized
-    prefix of the rung densities, or after ``_LADDER_RUNGS`` rungs; rungs
-    evaluated past that (at most ``batch - 1``) are dropped, so every batch
-    size yields the same rungs.  Returns ``(ladder, evaluated)``:
-    ``(rungs, phi_c_sums)`` for :func:`adopt_critical_ladder`, or ``None``
-    when ``cp`` needs no ladder, and the number of rungs evaluated.
+    ``evaluate`` maps a list of rung indices to their
+    :func:`critical_ladder_input` for an identically built ``cp``, here or in
+    a worker pool.  The walk ends at the first stabilized prefix of the rung
+    densities, or after ``_LADDER_RUNGS`` rungs; rungs evaluated past that
+    (at most ``batch - 1``) are dropped, so every batch size yields the same
+    rungs.  Returns ``(rungs, evaluated)``: the rungs for
+    :func:`adopt_critical_ladder`, or ``None`` when ``cp`` needs no ladder,
+    and the number of rungs evaluated.
     """
     rungs: list = []
     pending: list = []
-    phi_c_sums = None
     evaluated = 0
     while len(rungs) < _LADDER_RUNGS and not _stabilized([value for value, _, _ in rungs[-3:]]):
         if not pending:
             first = len(rungs) + 1
-            indices = list(range(first, min(first + batch, _LADDER_RUNGS + 1)))
-            pending = list(evaluate(indices if rungs else [0] + indices))
+            pending = list(evaluate(list(range(first, min(first + batch, _LADDER_RUNGS + 1)))))
             if pending[0] is None:
                 return None, evaluated
-            if not rungs:
-                phi_c_sums = pending.pop(0)
             evaluated += len(pending)
         rungs.append(pending.pop(0))
-    return (tuple(rungs), phi_c_sums), evaluated
+    return tuple(rungs), evaluated
 
 
-def adopt_critical_ladder(cp: ChemicalPotential, ladder: tuple) -> None:
-    """Let ``cp`` use the ``(rungs, phi_c_sums)`` that :func:`walk_critical_ladder`
-    found for an identically built chemical potential, possibly in another
-    process; the decision still runs on ``cp``, from the same floats."""
-    rungs, phi_c_sums = ladder
+def adopt_critical_ladder(cp: ChemicalPotential, rungs: tuple) -> None:
+    """Let ``cp`` use the rungs that :func:`walk_critical_ladder` found for an
+    identically built chemical potential, possibly in another process; the
+    decision still runs on ``cp``, from the same floats."""
     cp._memo["rungs"] = tuple(rungs)
-    cp._memo["phi_c_sums"] = tuple(phi_c_sums)
 
 
 def _critical_density_decision(
@@ -541,24 +534,26 @@ def _critical_density_decision(
     last_term = cp.k_max * log_phi_last + cp.log_q[-1] + np.log(cp.k_max)
     truncation_clean = (last_term - log_num_last) < math.log(1e-10)
 
-    # Direct evaluation at phi_c, completed by algebraic tails when available.
+    # Direct evaluation at phi_c, completed by algebraic tails when available;
+    # there is none when those sums overflow a float.
     log_phi_c = math.log(cp.phi_c_estimate)
     ends = np.array([cp.k_max // 2, cp.k_max])
     den_ends = ends * log_phi_c + cp.log_q[ends]
     with np.errstate(divide="ignore"):  # k_max // 2 is 0 when k_max = 1
         num_ends = den_ends + np.log(ends)
-    num_tail = _algebraic_tail(*num_ends, cp.k_max)
-    den_tail = _algebraic_tail(*den_ends, cp.k_max)
-    if num_tail is not None and den_tail is not None:
-        _, log_den, log_num = _series(cp, log_phi_c)
-        num = math.exp(log_num) + num_tail
-        den = math.exp(log_den) + den_tail
-        direct = num / den
-        defect = num_tail / den
-        if direct >= ladder[-1] - 1e-9 and direct - ladder[-1] <= 3.0 * defect + 1e-6 * max(
-            1.0, direct
-        ):
-            return CriticalDensityInfo(float(direct), ladder, last_inc, "direct-tail")
+    with contextlib.suppress(OverflowError):
+        num_tail = _algebraic_tail(*num_ends, cp.k_max)
+        den_tail = _algebraic_tail(*den_ends, cp.k_max)
+        if num_tail is not None and den_tail is not None:
+            _, log_den, log_num = _series(cp, log_phi_c)
+            num = math.exp(log_num) + num_tail
+            den = math.exp(log_den) + den_tail
+            direct = num / den
+            defect = num_tail / den
+            if direct >= ladder[-1] - 1e-9 and direct - ladder[-1] <= 3.0 * defect + 1e-6 * max(
+                1.0, direct
+            ):
+                return CriticalDensityInfo(float(direct), ladder, last_inc, "direct-tail")
     if _stabilized(ladder) and truncation_clean:
         return CriticalDensityInfo(ladder[-1], ladder, last_inc, "ladder")
     # A rung density is exp(log_num - log_den), a difference of log-sums as
@@ -597,10 +592,10 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     ``cp``, so the walk runs once per chemical potential.
     """
     if "info" not in cp._memo:
-        ladder, _ = walk_critical_ladder(
+        rungs, _ = walk_critical_ladder(
             lambda indices: [critical_ladder_input(cp, j) for j in indices], 1
         )
-        cp._memo["info"] = _critical_density_decision(cp, ladder[0] if ladder else ())
+        cp._memo["info"] = _critical_density_decision(cp, rungs or ())
     return cp._memo["info"]
 
 

@@ -9,6 +9,12 @@ rational expression grammar (all of rank 1), and an additive family of rank 2
 that violates the curl-free (Becker-Doring) condition and is useful as a
 negative control.
 
+A config names a kernel by its family plus the keyword arguments of that
+family's constructor (:func:`kernel_from_spec`).  Each constructor's
+parameters, its spec keys and its ``Kernel.params`` keys are the same
+names, so :func:`kernel_spec` round-trips and every default lives in the
+constructor's signature alone.
+
 The module also hosts executable audits of the structural conditions the
 longtime theory needs: linear growth bounds, discrete regularity, continuity
 at infinity, sublinear envelopes and the curl-free condition itself.  The
@@ -17,10 +23,11 @@ audits sample a finite grid and say so; they are evidence, not proofs.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Tuple
 
 import numpy as np
 
@@ -124,16 +131,16 @@ def constant_kernel(value: float = 1.0) -> Kernel:
     )
 
 
-def condensing_kernel(strength: float = 3.0) -> Kernel:
-    """Donor-only kernel ``K(k, j) = 1 + strength / k``.
+def condensing_kernel(c: float = 3.0) -> Kernel:
+    """Donor-only kernel ``K(k, j) = 1 + c / k``.
 
     Small clusters evaporate faster than large ones absorb, which caps the
-    density the equilibrium family can carry: with the default strength 3 the
+    density the equilibrium family can carry: with the default ``c = 3`` the
     critical fugacity is 1/4 and the critical density is 1.
     """
-    if strength <= 0:
+    if c <= 0:
         raise ValueError("condensing strength must be positive")
-    s = float(strength)
+    s = float(c)
     return Kernel(
         family="condensing",
         terms=((compile_rational(f"1 + {s!r}/k"), compile_rational(1.0)),),
@@ -142,7 +149,7 @@ def condensing_kernel(strength: float = 3.0) -> Kernel:
     )
 
 
-def separable_kernel(b="k", a="1", growth_constant: Optional[float] = None) -> Kernel:
+def separable_kernel(b="k", a="1") -> Kernel:
     """Product kernel ``K(k, j) = b(k) * a(j)`` from rational expressions."""
     kernel = Kernel(
         family="separable",
@@ -150,10 +157,9 @@ def separable_kernel(b="k", a="1", growth_constant: Optional[float] = None) -> K
         growth_constant=math.nan,
         params={"b": str(b), "a": str(a)},
     )
-    if growth_constant is None:
-        # Smallest C with K(k, j) <= C k (j + 1) on a 64 x 64 probe grid.
-        sizes = np.arange(1, 65, dtype=float)
-        growth_constant = np.max(kernel_matrix(kernel, 64) / np.outer(sizes, sizes))
+    # Smallest C with K(k, j) <= C k (j + 1) on a 64 x 64 probe grid.
+    sizes = np.arange(1, 65, dtype=float)
+    growth_constant = np.max(kernel_matrix(kernel, 64) / np.outer(sizes, sizes))
     return replace(kernel, growth_constant=float(growth_constant))
 
 
@@ -180,17 +186,20 @@ def additive_kernel(donor_coeff: float = 1.0, acceptor_coeff: float = 2.0) -> Ke
 
 
 _FAMILIES = {
-    "constant": lambda p: constant_kernel(p.get("value", 1.0)),
-    "condensing": lambda p: condensing_kernel(p.get("c", 3.0)),
-    "separable": lambda p: separable_kernel(p.get("b", "k"), p.get("a", "1")),
-    "additive": lambda p: additive_kernel(
-        p.get("donor_coeff", 1.0), p.get("acceptor_coeff", 2.0)
-    ),
+    "constant": constant_kernel,
+    "condensing": condensing_kernel,
+    "separable": separable_kernel,
+    "additive": additive_kernel,
 }
 
 
 def kernel_from_spec(spec: Mapping[str, Any]) -> Kernel:
-    """Build a kernel from a config mapping like ``{"family": "condensing", "c": 3.0}``."""
+    """Build a kernel from a config mapping like ``{"family": "condensing", "c": 3.0}``.
+
+    The keys besides ``family`` are the keyword arguments of the family's
+    constructor; a key it does not take raises :class:`RateExpressionError`
+    naming the key, and an ill-typed value the constructor's own error.
+    """
     if not isinstance(spec, Mapping) or "family" not in spec:
         raise RateExpressionError("kernel spec must be a mapping with a 'family' key")
     family = spec["family"]
@@ -198,8 +207,13 @@ def kernel_from_spec(spec: Mapping[str, Any]) -> Kernel:
         raise RateExpressionError(
             f"unknown kernel family {family!r}; choose from {sorted(_FAMILIES)}"
         )
+    constructor = _FAMILIES[family]
     params = {key: value for key, value in spec.items() if key != "family"}
-    return _FAMILIES[family](params)
+    try:
+        inspect.signature(constructor).bind(**params)
+    except TypeError as exc:
+        raise RateExpressionError(f"{family} kernel: {exc}") from None
+    return constructor(**params)
 
 
 def kernel_spec(kernel: Kernel) -> dict:

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -56,6 +58,21 @@ def test_malformed_config(tmp_path):
 
 def test_missing_kernel_key(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"n_trunc": 8})
+    assert main(["check-kernel", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        {"family": "separable", "b": "(" * 5000 + "k" + ")" * 5000},
+        {"family": "separable", "b": "+".join(["k"] * 200_000)},
+        {"family": "constant", "value": None},
+        {"family": "condensing", "C": 2.0},
+    ],
+    ids=["5000-deep", "200000-terms", "null-value", "misspelled-key"],
+)
+def test_bad_kernel_input_is_config_error(tmp_path, kernel):
+    cfg = write_config(tmp_path, "c.json", {"kernel": kernel})
     assert main(["check-kernel", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
@@ -429,6 +446,22 @@ def test_sweep_builds_chemical_potential_once_per_process(tmp_path, monkeypatch)
     assert rungs and len(rungs) == report["rho_c"]["rungs_evaluated"]
     assert main(["sweep", "--config", cfg, "--out", str(out_pool), "--parallel", "2"]) == EXIT_OK
     assert (out_serial / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
+
+
+def test_serial_sweep_keeps_no_chemical_potential(tmp_path, monkeypatch):
+    refs = []
+    build = equilibrium.chemical_potential
+
+    def recording_build(*args, **kwargs):
+        cp = build(*args, **kwargs)
+        refs.append(weakref.ref(cp))
+        return cp
+
+    monkeypatch.setattr(equilibrium, "chemical_potential", recording_build)
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", "1"]) == EXIT_OK
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
 
 
 SWEEP_KERNELS = {

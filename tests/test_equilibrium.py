@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from edgrow import equilibrium
 from edgrow.equilibrium import (
     ChemicalPotential,
     DivergentSeriesError,
@@ -233,3 +234,29 @@ def test_chemical_potentials_are_freed_with_what_they_derived():
     del cp, walked, adopting
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_critical_density_forms_no_unused_full_range_sum(monkeypatch):
+    # A constant kernel has no direct tail at phi_c, so the decision needs no
+    # sum at phi_c: the 32 full-range sums are the ladder rungs near phi_c.
+    cp = chemical_potential(constant_kernel(1.0), 10**5)
+    summed = equilibrium._summed_terms
+    full_range = []
+
+    def counting(cp_, log_phi, n, weighted=True):
+        if n == cp_.k_max + 1:
+            full_range.append(log_phi)
+        return summed(cp_, log_phi, n, weighted)
+
+    monkeypatch.setattr(equilibrium, "_summed_terms", counting)
+    profile = equilibrium_profile(cp, phi=0.5 * cp.phi_c_estimate, k_max=64)
+    assert profile_summary(profile, cp)["rho_c_method"] == "ladder-ceiling"
+    assert len(full_range) == 32
+
+
+def test_critical_density_survives_sums_at_phi_c_that_overflow():
+    # b = k has an infinite radius; at the stated phi_c the log sums there
+    # exceed log(float max), so no direct tail is tried.
+    info = critical_density_info(chemical_potential(separable_kernel("k", "1"), 3000, phi_c=760.77))
+    assert info.method == "ladder"
+    assert info.value == pytest.approx(760.77, rel=1e-6)

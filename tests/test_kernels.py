@@ -180,3 +180,102 @@ class TestRationalGrammar:
     def test_rejects_unknown_symbol(self):
         with pytest.raises(RateExpressionError):
             compile_rational("x + 1")
+
+
+@pytest.mark.parametrize(
+    "family, key", [("condensing", "C"), ("separable", "growth_constant"), ("constant", "rate")]
+)
+def test_spec_rejects_unknown_key(family, key):
+    with pytest.raises(RateExpressionError, match=repr(key)):
+        kernel_from_spec({"family": family, key: 2.0})
+
+
+# Sizes 0..64 (0 makes divisions produce inf and nan) and two large ones.
+SIZES = np.concatenate([np.arange(65, dtype=float), [1e3, 1e6]])
+
+PRECEDENCE = [
+    ("-k^2", lambda x: -(x**2)),
+    ("2^-1", lambda x: np.full_like(x, 2.0) ** -1),
+    ("k/2/2", lambda x: x / 2.0 / 2.0),
+    ("1 - k - 1", lambda x: 1.0 - x - 1.0),
+    ("--k", lambda x: -(-x)),
+    ("-" * 3001 + "k", lambda x: -x),
+    ("k**+2", lambda x: x**2),
+    ("k^02", lambda x: x**2),
+    ("k^(2)", lambda x: x**2),
+    ("k^(-1)", lambda x: x**-1),
+    ("2*k^2/(k+1)^-1", lambda x: 2.0 * x**2 / (x + 1.0) ** -1),
+    ("٣ + k", lambda x: 3.0 + x),  # numbers are read by float(), as Unicode digits
+]
+
+
+@pytest.mark.parametrize("text, expected", PRECEDENCE, ids=[t[:12] for t, _ in PRECEDENCE])
+def test_precedence_and_associativity(text, expected):
+    with np.errstate(all="ignore"):
+        assert np.array_equal(compile_rational(text)(SIZES), expected(SIZES), equal_nan=True)
+
+
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+rate_trees = st.recursive(
+    st.one_of(
+        st.just(("var",)),
+        st.floats(min_value=0.0, max_value=1e6).map(lambda v: ("const", v)),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(sorted(_OPS)), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("pow"), sub, st.integers(-3, 3), st.sampled_from(["^", "**"])),
+    ),
+    max_leaves=12,
+)
+
+
+def _show(tree) -> str:
+    """The tree in the grammar, every operand in parentheses."""
+    op = tree[0]
+    if op == "var":
+        return "k"
+    if op == "const":
+        return repr(tree[1])
+    if op == "neg":
+        return f"-({_show(tree[1])})"
+    if op == "pow":
+        return f"({_show(tree[1])}){tree[3]}{tree[2]}"
+    return f"({_show(tree[1])}) {op} ({_show(tree[2])})"
+
+
+def _direct(tree, x):
+    op = tree[0]
+    if op == "var":
+        return x
+    if op == "const":
+        return np.full_like(x, tree[1])
+    if op == "neg":
+        return -_direct(tree[1], x)
+    if op == "pow":
+        return _direct(tree[1], x) ** tree[2]
+    return _OPS[op](_direct(tree[1], x), _direct(tree[2], x))
+
+
+@given(tree=rate_trees)
+@settings(max_examples=200, deadline=None)
+def test_printed_trees_compile_to_the_same_bits(tree):
+    with np.errstate(all="ignore"):
+        assert np.array_equal(
+            compile_rational(_show(tree))(SIZES), _direct(tree, SIZES), equal_nan=True
+        )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "k#c", "1_0", "0x1", "True", "1j", "'k'", "k.real", "f(k)", "k[0]", "k^0.5",
+        "(" * 5000 + "k" + ")" * 5000,
+        "+".join(["k"] * 200_000),
+    ],
+    ids=lambda text: text[:12],
+)
+def test_rejects_python_only_spellings_and_deep_input(text):
+    with pytest.raises(RateExpressionError):
+        compile_rational(text)

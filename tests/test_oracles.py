@@ -289,18 +289,18 @@ def test_critical_density_from_rounds_matches_serial_walk(case, degree, monkeypa
     # The rungs are walked in rounds on a chemical potential other than the
     # one that adopts them, as in another process.
     worker_cp = chemical_potential(kernel, k_max, phi_c)
-    ladder, evaluated = walk_critical_ladder(
+    rungs, evaluated = walk_critical_ladder(
         lambda indices: [critical_ladder_input(worker_cp, j) for j in indices], degree
     )
     row_cp = chemical_potential(kernel, k_max, phi_c)
-    if ladder is not None:
-        assert 0 <= evaluated - len(ladder[0]) <= degree - 1
-        adopt_critical_ladder(row_cp, ladder)
+    if rungs is not None:
+        assert 0 <= evaluated - len(rungs) <= degree - 1
+        adopt_critical_ladder(row_cp, rungs)
     serial = critical_or_none(chemical_potential(kernel, k_max, phi_c))
     monkeypatch.setattr(equilibrium, "_ladder_rung", None)  # no rung is evaluated again
     assert critical_or_none(row_cp) == serial == full_range_critical_density(row_cp)
     assert serial[3] == case.partition(",")[0]
-    assert (len(ladder[0]) if ladder else 0) == len(serial[1])
+    assert (len(rungs) if rungs else 0) == len(serial[1])
 
 
 EDGE_FLOATS = (
