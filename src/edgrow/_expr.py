@@ -19,6 +19,13 @@ tree that :func:`_evaluate` walks, and anything else is rejected.  Nothing
 is compiled or run as Python.  A number keeps its own text: a value is
 ``float`` of it and an exponent ``int`` of it.  Every failure, including
 input nested too deeply for the parser, is a :class:`RateExpressionError`.
+
+The converted tree is at most ``_MAX_DEPTH = 100`` nodes deep (a
+``k+k+...`` chain of 100 terms, or 99 operators nested in one another);
+anything deeper is rejected while it is converted.  Converting and
+:func:`_evaluate` recurse once per level, so with this cap neither comes
+near the interpreter's recursion limit, and what is accepted does not
+depend on how deep the caller's stack is.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ _TOKEN = re.compile(
 _VAR_NAMES = {"k", "j", "l", "n"}
 _SIGNS = ("+", "-")
 _BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_MAX_DEPTH = 100
 
 
 class RateExpressionError(ValueError):
@@ -86,31 +94,39 @@ def _python_source(text: str) -> tuple[str, dict]:
     return " ".join(source), numbers
 
 
-def _node(node: ast.AST, numbers: dict):
-    """The ``(op, ...)`` tree of a parsed grammar node."""
+def _node(node: ast.AST, numbers: dict, depth: int = 1):
+    """The ``(op, ...)`` tree of a parsed grammar node at ``depth`` in the tree."""
+    if depth > _MAX_DEPTH:
+        raise RateExpressionError(f"nested deeper than {_MAX_DEPTH} levels")
     match node:
         case ast.Name(id=name) if name in _VAR_NAMES:
             return ("var",)
         case ast.Name(id=name):
             return ("const", float(numbers[name]))
         case ast.UnaryOp(op=ast.UAdd(), operand=operand):
-            return _node(operand, numbers)
+            return _node(operand, numbers, depth + 1)
         case ast.UnaryOp(op=ast.USub(), operand=operand):
-            return ("neg", _node(operand, numbers))
+            return ("neg", _node(operand, numbers, depth + 1))
         case ast.BinOp(left=left, op=ast.Pow(), right=right):
-            return ("pow", _node(left, numbers), _exponent(right, numbers))
+            return ("pow", _node(left, numbers, depth + 1), _exponent(right, numbers, depth + 1))
         case ast.BinOp(left=left, op=op, right=right) if type(op) in _BINARY:
-            return (_BINARY[type(op)], _node(left, numbers), _node(right, numbers))
+            return (
+                _BINARY[type(op)],
+                _node(left, numbers, depth + 1),
+                _node(right, numbers, depth + 1),
+            )
     raise RateExpressionError(f"{type(node).__name__} is not part of the grammar")
 
 
-def _exponent(node: ast.AST, numbers: dict) -> int:
+def _exponent(node: ast.AST, numbers: dict, depth: int) -> int:
     """The value of an integer literal with optional signs."""
+    if depth > _MAX_DEPTH:
+        raise RateExpressionError(f"nested deeper than {_MAX_DEPTH} levels")
     match node:
         case ast.UnaryOp(op=ast.UAdd(), operand=operand):
-            return _exponent(operand, numbers)
+            return _exponent(operand, numbers, depth + 1)
         case ast.UnaryOp(op=ast.USub(), operand=operand):
-            return -_exponent(operand, numbers)
+            return -_exponent(operand, numbers, depth + 1)
         case ast.Name(id=name) if name in numbers:
             try:
                 return int(numbers[name])

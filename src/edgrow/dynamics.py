@@ -10,13 +10,15 @@ products ``sum_r b_r(k) a_r(j)``, so both sums cost O(N) per term:
 
 Integration uses an embedded Runge-Kutta 4(5) pair with PI step-size control
 and positivity-aware rejection: a step that would push any component below
-``-atol`` is halved, tiny negative survivors are clamped to zero and the
-clamped mass is accounted in a drift ledger so conservation checks stay
-honest.  One stepper object runs every step: it owns the state, preallocated
-stage and scratch buffers, the controller and the :class:`IntegratorStats`
-counters, and :func:`integrate` builds a profile only at sample points.
-Checkpoints carry the controller, so a resumed run repeats the uninterrupted
-one bit for bit.
+``-atol`` is retried with ``dt`` shrunk to where the worst component, linear
+in ``dt``, would reach ``-atol``, and the step size it was accepted at becomes
+a ceiling that later steps approach only gradually.  Tiny negative survivors
+are clamped to zero and the clamped mass is accounted in a drift ledger so
+conservation checks stay honest.  One stepper object runs every step: it owns
+the state, preallocated stage and scratch buffers, the controller and the
+:class:`IntegratorStats` counters, and :func:`integrate` builds a profile
+only at sample points.  Checkpoints carry the controller, so a resumed run
+repeats the uninterrupted one bit for bit.
 """
 
 from __future__ import annotations
@@ -271,6 +273,8 @@ _RK_B5_COLUMN = _RK_B5[:, None]
 _RK_ERR_COLUMN = _RK_ERR[:, None]
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
+# Growth per accepted step of the positivity ceiling on ``dt``.
+_CEILING_RELAX = 1.05
 
 
 @dataclass(frozen=True)
@@ -327,9 +331,16 @@ class _Stepper:
 
     Owns the state ``c``, a ``6 x (N+1)`` stage buffer with one products
     buffer and scratch rows, the strong-norm weights ``1 + l``, the
-    step-size controller (``dt_next``, ``err_prev_ratio``, the tolerance at
-    the current state, the clamp totals) and the :class:`IntegratorStats`.
-    A step allocates no array of size ``N`` unless it clamps.
+    step-size controller (``dt_next``, ``err_prev_ratio``, the positivity
+    ceiling ``dt_ceiling``, the tolerance at the current state, the clamp
+    totals) and the :class:`IntegratorStats`.  A step allocates no array of
+    size ``N`` unless it clamps.
+
+    The positivity ceiling starts at ``inf``.  A step accepted after a
+    positivity retry sets it to its own ``dt`` and proposes no larger next
+    step; every other accepted step multiplies it by ``_CEILING_RELAX``.
+    ``dt_next`` is the PI proposal capped by the ceiling, so a run that never
+    fails the positivity test steps exactly as the PI controller alone would.
 
     Every weighted stage sum is one multiply into the products buffer and
     one reduction over its rows.  Row 0 of that buffer stays ``+0.0`` and
@@ -346,6 +357,7 @@ class _Stepper:
         err_prev_ratio: Optional[float] = None,
         clamp_mass0: float = 0.0,
         clamp_mass1: float = 0.0,
+        dt_ceiling: Optional[float] = None,
     ):
         self.kernel = kernel
         self.cfg = cfg
@@ -360,6 +372,7 @@ class _Stepper:
         self.tol = self._tolerance(self.c)
         self.dt_next = dt_next
         self.err_prev_ratio = err_prev_ratio
+        self.dt_ceiling = math.inf if dt_ceiling is None else dt_ceiling
         self.clamp_mass0 = clamp_mass0
         self.clamp_mass1 = clamp_mass1
         self.stats = IntegratorStats()
@@ -397,6 +410,7 @@ class _Stepper:
         # wrapper installed there sees each evaluation.
         _rhs_from_c(self.kernel, c, out=stages[0], work=self.rate_work)
         stats.rhs_evals += 1
+        retried = False
         while True:
             if dt < 1e-14 * t_scale:
                 raise IntegratorError(f"step underflow: dt={dt!r}")
@@ -420,10 +434,17 @@ class _Stepper:
             c_new = self._weighted_stages(_RK_B5_COLUMN, self.c_new)
             c_new *= dt
             np.add(c, c_new, out=c_new)
-            min_c = float(c_new.min())
+            worst = int(c_new.argmin())
+            min_c = float(c_new[worst])
             if min_c < -cfg.atol:
                 stats.rejected_positivity += 1
-                dt *= 0.5
+                retried = True
+                # Linear in dt, the worst component reaches -atol at this
+                # fraction of the attempt.  Without headroom above -atol (or
+                # if the fraction underflows) there is nothing to size by: halve.
+                headroom = float(c[worst]) + cfg.atol
+                ratio = _SAFETY * headroom / (float(c[worst]) - min_c) if headroom > 0.0 else 0.0
+                dt *= max(_FAC_MIN, min(_SAFETY, ratio)) if ratio > 0.0 else 0.5
                 continue
             break
 
@@ -451,7 +472,16 @@ class _Stepper:
         else:
             # PI control: respond to the current ratio, damped by the previous one.
             factor = _SAFETY * err_ratio ** (-0.14) * self.err_prev_ratio**0.08
-        self.dt_next = min(dt * max(_FAC_MIN, min(_FAC_MAX, factor)), cfg.max_step)
+        # A step that met the positivity limit sets the ceiling and may not
+        # grow; any other step relaxes it (an infinite ceiling stays inf).
+        if retried:
+            self.dt_ceiling = dt
+            factor = min(factor, 1.0)
+        else:
+            self.dt_ceiling *= _CEILING_RELAX
+        self.dt_next = min(
+            dt * max(_FAC_MIN, min(_FAC_MAX, factor)), cfg.max_step, self.dt_ceiling
+        )
         self.err_prev_ratio = err / tol_new
         self.tol = tol_new
 
@@ -468,6 +498,7 @@ class _Stepper:
         return {
             "dt_next": self.dt_next,
             "err_prev_ratio": self.err_prev_ratio,
+            "dt_ceiling": None if math.isinf(self.dt_ceiling) else self.dt_ceiling,
             "next_record": next_record,
             "clamp_mass0": self.clamp_mass0,
             "clamp_mass1": self.clamp_mass1,
@@ -483,10 +514,15 @@ def step(
 ) -> Optional[StepResult]:
     """One accepted embedded RK4(5) step with PI step-size control.
 
-    Rejects and halves when the step would not be finite or any component
-    would drop below ``-atol``, and shrinks it when the componentwise error
-    exceeds ``rtol * ||c|| + atol``; accepted components in ``[-atol, 0)``
-    are clamped to 0 with the clamped mass reported for the drift ledger.
+    Rejects and halves when the step would not be finite, and shrinks it
+    when the componentwise error exceeds ``rtol * ||c|| + atol``.  When a
+    component would drop below ``-atol`` the step is rejected and ``dt``
+    scaled by ``clip(0.9 (c_i + atol) / (c_i - c_new_i), 0.2, 0.9)`` at the
+    worst component ``i``; when that ratio is not a positive finite number
+    (``c_i`` already at or below ``-atol``) it is halved.  A step that needed
+    such a retry proposes no larger ``dt_next``.  Accepted components in
+    ``[-atol, 0)`` are clamped to 0 with the clamped mass reported for the
+    drift ledger.
 
     :func:`integrate` passes its running stepper as ``state``: it advances
     in place and ``None`` is returned, so every accepted step is one call
@@ -603,6 +639,7 @@ def integrate(
             controller = {
                 "dt_next": min(cadence, cfg.max_step, (cfg.t_end - t0)) * 0.05,
                 "err_prev_ratio": None,
+                "dt_ceiling": None,
                 "next_record": t0 + cadence,
                 "clamp_mass0": clamp0,
                 "clamp_mass1": clamp1,
@@ -615,6 +652,7 @@ def integrate(
             err_prev_ratio=controller["err_prev_ratio"],
             clamp_mass0=clamp0,
             clamp_mass1=clamp1,
+            dt_ceiling=controller.get("dt_ceiling"),
         )
         stats = stepper.stats
         t = t0
@@ -745,10 +783,12 @@ def save_checkpoint(
     """Persist enough JSON to resume the run bit-compatibly at this state.
 
     ``controller`` is the block :func:`integrate` hands its checkpoint hook:
-    ``dt_next``, ``err_prev_ratio``, ``next_record`` and the clamp totals
-    ``clamp_mass0``/``clamp_mass1``.  With it a resumed run repeats the
-    uninterrupted one bit for bit.  The file is replaced atomically, so an
-    interrupted write keeps the previous checkpoint loadable.
+    ``dt_next``, ``err_prev_ratio``, the positivity ceiling ``dt_ceiling``
+    (``None``, JSON ``null``, while it is infinite), ``next_record`` and the
+    clamp totals ``clamp_mass0``/``clamp_mass1``.  With it a resumed run
+    repeats the uninterrupted one bit for bit.  The file is replaced
+    atomically, so an interrupted write keeps the previous checkpoint
+    loadable.
     """
     payload = {
         "t": t,
@@ -799,14 +839,16 @@ def load_checkpoint(path):
 
 def load_controller(path) -> Optional[dict]:
     """The controller block of a checkpoint, or ``None`` for a checkpoint
-    written without one (the resumed controller then starts afresh)."""
+    written without one (the resumed controller then starts afresh).  A
+    block written without ``dt_ceiling`` loads with the ceiling unset."""
     block = _read_checkpoint(path).get("controller")
     if block is None:
         return None
-    err_prev_ratio = block["err_prev_ratio"]
+    err_prev_ratio, dt_ceiling = block["err_prev_ratio"], block.get("dt_ceiling")
     return {
         "dt_next": float(block["dt_next"]),
         "err_prev_ratio": None if err_prev_ratio is None else float(err_prev_ratio),
+        "dt_ceiling": None if dt_ceiling is None else float(dt_ceiling),
         "next_record": float(block["next_record"]),
         "clamp_mass0": float(block["clamp_mass0"]),
         "clamp_mass1": float(block["clamp_mass1"]),

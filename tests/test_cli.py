@@ -76,6 +76,20 @@ def test_bad_kernel_input_is_config_error(tmp_path, kernel):
     assert main(["check-kernel", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_rate_expression_depth_cut_through_check_kernel(tmp_path):
+    # The cut is 100 levels.  Chains near the interpreter's recursion limit
+    # once crashed with a RecursionError (exit 1) instead of exiting 64; under
+    # pytest that band sat at 953-954 terms, at module level at 991-992.
+    def check(terms):
+        kernel = {"family": "separable", "b": "+".join(["k"] * terms)}
+        cfg = write_config(tmp_path, "c.json", {"kernel": kernel})
+        return main(["check-kernel", "--config", cfg, "--out", str(tmp_path)])
+
+    assert check(100) == EXIT_OK
+    assert [check(terms) for terms in range(940, 1001)] == [EXIT_CONFIG] * 61
+    assert check(101) == EXIT_CONFIG
+
+
 def test_non_object_analysis_is_config_error(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"kernel": CONDENSING, "analysis": [1, 2]})
     out = str(tmp_path / "out")
@@ -316,6 +330,62 @@ def test_simulate_resume_after_crash_is_byte_identical(tmp_path, monkeypatch):
     assert resumed[1:] == full[-(len(resumed) - 1):]  # every sample from t = 4 on
     reports = [json.loads((out / "run_report.json").read_text()) for out in (out_full, out_resumed)]
     assert reports[1]["clamped_mass"] == reports[0]["clamped_mass"]
+
+
+STIFF_RESUME_CONFIG = {
+    "kernel": {"family": "additive", "donor_coeff": 1.0, "acceptor_coeff": 2.0},
+    "n_trunc": 96,
+    "initial_condition": {"type": "monodisperse", "rho": 1.0, "m": 1},
+    "integrator": {"t_end": 2.0, "record_every": 0.25},
+    "analysis": {"checkpoint_every": 0.5, "thermo": False, "classify": False},
+}
+
+
+def crash_stiff_run(tmp_path, monkeypatch):
+    """Run ``STIFF_RESUME_CONFIG`` until it dies after its checkpoint at
+    ``t = 1.5``; returns the config path and the checkpoint path."""
+    cfg = write_config(tmp_path, "stiff.json", STIFF_RESUME_CONFIG)
+    out_crashed = tmp_path / "crashed"
+    crash_after_checkpoint(monkeypatch, 1.5)
+    with pytest.raises(SimulatedCrash):
+        main(["simulate", "--config", cfg, "--out", str(out_crashed)])
+    monkeypatch.undo()
+    return cfg, out_crashed / "checkpoint.json"
+
+
+def test_stiff_resume_after_crash_carries_the_positivity_ceiling(tmp_path, monkeypatch):
+    # The additive kernel meets the positivity limit, so the checkpoint's
+    # ceiling is finite and the resumed steps depend on it.
+    cfg, checkpoint_path = crash_stiff_run(tmp_path, monkeypatch)
+    checkpoint = json.loads(checkpoint_path.read_text())
+    ceiling = checkpoint["controller"]["dt_ceiling"]
+    assert checkpoint["t"] == 1.5 and ceiling is not None and math.isfinite(ceiling)
+
+    out_resumed, out_full = tmp_path / "r", tmp_path / "f"
+    assert main(["simulate", "--config", cfg, "--out", str(out_full)]) == EXIT_OK
+    resume = ["--resume", str(checkpoint_path)]
+    assert main(["simulate", "--config", cfg, "--out", str(out_resumed)] + resume) == EXIT_OK
+    full, resumed = trajectory_rows(out_full), trajectory_rows(out_resumed)
+    assert resumed[1:] == full[-(len(resumed) - 1):]  # every sample from t = 1.5 on
+    full_report, resumed_report = (
+        json.loads((out / "run_report.json").read_text()) for out in (out_full, out_resumed)
+    )
+    assert full_report["integrator"]["rejected"]["positivity"] > 0
+    assert resumed_report["clamped_mass"] == full_report["clamped_mass"]
+
+
+def test_stiff_resume_from_checkpoint_without_ceiling(tmp_path, monkeypatch):
+    cfg, checkpoint_path = crash_stiff_run(tmp_path, monkeypatch)
+    payload = json.loads(checkpoint_path.read_text())
+    del payload["controller"]["dt_ceiling"]  # as written before checkpoints carried it
+    checkpoint_path.write_text(json.dumps(payload))
+    assert dynamics.load_controller(checkpoint_path)["dt_ceiling"] is None
+    out_resumed = tmp_path / "r"
+    assert main(["simulate", "--config", cfg, "--out", str(out_resumed),
+                 "--resume", str(checkpoint_path)]) == EXIT_OK
+    report = json.loads((out_resumed / "run_report.json").read_text())
+    assert report["t_final"] == 2.0 and report["integrator"]["accepted"] > 0
+    assert read_rows(out_resumed / "trajectory.csv")[1][0] == "1.5"
 
 
 def test_simulate_resume_extends_a_finished_run_byte_identically(tmp_path):

@@ -356,13 +356,40 @@ def test_integrator_stats_report():
     "kernel, n_trunc, cfg, accepted, rejected, rhs_evals",
     [
         # the stiff-additive and relax-thermo benchmark workloads at seed 0
-        (additive_kernel(1.0, 2.0), 512, IntegratorConfig(t_end=5.0), 2065, 1101, 17895),
+        (additive_kernel(1.0, 2.0), 512, IntegratorConfig(t_end=5.0), 2119, 89, 13159),
         (constant_kernel(1.0), 256, IntegratorConfig(t_end=200.0, record_every=0.1), 2156, 0, 12936),
     ],
 )
 def test_integrator_stats_of_benchmark_runs(kernel, n_trunc, cfg, accepted, rejected, rhs_evals):
     stats = integrate(kernel, monodisperse_state(1.0, 1, n_trunc), cfg).stats
     assert (stats.accepted, stats.rejected, stats.rhs_evals) == (accepted, rejected, rhs_evals)
+
+
+# Largest strong-norm error over the samples of the run against the same
+# code at rtol = 1e-13, atol = 1e-16, measured once with the controller that
+# halved dt after every positivity rejection and had no ceiling.
+HALVING_CONTROLLER_ERRORS = {
+    ("additive", 64): 2.4839071229520343e-08,
+    ("additive", 256): 4.978002679921999e-08,
+    ("k*1", 64): 1.0372592978729544e-08,
+    ("k*1", 256): 1.1232366204744347e-07,
+}
+
+
+@pytest.mark.parametrize("name, n_trunc", sorted(HALVING_CONTROLLER_ERRORS))
+def test_stiff_runs_meet_the_positivity_limit_rarely_and_no_less_accurately(name, n_trunc):
+    if name == "additive":
+        kernel, t_end, record_every = additive_kernel(1.0, 2.0), 5.0, None
+    else:
+        kernel, t_end, record_every = separable_kernel("k", "1"), 20.0, 2.0
+    state0 = monodisperse_state(1.0, 1, n_trunc)
+    run = integrate(kernel, state0, IntegratorConfig(t_end=t_end, record_every=record_every))
+    tight = IntegratorConfig(t_end=t_end, record_every=record_every, rtol=1e-13, atol=1e-16)
+    reference = integrate(kernel, state0, tight)
+    assert run.stats.rejected_positivity <= 0.1 * run.stats.accepted
+    assert np.array_equal(run.times, reference.times)
+    error = max(strong_norm(a - b) for a, b in zip(run.states, reference.states))
+    assert error <= HALVING_CONTROLLER_ERRORS[name, n_trunc]
 
 
 def test_resume_from_controller_repeats_the_run_exactly(const):
@@ -387,6 +414,7 @@ def test_checkpoint_controller_round_trip(tmp_path, const):
     controller = {
         "dt_next": 0.1 / 3.0,
         "err_prev_ratio": 2.0 / 3.0,
+        "dt_ceiling": 0.2 / 3.0,
         "next_record": 1.25,
         "clamp_mass0": 1e-17 / 3.0,
         "clamp_mass1": 0.0,
@@ -396,5 +424,13 @@ def test_checkpoint_controller_round_trip(tmp_path, const):
     cfg = IntegratorConfig(t_end=2.0)
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
     assert load_controller(path) == controller  # exact floats
+    unset = dict(controller, dt_ceiling=None)  # an infinite ceiling is written as null
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, unset)
+    assert json.loads(path.read_text())["controller"]["dt_ceiling"] is None
+    assert load_controller(path) == unset
+    # A controller block written before it carried the ceiling loads unset.
+    del controller["dt_ceiling"]
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
+    assert load_controller(path) == unset
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg)
     assert load_controller(path) is None

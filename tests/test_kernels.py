@@ -279,3 +279,28 @@ def test_printed_trees_compile_to_the_same_bits(tree):
 def test_rejects_python_only_spellings_and_deep_input(text):
     with pytest.raises(RateExpressionError):
         compile_rational(text)
+
+
+def _at_stack_depth(extra_frames, fn):
+    """``fn()`` called ``extra_frames`` frames below the current one."""
+    if extra_frames == 0:
+        return fn()
+    return _at_stack_depth(extra_frames - 1, fn)
+
+
+@pytest.mark.parametrize("extra_frames", [0, 300, 600])
+def test_depth_cut_does_not_depend_on_the_caller_stack(extra_frames):
+    # The documented cut: trees up to 100 levels deep are read and evaluated.
+    chain = "+".join(["k"] * 100)
+    nested = "-(" * 99 + "k" + ")" * 99
+    exponent = "k^" + "-(" * 98 + "2" + ")" * 98
+
+    def read_and_evaluate():
+        assert np.array_equal(compile_rational(chain)(SIZES), 100.0 * SIZES)
+        assert np.array_equal(compile_rational(nested)(SIZES), -SIZES)
+        assert np.array_equal(compile_rational(exponent)(SIZES), SIZES**2)
+        for deeper in (chain + "+k", "-(" + nested + ")", exponent.replace("^", "^-(") + ")"):
+            with pytest.raises(RateExpressionError, match="deeper than 100"):
+                compile_rational(deeper)
+
+    _at_stack_depth(extra_frames, read_and_evaluate)

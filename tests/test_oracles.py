@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgrow import equilibrium
@@ -433,17 +433,26 @@ def reference_rhs(kernel, c) -> np.ndarray:
     return np.concatenate(([-flux[0]], flux[:-1] - flux[1:], [flux[-1]]))
 
 
-def reference_step(kernel, c, dt_suggest, cfg, err_prev_ratio=None) -> tuple:
+def reference_step(kernel, c, dt_suggest, cfg, err_prev_ratio=None, ceiling=math.inf) -> tuple:
     """One Fehlberg 4(5) step with new arrays for every stage, weighted sums
     by Python ``sum`` and the tolerance by :func:`strong_norm`.
 
+    A positivity rejection scales ``dt`` by ``clip(0.9 (c_i + atol) /
+    (c_i - c_new_i), 0.2, 0.9)`` at ``i = argmin c_new``, or halves it when
+    that ratio is not a positive finite number.  ``ceiling`` is the
+    positivity ceiling on ``dt_next``: a step that took a positivity retry
+    resets it to its own ``dt`` and may not grow, any other multiplies it
+    by 1.05.
+
     Returns ``(c_new, dt_used, dt_next, err, clamped_mass0, clamped_mass1,
-    err / tol(c_new))``; the last is what the next step weighs its PI factor by.
+    err / tol(c_new), ceiling)``; the err ratio is what the next step weighs
+    its PI factor by.
     """
     tol = cfg.rtol * strong_norm(c) + cfg.atol
     dt = min(dt_suggest, cfg.max_step)
-    safety, fac_min, fac_max = 0.9, 0.2, 5.0
+    safety, fac_min, fac_max, relax = 0.9, 0.2, 5.0, 1.05
     f0 = reference_rhs(kernel, c)
+    retried = False
     while True:
         if dt < 1e-14 * max(cfg.t_end, 1.0):
             raise IntegratorError(f"step underflow: dt={dt!r}")
@@ -460,7 +469,15 @@ def reference_step(kernel, c, dt_suggest, cfg, err_prev_ratio=None) -> tuple:
         elif err > tol:
             dt *= max(fac_min, min(1.0, safety * (tol / err) ** 0.2))
         elif float(np.min(c_new)) < -cfg.atol:
-            dt *= 0.5
+            retried = True
+            i = int(np.argmin(c_new))
+            ratio = safety * (c[i] + cfg.atol) / (c[i] - c_new[i])
+            if np.isfinite(ratio) and ratio > 0.0:
+                event("positivity retry sized")
+                dt *= float(np.clip(ratio, fac_min, safety))
+            else:
+                event("positivity retry halved")
+                dt *= 0.5
         else:
             break
     clamp = (c_new < 0.0) & (c_new >= -cfg.atol)
@@ -474,9 +491,17 @@ def reference_step(kernel, c, dt_suggest, cfg, err_prev_ratio=None) -> tuple:
         factor = safety * err_ratio ** (-0.2)
     else:
         factor = safety * err_ratio ** (-0.14) * err_prev_ratio**0.08
-    dt_next = min(dt * max(fac_min, min(fac_max, factor)), cfg.max_step)
+    if retried:
+        ceiling = dt
+        factor = min(factor, 1.0)
+    else:
+        ceiling *= relax
+    proposal = min(dt * max(fac_min, min(fac_max, factor)), cfg.max_step)
+    if ceiling < proposal:
+        event("positivity ceiling caps dt_next")
+    dt_next = min(proposal, ceiling)
     err_next = err / (cfg.rtol * strong_norm(c_new) + cfg.atol)
-    return c_new, dt, dt_next, err, clamped_mass0, clamped_mass1, err_next
+    return c_new, dt, dt_next, err, clamped_mass0, clamped_mass1, err_next, ceiling
 
 
 @st.composite
@@ -502,8 +527,18 @@ def near_boundary_states(draw) -> np.ndarray:
     max_step=st.sampled_from([math.inf, 0.05]),
     rtol=st.sampled_from([1e-8, 1e-4, 1e-2, 0.3]),
 )
+# A sized positivity retry, then a finite ceiling that caps the next steps.
+@example(
+    name="additive", c=np.array([0.5, 0.5, 0.0, 0.0, 0.0]), dt_log10=0.0,
+    err_prev_ratio=None, max_step=math.inf, rtol=1e-2,
+)
+# The overshooting component starts below -atol, so the retry halves.
+@example(
+    name="condensing", c=np.array([0.5, 0.5, -1.1e-12, 0.0, 0.0]), dt_log10=1.0,
+    err_prev_ratio=None, max_step=math.inf, rtol=0.3,
+)
 @settings(max_examples=200, deadline=None)
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ratio, max_step, rtol):
     # Large rtol lets the error test pass while a component still overshoots
     # below -atol; steps up to 1e8 overflow, so every rejection cause and the
@@ -517,7 +552,7 @@ def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ra
         with pytest.raises(IntegratorError, match="underflow"):
             step(kernel, ConcentrationProfile(c.copy()), dt, cfg, err_prev_ratio)
         return
-    c_new, dt_used, dt_next, err, clamped0, clamped1, err_next = expected
+    c_new, dt_used, dt_next, err, clamped0, clamped1, err_next, ceiling = expected
     result = step(kernel, ConcentrationProfile(c.copy()), dt, cfg, err_prev_ratio)
     assert result.state.c.tobytes() == c_new.tobytes()  # bits, signed zeros too
     assert result.dt_used == dt_used
@@ -526,14 +561,18 @@ def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ra
     assert result.clamped_mass0 == clamped0
     assert result.clamped_mass1 == clamped1
 
-    # A running stepper carries err / tol(c_new) and that tolerance on to
-    # its next step; chain two more steps against the reference.
+    # A running stepper carries err / tol(c_new), that tolerance and the
+    # positivity ceiling on to its next step; chain more steps against the
+    # reference.
     stepper = _Stepper(kernel, c, cfg, err_prev_ratio=err_prev_ratio)
     step(kernel, stepper, dt, cfg)
-    for _ in range(2):
+    assert stepper.dt_ceiling == ceiling
+    for _ in range(3):
+        if math.isfinite(ceiling):
+            event("finite positivity ceiling carried")
         try:
-            c_new, dt_used, dt_next, err, _, _, err_next = reference_step(
-                kernel, c_new, dt_next, cfg, err_next
+            c_new, dt_used, dt_next, err, _, _, err_next, ceiling = reference_step(
+                kernel, c_new, dt_next, cfg, err_next, ceiling
             )
         except IntegratorError:
             return
@@ -541,6 +580,7 @@ def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ra
         assert stepper.c.tobytes() == c_new.tobytes()
         assert (stepper.dt_used, stepper.dt_next) == (dt_used, dt_next)
         assert (stepper.error_estimate, stepper.err_prev_ratio) == (err, err_next)
+        assert stepper.dt_ceiling == ceiling
 
 
 @given(name=st.sampled_from(sorted(KERNELS)), c=near_boundary_states())
