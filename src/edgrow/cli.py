@@ -57,24 +57,32 @@ def _load_config(path: str) -> dict:
     return config
 
 
+# Integer analysis settings: (default, least value their consumers accept).
+_ANALYSIS_INTS = {
+    "equilibrium_k_max": (10**6, 1), "profile_k_max": (1024, 0), "excess_band_start": (64, 0),
+    "low_band": (10, 0), "audit_k_max": (100, 2), "audit_l_max": (100, 2),
+}
+
+
 def _resolve(config: Mapping[str, Any]) -> dict:
-    """Fill defaults so outputs can echo the exact run parameters."""
+    """Fill defaults so outputs can echo the exact run parameters, and check
+    that the integer settings are integers in range."""
     analysis = config.get("analysis", {})
     if not isinstance(analysis, Mapping):
         raise ConfigError("analysis must be a JSON object")
     analysis = dict(analysis)
-    analysis.setdefault("equilibrium_k_max", 10**6)
-    analysis.setdefault("profile_k_max", 1024)
-    analysis.setdefault("excess_band_start", 64)
-    analysis.setdefault("low_band", 10)
     analysis.setdefault("thermo", True)
     analysis.setdefault("classify", True)
     analysis.setdefault("checkpoint_every", None)
-    analysis.setdefault("audit_k_max", 100)
-    analysis.setdefault("audit_l_max", 100)
     resolved = dict(config)
     resolved["analysis"] = analysis
     resolved.setdefault("n_trunc", 256)
+    settings = [("n_trunc", resolved["n_trunc"], 1)]
+    for key, (default, least) in _ANALYSIS_INTS.items():
+        settings.append((f"analysis.{key}", analysis.setdefault(key, default), least))
+    for name, value, least in settings:
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return resolved
 
 
@@ -128,10 +136,7 @@ def _build_state(
 
 
 def _analysis_config(analysis: Mapping[str, Any]) -> diagnostics.AnalysisConfig:
-    return diagnostics.AnalysisConfig(
-        excess_band_start=int(analysis["excess_band_start"]),
-        low_band=int(analysis["low_band"]),
-    )
+    return diagnostics.AnalysisConfig(analysis["excess_band_start"], analysis["low_band"])
 
 
 def _build_integrator(config: Mapping[str, Any]) -> dynamics.IntegratorConfig:
@@ -174,9 +179,7 @@ def cmd_check_kernel(config: dict, out_dir: str) -> int:
     resolved = _resolve(config)
     kernel = _build_kernel(resolved)
     analysis = resolved["analysis"]
-    report = kernels.audit_assumptions(
-        kernel, int(analysis["audit_k_max"]), int(analysis["audit_l_max"])
-    )
+    report = kernels.audit_assumptions(kernel, analysis["audit_k_max"], analysis["audit_l_max"])
     bda_holds = math.isfinite(report.bda_max_residual) and (
         report.bda_max_residual <= BDA_PASS_RESIDUAL
     )
@@ -202,14 +205,14 @@ def cmd_equilibrium(
         phi = resolved.get("phi")
     if (rho is None) == (phi is None):
         raise ConfigError("specify exactly one of rho and phi")
-    cp = equilibrium.chemical_potential(kernel, int(analysis["equilibrium_k_max"]))
+    cp = equilibrium.chemical_potential(kernel, analysis["equilibrium_k_max"])
     out = _ensure_out(out_dir)
     try:
         profile = equilibrium.equilibrium_profile(
             cp,
             phi=None if phi is None else float(phi),
             rho=None if rho is None else float(rho),
-            k_max=int(analysis["profile_k_max"]),
+            k_max=analysis["profile_k_max"],
         )
     except equilibrium.SupercriticalDensityError as exc:
         _write_json(
@@ -299,14 +302,14 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     cp: Optional[equilibrium.ChemicalPotential] = None
     if analysis["thermo"] or analysis["classify"]:
         try:
-            cp = equilibrium.chemical_potential(kernel, int(analysis["equilibrium_k_max"]))
+            cp = equilibrium.chemical_potential(kernel, analysis["equilibrium_k_max"])
         except kernels.ZeroRateError:
             cp = None
 
     if resumed_state is not None:
         state0 = resumed_state
     else:
-        state0 = _build_state(resolved, int(resolved["n_trunc"]), cp)
+        state0 = _build_state(resolved, resolved["n_trunc"], cp)
 
     observers = []
     if analysis["thermo"] and cp is not None:
@@ -395,30 +398,14 @@ def _sweep_chemical_potential(kernel_json: str, k_max: int) -> equilibrium.Chemi
     return equilibrium.chemical_potential(kernel, k_max)
 
 
-def _sweep_cp(resolved: Mapping[str, Any]) -> equilibrium.ChemicalPotential:
-    return _sweep_chemical_potential(
-        json.dumps(resolved["kernel"], sort_keys=True),
-        int(resolved["analysis"]["equilibrium_k_max"]),
-    )
-
-
-def _sweep_rho_c_job(args: tuple):
-    """Rung ``j`` of the ``rho_c`` ladder walk
-    (:func:`equilibrium.critical_ladder_input`); runs in a worker process,
-    so takes plain data."""
-    config_json, j = args
-    return equilibrium.critical_ladder_input(_sweep_cp(_resolve(json.loads(config_json))), j)
-
-
 def _sweep_row(args: tuple) -> dict:
     """One density of a sweep; runs in a worker process, so takes plain data.
 
-    ``critical`` is the ``rho_c`` ladder the sweep walked once, or ``None``;
-    the row adopts it, so no process walks the ladder itself.  Besides the
-    CSV columns the row carries its ``runtime_s``, the ``integrator`` block
-    and the ``rho_c_method``.
+    Besides the CSV columns the row carries its ``runtime_s``, the
+    ``integrator`` block and the ``rho_c_method`` and
+    ``rho_c_ladder_length`` of the process's chemical potential.
     """
-    config_json, rho, critical = args
+    config_json, rho = args
     started = time.perf_counter()
     config = json.loads(config_json)
     resolved = _resolve(config)
@@ -426,10 +413,9 @@ def _sweep_row(args: tuple) -> dict:
         kernel = _build_kernel(resolved)
         cfg = _build_integrator(resolved)
         analysis = resolved["analysis"]
-        cp = _sweep_cp(resolved)
-        if critical is not None:
-            equilibrium.adopt_critical_ladder(cp, critical)
-        n_trunc = int(resolved["n_trunc"])
+        cp = _sweep_chemical_potential(
+            json.dumps(resolved["kernel"], sort_keys=True), analysis["equilibrium_k_max"]
+        )
         ic = dict(resolved.get("initial_condition", {}))
         ic["type"] = "monodisperse"
         ic["rho"] = rho
@@ -438,9 +424,10 @@ def _sweep_row(args: tuple) -> dict:
             ic = {"type": "vacuum"}
         row_config = dict(resolved)
         row_config["initial_condition"] = ic
-        state0 = _build_state(row_config, n_trunc, cp)
+        state0 = _build_state(row_config, resolved["n_trunc"], cp)
         traj = dynamics.integrate(kernel, state0, cfg)
         report = diagnostics.classify_longtime(traj, cp, _analysis_config(analysis))
+        info = equilibrium.critical_density_info(cp)
         return {
             "rho": rho,
             "regime": report.regime,
@@ -452,7 +439,8 @@ def _sweep_row(args: tuple) -> dict:
             "status": "ok",
             "runtime_s": time.perf_counter() - started,
             "integrator": traj.stats.as_dict(),
-            "rho_c_method": equilibrium.critical_density_info(cp).method,
+            "rho_c_method": info.method,
+            "rho_c_ladder_length": len(info.ladder),
         }
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # Numerical and configuration failures of one row must not kill the
@@ -467,10 +455,11 @@ def _sweep_row(args: tuple) -> dict:
 def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int:
     """Run one simulation per density and aggregate the phase-diagram rows.
 
-    The ``rho_c`` ladder is walked once, in rounds of one rung per worker
-    (:func:`equilibrium.walk_critical_ladder`), and handed to every row.
-    There are at most as many workers as densities.  The sweep's chemical
-    potential is dropped on return, also when it runs in this process.
+    Each process builds the chemical potential once and shares it across
+    its rows, so it walks the ``rho_c`` ladder at most once, inside its
+    first row.  There are at most as many workers as densities.  The
+    sweep's chemical potential is dropped on return, also when it runs in
+    this process.
     """
     resolved = _resolve(config)
     densities = resolved.get("densities")
@@ -497,26 +486,11 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
             run = stack.enter_context(
                 concurrent.futures.ProcessPoolExecutor(max_workers=degree)
             ).map
-        critical, rho_c_block = None, None
-        if densities:
-            started = time.perf_counter()
-            try:
-                critical, evaluated = equilibrium.walk_critical_ladder(
-                    lambda indices: run(_sweep_rho_c_job, [(config_json, j) for j in indices]),
-                    degree,
-                )
-            except (ValueError, RuntimeError, ArithmeticError):
-                # The rows meet the same failure themselves and report it.
-                critical, evaluated = None, 0
-            rho_c_block = {  # ladder_seconds includes building the workers' cp
-                "ladder_length": len(critical) if critical else 0,
-                "rungs_evaluated": evaluated,
-                "ladder_seconds": time.perf_counter() - started,
-            }
-        rows = list(run(_sweep_row, [(config_json, float(rho), critical) for rho in densities]))
-    if rho_c_block is not None:
-        methods = [row["rho_c_method"] for row in rows if "rho_c_method" in row]
-        rho_c_block["method"] = methods[0] if methods else None
+        rows = list(run(_sweep_row, [(config_json, float(rho)) for rho in densities]))
+    rho_c_block = None
+    if densities:
+        first = next((row for row in rows if "rho_c_method" in row), {})
+        rho_c_block = {key: first.get(f"rho_c_{key}") for key in ("method", "ladder_length")}
 
     out = _ensure_out(out_dir)
     columns = [
@@ -562,7 +536,7 @@ def cmd_weights(config: dict, out_dir: str) -> int:
                 np.asarray(spec["values"], dtype=float), k_max, is_tail_sequence=True
             )
         else:
-            n_state = int(resolved.get("n_trunc", 256))
+            n_state = resolved["n_trunc"]
             state = _build_state({"initial_condition": spec}, n_state)
             result = diagnostics.superlinear_weights(state, k_max)
     except (diagnostics.NotIntegrableError, KeyError, ValueError) as exc:

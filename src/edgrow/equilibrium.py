@@ -14,11 +14,11 @@ a fugacity comes from one evaluator, ``_series``, which forms and log-sums
 only the prefix of the series that can pass the log-sum cutoff.
 
 What is derived once from a chemical potential (the suffix peaks that size
-the cut, the sums at ``phi_c``, the ``rho_c`` ladder and decision) is kept
-on that object, so it is freed with it.  :func:`walk_critical_ladder` is
-the one ``rho_c`` ladder walk, run rung by rung by
-:func:`critical_density_info` or in rounds over a worker pool, whose result
-other processes take through :func:`adopt_critical_ladder`.
+the cut, the sums at ``phi_c``, the ``rho_c`` decision) is kept on that
+object, so it is freed with it.  :func:`critical_density_info` is the one
+``rho_c`` ladder walk; it stops at the first rung that confirms the
+direct tail at ``phi_c``, so a process walks the ladder at most once per
+chemical potential.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,9 +47,6 @@ __all__ = [
     "fugacity_for_density",
     "critical_density",
     "critical_density_info",
-    "critical_ladder_input",
-    "walk_critical_ladder",
-    "adopt_critical_ladder",
     "equilibrium_profile",
     "equilibrium_free_energy",
     "profile_to_csv",
@@ -89,7 +86,7 @@ class ChemicalPotential:
     increments ``log K(1, l-1) - log K(l, 0)``.  ``phi_c_estimate`` is the
     sampled radius of convergence of the associated power series (may be
     ``inf``).  ``_memo`` holds what this module derives from the instance
-    (suffix peaks, phi_c sums, adopted ladder rungs, the critical density).
+    (suffix peaks, phi_c sums, the critical density).
     """
 
     log_q: np.ndarray
@@ -429,13 +426,16 @@ class CriticalDensityInfo:
     ``ladder`` holds the densities along the dyadic fugacity ladder
     ``phi_j = phi_c (1 - 2^-j)``; ``last_increment`` is the final ladder step;
     ``method`` is one of ``"infinite-radius"``, ``"direct-tail"``,
-    ``"ladder"`` or ``"ladder-ceiling"``.
+    ``"ladder"`` or ``"ladder-ceiling"``.  ``tail_defect`` is the part
+    ``num_tail / den`` of a ``"direct-tail"`` value that the algebraic tail
+    beyond ``k_max`` carries (NaN for the other methods).
     """
 
     value: float
     ladder: Tuple[float, ...]
     last_increment: float
     method: str
+    tail_defect: float = math.nan
 
 
 def _algebraic_tail(t_half: float, t_n: float, n: int) -> Optional[float]:
@@ -454,6 +454,36 @@ def _algebraic_tail(t_half: float, t_n: float, n: int) -> Optional[float]:
     return math.exp(t_n) * n / (p - 1.0)
 
 
+def _direct_tail(cp: ChemicalPotential) -> Optional[Tuple[float, float, float]]:
+    """The density at ``phi_c`` from the full-range sums completed by
+    algebraic tails: ``(direct, num_tail / den, rho_N(phi_c))``, the last
+    being the truncated density at ``phi_c``, which bounds every ladder rung
+    from above.  ``None`` when a tail does not fit or the sums overflow a
+    float."""
+    log_phi_c = math.log(cp.phi_c_estimate)
+    ends = np.array([cp.k_max // 2, cp.k_max])
+    den_ends = ends * log_phi_c + cp.log_q[ends]
+    with np.errstate(divide="ignore"):  # k_max // 2 is 0 when k_max = 1
+        num_ends = den_ends + np.log(ends)
+    with contextlib.suppress(OverflowError):
+        num_tail = _algebraic_tail(*num_ends, cp.k_max)
+        den_tail = _algebraic_tail(*den_ends, cp.k_max)
+        if num_tail is not None and den_tail is not None:
+            log_den, log_num = _phi_c_sums(cp)
+            den = math.exp(log_den) + den_tail
+            direct = (math.exp(log_num) + num_tail) / den
+            return direct, num_tail / den, math.exp(log_num - log_den)
+    return None
+
+
+def _accepts_direct_tail(direct_tail: Tuple[float, float, float], rung: float) -> bool:
+    """Whether the direct-tail value agrees with a ladder that ends at
+    density ``rung``: at most 1e-9 below it, and above it by at most three
+    tail defects plus a relative 1e-6."""
+    direct, defect, _ = direct_tail
+    return direct >= rung - 1e-9 and direct - rung <= 3.0 * defect + 1e-6 * max(1.0, direct)
+
+
 _LADDER_RUNGS = 48
 
 
@@ -465,16 +495,6 @@ def _ladder_rung(cp: ChemicalPotential, j: int) -> Tuple[float, float, float]:
     return math.exp(log_num - log_den), log_phi, log_num
 
 
-def critical_ladder_input(cp: ChemicalPotential, j: int):
-    """Rung ``j >= 1`` of :func:`walk_critical_ladder` for ``cp`` (as adopted,
-    if it was); ``None`` when ``cp`` needs no ladder, which is when ``phi_c``
-    is infinite or zero."""
-    if math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0:
-        return None
-    adopted = cp._memo.get("rungs", ())
-    return adopted[j - 1] if j <= len(adopted) else _ladder_rung(cp, j)
-
-
 def _stabilized(ladder: Sequence[float]) -> bool:
     """Whether the last two ladder steps each moved the density by less
     than a relative ``1e-8``."""
@@ -483,43 +503,13 @@ def _stabilized(ladder: Sequence[float]) -> bool:
     )
 
 
-def walk_critical_ladder(evaluate: Callable[[list], Iterable], batch: int) -> tuple:
-    """Walk the ``rho_c`` ladder of one chemical potential in rounds of ``batch`` rungs.
-
-    ``evaluate`` maps a list of rung indices to their
-    :func:`critical_ladder_input` for an identically built ``cp``, here or in
-    a worker pool.  The walk ends at the first stabilized prefix of the rung
-    densities, or after ``_LADDER_RUNGS`` rungs; rungs evaluated past that
-    (at most ``batch - 1``) are dropped, so every batch size yields the same
-    rungs.  Returns ``(rungs, evaluated)``: the rungs for
-    :func:`adopt_critical_ladder`, or ``None`` when ``cp`` needs no ladder,
-    and the number of rungs evaluated.
-    """
-    rungs: list = []
-    pending: list = []
-    evaluated = 0
-    while len(rungs) < _LADDER_RUNGS and not _stabilized([value for value, _, _ in rungs[-3:]]):
-        if not pending:
-            first = len(rungs) + 1
-            pending = list(evaluate(list(range(first, min(first + batch, _LADDER_RUNGS + 1)))))
-            if pending[0] is None:
-                return None, evaluated
-            evaluated += len(pending)
-        rungs.append(pending.pop(0))
-    return tuple(rungs), evaluated
-
-
-def adopt_critical_ladder(cp: ChemicalPotential, rungs: tuple) -> None:
-    """Let ``cp`` use the rungs that :func:`walk_critical_ladder` found for an
-    identically built chemical potential, possibly in another process; the
-    decision still runs on ``cp``, from the same floats."""
-    cp._memo["rungs"] = tuple(rungs)
-
-
 def _critical_density_decision(
-    cp: ChemicalPotential, rungs: Sequence[Tuple[float, float, float]]
+    cp: ChemicalPotential,
+    rungs: Sequence[Tuple[float, float, float]],
+    direct_tail: Optional[Tuple[float, float, float]],
 ) -> CriticalDensityInfo:
-    """The critical density from a complete ladder (see :func:`critical_density_info`)."""
+    """The critical density from the walked ladder and the direct tail at
+    ``phi_c`` (see :func:`critical_density_info`)."""
     if not rungs:  # no ladder: phi_c is infinite or zero
         if math.isinf(cp.phi_c_estimate):
             return CriticalDensityInfo(math.inf, (), math.nan, "infinite-radius")
@@ -527,33 +517,15 @@ def _critical_density_decision(
     ladder = tuple(value for value, _, _ in rungs)
     _, log_phi_last, log_num_last = rungs[-1]
     last_inc = abs(ladder[-1] - ladder[-2]) if len(ladder) >= 2 else math.nan
+    if direct_tail is not None and _accepts_direct_tail(direct_tail, ladder[-1]):
+        direct, defect, _ = direct_tail
+        return CriticalDensityInfo(float(direct), ladder, last_inc, "direct-tail", float(defect))
 
     # A ladder that flattens out may have hit the truncation ceiling rather
     # than a genuine limit: the density series at the last rung must have
     # decayed within the available range for the plateau to mean anything.
     last_term = cp.k_max * log_phi_last + cp.log_q[-1] + np.log(cp.k_max)
     truncation_clean = (last_term - log_num_last) < math.log(1e-10)
-
-    # Direct evaluation at phi_c, completed by algebraic tails when available;
-    # there is none when those sums overflow a float.
-    log_phi_c = math.log(cp.phi_c_estimate)
-    ends = np.array([cp.k_max // 2, cp.k_max])
-    den_ends = ends * log_phi_c + cp.log_q[ends]
-    with np.errstate(divide="ignore"):  # k_max // 2 is 0 when k_max = 1
-        num_ends = den_ends + np.log(ends)
-    with contextlib.suppress(OverflowError):
-        num_tail = _algebraic_tail(*num_ends, cp.k_max)
-        den_tail = _algebraic_tail(*den_ends, cp.k_max)
-        if num_tail is not None and den_tail is not None:
-            _, log_den, log_num = _series(cp, log_phi_c)
-            num = math.exp(log_num) + num_tail
-            den = math.exp(log_den) + den_tail
-            direct = num / den
-            defect = num_tail / den
-            if direct >= ladder[-1] - 1e-9 and direct - ladder[-1] <= 3.0 * defect + 1e-6 * max(
-                1.0, direct
-            ):
-                return CriticalDensityInfo(float(direct), ladder, last_inc, "direct-tail")
     if _stabilized(ladder) and truncation_clean:
         return CriticalDensityInfo(ladder[-1], ladder, last_inc, "ladder")
     # A rung density is exp(log_num - log_den), a difference of log-sums as
@@ -585,17 +557,26 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     completed with an algebraic tail estimate, which is what makes the value
     accurate to ~1/k_max^2 instead of the raw 1/k_max truncation error.
 
-    The ladder is walked here by :func:`walk_critical_ladder`, one rung at a
-    time, starting from any rungs adopted for ``cp``
-    (:func:`adopt_critical_ladder`); since a rung depends only on ``cp`` and
-    its index, the result is the same either way.  The result is kept on
-    ``cp``, so the walk runs once per chemical potential.
+    The ladder is walked rung by rung until its last two steps each move
+    the density by less than a relative 1e-8, or for ``_LADDER_RUNGS``
+    rungs.  When the direct tail exists and is at least the truncated
+    density ``rho_N(phi_c)`` less 1e-9, the walk stops at the first rung
+    that accepts it: the density increases with ``phi``, so every later rung
+    lies between that rung and ``rho_N(phi_c)`` and would accept the same
+    value.  The result is kept on ``cp``, so the walk runs once per chemical
+    potential.
     """
     if "info" not in cp._memo:
-        rungs, _ = walk_critical_ladder(
-            lambda indices: [critical_ladder_input(cp, j) for j in indices], 1
-        )
-        cp._memo["info"] = _critical_density_decision(cp, rungs or ())
+        rungs: list = []
+        direct_tail = None
+        if not (math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0):
+            direct_tail = _direct_tail(cp)
+            stops = direct_tail is not None and direct_tail[0] >= direct_tail[2] - 1e-9
+            while len(rungs) < _LADDER_RUNGS and not _stabilized([r for r, _, _ in rungs[-3:]]):
+                rungs.append(_ladder_rung(cp, len(rungs) + 1))
+                if stops and _accepts_direct_tail(direct_tail, rungs[-1][0]):
+                    break
+        cp._memo["info"] = _critical_density_decision(cp, rungs, direct_tail)
     return cp._memo["info"]
 
 
@@ -673,10 +654,13 @@ def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
 
     Besides the values it records how ``phi_c`` and ``rho_c`` were obtained:
     the ``phi_c`` convergence flag and the ``rho_c`` method, ladder length and
-    last ladder increment (``None`` when the ladder has fewer than two rungs).
+    last ladder increment (``None`` when the ladder has fewer than two rungs);
+    for a ``"direct-tail"`` value also its tail defect and its gap above the
+    last rung (``None`` for the other methods).
     """
     info = critical_density_info(cp)
     last = info.last_increment
+    direct = info.method == "direct-tail"
     return {
         "phi": profile.phi,
         "z": tagged_value(profile.z_value),
@@ -685,6 +669,8 @@ def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
         "rho_c_method": info.method,
         "rho_c_ladder_length": len(info.ladder),
         "rho_c_last_increment": None if math.isnan(last) else tagged_value(last),
+        "rho_c_tail_defect": info.tail_defect if direct else None,
+        "rho_c_direct_gap": info.value - info.ladder[-1] if direct else None,
         "phi_c": tagged_value(cp.phi_c_estimate),
         "phi_c_converged": cp.phi_c_converged,
         "truncation_tail_bound": tagged_value(profile.truncation_tail_bound),

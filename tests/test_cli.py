@@ -1,13 +1,16 @@
+import concurrent.futures
+import functools
 import gc
 import json
 import math
+import multiprocessing
 import os
 import weakref
 
 import numpy as np
 import pytest
 
-from edgrow import cli, dynamics, equilibrium
+from edgrow import cli, dynamics, equilibrium, kernels
 from edgrow.cli import (
     EXIT_AUDIT_FAILED,
     EXIT_CONFIG,
@@ -96,6 +99,34 @@ def test_non_object_analysis_is_config_error(tmp_path):
     assert main(["equilibrium", "--config", cfg, "--out", out, "--rho", "0.5"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        (["equilibrium", "--rho", "0.5"], {"analysis": {"equilibrium_k_max": "many"}}),
+        (["equilibrium", "--rho", "0.5"], {"analysis": {"profile_k_max": -1}}),
+        (["simulate"], {"n_trunc": "x"}),
+        (["simulate"], {"n_trunc": True}),
+        (["simulate"], {"n_trunc": 0}),
+        (["simulate"], {"analysis": {"low_band": "x"}}),
+        (["simulate"], {"analysis": {"equilibrium_k_max": 0}}),
+        (["simulate"], {"analysis": {"excess_band_start": 32.0}}),
+        (["check-kernel"], {"analysis": {"audit_k_max": 1}}),
+        (["check-kernel"], {"analysis": {"audit_l_max": None}}),
+        (["sweep"], {"analysis": {"equilibrium_k_max": "x"}}),
+    ],
+    ids=[
+        "k_max-text", "profile-negative", "n_trunc-text", "n_trunc-bool", "n_trunc-zero",
+        "low_band-text", "k_max-zero", "band-float", "audit-one", "audit-null", "sweep-k_max",
+    ],
+)
+def test_ill_typed_integer_setting_is_config_error(tmp_path, command, setting):
+    payload = {"kernel": CONDENSING, "integrator": {"t_end": 1.0}, "densities": [0.5], **setting}
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main([command[0], "--config", cfg, "--out", str(out), *command[1:]]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_equilibrium_constant(tmp_path):
     cfg = write_config(
         tmp_path, "c.json", {"kernel": {"family": "constant"}, "analysis": {"equilibrium_k_max": 4000, "profile_k_max": 64}}
@@ -127,9 +158,14 @@ def test_equilibrium_summary_records_how_constants_were_obtained(tmp_path):
     summary = json.loads((out / "equilibrium_summary.json").read_text())
     assert summary["phi_c_converged"] is True
     assert summary["rho_c_method"] == "direct-tail"
-    assert summary["rho_c_ladder_length"] >= 3
     assert summary["rho_c_last_increment"]["finite"] is True
-    assert 0.0 <= summary["rho_c_last_increment"]["value"] < 1e-6
+    rho_c, defect = summary["rho_c"]["value"], summary["rho_c_tail_defect"]
+    gap, bound = summary["rho_c_direct_gap"], 3.0 * defect + 1e-6 * max(1.0, rho_c)
+    assert -1e-9 <= gap <= bound
+    # The ladder ends at its first rung that accepts the direct tail.
+    cp = equilibrium.chemical_potential(kernels.condensing_kernel(3.0), FAST_ANALYSIS["equilibrium_k_max"])
+    accepts = [-1e-9 <= rho_c - equilibrium._ladder_rung(cp, j)[0] <= bound for j in range(1, 49)]
+    assert summary["rho_c_ladder_length"] == accepts.index(True) + 1 >= 3
 
     # separable b = k, a = 1: the rate ratio grows without bound, phi_c = inf
     cfg = write_config(
@@ -144,6 +180,7 @@ def test_equilibrium_summary_records_how_constants_were_obtained(tmp_path):
     assert summary["phi_c"] == {"finite": False, "value": None}
     assert summary["rho_c_ladder_length"] == 0
     assert summary["rho_c_last_increment"] is None
+    assert summary["rho_c_tail_defect"] is None and summary["rho_c_direct_gap"] is None
 
 
 def test_equilibrium_supercritical_exit(tmp_path, capsys):
@@ -513,7 +550,7 @@ def test_sweep_builds_chemical_potential_once_per_process(tmp_path, monkeypatch)
     assert main(["sweep", "--config", cfg, "--out", str(out_serial), "--parallel", "1"]) == EXIT_OK
     assert len(builds) == 1
     report = json.loads((out_serial / "sweep_report.json").read_text())
-    assert rungs and len(rungs) == report["rho_c"]["rungs_evaluated"]
+    assert rungs and len(rungs) == report["rho_c"]["ladder_length"]
     assert main(["sweep", "--config", cfg, "--out", str(out_pool), "--parallel", "2"]) == EXIT_OK
     assert (out_serial / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
 
@@ -544,8 +581,8 @@ SWEEP_KERNELS = {
 
 @pytest.mark.parametrize("case", sorted(SWEEP_KERNELS))
 def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypatch, case):
-    # Every rung evaluation, from any process, is logged; rows that walked the
-    # ladder themselves would add rungs beyond those the report counts.
+    # Every rung evaluation, from any process, is logged: a process walks the
+    # ladder at most once, in its first row, however many rows it runs.
     log = tmp_path / "rungs.log"
     rung = equilibrium._ladder_rung
 
@@ -570,14 +607,14 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
         assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
         report = json.loads((out / "sweep_report.json").read_text())
         rho_c = report["rho_c"]
-        assert len(log.read_text().split()) == rho_c["rungs_evaluated"]
-        assert 0 <= rho_c["rungs_evaluated"] - rho_c["ladder_length"] <= degree - 1
-        assert rho_c["ladder_seconds"] >= 0.0
+        assert set(rho_c) == {"method", "ladder_length"}
+        logged, length = len(log.read_text().split()), rho_c["ladder_length"] or 0
+        assert logged == length if degree == 1 else logged <= degree * length
         rows = report["row_telemetry"]
         assert [row["rho"] for row in rows] == config["densities"]
         assert all(row["runtime_s"] > 0.0 for row in rows)
         if case == "rows fail":
-            assert rho_c["method"] is None and rho_c["ladder_length"] == 0
+            assert rho_c["method"] is None and rho_c["ladder_length"] is None
             assert all(row["status"].startswith("error: zero-rate") for row in rows)
             assert all(row["integrator"] is None for row in rows)
         else:
@@ -586,6 +623,20 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
             assert all(row["integrator"]["accepted"] > 0 for row in rows)
         outputs[degree] = (out / "sweep.csv").read_bytes()
     assert outputs[1] == outputs[2]
+
+
+def test_sweep_pool_started_by_spawn_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # A spawned worker inherits nothing from this process: it builds its
+    # own chemical potential and walks the ladder itself.
+    spawn_pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+    )
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 2.0, 1.0]))
+    serial, pooled = tmp_path / "serial", tmp_path / "spawn"
+    assert main(["sweep", "--config", cfg, "--out", str(serial), "--parallel", "1"]) == EXIT_OK
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spawn_pool)
+    assert main(["sweep", "--config", cfg, "--out", str(pooled), "--parallel", "2"]) == EXIT_OK
+    assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
 
 
 def test_sweep_pool_has_at_most_one_worker_per_density(tmp_path, monkeypatch):

@@ -10,11 +10,9 @@ from edgrow.equilibrium import (
     ChemicalPotential,
     DivergentSeriesError,
     SupercriticalDensityError,
-    adopt_critical_ladder,
     chemical_potential,
     critical_density,
     critical_density_info,
-    critical_ladder_input,
     density_at_fugacity,
     equilibrium_free_energy,
     equilibrium_profile,
@@ -23,7 +21,6 @@ from edgrow.equilibrium import (
     partition_sum,
     profile_summary,
     profile_to_csv,
-    walk_critical_ladder,
 )
 from edgrow.kernels import (
     ZeroRateError,
@@ -218,20 +215,18 @@ def test_serialization(tmp_path, cp_condensing):
 
 
 def test_chemical_potentials_are_freed_with_what_they_derived():
-    kernel = condensing_kernel(3.0)
-    walked, adopting = chemical_potential(kernel, 2000), chemical_potential(kernel, 2000)
-    refs = [weakref.ref(walked), weakref.ref(adopting)]
-    ladder, _ = walk_critical_ladder(
-        lambda indices: [critical_ladder_input(walked, j) for j in indices], 2
-    )
-    adopt_critical_ladder(adopting, ladder)
-    for cp in (walked, adopting):
-        assert critical_density_info(cp).method == "direct-tail"
+    # One potential with a direct tail (suffix peaks, phi_c sums, a stopped
+    # ladder) and one without (a full ladder, no sums at phi_c).
+    built = [chemical_potential(kernel, 2000) for kernel in (condensing_kernel(3.0), constant_kernel())]
+    refs = [weakref.ref(cp) for cp in built]
+    assert [critical_density_info(cp).method for cp in built] == ["direct-tail", "ladder-ceiling"]
+    for cp in built:
         for phi in (0.5 * cp.phi_c_estimate, cp.phi_c_estimate):
             partition_sum(cp, phi)
             density_at_fugacity(cp, phi)
             equilibrium_profile(cp, phi=phi)
-    del cp, walked, adopting
+        assert set(cp._memo) == {"suffix_peaks", "phi_c_sums", "info"}
+    del cp, built
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
 

@@ -37,14 +37,11 @@ from edgrow.dynamics import (
 from edgrow.equilibrium import (
     EquilibriumProfile,
     InconclusiveDensityError,
-    adopt_critical_ladder,
     chemical_potential,
     critical_density_info,
-    critical_ladder_input,
     density_at_fugacity,
     equilibrium_profile,
     partition_sum,
-    walk_critical_ladder,
 )
 from edgrow.kernels import (
     _factor_vectors,
@@ -178,6 +175,23 @@ def algebraic_tail(log_terms, n):
     return None if p <= 1.05 else math.exp(t_n) * n / (p - 1.0)
 
 
+def full_range_direct_tail(cp):
+    """``(direct, defect, rho_N(phi_c))`` from the full-range sums at
+    ``phi_c``; ``None`` when either algebraic tail does not fit."""
+    t, t_num = full_range_terms(cp, cp.phi_c_estimate)
+    num_tail, den_tail = algebraic_tail(t_num, cp.k_max), algebraic_tail(t, cp.k_max)
+    if num_tail is None or den_tail is None:
+        return None
+    den = math.exp(log_sum(t)) + den_tail
+    direct = (math.exp(log_sum(t_num[1:])) + num_tail) / den
+    return direct, num_tail / den, math.exp(log_sum(t_num[1:]) - log_sum(t))
+
+
+def accepts_direct_tail(tail, rung) -> bool:
+    direct, defect, _ = tail
+    return direct >= rung - 1e-9 and direct - rung <= 3.0 * defect + 1e-6 * max(1.0, direct)
+
+
 def full_range_critical_density(cp):
     """``(value, ladder, last_increment, method)`` of the critical density,
     every sum taken over the full range; ``None`` when inconclusive."""
@@ -199,16 +213,9 @@ def full_range_critical_density(cp):
     last_inc = abs(ladder[-1] - ladder[-2])
     _, t_num = full_range_terms(cp, phi)
     truncation_clean = t_num[-1] - log_sum(t_num[1:]) < math.log(1e-10)
-    t, t_num = full_range_terms(cp, phi_c)
-    num_tail, den_tail = algebraic_tail(t_num, cp.k_max), algebraic_tail(t, cp.k_max)
-    if num_tail is not None and den_tail is not None:
-        den = math.exp(log_sum(t)) + den_tail
-        direct = (math.exp(log_sum(t_num[1:])) + num_tail) / den
-        defect = num_tail / den
-        if direct >= ladder[-1] - 1e-9 and direct - ladder[-1] <= 3.0 * defect + 1e-6 * max(
-            1.0, direct
-        ):
-            return direct, tuple(ladder), last_inc, "direct-tail"
+    tail = full_range_direct_tail(cp)
+    if tail is not None and accepts_direct_tail(tail, ladder[-1]):
+        return tail[0], tuple(ladder), last_inc, "direct-tail"
     if stable_steps >= 2 and truncation_clean:
         return ladder[-1], tuple(ladder), last_inc, "ladder"
     # monotone up to a few ulps of the largest term magnitude
@@ -216,6 +223,35 @@ def full_range_critical_density(cp):
     if not truncation_clean and all(b >= a * (1.0 - slack) for a, b in zip(ladder, ladder[1:])):
         return math.inf, tuple(ladder), last_inc, "ladder-ceiling"
     return None
+
+
+def stopped_walk(cp, full):
+    """``full``, the full walk of :func:`full_range_critical_density`, as a
+    walk that stops at the confirmed direct tail reports it: a direct-tail
+    ladder cut at its first rung that accepts the direct value, when that
+    value lies above the truncated density at ``phi_c`` (less 1e-9)."""
+    if full is None or full[3] != "direct-tail":
+        return full
+    tail = full_range_direct_tail(cp)
+    if tail[0] < tail[2] - 1e-9:
+        return full
+    value, ladder, _, method = full
+    ladder = ladder[: 1 + next(j for j, r in enumerate(ladder) if accepts_direct_tail(tail, r))]
+    last_inc = abs(ladder[-1] - ladder[-2]) if len(ladder) >= 2 else math.nan
+    return value, ladder, last_inc, method
+
+
+def assert_matches_full_walk(cp):
+    """:func:`critical_density_info` has the full walk's value and method,
+    and its ladder is the full walk's, cut where it may stop."""
+    full = full_range_critical_density(cp)
+    got, expected = critical_or_none(cp), stopped_walk(cp, full)
+    if full is None:
+        assert got is None
+        return
+    assert (got[0], got[3]) == (full[0], full[3])
+    assert got[1] == expected[1] == full[1][: len(expected[1])]
+    assert got[2] == expected[2] or math.isnan(got[2]) and math.isnan(expected[2])
 
 
 def critical_or_none(cp):
@@ -260,7 +296,7 @@ def test_cut_density_series_matches_full_range(kernel, k_max, ratio, k_prof):
     for name in ("phi", "z_value", "log_z", "density", "truncation_tail_bound", "k_max"):
         assert getattr(profile, name) == getattr(expected, name), name
 
-    assert critical_or_none(cp) == full_range_critical_density(cp)
+    assert_matches_full_walk(cp)
 
 
 # One chemical potential per way of obtaining rho_c.  The "ladder" rate
@@ -284,23 +320,56 @@ CRITICAL_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-def test_critical_density_from_rounds_matches_serial_walk(case, degree, monkeypatch):
+def test_critical_density_from_rounds_matches_serial_walk(case, degree):
+    # Each of the ``degree`` processes of a sweep pool builds its own
+    # chemical potential and walks the ladder once; every walk gives the
+    # full walk's result, cut where it may stop.
     kernel, k_max, phi_c = CRITICAL_CASES[case]
-    # The rungs are walked in rounds on a chemical potential other than the
-    # one that adopts them, as in another process.
-    worker_cp = chemical_potential(kernel, k_max, phi_c)
-    rungs, evaluated = walk_critical_ladder(
-        lambda indices: [critical_ladder_input(worker_cp, j) for j in indices], degree
-    )
-    row_cp = chemical_potential(kernel, k_max, phi_c)
-    if rungs is not None:
-        assert 0 <= evaluated - len(rungs) <= degree - 1
-        adopt_critical_ladder(row_cp, rungs)
-    serial = critical_or_none(chemical_potential(kernel, k_max, phi_c))
-    monkeypatch.setattr(equilibrium, "_ladder_rung", None)  # no rung is evaluated again
-    assert critical_or_none(row_cp) == serial == full_range_critical_density(row_cp)
-    assert serial[3] == case.partition(",")[0]
-    assert (len(rungs) if rungs else 0) == len(serial[1])
+    walks = []
+    for _ in range(degree):
+        cp = chemical_potential(kernel, k_max, phi_c)
+        assert_matches_full_walk(cp)
+        walks.append(critical_or_none(cp))
+    assert walks[1:] == walks[:-1]
+    assert walks[0][3] == case.partition(",")[0]
+
+
+def test_direct_tail_walk_stops_at_the_first_accepting_rung(monkeypatch):
+    rungs = []
+    rung = equilibrium._ladder_rung
+
+    def counting_rung(cp, j):
+        rungs.append(j)
+        return rung(cp, j)
+
+    monkeypatch.setattr(equilibrium, "_ladder_rung", counting_rung)
+    cp = chemical_potential(condensing_kernel(3.0), 20000)
+    info = critical_density_info(cp)
+    full = full_range_critical_density(cp)
+    expected = stopped_walk(cp, full)
+    assert info.method == "direct-tail" and info.ladder == expected[1]
+    assert rungs == list(range(1, len(expected[1]) + 1))
+    assert len(rungs) < len(full[1])  # the walk did stop early
+    tail = full_range_direct_tail(cp)
+    assert not any(accepts_direct_tail(tail, r) for r in info.ladder[:-1])
+    assert info.tail_defect == pytest.approx(tail[1], rel=1e-12)
+    critical_density_info(cp)
+    assert len(rungs) == len(info.ladder)  # kept on cp: no second walk
+
+
+def test_walk_runs_to_its_end_when_the_direct_value_is_below_the_truncated_density(monkeypatch):
+    # A direct value below rho_N(phi_c) - 1e-9 may lie below later rungs, so
+    # no rung confirms it early; the full ladder decides.
+    direct_tail = equilibrium._direct_tail
+
+    def below_truncated_density(cp):
+        direct, defect, _ = direct_tail(cp)
+        return direct, defect, direct + 2e-9
+
+    monkeypatch.setattr(equilibrium, "_direct_tail", below_truncated_density)
+    cp = chemical_potential(condensing_kernel(3.0), 2000)
+    assert critical_or_none(cp) == full_range_critical_density(cp)
+    assert critical_or_none(cp)[3] == "direct-tail"
 
 
 EDGE_FLOATS = (
