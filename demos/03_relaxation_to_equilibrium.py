@@ -4,7 +4,8 @@ All mass starts in single-monomer clusters (density 1, constant kernel).
 The critical density of the constant kernel is infinite, so the run is
 subcritical and the state converges in the mass-weighted norm to the
 geometric equilibrium at fugacity 1/2.  The free energy decreases along the
-way and its decay rate matches the dissipation.
+way and its decay rate matches the dissipation.  Both are computed from the
+recorded samples after the run, in one pass over the sample matrix.
 """
 
 import math
@@ -18,9 +19,9 @@ from edgrow import (
     dissipation,
     equilibrium_profile,
     integrate,
-    make_thermo_observer,
     monodisperse_state,
     strong_norm,
+    thermo_series,
 )
 from edgrow.dynamics import ConcentrationProfile
 
@@ -32,15 +33,16 @@ print(f"target equilibrium: fugacity {target.phi}, free energy "
 
 state0 = monodisperse_state(1.0, 1, 256)
 cfg = IntegratorConfig(t_end=60.0, record_every=0.5)
-traj = integrate(kernel, state0, cfg, observers=[make_thermo_observer(kernel, cp)])
+traj = integrate(kernel, state0, cfg)
+thermo = thermo_series(traj.states, kernel, cp)
 
 print()
 print("   t     strong distance    free energy      dissipation")
 for i, t in enumerate(traj.times):
     if t in (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0):
         d = strong_norm(traj.states[i] - target.omega)
-        f = traj.extras["F"][i]
-        diss = traj.extras["D"][i]
+        f = thermo.free_energy[i]
+        diss = thermo.dissipation[i]
         diss_s = f"{diss:.3e}" if math.isfinite(diss) else "inf (boundary)"
         print(f"  {t:5.1f}  {d:15.6e}  {f:14.8f}   {diss_s}")
 
@@ -59,7 +61,7 @@ for i in range(traj.sample_count - 1):
     d_mid = dissipation(kernel, mid)
     if not math.isfinite(d_mid.value):
         continue
-    dfdt = (traj.extras["F"][i + 1] - traj.extras["F"][i]) / (
+    dfdt = (thermo.free_energy[i + 1] - thermo.free_energy[i]) / (
         traj.times[i + 1] - traj.times[i]
     )
     print(f"  t = {traj.times[i]:5.1f}: -dF/dt = {-dfdt:.6e}   D = {d_mid.value:.6e}")

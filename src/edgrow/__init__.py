@@ -65,16 +65,15 @@ from .dynamics import (
 from .thermo import (
     BoundaryStateError,
     DissipationResult,
-    FreeEnergySample,
     OnsagerOperator,
+    ThermoSeries,
     assemble_onsager,
     dissipation,
     entropy,
     free_energy,
-    free_energy_sample,
     gradient_flow_residual,
-    make_thermo_observer,
     relative_entropy,
+    thermo_series,
 )
 from .diagnostics import (
     AnalysisConfig,

@@ -66,14 +66,11 @@ _ANALYSIS_INTS = {
 
 def _resolve(config: Mapping[str, Any]) -> dict:
     """Fill defaults so outputs can echo the exact run parameters, and check
-    that the integer settings are integers in range."""
+    the types and ranges of the fixed settings."""
     analysis = config.get("analysis", {})
     if not isinstance(analysis, Mapping):
         raise ConfigError("analysis must be a JSON object")
-    analysis = dict(analysis)
-    analysis.setdefault("thermo", True)
-    analysis.setdefault("classify", True)
-    analysis.setdefault("checkpoint_every", None)
+    analysis = {"thermo": True, "classify": True, "checkpoint_every": None, **analysis}
     resolved = dict(config)
     resolved["analysis"] = analysis
     resolved.setdefault("n_trunc", 256)
@@ -83,6 +80,12 @@ def _resolve(config: Mapping[str, Any]) -> dict:
     for name, value, least in settings:
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    for key in ("thermo", "classify"):
+        if not isinstance(analysis[key], bool):
+            raise ConfigError(f"analysis.{key} must be true or false, got {analysis[key]!r}")
+    every = analysis["checkpoint_every"]
+    if every is not None and (type(every) not in (int, float) or not every >= 0):
+        raise ConfigError(f"analysis.checkpoint_every must be null or a number >= 0, got {every!r}")
     return resolved
 
 
@@ -255,18 +258,17 @@ def _write_trajectory_csv(traj: dynamics.TrajectoryRecord, path: str) -> None:
             fh.write(template % tuple(cells))
 
 
-def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str) -> None:
+def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str, series=None) -> None:
     """``t,M0,rho,boundary_mass,F,D,D_infinite_terms`` rows from one template.
 
     Floats are written with ``%.17g`` (the same conversion as :func:`_fmt`)
-    and the infinite-term count with ``%d``, which equals ``f"{int(x)}"`` for
-    the integral-valued counts.  Without thermo columns the last three cells
-    stay empty.
+    and the infinite-term count with ``%d``.  Without a
+    :class:`~edgrow.thermo.ThermoSeries` the last three cells stay empty.
     """
     columns = [traj.times, traj.zeroth_moments, traj.first_moments, traj.boundary_mass]
-    if "F" in traj.extras:
+    if series is not None:
         template = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
-        columns += [traj.extras[key] for key in ("F", "D", "D_infinite_terms")]
+        columns += [series.free_energy, series.dissipation, series.infinite_terms]
     else:
         template = "%.17g,%.17g,%.17g,%.17g,,,\n"
     with open(path, "w", encoding="utf-8") as fh:
@@ -278,9 +280,8 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     """Integrate the configured system, writing trajectory, summary, report."""
     resolved = _resolve(config)
     analysis = resolved["analysis"]
-    out = _ensure_out(out_dir)
     started = time.perf_counter()
-    phase_seconds = {"integrate": 0.0, "write_csv": 0.0, "classify": 0.0}
+    phase_seconds = {"integrate": 0.0, "thermo": 0.0, "write_csv": 0.0, "classify": 0.0}
 
     cfg = _build_integrator(resolved)
     if resume is not None:
@@ -310,11 +311,10 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         state0 = resumed_state
     else:
         state0 = _build_state(resolved, resolved["n_trunc"], cp)
+    if cp is not None and state0.n_trunc > cp.k_max:
+        raise ConfigError(f"analysis.equilibrium_k_max must be >= n_trunc = {state0.n_trunc}")
 
-    observers = []
-    if analysis["thermo"] and cp is not None:
-        observers.append(thermo.make_thermo_observer(kernel, cp))
-
+    out = _ensure_out(out_dir)
     checkpoint_path = os.path.join(out, "checkpoint.json")
 
     def checkpoint_hook(
@@ -330,7 +330,6 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
                 kernel,
                 state0,
                 cfg,
-                observers=observers,
                 t0=t0,
                 checkpoint_hook=checkpoint_hook,
                 checkpoint_every=analysis["checkpoint_every"],
@@ -344,15 +343,22 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         print(f"integrator failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
 
+    series = None
+    if analysis["thermo"] and cp is not None:
+        with _phase(phase_seconds, "thermo"):
+            series = thermo.thermo_series(traj.states, kernel, cp)
+
     with _phase(phase_seconds, "write_csv"):
         _write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-        _write_summary_csv(traj, os.path.join(out, "summary.csv"))
+        _write_summary_csv(traj, os.path.join(out, "summary.csv"), series)
 
     convergence: dict
     if analysis["classify"] and cp is not None and traj.sample_count >= 10:
         try:
             with _phase(phase_seconds, "classify"):
-                report = diagnostics.classify_longtime(traj, cp, _analysis_config(analysis))
+                report = diagnostics.classify_longtime(
+                    traj, cp, _analysis_config(analysis), series and series.free_energy
+                )
             convergence = report.as_dict()
             with _phase(phase_seconds, "write_csv"):
                 diagnostics.write_convergence_series_csv(
@@ -529,7 +535,9 @@ def cmd_weights(config: dict, out_dir: str) -> int:
     spec = resolved.get("weights_input")
     if not isinstance(spec, Mapping) or "type" not in spec:
         raise ConfigError("weights config needs a 'weights_input' mapping")
-    k_max = int(resolved.get("weights_k_max", 10000))
+    k_max = resolved.get("weights_k_max", 10000)
+    if type(k_max) is not int or k_max < 1:
+        raise ConfigError(f"weights_k_max must be an integer >= 1, got {k_max!r}")
     try:
         if spec["type"] == "tails":
             result = diagnostics.superlinear_weights(

@@ -30,7 +30,7 @@ from .equilibrium import (
     equilibrium_free_energy,
     equilibrium_profile,
 )
-from .thermo import free_energy
+from .thermo import BLOCK_ROWS, thermo_series
 
 __all__ = [
     "AnalysisConfig",
@@ -153,8 +153,10 @@ def classify_longtime(
     traj: TrajectoryRecord,
     cp: ChemicalPotential,
     cfg: AnalysisConfig = AnalysisConfig(),
+    free_energy_series: Optional[np.ndarray] = None,
 ) -> ConvergenceReport:
-    """Compare a recorded run against the phase diagram of its kernel."""
+    """Compare a recorded run against the phase diagram of its kernel; the
+    run's free energy per sample (from ``cp``) is computed unless given."""
     if traj.sample_count < 10:
         raise ValueError("need at least 10 recorded samples to classify")
     rho = float(traj.first_moments[0])
@@ -173,26 +175,16 @@ def classify_longtime(
     target = min(rho, rho_c)
     profile = equilibrium_profile(cp, rho=target, k_max=max(traj.n_trunc, cfg.low_band))
     omega = state_from_profile(profile, traj.n_trunc).c
-
-    n_samples = traj.sample_count
-    weak = np.empty(n_samples)
-    strong = np.empty(n_samples)
-    low = np.empty(n_samples)
-    excess = np.empty(n_samples)
-    f_series = np.empty(n_samples)
-    band = cfg.low_band
-    for i in range(n_samples):
-        c = traj.states[i]
-        weak[i] = weak_distance(c, omega)
-        strong[i] = strong_norm_distance(c, omega)
-        low[i] = float(np.sum(np.abs(c[: band + 1] - omega[: band + 1])))
-        excess[i] = tail_mass(c, min(cfg.excess_band_start, traj.n_trunc))
-        f_series[i] = free_energy(traj.state_at(i), cp)
+    weak, strong, low, excess = _distance_series(
+        traj.states, omega, cfg.low_band, min(cfg.excess_band_start, traj.n_trunc)
+    )
+    if free_energy_series is None:
+        free_energy_series = thermo_series(traj.states, cp=cp).free_energy
 
     f_limit = equilibrium_free_energy(profile)
     if regime == "supercritical":
         f_limit += (rho - rho_c) * math.log(cp.phi_c_estimate)
-    gap = float(f_series[-1] - f_limit)
+    gap = float(free_energy_series[-1] - f_limit)
 
     return ConvergenceReport(
         target_density=rho,
@@ -203,13 +195,28 @@ def classify_longtime(
         strong_distance_series=strong,
         low_band_distance_series=low,
         excess_mass_series=excess,
-        free_energy_series=f_series,
+        free_energy_series=free_energy_series,
         free_energy_limit=f_limit,
         free_energy_limit_gap=gap,
         boundary_mass_series=traj.boundary_mass.copy(),
         truncation_contaminated_from=traj.boundary_contaminated_from,
         config=cfg,
     )
+
+
+def _distance_series(states: np.ndarray, omega: np.ndarray, band: int, tail_start: int) -> tuple:
+    """Weak, strong, low-band (``0..band``) distances to ``omega`` and tail mass from
+    ``tail_start`` of every row, with the per-sample bits (as in ``thermo_series``)."""
+    weak, strong, low = np.empty(len(states)), np.empty(len(states)), np.empty(len(states))
+    weights = 1.0 + np.arange(len(omega), dtype=float)
+    for start in range(0, len(states), BLOCK_ROWS):
+        gap = np.abs(states[start : start + BLOCK_ROWS] - omega)
+        at = slice(start, start + len(gap))
+        weak[at] = np.sum(gap, axis=1)
+        low[at] = np.sum(gap[:, : band + 1], axis=1)
+        strong[at] = [np.dot(weights, row) for row in gap]
+    sizes = np.arange(tail_start, len(omega), dtype=float)
+    return weak, strong, low, np.array([np.dot(sizes, row[tail_start:]) for row in states])
 
 
 def write_convergence_series_csv(report: ConvergenceReport, path) -> None:

@@ -15,10 +15,9 @@ in ``dt``, would reach ``-atol``, and the step size it was accepted at becomes
 a ceiling that later steps approach only gradually.  Tiny negative survivors
 are clamped to zero and the clamped mass is accounted in a drift ledger so
 conservation checks stay honest.  One stepper object runs every step: it owns
-the state, preallocated stage and scratch buffers, the controller and the
-:class:`IntegratorStats` counters, and :func:`integrate` builds a profile
-only at sample points.  Checkpoints carry the controller, so a resumed run
-repeats the uninterrupted one bit for bit.
+the state, preallocated buffers (an :class:`_RhsWork` for the right-hand
+side), the controller and the :class:`IntegratorStats` counters.  Checkpoints
+carry the controller, so a resumed run repeats the uninterrupted one bit for bit.
 """
 
 from __future__ import annotations
@@ -145,27 +144,34 @@ class RatesView:
     b: np.ndarray
 
 
-def _rate_arrays(kernel: Kernel, c: np.ndarray, work: Optional[np.ndarray] = None):
-    """Birth rates ``A_0..A_{N-1}`` and death rates ``B_1..B_N`` at ``c``, in
-    rows 0 and 1 of the ``3 x N`` array ``work`` (allocated if not given)."""
-    donor = c[1:]
-    acceptor = c[:-1]
-    if work is None:
-        work = np.empty((3, len(donor)))
-    a_rates, b_rates, scratch = work
-    (b_vals, a_vals), *rest = _factor_vectors(kernel, len(c) - 1)
-    # Starting from the first term keeps rank-1 kernels to one product each.
-    np.multiply(a_vals, float(np.dot(b_vals, donor)), out=a_rates)
-    np.multiply(b_vals, float(np.dot(a_vals, acceptor)), out=b_rates)
-    for b_vals, a_vals in rest:
-        a_rates += np.multiply(a_vals, float(np.dot(b_vals, donor)), out=scratch)
-        b_rates += np.multiply(b_vals, float(np.dot(a_vals, acceptor)), out=scratch)
-    return a_rates, b_rates
+class _RhsWork:
+    """Factor vectors, rate rows and the flux row ``-0.0, J_0..J_{N-1}, +0.0``
+    that right-hand sides at truncation ``N`` reuse; ``left - right`` of that
+    row is ``-J_0, J_{k-1} - J_k, J_{N-1}``, bit for bit (signed zeros too)."""
+
+    def __init__(self, kernel: Kernel, n: int):
+        (self.b_vals, self.a_vals), *rest = _factor_vectors(kernel, n)
+        self.rest = tuple(rest)
+        self.a_rates, self.b_rates, self.scratch = np.empty((3, n))
+        padded = np.array([-0.0] + [0.0] * (n + 1))
+        self.flux, self.left, self.right = padded[1:-1], padded[:-1], padded[1:]
+
+    def rates(self, c: np.ndarray) -> tuple:
+        """Birth rates ``A_0..A_{N-1}`` and death rates ``B_1..B_N`` at ``c``."""
+        donor, acceptor = c[1:], c[:-1]
+        a_rates, b_rates, scratch = self.a_rates, self.b_rates, self.scratch
+        # Starting from the first term keeps rank-1 kernels to one product each.
+        np.multiply(self.a_vals, np.dot(self.b_vals, donor), out=a_rates)
+        np.multiply(self.b_vals, np.dot(self.a_vals, acceptor), out=b_rates)
+        for b_vals, a_vals in self.rest:
+            a_rates += np.multiply(a_vals, np.dot(b_vals, donor), out=scratch)
+            b_rates += np.multiply(b_vals, np.dot(a_vals, acceptor), out=scratch)
+        return a_rates, b_rates
 
 
 def birth_death_rates(kernel: Kernel, state: ConcentrationProfile) -> RatesView:
     """State-dependent birth/death rates of the truncated chain."""
-    a_rates, b_rates = _rate_arrays(kernel, state.c)
+    a_rates, b_rates = _RhsWork(kernel, state.n_trunc).rates(state.c)
     return RatesView(a=a_rates, b=b_rates)
 
 
@@ -182,17 +188,15 @@ def net_fluxes(rates: RatesView, state: ConcentrationProfile) -> np.ndarray:
 
 
 def _rhs_from_c(kernel: Kernel, c: np.ndarray, out=None, work=None) -> np.ndarray:
-    """``dc/dt`` at ``c`` written into ``out``, with the rates in ``work``
-    (see :func:`_rate_arrays`); either is allocated when not given."""
+    """``dc/dt`` at ``c`` into ``out`` with ``work``, an :class:`_RhsWork` of
+    this kernel and truncation; either is allocated when not given."""
+    work = work or _RhsWork(kernel, len(c) - 1)
     if out is None:
         out = np.empty_like(c)
-    a_rates, b_rates = _rate_arrays(kernel, c, work)
-    flux = np.multiply(a_rates, c[:-1], out=a_rates)
+    a_rates, b_rates = work.rates(c)
+    flux = np.multiply(a_rates, c[:-1], out=work.flux)
     flux -= np.multiply(b_rates, c[1:], out=b_rates)
-    out[0] = -flux[0]
-    np.subtract(flux[:-1], flux[1:], out=out[1:-1])
-    out[-1] = flux[-1]
-    return out
+    return np.subtract(work.left, work.right, out=out)
 
 
 def rhs(kernel: Kernel, state: ConcentrationProfile) -> np.ndarray:
@@ -330,11 +334,12 @@ class _Stepper:
     """Embedded RK4(5) steps of one state, in place.
 
     Owns the state ``c``, a ``6 x (N+1)`` stage buffer with one products
-    buffer and scratch rows, the strong-norm weights ``1 + l``, the
-    step-size controller (``dt_next``, ``err_prev_ratio``, the positivity
-    ceiling ``dt_ceiling``, the tolerance at the current state, the clamp
-    totals) and the :class:`IntegratorStats`.  A step allocates no array of
-    size ``N`` unless it clamps.
+    buffer and scratch rows, an :class:`_RhsWork`, the strong-norm weights
+    ``1 + l``, the step-size controller (``dt_next``, ``err_prev_ratio``, the
+    positivity ceiling ``dt_ceiling``, the tolerance at the current state, the
+    clamp totals; read from a ``controller`` block, absent keys start afresh)
+    and the :class:`IntegratorStats`.  A step allocates no size-``N`` array
+    unless it clamps.
 
     The positivity ceiling starts at ``inf``.  A step accepted after a
     positivity retry sets it to its own ``dt`` and proposes no larger next
@@ -349,15 +354,7 @@ class _Stepper:
     """
 
     def __init__(
-        self,
-        kernel: Kernel,
-        c: np.ndarray,
-        cfg: IntegratorConfig,
-        dt_next: float = 0.0,
-        err_prev_ratio: Optional[float] = None,
-        clamp_mass0: float = 0.0,
-        clamp_mass1: float = 0.0,
-        dt_ceiling: Optional[float] = None,
+        self, kernel: Kernel, c: np.ndarray, cfg: IntegratorConfig, controller: Mapping = {}
     ):
         self.kernel = kernel
         self.cfg = cfg
@@ -367,14 +364,15 @@ class _Stepper:
         self.products = np.zeros((7, size))
         self.c_new = np.empty(size)
         self.scratch = np.empty(size)
-        self.rate_work = np.empty((3, size - 1))
+        self.rhs_work = _RhsWork(kernel, size - 1)
         self.weights = 1.0 + np.arange(size, dtype=float)
         self.tol = self._tolerance(self.c)
-        self.dt_next = dt_next
-        self.err_prev_ratio = err_prev_ratio
+        self.dt_next = float(controller.get("dt_next", 0.0))
+        self.err_prev_ratio = controller.get("err_prev_ratio")
+        dt_ceiling = controller.get("dt_ceiling")
         self.dt_ceiling = math.inf if dt_ceiling is None else dt_ceiling
-        self.clamp_mass0 = clamp_mass0
-        self.clamp_mass1 = clamp_mass1
+        self.clamp_mass0 = float(controller.get("clamp_mass0", 0.0))
+        self.clamp_mass1 = float(controller.get("clamp_mass1", 0.0))
         self.stats = IntegratorStats()
         # the last accepted step
         self.dt_used = 0.0
@@ -408,7 +406,7 @@ class _Stepper:
         # Rejected attempts retry from the same state, so they share stage 0.
         # ``_rhs_from_c`` is looked up in the module on every call, so a
         # wrapper installed there sees each evaluation.
-        _rhs_from_c(self.kernel, c, out=stages[0], work=self.rate_work)
+        _rhs_from_c(self.kernel, c, out=stages[0], work=self.rhs_work)
         stats.rhs_evals += 1
         retried = False
         while True:
@@ -418,7 +416,7 @@ class _Stepper:
                 stage_input = self._weighted_stages(column, self.scratch)
                 stage_input *= dt
                 np.add(c, stage_input, out=stage_input)
-                _rhs_from_c(self.kernel, stage_input, out=stages[i], work=self.rate_work)
+                _rhs_from_c(self.kernel, stage_input, out=stages[i], work=self.rhs_work)
             stats.rhs_evals += 5
             err_vec = self._weighted_stages(_RK_ERR_COLUMN, self.scratch)
             err_vec *= dt
@@ -531,7 +529,7 @@ def step(
     if isinstance(state, _Stepper):
         state.advance(dt_suggest)
         return None
-    stepper = _Stepper(kernel, state.c, cfg, err_prev_ratio=err_prev_ratio)
+    stepper = _Stepper(kernel, state.c, cfg, {"err_prev_ratio": err_prev_ratio})
     stepper.advance(dt_suggest)
     return StepResult(
         state=ConcentrationProfile(stepper.c),
@@ -547,9 +545,9 @@ def step(
 class TrajectoryRecord:
     """Time-stamped samples of an integration with conservation bookkeeping.
 
-    ``extras`` holds observer series (free energy, dissipation, ...) keyed by
-    name.  ``clamp_mass0/1`` are the cumulative moment deficits introduced by
-    positivity clamping up to each sample, counted from the start of the run
+    ``states`` holds one sample per row.  ``clamp_mass0/1`` are the
+    cumulative moment deficits introduced by positivity clamping up to each
+    sample, counted from the start of the run
     (a resumed run starts from the totals its checkpoint carried); they bound
     how much of any moment drift is a numerical artifact of the clamp.
     ``stats`` says where the steps went.
@@ -563,7 +561,6 @@ class TrajectoryRecord:
     clamp_mass0: np.ndarray
     clamp_mass1: np.ndarray
     boundary_mass: np.ndarray
-    extras: dict
     boundary_contaminated_from: Optional[float] = None
     stats: Optional[IntegratorStats] = None
 
@@ -571,12 +568,9 @@ class TrajectoryRecord:
     def sample_count(self) -> int:
         return len(self.times)
 
-    def state_at(self, index: int) -> ConcentrationProfile:
-        return ConcentrationProfile(self.states[index])
-
     @property
     def final_state(self) -> ConcentrationProfile:
-        return self.state_at(len(self.times) - 1)
+        return ConcentrationProfile(self.states[-1])
 
     def moment_drift(self) -> tuple:
         m0 = np.max(np.abs(self.zeroth_moments - self.zeroth_moments[0]))
@@ -584,7 +578,6 @@ class TrajectoryRecord:
         return float(m0), float(m1)
 
 
-Observer = Callable[[ConcentrationProfile, float], Mapping[str, float]]
 CheckpointHook = Callable[[float, ConcentrationProfile, Optional[dict]], None]
 
 
@@ -592,7 +585,6 @@ def integrate(
     kernel: Kernel,
     state0: ConcentrationProfile,
     cfg: IntegratorConfig,
-    observers: Optional[Sequence[Observer]] = None,
     t0: float = 0.0,
     checkpoint_hook: Optional[CheckpointHook] = None,
     checkpoint_every: Optional[float] = None,
@@ -609,51 +601,25 @@ def integrate(
     controller starts afresh.
     """
     state0.validate()
-    observers = list(observers or [])
     n = state0.n_trunc
     boundary_lo = int(math.ceil(0.9 * n))
     weights_boundary = np.arange(n + 1, dtype=float)
     rho0 = state0.first_moment
-    clamp0 = 0.0 if controller is None else float(controller["clamp_mass0"])
-    clamp1 = 0.0 if controller is None else float(controller["clamp_mass1"])
 
     times = [t0]
     states = [state0.c.copy()]
-    extras: dict = {}
-    clamp0_list = [clamp0]
-    clamp1_list = [clamp1]
+    clamp0_list = [float((controller or {}).get("clamp_mass0", 0.0))]
+    clamp1_list = [float((controller or {}).get("clamp_mass1", 0.0))]
     boundary_list = [float(np.dot(weights_boundary[boundary_lo:], state0.c[boundary_lo:]))]
     contaminated_from: Optional[float] = None
     stats = IntegratorStats()
 
-    def observe(state: ConcentrationProfile, t: float) -> None:
-        for obs in observers:
-            for key, value in obs(state, t).items():
-                extras.setdefault(key, []).append(value)
-
-    observe(state0, t0)
-
     if cfg.t_end > t0:
         cadence = cfg.cadence()
         if controller is None:
-            controller = {
-                "dt_next": min(cadence, cfg.max_step, (cfg.t_end - t0)) * 0.05,
-                "err_prev_ratio": None,
-                "dt_ceiling": None,
-                "next_record": t0 + cadence,
-                "clamp_mass0": clamp0,
-                "clamp_mass1": clamp1,
-            }
-        stepper = _Stepper(
-            kernel,
-            state0.c,
-            cfg,
-            dt_next=float(controller["dt_next"]),
-            err_prev_ratio=controller["err_prev_ratio"],
-            clamp_mass0=clamp0,
-            clamp_mass1=clamp1,
-            dt_ceiling=controller.get("dt_ceiling"),
-        )
+            first_dt = min(cadence, cfg.max_step, cfg.t_end - t0) * 0.05
+            controller = {"dt_next": first_dt, "next_record": t0 + cadence}
+        stepper = _Stepper(kernel, state0.c, cfg, controller)
         stats = stepper.stats
         t = t0
         # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
@@ -669,7 +635,6 @@ def integrate(
             t += stepper.dt_used
             if t >= next_record - time_eps:
                 c = stepper.c.copy()
-                state = ConcentrationProfile(c)
                 times.append(t)
                 states.append(c)
                 clamp0_list.append(stepper.clamp_mass0)
@@ -684,13 +649,13 @@ def integrate(
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                observe(state, t)
                 if t >= next_grid - time_eps:
                     next_grid += cadence
-                controller = stepper.controller(next_grid)
-                if t >= next_checkpoint - time_eps and checkpoint_hook is not None:
-                    checkpoint_hook(t, state, controller)
-                    next_checkpoint = t + (checkpoint_every or math.inf)
+                if t >= next_checkpoint - time_eps:
+                    checkpoint_hook(t, ConcentrationProfile(c), stepper.controller(next_grid))
+                    next_checkpoint = t + checkpoint_every
+        # The run ends on a sample point, so this is the block of the last sample.
+        controller = stepper.controller(next_grid)
 
     samples = np.asarray(states)
     record = TrajectoryRecord(
@@ -702,7 +667,6 @@ def integrate(
         clamp_mass0=np.asarray(clamp0_list),
         clamp_mass1=np.asarray(clamp1_list),
         boundary_mass=np.asarray(boundary_list),
-        extras={key: np.asarray(vals) for key, vals in extras.items()},
         boundary_contaminated_from=contaminated_from,
         stats=stats,
     )
@@ -729,13 +693,11 @@ def moment_identity_residual(
     if traj.sample_count < 2:
         raise ValueError("need at least two recorded samples")
     forward = np.diff(g_arr)  # g_{k+1} - g_k for k = 0..N-1
+    rate_work = _RhsWork(kernel, n)
     worst = 0.0
-    for i in range(traj.sample_count - 1):
-        c1 = traj.states[i]
-        c2 = traj.states[i + 1]
-        dt = traj.times[i + 1] - traj.times[i]
+    for c1, c2, dt in zip(traj.states[:-1], traj.states[1:], np.diff(traj.times)):
         mid = 0.5 * (c1 + c2)
-        a_rates, b_rates = _rate_arrays(kernel, mid)
+        a_rates, b_rates = rate_work.rates(mid)
         lhs = (np.dot(g_arr, c2) - np.dot(g_arr, c1)) / dt
         rhs_val = float(np.dot(forward, a_rates * mid[:-1]) - np.dot(forward, b_rates * mid[1:]))
         worst = max(worst, abs(lhs - rhs_val))

@@ -13,13 +13,14 @@ for ``x > 0`` and is reported as an infinity marker with a count of such
 terms; the logarithmic mean satisfies ``L(s, s) = s`` and ``L(s, 0) = 0``.
 Whether a flux is zero is read from the support of the kernel and the
 state, never from the floating-point product, which may underflow.
+:func:`thermo_series` gives ``F`` and ``D`` of every recorded sample at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from .kernels import Kernel, _factor_vectors, kernel_matrix
 
 __all__ = [
     "DissipationResult",
-    "FreeEnergySample",
     "OnsagerOperator",
+    "ThermoSeries",
     "BoundaryStateError",
     "free_energy",
     "entropy",
@@ -38,11 +39,11 @@ __all__ = [
     "dissipation",
     "assemble_onsager",
     "gradient_flow_residual",
-    "free_energy_sample",
-    "make_thermo_observer",
+    "thermo_series",
 ]
 
 ONSAGER_SIZE_CAP = 512
+BLOCK_ROWS = 64  # rows per pass: a block's temporaries are ~130 KiB at N = 256
 
 
 class BoundaryStateError(ValueError):
@@ -62,24 +63,66 @@ class DissipationResult(NamedTuple):
     finite_part: float
 
 
-@dataclass(frozen=True)
-class FreeEnergySample:
-    """Free energy and dissipation at one instant."""
+class ThermoSeries(NamedTuple):
+    """Per-row ``F`` and :class:`DissipationResult` fields; ``None`` if not asked for."""
 
-    t: float
-    f_value: float
-    d_value: float
-    d_infinite_terms: int
+    free_energy: Optional[np.ndarray]
+    dissipation: Optional[np.ndarray]
+    infinite_terms: Optional[np.ndarray]
+    finite_part: Optional[np.ndarray]
+
+
+def thermo_series(
+    states: np.ndarray, kernel: Optional[Kernel] = None, cp: Optional[ChemicalPotential] = None
+) -> ThermoSeries:
+    """``F`` (given ``cp``) and ``D`` (given ``kernel``) of each row ``c_0..c_N``.
+
+    Rows go ``BLOCK_ROWS`` at a time.  Rows positive everywhere get block-wide
+    elementwise work and ``np.sum(..., axis=1)`` (each row's own pairwise sum)
+    but one dot product per row (a matrix product rounds differently); other
+    rows, and ``D`` for kernels of rank >= 2 or with a zero factor, take the
+    single-row formulas.  The bits are those of the single-row formulas.
+    """
+    states = np.asarray(states, dtype=float)
+    rows, size = states.shape
+    f_values = d_values = infinite_terms = finite_part = factors = None
+    if cp is not None:
+        if size - 1 > cp.k_max:
+            raise ValueError("chemical potential does not cover the truncation range")
+        log_q, f_values = cp.log_q[:size], np.empty(rows)
+    if kernel is not None:
+        finite_part, infinite_terms = np.empty(rows), np.zeros(rows, dtype=np.int64)
+        (b_vals, a_vals), *rest = _factor_vectors(kernel, size - 1)
+        pair_sum = _dense_pair_sum if rest else _rank1_pair_sum
+        if not rest and np.all(b_vals > 0.0) and np.all(a_vals > 0.0):
+            factors = b_vals, a_vals, np.log(b_vals), np.log(a_vals)
+    for start in range(0, rows, BLOCK_ROWS):
+        block = states[start : start + BLOCK_ROWS]
+        full = np.all(block > 0.0, axis=1)
+        c = block[full]
+        log_c = np.log(c)
+        rows_full, rows_zero = start + np.flatnonzero(full), start + np.flatnonzero(~full)
+        if cp is not None:
+            f_values[rows_full] = np.sum(c * (log_c - log_q), axis=1)
+            for i in rows_zero:
+                mask = states[i] > 0.0
+                f_values[i] = np.sum(states[i][mask] * (np.log(states[i][mask]) - log_q[mask]))
+        if factors is not None:
+            b_vals, a_vals, log_b, log_a = factors
+            x, y = b_vals * c[:, 1:], a_vals * c[:, :-1]
+            u = log_b + log_c[:, 1:] - log_a - log_c[:, :-1]
+            finite_part[rows_full] = _centred_sums(x, y, u)
+        if kernel is not None:
+            for i in rows_zero if factors is not None else range(start, start + len(block)):
+                infinite_terms[i], finite_part[i] = pair_sum(kernel, states[i])
+    if kernel is not None:
+        d_values = np.where(infinite_terms > 0, math.inf, finite_part)
+    return ThermoSeries(f_values, d_values, infinite_terms, finite_part)
 
 
 def free_energy(state: ConcentrationProfile, cp: ChemicalPotential) -> float:
     """``sum c_k (log c_k - log_q_k)`` with ``0 log 0 = 0``."""
-    c = state.c
-    if state.n_trunc > cp.k_max:
-        raise ValueError("chemical potential does not cover the truncation range")
-    log_q = cp.log_q[: len(c)]
-    mask = c > 0.0
-    return float(np.sum(c[mask] * (np.log(c[mask]) - log_q[mask])))
+    return float(thermo_series(state.c[None, :], cp=cp).free_energy[0])
 
 
 def entropy(state: ConcentrationProfile) -> float:
@@ -116,10 +159,10 @@ def dissipation(kernel: Kernel, state: ConcentrationProfile) -> DissipationResul
     which is the honest reading at monodisperse starts.  Rank-1 kernels take
     an O(N) covariance form, other kernels the dense pair table.
     """
-    pair_sum = _rank1_pair_sum if len(kernel.terms) == 1 else _dense_pair_sum
-    infinite_terms, finite_part = pair_sum(kernel, state.c)
-    value = math.inf if infinite_terms else finite_part
-    return DissipationResult(value=value, infinite_terms=infinite_terms, finite_part=finite_part)
+    series = thermo_series(state.c[None, :], kernel=kernel)
+    return DissipationResult(
+        float(series.dissipation[0]), int(series.infinite_terms[0]), float(series.finite_part[0])
+    )
 
 
 def _rank1_pair_sum(kernel: Kernel, c: np.ndarray) -> tuple:
@@ -142,10 +185,17 @@ def _rank1_pair_sum(kernel: Kernel, c: np.ndarray) -> tuple:
     x, y = b_s * donor_s, a_s * acceptor_s
     # log x - log y factorwise, so an underflowing product stays finite
     u = np.log(b_s) + np.log(donor_s) - np.log(a_s) - np.log(acceptor_s)
-    y_total = float(np.sum(y))
-    r_bar = float(np.sum(x)) / y_total
-    u_bar = float(np.dot(y, u)) / y_total
-    return infinite_terms, y_total * float(np.dot(x - r_bar * y, u - u_bar))
+    return infinite_terms, float(_centred_sums(x[None], y[None], u[None])[0])
+
+
+def _centred_sums(x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``Y sum (x - rbar y)(u - ubar)`` per row (:func:`_rank1_pair_sum`); overwrites x, u."""
+    y_total = np.sum(y, axis=1)
+    r_bar = np.sum(x, axis=1) / y_total
+    u_bar = np.array([np.dot(y_row, u_row) for y_row, u_row in zip(y, u)]) / y_total
+    x -= r_bar[:, None] * y
+    u -= u_bar[:, None]
+    return y_total * np.array([np.dot(x_row, u_row) for x_row, u_row in zip(x, u)])
 
 
 def _dense_pair_sum(kernel: Kernel, c: np.ndarray) -> tuple:
@@ -247,29 +297,3 @@ def gradient_flow_residual(
     differential = np.log(c) - cp.log_q[: len(c)]
     flow = -operator.matrix @ differential
     return float(np.max(np.abs(_rhs_from_c(kernel, c) - flow)))
-
-
-def free_energy_sample(
-    kernel: Kernel, state: ConcentrationProfile, cp: ChemicalPotential, t: float
-) -> FreeEnergySample:
-    diss = dissipation(kernel, state)
-    return FreeEnergySample(
-        t=t,
-        f_value=free_energy(state, cp),
-        d_value=diss.value,
-        d_infinite_terms=diss.infinite_terms,
-    )
-
-
-def make_thermo_observer(kernel: Kernel, cp: ChemicalPotential):
-    """Observer for :func:`edgrow.dynamics.integrate` recording F and D."""
-
-    def observe(state: ConcentrationProfile, t: float):
-        sample = free_energy_sample(kernel, state, cp, t)
-        return {
-            "F": sample.f_value,
-            "D": sample.d_value,
-            "D_infinite_terms": float(sample.d_infinite_terms),
-        }
-
-    return observe

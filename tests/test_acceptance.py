@@ -36,7 +36,7 @@ from edgrow.kernels import (
     kernel_matrix,
     separable_kernel,
 )
-from edgrow.thermo import dissipation, free_energy, gradient_flow_residual, make_thermo_observer
+from edgrow.thermo import dissipation, free_energy, gradient_flow_residual, thermo_series
 from edgrow.diagnostics import superlinear_weights, tail_mass, weak_distance
 
 # Frozen oracle values (high-precision side computations):
@@ -82,13 +82,15 @@ def run1(const_kernel):
 
 
 @pytest.fixture(scope="session")
-def run2(const_kernel, cp_const):
+def run2(const_kernel):
     state0 = monodisperse_state(1.0, 1, 256)
     cfg = IntegratorConfig(t_end=200.0, record_every=0.1)
-    traj = integrate(
-        const_kernel, state0, cfg, observers=[make_thermo_observer(const_kernel, cp_const)]
-    )
-    return traj
+    return integrate(const_kernel, state0, cfg)
+
+
+@pytest.fixture(scope="session")
+def run2_free_energy(run2, cp_const):
+    return thermo_series(run2.states, cp=cp_const).free_energy
 
 
 @pytest.fixture(scope="session")
@@ -126,7 +128,7 @@ def test_criterion_01_conservation(run1):
     report(1, f"conservation: |dM0|={count_err:.2e}, |dM1|={mass_err:.2e}, {elapsed:.2f}s")
 
 
-def test_criterion_02_subcritical_convergence(run2, omega_half, cp_const):
+def test_criterion_02_subcritical_convergence(run2, run2_free_energy, omega_half):
     traj = run2
     target = omega_half.omega
     distances = np.array(
@@ -137,7 +139,7 @@ def test_criterion_02_subcritical_convergence(run2, omega_half, cp_const):
     tail = distances[3 * traj.sample_count // 4 :]
     floored = np.maximum(tail, DISTANCE_NOISE_FLOOR)
     assert np.all(np.diff(floored) <= 1e-12), "distance not monotone over last quarter"
-    f_final = traj.extras["F"][-1]
+    f_final = run2_free_energy[-1]
     assert abs(f_final - F_LIMIT_CONSTANT_RHO1) <= 1e-4
     report(
         2,
@@ -146,9 +148,9 @@ def test_criterion_02_subcritical_convergence(run2, omega_half, cp_const):
     )
 
 
-def test_criterion_03_free_energy_dissipation(run2, const_kernel):
+def test_criterion_03_free_energy_dissipation(run2, run2_free_energy, const_kernel):
     traj = run2
-    f_series = traj.extras["F"]
+    f_series = run2_free_energy
     worst_increase = float(np.max(np.diff(f_series)))
     assert worst_increase <= 1e-10, f"free energy increased by {worst_increase}"
     checked = 0

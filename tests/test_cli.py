@@ -99,6 +99,9 @@ def test_non_object_analysis_is_config_error(tmp_path):
     assert main(["equilibrium", "--config", cfg, "--out", out, "--rho", "0.5"]) == EXIT_CONFIG
 
 
+WEIGHTS_TAILS = {"type": "tails", "values": [1.0, 0.5, 0.1, 0.0]}
+
+
 @pytest.mark.parametrize(
     "command, setting",
     [
@@ -113,10 +116,23 @@ def test_non_object_analysis_is_config_error(tmp_path):
         (["check-kernel"], {"analysis": {"audit_k_max": 1}}),
         (["check-kernel"], {"analysis": {"audit_l_max": None}}),
         (["sweep"], {"analysis": {"equilibrium_k_max": "x"}}),
+        (["simulate"], {"analysis": {"checkpoint_every": "x"}}),
+        (["simulate"], {"analysis": {"checkpoint_every": True}}),
+        (["simulate"], {"analysis": {"checkpoint_every": -1.0}}),
+        (["simulate"], {"analysis": {"thermo": "false"}}),
+        (["simulate"], {"analysis": {"classify": 0}}),
+        (["simulate"], {"n_trunc": 64, "analysis": {"equilibrium_k_max": 32}}),
+        (["sweep"], {"analysis": {"classify": None}}),
+        (["weights"], {"weights_input": WEIGHTS_TAILS, "weights_k_max": "x"}),
+        (["weights"], {"weights_input": WEIGHTS_TAILS, "weights_k_max": 64.0}),
+        (["weights"], {"weights_input": WEIGHTS_TAILS, "weights_k_max": 0}),
     ],
     ids=[
         "k_max-text", "profile-negative", "n_trunc-text", "n_trunc-bool", "n_trunc-zero",
         "low_band-text", "k_max-zero", "band-float", "audit-one", "audit-null", "sweep-k_max",
+        "checkpoint-text", "checkpoint-bool", "checkpoint-negative", "thermo-text",
+        "classify-int", "k_max-below-n_trunc", "sweep-classify-null", "weights-k_max-text", "weights-k_max-float",
+        "weights-k_max-zero",
     ],
 )
 def test_ill_typed_integer_setting_is_config_error(tmp_path, command, setting):
@@ -239,9 +255,19 @@ def test_simulate_reports_phase_times(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "run_report.json").read_text())
     phases = report["phase_seconds"]
-    assert sorted(phases) == ["classify", "integrate", "write_csv"]
+    assert sorted(phases) == ["classify", "integrate", "thermo", "write_csv"]
     assert all(value >= 0.0 for value in phases.values())
+    assert phases["thermo"] > 0.0
     assert sum(phases.values()) <= report["runtime_seconds"]
+
+    # Without the thermo columns the F/D pass does not run.
+    no_thermo = dict(SIM_CONFIG, analysis={**SIM_CONFIG["analysis"], "thermo": False})
+    cfg = write_config(tmp_path, "n.json", no_thermo)
+    out = tmp_path / "no-thermo"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["phase_seconds"]["thermo"] == 0.0
+    assert read_rows(out / "summary.csv")[1][-3:] == ["", "", ""]
 
 
 def test_write_json_keeps_previous_file_when_dump_fails(tmp_path, monkeypatch):

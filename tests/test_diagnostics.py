@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from edgrow.diagnostics import (
 )
 from edgrow.dynamics import (
     IntegratorConfig,
+    TrajectoryRecord,
     geometric_state,
     integrate,
     monodisperse_state,
@@ -26,6 +28,7 @@ from edgrow.dynamics import (
 )
 from edgrow.equilibrium import InconclusiveDensityError, chemical_potential
 from edgrow.kernels import condensing_kernel, constant_kernel
+from edgrow.thermo import thermo_series
 
 
 def test_tail_mass_examples():
@@ -189,6 +192,46 @@ def test_classify_critical_dead_band():
     )
     report = classify_longtime(traj, cp)
     assert report.regime == "critical"
+
+
+def test_classify_takes_the_runs_free_energy(subcritical_run):
+    _, cp, traj = subcritical_run
+    f_series = thermo_series(traj.states, cp=cp).free_energy
+    given = classify_longtime(traj, cp, free_energy_series=f_series)
+    computed = classify_longtime(traj, cp)
+    assert given.free_energy_series is f_series
+    assert np.array_equal(computed.free_energy_series, f_series)
+    assert given.as_dict() == computed.as_dict()
+
+
+def test_series_passes_stay_within_block_memory():
+    # 4000 samples at N = 256: one temporary of the whole matrix would be
+    # 8 MB, while the passes work on blocks of rows.
+    kernel = constant_kernel()
+    cp = chemical_potential(kernel, 2000)
+    rows, n = 4000, 256
+    phi = np.random.default_rng(0).uniform(0.2, 0.8, size=(rows, 1))
+    states = (1.0 - phi) * phi ** np.arange(n + 1, dtype=float)
+    states[::7, 200:] = 0.0  # rows with zeros take the single-row formulas
+    traj = TrajectoryRecord(
+        times=np.arange(rows, dtype=float),
+        states=states,
+        n_trunc=n,
+        zeroth_moments=np.sum(states, axis=1),
+        first_moments=states @ np.arange(n + 1, dtype=float),
+        clamp_mass0=np.zeros(rows),
+        clamp_mass1=np.zeros(rows),
+        boundary_mass=np.zeros(rows),
+    )
+    tracemalloc.start()
+    try:
+        series = thermo_series(states, kernel, cp)
+        report = classify_longtime(traj, cp, free_energy_series=series.free_energy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.regime == "subcritical"
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_classify_needs_samples(subcritical_run):

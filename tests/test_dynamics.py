@@ -311,6 +311,7 @@ def test_trace_contract_counts_match_stats(monkeypatch):
     # Wrap the module attributes the way the benchmark tracer does: what it
     # counts must be what the integrator reports.
     calls = {"step": 0, "rhs": 0}
+    works = set()
     real_step, real_rhs = dynamics.step, dynamics._rhs_from_c
 
     def counted_step(*args, **kwargs):
@@ -319,6 +320,7 @@ def test_trace_contract_counts_match_stats(monkeypatch):
 
     def counted_rhs(*args, **kwargs):
         calls["rhs"] += 1
+        works.add(id(kwargs["work"]))
         return real_rhs(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "step", counted_step)
@@ -327,7 +329,37 @@ def test_trace_contract_counts_match_stats(monkeypatch):
     assert stats.accepted > 0 and stats.rejected_error > 0 and stats.rejected_positivity > 0
     assert calls["step"] == stats.accepted
     assert calls["rhs"] == stats.rhs_evals
+    assert len(works) == 1  # rejected attempts reuse the stepper's one work object
     assert stats.rhs_evals == 6 * stats.accepted + 5 * stats.rejected
+
+
+@pytest.mark.parametrize(
+    "kernel", [constant_kernel(), condensing_kernel(3.0)], ids=["constant", "condensing"]
+)
+def test_stepper_calls_module_rhs_once_per_evaluation(monkeypatch, kernel):
+    # As above for the kernels of the thermo and sweep runs, on a run that
+    # writes checkpoints: one call through the module attribute per
+    # evaluation, all with the stepper's one work object.
+    works = []
+    real_rhs = dynamics._rhs_from_c
+
+    def counted_rhs(kernel, c, out=None, work=None):
+        works.append(work)
+        return real_rhs(kernel, c, out=out, work=work)
+
+    monkeypatch.setattr(dynamics, "_rhs_from_c", counted_rhs)
+    checkpoints = []
+    traj = integrate(
+        kernel,
+        monodisperse_state(1.0, 1, 48),
+        IntegratorConfig(t_end=2.0, record_every=0.1),
+        checkpoint_hook=lambda t, state, controller: checkpoints.append(t),
+        checkpoint_every=0.5,
+    )
+    assert len(works) == traj.stats.rhs_evals > 0
+    assert len({id(work) for work in works}) == 1
+    assert isinstance(works[0], dynamics._RhsWork)
+    assert len(checkpoints) == 5  # t = 0.5, 1, 1.5, 2 and the end of the run
 
 
 def test_integrator_stats_report():

@@ -2,7 +2,9 @@
 
 Birth/death rates are checked against the dense rate table, dissipation
 against a scalar loop over all reaction pairs that reads positivity of a
-flux from the support of the kernel and the state, every equilibrium
+flux from the support of the kernel and the state, the block passes over
+sample matrices (free energy, dissipation, the classifier's distance
+series) against the per-sample formulas bit for bit, every equilibrium
 quantity from the cut series against sums over the full range, the bulk
 CSV writers against per-cell formatting, and the in-place RK stepper and
 right-hand side against an allocate-everything Fehlberg step.
@@ -19,7 +21,14 @@ from hypothesis.extra.numpy import arrays
 
 from edgrow import equilibrium
 from edgrow.cli import _write_summary_csv, _write_trajectory_csv
-from edgrow.diagnostics import ConvergenceReport, write_convergence_series_csv
+from edgrow.diagnostics import (
+    ConvergenceReport,
+    _distance_series,
+    strong_norm_distance,
+    tail_mass,
+    weak_distance,
+    write_convergence_series_csv,
+)
 from edgrow.dynamics import (
     _RK_A,
     _RK_B5,
@@ -29,8 +38,10 @@ from edgrow.dynamics import (
     IntegratorError,
     TrajectoryRecord,
     _rhs_from_c,
+    _RhsWork,
     _Stepper,
     birth_death_rates,
+    rhs,
     step,
     strong_norm,
 )
@@ -51,7 +62,7 @@ from edgrow.kernels import (
     kernel_matrix,
     separable_kernel,
 )
-from edgrow.thermo import dissipation
+from edgrow.thermo import BLOCK_ROWS, ThermoSeries, dissipation, free_energy, thermo_series
 
 KERNELS = {
     "constant": constant_kernel(2.0),
@@ -116,6 +127,114 @@ def test_dissipation_matches_pair_loop(name, c):
     assert result.infinite_terms == infinite_terms
     assert result.finite_part == pytest.approx(finite_part, rel=1e-9, abs=1e-14)
     assert math.isinf(result.value) == (infinite_terms > 0)
+
+
+@st.composite
+def sample_matrices(draw, max_n: int) -> np.ndarray:
+    """``rows x (N+1)`` samples, up to three blocks and a part: rows positive
+    everywhere over thirty decades (some ending in subnormals), rows with
+    exact zeros, and rows with a single positive entry."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rows = draw(st.integers(min_value=1, max_value=3 * BLOCK_ROWS + 7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    states = rng.random((rows, n + 1)) * 10.0 ** rng.uniform(-30.0, 0.0, size=(rows, n + 1))
+    kind = rng.integers(0, 4, size=rows)
+    states[kind == 1, -1] = 5e-324
+    states[(kind == 2)[:, None] & (rng.random((rows, n + 1)) < 0.3)] = 0.0
+    states[kind == 3, 1:] = 0.0
+    return states
+
+
+def reference_free_energy(c, log_q) -> float:
+    """Free energy of one sample: ``sum c_k (log c_k - log_q_k)`` over ``c_k > 0``."""
+    log_q = log_q[: len(c)]
+    mask = c > 0.0
+    return float(np.sum(c[mask] * (np.log(c[mask]) - log_q[mask])))
+
+
+def reference_pair_sum(kernel, c) -> tuple:
+    """``(infinite_terms, finite_part)`` of one sample: the centred covariance
+    form over the common support for one-term kernels, the pair table else."""
+    if len(kernel.terms) > 1:
+        table = kernel_matrix(kernel, len(c) - 1)
+        positive = c > 0.0
+        pos_f = (table > 0.0) & positive[1:, None] & positive[None, :-1]
+        infinite_terms = int(np.count_nonzero(pos_f ^ pos_f.T))
+        both = pos_f & pos_f.T
+        if not np.any(both):
+            return infinite_terms, 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_table = np.log(table)
+            log_ratio_state = np.diff(np.log(c))
+            delta = log_table - log_table.T + log_ratio_state[:, None] - log_ratio_state[None, :]
+            forward = table * np.outer(c[1:], c[:-1])
+            contrib = (forward - forward.T) * delta
+        return infinite_terms, 0.5 * float(np.sum(contrib[both]))
+    ((b_vals, a_vals),) = _factor_vectors(kernel, len(c) - 1)
+    donor, acceptor = c[1:], c[:-1]
+    pos_x = (b_vals > 0.0) & (donor > 0.0)
+    pos_y = (a_vals > 0.0) & (acceptor > 0.0)
+    common = pos_x & pos_y
+    n_common = int(np.count_nonzero(common))
+    infinite_terms = 2 * (int(np.count_nonzero(pos_x)) * int(np.count_nonzero(pos_y)) - n_common**2)
+    if not n_common:
+        return infinite_terms, 0.0
+    b_s, a_s, donor_s, acceptor_s = (v[common] for v in (b_vals, a_vals, donor, acceptor))
+    x, y = b_s * donor_s, a_s * acceptor_s
+    u = np.log(b_s) + np.log(donor_s) - np.log(a_s) - np.log(acceptor_s)
+    y_total = float(np.sum(y))
+    r_bar = float(np.sum(x)) / y_total
+    u_bar = float(np.dot(y, u)) / y_total
+    return infinite_terms, y_total * float(np.dot(x - r_bar * y, u - u_bar))
+
+
+SERIES_CP = chemical_potential(condensing_kernel(3.0), 64)
+
+
+@given(
+    name=st.sampled_from(sorted(KERNELS)),
+    states=sample_matrices(40),
+    band=st.integers(min_value=0, max_value=50),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_series_passes_match_per_sample_formulas(name, states, band, data):
+    kernel = KERNELS[name]
+    rows, size = states.shape
+    full = np.all(states > 0.0, axis=1)
+    if np.any(full) and not np.all(full):
+        event("positive rows and rows with zeros")
+    if rows % BLOCK_ROWS:
+        event("row count not a multiple of the block size")
+
+    series = thermo_series(states, kernel, SERIES_CP)
+    pairs = [reference_pair_sum(kernel, c) for c in states]
+    assert np.array_equal(
+        series.free_energy, [reference_free_energy(c, SERIES_CP.log_q) for c in states]
+    )
+    assert np.array_equal(series.infinite_terms, [terms for terms, _ in pairs])
+    assert np.array_equal(series.finite_part, [part for _, part in pairs])
+    assert np.array_equal(
+        series.dissipation, [math.inf if terms else part for terms, part in pairs]
+    )
+    last = ConcentrationProfile(states[-1])
+    assert free_energy(last, SERIES_CP) == series.free_energy[-1]
+    assert dissipation(kernel, last).finite_part == series.finite_part[-1]
+
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    omega = rng.random(size) * 10.0 ** rng.uniform(-30.0, 0.0, size=size)
+    tail_start = data.draw(st.integers(min_value=0, max_value=size - 1))
+    expected = [
+        (
+            weak_distance(c, omega),
+            strong_norm_distance(c, omega),
+            float(np.sum(np.abs(c[: band + 1] - omega[: band + 1]))),
+            tail_mass(c, tail_start),
+        )
+        for c in states
+    ]
+    for got, want in zip(_distance_series(states, omega, band, tail_start), zip(*expected)):
+        assert np.array_equal(got, want)
 
 
 def log_sum(values) -> float:
@@ -392,26 +511,22 @@ def cell(x) -> str:
 
 
 @st.composite
-def trajectories(draw) -> TrajectoryRecord:
-    """Records with N in 1..64, edge-case cells everywhere, and optionally
-    thermo columns whose ``D = inf`` rows carry a positive count."""
+def trajectories(draw) -> tuple:
+    """Records with N in 1..64 and edge-case cells everywhere, each with an
+    optional thermo series whose ``D = inf`` rows carry a positive count."""
     n = draw(st.integers(min_value=1, max_value=64))
     samples = draw(st.integers(min_value=1, max_value=6))
 
     def series():
         return draw(arrays(np.float64, samples, elements=CELLS))
 
-    extras = {}
+    thermo = None
     if draw(st.booleans()):
         d = series()
         d[draw(arrays(np.bool_, samples))] = math.inf
         counts = draw(arrays(np.int64, samples, elements=st.integers(1, 2 * n * n)))
-        extras = {
-            "F": series(),
-            "D": d,
-            "D_infinite_terms": np.where(np.isinf(d), counts, 0).astype(float),
-        }
-    return TrajectoryRecord(
+        thermo = ThermoSeries(series(), d, np.where(np.isinf(d), counts, 0), series())
+    traj = TrajectoryRecord(
         times=series(),
         states=draw(arrays(np.float64, (samples, n + 1), elements=CELLS)),
         n_trunc=n,
@@ -420,16 +535,17 @@ def trajectories(draw) -> TrajectoryRecord:
         clamp_mass0=series(),
         clamp_mass1=series(),
         boundary_mass=series(),
-        extras=extras,
     )
+    return traj, thermo
 
 
-@given(traj=trajectories())
+@given(drawn=trajectories())
 @settings(max_examples=150, deadline=None)
-def test_trajectory_and_summary_writers_match_per_cell_format(traj, tmp_path_factory):
+def test_trajectory_and_summary_writers_match_per_cell_format(drawn, tmp_path_factory):
+    traj, series = drawn
     out = tmp_path_factory.mktemp("writers")
     _write_trajectory_csv(traj, out / "trajectory.csv")
-    _write_summary_csv(traj, out / "summary.csv")
+    _write_summary_csv(traj, out / "summary.csv", series)
 
     expected = ["t,k,c_k\n"]
     for i, t in enumerate(traj.times):
@@ -439,11 +555,11 @@ def test_trajectory_and_summary_writers_match_per_cell_format(traj, tmp_path_fac
 
     expected = ["t,M0,rho,boundary_mass,F,D,D_infinite_terms\n"]
     for i, t in enumerate(traj.times):
-        if traj.extras:
+        if series is not None:
             thermo = [
-                cell(traj.extras["F"][i]),
-                cell(traj.extras["D"][i]),
-                f"{int(traj.extras['D_infinite_terms'][i])}",
+                cell(series.free_energy[i]),
+                cell(series.dissipation[i]),
+                f"{int(series.infinite_terms[i])}",
             ]
         else:
             thermo = ["", "", ""]
@@ -633,7 +749,7 @@ def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ra
     # A running stepper carries err / tol(c_new), that tolerance and the
     # positivity ceiling on to its next step; chain more steps against the
     # reference.
-    stepper = _Stepper(kernel, c, cfg, err_prev_ratio=err_prev_ratio)
+    stepper = _Stepper(kernel, c, cfg, {"err_prev_ratio": err_prev_ratio})
     step(kernel, stepper, dt, cfg)
     assert stepper.dt_ceiling == ceiling
     for _ in range(3):
@@ -652,13 +768,21 @@ def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ra
         assert stepper.dt_ceiling == ceiling
 
 
-@given(name=st.sampled_from(sorted(KERNELS)), c=near_boundary_states())
+@given(name=st.sampled_from(sorted(KERNELS)), c=near_boundary_states(), data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_rhs_into_buffers_matches_allocating_call(name, c):
+def test_rhs_into_buffers_matches_allocating_call(name, c, data):
+    # One work object serves every call, on inputs and outputs that
+    # alternate between two buffers each, as the stepper's stages do.
     kernel = KERNELS[name]
-    out = np.full(len(c), np.nan)
-    work = np.full((3, len(c) - 1), np.nan)
-    written = _rhs_from_c(kernel, c, out=out, work=work)
-    assert written is out
-    assert out.tobytes() == _rhs_from_c(kernel, c).tobytes()
-    assert out.tobytes() == reference_rhs(kernel, c).tobytes()
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    work = _RhsWork(kernel, len(c) - 1)
+    inputs = [np.empty_like(c), np.empty_like(c)]
+    outputs = [np.full(len(c), np.nan), np.full(len(c), np.nan)]
+    for i in range(4):
+        state = c if i % 2 == 0 else rng.permutation(c)
+        x, out = inputs[i % 2], outputs[i % 2]
+        x[:] = state
+        written = _rhs_from_c(kernel, x, out=out, work=work)
+        assert written is out
+        assert out.tobytes() == rhs(kernel, ConcentrationProfile(state.copy())).tobytes()
+        assert out.tobytes() == reference_rhs(kernel, state).tobytes()

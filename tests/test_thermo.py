@@ -21,8 +21,8 @@ from edgrow.thermo import (
     dissipation,
     free_energy,
     gradient_flow_residual,
-    make_thermo_observer,
     relative_entropy,
+    thermo_series,
 )
 
 
@@ -225,9 +225,8 @@ def test_free_energy_dissipation_relation(const, cp_const):
         const,
         ConcentrationProfile(bumped),
         IntegratorConfig(t_end=4.0, record_every=0.02),
-        observers=[make_thermo_observer(const, cp_const)],
     )
-    F = traj.extras["F"]
+    F = thermo_series(traj.states, cp=cp_const).free_energy
     assert np.max(np.diff(F)) <= 1e-10  # nonincreasing
     checked = 0
     for i in range(traj.sample_count - 1):
