@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from functools import lru_cache
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -391,81 +390,55 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     return EXIT_OK
 
 
-@lru_cache(maxsize=4)
-def _sweep_chemical_potential(kernel_json: str, k_max: int) -> equilibrium.ChemicalPotential:
-    """Chemical potential shared by all sweep jobs of one process.
+def _sweep_row(args: tuple) -> tuple:
+    """Integrate one density of a sweep; runs in a worker process, so takes
+    plain data.
 
-    Every job of a sweep uses the same kernel and range; returning the same
-    object also lets what ``equilibrium`` keeps on it (the ``rho_c`` ladder
-    and the phi_c sums) serve every row after the first.  :func:`cmd_sweep`
-    clears the cache when it returns.
-    """
-    kernel = _build_kernel({"kernel": json.loads(kernel_json)})
-    return equilibrium.chemical_potential(kernel, k_max)
-
-
-def _sweep_row(args: tuple) -> dict:
-    """One density of a sweep; runs in a worker process, so takes plain data.
-
-    Besides the CSV columns the row carries its ``runtime_s``, the
-    ``integrator`` block and the ``rho_c_method`` and
-    ``rho_c_ladder_length`` of the process's chemical potential.
+    Returns ``(trajectory, seconds)``, or ``("error: ...", seconds)`` when
+    the row's numerics or configuration fail; anything else is a programming
+    error and propagates.  The row holds no chemical potential:
+    :func:`cmd_sweep` classifies the trajectory.
     """
     config_json, rho = args
     started = time.perf_counter()
-    config = json.loads(config_json)
-    resolved = _resolve(config)
+    resolved = _resolve(json.loads(config_json))
+    ic = dict(resolved.get("initial_condition", {}), type="monodisperse", rho=rho)
+    row_config = {"initial_condition": ic if rho else {"type": "vacuum"}}
     try:
-        kernel = _build_kernel(resolved)
-        cfg = _build_integrator(resolved)
-        analysis = resolved["analysis"]
-        cp = _sweep_chemical_potential(
-            json.dumps(resolved["kernel"], sort_keys=True), analysis["equilibrium_k_max"]
-        )
-        ic = dict(resolved.get("initial_condition", {}))
-        ic["type"] = "monodisperse"
-        ic["rho"] = rho
-        ic.setdefault("m", max(1, math.ceil(rho)))
-        if rho == 0.0:
-            ic = {"type": "vacuum"}
-        row_config = dict(resolved)
-        row_config["initial_condition"] = ic
-        state0 = _build_state(row_config, resolved["n_trunc"], cp)
-        traj = dynamics.integrate(kernel, state0, cfg)
-        report = diagnostics.classify_longtime(traj, cp, _analysis_config(analysis))
-        info = equilibrium.critical_density_info(cp)
-        return {
-            "rho": rho,
-            "regime": report.regime,
-            "weak_d_final": report.weak_distance_series[-1],
-            "strong_d_final": report.strong_distance_series[-1],
-            "excess_mass": report.excess_mass_series[-1],
-            "f_gap": report.free_energy_limit_gap,
-            "boundary_mass": report.boundary_mass_series[-1],
-            "status": "ok",
-            "runtime_s": time.perf_counter() - started,
-            "integrator": traj.stats.as_dict(),
-            "rho_c_method": info.method,
-            "rho_c_ladder_length": len(info.ladder),
-        }
+        state0 = _build_state(row_config, resolved["n_trunc"])
+        result = dynamics.integrate(_build_kernel(resolved), state0, _build_integrator(resolved))
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        # Numerical and configuration failures of one row must not kill the
-        # sweep; anything else is a programming error and propagates.
-        return {
-            "rho": rho,
-            "status": f"error: {exc}",
-            "runtime_s": time.perf_counter() - started,
-        }
+        result = f"error: {exc}"
+    return result, time.perf_counter() - started
+
+
+def _classify_row(traj: dynamics.TrajectoryRecord, cp, analysis: Mapping[str, Any]) -> dict:
+    """The classification cells of one integrated sweep row."""
+    try:
+        report = diagnostics.classify_longtime(traj, cp, _analysis_config(analysis))
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return {"status": f"error: {exc}"}
+    return {
+        "regime": report.regime,
+        "weak_d_final": report.weak_distance_series[-1],
+        "strong_d_final": report.strong_distance_series[-1],
+        "excess_mass": report.excess_mass_series[-1],
+        "f_gap": report.free_energy_limit_gap,
+        "boundary_mass": report.boundary_mass_series[-1],
+        "status": "ok",
+    }
 
 
 def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int:
     """Run one simulation per density and aggregate the phase-diagram rows.
 
-    Each process builds the chemical potential once and shares it across
-    its rows, so it walks the ``rho_c`` ladder at most once, inside its
-    first row.  There are at most as many workers as densities.  The
-    sweep's chemical potential is dropped on return, also when it runs in
-    this process.
+    The rows go to the pool (at most one worker per density) before this
+    process builds anything, so workers fork from a small process and hold
+    no chemical potential.  While they integrate, this process builds the
+    sweep's one chemical potential, walks the ``rho_c`` ladder once, and
+    then classifies the trajectories in input order; with one worker the
+    rows run here first.  A chemical-potential error names every row, then
+    come integration errors, then classification errors.
     """
     resolved = _resolve(config)
     densities = resolved.get("densities")
@@ -479,24 +452,47 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     if not isinstance(ic, Mapping) or ic.get("type", "monodisperse") != "monodisperse":
         # Each row sets its own density, which only a monodisperse state carries.
         raise ConfigError("sweep initial_condition must be monodisperse")
-    _build_kernel(resolved)  # validate before spawning workers
+    kernel = _build_kernel(resolved)  # validate before starting workers
     if densities:
         _build_integrator(resolved)
+    analysis = resolved["analysis"]
     degree = max(1, min(parallel or 1, len(densities)))
+    phase_seconds = {"equilibrium": 0.0, "rows": 0.0, "classify": 0.0}
 
-    config_json = json.dumps(resolved, sort_keys=True)
+    jobs = [(json.dumps(resolved, sort_keys=True), float(rho)) for rho in densities]
+    cp = cp_error = rho_c_block = None
     with contextlib.ExitStack() as stack:
-        stack.callback(_sweep_chemical_potential.cache_clear)
-        run = map
+        submitted = time.perf_counter()
         if degree > 1:
-            run = stack.enter_context(
-                concurrent.futures.ProcessPoolExecutor(max_workers=degree)
-            ).map
-        rows = list(run(_sweep_row, [(config_json, float(rho)) for rho in densities]))
-    rho_c_block = None
-    if densities:
-        first = next((row for row in rows if "rho_c_method" in row), {})
-        rho_c_block = {key: first.get(f"rho_c_{key}") for key in ("method", "ladder_length")}
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=degree))
+            results = pool.map(_sweep_row, jobs)
+        else:
+            results = list(map(_sweep_row, jobs))
+            phase_seconds["rows"] = time.perf_counter() - submitted
+        if densities:
+            rho_c_block = {"method": None, "ladder_length": None}
+            with _phase(phase_seconds, "equilibrium"):
+                try:
+                    cp = equilibrium.chemical_potential(kernel, analysis["equilibrium_k_max"])
+                except (ValueError, RuntimeError, ArithmeticError) as exc:
+                    cp_error = f"error: {exc}"
+                else:  # without rho_c, each row reports the failure as it classifies
+                    with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
+                        info = equilibrium.critical_density_info(cp)
+                        rho_c_block = {"method": info.method, "ladder_length": len(info.ladder)}
+        results = list(results)
+        if degree > 1:
+            phase_seconds["rows"] = time.perf_counter() - submitted
+
+    rows = []
+    with _phase(phase_seconds, "classify"):
+        for (_, rho), (traj, seconds) in zip(jobs, results):
+            started = time.perf_counter()
+            if cp_error or isinstance(traj, str):
+                row = {"status": cp_error or traj, "integrator": None}
+            else:
+                row = dict(_classify_row(traj, cp, analysis), integrator=traj.stats.as_dict())
+            rows.append(dict(row, rho=rho, runtime_s=seconds + time.perf_counter() - started))
 
     out = _ensure_out(out_dir)
     columns = [
@@ -506,24 +502,19 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = []
-            for name in columns:
-                value = row.get(name, "")
-                if isinstance(value, float):
-                    cells.append(_fmt(value))
-                else:
-                    cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+            cells = (row.get(name, "") for name in columns)
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
     _write_json(
         os.path.join(out, "sweep_report.json"),
         {
             "config": resolved,
             "rows": len(rows),
             "row_telemetry": [
-                {key: row.get(key) for key in ("rho", "status", "runtime_s", "integrator")}
+                {key: row[key] for key in ("rho", "status", "runtime_s", "integrator")}
                 for row in rows
             ],
             "rho_c": rho_c_block,
+            "phase_seconds": phase_seconds,
         },
     )
     return EXIT_OK

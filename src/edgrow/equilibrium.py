@@ -563,8 +563,8 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     density ``rho_N(phi_c)`` less 1e-9, the walk stops at the first rung
     that accepts it: the density increases with ``phi``, so every later rung
     lies between that rung and ``rho_N(phi_c)`` and would accept the same
-    value.  The result is kept on ``cp``, so the walk runs once per chemical
-    potential.
+    value.  The result, or an inconclusive verdict, is kept on ``cp``, so
+    the walk runs once per chemical potential.
     """
     if "info" not in cp._memo:
         rungs: list = []
@@ -576,7 +576,12 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
                 rungs.append(_ladder_rung(cp, len(rungs) + 1))
                 if stops and _accepts_direct_tail(direct_tail, rungs[-1][0]):
                     break
-        cp._memo["info"] = _critical_density_decision(cp, rungs, direct_tail)
+        try:
+            cp._memo["info"] = _critical_density_decision(cp, rungs, direct_tail)
+        except InconclusiveDensityError as exc:
+            cp._memo["info"] = exc
+    if isinstance(cp._memo["info"], InconclusiveDensityError):
+        raise InconclusiveDensityError(*cp._memo["info"].args)
     return cp._memo["info"]
 
 

@@ -93,8 +93,13 @@ def thermo_series(
     if kernel is not None:
         finite_part, infinite_terms = np.empty(rows), np.zeros(rows, dtype=np.int64)
         (b_vals, a_vals), *rest = _factor_vectors(kernel, size - 1)
-        pair_sum = _dense_pair_sum if rest else _rank1_pair_sum
-        if not rest and np.all(b_vals > 0.0) and np.all(a_vals > 0.0):
+        pair_sum, pair_data = _rank1_pair_sum, (b_vals, a_vals)
+        if rest:  # K, K > 0 and log K - log K.T once for every row
+            table = kernel_matrix(kernel, size - 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_table = np.log(table)
+                pair_sum, pair_data = _dense_pair_sum, (table, table > 0.0, log_table - log_table.T)
+        elif np.all(b_vals > 0.0) and np.all(a_vals > 0.0):
             factors = b_vals, a_vals, np.log(b_vals), np.log(a_vals)
     for start in range(0, rows, BLOCK_ROWS):
         block = states[start : start + BLOCK_ROWS]
@@ -114,7 +119,7 @@ def thermo_series(
             finite_part[rows_full] = _centred_sums(x, y, u)
         if kernel is not None:
             for i in rows_zero if factors is not None else range(start, start + len(block)):
-                infinite_terms[i], finite_part[i] = pair_sum(kernel, states[i])
+                infinite_terms[i], finite_part[i] = pair_sum(*pair_data, states[i])
     if kernel is not None:
         d_values = np.where(infinite_terms > 0, math.inf, finite_part)
     return ThermoSeries(f_values, d_values, infinite_terms, finite_part)
@@ -165,14 +170,13 @@ def dissipation(kernel: Kernel, state: ConcentrationProfile) -> DissipationResul
     )
 
 
-def _rank1_pair_sum(kernel: Kernel, c: np.ndarray) -> tuple:
+def _rank1_pair_sum(b_vals: np.ndarray, a_vals: np.ndarray, c: np.ndarray) -> tuple:
     """For ``K = b(k) a(j)`` pair ``(k, l)`` has fluxes ``x_k y_l`` and ``x_l y_k``
     with ``x_k = b_k c_k``, ``y_k = a_{k-1} c_{k-1}``.  Over the common support
     ``S = {x > 0, y > 0}`` the sum is ``Y sum_S (x - rbar y)(u - ubar)`` with
     ``u = log x - log y``, ``Y = sum_S y``, ``rbar = sum_S x / Y`` and
     ``ubar = sum_S y u / Y``; centring keeps it accurate next to equilibrium.
     """
-    ((b_vals, a_vals),) = _factor_vectors(kernel, len(c) - 1)
     donor, acceptor = c[1:], c[:-1]
     pos_x = (b_vals > 0.0) & (donor > 0.0)
     pos_y = (a_vals > 0.0) & (acceptor > 0.0)
@@ -198,18 +202,17 @@ def _centred_sums(x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     return y_total * np.array([np.dot(x_row, u_row) for x_row, u_row in zip(x, u)])
 
 
-def _dense_pair_sum(kernel: Kernel, c: np.ndarray) -> tuple:
-    table = kernel_matrix(kernel, len(c) - 1)
+def _dense_pair_sum(table, table_positive, log_kernel_delta, c: np.ndarray) -> tuple:
+    """Pair sum of ``c`` from the tables :func:`thermo_series` builds once per call."""
     positive = c > 0.0
-    pos_f = (table > 0.0) & positive[1:, None] & positive[None, :-1]
+    pos_f = table_positive & positive[1:, None] & positive[None, :-1]
     infinite_terms = int(np.count_nonzero(pos_f ^ pos_f.T))
     both = pos_f & pos_f.T
     if not np.any(both):
         return infinite_terms, 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_table = np.log(table)
         log_ratio_state = np.diff(np.log(c))  # log c_k - log c_{k-1}, k = 1..N
-        delta = log_table - log_table.T + log_ratio_state[:, None] - log_ratio_state[None, :]
+        delta = log_kernel_delta + log_ratio_state[:, None] - log_ratio_state[None, :]
         forward = table * np.outer(c[1:], c[:-1])  # flux of (k -> l-1 uptake)
         contrib = (forward - forward.T) * delta
     return infinite_terms, 0.5 * float(np.sum(contrib[both]))

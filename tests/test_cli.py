@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 import weakref
 
 import numpy as np
@@ -553,32 +554,90 @@ def test_sweep_row_independence(tmp_path):
         assert line == kept[line.split(",")[0]]
 
 
-def test_sweep_builds_chemical_potential_once_per_process(tmp_path, monkeypatch):
-    builds = []
+def log_chemical_potential_builds(path):
+    """Make ``equilibrium.chemical_potential``, in the process that runs
+    this, append the process id to ``path`` at every call.  Module level,
+    so a spawned pool worker can run it as its initializer."""
     build = equilibrium.chemical_potential
 
-    def counting_build(*args, **kwargs):
-        builds.append(args)
+    def logged_build(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
         return build(*args, **kwargs)
 
-    rungs = []
-    rung = equilibrium._ladder_rung
+    equilibrium.chemical_potential = logged_build
 
-    def counting_rung(cp, j):
-        rungs.append(j)
-        return rung(cp, j)
 
-    monkeypatch.setattr(equilibrium, "chemical_potential", counting_build)
-    monkeypatch.setattr(equilibrium, "_ladder_rung", counting_rung)
-    cli._sweep_chemical_potential.cache_clear()
+def test_sweep_builds_one_chemical_potential_in_the_sweep_process(tmp_path, monkeypatch):
+    # Builds are logged from any process: a forked worker inherits the
+    # logging build, a spawned one installs it as the pool's initializer.
+    log = tmp_path / "builds.log"
+    monkeypatch.setattr(equilibrium, "chemical_potential", equilibrium.chemical_potential)
+    log_chemical_potential_builds(str(log))
+    spawn_pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=log_chemical_potential_builds,
+        initargs=(str(log),),
+    )
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 1.0, 2.0]))
-    out_serial, out_pool = tmp_path / "serial", tmp_path / "pool"
-    assert main(["sweep", "--config", cfg, "--out", str(out_serial), "--parallel", "1"]) == EXIT_OK
-    assert len(builds) == 1
-    report = json.loads((out_serial / "sweep_report.json").read_text())
-    assert rungs and len(rungs) == report["rho_c"]["ladder_length"]
-    assert main(["sweep", "--config", cfg, "--out", str(out_pool), "--parallel", "2"]) == EXIT_OK
-    assert (out_serial / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
+    outputs = []
+    for name, degree in (("serial", 1), ("fork", 2), ("spawn", 2)):
+        if name == "spawn":
+            monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spawn_pool)
+        log.write_text("")
+        out = tmp_path / name
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
+        assert log.read_text().split() == [str(os.getpid())], name
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_calls_the_row_function_once_per_density(tmp_path, monkeypatch):
+    # The benchmark's tracer wraps cli._sweep_row; cmd_sweep must call it
+    # through the module, once per density.
+    calls = []
+    row = cli._sweep_row
+
+    def counting_row(job):
+        calls.append(job[1])
+        return row(job)
+
+    monkeypatch.setattr(cli, "_sweep_row", counting_row)
+    config = dict(SWEEP_CONFIG, densities=[0.5, 2.0, 0.25])
+    cfg = write_config(tmp_path, "s.json", config)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", "1"]) == EXIT_OK
+    assert calls == config["densities"]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_sweep_reports_phase_times(tmp_path, monkeypatch, degree):
+    # A row's runtime_s is its integration plus its classification: a
+    # classification slowed by 50 ms shows in every row and in "classify".
+    classify = cli.diagnostics.classify_longtime
+
+    def slow_classify(*args, **kwargs):
+        time.sleep(0.05)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(cli.diagnostics, "classify_longtime", slow_classify)
+    config = dict(SWEEP_CONFIG, densities=[0.5, 2.0])
+    cfg = write_config(tmp_path, "s.json", config)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", str(degree)]) == EXIT_OK
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    phases = report["phase_seconds"]
+    assert set(phases) == {"equilibrium", "rows", "classify"}
+    assert phases["equilibrium"] > 0.0 and phases["rows"] > 0.0 and phases["classify"] >= 0.1
+    runtimes = [row["runtime_s"] for row in report["row_telemetry"]]
+    assert all(runtime >= 0.05 for runtime in runtimes)
+    if degree == 1:  # rows run here, one after another, before the equilibrium phase
+        assert sum(runtimes) <= phases["rows"] + phases["classify"]
+    else:  # the pool's rows overlap the equilibrium phase
+        assert phases["rows"] >= phases["equilibrium"]
+    cfg = write_config(tmp_path, "e.json", dict(SWEEP_CONFIG, densities=[]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", str(degree)]) == EXIT_OK
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    assert report["phase_seconds"]["equilibrium"] == 0.0 and report["rho_c"] is None
 
 
 def test_serial_sweep_keeps_no_chemical_potential(tmp_path, monkeypatch):
@@ -607,8 +666,8 @@ SWEEP_KERNELS = {
 
 @pytest.mark.parametrize("case", sorted(SWEEP_KERNELS))
 def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypatch, case):
-    # Every rung evaluation, from any process, is logged: a process walks the
-    # ladder at most once, in its first row, however many rows it runs.
+    # Every rung evaluation, from any process, is logged: the sweep walks the
+    # ladder once, in its own process, however many workers run the rows.
     log = tmp_path / "rungs.log"
     rung = equilibrium._ladder_rung
 
@@ -627,7 +686,6 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
     cfg = write_config(tmp_path, "s.json", config)
     outputs = {}
     for degree in (1, 2):
-        cli._sweep_chemical_potential.cache_clear()
         log.write_text("")
         out = tmp_path / f"p{degree}"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
@@ -635,7 +693,7 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
         rho_c = report["rho_c"]
         assert set(rho_c) == {"method", "ladder_length"}
         logged, length = len(log.read_text().split()), rho_c["ladder_length"] or 0
-        assert logged == length if degree == 1 else logged <= degree * length
+        assert logged == length
         rows = report["row_telemetry"]
         assert [row["rho"] for row in rows] == config["densities"]
         assert all(row["runtime_s"] > 0.0 for row in rows)
@@ -652,8 +710,8 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
 
 
 def test_sweep_pool_started_by_spawn_writes_the_serial_bytes(tmp_path, monkeypatch):
-    # A spawned worker inherits nothing from this process: it builds its
-    # own chemical potential and walks the ladder itself.
+    # A spawned worker inherits nothing from this process; it only
+    # integrates, and the rows classify here.
     spawn_pool = functools.partial(
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
     )
@@ -716,6 +774,28 @@ def test_sweep_row_numerical_error_becomes_error_row(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "1"]) == EXIT_OK
     rows = read_rows(out / "sweep.csv")
     assert rows[1][0] == "0.5" and rows[1][-1] == "error: step size underflow"
+
+
+def test_sweep_row_integration_error_precedes_classification_error(tmp_path, monkeypatch):
+    integrate = dynamics.integrate
+
+    def failing_at_two(kernel, state0, cfg):
+        if state0.first_moment == 2.0:
+            raise dynamics.IntegratorError("step size underflow")
+        return integrate(kernel, state0, cfg)
+
+    def unavailable(*args, **kwargs):
+        raise cli.diagnostics.RhoCUnavailableError("rho_c unavailable")
+
+    monkeypatch.setattr(dynamics, "integrate", failing_at_two)
+    monkeypatch.setattr(cli.diagnostics, "classify_longtime", unavailable)
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 2.0]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", "1"]) == EXIT_OK
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    rows = report["row_telemetry"]
+    assert [row["status"] for row in rows] == ["error: rho_c unavailable", "error: step size underflow"]
+    assert rows[0]["integrator"]["accepted"] > 0 and rows[1]["integrator"] is None
+    assert report["rho_c"]["method"] == "direct-tail"
 
 
 def test_sweep_empty_densities(tmp_path):

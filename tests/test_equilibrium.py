@@ -9,6 +9,7 @@ from edgrow import equilibrium
 from edgrow.equilibrium import (
     ChemicalPotential,
     DivergentSeriesError,
+    InconclusiveDensityError,
     SupercriticalDensityError,
     chemical_potential,
     critical_density,
@@ -255,3 +256,25 @@ def test_critical_density_survives_sums_at_phi_c_that_overflow():
     info = critical_density_info(chemical_potential(separable_kernel("k", "1"), 3000, phi_c=760.77))
     assert info.method == "ladder"
     assert info.value == pytest.approx(760.77, rel=1e-6)
+
+
+def test_inconclusive_critical_density_walks_the_ladder_once(monkeypatch):
+    # The verdict is kept on the chemical potential like a value: asking
+    # again raises it again without a second walk.
+    rungs = []
+    rung = equilibrium._ladder_rung
+
+    def counting_rung(cp, j):
+        rungs.append(j)
+        return rung(cp, j)
+
+    def inconclusive(*args):
+        raise InconclusiveDensityError("inconclusive: test")
+
+    monkeypatch.setattr(equilibrium, "_ladder_rung", counting_rung)
+    monkeypatch.setattr(equilibrium, "_critical_density_decision", inconclusive)
+    cp = chemical_potential(constant_kernel(), 2000)
+    for _ in range(3):
+        with pytest.raises(InconclusiveDensityError, match="inconclusive: test"):
+            critical_density_info(cp)
+    assert rungs == list(range(1, len(rungs) + 1)) and len(rungs) > 1

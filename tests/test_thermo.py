@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from edgrow import thermo
 from edgrow.dynamics import (
     ConcentrationProfile,
     IntegratorConfig,
@@ -14,7 +15,7 @@ from edgrow.dynamics import (
     vacuum_state,
 )
 from edgrow.equilibrium import chemical_potential, equilibrium_profile
-from edgrow.kernels import condensing_kernel, constant_kernel
+from edgrow.kernels import additive_kernel, condensing_kernel, constant_kernel
 from edgrow.thermo import (
     BoundaryStateError,
     assemble_onsager,
@@ -238,3 +239,25 @@ def test_free_energy_dissipation_relation(const, cp_const):
         assert abs(dfdt + d_mid.value) <= max(1e-6, 1e-3 * d_mid.value)
         checked += 1
     assert checked > 100
+
+
+def test_series_builds_one_dense_table_per_call(monkeypatch):
+    # A rank-2 kernel takes the dense pair sum for every row; the table, its
+    # support and log K - log K.T come from one kernel_matrix call.
+    kernel = additive_kernel(1.0, 2.0)
+    traj = integrate(kernel, monodisperse_state(1.0, 1, 24), IntegratorConfig(t_end=2.0, record_every=0.01))
+    assert traj.sample_count >= 100
+    expected = [dissipation(kernel, ConcentrationProfile(row)) for row in traj.states]
+    built = []
+    build = thermo.kernel_matrix
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(thermo, "kernel_matrix", counting)
+    series = thermo_series(traj.states, kernel=kernel)
+    assert len(built) == 1
+    assert np.array_equal(series.dissipation, [d.value for d in expected])
+    assert np.array_equal(series.finite_part, [d.finite_part for d in expected])
+    assert series.infinite_terms.tolist() == [d.infinite_terms for d in expected]
