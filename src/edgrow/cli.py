@@ -390,26 +390,34 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     return EXIT_OK
 
 
-def _sweep_row(args: tuple) -> tuple:
-    """Integrate one density of a sweep; runs in a worker process, so takes
-    plain data.
+def _sweep_row(args: tuple) -> list:
+    """Integrate a batch of a sweep's densities in lockstep; runs in a worker
+    process, so takes plain data.
 
-    Returns ``(trajectory, seconds)``, or ``("error: ...", seconds)`` when
-    the row's numerics or configuration fail; anything else is a programming
-    error and propagates.  The row holds no chemical potential:
-    :func:`cmd_sweep` classifies the trajectory.
+    Returns one ``(trajectory, seconds)`` per density, in order, or
+    ``("error: ...", seconds)`` for a row whose state cannot be built or
+    whose integration fails; anything else is a programming error and
+    propagates.  Each row's ``seconds`` is an equal share of the batch's
+    time.  The rows hold no chemical potential: :func:`cmd_sweep` classifies
+    the trajectories.
     """
-    config_json, rho = args
+    config_json, densities = args
     started = time.perf_counter()
     resolved = _resolve(json.loads(config_json))
-    ic = dict(resolved.get("initial_condition", {}), type="monodisperse", rho=rho)
-    row_config = {"initial_condition": ic if rho else {"type": "vacuum"}}
-    try:
-        state0 = _build_state(row_config, resolved["n_trunc"])
-        result = dynamics.integrate(_build_kernel(resolved), state0, _build_integrator(resolved))
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        result = f"error: {exc}"
-    return result, time.perf_counter() - started
+    results: list = [None] * len(densities)
+    states = {}
+    for i, rho in enumerate(densities):
+        ic = dict(resolved.get("initial_condition", {}), type="monodisperse", rho=rho)
+        row_config = {"initial_condition": ic if rho else {"type": "vacuum"}}
+        try:
+            states[i] = _build_state(row_config, resolved["n_trunc"])
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            results[i] = f"error: {exc}"
+    kernel, cfg = _build_kernel(resolved), _build_integrator(resolved)
+    for i, traj in zip(states, dynamics.integrate_batch(kernel, list(states.values()), cfg)):
+        results[i] = f"error: {traj}" if isinstance(traj, Exception) else traj
+    share = (time.perf_counter() - started) / max(1, len(densities))
+    return [(result, share) for result in results]
 
 
 def _classify_row(traj: dynamics.TrajectoryRecord, cp, analysis: Mapping[str, Any]) -> dict:
@@ -432,13 +440,16 @@ def _classify_row(traj: dynamics.TrajectoryRecord, cp, analysis: Mapping[str, An
 def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int:
     """Run one simulation per density and aggregate the phase-diagram rows.
 
-    The rows go to the pool (at most one worker per density) before this
+    The rows integrate as lockstep batches (see :func:`_sweep_row`) in input
+    order.  With ``parallel = N >= 2`` they go to ``N - 1`` worker processes
+    (at most one per density), one contiguous batch each, before this
     process builds anything, so workers fork from a small process and hold
-    no chemical potential.  While they integrate, this process builds the
-    sweep's one chemical potential, walks the ``rho_c`` ladder once, and
-    then classifies the trajectories in input order; with one worker the
-    rows run here first.  A chemical-potential error names every row, then
-    come integration errors, then classification errors.
+    no chemical potential.  While they integrate, this process, the N-th,
+    builds the sweep's one chemical potential, walks the ``rho_c`` ladder
+    once, and then classifies the trajectories in input order; with
+    ``N = 1`` the one batch runs here first.  A chemical-potential error
+    names every row, then come integration errors, then classification
+    errors.
     """
     resolved = _resolve(config)
     densities = resolved.get("densities")
@@ -455,16 +466,24 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     kernel = _build_kernel(resolved)  # validate before starting workers
     if densities:
         _build_integrator(resolved)
+    if parallel is not None and parallel < 1:
+        raise ConfigError(f"--parallel must be at least 1, got {parallel}")
     analysis = resolved["analysis"]
-    degree = max(1, min(parallel or 1, len(densities)))
+    workers = min((parallel or 1) - 1, len(densities))
     phase_seconds = {"equilibrium": 0.0, "rows": 0.0, "classify": 0.0}
 
-    jobs = [(json.dumps(resolved, sort_keys=True), float(rho)) for rho in densities]
+    rhos = [float(rho) for rho in densities]
+    config_json = json.dumps(resolved, sort_keys=True)
+    batches = max(1, workers) if rhos else 0
+    jobs = [
+        (config_json, tuple(rhos[i * len(rhos) // batches : (i + 1) * len(rhos) // batches]))
+        for i in range(batches)
+    ]
     cp = cp_error = rho_c_block = None
     with contextlib.ExitStack() as stack:
         submitted = time.perf_counter()
-        if degree > 1:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=degree))
+        if workers > 0:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_sweep_row, jobs)
         else:
             results = list(map(_sweep_row, jobs))
@@ -480,13 +499,13 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
                     with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
                         info = equilibrium.critical_density_info(cp)
                         rho_c_block = {"method": info.method, "ladder_length": len(info.ladder)}
-        results = list(results)
-        if degree > 1:
+        results = [row for batch in results for row in batch]
+        if workers > 0:
             phase_seconds["rows"] = time.perf_counter() - submitted
 
     rows = []
     with _phase(phase_seconds, "classify"):
-        for (_, rho), (traj, seconds) in zip(jobs, results):
+        for rho, (traj, seconds) in zip(rhos, results):
             started = time.perf_counter()
             if cp_error or isinstance(traj, str):
                 row = {"status": cp_error or traj, "integrator": None}

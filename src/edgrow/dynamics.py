@@ -15,9 +15,12 @@ in ``dt``, would reach ``-atol``, and the step size it was accepted at becomes
 a ceiling that later steps approach only gradually.  Tiny negative survivors
 are clamped to zero and the clamped mass is accounted in a drift ledger so
 conservation checks stay honest.  One stepper object runs every step: it owns
-the state, preallocated buffers (an :class:`_RhsWork` for the right-hand
-side), the controller and the :class:`IntegratorStats` counters.  Checkpoints
-carry the controller, so a resumed run repeats the uninterrupted one bit for bit.
+the states, preallocated buffers (an :class:`_RhsWork` for the right-hand
+side), and each state's controller and :class:`IntegratorStats` counters.
+It steps one state, or a batch of states of one kernel and truncation in
+lockstep (:func:`integrate_batch`), each row bit for bit as it steps alone.
+Checkpoints carry the controller, so a resumed run repeats the uninterrupted
+one bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "rhs",
     "step",
     "integrate",
+    "integrate_batch",
     "strong_norm",
     "moment_identity_residual",
     "positivity_bound_margin",
@@ -147,26 +151,45 @@ class RatesView:
 class _RhsWork:
     """Factor vectors, rate rows and the flux row ``-0.0, J_0..J_{N-1}, +0.0``
     that right-hand sides at truncation ``N`` reuse; ``left - right`` of that
-    row is ``-J_0, J_{k-1} - J_k, J_{N-1}``, bit for bit (signed zeros too)."""
+    row is ``-J_0, J_{k-1} - J_k, J_{N-1}``, bit for bit (signed zeros too).
 
-    def __init__(self, kernel: Kernel, n: int):
+    With ``rows`` it serves a batch of that many states: states, rates and
+    fluxes gain a leading row axis, and each row's dot products are one
+    ``np.vecdot`` call.  That runs BLAS ``ddot`` per row, the routine
+    ``np.dot`` runs for one state, so every row gets the bits it gets alone
+    (``@`` and 2-D ``np.dot`` run ``gemv``, whose sums round differently).
+    """
+
+    def __init__(self, kernel: Kernel, n: int, rows: Optional[int] = None):
         (self.b_vals, self.a_vals), *rest = _factor_vectors(kernel, n)
         self.rest = tuple(rest)
-        self.a_rates, self.b_rates, self.scratch = np.empty((3, n))
-        padded = np.array([-0.0] + [0.0] * (n + 1))
-        self.flux, self.left, self.right = padded[1:-1], padded[:-1], padded[1:]
+        batch = () if rows is None else (rows,)
+        self.a_rates, self.b_rates, self.scratch = np.empty((3, *batch, n))
+        padded = np.zeros((*batch, n + 2))
+        padded[..., 0] = -0.0
+        self.flux, self.left, self.right = padded[..., 1:-1], padded[..., :-1], padded[..., 1:]
+        self.dot = np.dot if rows is None else _row_dots
+        # Sizes 1..N and 0..N-1 of a state; a bare slice indexes one state fastest.
+        self.tail, self.head = slice(1, None), slice(None, -1)
+        if rows is not None:
+            self.tail, self.head = (slice(None), self.tail), (slice(None), self.head)
 
     def rates(self, c: np.ndarray) -> tuple:
         """Birth rates ``A_0..A_{N-1}`` and death rates ``B_1..B_N`` at ``c``."""
-        donor, acceptor = c[1:], c[:-1]
-        a_rates, b_rates, scratch = self.a_rates, self.b_rates, self.scratch
+        donor, acceptor = c[self.tail], c[self.head]
+        a_rates, b_rates, scratch, dot = self.a_rates, self.b_rates, self.scratch, self.dot
         # Starting from the first term keeps rank-1 kernels to one product each.
-        np.multiply(self.a_vals, np.dot(self.b_vals, donor), out=a_rates)
-        np.multiply(self.b_vals, np.dot(self.a_vals, acceptor), out=b_rates)
+        np.multiply(self.a_vals, dot(self.b_vals, donor), out=a_rates)
+        np.multiply(self.b_vals, dot(self.a_vals, acceptor), out=b_rates)
         for b_vals, a_vals in self.rest:
-            a_rates += np.multiply(a_vals, np.dot(b_vals, donor), out=scratch)
-            b_rates += np.multiply(b_vals, np.dot(a_vals, acceptor), out=scratch)
+            a_rates += np.multiply(a_vals, dot(b_vals, donor), out=scratch)
+            b_rates += np.multiply(b_vals, dot(a_vals, acceptor), out=scratch)
         return a_rates, b_rates
+
+
+def _row_dots(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``np.dot(vector, row)`` of every row, bit for bit, as a column."""
+    return np.vecdot(vector, rows)[:, None]
 
 
 def birth_death_rates(kernel: Kernel, state: ConcentrationProfile) -> RatesView:
@@ -188,14 +211,15 @@ def net_fluxes(rates: RatesView, state: ConcentrationProfile) -> np.ndarray:
 
 
 def _rhs_from_c(kernel: Kernel, c: np.ndarray, out=None, work=None) -> np.ndarray:
-    """``dc/dt`` at ``c`` into ``out`` with ``work``, an :class:`_RhsWork` of
-    this kernel and truncation; either is allocated when not given."""
-    work = work or _RhsWork(kernel, len(c) - 1)
+    """``dc/dt`` at ``c`` (one state, or one per row) into ``out`` with
+    ``work``, an :class:`_RhsWork` of this kernel, truncation and batch; either
+    is allocated when not given."""
+    work = work or _RhsWork(kernel, c.shape[-1] - 1, len(c) if c.ndim == 2 else None)
     if out is None:
         out = np.empty_like(c)
     a_rates, b_rates = work.rates(c)
-    flux = np.multiply(a_rates, c[:-1], out=work.flux)
-    flux -= np.multiply(b_rates, c[1:], out=b_rates)
+    flux = np.multiply(a_rates, c[work.head], out=work.flux)
+    flux -= np.multiply(b_rates, c[work.tail], out=b_rates)
     return np.subtract(work.left, work.right, out=out)
 
 
@@ -271,10 +295,6 @@ _RK_A = (
 _RK_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
 _RK_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
 _RK_ERR = _RK_B5 - _RK_B4
-# The same coefficients as columns, to scale a block of stage rows at once.
-_RK_A_COLUMNS = tuple(np.array(row)[:, None] for row in _RK_A[1:])
-_RK_B5_COLUMN = _RK_B5[:, None]
-_RK_ERR_COLUMN = _RK_ERR[:, None]
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 # Growth per accepted step of the positivity ceiling on ``dt``.
@@ -330,43 +350,19 @@ class IntegratorStats:
         }
 
 
-class _Stepper:
-    """Embedded RK4(5) steps of one state, in place.
+class _Row:
+    """The step-size controller and counters of one state of a :class:`_Stepper`.
 
-    Owns the state ``c``, a ``6 x (N+1)`` stage buffer with one products
-    buffer and scratch rows, an :class:`_RhsWork`, the strong-norm weights
-    ``1 + l``, the step-size controller (``dt_next``, ``err_prev_ratio``, the
-    positivity ceiling ``dt_ceiling``, the tolerance at the current state, the
-    clamp totals; read from a ``controller`` block, absent keys start afresh)
-    and the :class:`IntegratorStats`.  A step allocates no size-``N`` array
-    unless it clamps.
-
-    The positivity ceiling starts at ``inf``.  A step accepted after a
-    positivity retry sets it to its own ``dt`` and proposes no larger next
-    step; every other accepted step multiplies it by ``_CEILING_RELAX``.
-    ``dt_next`` is the PI proposal capped by the ceiling, so a run that never
-    fails the positivity test steps exactly as the PI controller alone would.
-
-    Every weighted stage sum is one multiply into the products buffer and
-    one reduction over its rows.  Row 0 of that buffer stays ``+0.0`` and
-    the reduction adds rows in order, so each sum is
-    ``0 + w_0 k_0 + w_1 k_1 + ...`` exactly as Python's ``sum`` forms it.
+    Read from a ``controller`` block (absent keys start afresh): ``dt_next``,
+    ``err_prev_ratio``, the positivity ceiling ``dt_ceiling`` and the clamp
+    totals.  ``tol`` is the tolerance at the row's current state; ``dt`` is
+    the length of the attempt in progress (``None`` between steps) and
+    ``retried`` says whether that step took a positivity retry.
+    ``dt_used``, ``error_estimate`` and ``clamped_mass0/1`` describe the last
+    accepted step; ``error`` holds the exception that ended the row, if any.
     """
 
-    def __init__(
-        self, kernel: Kernel, c: np.ndarray, cfg: IntegratorConfig, controller: Mapping = {}
-    ):
-        self.kernel = kernel
-        self.cfg = cfg
-        self.c = np.array(c, dtype=float)
-        size = len(self.c)
-        self.stages = np.empty((6, size))
-        self.products = np.zeros((7, size))
-        self.c_new = np.empty(size)
-        self.scratch = np.empty(size)
-        self.rhs_work = _RhsWork(kernel, size - 1)
-        self.weights = 1.0 + np.arange(size, dtype=float)
-        self.tol = self._tolerance(self.c)
+    def __init__(self, controller: Mapping):
         self.dt_next = float(controller.get("dt_next", 0.0))
         self.err_prev_ratio = controller.get("err_prev_ratio")
         dt_ceiling = controller.get("dt_ceiling")
@@ -374,95 +370,49 @@ class _Stepper:
         self.clamp_mass0 = float(controller.get("clamp_mass0", 0.0))
         self.clamp_mass1 = float(controller.get("clamp_mass1", 0.0))
         self.stats = IntegratorStats()
-        # the last accepted step
-        self.dt_used = 0.0
-        self.error_estimate = 0.0
-        self.clamped_mass0 = 0.0
-        self.clamped_mass1 = 0.0
+        self.tol = 0.0
+        self.dt: Optional[float] = None
+        self.retried = False
+        self.error: Optional[Exception] = None
+        self.dt_used = self.error_estimate = self.clamped_mass0 = self.clamped_mass1 = 0.0
 
-    def _tolerance(self, c: np.ndarray) -> float:
-        """``rtol * strong_norm(c) + atol``."""
-        norm = float(np.dot(self.weights, np.abs(c, out=self.scratch)))
-        return self.cfg.rtol * norm + self.cfg.atol
+    def judge(self, err: float, min_c: float, c: np.ndarray, k: int, atol: float) -> bool:
+        """Whether the attempt is accepted: its error is ``err`` and its least
+        new component ``min_c``, at index ``k``, was ``c[k]`` before the
+        attempt.  A rejection is counted and shrinks ``dt``."""
+        stats = self.stats
+        stats.rhs_evals += 5
+        if not math.isfinite(err):
+            stats.rejected_non_finite += 1
+            self.dt *= 0.5
+            return False
+        if err > self.tol:
+            stats.rejected_error += 1
+            self.dt *= max(_FAC_MIN, min(1.0, _SAFETY * (self.tol / err) ** 0.2))
+            return False
+        if min_c < -atol:
+            stats.rejected_positivity += 1
+            self.retried = True
+            # Linear in dt, the worst component reaches -atol at this
+            # fraction of the attempt.  Without headroom above -atol (or
+            # if the fraction underflows) there is nothing to size by: halve.
+            c_worst = float(c[k])
+            headroom = c_worst + atol
+            ratio = _SAFETY * headroom / (c_worst - min_c) if headroom > 0.0 else 0.0
+            self.dt *= max(_FAC_MIN, min(_SAFETY, ratio)) if ratio > 0.0 else 0.5
+            return False
+        return True
 
-    def _weighted_stages(self, column: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out = 0 + column[0] k_0 + column[1] k_1 + ...``, summed in that order."""
-        m = len(column)
-        np.multiply(self.stages[:m], column, out=self.products[1 : m + 1])
-        return np.add.reduce(self.products[: m + 1], axis=0, out=out)
-
-    def advance(self, dt_suggest: float) -> None:
-        """One accepted step of length at most ``min(dt_suggest, max_step)``.
-
-        Rejects and retries as :func:`step` documents, then clamps, updates
-        the clamp totals and the controller, and swaps the new state in.
-        """
-        if dt_suggest <= 0:
-            raise ValueError("dt_suggest must be positive")
-        cfg, c, stages, stats = self.cfg, self.c, self.stages, self.stats
-        tol = self.tol
-        t_scale = max(cfg.t_end, 1.0)
-        dt = min(dt_suggest, cfg.max_step)
-        # Rejected attempts retry from the same state, so they share stage 0.
-        # ``_rhs_from_c`` is looked up in the module on every call, so a
-        # wrapper installed there sees each evaluation.
-        _rhs_from_c(self.kernel, c, out=stages[0], work=self.rhs_work)
-        stats.rhs_evals += 1
-        retried = False
-        while True:
-            if dt < 1e-14 * t_scale:
-                raise IntegratorError(f"step underflow: dt={dt!r}")
-            for i, column in enumerate(_RK_A_COLUMNS, start=1):
-                stage_input = self._weighted_stages(column, self.scratch)
-                stage_input *= dt
-                np.add(c, stage_input, out=stage_input)
-                _rhs_from_c(self.kernel, stage_input, out=stages[i], work=self.rhs_work)
-            stats.rhs_evals += 5
-            err_vec = self._weighted_stages(_RK_ERR_COLUMN, self.scratch)
-            err_vec *= dt
-            err = float(np.abs(err_vec, out=err_vec).max())
-            if not math.isfinite(err):
-                stats.rejected_non_finite += 1
-                dt *= 0.5
-                continue
-            if err > tol:
-                stats.rejected_error += 1
-                dt *= max(_FAC_MIN, min(1.0, _SAFETY * (tol / err) ** 0.2))
-                continue
-            c_new = self._weighted_stages(_RK_B5_COLUMN, self.c_new)
-            c_new *= dt
-            np.add(c, c_new, out=c_new)
-            worst = int(c_new.argmin())
-            min_c = float(c_new[worst])
-            if min_c < -cfg.atol:
-                stats.rejected_positivity += 1
-                retried = True
-                # Linear in dt, the worst component reaches -atol at this
-                # fraction of the attempt.  Without headroom above -atol (or
-                # if the fraction underflows) there is nothing to size by: halve.
-                headroom = float(c[worst]) + cfg.atol
-                ratio = _SAFETY * headroom / (float(c[worst]) - min_c) if headroom > 0.0 else 0.0
-                dt *= max(_FAC_MIN, min(_SAFETY, ratio)) if ratio > 0.0 else 0.5
-                continue
-            break
-
-        # Accepted, so no component is below -atol: every negative one clamps.
-        clamped_mass0 = clamped_mass1 = 0.0
-        if min_c < 0.0:
-            clamp = c_new < 0.0
-            clamped_mass0 = float(-np.sum(c_new[clamp]))
-            clamped_mass1 = float(-np.dot(np.nonzero(clamp)[0].astype(float), c_new[clamp]))
-            c_new[clamp] = 0.0
-            stats.clamp_events += 1
-        self.c, self.c_new = c_new, c
-        self.clamp_mass0 += clamped_mass0
-        self.clamp_mass1 += clamped_mass1
-
+    def accept(self, err: float, tol_new: float, clamped: tuple, cfg: IntegratorConfig) -> None:
+        """Book the accepted attempt: clamp totals, controller and counters."""
+        dt = self.dt
+        self.clamped_mass0, self.clamped_mass1 = clamped
+        self.clamp_mass0 += self.clamped_mass0
+        self.clamp_mass1 += self.clamped_mass1
         # The error is weighed against the tolerance the step used, and
         # carried to the next step against the tolerance at the new state,
         # which is also that step's tolerance.
-        tol_new = self._tolerance(c_new)
-        err_ratio = err / tol
+        err_ratio = err / self.tol
         if err_ratio <= 0.0:
             factor = _FAC_MAX
         elif self.err_prev_ratio is None or self.err_prev_ratio <= 0.0:
@@ -472,7 +422,7 @@ class _Stepper:
             factor = _SAFETY * err_ratio ** (-0.14) * self.err_prev_ratio**0.08
         # A step that met the positivity limit sets the ceiling and may not
         # grow; any other step relaxes it (an infinite ceiling stays inf).
-        if retried:
+        if self.retried:
             self.dt_ceiling = dt
             factor = min(factor, 1.0)
         else:
@@ -483,10 +433,9 @@ class _Stepper:
         self.err_prev_ratio = err / tol_new
         self.tol = tol_new
 
-        self.dt_used = dt
+        self.dt_used, self.dt = dt, None
         self.error_estimate = err
-        self.clamped_mass0 = clamped_mass0
-        self.clamped_mass1 = clamped_mass1
+        stats = self.stats
         stats.accepted += 1
         stats.dt_min = min(stats.dt_min, dt)
         stats.dt_max = max(stats.dt_max, dt)
@@ -501,6 +450,165 @@ class _Stepper:
             "clamp_mass0": self.clamp_mass0,
             "clamp_mass1": self.clamp_mass1,
         }
+
+
+class _Stepper:
+    """Embedded RK4(5) steps, in place, of one state or of a batch of states
+    of one kernel, truncation and config in lockstep.
+
+    Owns the states ``c`` (``N+1`` values, or ``R x (N+1)`` for a batch), a
+    stage buffer of six such arrays with one products buffer and scratch
+    arrays, an :class:`_RhsWork`, the strong-norm weights ``1 + l`` and one
+    :class:`_Row` per state: its Python-float controller and its
+    :class:`IntegratorStats`.  Every elementwise numpy call covers all rows
+    and each row's dot products are the ones its state takes alone, so every
+    row steps bit for bit as it would alone.  A step allocates no size-``N``
+    array unless it clamps.
+
+    The positivity ceiling starts at ``inf``.  A step accepted after a
+    positivity retry sets it to its own ``dt`` and proposes no larger next
+    step; every other accepted step multiplies it by ``_CEILING_RELAX``.
+    ``dt_next`` is the PI proposal capped by the ceiling, so a run that never
+    fails the positivity test steps exactly as the PI controller alone would.
+
+    Every weighted stage sum is one multiply into the products buffer and
+    one reduction over its first axis.  Entry 0 of that buffer stays ``+0.0``
+    and the reduction adds entries in order, so each sum is
+    ``0 + w_0 k_0 + w_1 k_1 + ...`` exactly as Python's ``sum`` forms it.
+    """
+
+    def __init__(
+        self, kernel: Kernel, c: np.ndarray, cfg: IntegratorConfig, controllers: Sequence[Mapping]
+    ):
+        self.kernel = kernel
+        self.cfg = cfg
+        self.rows = [_Row(block) for block in controllers]
+        self.weights = 1.0 + np.arange(np.shape(c)[-1], dtype=float)
+        self._load(np.array(c, dtype=float))
+        for i, row in enumerate(self.rows):
+            row.tol = self._tolerance(_row(self.c, i), _row(self.scratch, i))
+
+    def _load(self, c: np.ndarray) -> None:
+        """Take ``c`` as the states and size every buffer to it."""
+        self.c = c
+        self.stages = np.empty((6, *c.shape))
+        self.products = np.zeros((7, *c.shape))
+        self.c_new = np.empty_like(c)
+        self.scratch = np.empty_like(c)
+        self.rhs_work = _RhsWork(self.kernel, c.shape[-1] - 1, len(c) if c.ndim == 2 else None)
+        # Tableau coefficients shaped to scale whole stages.
+        shape = (-1,) + (1,) * c.ndim
+        self.a_columns = tuple(np.reshape(row, shape) for row in _RK_A[1:])
+        self.err_column = _RK_ERR.reshape(shape)
+        self.b5_column = _RK_B5.reshape(shape)
+        self.stage0_ready = False
+
+    def keep(self, index: Sequence[int]) -> None:
+        """Continue with the rows at ``index`` only; a last row runs on 1-D arrays."""
+        self.rows = [self.rows[i] for i in index]
+        if len(index) > 1:
+            self._load(self.c[index])
+        elif index:
+            self._load(_row(self.c, index[0]).copy())
+
+    def _tolerance(self, c: np.ndarray, scratch: np.ndarray) -> float:
+        """``rtol * strong_norm(c) + atol`` of one state, with a scratch row."""
+        norm = float(np.dot(self.weights, np.abs(c, out=scratch)))
+        return self.cfg.rtol * norm + self.cfg.atol
+
+    def _weighted_stages(self, column: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = 0 + column[0] k_0 + column[1] k_1 + ...``, summed in that order."""
+        m = len(column)
+        np.multiply(self.stages[:m], column, out=self.products[1 : m + 1])
+        return np.add.reduce(self.products[: m + 1], axis=0, out=out)
+
+    def advance(self, dt_suggest: Sequence[float]) -> None:
+        """Lockstep attempts until at least one row accepts a step or fails.
+
+        A row between steps starts one of length at most
+        ``min(dt_suggest[i], max_step)``; a row retrying a rejected attempt
+        ignores its entry.  Each row rejects and retries as :func:`step`
+        documents.  An accepted row clamps, updates its clamp totals and its
+        controller, and takes its new state.  A row whose step underflows,
+        or whose bookkeeping raises ValueError, RuntimeError or
+        ArithmeticError, keeps that exception in ``error`` and is not
+        stepped again.
+        """
+        cfg, rows = self.cfg, self.rows
+        for row, suggest in zip(rows, dt_suggest):
+            if row.dt is None:
+                if suggest <= 0:
+                    raise ValueError("dt_suggest must be positive")
+                row.dt, row.retried = min(suggest, cfg.max_step), False
+                # Rejected attempts retry from the same state, so they share stage 0.
+                row.stats.rhs_evals += 1
+                self.stage0_ready = False
+        t_scale = max(cfg.t_end, 1.0)
+        c, stages = self.c, self.stages
+        while True:
+            if not self.stage0_ready:
+                # ``_rhs_from_c`` is looked up in the module on every call, so
+                # a wrapper installed there sees each evaluation.  Rows that
+                # are retrying get their stage 0 again, with the same bits.
+                _rhs_from_c(self.kernel, c, out=stages[0], work=self.rhs_work)
+                self.stage0_ready = True
+            for row in rows:
+                if row.error is None and row.dt < 1e-14 * t_scale:
+                    row.error = IntegratorError(f"step underflow: dt={row.dt!r}")
+            dt = rows[0].dt if c.ndim == 1 else np.array([row.dt for row in rows])[:, None]
+            for i, column in enumerate(self.a_columns, start=1):
+                stage_input = self._weighted_stages(column, self.scratch)
+                stage_input *= dt
+                np.add(c, stage_input, out=stage_input)
+                _rhs_from_c(self.kernel, stage_input, out=stages[i], work=self.rhs_work)
+            err_vec = self._weighted_stages(self.err_column, self.scratch)
+            err_vec *= dt
+            errs = np.abs(err_vec, out=err_vec).max(axis=-1)
+            c_new = self._weighted_stages(self.b5_column, self.c_new)
+            c_new *= dt
+            np.add(c, c_new, out=c_new)
+            worst = c_new.argmin(axis=-1)
+            if c.ndim == 1:  # a stepper of one state is its own only row
+                errs, worst, views = (errs.item(),), (worst.item(),), ((c, c_new, self.scratch),)
+            else:
+                errs, worst, views = errs.tolist(), worst.tolist(), zip(c, c_new, self.scratch)
+
+            accepted = ended = False
+            for row, err, k, (c_row, new_row, scratch_row) in zip(rows, errs, worst, views):
+                if row.error is not None:
+                    ended = True
+                    continue
+                min_c = float(new_row[k])
+                try:
+                    if not row.judge(err, min_c, c_row, k, cfg.atol):
+                        continue
+                    # Accepted, so no component is below -atol: every negative one clamps.
+                    clamped = (0.0, 0.0)
+                    if min_c < 0.0:
+                        clamp = new_row < 0.0
+                        clamped = (
+                            float(-np.sum(new_row[clamp])),
+                            float(-np.dot(np.nonzero(clamp)[0].astype(float), new_row[clamp])),
+                        )
+                        new_row[clamp] = 0.0
+                        row.stats.clamp_events += 1
+                    row.accept(err, self._tolerance(new_row, scratch_row), clamped, cfg)
+                except (ValueError, RuntimeError, ArithmeticError) as exc:
+                    row.error, ended = exc, True
+                    continue
+                accepted = True
+                if c.ndim == 2:
+                    c_row[:] = new_row
+            if accepted and c.ndim == 1:
+                self.c, self.c_new = c_new, c
+            if accepted or ended:
+                return
+
+
+def _row(values: np.ndarray, i: int) -> np.ndarray:
+    """Row ``i`` of a stepper's state-shaped array, as a view (the array
+    itself for a stepper of one state)."""
+    return values if values.ndim == 1 else values[i]
 
 
 def step(
@@ -522,22 +630,26 @@ def step(
     ``[-atol, 0)`` are clamped to 0 with the clamped mass reported for the
     drift ledger.
 
-    :func:`integrate` passes its running stepper as ``state``: it advances
-    in place and ``None`` is returned, so every accepted step is one call
-    here without a profile being built for it.
+    :func:`integrate` passes its running stepper as ``state`` and one
+    suggestion per row as ``dt_suggest``: the stepper advances in place
+    until a row has accepted a step or failed, and ``None`` is returned, so
+    a stepper of one state makes one call here per accepted step.
     """
     if isinstance(state, _Stepper):
         state.advance(dt_suggest)
         return None
-    stepper = _Stepper(kernel, state.c, cfg, {"err_prev_ratio": err_prev_ratio})
-    stepper.advance(dt_suggest)
+    stepper = _Stepper(kernel, state.c, cfg, [{"err_prev_ratio": err_prev_ratio}])
+    stepper.advance([dt_suggest])
+    (row,) = stepper.rows
+    if row.error is not None:
+        raise row.error
     return StepResult(
         state=ConcentrationProfile(stepper.c),
-        dt_used=stepper.dt_used,
-        dt_next=stepper.dt_next,
-        error_estimate=stepper.error_estimate,
-        clamped_mass0=stepper.clamped_mass0,
-        clamped_mass1=stepper.clamped_mass1,
+        dt_used=row.dt_used,
+        dt_next=row.dt_next,
+        error_estimate=row.error_estimate,
+        clamped_mass0=row.clamped_mass0,
+        clamped_mass1=row.clamped_mass1,
     )
 
 
@@ -600,79 +712,165 @@ def integrate(
     continues exactly as the run that wrote it would have.  Without one the
     controller starts afresh.
     """
-    state0.validate()
-    n = state0.n_trunc
-    boundary_lo = int(math.ceil(0.9 * n))
-    weights_boundary = np.arange(n + 1, dtype=float)
-    rho0 = state0.first_moment
+    (result,) = _integrate_rows(
+        kernel, [state0], cfg, t0, checkpoint_hook, checkpoint_every, controller
+    )
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    times = [t0]
-    states = [state0.c.copy()]
-    clamp0_list = [float((controller or {}).get("clamp_mass0", 0.0))]
-    clamp1_list = [float((controller or {}).get("clamp_mass1", 0.0))]
-    boundary_list = [float(np.dot(weights_boundary[boundary_lo:], state0.c[boundary_lo:]))]
-    contaminated_from: Optional[float] = None
-    stats = IntegratorStats()
 
-    if cfg.t_end > t0:
+def integrate_batch(
+    kernel: Kernel, states0: Sequence[ConcentrationProfile], cfg: IntegratorConfig
+) -> list:
+    """Integrate states of one truncation from ``t = 0`` in lockstep.
+
+    Entry ``i`` is what :func:`integrate` returns for ``states0[i]`` alone,
+    bit for bit (samples, moments, clamp ledger and stats), or the
+    ValueError, RuntimeError or ArithmeticError it would raise; a row that
+    fails leaves the batch and the others go on.
+    """
+    return _integrate_rows(kernel, list(states0), cfg)
+
+
+class _Run:
+    """One state's recording in :func:`_integrate_rows`: its clock, its
+    recording grid, its stepper row and the samples so far."""
+
+    def __init__(self, index: int, state0: ConcentrationProfile, t0: float, controller):
+        n = state0.n_trunc
+        self.index = index
+        self.rho0 = state0.first_moment
+        self.t = t0
+        self.next_grid = self.next_checkpoint = math.inf
+        self.row: Optional[_Row] = None
+        self.boundary_lo = int(math.ceil(0.9 * n))
+        self.weights_boundary = np.arange(n + 1, dtype=float)[self.boundary_lo :]
+        self.times = [t0]
+        self.states = [state0.c.copy()]
+        self.clamp0 = [float((controller or {}).get("clamp_mass0", 0.0))]
+        self.clamp1 = [float((controller or {}).get("clamp_mass1", 0.0))]
+        self.boundary = [self._boundary_mass(state0.c)]
+        self.contaminated_from: Optional[float] = None
+
+    def _boundary_mass(self, c: np.ndarray) -> float:
+        return float(np.dot(self.weights_boundary, c[self.boundary_lo :]))
+
+    def record(self, c: np.ndarray) -> None:
+        """Append the sample ``c`` at the run's time, with the row's clamp totals."""
+        self.times.append(self.t)
+        self.states.append(c)
+        self.clamp0.append(self.row.clamp_mass0)
+        self.clamp1.append(self.row.clamp_mass1)
+        b_mass = self._boundary_mass(c)
+        self.boundary.append(b_mass)
+        if self.contaminated_from is None and self.rho0 > 0 and b_mass > 0.01 * self.rho0:
+            self.contaminated_from = self.t
+            warnings.warn(
+                f"boundary mass {b_mass:.3g} exceeds 1% of the density at t={self.t:.6g}; "
+                "large-cluster dynamics are truncation-limited from here on",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+
+    def trajectory(self) -> TrajectoryRecord:
+        samples = np.asarray(self.states)
+        return TrajectoryRecord(
+            times=np.asarray(self.times),
+            states=samples,
+            n_trunc=samples.shape[1] - 1,
+            zeroth_moments=np.sum(samples, axis=1),
+            first_moments=samples @ np.arange(samples.shape[1], dtype=float),
+            clamp_mass0=np.asarray(self.clamp0),
+            clamp_mass1=np.asarray(self.clamp1),
+            boundary_mass=np.asarray(self.boundary),
+            boundary_contaminated_from=self.contaminated_from,
+            stats=IntegratorStats() if self.row is None else self.row.stats,
+        )
+
+
+def _integrate_rows(
+    kernel: Kernel,
+    states0: list,
+    cfg: IntegratorConfig,
+    t0: float = 0.0,
+    checkpoint_hook: Optional[CheckpointHook] = None,
+    checkpoint_every: Optional[float] = None,
+    controller: Optional[Mapping] = None,
+) -> list:
+    """:func:`integrate` of every state of ``states0``, all on one stepper.
+
+    Returns one entry per state: its record, or the exception that ended it.
+    """
+    if len({state.n_trunc for state in states0}) > 1:
+        raise ValueError("the states of a batch must share one truncation")
+    results: list = [None] * len(states0)
+    runs = []
+    for i, state0 in enumerate(states0):
+        try:
+            state0.validate()
+        except ValueError as exc:
+            results[i] = exc
+        else:
+            runs.append(_Run(i, state0, t0, controller))
+
+    if cfg.t_end > t0 and runs:
         cadence = cfg.cadence()
         if controller is None:
             first_dt = min(cadence, cfg.max_step, cfg.t_end - t0) * 0.05
             controller = {"dt_next": first_dt, "next_record": t0 + cadence}
-        stepper = _Stepper(kernel, state0.c, cfg, controller)
-        stats = stepper.stats
-        t = t0
-        # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
-        # t_end, so a checkpoint names the grid point a longer run records next.
-        next_grid = float(controller["next_record"])
-        next_checkpoint = (
-            t0 + checkpoint_every if (checkpoint_every and checkpoint_hook) else math.inf
+        states = [run.states[0] for run in runs]
+        stepper = _Stepper(
+            kernel, states[0] if len(runs) == 1 else np.array(states), cfg, [controller] * len(runs)
         )
+        for run, row in zip(runs, stepper.rows):
+            run.row = row
+            # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
+            # t_end, so a checkpoint names the grid point a longer run records next.
+            run.next_grid = float(controller["next_record"])
+            if checkpoint_every and checkpoint_hook:
+                run.next_checkpoint = t0 + checkpoint_every
         time_eps = 1e-12 * max(cfg.t_end, 1.0)
-        while t < cfg.t_end - time_eps:
-            next_record = min(next_grid, cfg.t_end)
-            step(kernel, stepper, min(stepper.dt_next, next_record - t), cfg)
-            t += stepper.dt_used
-            if t >= next_record - time_eps:
-                c = stepper.c.copy()
-                times.append(t)
-                states.append(c)
-                clamp0_list.append(stepper.clamp_mass0)
-                clamp1_list.append(stepper.clamp_mass1)
-                b_mass = float(np.dot(weights_boundary[boundary_lo:], c[boundary_lo:]))
-                boundary_list.append(b_mass)
-                if contaminated_from is None and rho0 > 0 and b_mass > 0.01 * rho0:
-                    contaminated_from = t
-                    warnings.warn(
-                        f"boundary mass {b_mass:.3g} exceeds 1% of the density at t={t:.6g}; "
-                        "large-cluster dynamics are truncation-limited from here on",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                if t >= next_grid - time_eps:
-                    next_grid += cadence
-                if t >= next_checkpoint - time_eps:
-                    checkpoint_hook(t, ConcentrationProfile(c), stepper.controller(next_grid))
-                    next_checkpoint = t + checkpoint_every
-        # The run ends on a sample point, so this is the block of the last sample.
-        controller = stepper.controller(next_grid)
+        live = runs if t0 < cfg.t_end - time_eps else []
+        while live:
+            suggestions = [
+                min(run.row.dt_next, min(run.next_grid, cfg.t_end) - run.t) for run in live
+            ]
+            step(kernel, stepper, suggestions, cfg)
+            going = []
+            for i, run in enumerate(live):
+                row = run.row
+                if row.error is not None:
+                    results[run.index] = row.error
+                    continue
+                if row.dt is None:  # accepted a step in this call
+                    next_record = min(run.next_grid, cfg.t_end)
+                    run.t += row.dt_used
+                    if run.t >= next_record - time_eps:
+                        c = _row(stepper.c, i).copy()
+                        run.record(c)
+                        if run.t >= run.next_grid - time_eps:
+                            run.next_grid += cadence
+                        if run.t >= run.next_checkpoint - time_eps:
+                            checkpoint_hook(
+                                run.t, ConcentrationProfile(c), row.controller(run.next_grid)
+                            )
+                            run.next_checkpoint = run.t + checkpoint_every
+                    if run.t >= cfg.t_end - time_eps:
+                        continue
+                going.append(i)
+            if len(going) < len(live):
+                stepper.keep(going)
+                live = [live[i] for i in going]
 
-    samples = np.asarray(states)
-    record = TrajectoryRecord(
-        times=np.asarray(times),
-        states=samples,
-        n_trunc=n,
-        zeroth_moments=np.sum(samples, axis=1),
-        first_moments=samples @ np.arange(n + 1, dtype=float),
-        clamp_mass0=np.asarray(clamp0_list),
-        clamp_mass1=np.asarray(clamp1_list),
-        boundary_mass=np.asarray(boundary_list),
-        boundary_contaminated_from=contaminated_from,
-        stats=stats,
-    )
-    if checkpoint_hook is not None:
-        checkpoint_hook(float(record.times[-1]), record.final_state, controller)
-    return record
+    for run in runs:
+        if results[run.index] is None:
+            results[run.index] = record = run.trajectory()
+            if checkpoint_hook is not None:
+                # The run ends on a sample point, so this is the block of the last sample.
+                final = controller if run.row is None else run.row.controller(run.next_grid)
+                checkpoint_hook(float(record.times[-1]), record.final_state, final)
+    return results
 
 
 def moment_identity_residual(

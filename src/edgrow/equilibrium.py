@@ -255,13 +255,18 @@ _LOG_CUTOFF = math.log(1e-18)
 _CUT_MARGIN = 2.0
 
 
-def _log_sum(values: np.ndarray) -> float:
-    """Log of a sum of exponentials over the terms that can contribute."""
+def _log_sum(values: np.ndarray, overwrite: bool = False) -> float:
+    """Log of a sum of exponentials over the terms that can contribute;
+    ``overwrite`` lets it use ``values`` as its scratch."""
     m = float(np.max(values))
     if not math.isfinite(m):
         return -math.inf
-    kept = values[values >= m + _LOG_CUTOFF]
-    kept -= m  # in place: no further full-length temporaries
+    floor = m + _LOG_CUTOFF
+    if float(np.min(values)) < floor:
+        kept = values[values >= floor]
+        kept -= m  # in place: no further full-length temporaries
+    else:  # every term counts: no mask and no gathered copy
+        kept = np.subtract(values, m, out=values if overwrite else None)
     return m + math.log(float(np.sum(np.exp(kept, out=kept))))
 
 
@@ -335,7 +340,10 @@ def _summed_terms(
     """The first ``n`` terms at ``log phi`` and the log-sums of :func:`_series`."""
     ls = np.arange(n, dtype=float)
     t = ls * log_phi + cp.log_q[:n]
-    log_num = _log_sum(t[1:] + np.log(ls[1:])) if weighted else math.nan
+    log_num = math.nan
+    if weighted:  # t_l + log l, formed in the buffer of l
+        log_ls = np.log(ls[1:], out=ls[1:])
+        log_num = _log_sum(np.add(t[1:], log_ls, out=log_ls), overwrite=True)
     return t, _log_sum(t), log_num
 
 

@@ -593,9 +593,30 @@ def test_sweep_builds_one_chemical_potential_in_the_sweep_process(tmp_path, monk
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def in_process_pool(sizes: list):
+    """A stand-in for ``ProcessPoolExecutor`` that appends each pool's
+    ``max_workers`` to ``sizes`` and runs the jobs here: no process starts."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    return InProcessPool
+
+
 def test_sweep_calls_the_row_function_once_per_density(tmp_path, monkeypatch):
     # The benchmark's tracer wraps cli._sweep_row; cmd_sweep must call it
-    # through the module, once per density.
+    # through the module, with every density in exactly one batch, in
+    # input order.
     calls = []
     row = cli._sweep_row
 
@@ -604,10 +625,14 @@ def test_sweep_calls_the_row_function_once_per_density(tmp_path, monkeypatch):
         return row(job)
 
     monkeypatch.setattr(cli, "_sweep_row", counting_row)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", in_process_pool([]))
     config = dict(SWEEP_CONFIG, densities=[0.5, 2.0, 0.25])
     cfg = write_config(tmp_path, "s.json", config)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", "1"]) == EXIT_OK
-    assert calls == config["densities"]
+    for degree, batches in ((1, 1), (2, 1), (3, 2), (9, 3)):
+        calls.clear()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", str(degree)]) == EXIT_OK
+        assert [rho for batch in calls for rho in batch] == config["densities"]
+        assert len(calls) == batches
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -725,23 +750,7 @@ def test_sweep_pool_started_by_spawn_writes_the_serial_bytes(tmp_path, monkeypat
 
 def test_sweep_pool_has_at_most_one_worker_per_density(tmp_path, monkeypatch):
     sizes = []
-
-    class InProcessPool:
-        """Records ``max_workers`` and runs the jobs here: no process starts."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
     config = dict(SWEEP_CONFIG, densities=[0.5, 2.0, 0.25])
     cfg = write_config(tmp_path, "s.json", config)
     out = str(tmp_path / "a")
@@ -758,17 +767,17 @@ def test_sweep_row_programming_error_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken integrator call")
 
-    monkeypatch.setattr(dynamics, "integrate", broken)
+    monkeypatch.setattr(dynamics, "integrate_batch", broken)
     config = dict(SWEEP_CONFIG, densities=[0.5])
     with pytest.raises(TypeError, match="broken integrator call"):
         cli.cmd_sweep(config, str(tmp_path / "out"), parallel=1)
 
 
 def test_sweep_row_numerical_error_becomes_error_row(tmp_path, monkeypatch):
-    def failing(*args, **kwargs):
-        raise dynamics.IntegratorError("step size underflow")
+    def failing(kernel, states0, cfg):
+        return [dynamics.IntegratorError("step size underflow") for _ in states0]
 
-    monkeypatch.setattr(dynamics, "integrate", failing)
+    monkeypatch.setattr(dynamics, "integrate_batch", failing)
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5]))
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "1"]) == EXIT_OK
@@ -777,17 +786,17 @@ def test_sweep_row_numerical_error_becomes_error_row(tmp_path, monkeypatch):
 
 
 def test_sweep_row_integration_error_precedes_classification_error(tmp_path, monkeypatch):
-    integrate = dynamics.integrate
+    integrate_batch = dynamics.integrate_batch
 
-    def failing_at_two(kernel, state0, cfg):
-        if state0.first_moment == 2.0:
-            raise dynamics.IntegratorError("step size underflow")
-        return integrate(kernel, state0, cfg)
+    def failing_at_two(kernel, states0, cfg):
+        results = integrate_batch(kernel, states0, cfg)
+        underflow = dynamics.IntegratorError("step size underflow")
+        return [underflow if s.first_moment == 2.0 else r for s, r in zip(states0, results)]
 
     def unavailable(*args, **kwargs):
         raise cli.diagnostics.RhoCUnavailableError("rho_c unavailable")
 
-    monkeypatch.setattr(dynamics, "integrate", failing_at_two)
+    monkeypatch.setattr(dynamics, "integrate_batch", failing_at_two)
     monkeypatch.setattr(cli.diagnostics, "classify_longtime", unavailable)
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 2.0]))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", "1"]) == EXIT_OK
@@ -825,6 +834,14 @@ def test_sweep_rejects_initial_condition_without_row_density(tmp_path, initial):
 def test_sweep_rejects_duplicates(tmp_path):
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[1.0, 1.0]))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_sweep_rejects_parallel_below_one(tmp_path, parallel):
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5]))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", parallel]) == EXIT_CONFIG
+    assert not (out / "sweep.csv").exists()
 
 
 def test_weights_cli(tmp_path):

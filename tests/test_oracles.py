@@ -7,7 +7,8 @@ sample matrices (free energy, dissipation, the classifier's distance
 series) against the per-sample formulas bit for bit, every equilibrium
 quantity from the cut series against sums over the full range, the bulk
 CSV writers against per-cell formatting, and the in-place RK stepper and
-right-hand side against an allocate-everything Fehlberg step.
+right-hand side against an allocate-everything Fehlberg step, and a
+lockstep batch against integrating each of its states alone.
 """
 
 import math
@@ -39,11 +40,17 @@ from edgrow.dynamics import (
     TrajectoryRecord,
     _rhs_from_c,
     _RhsWork,
+    _row_dots,
     _Stepper,
     birth_death_rates,
+    geometric_state,
+    integrate,
+    integrate_batch,
+    monodisperse_state,
     rhs,
     step,
     strong_norm,
+    vacuum_state,
 )
 from edgrow.equilibrium import (
     EquilibriumProfile,
@@ -749,9 +756,10 @@ def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ra
     # A running stepper carries err / tol(c_new), that tolerance and the
     # positivity ceiling on to its next step; chain more steps against the
     # reference.
-    stepper = _Stepper(kernel, c, cfg, {"err_prev_ratio": err_prev_ratio})
-    step(kernel, stepper, dt, cfg)
-    assert stepper.dt_ceiling == ceiling
+    stepper = _Stepper(kernel, c, cfg, [{"err_prev_ratio": err_prev_ratio}])
+    (row,) = stepper.rows
+    step(kernel, stepper, [dt], cfg)
+    assert row.dt_ceiling == ceiling
     for _ in range(3):
         if math.isfinite(ceiling):
             event("finite positivity ceiling carried")
@@ -761,11 +769,11 @@ def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ra
             )
         except IntegratorError:
             return
-        step(kernel, stepper, stepper.dt_next, cfg)
+        step(kernel, stepper, [row.dt_next], cfg)
         assert stepper.c.tobytes() == c_new.tobytes()
-        assert (stepper.dt_used, stepper.dt_next) == (dt_used, dt_next)
-        assert (stepper.error_estimate, stepper.err_prev_ratio) == (err, err_next)
-        assert stepper.dt_ceiling == ceiling
+        assert (row.dt_used, row.dt_next) == (dt_used, dt_next)
+        assert (row.error_estimate, row.err_prev_ratio) == (err, err_next)
+        assert row.dt_ceiling == ceiling
 
 
 @given(name=st.sampled_from(sorted(KERNELS)), c=near_boundary_states(), data=st.data())
@@ -786,3 +794,103 @@ def test_rhs_into_buffers_matches_allocating_call(name, c, data):
         assert written is out
         assert out.tobytes() == rhs(kernel, ConcentrationProfile(state.copy())).tobytes()
         assert out.tobytes() == reference_rhs(kernel, state).tobytes()
+
+
+@given(
+    n=st.integers(min_value=1, max_value=700),
+    rows=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_vecdot_over_rows_matches_dot_per_row(n, rows, seed):
+    # The batched stepper's premise: np.vecdot runs one BLAS ddot per row, so
+    # a row's dot product has the bits np.dot gives it alone.  Rows are taken
+    # as the stepper takes them, as views that skip one end of each row.
+    rng = np.random.default_rng(seed)
+    vector = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+    states = rng.standard_normal((rows, n + 1)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(rows, n + 1))
+    for block in (states[:, 1:], states[:, :-1]):
+        per_row = np.array([np.dot(vector, row) for row in block])
+        assert np.vecdot(vector, block).tobytes() == per_row.tobytes()
+        assert _row_dots(vector, block).tobytes() == per_row[:, None].tobytes()
+
+
+BATCH_KERNELS = ("constant", "condensing", "additive", "separable")
+
+
+@st.composite
+def batch_states(draw) -> list:
+    """One to six states on a common random truncation: monodisperse
+    mixtures, geometric profiles, and random profiles with exact zeros."""
+    n = draw(st.integers(min_value=2, max_value=32))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    states = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            m = int(rng.integers(1, min(n, 4) + 1))
+            states.append(monodisperse_state(float(rng.uniform(0.0, m)), m, n))
+        elif kind == 1:
+            states.append(geometric_state(float(rng.uniform(0.0, 0.9)), n))
+        else:
+            c = rng.random(n + 1) * (rng.random(n + 1) < 0.6)
+            c[0] += 1e-3
+            states.append(ConcentrationProfile(c / c.sum()))
+    return states
+
+
+def assert_batch_matches_integrate(kernel, states, cfg) -> list:
+    """Integrate ``states`` as one batch and one at a time; every row must
+    match bit for bit.  Returns the rows' stats (``None`` for a failed row)."""
+    batch = integrate_batch(kernel, states, cfg)
+    assert len(batch) == len(states)
+    stats = []
+    for state, row in zip(states, batch):
+        try:
+            alone = integrate(kernel, state, cfg)
+        except IntegratorError as exc:
+            assert type(row) is IntegratorError and str(row) == str(exc)
+            stats.append(None)
+            continue
+        for name in (
+            "times", "states", "zeroth_moments", "first_moments",
+            "clamp_mass0", "clamp_mass1", "boundary_mass",
+        ):
+            assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert row.n_trunc == alone.n_trunc
+        assert row.boundary_contaminated_from == alone.boundary_contaminated_from
+        assert row.stats == alone.stats
+        stats.append(row.stats)
+    return stats
+
+
+@given(
+    name=st.sampled_from(BATCH_KERNELS),
+    states=batch_states(),
+    t_end=st.floats(min_value=0.0, max_value=3.0),
+    record_every=st.one_of(st.none(), st.floats(min_value=0.05, max_value=1.0)),
+    rtol=st.sampled_from([1e-8, 1e-5, 1e-3]),
+)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:boundary mass")
+def test_batch_matches_integrating_each_state_alone(name, states, t_end, record_every, rtol):
+    cfg = IntegratorConfig(t_end=t_end, rtol=rtol, record_every=record_every)
+    for stats in assert_batch_matches_integrate(KERNELS[name], states, cfg):
+        if stats.rejected_positivity:
+            event("row with positivity rejections")
+        if stats.clamp_events:
+            event("row with clamps")
+
+
+@pytest.mark.filterwarnings("ignore:boundary mass")
+def test_batch_rows_with_positivity_retries_and_failures_match_alone():
+    # The stiff additive kernel from monodisperse m = 1 takes positivity
+    # retries and clamps; a tolerance below every error makes all rows but
+    # the vacuum underflow, and the vacuum row still finishes.
+    kernel = KERNELS["additive"]
+    states = [monodisperse_state(rho, 1, 64) for rho in (0.5, 1.0, 0.25)] + [vacuum_state(64)]
+    stats = assert_batch_matches_integrate(kernel, states, IntegratorConfig(t_end=5.0))
+    assert any(s.rejected_positivity and s.clamp_events for s in stats)
+    tiny = IntegratorConfig(t_end=1.0, rtol=1e-300, atol=1e-300)
+    stats = assert_batch_matches_integrate(kernel, states, tiny)
+    assert stats[:3] == [None] * 3 and stats[3].accepted > 0
