@@ -28,7 +28,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from . import diagnostics, dynamics, equilibrium, kernels, thermo
+from . import _csv, diagnostics, dynamics, equilibrium, kernels, thermo
 
 __all__ = ["main", "ConfigError"]
 
@@ -236,43 +236,29 @@ def cmd_equilibrium(
 
 
 def _write_trajectory_csv(traj: dynamics.TrajectoryRecord, path: str) -> None:
-    """Long-format ``t,k,c_k`` rows, one ``%`` template per sample.
-
-    The template holds ``%s,k,%.17g`` for ``k = 0..N``; its even cells take
-    the sample time already formatted by :func:`_fmt`, its odd cells the
-    sample's row as Python floats.  ``"%.17g" % x`` and ``f"{x:.17g}"`` run
-    the same float-to-string conversion with the same spec, and ``tolist()``
-    yields floats with the array's values, so every byte is the one the
-    per-cell ``_fmt`` formula gives.  Rows are converted one sample at a
-    time so no Python copy of the whole state matrix is ever held.
-    """
-    n_cells = traj.n_trunc + 1
-    template = "".join(f"%s,{k},%.17g\n" for k in range(n_cells))
-    cells: list = [None] * (2 * n_cells)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,k,c_k\n")
-        for t, row in zip(traj.times.tolist(), traj.states):
-            cells[0::2] = [_fmt(t)] * n_cells
-            cells[1::2] = row.tolist()
-            fh.write(template % tuple(cells))
+    """Long-format ``t,k,c_k`` rows, ``%.17g`` floats, in blocks of whole samples."""
+    with open(path, "wb") as fh:
+        fh.write(b"t,k,c_k\n")
+        _csv.write_lines(
+            fh, traj.times[:, None], np.arange(traj.n_trunc + 1)[None, :], traj.states
+        )
 
 
 def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str, series=None) -> None:
-    """``t,M0,rho,boundary_mass,F,D,D_infinite_terms`` rows from one template.
+    """``t,M0,rho,boundary_mass,F,D,D_infinite_terms`` rows.
 
-    Floats are written with ``%.17g`` (the same conversion as :func:`_fmt`)
-    and the infinite-term count with ``%d``.  Without a
-    :class:`~edgrow.thermo.ThermoSeries` the last three cells stay empty.
+    Floats are written with ``%.17g`` and the infinite-term count with
+    ``%d``.  Without a :class:`~edgrow.thermo.ThermoSeries` the last three
+    cells stay empty.
     """
     columns = [traj.times, traj.zeroth_moments, traj.first_moments, traj.boundary_mass]
     if series is not None:
-        template = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
         columns += [series.free_energy, series.dissipation, series.infinite_terms]
     else:
-        template = "%.17g,%.17g,%.17g,%.17g,,,\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,M0,rho,boundary_mass,F,D,D_infinite_terms\n")
-        fh.writelines(template % row for row in zip(*(col.tolist() for col in columns)))
+        columns += [b""] * 3
+    with open(path, "wb") as fh:
+        fh.write(b"t,M0,rho,boundary_mass,F,D,D_infinite_terms\n")
+        _csv.write_lines(fh, *columns)
 
 
 def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> int:
@@ -560,10 +546,10 @@ def cmd_weights(config: dict, out_dir: str) -> int:
     except (diagnostics.NotIntegrableError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad weights input: {exc}") from exc
     out = _ensure_out(out_dir)
-    with open(os.path.join(out, "weights.csv"), "w", encoding="utf-8") as fh:
-        fh.write("k,g_k,phi_k\n")
-        for k in range(len(result.g)):
-            fh.write(f"{k},{_fmt(result.g[k])},{_fmt(result.phi_steps[k])}\n")
+    with open(os.path.join(out, "weights.csv"), "wb") as fh:
+        fh.write(b"k,g_k,phi_k\n")
+        n_weights = len(result.g)
+        _csv.write_lines(fh, np.arange(n_weights), result.g, result.phi_steps[:n_weights])
     ks = np.arange(len(result.g) - 1, dtype=float)
     bound_margin = float(np.max((ks + 1.0) * np.diff(result.g) - 2.0 * result.g[:-1]))
     _write_json(

@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _csv
 from .dynamics import ConcentrationProfile, TrajectoryRecord, state_from_profile, strong_norm
 from .equilibrium import (
     ChemicalPotential,
@@ -220,12 +221,8 @@ def _distance_series(states: np.ndarray, omega: np.ndarray, band: int, tail_star
 
 
 def write_convergence_series_csv(report: ConvergenceReport, path) -> None:
-    """Distance/excess series as ``t, weak_d, strong_d, excess_mass, F_gap``.
-
-    Each row is one ``%.17g`` template filled from the series' ``tolist()``;
-    ``"%.17g" % x`` is the same conversion as ``f"{x:.17g}"``, and ``F_gap``
-    is the same element-wise subtraction done once on the whole series.
-    """
+    """Distance/excess series as ``t, weak_d, strong_d, excess_mass, F_gap``,
+    every cell ``%.17g``."""
     gap = report.free_energy_series - report.free_energy_limit
     columns = (
         report.times,
@@ -234,12 +231,9 @@ def write_convergence_series_csv(report: ConvergenceReport, path) -> None:
         report.excess_mass_series,
         gap,
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,weak_d,strong_d,excess_mass,F_gap\n")
-        fh.writelines(
-            "%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
-            for row in zip(*(col.tolist() for col in columns))
-        )
+    with open(path, "wb") as fh:
+        fh.write(b"t,weak_d,strong_d,excess_mass,F_gap\n")
+        _csv.write_lines(fh, *columns)
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,8 @@ _RK_ERR = _RK_B5 - _RK_B4
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 # Growth per accepted step of the positivity ceiling on ``dt``.
 _CEILING_RELAX = 1.05
+# Most sample rows reserved up front; a longer recording grows by doubling.
+_RESERVED_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -735,7 +737,9 @@ def integrate_batch(
 
 class _Run:
     """One state's recording in :func:`_integrate_rows`: its clock, its
-    recording grid, its stepper row and the samples so far."""
+    recording grid, its stepper row and the samples so far, stored in the
+    rows of one matrix that :meth:`reserve` sizes from the recording grid
+    and :meth:`record` doubles when it is full."""
 
     def __init__(self, index: int, state0: ConcentrationProfile, t0: float, controller):
         n = state0.n_trunc
@@ -747,7 +751,7 @@ class _Run:
         self.boundary_lo = int(math.ceil(0.9 * n))
         self.weights_boundary = np.arange(n + 1, dtype=float)[self.boundary_lo :]
         self.times = [t0]
-        self.states = [state0.c.copy()]
+        self.samples = state0.c[None, :].copy()
         self.clamp0 = [float((controller or {}).get("clamp_mass0", 0.0))]
         self.clamp1 = [float((controller or {}).get("clamp_mass1", 0.0))]
         self.boundary = [self._boundary_mass(state0.c)]
@@ -756,10 +760,21 @@ class _Run:
     def _boundary_mass(self, c: np.ndarray) -> float:
         return float(np.dot(self.weights_boundary, c[self.boundary_lo :]))
 
-    def record(self, c: np.ndarray) -> None:
-        """Append the sample ``c`` at the run's time, with the row's clamp totals."""
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` samples in all."""
+        if rows > len(self.samples):
+            samples = np.empty((rows, self.samples.shape[1]))
+            samples[: len(self.times)] = self.samples[: len(self.times)]
+            self.samples = samples
+
+    def record(self, state: np.ndarray) -> np.ndarray:
+        """Copy ``state`` in as the sample at the run's time, with the row's
+        clamp totals, and return the stored sample."""
+        if len(self.times) == len(self.samples):
+            self.reserve(2 * len(self.samples))
+        c = self.samples[len(self.times)]
+        c[...] = state
         self.times.append(self.t)
-        self.states.append(c)
         self.clamp0.append(self.row.clamp_mass0)
         self.clamp1.append(self.row.clamp_mass1)
         b_mass = self._boundary_mass(c)
@@ -772,9 +787,10 @@ class _Run:
                 RuntimeWarning,
                 stacklevel=4,
             )
+        return c
 
     def trajectory(self) -> TrajectoryRecord:
-        samples = np.asarray(self.states)
+        samples = self.samples[: len(self.times)]
         return TrajectoryRecord(
             times=np.asarray(self.times),
             states=samples,
@@ -819,12 +835,15 @@ def _integrate_rows(
         if controller is None:
             first_dt = min(cadence, cfg.max_step, cfg.t_end - t0) * 0.05
             controller = {"dt_next": first_dt, "next_record": t0 + cadence}
-        states = [run.states[0] for run in runs]
+        states = [run.samples[0] for run in runs]
         stepper = _Stepper(
             kernel, states[0] if len(runs) == 1 else np.array(states), cfg, [controller] * len(runs)
         )
+        # The initial sample, the grid points up to t_end and t_end itself.
+        rows = 3 + max(0, int((cfg.t_end - float(controller["next_record"])) / cadence))
         for run, row in zip(runs, stepper.rows):
             run.row = row
+            run.reserve(min(rows, _RESERVED_SAMPLES))
             # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
             # t_end, so a checkpoint names the grid point a longer run records next.
             run.next_grid = float(controller["next_record"])
@@ -847,8 +866,7 @@ def _integrate_rows(
                     next_record = min(run.next_grid, cfg.t_end)
                     run.t += row.dt_used
                     if run.t >= next_record - time_eps:
-                        c = _row(stepper.c, i).copy()
-                        run.record(c)
+                        c = run.record(_row(stepper.c, i))
                         if run.t >= run.next_grid - time_eps:
                             run.next_grid += cadence
                         if run.t >= run.next_checkpoint - time_eps:

@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _csv
 from .kernels import Kernel, ZeroRateError
 
 __all__ = [
@@ -655,11 +656,11 @@ def tagged_value(x: float) -> dict:
 
 
 def profile_to_csv(profile: EquilibriumProfile, cp: ChemicalPotential, path) -> None:
-    """Write ``l, omega_l, log_q_l`` rows in full double precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("l,omega_l,log_q_l\n")
-        for l in range(profile.k_max + 1):
-            fh.write(f"{l},{profile.omega[l]:.17g},{cp.log_q[l]:.17g}\n")
+    """Write ``l, omega_l, log_q_l`` rows in full double precision (``%.17g``)."""
+    rows = profile.k_max + 1
+    with open(path, "wb") as fh:
+        fh.write(b"l,omega_l,log_q_l\n")
+        _csv.write_lines(fh, np.arange(rows), profile.omega[:rows], cp.log_q[:rows])
 
 
 def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:

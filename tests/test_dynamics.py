@@ -442,6 +442,21 @@ def test_resume_from_controller_repeats_the_run_exactly(const):
     assert np.array_equal(rest.clamp_mass1, whole.clamp_mass1[start:])
 
 
+def test_sample_matrix_is_sized_from_the_grid_and_grows_bit_for_bit(const, monkeypatch):
+    cfg = IntegratorConfig(t_end=4.0, record_every=0.25)
+    state0 = monodisperse_state(1.0, 1, 48)
+    reserved = integrate(const, state0, cfg)
+    assert reserved.sample_count == 17
+    assert reserved.states.flags.c_contiguous
+    assert len(reserved.states.base) - reserved.sample_count <= 2
+    monkeypatch.setattr(dynamics, "_RESERVED_SAMPLES", 2)
+    grown = integrate(const, state0, cfg)
+    assert np.array_equal(grown.times, reserved.times)
+    assert np.array_equal(grown.states, reserved.states)
+    assert np.array_equal(grown.first_moments, reserved.first_moments)
+    assert np.array_equal(grown.boundary_mass, reserved.boundary_mass)
+
+
 def test_checkpoint_controller_round_trip(tmp_path, const):
     controller = {
         "dt_next": 0.1 / 3.0,

@@ -575,6 +575,48 @@ def test_trajectory_and_summary_writers_match_per_cell_format(drawn, tmp_path_fa
     assert (out / "summary.csv").read_text() == "".join(expected)
 
 
+def test_writers_match_per_cell_format_across_blocks(tmp_path):
+    """N = 512 and 701 samples: the trajectory spans 176 blocks of at most 4
+    samples and the summary 3 blocks of at most 342 rows, the last ones
+    partial."""
+    rng = np.random.default_rng(12)
+    samples, n = 701, 512
+
+    def series(size):
+        values = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+        values[rng.random(size) < 0.5] = rng.random() * np.exp(rng.normal(0.0, 20.0))
+        values[rng.integers(0, size, 8)] = rng.choice(EDGE_FLOATS, 8)
+        return values
+
+    d = series(samples)
+    d[rng.random(samples) < 0.3] = math.inf
+    counts = np.where(np.isinf(d), rng.integers(1, 2 * n * n, samples), 0)
+    thermo = ThermoSeries(series(samples), d, counts, series(samples))
+    traj = TrajectoryRecord(
+        times=np.sort(rng.random(samples)) * 200.0,
+        states=series(samples * (n + 1)).reshape(samples, n + 1),
+        n_trunc=n,
+        zeroth_moments=series(samples),
+        first_moments=series(samples),
+        clamp_mass0=series(samples),
+        clamp_mass1=series(samples),
+        boundary_mass=series(samples),
+    )
+    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    _write_summary_csv(traj, tmp_path / "summary.csv", thermo)
+
+    expected = ["t,k,c_k\n"]
+    for t, row in zip(traj.times.tolist(), traj.states.tolist()):
+        expected += [f"{cell(t)},{k},{cell(c)}\n" for k, c in enumerate(row)]
+    assert (tmp_path / "trajectory.csv").read_text() == "".join(expected)
+    expected = ["t,M0,rho,boundary_mass,F,D,D_infinite_terms\n"]
+    for i, t in enumerate(traj.times):
+        floats = [t, traj.zeroth_moments[i], traj.first_moments[i], traj.boundary_mass[i]]
+        floats += [thermo.free_energy[i], thermo.dissipation[i]]
+        expected.append(",".join([cell(x) for x in floats] + [str(counts[i])]) + "\n")
+    assert (tmp_path / "summary.csv").read_text() == "".join(expected)
+
+
 @given(
     data=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(5)), elements=CELLS),
     f_limit=CELLS,
