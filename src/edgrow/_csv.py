@@ -152,15 +152,13 @@ def write_lines(fh, *columns) -> None:
     """Write one CSV line per cell of the columns' broadcast shape, in C
     order, to the binary file ``fh``.
 
-    Float columns are written as ``%.17g``, integer columns as ``%d`` and
-    bytes columns as they are (an empty one leaves the cell empty).  Lines
-    are formatted and written in blocks of about 2048 float cells along the
-    first axis.
+    Float columns are written as ``%.17g``, integer columns as ``%d``,
+    bytes columns as they are (an empty one leaves the cell empty) and text
+    columns as UTF-8, quoted as RFC 4180 asks where a cell holds a comma, a
+    quote or a line break.  Lines are formatted and written in blocks of
+    about 2048 float cells along the first axis.
     """
-    columns = [
-        c if c.dtype.kind == "f" else np.asarray(c.astype(bytes).tolist())
-        for c in map(np.asarray, columns)
-    ]
+    columns = [c if c.dtype.kind == "f" else _bytes(c) for c in map(np.asarray, columns)]
     n = np.broadcast_shapes(*(c.shape for c in columns))[0]
     per_row = sum(int(np.prod(c.shape[1:])) for c in columns if c.dtype.kind == "f")
     step = -(-_BLOCK // max(per_row, 1))
@@ -189,3 +187,17 @@ def write_lines(fh, *columns) -> None:
             at += field.shape[-1] + 1
         out[..., -1] = 10  # '\n'
         fh.write(buffer.translate(None, b"\0"))
+
+
+def _bytes(column: np.ndarray) -> np.ndarray:
+    """A non-float column's cells as bytes: integers as ``%d``, bytes as they
+    are, text as UTF-8, quoted where a cell holds a comma, a quote or a line
+    break (RFC 4180)."""
+    if column.dtype.kind != "U":
+        return np.asarray(column.astype(bytes).tolist())
+    cells = []
+    for cell in column.ravel().tolist():
+        if any(ch in cell for ch in ',"\r\n'):
+            cell = '"' + cell.replace('"', '""') + '"'
+        cells.append(cell.encode("utf-8"))
+    return np.array(cells, dtype=bytes).reshape(column.shape)

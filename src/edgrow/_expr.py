@@ -14,23 +14,24 @@ The text is split into numbers, variable names and operators by ``_TOKEN``,
 so spellings only Python knows (comments, ``1_0``, ``0x1``, ``True``,
 ``1j``, strings, attributes, calls) never get further.  The tokens are
 rebuilt as Python source, each number as a placeholder name, and read by
-:func:`ast.parse`; only the nodes of the grammar are converted into the
-tree that :func:`_evaluate` walks, and anything else is rejected.  Nothing
-is compiled or run as Python.  A number keeps its own text: a value is
+:func:`ast.parse`; in one pass, each node of the grammar becomes a closure
+that evaluates it on an array, and anything else is rejected.  Nothing is
+compiled or run as Python.  A number keeps its own text: a value is
 ``float`` of it and an exponent ``int`` of it.  Every failure, including
 input nested too deeply for the parser, is a :class:`RateExpressionError`.
 
-The converted tree is at most ``_MAX_DEPTH = 100`` nodes deep (a
+The tree of closures is at most ``_MAX_DEPTH = 100`` nodes deep (a
 ``k+k+...`` chain of 100 terms, or 99 operators nested in one another);
-anything deeper is rejected while it is converted.  Converting and
-:func:`_evaluate` recurse once per level, so with this cap neither comes
-near the interpreter's recursion limit, and what is accepted does not
-depend on how deep the caller's stack is.
+anything deeper is rejected while it is built.  Building and evaluating
+recurse once per level, so with this cap neither comes near the
+interpreter's recursion limit, and what is accepted does not depend on how
+deep the caller's stack is.
 """
 
 from __future__ import annotations
 
 import ast
+import operator
 import re
 from typing import Callable, Union
 
@@ -47,7 +48,9 @@ _TOKEN = re.compile(
 
 _VAR_NAMES = {"k", "j", "l", "n"}
 _SIGNS = ("+", "-")
-_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_BINARY = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv
+}
 _MAX_DEPTH = 100
 
 
@@ -94,27 +97,28 @@ def _python_source(text: str) -> tuple[str, dict]:
     return " ".join(source), numbers
 
 
-def _node(node: ast.AST, numbers: dict, depth: int = 1):
-    """The ``(op, ...)`` tree of a parsed grammar node at ``depth`` in the tree."""
+def _node(node: ast.AST, numbers: dict, depth: int = 1) -> Callable[[np.ndarray], np.ndarray]:
+    """The map that evaluates a parsed grammar node at ``depth`` in the tree."""
     if depth > _MAX_DEPTH:
         raise RateExpressionError(f"nested deeper than {_MAX_DEPTH} levels")
     match node:
         case ast.Name(id=name) if name in _VAR_NAMES:
-            return ("var",)
+            return lambda x: x
         case ast.Name(id=name):
-            return ("const", float(numbers[name]))
+            value = float(numbers[name])
+            return lambda x: np.full_like(x, value, dtype=float)
         case ast.UnaryOp(op=ast.UAdd(), operand=operand):
             return _node(operand, numbers, depth + 1)
         case ast.UnaryOp(op=ast.USub(), operand=operand):
-            return ("neg", _node(operand, numbers, depth + 1))
+            inner = _node(operand, numbers, depth + 1)
+            return lambda x: -inner(x)
         case ast.BinOp(left=left, op=ast.Pow(), right=right):
-            return ("pow", _node(left, numbers, depth + 1), _exponent(right, numbers, depth + 1))
+            base, power = _node(left, numbers, depth + 1), _exponent(right, numbers, depth + 1)
+            return lambda x: base(x) ** power
         case ast.BinOp(left=left, op=op, right=right) if type(op) in _BINARY:
-            return (
-                _BINARY[type(op)],
-                _node(left, numbers, depth + 1),
-                _node(right, numbers, depth + 1),
-            )
+            apply = _BINARY[type(op)]
+            lhs, rhs = _node(left, numbers, depth + 1), _node(right, numbers, depth + 1)
+            return lambda x: apply(lhs(x), rhs(x))
     raise RateExpressionError(f"{type(node).__name__} is not part of the grammar")
 
 
@@ -135,8 +139,8 @@ def _exponent(node: ast.AST, numbers: dict, depth: int) -> int:
     raise RateExpressionError("exponent must be an integer")
 
 
-def _parse(text: str):
-    """The ``(op, ...)`` tree of a rate expression."""
+def _parse(text: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluating map of a rate expression, on float arrays."""
     try:
         source, numbers = _python_source(text)
         return _node(ast.parse(source, mode="eval").body, numbers)
@@ -149,30 +153,6 @@ def _parse(text: str):
     raise RateExpressionError(f"rate expression {text!r}: {reason}")
 
 
-def _evaluate(node, x: np.ndarray) -> np.ndarray:
-    op = node[0]
-    if op == "const":
-        return np.full_like(x, node[1], dtype=float)
-    if op == "var":
-        return np.asarray(x, dtype=float)
-    if op == "neg":
-        return -_evaluate(node[1], x)
-    if op == "pow":
-        base = _evaluate(node[1], x)
-        return base ** node[2]
-    lhs = _evaluate(node[1], x)
-    rhs = _evaluate(node[2], x)
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    raise AssertionError(f"unreachable node {node!r}")
-
-
 def compile_rational(
     expression: Union[str, float, int]
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -183,9 +163,5 @@ def compile_rational(
     if isinstance(expression, (int, float)):
         value = float(expression)
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-    tree = _parse(str(expression))
-
-    def evaluate(x):
-        return _evaluate(tree, np.asarray(x, dtype=float))
-
-    return evaluate
+    evaluate = _parse(str(expression))
+    return lambda x: evaluate(np.asarray(x, dtype=float))

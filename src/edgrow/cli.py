@@ -157,10 +157,6 @@ def _write_json(path: str, payload: Mapping) -> None:
         fh.write("\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 @contextlib.contextmanager
 def _phase(phase_seconds: dict, name: str):
     """Add the wall time of the ``with`` body to ``phase_seconds[name]``."""
@@ -441,10 +437,11 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     densities = resolved.get("densities")
     if densities is None or not isinstance(densities, list):
         raise ConfigError("sweep config needs a 'densities' list")
+    for i, rho in enumerate(densities):
+        if type(rho) not in (int, float) or not 0 <= rho <= sys.float_info.max:
+            raise ConfigError(f"sweep density {i} must be a finite number >= 0, got {rho!r}")
     if len(set(float(r) for r in densities)) != len(densities):
         raise ConfigError("sweep densities must be distinct")
-    if any(float(r) < 0 for r in densities):
-        raise ConfigError("sweep densities must be nonnegative")
     ic = resolved.get("initial_condition", {})
     if not isinstance(ic, Mapping) or ic.get("type", "monodisperse") != "monodisperse":
         # Each row sets its own density, which only a monodisperse state carries.
@@ -504,11 +501,10 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
         "rho", "regime", "weak_d_final", "strong_d_final",
         "excess_mass", "f_gap", "boundary_mass", "status",
     ]
-    with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(os.path.join(out, "sweep.csv"), "wb") as fh:
+        fh.write(",".join(columns).encode() + b"\n")
         for row in rows:
-            cells = (row.get(name, "") for name in columns)
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
+            _csv.write_lines(fh, *(np.array([row.get(name, "")]) for name in columns))
     _write_json(
         os.path.join(out, "sweep_report.json"),
         {

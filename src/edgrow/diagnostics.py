@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 StateLike = Union[ConcentrationProfile, np.ndarray, Sequence[float]]
+# Densities within this of rho_c classify as critical.
+_DEAD_BAND = 1e-6
 
 
 class NotIntegrableError(ValueError):
@@ -100,7 +102,6 @@ class AnalysisConfig:
 
     excess_band_start: int = 64
     low_band: int = 10
-    dead_band: float = 1e-6
 
 
 @dataclass
@@ -166,9 +167,9 @@ def classify_longtime(
     except InconclusiveDensityError as exc:
         raise RhoCUnavailableError("rho_c unavailable") from exc
 
-    if rho > rho_c + cfg.dead_band:
+    if rho > rho_c + _DEAD_BAND:
         regime = "supercritical"
-    elif math.isfinite(rho_c) and rho >= rho_c - cfg.dead_band:
+    elif math.isfinite(rho_c) and rho >= rho_c - _DEAD_BAND:
         regime = "critical"
     else:
         regime = "subcritical"
@@ -215,9 +216,9 @@ def _distance_series(states: np.ndarray, omega: np.ndarray, band: int, tail_star
         at = slice(start, start + len(gap))
         weak[at] = np.sum(gap, axis=1)
         low[at] = np.sum(gap[:, : band + 1], axis=1)
-        strong[at] = [np.dot(weights, row) for row in gap]
+        strong[at] = np.vecdot(weights, gap)
     sizes = np.arange(tail_start, len(omega), dtype=float)
-    return weak, strong, low, np.array([np.dot(sizes, row[tail_start:]) for row in states])
+    return weak, strong, low, np.vecdot(sizes, states[:, tail_start:])
 
 
 def write_convergence_series_csv(report: ConvergenceReport, path) -> None:

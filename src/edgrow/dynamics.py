@@ -16,7 +16,7 @@ a ceiling that later steps approach only gradually.  Tiny negative survivors
 are clamped to zero and the clamped mass is accounted in a drift ledger so
 conservation checks stay honest.  One stepper object runs every step: it owns
 the states, preallocated buffers (an :class:`_RhsWork` for the right-hand
-side), and each state's controller and :class:`IntegratorStats` counters.
+side), and one row per state with its controller, counters and samples.
 It steps one state, or a batch of states of one kernel and truncation in
 lockstep (:func:`integrate_batch`), each row bit for bit as it steps alone.
 Checkpoints carry the controller, so a resumed run repeats the uninterrupted
@@ -257,7 +257,7 @@ class IntegratorConfig:
     def cadence(self) -> float:
         if self.record_every is not None:
             return self.record_every
-        return self.t_end / 200.0 if self.t_end > 0 else 1.0
+        return self.t_end / 200.0 or 1.0  # also where t_end / 200 underflows to 0
 
     def as_dict(self) -> dict:
         return {
@@ -295,6 +295,12 @@ _RK_A = (
 _RK_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
 _RK_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
 _RK_ERR = _RK_B5 - _RK_B4
+# Right-hand sides per step: stage 0 once (rejected attempts retry from the
+# same state and share it) and the other five stages once per attempt.
+_RK_STEP_EVALS, _RK_ATTEMPT_EVALS = 1, 5
+# Exponents for the order-4 error estimate: 1/5 alone, and the PI pair
+# 0.7/5 and 0.4/5, written as literals (0.7 / 5 is not the double 0.14).
+_ERR_EXPONENT, _PI_EXPONENT, _PI_PREV_EXPONENT = 0.2, 0.14, 0.08
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 # Growth per accepted step of the positivity ceiling on ``dt``.
@@ -353,18 +359,24 @@ class IntegratorStats:
 
 
 class _Row:
-    """The step-size controller and counters of one state of a :class:`_Stepper`.
+    """One integrated state: its step-size controller, counters and recording.
 
-    Read from a ``controller`` block (absent keys start afresh): ``dt_next``,
-    ``err_prev_ratio``, the positivity ceiling ``dt_ceiling`` and the clamp
-    totals.  ``tol`` is the tolerance at the row's current state; ``dt`` is
-    the length of the attempt in progress (``None`` between steps) and
-    ``retried`` says whether that step took a positivity retry.
-    ``dt_used``, ``error_estimate`` and ``clamped_mass0/1`` describe the last
-    accepted step; ``error`` holds the exception that ended the row, if any.
+    The controller is read from a ``controller`` block (absent keys start
+    afresh): ``dt_next``, ``err_prev_ratio``, the positivity ceiling
+    ``dt_ceiling`` and the clamp totals.  ``tol`` is the tolerance at the
+    row's current state; ``dt`` is the length of the attempt in progress
+    (``None`` between steps) and ``retried`` says whether that step took a
+    positivity retry.  ``dt_used``, ``error_estimate`` and
+    ``clamped_mass0/1`` describe the last accepted step; ``error`` holds the
+    exception that ended the row, if any.
+
+    The recording, for :func:`_integrate_rows`: ``index`` among its states,
+    the clock ``t``, the next grid and checkpoint times, and the samples from
+    ``state0`` at ``t0`` on, in the rows of one matrix that :meth:`reserve`
+    sizes from the recording grid and :meth:`record` doubles when it is full.
     """
 
-    def __init__(self, controller: Mapping):
+    def __init__(self, controller: Mapping, state0: ConcentrationProfile, t0=0.0, index=0):
         self.dt_next = float(controller.get("dt_next", 0.0))
         self.err_prev_ratio = controller.get("err_prev_ratio")
         dt_ceiling = controller.get("dt_ceiling")
@@ -377,20 +389,30 @@ class _Row:
         self.retried = False
         self.error: Optional[Exception] = None
         self.dt_used = self.error_estimate = self.clamped_mass0 = self.clamped_mass1 = 0.0
+        n = state0.n_trunc
+        self.index, self.rho0, self.t = index, state0.first_moment, t0
+        self.next_grid = self.next_checkpoint = math.inf
+        self.boundary_lo = int(math.ceil(0.9 * n))
+        self.weights_boundary = np.arange(n + 1, dtype=float)[self.boundary_lo :]
+        self.times = [t0]
+        self.samples = state0.c[None, :].copy()
+        self.clamp0, self.clamp1 = [self.clamp_mass0], [self.clamp_mass1]
+        self.boundary = [self._boundary_mass(state0.c)]
+        self.contaminated_from: Optional[float] = None
 
     def judge(self, err: float, min_c: float, c: np.ndarray, k: int, atol: float) -> bool:
         """Whether the attempt is accepted: its error is ``err`` and its least
         new component ``min_c``, at index ``k``, was ``c[k]`` before the
         attempt.  A rejection is counted and shrinks ``dt``."""
         stats = self.stats
-        stats.rhs_evals += 5
+        stats.rhs_evals += _RK_ATTEMPT_EVALS
         if not math.isfinite(err):
             stats.rejected_non_finite += 1
             self.dt *= 0.5
             return False
         if err > self.tol:
             stats.rejected_error += 1
-            self.dt *= max(_FAC_MIN, min(1.0, _SAFETY * (self.tol / err) ** 0.2))
+            self.dt *= max(_FAC_MIN, min(1.0, _SAFETY * (self.tol / err) ** _ERR_EXPONENT))
             return False
         if min_c < -atol:
             stats.rejected_positivity += 1
@@ -418,10 +440,10 @@ class _Row:
         if err_ratio <= 0.0:
             factor = _FAC_MAX
         elif self.err_prev_ratio is None or self.err_prev_ratio <= 0.0:
-            factor = _SAFETY * err_ratio ** (-0.2)
+            factor = _SAFETY * err_ratio ** -_ERR_EXPONENT
         else:
             # PI control: respond to the current ratio, damped by the previous one.
-            factor = _SAFETY * err_ratio ** (-0.14) * self.err_prev_ratio**0.08
+            factor = _SAFETY * err_ratio ** -_PI_EXPONENT * self.err_prev_ratio**_PI_PREV_EXPONENT
         # A step that met the positivity limit sets the ceiling and may not
         # grow; any other step relaxes it (an infinite ceiling stays inf).
         if self.retried:
@@ -453,6 +475,53 @@ class _Row:
             "clamp_mass1": self.clamp_mass1,
         }
 
+    def _boundary_mass(self, c: np.ndarray) -> float:
+        return float(np.dot(self.weights_boundary, c[self.boundary_lo :]))
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` samples in all."""
+        if rows > len(self.samples):
+            samples = np.empty((rows, self.samples.shape[1]))
+            samples[: len(self.times)] = self.samples[: len(self.times)]
+            self.samples = samples
+
+    def record(self, state: np.ndarray) -> np.ndarray:
+        """Copy ``state`` in as the sample at the row's time, with its clamp
+        totals, and return the stored sample."""
+        if len(self.times) == len(self.samples):
+            self.reserve(2 * len(self.samples))
+        c = self.samples[len(self.times)]
+        c[...] = state
+        self.times.append(self.t)
+        self.clamp0.append(self.clamp_mass0)
+        self.clamp1.append(self.clamp_mass1)
+        b_mass = self._boundary_mass(c)
+        self.boundary.append(b_mass)
+        if self.contaminated_from is None and self.rho0 > 0 and b_mass > 0.01 * self.rho0:
+            self.contaminated_from = self.t
+            warnings.warn(
+                f"boundary mass {b_mass:.3g} exceeds 1% of the density at t={self.t:.6g}; "
+                "large-cluster dynamics are truncation-limited from here on",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        return c
+
+    def trajectory(self) -> "TrajectoryRecord":
+        samples = self.samples[: len(self.times)]
+        return TrajectoryRecord(
+            times=np.asarray(self.times),
+            states=samples,
+            n_trunc=samples.shape[1] - 1,
+            zeroth_moments=np.sum(samples, axis=1),
+            first_moments=samples @ np.arange(samples.shape[1], dtype=float),
+            clamp_mass0=np.asarray(self.clamp0),
+            clamp_mass1=np.asarray(self.clamp1),
+            boundary_mass=np.asarray(self.boundary),
+            boundary_contaminated_from=self.contaminated_from,
+            stats=self.stats,
+        )
+
 
 class _Stepper:
     """Embedded RK4(5) steps, in place, of one state or of a batch of states
@@ -461,8 +530,8 @@ class _Stepper:
     Owns the states ``c`` (``N+1`` values, or ``R x (N+1)`` for a batch), a
     stage buffer of six such arrays with one products buffer and scratch
     arrays, an :class:`_RhsWork`, the strong-norm weights ``1 + l`` and one
-    :class:`_Row` per state: its Python-float controller and its
-    :class:`IntegratorStats`.  Every elementwise numpy call covers all rows
+    :class:`_Row` per state: its Python-float controller, its counters and
+    its recording.  Every elementwise numpy call covers all rows
     and each row's dot products are the ones its state takes alone, so every
     row steps bit for bit as it would alone.  A step allocates no size-``N``
     array unless it clamps.
@@ -473,18 +542,16 @@ class _Stepper:
     ``dt_next`` is the PI proposal capped by the ceiling, so a run that never
     fails the positivity test steps exactly as the PI controller alone would.
 
-    Every weighted stage sum is one multiply into the products buffer and
-    one reduction over its first axis.  Entry 0 of that buffer stays ``+0.0``
-    and the reduction adds entries in order, so each sum is
-    ``0 + w_0 k_0 + w_1 k_1 + ...`` exactly as Python's ``sum`` forms it.
+    :meth:`_fehlberg` is the method: one attempt of every row, which alone
+    knows the tableau and the stage buffers.  Every weighted stage sum is one
+    multiply into the products buffer and one reduction over its first axis.
+    Entry 0 of that buffer stays ``+0.0`` and the reduction adds entries in
+    order, so each sum is ``0 + w_0 k_0 + w_1 k_1 + ...`` exactly as
+    Python's ``sum`` forms it.
     """
 
-    def __init__(
-        self, kernel: Kernel, c: np.ndarray, cfg: IntegratorConfig, controllers: Sequence[Mapping]
-    ):
-        self.kernel = kernel
-        self.cfg = cfg
-        self.rows = [_Row(block) for block in controllers]
+    def __init__(self, kernel: Kernel, c: np.ndarray, cfg: IntegratorConfig, rows: Sequence[_Row]):
+        self.kernel, self.cfg, self.rows = kernel, cfg, list(rows)
         self.weights = 1.0 + np.arange(np.shape(c)[-1], dtype=float)
         self._load(np.array(c, dtype=float))
         for i, row in enumerate(self.rows):
@@ -524,6 +591,30 @@ class _Stepper:
         np.multiply(self.stages[:m], column, out=self.products[1 : m + 1])
         return np.add.reduce(self.products[: m + 1], axis=0, out=out)
 
+    def _fehlberg(self, dt) -> np.ndarray:
+        """One Fehlberg 4(5) attempt of every row from ``c`` over ``dt`` (a
+        float, or one per row as a column): the fifth-order solution goes to
+        ``c_new`` and the error vector, which is returned, to ``scratch``.
+        Stage 0 is evaluated again only after a row has started a step."""
+        c, stages = self.c, self.stages
+        if not self.stage0_ready:
+            # ``_rhs_from_c`` is looked up in the module on every call, so
+            # a wrapper installed there sees each evaluation.  Rows that
+            # are retrying get their stage 0 again, with the same bits.
+            _rhs_from_c(self.kernel, c, out=stages[0], work=self.rhs_work)
+            self.stage0_ready = True
+        for i, column in enumerate(self.a_columns, start=1):
+            stage_input = self._weighted_stages(column, self.scratch)
+            stage_input *= dt
+            np.add(c, stage_input, out=stage_input)
+            _rhs_from_c(self.kernel, stage_input, out=stages[i], work=self.rhs_work)
+        err_vec = self._weighted_stages(self.err_column, self.scratch)
+        err_vec *= dt
+        c_new = self._weighted_stages(self.b5_column, self.c_new)
+        c_new *= dt
+        np.add(c, c_new, out=c_new)
+        return err_vec
+
     def advance(self, dt_suggest: Sequence[float]) -> None:
         """Lockstep attempts until at least one row accepts a step or fails.
 
@@ -542,33 +633,17 @@ class _Stepper:
                 if suggest <= 0:
                     raise ValueError("dt_suggest must be positive")
                 row.dt, row.retried = min(suggest, cfg.max_step), False
-                # Rejected attempts retry from the same state, so they share stage 0.
-                row.stats.rhs_evals += 1
+                row.stats.rhs_evals += _RK_STEP_EVALS
                 self.stage0_ready = False
         t_scale = max(cfg.t_end, 1.0)
-        c, stages = self.c, self.stages
         while True:
-            if not self.stage0_ready:
-                # ``_rhs_from_c`` is looked up in the module on every call, so
-                # a wrapper installed there sees each evaluation.  Rows that
-                # are retrying get their stage 0 again, with the same bits.
-                _rhs_from_c(self.kernel, c, out=stages[0], work=self.rhs_work)
-                self.stage0_ready = True
             for row in rows:
                 if row.error is None and row.dt < 1e-14 * t_scale:
                     row.error = IntegratorError(f"step underflow: dt={row.dt!r}")
+            c, c_new = self.c, self.c_new
             dt = rows[0].dt if c.ndim == 1 else np.array([row.dt for row in rows])[:, None]
-            for i, column in enumerate(self.a_columns, start=1):
-                stage_input = self._weighted_stages(column, self.scratch)
-                stage_input *= dt
-                np.add(c, stage_input, out=stage_input)
-                _rhs_from_c(self.kernel, stage_input, out=stages[i], work=self.rhs_work)
-            err_vec = self._weighted_stages(self.err_column, self.scratch)
-            err_vec *= dt
+            err_vec = self._fehlberg(dt)
             errs = np.abs(err_vec, out=err_vec).max(axis=-1)
-            c_new = self._weighted_stages(self.b5_column, self.c_new)
-            c_new *= dt
-            np.add(c, c_new, out=c_new)
             worst = c_new.argmin(axis=-1)
             if c.ndim == 1:  # a stepper of one state is its own only row
                 errs, worst, views = (errs.item(),), (worst.item(),), ((c, c_new, self.scratch),)
@@ -640,9 +715,9 @@ def step(
     if isinstance(state, _Stepper):
         state.advance(dt_suggest)
         return None
-    stepper = _Stepper(kernel, state.c, cfg, [{"err_prev_ratio": err_prev_ratio}])
+    row = _Row({"err_prev_ratio": err_prev_ratio}, state)
+    stepper = _Stepper(kernel, state.c, cfg, [row])
     stepper.advance([dt_suggest])
-    (row,) = stepper.rows
     if row.error is not None:
         raise row.error
     return StepResult(
@@ -735,76 +810,6 @@ def integrate_batch(
     return _integrate_rows(kernel, list(states0), cfg)
 
 
-class _Run:
-    """One state's recording in :func:`_integrate_rows`: its clock, its
-    recording grid, its stepper row and the samples so far, stored in the
-    rows of one matrix that :meth:`reserve` sizes from the recording grid
-    and :meth:`record` doubles when it is full."""
-
-    def __init__(self, index: int, state0: ConcentrationProfile, t0: float, controller):
-        n = state0.n_trunc
-        self.index = index
-        self.rho0 = state0.first_moment
-        self.t = t0
-        self.next_grid = self.next_checkpoint = math.inf
-        self.row: Optional[_Row] = None
-        self.boundary_lo = int(math.ceil(0.9 * n))
-        self.weights_boundary = np.arange(n + 1, dtype=float)[self.boundary_lo :]
-        self.times = [t0]
-        self.samples = state0.c[None, :].copy()
-        self.clamp0 = [float((controller or {}).get("clamp_mass0", 0.0))]
-        self.clamp1 = [float((controller or {}).get("clamp_mass1", 0.0))]
-        self.boundary = [self._boundary_mass(state0.c)]
-        self.contaminated_from: Optional[float] = None
-
-    def _boundary_mass(self, c: np.ndarray) -> float:
-        return float(np.dot(self.weights_boundary, c[self.boundary_lo :]))
-
-    def reserve(self, rows: int) -> None:
-        """Make room for ``rows`` samples in all."""
-        if rows > len(self.samples):
-            samples = np.empty((rows, self.samples.shape[1]))
-            samples[: len(self.times)] = self.samples[: len(self.times)]
-            self.samples = samples
-
-    def record(self, state: np.ndarray) -> np.ndarray:
-        """Copy ``state`` in as the sample at the run's time, with the row's
-        clamp totals, and return the stored sample."""
-        if len(self.times) == len(self.samples):
-            self.reserve(2 * len(self.samples))
-        c = self.samples[len(self.times)]
-        c[...] = state
-        self.times.append(self.t)
-        self.clamp0.append(self.row.clamp_mass0)
-        self.clamp1.append(self.row.clamp_mass1)
-        b_mass = self._boundary_mass(c)
-        self.boundary.append(b_mass)
-        if self.contaminated_from is None and self.rho0 > 0 and b_mass > 0.01 * self.rho0:
-            self.contaminated_from = self.t
-            warnings.warn(
-                f"boundary mass {b_mass:.3g} exceeds 1% of the density at t={self.t:.6g}; "
-                "large-cluster dynamics are truncation-limited from here on",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        return c
-
-    def trajectory(self) -> TrajectoryRecord:
-        samples = self.samples[: len(self.times)]
-        return TrajectoryRecord(
-            times=np.asarray(self.times),
-            states=samples,
-            n_trunc=samples.shape[1] - 1,
-            zeroth_moments=np.sum(samples, axis=1),
-            first_moments=samples @ np.arange(samples.shape[1], dtype=float),
-            clamp_mass0=np.asarray(self.clamp0),
-            clamp_mass1=np.asarray(self.clamp1),
-            boundary_mass=np.asarray(self.boundary),
-            boundary_contaminated_from=self.contaminated_from,
-            stats=IntegratorStats() if self.row is None else self.row.stats,
-        )
-
-
 def _integrate_rows(
     kernel: Kernel,
     states0: list,
@@ -820,73 +825,67 @@ def _integrate_rows(
     """
     if len({state.n_trunc for state in states0}) > 1:
         raise ValueError("the states of a batch must share one truncation")
+    cadence, block = cfg.cadence(), controller
+    if controller is None:
+        first_dt = min(cadence, cfg.max_step, cfg.t_end - t0) * 0.05
+        block = {"dt_next": first_dt, "next_record": t0 + cadence}
     results: list = [None] * len(states0)
-    runs = []
+    rows = []
     for i, state0 in enumerate(states0):
         try:
             state0.validate()
         except ValueError as exc:
             results[i] = exc
         else:
-            runs.append(_Run(i, state0, t0, controller))
+            rows.append(_Row(block, state0, t0, i))
 
-    if cfg.t_end > t0 and runs:
-        cadence = cfg.cadence()
-        if controller is None:
-            first_dt = min(cadence, cfg.max_step, cfg.t_end - t0) * 0.05
-            controller = {"dt_next": first_dt, "next_record": t0 + cadence}
-        states = [run.samples[0] for run in runs]
-        stepper = _Stepper(
-            kernel, states[0] if len(runs) == 1 else np.array(states), cfg, [controller] * len(runs)
-        )
+    if cfg.t_end > t0 and rows:
+        states = [row.samples[0] for row in rows]
+        stepper = _Stepper(kernel, states[0] if len(rows) == 1 else np.array(states), cfg, rows)
         # The initial sample, the grid points up to t_end and t_end itself.
-        rows = 3 + max(0, int((cfg.t_end - float(controller["next_record"])) / cadence))
-        for run, row in zip(runs, stepper.rows):
-            run.row = row
-            run.reserve(min(rows, _RESERVED_SAMPLES))
+        samples = 3 + max(0, int((cfg.t_end - float(block["next_record"])) / cadence))
+        for row in rows:
+            row.reserve(min(samples, _RESERVED_SAMPLES))
             # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
             # t_end, so a checkpoint names the grid point a longer run records next.
-            run.next_grid = float(controller["next_record"])
+            row.next_grid = float(block["next_record"])
             if checkpoint_every and checkpoint_hook:
-                run.next_checkpoint = t0 + checkpoint_every
+                row.next_checkpoint = t0 + checkpoint_every
         time_eps = 1e-12 * max(cfg.t_end, 1.0)
-        live = runs if t0 < cfg.t_end - time_eps else []
+        live = stepper.rows if t0 < cfg.t_end - time_eps else []
         while live:
-            suggestions = [
-                min(run.row.dt_next, min(run.next_grid, cfg.t_end) - run.t) for run in live
-            ]
+            suggestions = [min(row.dt_next, min(row.next_grid, cfg.t_end) - row.t) for row in live]
             step(kernel, stepper, suggestions, cfg)
             going = []
-            for i, run in enumerate(live):
-                row = run.row
+            for i, row in enumerate(live):
                 if row.error is not None:
-                    results[run.index] = row.error
+                    results[row.index] = row.error
                     continue
                 if row.dt is None:  # accepted a step in this call
-                    next_record = min(run.next_grid, cfg.t_end)
-                    run.t += row.dt_used
-                    if run.t >= next_record - time_eps:
-                        c = run.record(_row(stepper.c, i))
-                        if run.t >= run.next_grid - time_eps:
-                            run.next_grid += cadence
-                        if run.t >= run.next_checkpoint - time_eps:
+                    next_record = min(row.next_grid, cfg.t_end)
+                    row.t += row.dt_used
+                    if row.t >= next_record - time_eps:
+                        c = row.record(_row(stepper.c, i))
+                        if row.t >= row.next_grid - time_eps:
+                            row.next_grid += cadence
+                        if row.t >= row.next_checkpoint - time_eps:
                             checkpoint_hook(
-                                run.t, ConcentrationProfile(c), row.controller(run.next_grid)
+                                row.t, ConcentrationProfile(c), row.controller(row.next_grid)
                             )
-                            run.next_checkpoint = run.t + checkpoint_every
-                    if run.t >= cfg.t_end - time_eps:
+                            row.next_checkpoint = row.t + checkpoint_every
+                    if row.t >= cfg.t_end - time_eps:
                         continue
                 going.append(i)
             if len(going) < len(live):
                 stepper.keep(going)
-                live = [live[i] for i in going]
+                live = stepper.rows
 
-    for run in runs:
-        if results[run.index] is None:
-            results[run.index] = record = run.trajectory()
+    for row in rows:
+        if results[row.index] is None:
+            results[row.index] = record = row.trajectory()
             if checkpoint_hook is not None:
                 # The run ends on a sample point, so this is the block of the last sample.
-                final = controller if run.row is None else run.row.controller(run.next_grid)
+                final = row.controller(row.next_grid) if cfg.t_end > t0 else controller
                 checkpoint_hook(float(record.times[-1]), record.final_state, final)
     return results
 

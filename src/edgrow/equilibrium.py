@@ -124,13 +124,17 @@ class EquilibriumProfile:
     k_max: int
 
 
-def estimate_critical_fugacity(
-    kernel: Kernel, k_probe: int = 1 << 16, rel_tol: float = 1e-6
-) -> PhiCEstimate:
+# The ratio ladder of :func:`estimate_critical_fugacity`: ``_PROBE_LEVELS``
+# dyadic nodes up to ``_PROBE_K``, converged once the last Richardson step
+# moves the value by at most ``_PROBE_REL_TOL`` relative.
+_PROBE_K, _PROBE_LEVELS, _PROBE_REL_TOL = 1 << 16, 7, 1e-6
+
+
+def estimate_critical_fugacity(kernel: Kernel) -> PhiCEstimate:
     """Estimate the limiting detachment/attachment rate ratio.
 
     The ratio ``r_k = K(k, 0) / K(1, k-1)`` is sampled on a dyadic ladder up
-    to ``k_probe`` and extrapolated to ``k -> infinity`` by Richardson steps
+    to ``k = 2^16`` and extrapolated to ``k -> infinity`` by Richardson steps
     (rate families built from rational expressions have exact expansions in
     ``1/k``, so the extrapolation reaches machine precision).  A plain tail
     average cannot resolve ``1/k`` corrections to the accuracy the critical
@@ -139,12 +143,7 @@ def estimate_critical_fugacity(
     grows monotonically and substantially across the ladder is flagged as a
     divergent (infinite) radius.
     """
-    if k_probe < 16:
-        raise ValueError("k_probe must be at least 16")
-    k0 = 1 << int(math.floor(math.log2(k_probe)))
-    levels = 1
-    while levels < 7 and (k0 >> levels) >= 16:
-        levels += 1
+    k0, levels = _PROBE_K, _PROBE_LEVELS
     nodes = np.array([k0 >> (levels - 1 - i) for i in range(levels)], dtype=float)
     r = np.array(
         [kernel(int(k), 0) / kernel(1, int(k) - 1) for k in nodes], dtype=float
@@ -166,8 +165,8 @@ def estimate_critical_fugacity(
         factor = 2.0**m
         table.append((factor * prev[1:] - prev[:-1]) / (factor - 1.0))
     value = float(table[-1][-1])
-    increment = abs(value - float(table[-2][-1])) if levels >= 2 else math.inf
-    converged = increment <= rel_tol * max(abs(value), 1e-300)
+    increment = abs(value - float(table[-2][-1]))
+    converged = increment <= _PROBE_REL_TOL * max(abs(value), 1e-300)
     return PhiCEstimate(max(value, 0.0), bool(converged), tail_dev)
 
 
@@ -371,10 +370,9 @@ def density_at_fugacity(cp: ChemicalPotential, phi: float) -> float:
     return math.exp(log_num - log_den)
 
 
-def fugacity_for_density(
-    cp: ChemicalPotential, rho: float, rel_tol: float = 1e-10
-) -> float:
-    """Invert the strictly increasing density map by bisection.
+def fugacity_for_density(cp: ChemicalPotential, rho: float) -> float:
+    """Invert the strictly increasing density map by bisection, to a density
+    error of at most ``1e-10 max(1, rho)``.
 
     Densities at (or numerically indistinguishable from) the critical value
     return the critical fugacity exactly.  Raises
@@ -406,8 +404,7 @@ def fugacity_for_density(
                     "could not bracket the requested density"
                 )
     lo = 0.0
-    target_tol = rel_tol * max(1.0, rho)
-    phi = 0.5 * (lo + hi)
+    target_tol = 1e-10 * max(1.0, rho)
     for _ in range(200):
         phi = 0.5 * (lo + hi)
         value = density_at_fugacity(cp, phi)
@@ -420,7 +417,6 @@ def fugacity_for_density(
             lo = phi
         if hi - lo <= 1e-17 * max(hi, 1.0):
             break
-    value = density_at_fugacity(cp, phi)
     if abs(value - rho) <= 10.0 * target_tol:
         return phi
     raise InconclusiveDensityError(

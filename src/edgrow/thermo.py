@@ -196,10 +196,10 @@ def _centred_sums(x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``Y sum (x - rbar y)(u - ubar)`` per row (:func:`_rank1_pair_sum`); overwrites x, u."""
     y_total = np.sum(y, axis=1)
     r_bar = np.sum(x, axis=1) / y_total
-    u_bar = np.array([np.dot(y_row, u_row) for y_row, u_row in zip(y, u)]) / y_total
+    u_bar = np.vecdot(y, u) / y_total
     x -= r_bar[:, None] * y
     u -= u_bar[:, None]
-    return y_total * np.array([np.dot(x_row, u_row) for x_row, u_row in zip(x, u)])
+    return y_total * np.vecdot(x, u)
 
 
 def _dense_pair_sum(table, table_positive, log_kernel_delta, c: np.ndarray) -> tuple:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import functools
 import gc
 import json
@@ -730,6 +731,12 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
             assert rho_c["method"] == case
             assert all(row["status"] == "ok" for row in rows)
             assert all(row["integrator"]["accepted"] > 0 for row in rows)
+        # A status holding commas is one quoted cell: every row has the 8
+        # columns of the header and the status of the report.
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.DictReader(fh))
+        assert all(len(line) == 8 and None not in line for line in table)
+        assert [line["status"] for line in table] == [row["status"] for row in rows]
         outputs[degree] = (out / "sweep.csv").read_bytes()
     assert outputs[1] == outputs[2]
 
@@ -834,6 +841,21 @@ def test_sweep_rejects_initial_condition_without_row_density(tmp_path, initial):
 def test_sweep_rejects_duplicates(tmp_path):
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[1.0, 1.0]))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "densities",
+    [["a"], [None], [True, 0.5], ["0.5"], [float("nan")], [0.5, float("inf")], [[0.5]]],
+    ids=["text", "null", "bool", "numeric-text", "nan", "inf", "list"],
+)
+def test_sweep_rejects_densities_that_are_not_finite_numbers(tmp_path, capsys, densities):
+    # JSON numbers only (bools are not), finite and >= 0; the error names the entry.
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=densities))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "1"]) == EXIT_CONFIG
+    bad = next(rho for rho in densities if type(rho) is not float or not math.isfinite(rho))
+    assert repr(bad) in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("parallel", ["0", "-3"])

@@ -3,9 +3,12 @@
 Every case is seeded and fixed: powers of ten and their neighbours (where
 the decimal exponent estimate is off by one and the 17-digit rounding can
 carry into the next power), binade edges, subnormals, constructed exact ties,
-signs, zeros, NaN, the infinities and random bit patterns.
+signs, zeros, NaN, the infinities and random bit patterns.  Text cells are
+read back with the ``csv`` module.
 """
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -96,3 +99,15 @@ def test_the_fallback_is_rare_on_ordinary_values():
     values = np.exp(rng.uniform(-700.0, 700.0, size=100_000))
     _, _, exact = _csv.decimal(values)
     assert exact.mean() > 0.999
+
+
+def test_text_cells_are_utf8_and_quoted_where_csv_needs_it():
+    text = ["ok", "error: K(1,0)", 'say "hi"', "line\nbreak", "crlf\r", "\u00e9t\u00e9", ""]
+    fh = io.BytesIO()
+    marks = np.array([b"", b"x"] * 3 + [b""])
+    _csv.write_lines(fh, np.arange(len(text)) / 4.0, np.array(text), marks)
+    raw = fh.getvalue()
+    assert raw.startswith(b"0,ok,\n0.25,\"error: K(1,0)\",x\n")  # plain cells keep their bytes
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+    assert [row[1] for row in rows] == text
+    assert all(len(row) == 3 for row in rows)

@@ -178,6 +178,13 @@ def test_integrate_zero_horizon(const):
     assert traj.times[0] == 0.0
 
 
+def test_integrate_horizon_below_the_time_resolution(const):
+    # t_end / 200 underflows to 0, so the default cadence cannot be t_end / 200;
+    # t_end is below the clock's resolution, so the run records its start only.
+    traj = integrate(const, monodisperse_state(1.0, 1, 8), IntegratorConfig(t_end=5e-324))
+    assert traj.sample_count == 1 and traj.stats.accepted == 0
+
+
 def test_integrate_vacuum_is_constant(const):
     traj = integrate(const, vacuum_state(16), IntegratorConfig(t_end=5.0, record_every=0.5))
     assert np.all(traj.states == vacuum_state(16).c)

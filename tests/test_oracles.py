@@ -40,6 +40,7 @@ from edgrow.dynamics import (
     TrajectoryRecord,
     _rhs_from_c,
     _RhsWork,
+    _Row,
     _row_dots,
     _Stepper,
     birth_death_rates,
@@ -798,7 +799,9 @@ def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ra
     # A running stepper carries err / tol(c_new), that tolerance and the
     # positivity ceiling on to its next step; chain more steps against the
     # reference.
-    stepper = _Stepper(kernel, c, cfg, [{"err_prev_ratio": err_prev_ratio}])
+    stepper = _Stepper(
+        kernel, c, cfg, [_Row({"err_prev_ratio": err_prev_ratio}, ConcentrationProfile(c))]
+    )
     (row,) = stepper.rows
     step(kernel, stepper, [dt], cfg)
     assert row.dt_ceiling == ceiling
