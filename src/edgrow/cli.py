@@ -434,6 +434,10 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     errors.
     """
     resolved = _resolve(config)
+    for key in ("thermo", "classify"):
+        # A sweep computes no free energy and classifies every integrated row.
+        if key in config.get("analysis", {}):
+            raise ConfigError(f"sweep takes no analysis.{key}")
     densities = resolved.get("densities")
     if densities is None or not isinstance(densities, list):
         raise ConfigError("sweep config needs a 'densities' list")

@@ -8,19 +8,21 @@ rates ``A_k[c] = sum_l K(l, k) c_l`` and death rates
 products ``sum_r b_r(k) a_r(j)``, so both sums cost O(N) per term:
 ``A = sum_r a_r (b_r . c_{1..N})`` and ``B = sum_r b_r (a_r . c_{0..N-1})``.
 
-Integration uses an embedded Runge-Kutta 4(5) pair with PI step-size control
-and positivity-aware rejection: a step that would push any component below
-``-atol`` is retried with ``dt`` shrunk to where the worst component, linear
-in ``dt``, would reach ``-atol``, and the step size it was accepted at becomes
-a ceiling that later steps approach only gradually.  Tiny negative survivors
-are clamped to zero and the clamped mass is accounted in a drift ledger so
-conservation checks stay honest.  One stepper object runs every step: it owns
-the states, preallocated buffers (an :class:`_RhsWork` for the right-hand
-side), and one row per state with its controller, counters and samples.
-It steps one state, or a batch of states of one kernel and truncation in
-lockstep (:func:`integrate_batch`), each row bit for bit as it steps alone.
-Checkpoints carry the controller, so a resumed run repeats the uninterrupted
-one bit for bit.
+Integration uses an embedded Runge-Kutta 4(5) pair with PI step-size
+control, or for a run that is stiff at its initial state (:func:`_stiff_method`)
+RODAS4 (:mod:`edgrow._rodas4`), with positivity-aware rejection: a step that
+would push any component below ``-atol`` is retried with ``dt`` shrunk to
+where the worst component, linear in ``dt``, would reach ``-atol``, and the
+step size it was accepted at becomes a ceiling that later steps approach only
+gradually.  Tiny negative survivors are clamped to zero and the clamped mass
+is accounted in a drift ledger so conservation checks stay honest.  One
+stepper object runs every step: it owns the states, preallocated buffers
+(an :class:`_RhsWork` for the right-hand side), and one row per state with
+its controller, counters and samples.  It steps one state, or a batch of
+explicit states of one kernel and truncation in lockstep
+(:func:`integrate_batch`), each row bit for bit as it steps alone.
+Checkpoints carry the method and the controller, so a resumed run repeats
+the uninterrupted one bit for bit.
 """
 
 from __future__ import annotations
@@ -213,13 +215,13 @@ def net_fluxes(rates: RatesView, state: ConcentrationProfile) -> np.ndarray:
 def _rhs_from_c(kernel: Kernel, c: np.ndarray, out=None, work=None) -> np.ndarray:
     """``dc/dt`` at ``c`` (one state, or one per row) into ``out`` with
     ``work``, an :class:`_RhsWork` of this kernel, truncation and batch; either
-    is allocated when not given."""
+    is allocated when not given; the rates at ``c`` stay in ``work``."""
     work = work or _RhsWork(kernel, c.shape[-1] - 1, len(c) if c.ndim == 2 else None)
     if out is None:
         out = np.empty_like(c)
     a_rates, b_rates = work.rates(c)
     flux = np.multiply(a_rates, c[work.head], out=work.flux)
-    flux -= np.multiply(b_rates, c[work.tail], out=b_rates)
+    flux -= np.multiply(b_rates, c[work.tail], out=work.scratch)
     return np.subtract(work.left, work.right, out=out)
 
 
@@ -253,6 +255,8 @@ class IntegratorConfig:
             raise ValueError("t_end must be nonnegative")
         if self.record_every is not None and self.record_every <= 0:
             raise ValueError("record_every must be positive")
+        if not math.isfinite(self.t_end / self.cadence()):
+            raise ValueError("t_end / record_every must be finite: the recording grid is too long")
 
     def cadence(self) -> float:
         if self.record_every is not None:
@@ -295,12 +299,35 @@ _RK_A = (
 _RK_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
 _RK_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
 _RK_ERR = _RK_B5 - _RK_B4
-# Right-hand sides per step: stage 0 once (rejected attempts retry from the
-# same state and share it) and the other five stages once per attempt.
-_RK_STEP_EVALS, _RK_ATTEMPT_EVALS = 1, 5
-# Exponents for the order-4 error estimate: 1/5 alone, and the PI pair
-# 0.7/5 and 0.4/5, written as literals (0.7 / 5 is not the double 0.14).
-_ERR_EXPONENT, _PI_EXPONENT, _PI_PREV_EXPONENT = 0.2, 0.14, 0.08
+
+# Right-hand sides per step, for both methods: stage 0 once (rejected
+# attempts retry from the same state and share it) and the other five stages
+# once per attempt.
+_STEP_EVALS, _ATTEMPT_EVALS = 1, 5
+
+
+@dataclass(frozen=True)
+class _Method:
+    """A stepping method's name and step-size exponents: the error's alone
+    and the PI pair on the current and previous error ratios (as literals:
+    0.7 / 5 is not the double 0.14).  RODAS4 steps by its current error
+    alone, so the tiny error of a step cut at a sample does not hold back
+    the next."""
+
+    name: str
+    err_exponent: float
+    pi_exponent: float
+    pi_prev_exponent: float
+
+
+_FEHLBERG = _Method("rkf45", 0.2, 0.14, 0.08)
+_RODAS4 = _Method("rodas4", 0.25, 0.25, 0.0)
+_METHODS = {method.name: method for method in (_FEHLBERG, _RODAS4)}
+# The stiffness above which a run takes RODAS4 (see _stiff_method).  The
+# benchmark runs read 0.2-0.4 (relax-thermo), 4-6 (phase-sweep) and 37-77
+# (stiff-additive); 20 is an unmeasured point in the 6-37 gap, not a
+# measured crossover of the two methods' cost or accuracy.
+_STIFF_THRESHOLD = 20.0
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 # Growth per accepted step of the positivity ceiling on ``dt``.
@@ -323,13 +350,15 @@ class StepResult:
 class IntegratorStats:
     """Where the steps of an integration went.
 
-    ``rhs_evals`` counts right-hand-side evaluations: one per accepted step
-    for stage 0, which rejected attempts share, and five per attempt, so it
-    equals ``6 * accepted + 5 * rejected``.  ``dt_min``/``dt_max`` range
-    over accepted steps; ``clamp_events`` counts accepted steps that clamped
-    at least one component to zero.
+    ``method`` is ``"rkf45"`` (explicit Fehlberg 4(5)) or ``"rodas4"``.
+    ``rhs_evals`` counts right-hand-side evaluations, for both methods one
+    per accepted step for stage 0, which rejected attempts share (RODAS4's
+    Jacobian too), and five per attempt, so it equals ``6 * accepted + 5 *
+    rejected``.  ``dt_min``/``dt_max`` range over accepted steps; ``clamp_events`` counts
+    accepted steps that clamped at least one component to zero.
     """
 
+    method: str = _FEHLBERG.name
     accepted: int = 0
     rejected_error: int = 0
     rejected_positivity: int = 0
@@ -345,6 +374,7 @@ class IntegratorStats:
 
     def as_dict(self) -> dict:
         return {
+            "method": self.method,
             "accepted": self.accepted,
             "rejected": {
                 "error": self.rejected_error,
@@ -362,11 +392,11 @@ class _Row:
     """One integrated state: its step-size controller, counters and recording.
 
     The controller is read from a ``controller`` block (absent keys start
-    afresh): ``dt_next``, ``err_prev_ratio``, the positivity ceiling
-    ``dt_ceiling`` and the clamp totals.  ``tol`` is the tolerance at the
-    row's current state; ``dt`` is the length of the attempt in progress
-    (``None`` between steps) and ``retried`` says whether that step took a
-    positivity retry.  ``dt_used``, ``error_estimate`` and
+    afresh): ``method``, ``dt_next``, ``err_prev_ratio``, the positivity
+    ceiling ``dt_ceiling`` and the clamp totals.  ``tol`` is the tolerance
+    at the row's current state; ``dt`` is the length of the attempt in
+    progress (``None`` between steps) and ``retried`` says whether that step
+    took a positivity retry.  ``dt_used``, ``error_estimate`` and
     ``clamped_mass0/1`` describe the last accepted step; ``error`` holds the
     exception that ended the row, if any.
 
@@ -377,13 +407,14 @@ class _Row:
     """
 
     def __init__(self, controller: Mapping, state0: ConcentrationProfile, t0=0.0, index=0):
+        self.method = _METHODS[controller.get("method", _FEHLBERG.name)]
         self.dt_next = float(controller.get("dt_next", 0.0))
         self.err_prev_ratio = controller.get("err_prev_ratio")
         dt_ceiling = controller.get("dt_ceiling")
         self.dt_ceiling = math.inf if dt_ceiling is None else dt_ceiling
         self.clamp_mass0 = float(controller.get("clamp_mass0", 0.0))
         self.clamp_mass1 = float(controller.get("clamp_mass1", 0.0))
-        self.stats = IntegratorStats()
+        self.stats = IntegratorStats(self.method.name)
         self.tol = 0.0
         self.dt: Optional[float] = None
         self.retried = False
@@ -405,14 +436,15 @@ class _Row:
         new component ``min_c``, at index ``k``, was ``c[k]`` before the
         attempt.  A rejection is counted and shrinks ``dt``."""
         stats = self.stats
-        stats.rhs_evals += _RK_ATTEMPT_EVALS
+        stats.rhs_evals += _ATTEMPT_EVALS
         if not math.isfinite(err):
             stats.rejected_non_finite += 1
             self.dt *= 0.5
             return False
         if err > self.tol:
             stats.rejected_error += 1
-            self.dt *= max(_FAC_MIN, min(1.0, _SAFETY * (self.tol / err) ** _ERR_EXPONENT))
+            shrink = _SAFETY * (self.tol / err) ** self.method.err_exponent
+            self.dt *= max(_FAC_MIN, min(1.0, shrink))
             return False
         if min_c < -atol:
             stats.rejected_positivity += 1
@@ -436,14 +468,18 @@ class _Row:
         # The error is weighed against the tolerance the step used, and
         # carried to the next step against the tolerance at the new state,
         # which is also that step's tolerance.
-        err_ratio = err / self.tol
+        err_ratio, method = err / self.tol, self.method
         if err_ratio <= 0.0:
             factor = _FAC_MAX
         elif self.err_prev_ratio is None or self.err_prev_ratio <= 0.0:
-            factor = _SAFETY * err_ratio ** -_ERR_EXPONENT
+            factor = _SAFETY * err_ratio ** -method.err_exponent
         else:
             # PI control: respond to the current ratio, damped by the previous one.
-            factor = _SAFETY * err_ratio ** -_PI_EXPONENT * self.err_prev_ratio**_PI_PREV_EXPONENT
+            factor = (
+                _SAFETY
+                * err_ratio ** -method.pi_exponent
+                * self.err_prev_ratio ** method.pi_prev_exponent
+            )
         # A step that met the positivity limit sets the ceiling and may not
         # grow; any other step relaxes it (an infinite ceiling stays inf).
         if self.retried:
@@ -467,6 +503,7 @@ class _Row:
     def controller(self, next_record: float) -> dict:
         """The controller block a checkpoint needs to continue this run exactly."""
         return {
+            "method": self.method.name,
             "dt_next": self.dt_next,
             "err_prev_ratio": self.err_prev_ratio,
             "dt_ceiling": None if math.isinf(self.dt_ceiling) else self.dt_ceiling,
@@ -524,8 +561,8 @@ class _Row:
 
 
 class _Stepper:
-    """Embedded RK4(5) steps, in place, of one state or of a batch of states
-    of one kernel, truncation and config in lockstep.
+    """Embedded steps, in place, of one state or of a batch of states of one
+    kernel, truncation and config in lockstep (RODAS4: one state).
 
     Owns the states ``c`` (``N+1`` values, or ``R x (N+1)`` for a batch), a
     stage buffer of six such arrays with one products buffer and scratch
@@ -542,12 +579,12 @@ class _Stepper:
     ``dt_next`` is the PI proposal capped by the ceiling, so a run that never
     fails the positivity test steps exactly as the PI controller alone would.
 
-    :meth:`_fehlberg` is the method: one attempt of every row, which alone
-    knows the tableau and the stage buffers.  Every weighted stage sum is one
-    multiply into the products buffer and one reduction over its first axis.
-    Entry 0 of that buffer stays ``+0.0`` and the reduction adds entries in
-    order, so each sum is ``0 + w_0 k_0 + w_1 k_1 + ...`` exactly as
-    Python's ``sum`` forms it.
+    :meth:`_fehlberg` (or :meth:`_rodas4`) is the method: one attempt of
+    every row, which alone knows the tableau and the stage buffers.  Every
+    weighted stage sum is one multiply into the products buffer and one
+    reduction over its first axis.  Entry 0 of that buffer stays ``+0.0``
+    and the reduction adds entries in order, so each sum is ``0 + w_0 k_0 +
+    w_1 k_1 + ...`` exactly as Python's ``sum`` forms it.
     """
 
     def __init__(self, kernel: Kernel, c: np.ndarray, cfg: IntegratorConfig, rows: Sequence[_Row]):
@@ -571,6 +608,12 @@ class _Stepper:
         self.err_column = _RK_ERR.reshape(shape)
         self.b5_column = _RK_B5.reshape(shape)
         self.stage0_ready = False
+        self.attempt = self._fehlberg
+        if self.rows and self.rows[0].method is _RODAS4:
+            from ._rodas4 import Rodas4  # compiled only by stiff runs
+
+            self.attempt = self._rodas4
+            self.rodas4 = Rodas4(self.kernel, self.rhs_work, self.stages, self.scratch)
 
     def keep(self, index: Sequence[int]) -> None:
         """Continue with the rows at ``index`` only; a last row runs on 1-D arrays."""
@@ -615,6 +658,11 @@ class _Stepper:
         np.add(c, c_new, out=c_new)
         return err_vec
 
+    def _rodas4(self, dt: float) -> np.ndarray:
+        """One RODAS4 attempt of the one state, as :meth:`_fehlberg`."""
+        fresh, self.stage0_ready = not self.stage0_ready, True
+        return self.rodas4.attempt(_rhs_from_c, self.c, dt, self.c_new, fresh)
+
     def advance(self, dt_suggest: Sequence[float]) -> None:
         """Lockstep attempts until at least one row accepts a step or fails.
 
@@ -633,7 +681,7 @@ class _Stepper:
                 if suggest <= 0:
                     raise ValueError("dt_suggest must be positive")
                 row.dt, row.retried = min(suggest, cfg.max_step), False
-                row.stats.rhs_evals += _RK_STEP_EVALS
+                row.stats.rhs_evals += _STEP_EVALS
                 self.stage0_ready = False
         t_scale = max(cfg.t_end, 1.0)
         while True:
@@ -642,7 +690,7 @@ class _Stepper:
                     row.error = IntegratorError(f"step underflow: dt={row.dt!r}")
             c, c_new = self.c, self.c_new
             dt = rows[0].dt if c.ndim == 1 else np.array([row.dt for row in rows])[:, None]
-            err_vec = self._fehlberg(dt)
+            err_vec = self.attempt(dt)
             errs = np.abs(err_vec, out=err_vec).max(axis=-1)
             worst = c_new.argmin(axis=-1)
             if c.ndim == 1:  # a stepper of one state is its own only row
@@ -695,7 +743,7 @@ def step(
     cfg: IntegratorConfig,
     err_prev_ratio: Optional[float] = None,
 ) -> Optional[StepResult]:
-    """One accepted embedded RK4(5) step with PI step-size control.
+    """One accepted explicit embedded RK4(5) step with PI step-size control.
 
     Rejects and halves when the step would not be finite, and shrinks it
     when the componentwise error exceeds ``rtol * ||c|| + atol``.  When a
@@ -786,8 +834,9 @@ def integrate(
     and once at the end, with the time, the state and the controller block
     (see :func:`save_checkpoint`; ``None`` if ``t_end <= t0`` and none was
     given).  ``controller`` is such a block from a checkpoint: the run then
-    continues exactly as the run that wrote it would have.  Without one the
-    controller starts afresh.
+    continues, by its method, exactly as the run that wrote it would have.
+    Without one the controller starts afresh and the run chooses its method
+    (:func:`_stiff_method`).
     """
     (result,) = _integrate_rows(
         kernel, [state0], cfg, t0, checkpoint_hook, checkpoint_every, controller
@@ -800,7 +849,8 @@ def integrate(
 def integrate_batch(
     kernel: Kernel, states0: Sequence[ConcentrationProfile], cfg: IntegratorConfig
 ) -> list:
-    """Integrate states of one truncation from ``t = 0`` in lockstep.
+    """Integrate states of one truncation from ``t = 0`` in lockstep (RODAS4
+    rows each alone).
 
     Entry ``i`` is what :func:`integrate` returns for ``states0[i]`` alone,
     bit for bit (samples, moments, clamp ledger and stats), or the
@@ -819,7 +869,8 @@ def _integrate_rows(
     checkpoint_every: Optional[float] = None,
     controller: Optional[Mapping] = None,
 ) -> list:
-    """:func:`integrate` of every state of ``states0``, all on one stepper.
+    """:func:`integrate` of every state of ``states0``, the explicit ones on
+    one stepper.
 
     Returns one entry per state: its record, or the exception that ended it.
     """
@@ -837,48 +888,61 @@ def _integrate_rows(
         except ValueError as exc:
             results[i] = exc
         else:
-            rows.append(_Row(block, state0, t0, i))
+            row_block = block
+            if controller is None:
+                row_block = dict(block, method=_stiff_method(kernel, state0, cfg))
+            rows.append(_Row(row_block, state0, t0, i))
 
     if cfg.t_end > t0 and rows:
-        states = [row.samples[0] for row in rows]
-        stepper = _Stepper(kernel, states[0] if len(rows) == 1 else np.array(states), cfg, rows)
         # The initial sample, the grid points up to t_end and t_end itself.
-        samples = 3 + max(0, int((cfg.t_end - float(block["next_record"])) / cadence))
+        grid = (cfg.t_end - float(block["next_record"])) / cadence
+        samples = 3 + max(0, int(min(grid, _RESERVED_SAMPLES)))
         for row in rows:
-            row.reserve(min(samples, _RESERVED_SAMPLES))
+            row.reserve(samples)
             # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
             # t_end, so a checkpoint names the grid point a longer run records next.
             row.next_grid = float(block["next_record"])
             if checkpoint_every and checkpoint_hook:
                 row.next_checkpoint = t0 + checkpoint_every
         time_eps = 1e-12 * max(cfg.t_end, 1.0)
-        live = stepper.rows if t0 < cfg.t_end - time_eps else []
-        while live:
-            suggestions = [min(row.dt_next, min(row.next_grid, cfg.t_end) - row.t) for row in live]
-            step(kernel, stepper, suggestions, cfg)
-            going = []
-            for i, row in enumerate(live):
-                if row.error is not None:
-                    results[row.index] = row.error
-                    continue
-                if row.dt is None:  # accepted a step in this call
-                    next_record = min(row.next_grid, cfg.t_end)
-                    row.t += row.dt_used
-                    if row.t >= next_record - time_eps:
-                        c = row.record(_row(stepper.c, i))
-                        if row.t >= row.next_grid - time_eps:
-                            row.next_grid += cadence
-                        if row.t >= row.next_checkpoint - time_eps:
-                            checkpoint_hook(
-                                row.t, ConcentrationProfile(c), row.controller(row.next_grid)
-                            )
-                            row.next_checkpoint = row.t + checkpoint_every
-                    if row.t >= cfg.t_end - time_eps:
+        groups = [[row] for row in rows if row.method is _RODAS4]
+        explicit = [row for row in rows if row.method is _FEHLBERG]
+        if explicit:
+            groups.insert(0, explicit)
+        for group in groups:
+            states = [row.samples[0] for row in group]
+            stepper = _Stepper(
+                kernel, states[0] if len(group) == 1 else np.array(states), cfg, group
+            )
+            live = stepper.rows if t0 < cfg.t_end - time_eps else []
+            while live:
+                suggestions = [
+                    min(row.dt_next, min(row.next_grid, cfg.t_end) - row.t) for row in live
+                ]
+                step(kernel, stepper, suggestions, cfg)
+                going = []
+                for i, row in enumerate(live):
+                    if row.error is not None:
+                        results[row.index] = row.error
                         continue
-                going.append(i)
-            if len(going) < len(live):
-                stepper.keep(going)
-                live = stepper.rows
+                    if row.dt is None:  # accepted a step in this call
+                        next_record = min(row.next_grid, cfg.t_end)
+                        row.t += row.dt_used
+                        if row.t >= next_record - time_eps:
+                            c = row.record(_row(stepper.c, i))
+                            if row.t >= row.next_grid - time_eps:
+                                row.next_grid += cadence
+                            if row.t >= row.next_checkpoint - time_eps:
+                                checkpoint_hook(
+                                    row.t, ConcentrationProfile(c), row.controller(row.next_grid)
+                                )
+                                row.next_checkpoint = row.t + checkpoint_every
+                        if row.t >= cfg.t_end - time_eps:
+                            continue
+                    going.append(i)
+                if len(going) < len(live):
+                    stepper.keep(going)
+                    live = stepper.rows
 
     for row in rows:
         if results[row.index] is None:
@@ -888,6 +952,20 @@ def _integrate_rows(
                 final = row.controller(row.next_grid) if cfg.t_end > t0 else controller
                 checkpoint_hook(float(record.times[-1]), record.final_state, final)
     return results
+
+
+def _stiff_method(kernel: Kernel, state: ConcentrationProfile, cfg: IntegratorConfig) -> str:
+    """The method a run from ``state`` takes: RODAS4 when the Gershgorin
+    bound on the Jacobian there, ``2 max_k (A_k + B_k)``, times the run's
+    longest step ``min(cadence, max_step)`` exceeds ``_STIFF_THRESHOLD``:
+    there stability, not accuracy, would hold explicit steps back."""
+    a_rates, b_rates = _RhsWork(kernel, state.n_trunc).rates(state.c)
+    # Column k of the rates' tridiagonal part holds -(A_k + B_k), B_k above and A_k below.
+    sums = np.zeros(state.n_trunc + 1)
+    sums[:-1] += a_rates
+    sums[1:] += b_rates
+    stiffness = 2.0 * float(sums.max()) * min(cfg.cadence(), cfg.max_step)
+    return (_RODAS4 if stiffness > _STIFF_THRESHOLD else _FEHLBERG).name
 
 
 def moment_identity_residual(
@@ -960,8 +1038,8 @@ def save_checkpoint(
     """Persist enough JSON to resume the run bit-compatibly at this state.
 
     ``controller`` is the block :func:`integrate` hands its checkpoint hook:
-    ``dt_next``, ``err_prev_ratio``, the positivity ceiling ``dt_ceiling``
-    (``None``, JSON ``null``, while it is infinite), ``next_record`` and the
+    ``method``, ``dt_next``, ``err_prev_ratio``, the positivity ceiling
+    ``dt_ceiling`` (``None``, JSON ``null``, while it is infinite), ``next_record`` and the
     clamp totals ``clamp_mass0``/``clamp_mass1``.  With it a resumed run
     repeats the uninterrupted one bit for bit.  The file is replaced
     atomically, so an interrupted write keeps the previous checkpoint
@@ -1017,12 +1095,17 @@ def load_checkpoint(path):
 def load_controller(path) -> Optional[dict]:
     """The controller block of a checkpoint, or ``None`` for a checkpoint
     written without one (the resumed controller then starts afresh).  A
-    block written without ``dt_ceiling`` loads with the ceiling unset."""
+    block written without ``dt_ceiling`` loads with the ceiling unset, one
+    without ``method`` as the explicit method."""
     block = _read_checkpoint(path).get("controller")
     if block is None:
         return None
     err_prev_ratio, dt_ceiling = block["err_prev_ratio"], block.get("dt_ceiling")
+    method = block.get("method", _FEHLBERG.name)
+    if method not in _METHODS:
+        raise ValueError(f"unknown stepping method {method!r}")
     return {
+        "method": method,
         "dt_next": float(block["dt_next"]),
         "err_prev_ratio": None if err_prev_ratio is None else float(err_prev_ratio),
         "dt_ceiling": None if dt_ceiling is None else float(dt_ceiling),

@@ -411,20 +411,22 @@ def crash_stiff_run(tmp_path, monkeypatch):
     ``t = 1.5``; returns the config path and the checkpoint path."""
     cfg = write_config(tmp_path, "stiff.json", STIFF_RESUME_CONFIG)
     out_crashed = tmp_path / "crashed"
-    crash_after_checkpoint(monkeypatch, 1.5)
-    with pytest.raises(SimulatedCrash):
-        main(["simulate", "--config", cfg, "--out", str(out_crashed)])
-    monkeypatch.undo()
+    with monkeypatch.context() as crash:
+        crash_after_checkpoint(crash, 1.5)
+        with pytest.raises(SimulatedCrash):
+            main(["simulate", "--config", cfg, "--out", str(out_crashed)])
     return cfg, out_crashed / "checkpoint.json"
 
 
 def test_stiff_resume_after_crash_carries_the_positivity_ceiling(tmp_path, monkeypatch):
-    # The additive kernel meets the positivity limit, so the checkpoint's
-    # ceiling is finite and the resumed steps depend on it.
+    # On the explicit method the additive kernel meets the positivity limit,
+    # so the checkpoint's ceiling is finite and the resumed steps depend on it.
+    monkeypatch.setattr(dynamics, "_STIFF_THRESHOLD", math.inf)
     cfg, checkpoint_path = crash_stiff_run(tmp_path, monkeypatch)
     checkpoint = json.loads(checkpoint_path.read_text())
     ceiling = checkpoint["controller"]["dt_ceiling"]
     assert checkpoint["t"] == 1.5 and ceiling is not None and math.isfinite(ceiling)
+    assert checkpoint["controller"]["method"] == "rkf45"
 
     out_resumed, out_full = tmp_path / "r", tmp_path / "f"
     assert main(["simulate", "--config", cfg, "--out", str(out_full)]) == EXIT_OK
@@ -439,17 +441,42 @@ def test_stiff_resume_after_crash_carries_the_positivity_ceiling(tmp_path, monke
     assert resumed_report["clamped_mass"] == full_report["clamped_mass"]
 
 
+def test_stiff_resume_after_crash_on_rodas4_is_byte_identical(tmp_path, monkeypatch):
+    # The same run takes RODAS4 by itself; the checkpoint carries the method,
+    # so the resumed run steps as the uninterrupted one, bit for bit.
+    cfg, checkpoint_path = crash_stiff_run(tmp_path, monkeypatch)
+    checkpoint = json.loads(checkpoint_path.read_text())
+    assert checkpoint["t"] == 1.5 and checkpoint["controller"]["method"] == "rodas4"
+    out_resumed, out_full = tmp_path / "r", tmp_path / "f"
+    assert main(["simulate", "--config", cfg, "--out", str(out_full)]) == EXIT_OK
+    resume = ["--resume", str(checkpoint_path)]
+    assert main(["simulate", "--config", cfg, "--out", str(out_resumed)] + resume) == EXIT_OK
+    full, resumed = trajectory_rows(out_full), trajectory_rows(out_resumed)
+    assert resumed[1:] == full[-(len(resumed) - 1):]  # every sample from t = 1.5 on
+    full_report, resumed_report = (
+        json.loads((out / "run_report.json").read_text()) for out in (out_full, out_resumed)
+    )
+    assert full_report["integrator"]["method"] == resumed_report["integrator"]["method"] == "rodas4"
+    assert resumed_report["clamped_mass"] == full_report["clamped_mass"]
+
+
 def test_stiff_resume_from_checkpoint_without_ceiling(tmp_path, monkeypatch):
+    # An explicit run's finite ceiling, dropped as in a block written before
+    # checkpoints carried the ceiling or the method.
+    monkeypatch.setattr(dynamics, "_STIFF_THRESHOLD", math.inf)
     cfg, checkpoint_path = crash_stiff_run(tmp_path, monkeypatch)
     payload = json.loads(checkpoint_path.read_text())
-    del payload["controller"]["dt_ceiling"]  # as written before checkpoints carried it
+    assert math.isfinite(payload["controller"]["dt_ceiling"])
+    del payload["controller"]["dt_ceiling"], payload["controller"]["method"]
     checkpoint_path.write_text(json.dumps(payload))
-    assert dynamics.load_controller(checkpoint_path)["dt_ceiling"] is None
+    controller = dynamics.load_controller(checkpoint_path)
+    assert controller["dt_ceiling"] is None and controller["method"] == "rkf45"
     out_resumed = tmp_path / "r"
     assert main(["simulate", "--config", cfg, "--out", str(out_resumed),
                  "--resume", str(checkpoint_path)]) == EXIT_OK
     report = json.loads((out_resumed / "run_report.json").read_text())
     assert report["t_final"] == 2.0 and report["integrator"]["accepted"] > 0
+    assert report["integrator"]["method"] == "rkf45"
     assert read_rows(out_resumed / "trajectory.csv")[1][0] == "1.5"
 
 
@@ -493,8 +520,9 @@ def test_simulate_reports_integrator_stats(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     stats = json.loads((out / "run_report.json").read_text())["integrator"]
     assert sorted(stats) == [
-        "accepted", "clamp_events", "dt_max", "dt_min", "rejected", "rhs_evals",
+        "accepted", "clamp_events", "dt_max", "dt_min", "method", "rejected", "rhs_evals",
     ]
+    assert stats["method"] == "rkf45"
     assert sorted(stats["rejected"]) == ["error", "non_finite", "positivity"]
     assert stats["accepted"] >= 12  # at least one step per sample
     assert stats["rhs_evals"] == 6 * stats["accepted"] + 5 * sum(stats["rejected"].values())
@@ -518,6 +546,15 @@ def test_simulate_integrator_failure(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INTEGRATOR
     report = json.loads((out / "run_report.json").read_text())
     assert "underflow" in report["error"]
+
+
+def test_simulate_rejects_recording_grid_too_long_to_count(tmp_path, capsys):
+    payload = dict(SIM_CONFIG, integrator={"t_end": 1e10, "record_every": 5e-324})
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "record_every" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
 
 
 SWEEP_CONFIG = {
@@ -812,6 +849,19 @@ def test_sweep_row_integration_error_precedes_classification_error(tmp_path, mon
     assert [row["status"] for row in rows] == ["error: rho_c unavailable", "error: step size underflow"]
     assert rows[0]["integrator"]["accepted"] > 0 and rows[1]["integrator"] is None
     assert report["rho_c"]["method"] == "direct-tail"
+
+
+@pytest.mark.parametrize("key", ["thermo", "classify"])
+def test_sweep_rejects_analysis_keys_it_would_ignore(tmp_path, capsys, key):
+    # A sweep computes no free energy and classifies every row, so it takes
+    # neither key, whatever its value.
+    for value in (True, False):
+        payload = dict(SWEEP_CONFIG, analysis=dict(SWEEP_CONFIG["analysis"], **{key: value}))
+        cfg = write_config(tmp_path, "s.json", payload)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "1"]) == EXIT_CONFIG
+        assert f"analysis.{key}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_empty_densities(tmp_path):

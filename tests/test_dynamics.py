@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ from edgrow.kernels import (
 @pytest.fixture(scope="module")
 def const():
     return constant_kernel()
+
+
+@pytest.fixture
+def explicit(monkeypatch):
+    """Every run started in the test takes the explicit method, however stiff."""
+    monkeypatch.setattr(dynamics, "_STIFF_THRESHOLD", math.inf)
 
 
 def test_profile_moments_cached():
@@ -185,6 +192,15 @@ def test_integrate_horizon_below_the_time_resolution(const):
     assert traj.sample_count == 1 and traj.stats.accepted == 0
 
 
+def test_recording_grid_too_long_to_count_is_a_value_error(const):
+    # (t_end - t0) / record_every overflows; the grid is rejected up front,
+    # not by an OverflowError while the sample matrix is sized.
+    with pytest.raises(ValueError, match="record_every"):
+        IntegratorConfig(t_end=1e10, record_every=5e-324)
+    with pytest.raises(ValueError, match="record_every"):
+        IntegratorConfig.from_dict({"t_end": 1e10, "record_every": 5e-324})
+
+
 def test_integrate_vacuum_is_constant(const):
     traj = integrate(const, vacuum_state(16), IntegratorConfig(t_end=5.0, record_every=0.5))
     assert np.all(traj.states == vacuum_state(16).c)
@@ -309,14 +325,16 @@ def test_boundary_mass_warning():
 
 
 def stiff_additive_run(n_trunc=64, t_end=2.0, record_every=0.5):
-    """Additive kernel with few samples: both error and positivity rejections."""
+    """Additive kernel with few samples: stiff enough for RODAS4, and on the
+    explicit method both error and positivity rejections."""
     cfg = IntegratorConfig(t_end=t_end, record_every=record_every)
     return integrate(additive_kernel(1.0, 2.0), monodisperse_state(1.0, 1, n_trunc), cfg)
 
 
-def test_trace_contract_counts_match_stats(monkeypatch):
-    # Wrap the module attributes the way the benchmark tracer does: what it
-    # counts must be what the integrator reports.
+def traced_stiff_additive_run(monkeypatch):
+    """``stiff_additive_run()`` with ``step`` and ``_rhs_from_c`` wrapped
+    the way the benchmark tracer wraps them; returns its stats, the calls
+    each wrapper saw and the work objects the right-hand sides got."""
     calls = {"step": 0, "rhs": 0}
     works = set()
     real_step, real_rhs = dynamics.step, dynamics._rhs_from_c
@@ -332,11 +350,28 @@ def test_trace_contract_counts_match_stats(monkeypatch):
 
     monkeypatch.setattr(dynamics, "step", counted_step)
     monkeypatch.setattr(dynamics, "_rhs_from_c", counted_rhs)
-    stats = stiff_additive_run().stats
+    return stiff_additive_run().stats, calls, works
+
+
+def test_trace_contract_counts_match_stats(monkeypatch, explicit):
+    # What the tracer counts must be what the integrator reports.
+    stats, calls, works = traced_stiff_additive_run(monkeypatch)
+    assert stats.method == "rkf45"
     assert stats.accepted > 0 and stats.rejected_error > 0 and stats.rejected_positivity > 0
     assert calls["step"] == stats.accepted
     assert calls["rhs"] == stats.rhs_evals
     assert len(works) == 1  # rejected attempts reuse the stepper's one work object
+    assert stats.rhs_evals == 6 * stats.accepted + 5 * stats.rejected
+
+
+def test_trace_contract_counts_match_rodas4_stats(monkeypatch):
+    # The same run is stiff enough for RODAS4, whose stages and Jacobian
+    # rates come from the same module-level right-hand side.
+    stats, calls, works = traced_stiff_additive_run(monkeypatch)
+    assert stats.method == "rodas4" and stats.accepted > 0
+    assert calls["step"] == stats.accepted
+    assert calls["rhs"] == stats.rhs_evals
+    assert len(works) == 1
     assert stats.rhs_evals == 6 * stats.accepted + 5 * stats.rejected
 
 
@@ -369,9 +404,10 @@ def test_stepper_calls_module_rhs_once_per_evaluation(monkeypatch, kernel):
     assert len(checkpoints) == 5  # t = 0.5, 1, 1.5, 2 and the end of the run
 
 
-def test_integrator_stats_report():
+def test_integrator_stats_report(explicit):
     traj = stiff_additive_run()
     report = traj.stats.as_dict()
+    assert report["method"] == "rkf45"
     assert report["rejected"] == {
         "error": traj.stats.rejected_error,
         "positivity": traj.stats.rejected_positivity,
@@ -382,6 +418,7 @@ def test_integrator_stats_report():
     assert (traj.clamp_mass0[-1] > 0.0) and (traj.clamp_mass1[-1] > 0.0)
     idle = integrate(constant_kernel(), vacuum_state(8), IntegratorConfig(t_end=0.0)).stats
     assert idle.as_dict() == {
+        "method": "rkf45",
         "accepted": 0,
         "rejected": {"error": 0, "positivity": 0, "non_finite": 0},
         "rhs_evals": 0,
@@ -391,17 +428,52 @@ def test_integrator_stats_report():
     }
 
 
+def test_rodas4_solution_and_error_orders():
+    # Local error O(dt^5) of the fourth-order solution and O(dt^4) of the
+    # embedded one, k_6 estimating the latter, against tight explicit steps.
+    kernel, state = additive_kernel(1.0, 2.0), geometric_state(0.5, 32)
+    errors = []
+    for dt in (0.05, 0.025, 0.0125):
+        tight = IntegratorConfig(t_end=dt, record_every=dt, rtol=1e-14, atol=1e-18)
+        reference = integrate(kernel, state, tight)
+        assert reference.stats.method == "rkf45"  # not stiff at this cadence
+        exact = reference.states[-1]
+        row = dynamics._Row({"method": "rodas4"}, state)
+        stepper = dynamics._Stepper(kernel, state.c, tight, [row])
+        estimate = stepper._rodas4(dt).copy()
+        solution = stepper.c_new
+        embedded = solution - estimate
+        errors.append((np.max(np.abs(solution - exact)), np.max(np.abs(embedded - exact))))
+    (fine4, fine3), (finer4, finer3) = errors[1], errors[2]
+    assert 20.0 < fine4 / finer4 < 40.0  # 2^5
+    assert 10.0 < fine3 / finer3 < 20.0  # 2^4
+    assert all(e4 < e3 for e4, e3 in errors)
+
+
 @pytest.mark.parametrize(
     "kernel, n_trunc, cfg, accepted, rejected, rhs_evals",
     [
-        # the stiff-additive and relax-thermo benchmark workloads at seed 0
+        # the stiff-additive and relax-thermo benchmark workloads at seed 0,
+        # on the explicit method
         (additive_kernel(1.0, 2.0), 512, IntegratorConfig(t_end=5.0), 2119, 89, 13159),
         (constant_kernel(1.0), 256, IntegratorConfig(t_end=200.0, record_every=0.1), 2156, 0, 12936),
     ],
 )
-def test_integrator_stats_of_benchmark_runs(kernel, n_trunc, cfg, accepted, rejected, rhs_evals):
+def test_integrator_stats_of_benchmark_runs(
+    explicit, kernel, n_trunc, cfg, accepted, rejected, rhs_evals
+):
     stats = integrate(kernel, monodisperse_state(1.0, 1, n_trunc), cfg).stats
+    assert stats.method == "rkf45"
     assert (stats.accepted, stats.rejected, stats.rhs_evals) == (accepted, rejected, rhs_evals)
+
+
+def test_integrator_stats_of_the_stiff_benchmark_run_on_rodas4():
+    # stiff-additive at seed 0 as it runs: RODAS4, never rejected
+    cfg = IntegratorConfig(t_end=5.0)
+    stats = integrate(additive_kernel(1.0, 2.0), monodisperse_state(1.0, 1, 512), cfg).stats
+    assert stats.method == "rodas4"
+    assert (stats.accepted, stats.rejected, stats.rhs_evals) == (263, 0, 1578)
+    assert stats.clamp_events == 1
 
 
 # Largest strong-norm error over the samples of the run against the same
@@ -415,38 +487,92 @@ HALVING_CONTROLLER_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("name, n_trunc", sorted(HALVING_CONTROLLER_ERRORS))
-def test_stiff_runs_meet_the_positivity_limit_rarely_and_no_less_accurately(name, n_trunc):
+def stiff_case(name, n_trunc):
+    """Kernel, initial state and config of a named stiff case."""
     if name == "additive":
         kernel, t_end, record_every = additive_kernel(1.0, 2.0), 5.0, None
     else:
         kernel, t_end, record_every = separable_kernel("k", "1"), 20.0, 2.0
-    state0 = monodisperse_state(1.0, 1, n_trunc)
-    run = integrate(kernel, state0, IntegratorConfig(t_end=t_end, record_every=record_every))
-    tight = IntegratorConfig(t_end=t_end, record_every=record_every, rtol=1e-13, atol=1e-16)
-    reference = integrate(kernel, state0, tight)
-    assert run.stats.rejected_positivity <= 0.1 * run.stats.accepted
+    cfg = IntegratorConfig(t_end=t_end, record_every=record_every)
+    return kernel, monodisperse_state(1.0, 1, n_trunc), cfg
+
+
+def explicit_error(monkeypatch, kernel, state0, cfg, run) -> float:
+    """Largest strong-norm error of ``run`` over its samples against the
+    explicit method at ``rtol = 1e-13, atol = 1e-16``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_STIFF_THRESHOLD", math.inf)
+        reference = integrate(kernel, state0, replace(cfg, rtol=1e-13, atol=1e-16))
+    assert reference.stats.method == "rkf45"
     assert np.array_equal(run.times, reference.times)
-    error = max(strong_norm(a - b) for a, b in zip(run.states, reference.states))
+    return max(strong_norm(a - b) for a, b in zip(run.states, reference.states))
+
+
+@pytest.mark.parametrize("name, n_trunc", sorted(HALVING_CONTROLLER_ERRORS))
+def test_stiff_runs_meet_the_positivity_limit_rarely_and_no_less_accurately(
+    monkeypatch, explicit, name, n_trunc
+):
+    kernel, state0, cfg = stiff_case(name, n_trunc)
+    run = integrate(kernel, state0, cfg)
+    assert run.stats.method == "rkf45"
+    assert run.stats.rejected_positivity <= 0.1 * run.stats.accepted
+    error = explicit_error(monkeypatch, kernel, state0, cfg, run)
     assert error <= HALVING_CONTROLLER_ERRORS[name, n_trunc]
 
 
-def test_resume_from_controller_repeats_the_run_exactly(const):
+# Largest strong-norm error of the runs the switch sends to RODAS4, against
+# the explicit method at rtol = 1e-13, atol = 1e-16, as first measured.  The
+# stiff-additive workload at N = 512 has the error of N = 256, 4.36e-8,
+# against 7.58e-8 for the explicit method; on k*1 RODAS4 is the less
+# accurate at N = 64 (explicit 5.2e-9) and the more accurate at N = 256.
+RODAS4_ERRORS = {
+    ("additive", 256): 4.360e-08,
+    ("k*1", 64): 1.059e-08,
+    ("k*1", 256): 1.059e-08,
+}
+
+
+@pytest.mark.parametrize("name, n_trunc", sorted(RODAS4_ERRORS))
+def test_stiff_runs_take_rodas4_without_clamping(monkeypatch, name, n_trunc):
+    kernel, state0, cfg = stiff_case(name, n_trunc)
+    run = integrate(kernel, state0, cfg)
+    assert run.stats.method == "rodas4"
+    assert run.stats.rejected_positivity == 0
+    assert run.clamp_mass0[-1] < 1e-15 and run.clamp_mass1[-1] < 1e-15
+    assert max(run.moment_drift()) <= 1e-14
+    assert explicit_error(monkeypatch, kernel, state0, cfg, run) <= RODAS4_ERRORS[name, n_trunc]
+
+
+def assert_resume_repeats_the_run(kernel, state0, method):
+    """A run resumed from its checkpoint at t = 2 repeats the uninterrupted
+    run from there: times, states, clamp ledger and method."""
     cfg = IntegratorConfig(t_end=4.0, record_every=0.25)
-    state0 = monodisperse_state(1.0, 1, 48)
     saved = []
     whole = integrate(
-        const, state0, cfg,
+        kernel, state0, cfg,
         checkpoint_hook=lambda t, state, controller: saved.append((t, state, controller)),
         checkpoint_every=1.0,
     )
+    assert whole.stats.method == method
     t_mid, state_mid, controller = saved[1]
-    assert t_mid == 2.0 and controller["next_record"] == 2.25
-    rest = integrate(const, state_mid, cfg, t0=t_mid, controller=controller)
+    assert t_mid == 2.0 and controller["next_record"] == 2.25 and controller["method"] == method
+    rest = integrate(kernel, state_mid, cfg, t0=t_mid, controller=controller)
     start = int(np.flatnonzero(whole.times == t_mid)[0])
     assert np.array_equal(rest.times, whole.times[start:])
     assert np.array_equal(rest.states, whole.states[start:])
+    assert np.array_equal(rest.clamp_mass0, whole.clamp_mass0[start:])
     assert np.array_equal(rest.clamp_mass1, whole.clamp_mass1[start:])
+    assert rest.stats.method == method
+
+
+def test_resume_from_controller_repeats_the_run_exactly(const):
+    assert_resume_repeats_the_run(const, monodisperse_state(1.0, 1, 48), "rkf45")
+
+
+def test_resume_from_controller_repeats_a_rodas4_run_exactly():
+    # The additive kernel is stiff at this cadence, so the run takes RODAS4.
+    state0 = monodisperse_state(1.0, 1, 96)
+    assert_resume_repeats_the_run(additive_kernel(1.0, 2.0), state0, "rodas4")
 
 
 def test_sample_matrix_is_sized_from_the_grid_and_grows_bit_for_bit(const, monkeypatch):
@@ -466,6 +592,7 @@ def test_sample_matrix_is_sized_from_the_grid_and_grows_bit_for_bit(const, monke
 
 def test_checkpoint_controller_round_trip(tmp_path, const):
     controller = {
+        "method": "rodas4",
         "dt_next": 0.1 / 3.0,
         "err_prev_ratio": 2.0 / 3.0,
         "dt_ceiling": 0.2 / 3.0,
@@ -482,9 +609,16 @@ def test_checkpoint_controller_round_trip(tmp_path, const):
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, unset)
     assert json.loads(path.read_text())["controller"]["dt_ceiling"] is None
     assert load_controller(path) == unset
-    # A controller block written before it carried the ceiling loads unset.
+    # A controller block written before it carried the ceiling loads unset,
+    # and one written before it carried the method loads as explicit.
     del controller["dt_ceiling"]
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
     assert load_controller(path) == unset
+    del controller["method"]
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
+    assert load_controller(path) == dict(unset, method="rkf45")
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, dict(unset, method="rk4"))
+    with pytest.raises(ValueError, match="method"):
+        load_controller(path)
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg)
     assert load_controller(path) is None

@@ -7,8 +7,10 @@ sample matrices (free energy, dissipation, the classifier's distance
 series) against the per-sample formulas bit for bit, every equilibrium
 quantity from the cut series against sums over the full range, the bulk
 CSV writers against per-cell formatting, and the in-place RK stepper and
-right-hand side against an allocate-everything Fehlberg step, and a
-lockstep batch against integrating each of its states alone.
+right-hand side against an allocate-everything Fehlberg step, a lockstep
+batch against integrating each of its states alone, and the blocked
+tridiagonal + Woodbury solve, alone and inside a RODAS4 attempt, against
+dense solves with the Jacobian formed from the rate table.
 """
 
 import math
@@ -21,6 +23,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgrow import equilibrium
+from edgrow._rodas4 import ShiftedJacobian
 from edgrow.cli import _write_summary_csv, _write_trajectory_csv
 from edgrow.diagnostics import (
     ConvergenceReport,
@@ -939,3 +942,135 @@ def test_batch_rows_with_positivity_retries_and_failures_match_alone():
     tiny = IntegratorConfig(t_end=1.0, rtol=1e-300, atol=1e-300)
     stats = assert_batch_matches_integrate(kernel, states, tiny)
     assert stats[:3] == [None] * 3 and stats[3].accepted > 0
+
+
+def dense_shifted_jacobian(kernel, c, g) -> np.ndarray:
+    """``I - g J`` for the Jacobian ``J`` of ``dc/dt`` at ``c``, formed from
+    the dense rate table: each flux ``A_k c_k - B_{k+1} c_{k+1}``
+    differentiated in the concentrations and, through ``A`` and ``B``, in
+    the state the rates sum over."""
+    n = len(c) - 1
+    table = kernel_matrix(kernel, n)  # table[l - 1, k] = K(l, k)
+    a_rates, b_rates = table.T @ c[1:], table @ c[:-1]
+    flux = np.zeros((n, n + 1))
+    for k in range(n):
+        flux[k, k] += a_rates[k]
+        flux[k, k + 1] -= b_rates[k]
+        flux[k, 1:] += c[k] * table[:, k]
+        flux[k, :-1] -= c[k + 1] * table[k, :]
+    jacobian = np.zeros((n + 1, n + 1))
+    jacobian[:-1] -= flux  # dc_k/dt = J_{k-1} - J_k
+    jacobian[1:] += flux
+    return np.eye(n + 1) - g * jacobian
+
+
+class DenseShiftedJacobian:
+    """:class:`ShiftedJacobian`'s interface on a dense matrix and
+    ``np.linalg.solve``; it ignores the rates it is handed."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def factor(self, g, a_rates, b_rates, c):
+        self.matrix = dense_shifted_jacobian(self.kernel, c, g)
+
+    def solve(self, rhs, out):
+        out[...] = np.linalg.solve(self.matrix, rhs)
+        return out
+
+
+@given(
+    name=st.sampled_from(sorted(KERNELS)),
+    c=states_with_zero_runs(60),
+    g_log10=st.floats(min_value=-4.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_shifted_jacobian_solve_matches_dense_solve(name, c, g_log10, seed):
+    # Rank-1 and rank-2 kernels, states with runs of zeros, g = gamma h over
+    # 1e-4 .. 10, and truncations across several sweep blocks.  Both solves
+    # are accurate to rounding times the condition number, so that is the
+    # scale of their difference; the residual is compared unscaled.
+    kernel, g, n = KERNELS[name], 10.0**g_log10, len(c) - 1
+    shifted = ShiftedJacobian(_factor_vectors(kernel, n), n)
+    shifted.factor(g, *_RhsWork(kernel, n).rates(c), c)
+    matrix = dense_shifted_jacobian(kernel, c, g)
+    rhs_vec = np.random.default_rng(seed).standard_normal(n + 1)
+    solved = shifted.solve(rhs_vec, np.empty(n + 1))
+    expected = np.linalg.solve(matrix, rhs_vec)
+    condition = np.linalg.cond(matrix, 1)
+    assert np.max(np.abs(solved - expected)) <= 1e-13 * condition * np.max(np.abs(expected))
+    scale = np.max(np.abs(matrix).sum(axis=1)) * np.max(np.abs(solved)) + np.max(np.abs(rhs_vec))
+    assert np.max(np.abs(matrix @ solved - rhs_vec)) <= 1e-13 * scale
+    # Count and mass of the solution are those of the right-hand side.
+    ls = np.arange(n + 1.0)
+    assert abs(solved.sum() - rhs_vec.sum()) <= 1e-13 * scale * (n + 1)
+    assert abs(ls @ solved - ls @ rhs_vec) <= 1e-13 * scale * (n + 1) ** 2
+
+
+@pytest.mark.parametrize("g", [1e-3, 0.1, 10.0])
+def test_shifted_jacobian_solve_matches_dense_solve_across_many_blocks(g):
+    # N = 1023 spans 64 sweep blocks, so every value carried between blocks
+    # passes through dozens of others.
+    kernel, n = KERNELS["additive"], 1023
+    rng = np.random.default_rng(7)
+    c = rng.random(n + 1) * np.exp(-np.arange(n + 1) / 100.0)
+    shifted = ShiftedJacobian(_factor_vectors(kernel, n), n)
+    shifted.factor(g, *_RhsWork(kernel, n).rates(c), c)
+    matrix = dense_shifted_jacobian(kernel, c, g)
+    rhs_vec = rng.standard_normal(n + 1)
+    expected = np.linalg.solve(matrix, rhs_vec)
+    solved = shifted.solve(rhs_vec, np.empty(n + 1))
+    condition = np.linalg.cond(matrix, 1)
+    assert np.max(np.abs(solved - expected)) <= 1e-13 * condition * np.max(np.abs(expected))
+
+
+def test_shifted_jacobian_buffers_grow_linearly_in_the_truncation():
+    def held_bytes(shifted):
+        bases, todo = {}, [vars(shifted)]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, dict):
+                todo.extend(item.values())
+            elif isinstance(item, (list, tuple)):
+                todo.extend(item)
+            elif isinstance(item, np.ndarray):
+                while item.base is not None:
+                    item = item.base
+                bases[id(item)] = item.nbytes
+            elif hasattr(item, "__dict__"):
+                todo.append(vars(item))
+        return sum(bases.values())
+
+    kernel = KERNELS["additive"]
+    small, large = (
+        held_bytes(ShiftedJacobian(_factor_vectors(kernel, n), n)) for n in (1 << 10, 1 << 14)
+    )
+    assert large <= 17 * small  # 16 times the truncation, and a little slack
+
+
+@given(
+    name=st.sampled_from(sorted(KERNELS)),
+    c=states_with_zero_runs(40),
+    g_log10=st.floats(min_value=-4.0, max_value=1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_rodas4_attempt_matches_attempt_with_dense_solves(name, c, g_log10):
+    # One attempt over dt = g / gamma, with the blocked solves and with dense
+    # ones, agrees to 1e-13 relative per unit of the condition number of
+    # I - g J, in the strong norm of the state or of the largest stage.
+    kernel, g = KERNELS[name], 10.0**g_log10
+    dt = g / 0.25
+    cfg = IntegratorConfig(t_end=1.0)
+    attempts = []
+    for dense in (False, True):
+        stepper = _Stepper(kernel, c, cfg, [_Row({"method": "rodas4"}, ConcentrationProfile(c))])
+        if dense:
+            stepper.rodas4.jacobian = DenseShiftedJacobian(kernel)
+        err_vec = stepper._rodas4(dt).copy()
+        scale = max(strong_norm(c), max(strong_norm(k) for k in stepper.stages), 1e-300)
+        attempts.append((stepper.c_new.copy(), err_vec, scale))
+    (fast, fast_err, _), (slow, slow_err, scale) = attempts
+    bound = 1e-13 * np.linalg.cond(dense_shifted_jacobian(kernel, c, g), 1) * scale
+    assert strong_norm(fast - slow) <= bound
+    assert strong_norm(fast_err - slow_err) <= bound
