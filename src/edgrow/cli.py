@@ -372,33 +372,24 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     return EXIT_OK
 
 
-def _sweep_row(args: tuple) -> list:
-    """Integrate a batch of a sweep's densities in lockstep; runs in a worker
-    process, so takes plain data.
+def _sweep_row(kernel: kernels.Kernel, cfg: dynamics.IntegratorConfig, states: list) -> list:
+    """Integrate a sweep's rows as one lockstep batch.
 
-    Returns one ``(trajectory, seconds)`` per density, in order, or
-    ``("error: ...", seconds)`` for a row whose state cannot be built or
-    whose integration fails; anything else is a programming error and
-    propagates.  Each row's ``seconds`` is an equal share of the batch's
-    time.  The rows hold no chemical potential: :func:`cmd_sweep` classifies
-    the trajectories.
+    ``states`` holds each row's initial state, or the ``"error: ..."`` of a
+    row whose state could not be built.  Returns one ``(trajectory,
+    seconds)`` per row, in order, or ``("error: ...", seconds)`` for a row
+    that has no state or whose integration fails; anything else is a
+    programming error and propagates.  Each row's ``seconds`` is an equal
+    share of the batch's time.
     """
-    config_json, densities = args
     started = time.perf_counter()
-    resolved = _resolve(json.loads(config_json))
-    results: list = [None] * len(densities)
-    states = {}
-    for i, rho in enumerate(densities):
-        ic = dict(resolved.get("initial_condition", {}), type="monodisperse", rho=rho)
-        row_config = {"initial_condition": ic if rho else {"type": "vacuum"}}
-        try:
-            states[i] = _build_state(row_config, resolved["n_trunc"])
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            results[i] = f"error: {exc}"
-    kernel, cfg = _build_kernel(resolved), _build_integrator(resolved)
-    for i, traj in zip(states, dynamics.integrate_batch(kernel, list(states.values()), cfg)):
-        results[i] = f"error: {traj}" if isinstance(traj, Exception) else traj
-    share = (time.perf_counter() - started) / max(1, len(densities))
+    results = list(states)
+    built = [i for i, state in enumerate(states) if not isinstance(state, str)]
+    if built:
+        trajs = dynamics.integrate_batch(kernel, [states[i] for i in built], cfg)
+        for i, traj in zip(built, trajs):
+            results[i] = f"error: {traj}" if isinstance(traj, Exception) else traj
+    share = (time.perf_counter() - started) / max(1, len(states))
     return [(result, share) for result in results]
 
 
@@ -422,22 +413,21 @@ def _classify_row(traj: dynamics.TrajectoryRecord, cp, analysis: Mapping[str, An
 def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int:
     """Run one simulation per density and aggregate the phase-diagram rows.
 
-    The rows integrate as lockstep batches (see :func:`_sweep_row`) in input
-    order.  With ``parallel = N >= 2`` they go to ``N - 1`` worker processes
-    (at most one per density), one contiguous batch each, before this
-    process builds anything, so workers fork from a small process and hold
-    no chemical potential.  While they integrate, this process, the N-th,
-    builds the sweep's one chemical potential, walks the ``rho_c`` ladder
-    once, and then classifies the trajectories in input order; with
-    ``N = 1`` the one batch runs here first.  A chemical-potential error
-    names every row, then come integration errors, then classification
-    errors.
+    The rows integrate as one lockstep batch (see :func:`_sweep_row`) on one
+    thread of this process.  With ``parallel = 1`` the batch finishes
+    before anything else runs; with ``parallel >= 2`` this thread builds the
+    sweep's one chemical potential and walks the ``rho_c`` ladder once
+    while the batch runs (numpy releases the GIL in the long series sums).
+    The trajectories are then classified here in input order.  A
+    chemical-potential error names every row, then come integration
+    errors, then classification errors.
     """
     resolved = _resolve(config)
     for key in ("thermo", "classify"):
         # A sweep computes no free energy and classifies every integrated row.
         if key in config.get("analysis", {}):
             raise ConfigError(f"sweep takes no analysis.{key}")
+        del resolved["analysis"][key]  # so the report echoes only keys a sweep reads
     densities = resolved.get("densities")
     if densities is None or not isinstance(densities, list):
         raise ConfigError("sweep config needs a 'densities' list")
@@ -450,30 +440,28 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     if not isinstance(ic, Mapping) or ic.get("type", "monodisperse") != "monodisperse":
         # Each row sets its own density, which only a monodisperse state carries.
         raise ConfigError("sweep initial_condition must be monodisperse")
-    kernel = _build_kernel(resolved)  # validate before starting workers
-    if densities:
-        _build_integrator(resolved)
+    kernel = _build_kernel(resolved)
+    cfg = _build_integrator(resolved) if densities else None
     if parallel is not None and parallel < 1:
         raise ConfigError(f"--parallel must be at least 1, got {parallel}")
     analysis = resolved["analysis"]
-    workers = min((parallel or 1) - 1, len(densities))
     phase_seconds = {"equilibrium": 0.0, "rows": 0.0, "classify": 0.0}
 
     rhos = [float(rho) for rho in densities]
-    config_json = json.dumps(resolved, sort_keys=True)
-    batches = max(1, workers) if rhos else 0
-    jobs = [
-        (config_json, tuple(rhos[i * len(rhos) // batches : (i + 1) * len(rhos) // batches]))
-        for i in range(batches)
-    ]
+    states: list = []
+    for rho in rhos:
+        row_ic = dict(ic, type="monodisperse", rho=rho) if rho else {"type": "vacuum"}
+        try:
+            states.append(_build_state({"initial_condition": row_ic}, resolved["n_trunc"]))
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            states.append(f"error: {exc}")
+    serial = (parallel or 1) == 1
     cp = cp_error = rho_c_block = None
-    with contextlib.ExitStack() as stack:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as thread:
         submitted = time.perf_counter()
-        if workers > 0:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_sweep_row, jobs)
-        else:
-            results = list(map(_sweep_row, jobs))
+        batch = thread.submit(_sweep_row, kernel, cfg, states)
+        if serial:  # rows first: no two threads run edgrow code at once
+            batch.result()
             phase_seconds["rows"] = time.perf_counter() - submitted
         if densities:
             rho_c_block = {"method": None, "ladder_length": None}
@@ -486,8 +474,8 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
                     with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
                         info = equilibrium.critical_density_info(cp)
                         rho_c_block = {"method": info.method, "ladder_length": len(info.ladder)}
-        results = [row for batch in results for row in batch]
-        if workers > 0:
+        results = batch.result()
+        if not serial:
             phase_seconds["rows"] = time.perf_counter() - submitted
 
     rows = []
@@ -590,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="density sweep")
     add_common(p_sweep)
-    p_sweep.add_argument("--parallel", type=int, default=None, help="worker processes")
+    p_sweep.add_argument("--parallel", type=int, default=None, help="2+: rows beside equilibrium")
 
     p_w = sub.add_parser("weights", help="superlinear weight construction")
     add_common(p_w)

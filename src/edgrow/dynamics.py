@@ -551,7 +551,8 @@ class _Row:
             states=samples,
             n_trunc=samples.shape[1] - 1,
             zeroth_moments=np.sum(samples, axis=1),
-            first_moments=samples @ np.arange(samples.shape[1], dtype=float),
+            # ddot per row, not gemv: a resumed run's rho cells keep their bits
+            first_moments=np.vecdot(samples, np.arange(samples.shape[1], dtype=float)),
             clamp_mass0=np.asarray(self.clamp0),
             clamp_mass1=np.asarray(self.clamp1),
             boundary_mass=np.asarray(self.boundary),

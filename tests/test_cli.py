@@ -1,11 +1,11 @@
-import concurrent.futures
 import csv
-import functools
 import gc
 import json
 import math
 import multiprocessing
 import os
+import sys
+import threading
 import time
 import weakref
 
@@ -373,8 +373,14 @@ def crash_after_checkpoint(monkeypatch, t_crash):
     monkeypatch.setattr(dynamics, "save_checkpoint", save_then_crash)
 
 
-def trajectory_rows(out_dir):
-    return (out_dir / "trajectory.csv").read_bytes().splitlines()
+def assert_resumed_outputs_match(out_full, out_resumed):
+    """Every ``trajectory.csv`` and ``summary.csv`` row of the resumed run,
+    from the checkpoint on, is the uninterrupted run's row."""
+    for name in ("trajectory.csv", "summary.csv"):
+        full = (out_full / name).read_bytes().splitlines()
+        resumed = (out_resumed / name).read_bytes().splitlines()
+        assert resumed[0] == full[0] and len(resumed) > 1, name
+        assert resumed[1:] == full[-(len(resumed) - 1):], name
 
 
 def test_simulate_resume_after_crash_is_byte_identical(tmp_path, monkeypatch):
@@ -390,9 +396,7 @@ def test_simulate_resume_after_crash_is_byte_identical(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(out_full)]) == EXIT_OK
     resume = ["--resume", str(out_crashed / "checkpoint.json")]
     assert main(["simulate", "--config", cfg, "--out", str(out_resumed)] + resume) == EXIT_OK
-    full, resumed = trajectory_rows(out_full), trajectory_rows(out_resumed)
-    assert resumed[-1] == full[-1]
-    assert resumed[1:] == full[-(len(resumed) - 1):]  # every sample from t = 4 on
+    assert_resumed_outputs_match(out_full, out_resumed)  # every sample from t = 4 on
     reports = [json.loads((out / "run_report.json").read_text()) for out in (out_full, out_resumed)]
     assert reports[1]["clamped_mass"] == reports[0]["clamped_mass"]
 
@@ -432,8 +436,7 @@ def test_stiff_resume_after_crash_carries_the_positivity_ceiling(tmp_path, monke
     assert main(["simulate", "--config", cfg, "--out", str(out_full)]) == EXIT_OK
     resume = ["--resume", str(checkpoint_path)]
     assert main(["simulate", "--config", cfg, "--out", str(out_resumed)] + resume) == EXIT_OK
-    full, resumed = trajectory_rows(out_full), trajectory_rows(out_resumed)
-    assert resumed[1:] == full[-(len(resumed) - 1):]  # every sample from t = 1.5 on
+    assert_resumed_outputs_match(out_full, out_resumed)  # every sample from t = 1.5 on
     full_report, resumed_report = (
         json.loads((out / "run_report.json").read_text()) for out in (out_full, out_resumed)
     )
@@ -451,8 +454,7 @@ def test_stiff_resume_after_crash_on_rodas4_is_byte_identical(tmp_path, monkeypa
     assert main(["simulate", "--config", cfg, "--out", str(out_full)]) == EXIT_OK
     resume = ["--resume", str(checkpoint_path)]
     assert main(["simulate", "--config", cfg, "--out", str(out_resumed)] + resume) == EXIT_OK
-    full, resumed = trajectory_rows(out_full), trajectory_rows(out_resumed)
-    assert resumed[1:] == full[-(len(resumed) - 1):]  # every sample from t = 1.5 on
+    assert_resumed_outputs_match(out_full, out_resumed)  # every sample from t = 1.5 on
     full_report, resumed_report = (
         json.loads((out / "run_report.json").read_text()) for out in (out_full, out_resumed)
     )
@@ -491,8 +493,7 @@ def test_simulate_resume_extends_a_finished_run_byte_identically(tmp_path):
     assert main(["simulate", "--config", cfg_full, "--out", str(out_full)]) == EXIT_OK
     resume = ["--resume", str(out_short / "checkpoint.json")]
     assert main(["simulate", "--config", cfg_full, "--out", str(out_resumed)] + resume) == EXIT_OK
-    full, resumed = trajectory_rows(out_full), trajectory_rows(out_resumed)
-    assert resumed[1:] == full[-(len(resumed) - 1):]
+    assert_resumed_outputs_match(out_full, out_resumed)
 
 
 def test_simulate_resumes_checkpoint_without_controller(tmp_path):
@@ -592,85 +593,85 @@ def test_sweep_row_independence(tmp_path):
         assert line == kept[line.split(",")[0]]
 
 
-def log_chemical_potential_builds(path):
-    """Make ``equilibrium.chemical_potential``, in the process that runs
-    this, append the process id to ``path`` at every call.  Module level,
-    so a spawned pool worker can run it as its initializer."""
+def test_sweep_builds_one_chemical_potential_in_the_sweep_process(tmp_path, monkeypatch):
+    # Builds are logged from any thread; the row thread builds none.  The
+    # row thread and the equilibrium share the kernel and its cached factor
+    # tables, so --parallel 2 switches threads every microsecond: the bytes
+    # must still be the serial ones.
+    builds = []
     build = equilibrium.chemical_potential
 
     def logged_build(*args, **kwargs):
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
+        builds.append((os.getpid(), threading.get_ident()))
         return build(*args, **kwargs)
 
-    equilibrium.chemical_potential = logged_build
-
-
-def test_sweep_builds_one_chemical_potential_in_the_sweep_process(tmp_path, monkeypatch):
-    # Builds are logged from any process: a forked worker inherits the
-    # logging build, a spawned one installs it as the pool's initializer.
-    log = tmp_path / "builds.log"
-    monkeypatch.setattr(equilibrium, "chemical_potential", equilibrium.chemical_potential)
-    log_chemical_potential_builds(str(log))
-    spawn_pool = functools.partial(
-        concurrent.futures.ProcessPoolExecutor,
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=log_chemical_potential_builds,
-        initargs=(str(log),),
-    )
+    monkeypatch.setattr(equilibrium, "chemical_potential", logged_build)
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 1.0, 2.0]))
     outputs = []
-    for name, degree in (("serial", 1), ("fork", 2), ("spawn", 2)):
-        if name == "spawn":
-            monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spawn_pool)
-        log.write_text("")
-        out = tmp_path / name
-        assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
-        assert log.read_text().split() == [str(os.getpid())], name
+    interval = sys.getswitchinterval()
+    for degree, switch in ((1, interval), (2, 1e-6)):
+        builds.clear()
+        out = tmp_path / f"p{degree}"
+        sys.setswitchinterval(switch)
+        try:
+            argv = ["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]
+            assert main(argv) == EXIT_OK
+        finally:
+            sys.setswitchinterval(interval)
+        assert builds == [(os.getpid(), threading.get_ident())], degree
         outputs.append((out / "sweep.csv").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def in_process_pool(sizes: list):
-    """A stand-in for ``ProcessPoolExecutor`` that appends each pool's
-    ``max_workers`` to ``sizes`` and runs the jobs here: no process starts."""
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    return InProcessPool
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_calls_the_row_function_once_per_density(tmp_path, monkeypatch):
     # The benchmark's tracer wraps cli._sweep_row; cmd_sweep must call it
-    # through the module, with every density in exactly one batch, in
-    # input order.
+    # through the module, once, with every density's state in input order.
     calls = []
     row = cli._sweep_row
 
-    def counting_row(job):
-        calls.append(job[1])
-        return row(job)
+    def counting_row(kernel, cfg, states):
+        calls.append([state.first_moment for state in states])
+        return row(kernel, cfg, states)
 
     monkeypatch.setattr(cli, "_sweep_row", counting_row)
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", in_process_pool([]))
     config = dict(SWEEP_CONFIG, densities=[0.5, 2.0, 0.25])
     cfg = write_config(tmp_path, "s.json", config)
-    for degree, batches in ((1, 1), (2, 1), (3, 2), (9, 3)):
+    for degree in (1, 2, 3, 9):
         calls.clear()
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", str(degree)]) == EXIT_OK
-        assert [rho for batch in calls for rho in batch] == config["densities"]
-        assert len(calls) == batches
+        assert calls == [config["densities"]]
+
+
+def test_sweep_starts_no_child_process_and_one_row_thread(tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a sweep started a process")
+
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    config = dict(SWEEP_CONFIG, densities=[0.5, 2.0, 0.25])
+    cfg = write_config(tmp_path, "s.json", config)
+    outputs = []
+    for degree in (1, 2, 5000):
+        started.clear()
+        out = tmp_path / f"p{degree}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
+        assert len(started) == 1, degree
+        outputs.append((out / "sweep.csv").read_bytes())
+    # --parallel is the one setting; a "parallelism" key is not read.
+    cfg = write_config(tmp_path, "p.json", dict(config, parallelism=4))
+    started.clear()
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "k")]) == EXIT_OK
+    assert len(started) == 1
+    outputs.append((tmp_path / "k" / "sweep.csv").read_bytes())
+    assert outputs[1:] == outputs[:-1]
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -695,7 +696,7 @@ def test_sweep_reports_phase_times(tmp_path, monkeypatch, degree):
     assert all(runtime >= 0.05 for runtime in runtimes)
     if degree == 1:  # rows run here, one after another, before the equilibrium phase
         assert sum(runtimes) <= phases["rows"] + phases["classify"]
-    else:  # the pool's rows overlap the equilibrium phase
+    else:  # the row thread overlaps the equilibrium phase
         assert phases["rows"] >= phases["equilibrium"]
     cfg = write_config(tmp_path, "e.json", dict(SWEEP_CONFIG, densities=[]))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", str(degree)]) == EXIT_OK
@@ -714,9 +715,11 @@ def test_serial_sweep_keeps_no_chemical_potential(tmp_path, monkeypatch):
 
     monkeypatch.setattr(equilibrium, "chemical_potential", recording_build)
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5]))
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", "1"]) == EXIT_OK
-    gc.collect()
-    assert len(refs) == 1 and refs[0]() is None
+    for degree in ("1", "2"):
+        refs.clear()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", degree]) == EXIT_OK
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None, degree
 
 
 SWEEP_KERNELS = {
@@ -729,8 +732,8 @@ SWEEP_KERNELS = {
 
 @pytest.mark.parametrize("case", sorted(SWEEP_KERNELS))
 def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypatch, case):
-    # Every rung evaluation, from any process, is logged: the sweep walks the
-    # ladder once, in its own process, however many workers run the rows.
+    # Every rung evaluation, from any thread, is logged: the sweep walks the
+    # ladder once, whether or not the rows run alongside it.
     log = tmp_path / "rungs.log"
     rung = equilibrium._ladder_rung
 
@@ -778,43 +781,16 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
     assert outputs[1] == outputs[2]
 
 
-def test_sweep_pool_started_by_spawn_writes_the_serial_bytes(tmp_path, monkeypatch):
-    # A spawned worker inherits nothing from this process; it only
-    # integrates, and the rows classify here.
-    spawn_pool = functools.partial(
-        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
-    )
-    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 2.0, 1.0]))
-    serial, pooled = tmp_path / "serial", tmp_path / "spawn"
-    assert main(["sweep", "--config", cfg, "--out", str(serial), "--parallel", "1"]) == EXIT_OK
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spawn_pool)
-    assert main(["sweep", "--config", cfg, "--out", str(pooled), "--parallel", "2"]) == EXIT_OK
-    assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
-
-
-def test_sweep_pool_has_at_most_one_worker_per_density(tmp_path, monkeypatch):
-    sizes = []
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
-    config = dict(SWEEP_CONFIG, densities=[0.5, 2.0, 0.25])
-    cfg = write_config(tmp_path, "s.json", config)
-    out = str(tmp_path / "a")
-    assert main(["sweep", "--config", cfg, "--out", out, "--parallel", "5000"]) == EXIT_OK
-    assert sizes == [3]
-    # The pool size has one setting, --parallel; a "parallelism" key is not read.
-    cfg = write_config(tmp_path, "p.json", dict(config, parallelism=4))
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
-    assert sizes == [3]
-    assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
-
-
 def test_sweep_row_programming_error_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken integrator call")
 
     monkeypatch.setattr(dynamics, "integrate_batch", broken)
     config = dict(SWEEP_CONFIG, densities=[0.5])
-    with pytest.raises(TypeError, match="broken integrator call"):
-        cli.cmd_sweep(config, str(tmp_path / "out"), parallel=1)
+    for degree in (1, 2):  # raised on the row thread, re-raised by the sweep
+        with pytest.raises(TypeError, match="broken integrator call"):
+            cli.cmd_sweep(config, str(tmp_path / "out"), parallel=degree)
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_sweep_row_numerical_error_becomes_error_row(tmp_path, monkeypatch):
@@ -862,6 +838,17 @@ def test_sweep_rejects_analysis_keys_it_would_ignore(tmp_path, capsys, key):
         assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", "1"]) == EXIT_CONFIG
         assert f"analysis.{key}" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_report_echoes_only_analysis_keys_it_honours(tmp_path):
+    # thermo and classify are rejected, so their defaults are not echoed;
+    # checkpoint_every is still accepted and echoed.
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", "1"]) == EXIT_OK
+    analysis = json.loads((tmp_path / "sweep_report.json").read_text())["config"]["analysis"]
+    assert "thermo" not in analysis and "classify" not in analysis
+    assert analysis["checkpoint_every"] is None
+    assert analysis["equilibrium_k_max"] == SWEEP_CONFIG["analysis"]["equilibrium_k_max"]
 
 
 def test_sweep_empty_densities(tmp_path):

@@ -451,9 +451,9 @@ CRITICAL_CASES = {
 @pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_critical_density_from_rounds_matches_serial_walk(case, degree):
-    # Each of the ``degree`` processes of a sweep pool builds its own
-    # chemical potential and walks the ladder once; every walk gives the
-    # full walk's result, cut where it may stop.
+    # ``degree`` chemical potentials of one kernel, each built afresh and
+    # walked once: every walk gives the full walk's result, cut where it
+    # may stop.
     kernel, k_max, phi_c = CRITICAL_CASES[case]
     walks = []
     for _ in range(degree):
