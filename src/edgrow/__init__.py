@@ -49,7 +49,6 @@ from .dynamics import (
     geometric_state,
     integrate,
     load_checkpoint,
-    load_controller,
     moment_identity_residual,
     monodisperse_state,
     net_fluxes,

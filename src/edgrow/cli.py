@@ -61,6 +61,7 @@ _ANALYSIS_INTS = {
     "equilibrium_k_max": (10**6, 1), "profile_k_max": (1024, 0), "excess_band_start": (64, 0),
     "low_band": (10, 0), "audit_k_max": (100, 2), "audit_l_max": (100, 2),
 }
+_ANALYSIS_KEYS = {*_ANALYSIS_INTS, "thermo", "classify", "checkpoint_every"}
 
 
 def _resolve(config: Mapping[str, Any]) -> dict:
@@ -69,6 +70,9 @@ def _resolve(config: Mapping[str, Any]) -> dict:
     analysis = config.get("analysis", {})
     if not isinstance(analysis, Mapping):
         raise ConfigError("analysis must be a JSON object")
+    for key in analysis:
+        if key not in _ANALYSIS_KEYS:
+            raise ConfigError(f"unknown analysis key {key!r}; choose from {sorted(_ANALYSIS_KEYS)}")
     analysis = {"thermo": True, "classify": True, "checkpoint_every": None, **analysis}
     resolved = dict(config)
     resolved["analysis"] = analysis
@@ -143,7 +147,7 @@ def _analysis_config(analysis: Mapping[str, Any]) -> diagnostics.AnalysisConfig:
 
 def _build_integrator(config: Mapping[str, Any]) -> dynamics.IntegratorConfig:
     spec = config.get("integrator")
-    if spec is None or "t_end" not in spec:
+    if not isinstance(spec, Mapping) or "t_end" not in spec:
         raise ConfigError("config needs integrator.t_end")
     try:
         return dynamics.IntegratorConfig.from_dict(spec)
@@ -269,8 +273,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         # The checkpoint provides the state and clock; the config stays the
         # description of the full run (t_end, tolerances, outputs).
         try:
-            t0, resumed_state, kernel_spec, _ = dynamics.load_checkpoint(resume)
-            controller = dynamics.load_controller(resume)
+            t0, resumed_state, kernel_spec, controller = dynamics.load_checkpoint(resume)
             kernel = kernels.kernel_from_spec(kernel_spec)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot resume from {resume!r}: {exc!r}") from exc

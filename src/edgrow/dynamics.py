@@ -30,15 +30,16 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .equilibrium import EquilibriumProfile
-from .kernels import Kernel, _factor_vectors
+from .kernels import Kernel, _factor_vectors, _is_finite
 
 __all__ = [
     "ConcentrationProfile",
@@ -64,7 +65,6 @@ __all__ = [
     "positivity_bound_margin",
     "save_checkpoint",
     "load_checkpoint",
-    "load_controller",
 ]
 
 
@@ -240,15 +240,27 @@ def strong_norm(values: np.ndarray) -> float:
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Adaptive integrator settings; tolerances are componentwise via
-    ``rtol * strong_norm(c) + atol``."""
+    ``rtol * strong_norm(c) + atol``.
+
+    The fields are the whole ``integrator`` block of a config
+    (:meth:`from_dict`).  Each value is a finite real number, not a ``bool``
+    or a string, and is stored as a float; ``record_every`` may be ``None``
+    (every ``t_end / 200``).  No step is longer than the recording cadence:
+    :func:`integrate` ends each one at or before the next grid point.
+    """
 
     t_end: float
     rtol: float = 1e-8
     atol: float = 1e-12
-    max_step: float = math.inf
     record_every: Optional[float] = None
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if value is None and name == "record_every":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not _is_finite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be positive")
         if self.t_end < 0:
@@ -263,27 +275,16 @@ class IntegratorConfig:
             return self.record_every
         return self.t_end / 200.0 or 1.0  # also where t_end / 200 underflows to 0
 
-    def as_dict(self) -> dict:
-        return {
-            "t_end": self.t_end,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "max_step": None if math.isinf(self.max_step) else self.max_step,
-            "record_every": self.record_every,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "IntegratorConfig":
-        max_step = data.get("max_step")
-        return IntegratorConfig(
-            t_end=float(data["t_end"]),
-            rtol=float(data.get("rtol", 1e-8)),
-            atol=float(data.get("atol", 1e-12)),
-            max_step=math.inf if max_step in (None, "inf") else float(max_step),
-            record_every=(
-                None if data.get("record_every") is None else float(data["record_every"])
-            ),
-        )
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "IntegratorConfig":
+        """The config of an ``integrator`` block, whose keys are the fields;
+        any other key is a ValueError that names it."""
+        for key in data:
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(
+                    f"unknown integrator key {key!r}; choose from {list(cls.__dataclass_fields__)}"
+                )
+        return cls(**data)
 
 
 # Fehlberg 4(5) tableau; the fifth-order solution is propagated and the
@@ -459,7 +460,7 @@ class _Row:
             return False
         return True
 
-    def accept(self, err: float, tol_new: float, clamped: tuple, cfg: IntegratorConfig) -> None:
+    def accept(self, err: float, tol_new: float, clamped: tuple) -> None:
         """Book the accepted attempt: clamp totals, controller and counters."""
         dt = self.dt
         self.clamped_mass0, self.clamped_mass1 = clamped
@@ -487,9 +488,7 @@ class _Row:
             factor = min(factor, 1.0)
         else:
             self.dt_ceiling *= _CEILING_RELAX
-        self.dt_next = min(
-            dt * max(_FAC_MIN, min(_FAC_MAX, factor)), cfg.max_step, self.dt_ceiling
-        )
+        self.dt_next = min(dt * max(_FAC_MIN, min(_FAC_MAX, factor)), self.dt_ceiling)
         self.err_prev_ratio = err / tol_new
         self.tol = tol_new
 
@@ -667,11 +666,10 @@ class _Stepper:
     def advance(self, dt_suggest: Sequence[float]) -> None:
         """Lockstep attempts until at least one row accepts a step or fails.
 
-        A row between steps starts one of length at most
-        ``min(dt_suggest[i], max_step)``; a row retrying a rejected attempt
-        ignores its entry.  Each row rejects and retries as :func:`step`
-        documents.  An accepted row clamps, updates its clamp totals and its
-        controller, and takes its new state.  A row whose step underflows,
+        A row between steps starts one of length ``dt_suggest[i]``; a row
+        retrying a rejected attempt ignores its entry.  Each row rejects and
+        retries as :func:`step` documents.  An accepted row clamps, updates
+        its clamp totals and its controller, and takes its new state.  A row whose step underflows,
         or whose bookkeeping raises ValueError, RuntimeError or
         ArithmeticError, keeps that exception in ``error`` and is not
         stepped again.
@@ -681,7 +679,7 @@ class _Stepper:
             if row.dt is None:
                 if suggest <= 0:
                     raise ValueError("dt_suggest must be positive")
-                row.dt, row.retried = min(suggest, cfg.max_step), False
+                row.dt, row.retried = suggest, False
                 row.stats.rhs_evals += _STEP_EVALS
                 self.stage0_ready = False
         t_scale = max(cfg.t_end, 1.0)
@@ -718,7 +716,7 @@ class _Stepper:
                         )
                         new_row[clamp] = 0.0
                         row.stats.clamp_events += 1
-                    row.accept(err, self._tolerance(new_row, scratch_row), clamped, cfg)
+                    row.accept(err, self._tolerance(new_row, scratch_row), clamped)
                 except (ValueError, RuntimeError, ArithmeticError) as exc:
                     row.error, ended = exc, True
                     continue
@@ -746,11 +744,12 @@ def step(
 ) -> Optional[StepResult]:
     """One accepted explicit embedded RK4(5) step with PI step-size control.
 
-    Rejects and halves when the step would not be finite, and shrinks it
-    when the componentwise error exceeds ``rtol * ||c|| + atol``.  When a
-    component would drop below ``-atol`` the step is rejected and ``dt``
-    scaled by ``clip(0.9 (c_i + atol) / (c_i - c_new_i), 0.2, 0.9)`` at the
-    worst component ``i``; when that ratio is not a positive finite number
+    The first attempt is ``dt_suggest`` long; no setting caps it.  Rejects
+    and halves when the step would not be finite, and shrinks it when the
+    componentwise error exceeds ``rtol * ||c|| + atol``.  When a component
+    would drop below ``-atol`` the step is rejected and ``dt`` scaled by
+    ``clip(0.9 (c_i + atol) / (c_i - c_new_i), 0.2, 0.9)`` at the worst
+    component ``i``; when that ratio is not a positive finite number
     (``c_i`` already at or below ``-atol``) it is halved.  A step that needed
     such a retry proposes no larger ``dt_next``.  Accepted components in
     ``[-atol, 0)`` are clamped to 0 with the clamped mass reported for the
@@ -879,7 +878,7 @@ def _integrate_rows(
         raise ValueError("the states of a batch must share one truncation")
     cadence, block = cfg.cadence(), controller
     if controller is None:
-        first_dt = min(cadence, cfg.max_step, cfg.t_end - t0) * 0.05
+        first_dt = min(cadence, cfg.t_end - t0) * 0.05
         block = {"dt_next": first_dt, "next_record": t0 + cadence}
     results: list = [None] * len(states0)
     rows = []
@@ -958,14 +957,14 @@ def _integrate_rows(
 def _stiff_method(kernel: Kernel, state: ConcentrationProfile, cfg: IntegratorConfig) -> str:
     """The method a run from ``state`` takes: RODAS4 when the Gershgorin
     bound on the Jacobian there, ``2 max_k (A_k + B_k)``, times the run's
-    longest step ``min(cadence, max_step)`` exceeds ``_STIFF_THRESHOLD``:
+    longest step, the recording cadence, exceeds ``_STIFF_THRESHOLD``:
     there stability, not accuracy, would hold explicit steps back."""
     a_rates, b_rates = _RhsWork(kernel, state.n_trunc).rates(state.c)
     # Column k of the rates' tridiagonal part holds -(A_k + B_k), B_k above and A_k below.
     sums = np.zeros(state.n_trunc + 1)
     sums[:-1] += a_rates
     sums[1:] += b_rates
-    stiffness = 2.0 * float(sums.max()) * min(cfg.cadence(), cfg.max_step)
+    stiffness = 2.0 * float(sums.max()) * cfg.cadence()
     return (_RODAS4 if stiffness > _STIFF_THRESHOLD else _FEHLBERG).name
 
 
@@ -1038,9 +1037,11 @@ def save_checkpoint(
 ) -> None:
     """Persist enough JSON to resume the run bit-compatibly at this state.
 
-    ``controller`` is the block :func:`integrate` hands its checkpoint hook:
-    ``method``, ``dt_next``, ``err_prev_ratio``, the positivity ceiling
-    ``dt_ceiling`` (``None``, JSON ``null``, while it is infinite), ``next_record`` and the
+    ``cfg`` is echoed so the file describes its run, but
+    :func:`load_checkpoint` does not read it back.  ``controller`` is the
+    block :func:`integrate` hands its checkpoint hook: ``method``,
+    ``dt_next``, ``err_prev_ratio``, the positivity ceiling ``dt_ceiling``
+    (``None``, JSON ``null``, while it is infinite), ``next_record`` and the
     clamp totals ``clamp_mass0``/``clamp_mass1``.  With it a resumed run
     repeats the uninterrupted one bit for bit.  The file is replaced
     atomically, so an interrupted write keeps the previous checkpoint
@@ -1051,7 +1052,7 @@ def save_checkpoint(
         "N": state.n_trunc,
         "c": [repr(x) for x in state.c.tolist()],
         "kernel_spec": dict(kernel_spec),
-        "cfg": cfg.as_dict(),
+        "cfg": asdict(cfg),
     }
     if controller is not None:
         payload["controller"] = dict(controller)
@@ -1081,41 +1082,31 @@ def _atomic_writer(path):
 def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; floats round-trip exactly.
 
-    Returns ``(t, state, kernel_spec, cfg)``; :func:`load_controller` reads
-    the controller block.
+    Returns ``(t, state, kernel_spec, controller)``.  ``controller`` is the
+    checkpoint's controller block, or ``None`` for a checkpoint written
+    without one (the resumed controller then starts afresh).  A block
+    written without ``dt_ceiling`` loads with the ceiling unset, one without
+    ``method`` as the explicit method.  The echoed ``cfg`` is not read: the
+    resuming run's own config describes the run.
     """
-    payload = _read_checkpoint(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
     c = np.array([float(x) for x in payload["c"]], dtype=float)
     if len(c) != payload["N"] + 1:
         raise ValueError("checkpoint truncation does not match its state length")
-    state = ConcentrationProfile(c)
-    cfg = IntegratorConfig.from_dict(payload["cfg"])
-    return float(payload["t"]), state, payload["kernel_spec"], cfg
-
-
-def load_controller(path) -> Optional[dict]:
-    """The controller block of a checkpoint, or ``None`` for a checkpoint
-    written without one (the resumed controller then starts afresh).  A
-    block written without ``dt_ceiling`` loads with the ceiling unset, one
-    without ``method`` as the explicit method."""
-    block = _read_checkpoint(path).get("controller")
-    if block is None:
-        return None
-    err_prev_ratio, dt_ceiling = block["err_prev_ratio"], block.get("dt_ceiling")
-    method = block.get("method", _FEHLBERG.name)
-    if method not in _METHODS:
-        raise ValueError(f"unknown stepping method {method!r}")
-    return {
-        "method": method,
-        "dt_next": float(block["dt_next"]),
-        "err_prev_ratio": None if err_prev_ratio is None else float(err_prev_ratio),
-        "dt_ceiling": None if dt_ceiling is None else float(dt_ceiling),
-        "next_record": float(block["next_record"]),
-        "clamp_mass0": float(block["clamp_mass0"]),
-        "clamp_mass1": float(block["clamp_mass1"]),
-    }
-
-
-def _read_checkpoint(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    block, controller = payload.get("controller"), None
+    if block is not None:
+        err_prev_ratio, dt_ceiling = block["err_prev_ratio"], block.get("dt_ceiling")
+        method = block.get("method", _FEHLBERG.name)
+        if method not in _METHODS:
+            raise ValueError(f"unknown stepping method {method!r}")
+        controller = {
+            "method": method,
+            "dt_next": float(block["dt_next"]),
+            "err_prev_ratio": None if err_prev_ratio is None else float(err_prev_ratio),
+            "dt_ceiling": None if dt_ceiling is None else float(dt_ceiling),
+            "next_record": float(block["next_record"]),
+            "clamp_mass0": float(block["clamp_mass0"]),
+            "clamp_mass1": float(block["clamp_mass1"]),
+        }
+    return float(payload["t"]), ConcentrationProfile(c), payload["kernel_spec"], controller

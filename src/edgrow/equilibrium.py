@@ -76,7 +76,6 @@ class InconclusiveDensityError(RuntimeError):
 class PhiCEstimate(NamedTuple):
     value: float
     converged: bool
-    tail_deviation: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +138,8 @@ def estimate_critical_fugacity(kernel: Kernel) -> PhiCEstimate:
     ``1/k``, so the extrapolation reaches machine precision).  A plain tail
     average cannot resolve ``1/k`` corrections to the accuracy the critical
     constants need, which is why the ladder is extrapolated instead of
-    averaged; the tail window deviation is still reported.  A ratio that
-    grows monotonically and substantially across the ladder is flagged as a
-    divergent (infinite) radius.
+    averaged.  A ratio that grows monotonically and substantially across the
+    ladder is flagged as a divergent (infinite) radius.
     """
     k0, levels = _PROBE_K, _PROBE_LEVELS
     nodes = np.array([k0 >> (levels - 1 - i) for i in range(levels)], dtype=float)
@@ -149,14 +147,9 @@ def estimate_critical_fugacity(kernel: Kernel) -> PhiCEstimate:
         [kernel(int(k), 0) / kernel(1, int(k) - 1) for k in nodes], dtype=float
     )
 
-    window = np.unique(np.linspace(k0 // 2, k0, 9, dtype=int))
-    r_window = np.array([kernel(int(k), 0) / kernel(1, int(k) - 1) for k in window])
-    mean = float(np.mean(r_window))
-    tail_dev = float(np.max(np.abs(r_window - mean)) / max(abs(mean), 1e-300))
-
     increasing = bool(np.all(np.diff(r) > 0))
     if r[-1] > 1e12 or (increasing and r[-1] >= 8.0 * max(r[0], 1e-300)):
-        return PhiCEstimate(math.inf, True, tail_dev)
+        return PhiCEstimate(math.inf, True)
 
     # Richardson table for nodes doubling toward k0 (h = 1/k halving).
     table = [r.copy()]
@@ -167,7 +160,7 @@ def estimate_critical_fugacity(kernel: Kernel) -> PhiCEstimate:
     value = float(table[-1][-1])
     increment = abs(value - float(table[-2][-1]))
     converged = increment <= _PROBE_REL_TOL * max(abs(value), 1e-300)
-    return PhiCEstimate(max(value, 0.0), bool(converged), tail_dev)
+    return PhiCEstimate(max(value, 0.0), bool(converged))
 
 
 def chemical_potential(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Tuple
@@ -198,7 +199,8 @@ def kernel_from_spec(spec: Mapping[str, Any]) -> Kernel:
 
     The keys besides ``family`` are the keyword arguments of the family's
     constructor; a key it does not take raises :class:`RateExpressionError`
-    naming the key, and an ill-typed value the constructor's own error.
+    naming the key, as does a numeric value that is not finite (NaN, an
+    infinity); an ill-typed value raises the constructor's own error.
     """
     if not isinstance(spec, Mapping) or "family" not in spec:
         raise RateExpressionError("kernel spec must be a mapping with a 'family' key")
@@ -213,7 +215,18 @@ def kernel_from_spec(spec: Mapping[str, Any]) -> Kernel:
         inspect.signature(constructor).bind(**params)
     except TypeError as exc:
         raise RateExpressionError(f"{family} kernel: {exc}") from None
+    for key, value in params.items():
+        if isinstance(value, numbers.Real) and not _is_finite(value):
+            raise RateExpressionError(f"{family} kernel: {key} must be finite, got {value!r}")
     return constructor(**params)
+
+
+def _is_finite(value: numbers.Real) -> bool:
+    """Whether ``value`` is finite as a float (an int past the float range is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def kernel_spec(kernel: Kernel) -> dict:

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
@@ -471,7 +472,7 @@ def test_stiff_resume_from_checkpoint_without_ceiling(tmp_path, monkeypatch):
     assert math.isfinite(payload["controller"]["dt_ceiling"])
     del payload["controller"]["dt_ceiling"], payload["controller"]["method"]
     checkpoint_path.write_text(json.dumps(payload))
-    controller = dynamics.load_controller(checkpoint_path)
+    controller = dynamics.load_checkpoint(checkpoint_path)[3]
     assert controller["dt_ceiling"] is None and controller["method"] == "rkf45"
     out_resumed = tmp_path / "r"
     assert main(["simulate", "--config", cfg, "--out", str(out_resumed),
@@ -506,13 +507,35 @@ def test_simulate_resumes_checkpoint_without_controller(tmp_path):
     payload = json.loads(path.read_text())
     del payload["controller"]  # as written before checkpoints carried one
     path.write_text(json.dumps(payload))
-    assert dynamics.load_controller(path) is None
+    assert dynamics.load_checkpoint(path)[3] is None
     assert main(["simulate", "--config", cfg, "--out", str(out_resumed),
                  "--resume", str(path)]) == EXIT_OK
     report = json.loads((out_resumed / "run_report.json").read_text())
     assert report["t_final"] == 6.0
     assert report["integrator"]["accepted"] > 0
     assert read_rows(out_resumed / "trajectory.csv")[1][0] == "3"
+
+
+def test_simulate_resumes_checkpoint_echoing_legacy_settings(tmp_path, monkeypatch):
+    # Checkpoints written before max_step was removed echo "max_step": null,
+    # older ones also "positivity_floor"; the echo is not read, so each
+    # resumes to the uninterrupted run's bytes.
+    cfg = write_config(tmp_path, "c.json", RESUME_CONFIG)
+    out_crashed, out_full = tmp_path / "c", tmp_path / "f"
+    with monkeypatch.context() as crash:
+        crash_after_checkpoint(crash, 4.0)
+        with pytest.raises(SimulatedCrash):
+            main(["simulate", "--config", cfg, "--out", str(out_crashed)])
+    assert main(["simulate", "--config", cfg, "--out", str(out_full)]) == EXIT_OK
+    path = out_crashed / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    assert sorted(payload["cfg"]) == ["atol", "record_every", "rtol", "t_end"]
+    for legacy in ({"max_step": None}, {"max_step": None, "positivity_floor": 0.0}):
+        path.write_text(json.dumps(dict(payload, cfg=dict(payload["cfg"], **legacy)), indent=1))
+        out_resumed = tmp_path / f"r{len(legacy)}"
+        resume = ["--resume", str(path)]
+        assert main(["simulate", "--config", cfg, "--out", str(out_resumed)] + resume) == EXIT_OK
+        assert_resumed_outputs_match(out_full, out_resumed)  # every sample from t = 4 on
 
 
 def test_simulate_reports_integrator_stats(tmp_path):
@@ -556,6 +579,60 @@ def test_simulate_rejects_recording_grid_too_long_to_count(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "record_every" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"integrator": {"t_end": 3.0, "max_step": 0.1}}, "max_step"),
+        ({"integrator": {"t_end": 3.0, "rtoll": 1e-6}}, "rtoll"),
+        ({"integrator": {"t_end": 3.0, "rtol": math.nan}}, "rtol"),
+        ({"integrator": {"t_end": 3.0, "atol": math.inf}}, "atol"),
+        ({"integrator": {"t_end": math.inf}}, "t_end"),
+        ({"integrator": {"t_end": True}}, "t_end"),
+        ({"integrator": {"t_end": 3.0, "record_every": "5"}}, "record_every"),
+        ({"integrator": 5}, "t_end"),
+        ({"analysis": {"equilibrium_kmax": 1000}}, "equilibrium_kmax"),
+        ({"kernel": {"family": "constant", "value": math.nan}}, "value"),
+        ({"kernel": {"family": "condensing", "c": math.inf}}, "c"),
+    ],
+    ids=[
+        "max_step", "misspelled", "rtol-nan", "atol-infinity", "t_end-infinity", "t_end-true",
+        "record_every-text", "integrator-number", "analysis-misspelled", "constant-nan", "condensing-infinity",
+    ],
+)
+def test_simulate_rejects_unknown_or_non_finite_setting_naming_it(tmp_path, capsys, config, key):
+    # JSON NaN and Infinity parse as floats; each exits 64 before integrating.
+    cfg = write_config(tmp_path, "c.json", {**SIM_CONFIG, **config})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_sweep_rejects_unknown_analysis_key_and_keeps_checkpoint_every(tmp_path, capsys):
+    typo = dict(SWEEP_CONFIG, analysis=dict(SWEEP_CONFIG["analysis"], equilibrium_kmax=1000))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, "t.json", typo),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "'equilibrium_kmax'" in capsys.readouterr().err and not out.exists()
+    # A sweep writes no checkpoint, but it still accepts the key.
+    every = dict(SWEEP_CONFIG, densities=[0.5],
+                 analysis=dict(SWEEP_CONFIG["analysis"], checkpoint_every=10.0))
+    assert main(["sweep", "--config", write_config(tmp_path, "e.json", every),
+                 "--out", str(out)]) == EXIT_OK
+
+
+def test_simulate_integer_settings_give_the_float_bytes(tmp_path):
+    # JSON integers are stored as floats, so "t_end": 3 steps as 3.0 does.
+    outs = []
+    for name, integrator in (("f", {"t_end": 3.0, "record_every": 0.25}),
+                             ("i", {"t_end": 3, "record_every": 0.25, "rtol": 1e-8, "atol": 1e-12})):
+        cfg = write_config(tmp_path, f"{name}.json", dict(SIM_CONFIG, integrator=integrator))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        outs.append(tmp_path / name)
+    for csv_name in ("trajectory.csv", "summary.csv", "distances.csv"):
+        assert (outs[0] / csv_name).read_bytes() == (outs[1] / csv_name).read_bytes(), csv_name
 
 
 SWEEP_CONFIG = {

@@ -15,7 +15,6 @@ from edgrow.dynamics import (
     geometric_state,
     integrate,
     load_checkpoint,
-    load_controller,
     moment_identity_residual,
     monodisperse_state,
     net_fluxes,
@@ -201,6 +200,35 @@ def test_recording_grid_too_long_to_count_is_a_value_error(const):
         IntegratorConfig.from_dict({"t_end": 1e10, "record_every": 5e-324})
 
 
+@pytest.mark.parametrize("key", ["max_step", "rtoll", "positivity_floor"])
+def test_integrator_config_rejects_a_key_that_is_not_a_field(key):
+    with pytest.raises(ValueError, match=f"unknown integrator key '{key}'"):
+        IntegratorConfig.from_dict({"t_end": 1.0, key: 0.5})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("t_end", math.nan), ("t_end", math.inf), ("t_end", True), ("t_end", None),
+        ("t_end", "5"), pytest.param("t_end", 10**400, id="t_end-int-past-float-range"),
+        ("rtol", math.nan), ("rtol", "1e-8"),
+        ("atol", -math.inf), ("atol", np.float64("nan")), ("record_every", math.nan),
+        ("record_every", False), ("record_every", np.True_), ("record_every", [0.5]),
+    ],
+)
+def test_integrator_config_values_must_be_finite_real_numbers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        IntegratorConfig.from_dict({"t_end": 1.0, key: value})
+
+
+def test_integrator_config_stores_floats_with_defaults_from_its_fields():
+    cfg = IntegratorConfig.from_dict({"t_end": 50, "record_every": np.float32(0.5)})
+    assert cfg == IntegratorConfig(t_end=50.0, rtol=1e-8, atol=1e-12, record_every=0.5)
+    assert all(type(value) is float for value in (cfg.t_end, cfg.rtol, cfg.atol, cfg.record_every))
+    assert IntegratorConfig.from_dict({"t_end": 2, "record_every": None}).record_every is None
+    assert [f for f in IntegratorConfig.__dataclass_fields__] == ["t_end", "rtol", "atol", "record_every"]
+
+
 def test_integrate_vacuum_is_constant(const):
     traj = integrate(const, vacuum_state(16), IntegratorConfig(t_end=5.0, record_every=0.5))
     assert np.all(traj.states == vacuum_state(16).c)
@@ -263,26 +291,34 @@ def test_checkpoint_round_trip(tmp_path, const):
     traj = integrate(const, state0, cfg)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, 1.0, traj.final_state, {"family": "constant", "value": 1.0}, cfg)
-    t, state, spec, cfg_back = load_checkpoint(path)
+    t, state, spec, controller = load_checkpoint(path)
     assert t == 1.0
     assert np.array_equal(state.c, traj.final_state.c)  # bit-compatible
     assert spec["family"] == "constant"
-    assert cfg_back.t_end == cfg.t_end
+    assert controller is None
+    # The settings are echoed for the reader, field by field, and not read back.
+    assert json.loads(path.read_text())["cfg"] == {
+        "t_end": 1.0, "rtol": 1e-8, "atol": 1e-12, "record_every": 0.25,
+    }
 
 
 def test_checkpoint_with_positivity_floor_key_loads(tmp_path):
-    # Checkpoints written while IntegratorConfig still had a positivity_floor
-    # field carry the key; it is ignored.
+    # Checkpoints written while IntegratorConfig still had max_step, and
+    # before that positivity_floor, echo those keys; the echoed settings are
+    # not read, so every such checkpoint loads.
     path = tmp_path / "ckpt.json"
-    cfg = {"t_end": 2.0, "rtol": 1e-8, "atol": 1e-12, "max_step": None,
-           "record_every": 0.25, "positivity_floor": 0.0}
-    payload = {"t": 1.0, "N": 2, "c": ["0.5", "0.25", "0.25"],
-               "kernel_spec": {"family": "constant", "value": 1.0}, "cfg": cfg}
-    path.write_text(json.dumps(payload, indent=1))
-    t, state, _, cfg_back = load_checkpoint(path)
-    assert t == 1.0 and state.c.tolist() == [0.5, 0.25, 0.25]
-    assert cfg_back == IntegratorConfig(t_end=2.0, record_every=0.25)
-    assert "positivity_floor" not in cfg_back.as_dict()
+    for cfg in (
+        {"t_end": 2.0, "rtol": 1e-8, "atol": 1e-12, "max_step": None, "record_every": 0.25},
+        {"t_end": 2.0, "rtol": 1e-8, "atol": 1e-12, "max_step": None,
+         "record_every": 0.25, "positivity_floor": 0.0},
+        {"t_end": "not read", "max_step": "inf"},
+    ):
+        payload = {"t": 1.0, "N": 2, "c": ["0.5", "0.25", "0.25"],
+                   "kernel_spec": {"family": "constant", "value": 1.0}, "cfg": cfg}
+        path.write_text(json.dumps(payload, indent=1))
+        t, state, spec, controller = load_checkpoint(path)
+        assert t == 1.0 and state.c.tolist() == [0.5, 0.25, 0.25]
+        assert spec == {"family": "constant", "value": 1.0} and controller is None
 
 
 def test_checkpoint_survives_failed_rewrite(tmp_path, const, monkeypatch):
@@ -604,21 +640,21 @@ def test_checkpoint_controller_round_trip(tmp_path, const):
     spec = {"family": "constant", "value": 1.0}
     cfg = IntegratorConfig(t_end=2.0)
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
-    assert load_controller(path) == controller  # exact floats
+    assert load_checkpoint(path)[3] == controller  # exact floats
     unset = dict(controller, dt_ceiling=None)  # an infinite ceiling is written as null
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, unset)
     assert json.loads(path.read_text())["controller"]["dt_ceiling"] is None
-    assert load_controller(path) == unset
+    assert load_checkpoint(path)[3] == unset
     # A controller block written before it carried the ceiling loads unset,
     # and one written before it carried the method loads as explicit.
     del controller["dt_ceiling"]
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
-    assert load_controller(path) == unset
+    assert load_checkpoint(path)[3] == unset
     del controller["method"]
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
-    assert load_controller(path) == dict(unset, method="rkf45")
+    assert load_checkpoint(path)[3] == dict(unset, method="rkf45")
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, dict(unset, method="rk4"))
     with pytest.raises(ValueError, match="method"):
-        load_controller(path)
+        load_checkpoint(path)[3]
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg)
-    assert load_controller(path) is None
+    assert load_checkpoint(path)[3] is None

@@ -304,3 +304,19 @@ def test_depth_cut_does_not_depend_on_the_caller_stack(extra_frames):
                 compile_rational(deeper)
 
     _at_stack_depth(extra_frames, read_and_evaluate)
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"family": "additive", "donor_coeff": math.nan}, "donor_coeff"),
+        ({"family": "additive", "acceptor_coeff": -math.inf}, "acceptor_coeff"),
+        ({"family": "constant", "value": math.inf}, "value"),
+        ({"family": "separable", "b": math.nan}, "b"),
+        ({"family": "condensing", "c": math.nan}, "c"),
+        ({"family": "condensing", "c": 10**400}, "c"),
+    ],
+)
+def test_non_finite_kernel_parameter_names_its_key(spec, key):
+    with pytest.raises(RateExpressionError, match=rf"{spec['family']} kernel: {key} must be finite"):
+        kernel_from_spec(spec)

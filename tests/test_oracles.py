@@ -687,7 +687,7 @@ def reference_step(kernel, c, dt_suggest, cfg, err_prev_ratio=None, ceiling=math
     its PI factor by.
     """
     tol = cfg.rtol * strong_norm(c) + cfg.atol
-    dt = min(dt_suggest, cfg.max_step)
+    dt = dt_suggest
     safety, fac_min, fac_max, relax = 0.9, 0.2, 5.0, 1.05
     f0 = reference_rhs(kernel, c)
     retried = False
@@ -734,7 +734,7 @@ def reference_step(kernel, c, dt_suggest, cfg, err_prev_ratio=None, ceiling=math
         factor = min(factor, 1.0)
     else:
         ceiling *= relax
-    proposal = min(dt * max(fac_min, min(fac_max, factor)), cfg.max_step)
+    proposal = dt * max(fac_min, min(fac_max, factor))
     if ceiling < proposal:
         event("positivity ceiling caps dt_next")
     dt_next = min(proposal, ceiling)
@@ -762,27 +762,26 @@ def near_boundary_states(draw) -> np.ndarray:
     c=near_boundary_states(),
     dt_log10=st.floats(min_value=-4.0, max_value=8.0),
     err_prev_ratio=st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0)),
-    max_step=st.sampled_from([math.inf, 0.05]),
     rtol=st.sampled_from([1e-8, 1e-4, 1e-2, 0.3]),
 )
 # A sized positivity retry, then a finite ceiling that caps the next steps.
 @example(
     name="additive", c=np.array([0.5, 0.5, 0.0, 0.0, 0.0]), dt_log10=0.0,
-    err_prev_ratio=None, max_step=math.inf, rtol=1e-2,
+    err_prev_ratio=None, rtol=1e-2,
 )
 # The overshooting component starts below -atol, so the retry halves.
 @example(
     name="condensing", c=np.array([0.5, 0.5, -1.1e-12, 0.0, 0.0]), dt_log10=1.0,
-    err_prev_ratio=None, max_step=math.inf, rtol=0.3,
+    err_prev_ratio=None, rtol=0.3,
 )
 @settings(max_examples=200, deadline=None)
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ratio, max_step, rtol):
+def test_stepper_matches_allocating_fehlberg_step(name, c, dt_log10, err_prev_ratio, rtol):
     # Large rtol lets the error test pass while a component still overshoots
     # below -atol; steps up to 1e8 overflow, so every rejection cause and the
     # underflow error are reached.
     kernel = KERNELS[name]
-    cfg = IntegratorConfig(t_end=1.0, rtol=rtol, max_step=max_step)
+    cfg = IntegratorConfig(t_end=1.0, rtol=rtol)
     dt = 10.0**dt_log10
     try:
         expected = reference_step(kernel, c.copy(), dt, cfg, err_prev_ratio)
