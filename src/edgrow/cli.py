@@ -102,6 +102,30 @@ def _build_kernel(config: Mapping[str, Any]) -> kernels.Kernel:
         raise ConfigError(f"bad kernel spec: {exc}") from exc
 
 
+# The keys each type of initial condition reads.
+_INITIAL_CONDITION_KEYS = {
+    "vacuum": {"type"}, "monodisperse": {"type", "rho", "m"}, "geometric": {"type", "phi"},
+    "explicit": {"type", "values"}, "equilibrium": {"type", "rho", "phi"},
+}
+
+
+def _check_initial_condition(spec: Mapping[str, Any]) -> None:
+    """Reject a key that the condition's type does not read and an ``m``
+    that is not a JSON integer, naming it."""
+    kind = spec["type"]
+    keys = _INITIAL_CONDITION_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigError(f"unknown initial condition type {kind!r}")
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(
+                f"initial_condition key {key!r} is not read by type {kind!r}; "
+                f"choose from {sorted(keys)}"
+            )
+    if "m" in spec and type(spec["m"]) is not int:
+        raise ConfigError(f"initial_condition key 'm' must be an integer, got {spec['m']!r}")
+
+
 def _build_state(
     config: Mapping[str, Any],
     n_trunc: int,
@@ -110,13 +134,14 @@ def _build_state(
     spec = config.get("initial_condition", {"type": "vacuum"})
     if not isinstance(spec, Mapping) or "type" not in spec:
         raise ConfigError("initial_condition must be a mapping with a 'type'")
+    _check_initial_condition(spec)
     kind = spec["type"]
     try:
         if kind == "vacuum":
             return dynamics.vacuum_state(n_trunc)
         if kind == "monodisperse":
             rho = float(spec["rho"])
-            m = int(spec.get("m", max(1, math.ceil(rho))))
+            m = spec.get("m", max(1, math.ceil(rho)))
             if m < math.ceil(rho):
                 raise ConfigError("monodisperse condition needs m >= ceil(rho)")
             return dynamics.monodisperse_state(rho, m, n_trunc)
@@ -138,7 +163,7 @@ def _build_state(
         raise
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad initial condition: {exc}") from exc
-    raise ConfigError(f"unknown initial condition type {kind!r}")
+    raise AssertionError("unreachable")
 
 
 def _analysis_config(analysis: Mapping[str, Any]) -> diagnostics.AnalysisConfig:
@@ -202,11 +227,18 @@ def cmd_equilibrium(
     resolved = _resolve(config)
     kernel = _build_kernel(resolved)
     analysis = resolved["analysis"]
+    names = ("--rho", "--phi")
     if rho is None and phi is None:
         rho = resolved.get("rho")
         phi = resolved.get("phi")
+        names = ("rho", "phi")
     if (rho is None) == (phi is None):
         raise ConfigError("specify exactly one of rho and phi")
+    for name, value in zip(names, (rho, phi)):
+        if value is not None and (
+            type(value) not in (int, float) or not 0 <= value <= sys.float_info.max
+        ):
+            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     cp = equilibrium.chemical_potential(kernel, analysis["equilibrium_k_max"])
     out = _ensure_out(out_dir)
     try:
@@ -443,6 +475,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     if not isinstance(ic, Mapping) or ic.get("type", "monodisperse") != "monodisperse":
         # Each row sets its own density, which only a monodisperse state carries.
         raise ConfigError("sweep initial_condition must be monodisperse")
+    _check_initial_condition(dict(ic, type="monodisperse"))
     kernel = _build_kernel(resolved)
     cfg = _build_integrator(resolved) if densities else None
     if parallel is not None and parallel < 1:
@@ -476,7 +509,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
                 else:  # without rho_c, each row reports the failure as it classifies
                     with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
                         info = equilibrium.critical_density_info(cp)
-                        rho_c_block = {"method": info.method, "ladder_length": len(info.ladder)}
+                        rho_c_block = {"method": info.method, "ladder_length": info.ladder_length}
         results = batch.result()
         if not serial:
             phase_seconds["rows"] = time.perf_counter() - submitted

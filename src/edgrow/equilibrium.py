@@ -15,10 +15,12 @@ only the prefix of the series that can pass the log-sum cutoff.
 
 What is derived once from a chemical potential (the suffix peaks that size
 the cut, the sums at ``phi_c``, the ``rho_c`` decision) is kept on that
-object, so it is freed with it.  :func:`critical_density_info` is the one
-``rho_c`` ladder walk; it stops at the first rung that confirms the
-direct tail at ``phi_c``, so a process walks the ladder at most once per
-chemical potential.
+object, so it is freed with it.  :func:`critical_density_info` decides
+``rho_c`` on the dyadic fugacity ladder.  Where the direct tail at
+``phi_c`` settles it, the first rung that confirms that value is found by
+bisection over the rung index; otherwise the ladder is walked rung by rung.
+Either way a process evaluates each rung at most once per chemical
+potential.
 """
 
 from __future__ import annotations
@@ -371,8 +373,8 @@ def fugacity_for_density(cp: ChemicalPotential, rho: float) -> float:
     return the critical fugacity exactly.  Raises
     :class:`SupercriticalDensityError` beyond it.
     """
-    if rho < 0.0:
-        raise ValueError("density must be nonnegative")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"density must be finite and nonnegative, got {rho!r}")
     if rho == 0.0:
         return 0.0
     rho_c = critical_density(cp)
@@ -421,16 +423,20 @@ def fugacity_for_density(cp: ChemicalPotential, rho: float) -> float:
 class CriticalDensityInfo:
     """How the critical density was obtained.
 
-    ``ladder`` holds the densities along the dyadic fugacity ladder
-    ``phi_j = phi_c (1 - 2^-j)``; ``last_increment`` is the final ladder step;
-    ``method`` is one of ``"infinite-radius"``, ``"direct-tail"``,
-    ``"ladder"`` or ``"ladder-ceiling"``.  ``tail_defect`` is the part
-    ``num_tail / den`` of a ``"direct-tail"`` value that the algebraic tail
-    beyond ``k_max`` carries (NaN for the other methods).
+    The dyadic fugacity ladder has rungs ``phi_j = phi_c (1 - 2^-j)``,
+    ``j = 1, 2, ...``; ``ladder_length`` is the index of the rung that
+    decided the value (0 when there is no ladder), ``last_rung`` its density
+    (NaN without a ladder) and ``last_increment`` that density less the
+    previous rung's (NaN below two rungs).  ``method`` is one of
+    ``"infinite-radius"``, ``"direct-tail"``, ``"ladder"`` or
+    ``"ladder-ceiling"``.  ``tail_defect`` is the part ``num_tail / den`` of
+    a ``"direct-tail"`` value that the algebraic tail beyond ``k_max``
+    carries (NaN for the other methods).
     """
 
     value: float
-    ladder: Tuple[float, ...]
+    ladder_length: int
+    last_rung: float
     last_increment: float
     method: str
     tail_defect: float = math.nan
@@ -496,48 +502,75 @@ def _ladder_rung(cp: ChemicalPotential, j: int) -> Tuple[float, float, float]:
 def _stabilized(ladder: Sequence[float]) -> bool:
     """Whether the last two ladder steps each moved the density by less
     than a relative ``1e-8``."""
-    return len(ladder) >= 3 and all(
-        abs(b - a) / max(abs(b), 1e-300) < 1e-8 for a, b in zip(ladder[-3:-1], ladder[-2:])
-    )
+    return len(ladder) >= 3 and not any(map(_moves, ladder[-3:-1], ladder[-2:]))
+
+
+def _moves(a: float, b: float) -> bool:
+    """Whether the ladder step from density ``a`` to ``b`` is at least the
+    relative ``1e-8`` of :func:`_stabilized`."""
+    return not abs(b - a) / max(abs(b), 1e-300) < 1e-8
+
+
+def _first_accepting_rung(rung, direct_tail: Tuple[float, float, float]) -> Optional[int]:
+    """The first rung ``j <= _LADDER_RUNGS`` that accepts the direct tail,
+    by bisection over ``j`` with ``rung(j)``, for acceptance that is
+    monotone in ``j``; ``None`` when no rung accepts or the step onto ``j``
+    does not move.  With steps that do not grow along the ladder, a moving
+    step rules out a walk that stabilizes before rung ``j``.
+    """
+    lo, hi = 0, _LADDER_RUNGS + 1  # rung lo rejects (0: no rung), rung hi accepts
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _accepts_direct_tail(direct_tail, rung(mid)[0]):
+            hi = mid
+        else:
+            lo = mid
+    if hi > _LADDER_RUNGS or (lo and not _moves(rung(lo)[0], rung(hi)[0])):
+        return None
+    return hi
 
 
 def _critical_density_decision(
     cp: ChemicalPotential,
-    rungs: Sequence[Tuple[float, float, float]],
+    length: int,
+    rung,
     direct_tail: Optional[Tuple[float, float, float]],
 ) -> CriticalDensityInfo:
-    """The critical density from the walked ladder and the direct tail at
-    ``phi_c`` (see :func:`critical_density_info`)."""
-    if not rungs:  # no ladder: phi_c is infinite or zero
+    """The critical density from the ladder's rungs ``rung(j)`` up to
+    ``length`` and the direct tail at ``phi_c`` (see
+    :func:`critical_density_info`); accepting the direct tail reads only the
+    last two rungs."""
+    if not length:  # no ladder: phi_c is infinite or zero
         if math.isinf(cp.phi_c_estimate):
-            return CriticalDensityInfo(math.inf, (), math.nan, "infinite-radius")
-        return CriticalDensityInfo(0.0, (), 0.0, "ladder")
-    ladder = tuple(value for value, _, _ in rungs)
-    _, log_phi_last, log_num_last = rungs[-1]
-    last_inc = abs(ladder[-1] - ladder[-2]) if len(ladder) >= 2 else math.nan
-    if direct_tail is not None and _accepts_direct_tail(direct_tail, ladder[-1]):
+            return CriticalDensityInfo(math.inf, 0, math.nan, math.nan, "infinite-radius")
+        return CriticalDensityInfo(0.0, 0, math.nan, 0.0, "ladder")
+    last, log_phi_last, log_num_last = rung(length)
+    last_inc = abs(last - rung(length - 1)[0]) if length >= 2 else math.nan
+    if direct_tail is not None and _accepts_direct_tail(direct_tail, last):
         direct, defect, _ = direct_tail
-        return CriticalDensityInfo(float(direct), ladder, last_inc, "direct-tail", float(defect))
+        direct, defect = float(direct), float(defect)
+        return CriticalDensityInfo(direct, length, last, last_inc, "direct-tail", defect)
 
     # A ladder that flattens out may have hit the truncation ceiling rather
     # than a genuine limit: the density series at the last rung must have
     # decayed within the available range for the plateau to mean anything.
     last_term = cp.k_max * log_phi_last + cp.log_q[-1] + np.log(cp.k_max)
     truncation_clean = (last_term - log_num_last) < math.log(1e-10)
+    ladder = [rung(j)[0] for j in range(1, length + 1)]
     if _stabilized(ladder) and truncation_clean:
-        return CriticalDensityInfo(ladder[-1], ladder, last_inc, "ladder")
+        return CriticalDensityInfo(last, length, last, last_inc, "ladder")
     # A rung density is exp(log_num - log_den), a difference of log-sums as
     # large as the terms l log phi + log_q[l], and each term is rounded to
     # about an ulp of its magnitude.  So rungs that are equal in exact
     # arithmetic (mass piled at k_max) can differ relatively by a few ulps
     # of that magnitude, and a ladder is monotone up to that slack.
-    log_phi_max = max(abs(log_phi) for _, log_phi, _ in rungs)
+    log_phi_max = max(abs(rung(j)[1]) for j in range(1, length + 1))
     magnitude = cp.k_max * log_phi_max + float(np.max(np.abs(cp.log_q)))
     slack = 4.0 * math.ulp(max(magnitude, 1.0))
     if not truncation_clean and all(b >= a * (1.0 - slack) for a, b in zip(ladder, ladder[1:])):
         # The ladder kept climbing until the series overflowed the truncation
         # window; in the untruncated system it would climb without bound.
-        return CriticalDensityInfo(math.inf, ladder, last_inc, "ladder-ceiling")
+        return CriticalDensityInfo(math.inf, length, last, last_inc, "ladder-ceiling")
     raise InconclusiveDensityError(
         "inconclusive: fugacity ladder did not stabilize and the critical-point "
         "series offers no algebraic tail"
@@ -558,24 +591,37 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     The ladder is walked rung by rung until its last two steps each move
     the density by less than a relative 1e-8, or for ``_LADDER_RUNGS``
     rungs.  When the direct tail exists and is at least the truncated
-    density ``rho_N(phi_c)`` less 1e-9, the walk stops at the first rung
-    that accepts it: the density increases with ``phi``, so every later rung
-    lies between that rung and ``rho_N(phi_c)`` and would accept the same
-    value.  The result, or an inconclusive verdict, is kept on ``cp``, so
-    the walk runs once per chemical potential.
+    density ``rho_N(phi_c)`` less 1e-9, the walk would stop at the first
+    rung that accepts it: the density increases with ``phi``, so every later
+    rung lies between that rung and ``rho_N(phi_c)`` and would accept the
+    same value.  Acceptance is then monotone in the rung index, so that
+    rung is found by bisection in at most six rungs; the ladder is walked
+    only where the bisection finds none.  The result, or an inconclusive
+    verdict, is kept on ``cp``, so each rung is evaluated at most once per
+    chemical potential.
     """
     if "info" not in cp._memo:
-        rungs: list = []
-        direct_tail = None
+        rungs: dict = {}
+
+        def rung(j: int) -> Tuple[float, float, float]:
+            if j not in rungs:
+                rungs[j] = _ladder_rung(cp, j)
+            return rungs[j]
+
+        length, direct_tail = 0, None
         if not (math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0):
             direct_tail = _direct_tail(cp)
             stops = direct_tail is not None and direct_tail[0] >= direct_tail[2] - 1e-9
-            while len(rungs) < _LADDER_RUNGS and not _stabilized([r for r, _, _ in rungs[-3:]]):
-                rungs.append(_ladder_rung(cp, len(rungs) + 1))
-                if stops and _accepts_direct_tail(direct_tail, rungs[-1][0]):
-                    break
+            length = _first_accepting_rung(rung, direct_tail) if stops else None
+            if length is None:  # walk the ladder
+                ladder: list = []
+                while len(ladder) < _LADDER_RUNGS and not _stabilized(ladder):
+                    ladder.append(rung(len(ladder) + 1)[0])
+                    if stops and _accepts_direct_tail(direct_tail, ladder[-1]):
+                        break
+                length = len(ladder)
         try:
-            cp._memo["info"] = _critical_density_decision(cp, rungs, direct_tail)
+            cp._memo["info"] = _critical_density_decision(cp, length, rung, direct_tail)
         except InconclusiveDensityError as exc:
             cp._memo["info"] = exc
     if isinstance(cp._memo["info"], InconclusiveDensityError):
@@ -670,10 +716,10 @@ def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
         "density": profile.density,
         "rho_c": tagged_value(info.value),
         "rho_c_method": info.method,
-        "rho_c_ladder_length": len(info.ladder),
+        "rho_c_ladder_length": info.ladder_length,
         "rho_c_last_increment": None if math.isnan(last) else tagged_value(last),
         "rho_c_tail_defect": info.tail_defect if direct else None,
-        "rho_c_direct_gap": info.value - info.ladder[-1] if direct else None,
+        "rho_c_direct_gap": info.value - info.last_rung if direct else None,
         "phi_c": tagged_value(cp.phi_c_estimate),
         "phi_c_converged": cp.phi_c_converged,
         "truncation_tail_bound": tagged_value(profile.truncation_tail_bound),

@@ -610,6 +610,73 @@ def test_simulate_rejects_unknown_or_non_finite_setting_naming_it(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, flags, name",
+    [
+        ({"rho": math.nan}, [], "rho"),
+        ({"rho": math.inf}, [], "rho"),
+        ({"rho": "0.5"}, [], "rho"),
+        ({"rho": True}, [], "rho"),
+        ({"phi": math.inf}, [], "phi"),
+        ({"phi": math.nan}, [], "phi"),
+        ({}, ["--rho", "nan"], "--rho"),
+        ({}, ["--rho=-inf"], "--rho"),
+        ({}, ["--phi", "inf"], "--phi"),
+        ({}, ["--phi", "nan"], "--phi"),
+    ],
+    ids=[
+        "rho-nan", "rho-infinity", "rho-text", "rho-true", "phi-infinity", "phi-nan",
+        "flag-rho-nan", "flag-rho-minus-inf", "flag-phi-inf", "flag-phi-nan",
+    ],
+)
+def test_equilibrium_rejects_a_target_that_is_not_a_finite_number(tmp_path, capsys, config, flags, name):
+    # A NaN density exited 1 with a stalled-bisection traceback and an
+    # infinite fugacity with DivergentSeriesError; each is a config error.
+    payload = {"kernel": CONDENSING, "analysis": {"equilibrium_k_max": 2000}, **config}
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", cfg, "--out", str(out), *flags]) == EXIT_CONFIG
+    assert f"{name} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "initial, key",
+    [
+        ({"type": "monodisperse", "rho": 0.5, "mm": 3}, "mm"),
+        ({"type": "monodisperse", "rho": 0.5, "m": 1.7}, "m"),
+        ({"type": "monodisperse", "rho": 0.5, "m": 3.0}, "m"),
+        ({"type": "monodisperse", "rho": 0.5, "m": True}, "m"),
+        ({"type": "monodisperse", "rho": 0.5, "m": "3"}, "m"),
+        ({"type": "geometric", "phi": 0.3, "rho": 0.5}, "rho"),
+        ({"type": "vacuum", "rho": 0.5}, "rho"),
+        ({"type": "explicit", "values": [0.5, 0.25], "n_trunc": 1}, "n_trunc"),
+        ({"type": "equilibrium", "rho": 0.5, "m": 1}, "m"),
+    ],
+    ids=[
+        "mono-mm", "mono-m-fraction", "mono-m-float", "mono-m-true", "mono-m-text",
+        "geometric-rho", "vacuum-rho", "explicit-n_trunc", "equilibrium-m",
+    ],
+)
+def test_initial_condition_key_not_read_by_its_type_is_config_error(tmp_path, capsys, initial, key):
+    # "mm": 3 ran with m = 1 and "m": 1.7 ran as m = 1, both exiting 0.
+    cfg = write_config(tmp_path, "c.json", dict(SIM_CONFIG, initial_condition=initial))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"initial_condition key '{key}'" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("initial", [{"type": "monodisperse", "mm": 3}, {"m": 2.5}, {"m": True}])
+def test_sweep_initial_condition_key_not_read_is_config_error(tmp_path, initial):
+    # A sweep builds its rows' states after the checks, so without this
+    # every row would report the bad key as its own error.
+    cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5], initial_condition=initial))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_rejects_unknown_analysis_key_and_keeps_checkpoint_every(tmp_path, capsys):
     typo = dict(SWEEP_CONFIG, analysis=dict(SWEEP_CONFIG["analysis"], equilibrium_kmax=1000))
     out = tmp_path / "out"
@@ -836,7 +903,9 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
         rho_c = report["rho_c"]
         assert set(rho_c) == {"method", "ladder_length"}
         logged, length = len(log.read_text().split()), rho_c["ladder_length"] or 0
-        assert logged == length
+        # A walk evaluates each rung up to the last once; a direct tail is
+        # found by bisection over the rung index.
+        assert logged <= 7 if case == "direct-tail" else logged == length
         rows = report["row_telemetry"]
         assert [row["rho"] for row in rows] == config["densities"]
         assert all(row["runtime_s"] > 0.0 for row in rows)

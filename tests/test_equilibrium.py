@@ -121,6 +121,14 @@ def test_fugacity_solve_supercritical(cp_condensing):
     assert err.value.rho_c == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -0.5])
+def test_fugacity_solve_rejects_a_density_that_is_not_finite_and_nonnegative(cp_condensing, rho):
+    # A NaN passed ``rho < 0`` and reached the bisection, which stalled.
+    with pytest.raises(ValueError, match="finite and nonnegative") as err:
+        fugacity_for_density(cp_condensing, rho)
+    assert type(err.value) is ValueError
+
+
 def test_critical_density_values(cp_constant, cp_condensing):
     assert math.isinf(critical_density(cp_constant))
     cp_factorial = chemical_potential(separable_kernel("k", "1"), 2000)

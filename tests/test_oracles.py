@@ -371,27 +371,41 @@ def stopped_walk(cp, full):
     return value, ladder, last_inc, method
 
 
+def walk_summary(walk):
+    """``(value, ladder_length, last_rung, last_increment, method)`` of a
+    walk ``(value, ladder, last_increment, method)``; ``None`` stays."""
+    if walk is None:
+        return None
+    value, ladder, last_inc, method = walk
+    return value, len(ladder), ladder[-1] if ladder else math.nan, last_inc, method
+
+
+def same(got, expected) -> bool:
+    """Equality of two tuples (or ``None``) that counts NaN equal to NaN."""
+    if got is None or expected is None:
+        return got is expected
+    return len(got) == len(expected) and all(
+        a == b or (a != a and b != b) for a, b in zip(got, expected)
+    )
+
+
 def assert_matches_full_walk(cp):
     """:func:`critical_density_info` has the full walk's value and method,
-    and its ladder is the full walk's, cut where it may stop."""
+    and ends its ladder where the full walk may stop: the same rung index,
+    last rung density and last increment."""
     full = full_range_critical_density(cp)
-    got, expected = critical_or_none(cp), stopped_walk(cp, full)
-    if full is None:
-        assert got is None
-        return
-    assert (got[0], got[3]) == (full[0], full[3])
-    assert got[1] == expected[1] == full[1][: len(expected[1])]
-    assert got[2] == expected[2] or math.isnan(got[2]) and math.isnan(expected[2])
+    got, expected = critical_or_none(cp), walk_summary(stopped_walk(cp, full))
+    assert same(got, expected), (got, expected)
 
 
 def critical_or_none(cp):
-    """``(value, ladder, last_increment, method)`` from
+    """``(value, ladder_length, last_rung, last_increment, method)`` from
     :func:`critical_density_info`; ``None`` when it is inconclusive."""
     try:
         info = critical_density_info(cp)
     except InconclusiveDensityError:
         return None
-    return info.value, info.ladder, info.last_increment, info.method
+    return info.value, info.ladder_length, info.last_rung, info.last_increment, info.method
 
 
 SERIES_KERNELS = st.one_of(
@@ -460,11 +474,12 @@ def test_critical_density_from_rounds_matches_serial_walk(case, degree):
         cp = chemical_potential(kernel, k_max, phi_c)
         assert_matches_full_walk(cp)
         walks.append(critical_or_none(cp))
-    assert walks[1:] == walks[:-1]
-    assert walks[0][3] == case.partition(",")[0]
+    assert all(same(a, b) for a, b in zip(walks, walks[1:]))
+    assert walks[0][4] == case.partition(",")[0]
 
 
-def test_direct_tail_walk_stops_at_the_first_accepting_rung(monkeypatch):
+def counted_rungs(monkeypatch) -> list:
+    """The list to which every later ``_ladder_rung`` call appends its ``j``."""
     rungs = []
     rung = equilibrium._ladder_rung
 
@@ -473,18 +488,100 @@ def test_direct_tail_walk_stops_at_the_first_accepting_rung(monkeypatch):
         return rung(cp, j)
 
     monkeypatch.setattr(equilibrium, "_ladder_rung", counting_rung)
+    return rungs
+
+
+def test_direct_tail_walk_stops_at_the_first_accepting_rung(monkeypatch):
+    rungs = counted_rungs(monkeypatch)
     cp = chemical_potential(condensing_kernel(3.0), 20000)
     info = critical_density_info(cp)
     full = full_range_critical_density(cp)
     expected = stopped_walk(cp, full)
-    assert info.method == "direct-tail" and info.ladder == expected[1]
-    assert rungs == list(range(1, len(expected[1]) + 1))
-    assert len(rungs) < len(full[1])  # the walk did stop early
+    j = len(expected[1])
+    assert info.method == "direct-tail" and info.ladder_length == j
+    assert (info.last_rung, info.last_increment) == (expected[1][-1], expected[2])
+    assert j < len(full[1])  # the walk would stop early
+    # Bisection: each rung once, both neighbours of the step among them.
+    assert len(rungs) == len(set(rungs)) <= 6 < j and {j - 1, j} <= set(rungs)
     tail = full_range_direct_tail(cp)
-    assert not any(accepts_direct_tail(tail, r) for r in info.ladder[:-1])
+    assert not any(accepts_direct_tail(tail, r) for r in full[1][: j - 1])
     assert info.tail_defect == pytest.approx(tail[1], rel=1e-12)
+    evaluated = len(rungs)
     critical_density_info(cp)
-    assert len(rungs) == len(info.ladder)  # kept on cp: no second walk
+    assert len(rungs) == evaluated  # kept on cp: no second search
+
+
+def test_rho_c_of_the_phase_sweep_potential_takes_at_most_seven_rungs(monkeypatch):
+    # Condensing c = 3 at k_max = 10^6, the chemical potential of every
+    # phase-diagram sweep: the walk took 23 rungs, 15 of them over all 10^6
+    # terms.
+    rungs = counted_rungs(monkeypatch)
+    cp = chemical_potential(condensing_kernel(3.0), 10**6)
+    info = critical_density_info(cp)
+    assert (info.method, info.ladder_length) == ("direct-tail", 23)
+    assert len(rungs) <= 7
+    rungs.clear()
+    critical_density_info(cp)
+    assert rungs == []
+
+
+def test_bisection_without_an_accepting_rung_falls_back_to_the_walk(monkeypatch):
+    # A direct value 1 above every rung: no rung accepts it.  Where it lies
+    # above rho_N(phi_c), the bisection runs first and finds no rung; then
+    # the walk decides, as it does at once where the value lies below.
+    direct_tail = equilibrium._direct_tail
+    infos = {}
+    for name, shift in (("bisected", -1.0), ("walked", 2e-9)):
+        def shifted(cp, shift=shift):
+            direct, defect, _ = direct_tail(cp)
+            return direct + 1.0, defect, direct + 1.0 + shift
+
+        monkeypatch.setattr(equilibrium, "_direct_tail", shifted)
+        rungs = counted_rungs(monkeypatch)
+        cp = chemical_potential(condensing_kernel(3.0), 2000)
+        infos[name] = critical_or_none(cp), rungs
+        monkeypatch.undo()
+    (bisected, rungs_b), (walked, rungs_w) = infos["bisected"], infos["walked"]
+    assert same(bisected, walked) and bisected[4] != "direct-tail"
+    assert rungs_w == list(range(1, walked[1] + 1))
+    assert len(rungs_b) == len(set(rungs_b)) and set(rungs_w) <= set(rungs_b)
+    assert len(set(rungs_b) - set(rungs_w)) <= 6
+
+
+CONDENSING_POTENTIALS = st.builds(
+    lambda c, log_k: chemical_potential(condensing_kernel(c), int(math.exp(log_k))),
+    st.floats(min_value=2.5, max_value=5.0),
+    st.floats(min_value=math.log(16), max_value=math.log(2e5)),
+)
+
+
+@given(
+    cp=st.one_of(
+        CONDENSING_POTENTIALS,
+        st.sampled_from(sorted(CRITICAL_CASES)).map(lambda case: chemical_potential(*CRITICAL_CASES[case])),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_first_accepting_rung_is_one_step_and_ends_the_full_walk(cp):
+    # Bisection for the first rung that accepts the direct tail needs
+    # acceptance to be one step in j, and the full walk to reach that rung.
+    assert_matches_full_walk(cp)
+    phi_c = cp.phi_c_estimate
+    tail = full_range_direct_tail(cp) if 0.0 < phi_c < math.inf else None
+    if tail is None or tail[0] < tail[2] - 1e-9:
+        event("no bisection")
+        return
+    event("bisection")
+    ladder = [full_range_density(cp, phi_c * (1.0 - 0.5**j)) for j in range(1, 49)]
+    flags = [accepts_direct_tail(tail, rung) for rung in ladder]
+    assert True in flags
+    first = flags.index(True)
+    assert all(flags[first:])
+    # The walk stops after a rung when the two steps onto it each moved the
+    # density by less than a relative 1e-8; no rung before the first
+    # accepting one may end it.
+    still = [abs(b - a) / max(abs(b), 1e-300) < 1e-8 for a, b in zip(ladder, ladder[1:])]
+    assert not any(still[k] and still[k + 1] for k in range(first - 2))
 
 
 def test_walk_runs_to_its_end_when_the_direct_value_is_below_the_truncated_density(monkeypatch):
@@ -498,8 +595,8 @@ def test_walk_runs_to_its_end_when_the_direct_value_is_below_the_truncated_densi
 
     monkeypatch.setattr(equilibrium, "_direct_tail", below_truncated_density)
     cp = chemical_potential(condensing_kernel(3.0), 2000)
-    assert critical_or_none(cp) == full_range_critical_density(cp)
-    assert critical_or_none(cp)[3] == "direct-tail"
+    assert same(critical_or_none(cp), walk_summary(full_range_critical_density(cp)))
+    assert critical_or_none(cp)[4] == "direct-tail"
 
 
 EDGE_FLOATS = (
