@@ -126,6 +126,12 @@ def _check_initial_condition(spec: Mapping[str, Any]) -> None:
         raise ConfigError(f"initial_condition key 'm' must be an integer, got {spec['m']!r}")
 
 
+def _is_density(value: Any) -> bool:
+    """Whether ``value`` is a finite JSON number >= 0: not NaN, an infinity,
+    a bool or a string."""
+    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
+
+
 def _build_state(
     config: Mapping[str, Any],
     n_trunc: int,
@@ -140,11 +146,13 @@ def _build_state(
         if kind == "vacuum":
             return dynamics.vacuum_state(n_trunc)
         if kind == "monodisperse":
-            rho = float(spec["rho"])
+            rho = spec["rho"]
+            if not _is_density(rho):
+                raise ConfigError(f"initial_condition.rho must be a finite number >= 0, got {rho!r}")
             m = spec.get("m", max(1, math.ceil(rho)))
             if m < math.ceil(rho):
                 raise ConfigError("monodisperse condition needs m >= ceil(rho)")
-            return dynamics.monodisperse_state(rho, m, n_trunc)
+            return dynamics.monodisperse_state(float(rho), m, n_trunc)
         if kind == "geometric":
             return dynamics.geometric_state(float(spec["phi"]), n_trunc)
         if kind == "explicit":
@@ -235,9 +243,7 @@ def cmd_equilibrium(
     if (rho is None) == (phi is None):
         raise ConfigError("specify exactly one of rho and phi")
     for name, value in zip(names, (rho, phi)):
-        if value is not None and (
-            type(value) not in (int, float) or not 0 <= value <= sys.float_info.max
-        ):
+        if value is not None and not _is_density(value):
             raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     cp = equilibrium.chemical_potential(kernel, analysis["equilibrium_k_max"])
     out = _ensure_out(out_dir)
@@ -467,7 +473,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     if densities is None or not isinstance(densities, list):
         raise ConfigError("sweep config needs a 'densities' list")
     for i, rho in enumerate(densities):
-        if type(rho) not in (int, float) or not 0 <= rho <= sys.float_info.max:
+        if not _is_density(rho):
             raise ConfigError(f"sweep density {i} must be a finite number >= 0, got {rho!r}")
     if len(set(float(r) for r in densities)) != len(densities):
         raise ConfigError("sweep densities must be distinct")

@@ -667,6 +667,20 @@ def test_initial_condition_key_not_read_by_its_type_is_config_error(tmp_path, ca
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "rho", [math.inf, math.nan, "0.5", True, -1], ids=["inf", "nan", "text", "true", "negative"]
+)
+def test_monodisperse_rho_that_is_not_a_finite_number_is_config_error(tmp_path, capsys, rho):
+    # Infinity exited 1 with an OverflowError traceback from ceil, and
+    # "0.5" and true ran as 0.5 and 1.0.
+    initial = {"type": "monodisperse", "rho": rho}
+    cfg = write_config(tmp_path, "c.json", dict(SIM_CONFIG, initial_condition=initial))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "initial_condition.rho must be a finite number" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("initial", [{"type": "monodisperse", "mm": 3}, {"m": 2.5}, {"m": True}])
 def test_sweep_initial_condition_key_not_read_is_config_error(tmp_path, initial):
     # A sweep builds its rows' states after the checks, so without this

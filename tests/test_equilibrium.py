@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -256,6 +257,26 @@ def test_critical_density_forms_no_unused_full_range_sum(monkeypatch):
     profile = equilibrium_profile(cp, phi=0.5 * cp.phi_c_estimate, k_max=64)
     assert profile_summary(profile, cp)["rho_c_method"] == "ladder-ceiling"
     assert len(full_range) == 32
+
+
+def test_chemical_potential_and_rho_c_hold_few_full_length_arrays():
+    # numpy reports its buffers to tracemalloc.  At k_max = 10^6 one array is
+    # 7.6 MiB: the build keeps log_q and a few blocks (10.6 MiB measured;
+    # 45.8 with full-length temporaries), and rho_c adds at most two arrays
+    # to it (22.9 MiB measured; 30.5 with three).
+    kernel = condensing_kernel(3.0)
+    chemical_potential(kernel, 1000)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        cp = chemical_potential(kernel, 10**6)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        critical_density_info(cp)
+        info_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 12 * 2**20
+    assert info_peak <= 26 * 2**20
 
 
 def test_critical_density_survives_sums_at_phi_c_that_overflow():

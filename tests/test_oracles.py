@@ -5,7 +5,8 @@ against a scalar loop over all reaction pairs that reads positivity of a
 flux from the support of the kernel and the state, the block passes over
 sample matrices (free energy, dissipation, the classifier's distance
 series) against the per-sample formulas bit for bit, every equilibrium
-quantity from the cut series against sums over the full range, the bulk
+quantity from the cut series against sums over the full range, the
+blocked chemical-potential build against one cumulative sum, the bulk
 CSV writers against per-cell formatting, and the in-place RK stepper and
 right-hand side against an allocate-everything Fehlberg step, a lockstep
 batch against integrating each of its states alone, and the blocked
@@ -66,6 +67,7 @@ from edgrow.equilibrium import (
     partition_sum,
 )
 from edgrow.kernels import (
+    ZeroRateError,
     _factor_vectors,
     additive_kernel,
     condensing_kernel,
@@ -582,6 +584,83 @@ def test_first_accepting_rung_is_one_step_and_ends_the_full_walk(cp):
     # accepting one may end it.
     still = [abs(b - a) / max(abs(b), 1e-300) < 1e-8 for a, b in zip(ladder, ladder[1:])]
     assert not any(still[k] and still[k + 1] for k in range(first - 2))
+
+
+def one_shot_log_q(kernel, k_max) -> np.ndarray:
+    """``log_q`` from full-length increments and one cumulative sum."""
+    ls = np.arange(1, k_max + 1, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(np.log(kernel(1.0, ls - 1.0)) - np.log(kernel(ls, 0.0)))))
+
+
+BLOCK = equilibrium._BLOCK
+
+
+@pytest.mark.parametrize("k_max", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 10**6])
+@pytest.mark.parametrize(
+    "kernel",
+    [condensing_kernel(3.0), constant_kernel(2.0), separable_kernel("(k+2)^2/(k+1)", "1")],
+    ids=["condensing", "constant", "separable"],
+)
+def test_blocked_chemical_potential_matches_one_shot_cumsum(kernel, k_max):
+    got = chemical_potential(kernel, k_max).log_q
+    assert got.tobytes() == one_shot_log_q(kernel, k_max).tobytes()
+
+
+def test_blocked_chemical_potential_names_a_zero_rate_past_the_first_block():
+    # K(l, 0) = (l - 100000)^2 vanishes at l = 100000 only, in the second block.
+    kernel = separable_kernel("(k - 100000)^2", "1")
+    assert BLOCK < 100000 <= 2 * BLOCK
+    ls = np.arange(1, 150001, dtype=float)
+    assert ls[np.argmax(kernel(ls, 0.0) <= 0.0)] == 100000.0
+    with pytest.raises(ZeroRateError, match=r"K\(1,99999\) or K\(100000,0\) vanishes"):
+        chemical_potential(kernel, 150000)
+
+
+def suffix_peaks_oracle(cp) -> tuple:
+    """``(L, max s[L:], max (s + log l)[L:])`` for ``L = 2, 4, ... <= k_max``,
+    each maximum taken over its own slice of one full-length array."""
+    ls = np.arange(cp.k_max + 1, dtype=float)
+    s = ls * math.log(cp.phi_c_estimate) + cp.log_q
+    with np.errstate(divide="ignore"):
+        s_num = s + np.log(ls)
+    starts = [1 << j for j in range(1, cp.k_max.bit_length())]
+    return tuple((L, float(np.max(s[L:])), float(np.max(s_num[L:]))) for L in starts)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 4, 1000, 2 * BLOCK + 1])
+@pytest.mark.parametrize("c", [2.5, 3.0])
+def test_suffix_peaks_match_slice_maxima(c, k_max):
+    cp = chemical_potential(condensing_kernel(c), k_max)
+    peaks = equilibrium._suffix_peaks(cp)
+    assert peaks == suffix_peaks_oracle(cp)
+    assert len(peaks) == max(k_max.bit_length() - 1, 0)  # none at k_max = 1, one at 2 and 3
+
+
+def summed_terms_oracle(cp, log_phi, n, weighted) -> tuple:
+    """The first ``n`` terms and their log-sums as formed with one buffer per
+    intermediate: ``l``, ``t_l`` and ``t_l + log l``."""
+    ls = np.arange(n, dtype=float)
+    t = ls * log_phi + cp.log_q[:n]
+    log_num = log_sum(t[1:] + np.log(ls[1:])) if weighted else math.nan
+    return t, log_sum(t), log_num
+
+
+@pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
+def test_summed_terms_match_one_buffer_per_intermediate(case):
+    cp = chemical_potential(*CRITICAL_CASES[case])
+    phi_c = cp.phi_c_estimate
+    if 0.0 < phi_c < math.inf:
+        phis = [phi_c] + [phi_c * (1.0 - 0.5**j) for j in range(1, 49)]
+    else:  # no ladder: a few fugacities inside the radius
+        phis = [0.05, 0.25] if math.isinf(phi_c) else [1e-3]
+    for phi in phis:
+        log_phi = math.log(phi)
+        for n in {cp.k_max + 1, equilibrium._series_length(cp, log_phi)}:
+            for weighted in (True, False):
+                t, log_den, log_num = equilibrium._summed_terms(cp, log_phi, n, weighted)
+                t_ref, den_ref, num_ref = summed_terms_oracle(cp, log_phi, n, weighted)
+                assert t.tobytes() == t_ref.tobytes()
+                assert same((log_den, log_num), (den_ref, num_ref)), (phi, n, weighted)
 
 
 def test_walk_runs_to_its_end_when_the_direct_value_is_below_the_truncated_density(monkeypatch):
