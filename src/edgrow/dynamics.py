@@ -17,9 +17,10 @@ step size it was accepted at becomes a ceiling that later steps approach only
 gradually.  Tiny negative survivors are clamped to zero and the clamped mass
 is accounted in a drift ledger so conservation checks stay honest.  One
 stepper object runs every step: it owns the states, preallocated buffers
-(an :class:`_RhsWork` for the right-hand side), and one row per state with
-its controller, counters and samples.  It steps one state, or a batch of
-explicit states of one kernel and truncation in lockstep
+(an :class:`_RhsWork` for the right-hand side of one state, a
+:class:`_RowsWork` for a batch laid out in contiguous rows), and one row
+per state with its controller, counters and samples.  It steps one state,
+or a batch of explicit states of one kernel and truncation in lockstep
 (:func:`integrate_batch`), each row bit for bit as it steps alone.
 Checkpoints carry the method and the controller, so a resumed run repeats
 the uninterrupted one bit for bit.
@@ -152,46 +153,101 @@ class RatesView:
 
 class _RhsWork:
     """Factor vectors, rate rows and the flux row ``-0.0, J_0..J_{N-1}, +0.0``
-    that right-hand sides at truncation ``N`` reuse; ``left - right`` of that
-    row is ``-J_0, J_{k-1} - J_k, J_{N-1}``, bit for bit (signed zeros too).
+    that right-hand sides of one state at truncation ``N`` reuse; ``left -
+    right`` of that row is ``-J_0, J_{k-1} - J_k, J_{N-1}``, bit for bit
+    (signed zeros too)."""
 
-    With ``rows`` it serves a batch of that many states: states, rates and
-    fluxes gain a leading row axis, and each row's dot products are one
-    ``np.vecdot`` call.  That runs BLAS ``ddot`` per row, the routine
-    ``np.dot`` runs for one state, so every row gets the bits it gets alone
-    (``@`` and 2-D ``np.dot`` run ``gemv``, whose sums round differently).
-    """
-
-    def __init__(self, kernel: Kernel, n: int, rows: Optional[int] = None):
+    def __init__(self, kernel: Kernel, n: int):
         (self.b_vals, self.a_vals), *rest = _factor_vectors(kernel, n)
         self.rest = tuple(rest)
-        batch = () if rows is None else (rows,)
-        self.a_rates, self.b_rates, self.scratch = np.empty((3, *batch, n))
-        padded = np.zeros((*batch, n + 2))
-        padded[..., 0] = -0.0
-        self.flux, self.left, self.right = padded[..., 1:-1], padded[..., :-1], padded[..., 1:]
-        self.dot = np.dot if rows is None else _row_dots
-        # Sizes 1..N and 0..N-1 of a state; a bare slice indexes one state fastest.
-        self.tail, self.head = slice(1, None), slice(None, -1)
-        if rows is not None:
-            self.tail, self.head = (slice(None), self.tail), (slice(None), self.head)
+        self.a_rates, self.b_rates, self.scratch = np.empty((3, n))
+        padded = np.zeros(n + 2)
+        padded[0] = -0.0
+        self.flux, self.left, self.right = padded[1:-1], padded[:-1], padded[1:]
 
     def rates(self, c: np.ndarray) -> tuple:
         """Birth rates ``A_0..A_{N-1}`` and death rates ``B_1..B_N`` at ``c``."""
-        donor, acceptor = c[self.tail], c[self.head]
-        a_rates, b_rates, scratch, dot = self.a_rates, self.b_rates, self.scratch, self.dot
+        donor, acceptor = c[1:], c[:-1]
+        a_rates, b_rates, scratch = self.a_rates, self.b_rates, self.scratch
         # Starting from the first term keeps rank-1 kernels to one product each.
-        np.multiply(self.a_vals, dot(self.b_vals, donor), out=a_rates)
-        np.multiply(self.b_vals, dot(self.a_vals, acceptor), out=b_rates)
+        np.multiply(self.a_vals, np.dot(self.b_vals, donor), out=a_rates)
+        np.multiply(self.b_vals, np.dot(self.a_vals, acceptor), out=b_rates)
         for b_vals, a_vals in self.rest:
-            a_rates += np.multiply(a_vals, dot(b_vals, donor), out=scratch)
-            b_rates += np.multiply(b_vals, dot(a_vals, acceptor), out=scratch)
+            a_rates += np.multiply(a_vals, np.dot(b_vals, donor), out=scratch)
+            b_rates += np.multiply(b_vals, np.dot(a_vals, acceptor), out=scratch)
         return a_rates, b_rates
 
+    def rhs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``dc/dt`` at ``c`` into ``out``."""
+        a_rates, b_rates = self.rates(c)
+        flux = np.multiply(a_rates, c[:-1], out=self.flux)
+        flux -= np.multiply(b_rates, c[1:], out=self.scratch)
+        return np.subtract(self.left, self.right, out=out)
 
-def _row_dots(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``np.dot(vector, row)`` of every row, bit for bit, as a column."""
-    return np.vecdot(vector, rows)[:, None]
+
+class _RowsWork:
+    """The right-hand side of ``R`` states of truncation ``N`` at once, each
+    row with the bits :class:`_RhsWork` gives it alone.
+
+    States, rates and fluxes are C-contiguous ``R x (N+2)`` arrays: a row
+    holds sizes ``0..N`` and a gap slot that holds zero.  So the product,
+    difference and flux calls run over all rows as one contiguous pass.
+    The flux buffer, one slot longer, holds ``-0.0, J_0..J_{N-1}, +0.0`` for
+    each row, end to end.  The pass also writes the two slots where one row
+    meets the next; they are written back to ``+0.0`` and ``-0.0`` after
+    it, so no value crosses from one row to another.  Each row's dot
+    products are one ``np.vecdot`` call.  That runs BLAS ``ddot`` per row,
+    the routine ``np.dot`` runs for one state (``@`` and 2-D ``np.dot`` run
+    ``gemv``, whose sums round differently).  At ``N = 1`` they are
+    products, as ``np.dot`` forms them for size-1 operands (``ddot`` adds
+    the product to ``+0.0``, which loses the sign of a ``-0.0``).  The rates
+    are ``a_rates[:, :N]`` and ``b_rates[:, :N]``.
+    """
+
+    def __init__(self, kernel: Kernel, n: int, rows: int):
+        self.terms = _factor_vectors(kernel, n)
+        width, size = n + 2, rows * (n + 2)
+        # Per term, its acceptor factors a_r and donor factors b_r in every row.
+        self.tiles = np.zeros((len(self.terms), 2, rows, width))
+        for tile, (b_vals, a_vals) in zip(self.tiles, self.terms):
+            tile[0, :, :n], tile[1, :, :n] = a_vals, b_vals
+        self.sums = np.empty((2, rows, 1))
+        self.sum_b, self.sum_a = self.sums[:, :, 0]
+        self.ab_rates = np.empty((2, rows, width))
+        self.a_rates, self.b_rates = self.ab_rates
+        self.scratch = np.empty((2, rows, width))
+        flux = np.zeros(size + 1)
+        flux[0] = -0.0
+        # The pass writes J at flux[1:size]: rate and state slot p give flux slot p + 1.
+        self.flux, self.left, self.right = flux[1:size], flux[:-1], flux[1:]
+        self.a_head, self.b_head = self.a_rates.reshape(-1)[:-1], self.b_rates.reshape(-1)[:-1]
+        self.products = self.scratch.reshape(-1)[: size - 1]
+        self.row_ends, self.row_starts = flux[n + 1 :: width], flux[width::width]
+        self.n, self.dot = n, np.vecdot if n > 1 else _products
+
+    def rhs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``dc/dt`` of every row of ``c`` into ``out``, both ``R x (N+2)``."""
+        donor, acceptor = c[:, 1 : self.n + 1], c[:, : self.n]
+        sums, ab_rates = self.sums, self.ab_rates
+        for i, (b_vals, a_vals) in enumerate(self.terms):
+            self.dot(b_vals, donor, out=self.sum_b)
+            self.dot(a_vals, acceptor, out=self.sum_a)
+            if i == 0:  # rank-1 kernels: one product for both rates
+                np.multiply(self.tiles[0], sums, out=ab_rates)
+            else:
+                ab_rates += np.multiply(self.tiles[i], sums, out=self.scratch)
+        states = c.reshape(-1)
+        flux = np.multiply(self.a_head, states[:-1], out=self.flux)
+        flux -= np.multiply(self.b_head, states[1:], out=self.products)
+        self.row_ends.fill(0.0)
+        self.row_starts.fill(-0.0)
+        np.subtract(self.left, self.right, out=out.reshape(-1))
+        return out
+
+
+def _products(vector: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.dot(vector, row)`` of every row of one value: its product."""
+    return np.multiply(rows[:, 0], vector[0], out=out)
 
 
 def birth_death_rates(kernel: Kernel, state: ConcentrationProfile) -> RatesView:
@@ -213,16 +269,12 @@ def net_fluxes(rates: RatesView, state: ConcentrationProfile) -> np.ndarray:
 
 
 def _rhs_from_c(kernel: Kernel, c: np.ndarray, out=None, work=None) -> np.ndarray:
-    """``dc/dt`` at ``c`` (one state, or one per row) into ``out`` with
-    ``work``, an :class:`_RhsWork` of this kernel, truncation and batch; either
-    is allocated when not given; the rates at ``c`` stay in ``work``."""
-    work = work or _RhsWork(kernel, c.shape[-1] - 1, len(c) if c.ndim == 2 else None)
-    if out is None:
-        out = np.empty_like(c)
-    a_rates, b_rates = work.rates(c)
-    flux = np.multiply(a_rates, c[work.head], out=work.flux)
-    flux -= np.multiply(b_rates, c[work.tail], out=work.scratch)
-    return np.subtract(work.left, work.right, out=out)
+    """``dc/dt`` at ``c`` into ``out`` with ``work``, an :class:`_RhsWork` of
+    this kernel and truncation (or a :class:`_RowsWork` and its rows); both
+    are allocated for one state when not given.  The rates at ``c`` stay in
+    ``work``."""
+    work = work or _RhsWork(kernel, len(c) - 1)
+    return work.rhs(c, np.empty_like(c) if out is None else out)
 
 
 def rhs(kernel: Kernel, state: ConcentrationProfile) -> np.ndarray:
@@ -564,14 +616,20 @@ class _Stepper:
     """Embedded steps, in place, of one state or of a batch of states of one
     kernel, truncation and config in lockstep (RODAS4: one state).
 
-    Owns the states ``c`` (``N+1`` values, or ``R x (N+1)`` for a batch), a
-    stage buffer of six such arrays with one products buffer and scratch
-    arrays, an :class:`_RhsWork`, the strong-norm weights ``1 + l`` and one
-    :class:`_Row` per state: its Python-float controller, its counters and
-    its recording.  Every elementwise numpy call covers all rows
-    and each row's dot products are the ones its state takes alone, so every
-    row steps bit for bit as it would alone.  A step allocates no size-``N``
-    array unless it clamps.
+    Owns the states ``c``, a stage buffer of six such arrays with one
+    products buffer and scratch arrays, the right-hand side's work, the
+    strong-norm weights ``1 + l`` and one :class:`_Row` per state: its
+    Python-float controller, its counters and its recording.  One state is
+    ``N+1`` values with an :class:`_RhsWork`.  A batch of ``R`` states is
+    ``R x (N+2)`` values with a :class:`_RowsWork`: each row ends in a gap
+    slot that holds zero, so states, stages, products and the per-row step
+    lengths ``dt_rows`` are C-contiguous and every elementwise numpy call is
+    one contiguous pass over all rows.  Each row's dot products are the ones
+    its state takes alone, so every row steps bit for bit as it would alone.
+    A round's tolerances are one ``abs`` and one ``vecdot`` for all rows, its
+    least components one gather, and a round in which every row accepts
+    swaps the state buffers.  A step allocates no size-``N`` array unless it
+    clamps.
 
     The positivity ceiling starts at ``inf``.  A step accepted after a
     positivity retry sets it to its own ``dt`` and proposes no larger next
@@ -590,18 +648,27 @@ class _Stepper:
     def __init__(self, kernel: Kernel, c: np.ndarray, cfg: IntegratorConfig, rows: Sequence[_Row]):
         self.kernel, self.cfg, self.rows = kernel, cfg, list(rows)
         self.weights = 1.0 + np.arange(np.shape(c)[-1], dtype=float)
-        self._load(np.array(c, dtype=float))
-        for i, row in enumerate(self.rows):
-            row.tol = self._tolerance(_row(self.c, i), _row(self.scratch, i))
+        c = np.array(c, dtype=float)
+        if c.ndim == 2:  # append each row's gap slot
+            c = np.concatenate((c, np.zeros((len(c), 1))), axis=1)
+        self._load(c)
+        for row, tol in zip(self.rows, self._tolerances(self.c)):
+            row.tol = tol
 
     def _load(self, c: np.ndarray) -> None:
-        """Take ``c`` as the states and size every buffer to it."""
+        """Take ``c`` as the states (a batch with its gap slots) and size
+        every buffer to it."""
         self.c = c
         self.stages = np.empty((6, *c.shape))
         self.products = np.zeros((7, *c.shape))
         self.c_new = np.empty_like(c)
         self.scratch = np.empty_like(c)
-        self.rhs_work = _RhsWork(self.kernel, c.shape[-1] - 1, len(c) if c.ndim == 2 else None)
+        if c.ndim == 1:
+            self.rhs_work = _RhsWork(self.kernel, len(c) - 1)
+        else:
+            self.rhs_work = _RowsWork(self.kernel, c.shape[1] - 2, len(c))
+            self.dt_rows = np.empty_like(c)
+            self.row_index = np.arange(len(c))
         # Tableau coefficients shaped to scale whole stages.
         shape = (-1,) + (1,) * c.ndim
         self.a_columns = tuple(np.reshape(row, shape) for row in _RK_A[1:])
@@ -621,12 +688,20 @@ class _Stepper:
         if len(index) > 1:
             self._load(self.c[index])
         elif index:
-            self._load(_row(self.c, index[0]).copy())
+            self._load(self.state(index[0]).copy())
 
-    def _tolerance(self, c: np.ndarray, scratch: np.ndarray) -> float:
-        """``rtol * strong_norm(c) + atol`` of one state, with a scratch row."""
-        norm = float(np.dot(self.weights, np.abs(c, out=scratch)))
-        return self.cfg.rtol * norm + self.cfg.atol
+    def state(self, i: int) -> np.ndarray:
+        """Row ``i``'s state ``c_0..c_N``, as a view."""
+        return self.c if self.c.ndim == 1 else self.c[i, :-1]
+
+    def _tolerances(self, c: np.ndarray) -> list:
+        """``rtol * strong_norm + atol`` of every row of ``c``, using ``scratch``."""
+        absolute = np.abs(c, out=self.scratch)
+        if c.ndim == 1:
+            norms = [float(np.dot(self.weights, absolute))]
+        else:
+            norms = np.vecdot(self.weights, absolute[:, :-1]).tolist()
+        return [self.cfg.rtol * norm + self.cfg.atol for norm in norms]
 
     def _weighted_stages(self, column: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = 0 + column[0] k_0 + column[1] k_1 + ...``, summed in that order."""
@@ -636,9 +711,9 @@ class _Stepper:
 
     def _fehlberg(self, dt) -> np.ndarray:
         """One Fehlberg 4(5) attempt of every row from ``c`` over ``dt`` (a
-        float, or one per row as a column): the fifth-order solution goes to
-        ``c_new`` and the error vector, which is returned, to ``scratch``.
-        Stage 0 is evaluated again only after a row has started a step."""
+        float, or ``dt_rows``): the fifth-order solution goes to ``c_new``
+        and the error vector, which is returned, to ``scratch``.  Stage 0 is
+        evaluated again only after a row has started a step."""
         c, stages = self.c, self.stages
         if not self.stage0_ready:
             # ``_rhs_from_c`` is looked up in the module on every call, so
@@ -674,7 +749,7 @@ class _Stepper:
         ArithmeticError, keeps that exception in ``error`` and is not
         stepped again.
         """
-        cfg, rows = self.cfg, self.rows
+        rows = self.rows
         for row, suggest in zip(rows, dt_suggest):
             if row.dt is None:
                 if suggest <= 0:
@@ -682,57 +757,87 @@ class _Stepper:
                 row.dt, row.retried = suggest, False
                 row.stats.rhs_evals += _STEP_EVALS
                 self.stage0_ready = False
-        t_scale = max(cfg.t_end, 1.0)
+        t_scale = max(self.cfg.t_end, 1.0)
+        attempt_round = self._single_round if self.c.ndim == 1 else self._batch_round
         while True:
             for row in rows:
                 if row.error is None and row.dt < 1e-14 * t_scale:
                     row.error = IntegratorError(f"step underflow: dt={row.dt!r}")
-            c, c_new = self.c, self.c_new
-            dt = rows[0].dt if c.ndim == 1 else np.array([row.dt for row in rows])[:, None]
-            err_vec = self.attempt(dt)
-            errs = np.abs(err_vec, out=err_vec).max(axis=-1)
-            worst = c_new.argmin(axis=-1)
-            if c.ndim == 1:  # a stepper of one state is its own only row
-                errs, worst, views = (errs.item(),), (worst.item(),), ((c, c_new, self.scratch),)
-            else:
-                errs, worst, views = errs.tolist(), worst.tolist(), zip(c, c_new, self.scratch)
+            if attempt_round():
+                return
 
-            accepted = ended = False
-            for row, err, k, (c_row, new_row, scratch_row) in zip(rows, errs, worst, views):
-                if row.error is not None:
-                    ended = True
+    def _single_round(self) -> bool:
+        """One attempt of the one state; whether it accepted or failed."""
+        (row,) = self.rows
+        c, c_new = self.c, self.c_new
+        err_vec = self.attempt(row.dt)
+        err = float(np.abs(err_vec, out=err_vec).max())
+        k = int(c_new.argmin())
+        if row.error is not None:
+            return True
+        min_c = float(c_new[k])
+        try:
+            if not row.judge(err, min_c, c, k, self.cfg.atol):
+                return False
+            # Accepted, so no component is below -atol: every negative one clamps.
+            clamped = _clamp(row, c_new) if min_c < 0.0 else (0.0, 0.0)
+            row.accept(err, self._tolerances(c_new)[0], clamped)
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            row.error = exc
+            return True
+        self.c, self.c_new = c_new, c
+        return True
+
+    def _batch_round(self) -> bool:
+        """One lockstep attempt of every row; whether any accepted or failed."""
+        rows, c, c_new = self.rows, self.c, self.c_new
+        self.dt_rows.T[...] = [row.dt for row in rows]
+        err_vec = self.attempt(self.dt_rows)
+        errs = np.abs(err_vec, out=err_vec).max(axis=1).tolist()
+        sizes = c_new[:, :-1]
+        worst = sizes.argmin(axis=1)
+        least = sizes[self.row_index, worst].tolist()
+        judged, ended = [], False
+        for i, (row, err, k, min_c) in enumerate(zip(rows, errs, worst.tolist(), least)):
+            if row.error is not None:
+                ended = True
+                continue
+            try:
+                if not row.judge(err, min_c, c[i], k, self.cfg.atol):
                     continue
-                min_c = float(new_row[k])
+                clamped = _clamp(row, sizes[i]) if min_c < 0.0 else (0.0, 0.0)
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
+                row.error, ended = exc, True
+                continue
+            judged.append((i, row, err, clamped))
+        accepted = []
+        if judged:
+            tols = self._tolerances(c_new)
+            for i, row, err, clamped in judged:
                 try:
-                    if not row.judge(err, min_c, c_row, k, cfg.atol):
-                        continue
-                    # Accepted, so no component is below -atol: every negative one clamps.
-                    clamped = (0.0, 0.0)
-                    if min_c < 0.0:
-                        clamp = new_row < 0.0
-                        clamped = (
-                            float(-np.sum(new_row[clamp])),
-                            float(-np.dot(np.nonzero(clamp)[0].astype(float), new_row[clamp])),
-                        )
-                        new_row[clamp] = 0.0
-                        row.stats.clamp_events += 1
-                    row.accept(err, self._tolerance(new_row, scratch_row), clamped)
+                    row.accept(err, tols[i], clamped)
                 except (ValueError, RuntimeError, ArithmeticError) as exc:
                     row.error, ended = exc, True
                     continue
-                accepted = True
-                if c.ndim == 2:
-                    c_row[:] = new_row
-            if accepted and c.ndim == 1:
-                self.c, self.c_new = c_new, c
-            if accepted or ended:
-                return
+                accepted.append(i)
+        if len(accepted) == len(rows):
+            self.c, self.c_new = c_new, c
+        elif accepted:
+            c[accepted] = c_new[accepted]
+        return bool(accepted) or ended
 
 
-def _row(values: np.ndarray, i: int) -> np.ndarray:
-    """Row ``i`` of a stepper's state-shaped array, as a view (the array
-    itself for a stepper of one state)."""
-    return values if values.ndim == 1 else values[i]
+def _clamp(row: _Row, new_row: np.ndarray) -> tuple:
+    """Clamp the negative components of an accepted state to zero, count the
+    clamp event and return the clamped ``(count, mass)``."""
+    clamp = new_row < 0.0
+    clamped = (
+        float(-np.sum(new_row[clamp])),
+        float(-np.dot(np.nonzero(clamp)[0].astype(float), new_row[clamp])),
+    )
+    new_row[clamp] = 0.0
+    row.stats.clamp_events += 1
+    return clamped
 
 
 def step(
@@ -929,7 +1034,7 @@ def _integrate_rows(
                         next_record = min(row.next_grid, cfg.t_end)
                         row.t += row.dt_used
                         if row.t >= next_record - time_eps:
-                            c = row.record(_row(stepper.c, i))
+                            c = row.record(stepper.state(i))
                             if row.t >= row.next_grid - time_eps:
                                 row.next_grid += cadence
                             if row.t >= row.next_checkpoint - time_eps:

@@ -17,10 +17,10 @@ What is derived once from a chemical potential (the suffix peaks that size
 the cut, the sums at ``phi_c``, the ``rho_c`` decision) is kept on that
 object, so it is freed with it.  :func:`critical_density_info` decides
 ``rho_c`` on the dyadic fugacity ladder.  Where the direct tail at
-``phi_c`` settles it, the first rung that confirms that value is found by
-bisection over the rung index; otherwise the ladder is walked rung by rung.
-Either way a process evaluates each rung at most once per chemical
-potential.
+``phi_c`` settles it, the first rung that confirms that value is predicted
+from the size variance at ``phi_c`` and checked with that rung and the one
+below; otherwise the ladder is walked rung by rung.  Either way a process
+evaluates each rung at most once per chemical potential.
 
 A chemical potential keeps one array of length ``k_max``, ``log_q``, built in
 blocks; a full-range sum adds its terms and one scratch array of that length
@@ -187,10 +187,8 @@ def chemical_potential(
         detach = kernel(ls, np.zeros(1))  # K(l, 0)
         bad = np.nonzero((attach <= 0.0) | (detach <= 0.0))[0]
         if bad.size:
-            l = a + int(bad[0])
-            raise ZeroRateError(
-                f"zero-rate: K(1,{l - 1}) or K({l},0) vanishes; chemical potential undefined"
-            )
+            i = int(bad[0])
+            raise ZeroRateError(f"zero-rate: {_failing_rates(a + i, attach[i], detach[i])}")
         increments = np.log(attach, out=attach)
         increments -= np.log(detach, out=detach)
         increments[0] += log_q[a - 1]
@@ -203,6 +201,18 @@ def chemical_potential(
     return ChemicalPotential(
         log_q=log_q, phi_c_estimate=phi_c_value, phi_c_converged=converged, k_max=int(k_max)
     )
+
+
+def _failing_rates(l: int, attach: float, detach: float) -> str:
+    """Names the rates ``K(1, l-1) = attach`` and ``K(l, 0) = detach`` that
+    are not positive (one name at ``l = 1``, where both are ``K(1,0)``)."""
+    rates = {f"K(1,{l - 1})": float(attach), f"K({l},0)": float(detach)}
+    failing = [
+        f"{name} = {value!r} " + ("vanishes" if value == 0.0 else "is not positive")
+        for name, value in rates.items()
+        if value <= 0.0
+    ]
+    return " and ".join(failing) + "; chemical potential undefined"
 
 
 def _check_fugacity(cp: ChemicalPotential, phi: float) -> None:
@@ -337,7 +347,7 @@ def _series(
     n = max(_series_length(cp, log_phi), n_terms)
     if n > cp.k_max and log_phi == _log_phi_c(cp):
         t = np.arange(n_terms, dtype=float) * log_phi + cp.log_q[:n_terms]
-        log_den, log_num = _phi_c_sums(cp)
+        log_den, log_num, _ = _phi_c_sums(cp)
         return t, log_den, log_num if weighted else math.nan
     return _summed_terms(cp, log_phi, n, weighted)
 
@@ -357,17 +367,26 @@ def _summed_terms(
     return t, log_den, log_num
 
 
-def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float]:
-    """``(log sum exp(t_l), log sum l exp(t_l))`` over the full range at
+def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float, float]:
+    """``log sum l^i exp(t_l)`` for ``i = 0, 1, 2`` over the full range at
     ``phi_c``, the one sum no cut shortens; needs a finite positive ``phi_c``.
 
-    Kept on ``cp`` and shared by the direct tail of
+    Kept on ``cp`` and shared by the direct tail and the predicted rung of
     :func:`critical_density_info`, ``rho_hi`` of :func:`fugacity_for_density`,
     and :func:`partition_sum` and :func:`equilibrium_profile` at ``phi_c``.
+    The first two are the sums :func:`_summed_terms` forms; the terms of
+    the third, ``t_l + 2 log l``, are ``(t_l + log l) + log l``, in the
+    buffer of ``log l``, so it holds no further full-length array.
     """
     if "phi_c_sums" not in cp._memo:
-        _, log_den, log_num = _summed_terms(cp, _log_phi_c(cp), cp.k_max + 1)
-        cp._memo["phi_c_sums"] = (log_den, log_num)
+        n = cp.k_max + 1
+        t, log_den, _ = _summed_terms(cp, _log_phi_c(cp), n, weighted=False)
+        log_ls = np.arange(1, n, dtype=float)
+        np.log(log_ls, out=log_ls)
+        t_num = np.add(t[1:], log_ls, out=t[1:])
+        t_second = np.add(t_num, log_ls, out=log_ls)
+        log_num = _log_sum(t_num, overwrite=True)
+        cp._memo["phi_c_sums"] = (log_den, log_num, _log_sum(t_second, overwrite=True))
     return cp._memo["phi_c_sums"]
 
 
@@ -488,7 +507,7 @@ def _direct_tail(cp: ChemicalPotential) -> Optional[Tuple[float, float, float]]:
         num_tail = _algebraic_tail(*num_ends, cp.k_max)
         den_tail = _algebraic_tail(*den_ends, cp.k_max)
         if num_tail is not None and den_tail is not None:
-            log_den, log_num = _phi_c_sums(cp)
+            log_den, log_num, _ = _phi_c_sums(cp)
             den = math.exp(log_den) + den_tail
             direct = (math.exp(log_num) + num_tail) / den
             return direct, num_tail / den, math.exp(log_num - log_den)
@@ -526,20 +545,48 @@ def _moves(a: float, b: float) -> bool:
     return not abs(b - a) / max(abs(b), 1e-300) < 1e-8
 
 
-def _first_accepting_rung(rung, direct_tail: Tuple[float, float, float]) -> Optional[int]:
+def _predicted_rung(cp: ChemicalPotential, direct_tail: Tuple[float, float, float]) -> int:
+    """The first rung ``j`` at which the density, expanded to first order
+    about ``phi_c``, accepts the direct tail: ``rho_N(phi_c) + sigma^2 log(1
+    - 2^-j)`` is at least the direct value less three tail defects and a
+    relative 1e-6, where ``sigma^2 = d rho / d log phi`` is the truncated
+    size variance at ``phi_c`` (``_LADDER_RUNGS`` if no rung does)."""
+    direct, defect, rho_n = direct_tail
+    log_den, _, log_second = _phi_c_sums(cp)
+    variance = math.exp(log_second - log_den) - rho_n * rho_n
+    floor = direct - 3.0 * defect - 1e-6 * max(1.0, direct)
+    return next(
+        (j for j in range(1, _LADDER_RUNGS) if rho_n + variance * math.log1p(-0.5**j) >= floor),
+        _LADDER_RUNGS,
+    )
+
+
+def _first_accepting_rung(
+    cp: ChemicalPotential, rung, direct_tail: Tuple[float, float, float]
+) -> Optional[int]:
     """The first rung ``j <= _LADDER_RUNGS`` that accepts the direct tail,
-    by bisection over ``j`` with ``rung(j)``, for acceptance that is
-    monotone in ``j``; ``None`` when no rung accepts or the step onto ``j``
-    does not move.  With steps that do not grow along the ladder, a moving
-    step rules out a walk that stabilizes before rung ``j``.
+    with ``rung(j)``, for acceptance that is monotone in ``j``; ``None`` when
+    no rung accepts or the step onto ``j`` does not move.  With steps that
+    do not grow along the ladder, a moving step rules out a walk that
+    stabilizes before rung ``j``.
+
+    The search starts at :func:`_predicted_rung`, then tries the rungs 1, 2,
+    4, ... away from it on the side still open, and bisects what is left
+    once a rung falls on the other side.  A right prediction takes that
+    rung and the one below it; one that is a rung too high takes a third.
     """
+    guess = _predicted_rung(cp, direct_tail)
     lo, hi = 0, _LADDER_RUNGS + 1  # rung lo rejects (0: no rung), rung hi accepts
+    j, reach = guess, 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _accepts_direct_tail(direct_tail, rung(mid)[0]):
-            hi = mid
+        if _accepts_direct_tail(direct_tail, rung(j)[0]):
+            hi = j
         else:
-            lo = mid
+            lo = j
+        j = guess - reach if hi <= guess else guess + reach
+        if not lo < j < hi:
+            j = (lo + hi) // 2
+        reach *= 2
     if hi > _LADDER_RUNGS or (lo and not _moves(rung(lo)[0], rung(hi)[0])):
         return None
     return hi
@@ -609,9 +656,13 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     density ``rho_N(phi_c)`` less 1e-9, the walk would stop at the first
     rung that accepts it: the density increases with ``phi``, so every later
     rung lies between that rung and ``rho_N(phi_c)`` and would accept the
-    same value.  Acceptance is then monotone in the rung index, so that
-    rung is found by bisection in at most six rungs; the ladder is walked
-    only where the bisection finds none.  The result, or an inconclusive
+    same value.  Acceptance is then monotone in the rung index.  The
+    density expanded to first order about ``phi_c``, whose slope in ``log
+    phi`` is the truncated size variance there, predicts that rung; the
+    predicted rung and the one below it confirm it (2 rung evaluations at
+    condensing ``c = 3``, ``k_max = 10^6``), and a miss is searched next to
+    the prediction (:func:`_first_accepting_rung`).  The ladder is walked
+    only where the search finds no rung.  The result, or an inconclusive
     verdict, is kept on ``cp``, so each rung is evaluated at most once per
     chemical potential.
     """
@@ -627,7 +678,7 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
         if not (math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0):
             direct_tail = _direct_tail(cp)
             stops = direct_tail is not None and direct_tail[0] >= direct_tail[2] - 1e-9
-            length = _first_accepting_rung(rung, direct_tail) if stops else None
+            length = _first_accepting_rung(cp, rung, direct_tail) if stops else None
             if length is None:  # walk the ladder
                 ladder: list = []
                 while len(ladder) < _LADDER_RUNGS and not _stabilized(ladder):

@@ -138,12 +138,54 @@ WEIGHTS_TAILS = {"type": "tails", "values": [1.0, 0.5, 0.1, 0.0]}
         "weights-k_max-zero",
     ],
 )
-def test_ill_typed_integer_setting_is_config_error(tmp_path, command, setting):
-    payload = {"kernel": CONDENSING, "integrator": {"t_end": 1.0}, "densities": [0.5], **setting}
+def test_ill_typed_integer_setting_is_config_error(tmp_path, capsys, command, setting):
+    payload = {**BASE_CONFIGS[command[0]], **setting}
     cfg = write_config(tmp_path, "c.json", payload)
     out = tmp_path / "out"
     assert main([command[0], "--config", cfg, "--out", str(out), *command[1:]]) == EXIT_CONFIG
+    assert "reads no config key" not in capsys.readouterr().err
     assert not out.exists()
+
+
+# The least config each subcommand runs on, with only keys it reads.
+BASE_CONFIGS = {
+    "check-kernel": {"kernel": CONDENSING},
+    "equilibrium": {"kernel": CONDENSING, "analysis": FAST_ANALYSIS, "rho": 0.5},
+    "simulate": {"kernel": CONDENSING, "integrator": {"t_end": 1.0}, "analysis": FAST_ANALYSIS},
+    "sweep": {
+        "kernel": CONDENSING, "integrator": {"t_end": 1.0}, "densities": [0.5], "analysis": FAST_ANALYSIS,
+    },
+    "weights": {"weights_input": WEIGHTS_TAILS},
+}
+
+
+UNREAD_KEYS = {
+    "check-kernel": ["n_trunk", "seed", "densities", "weights_input"],
+    "equilibrium": ["n_trunk", "seed", "densities", "weights_input"],
+    "simulate": ["n_trunk", "seed", "densities", "weights_input", "rho"],
+    "sweep": ["n_trunk", "seed", "weights_input", "rho"],
+    "weights": ["n_trunk", "seed", "densities", "rho", "kernel"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command, keys in UNREAD_KEYS.items() for key in keys]
+)
+def test_top_level_key_a_subcommand_does_not_read_is_config_error(tmp_path, capsys, command, key):
+    # "n_trunk": 64 used to run at the default n_trunc = 256 and exit 0.
+    cfg = write_config(tmp_path, "c.json", {**BASE_CONFIGS[command], key: 64})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"{command} reads no config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_simulate_config_serves_check_kernel_and_equilibrium(tmp_path):
+    # The README runs check-kernel, equilibrium and simulate on one config.
+    cfg = write_config(tmp_path, "c.json", dict(BASE_CONFIGS["simulate"], n_trunc=32))
+    for command in (["check-kernel"], ["equilibrium", "--rho", "0.5"], ["simulate"]):
+        out = tmp_path / command[0]
+        assert main([command[0], "--config", cfg, "--out", str(out), *command[1:]]) == EXIT_OK
 
 
 def test_equilibrium_constant(tmp_path):
@@ -221,7 +263,6 @@ SIM_CONFIG = {
     "initial_condition": {"type": "monodisperse", "rho": 1.0, "m": 1},
     "integrator": {"t_end": 3.0, "record_every": 0.25},
     "analysis": {"equilibrium_k_max": 2000, "checkpoint_every": 1.0},
-    "seed": 0,
 }
 
 
@@ -823,13 +864,12 @@ def test_sweep_starts_no_child_process_and_one_row_thread(tmp_path, monkeypatch)
         assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
         assert len(started) == 1, degree
         outputs.append((out / "sweep.csv").read_bytes())
-    # --parallel is the one setting; a "parallelism" key is not read.
+    assert outputs[1:] == outputs[:-1]
+    # --parallel is the one setting; a "parallelism" key is a config error.
     cfg = write_config(tmp_path, "p.json", dict(config, parallelism=4))
     started.clear()
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "k")]) == EXIT_OK
-    assert len(started) == 1
-    outputs.append((tmp_path / "k" / "sweep.csv").read_bytes())
-    assert outputs[1:] == outputs[:-1]
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "k")]) == EXIT_CONFIG
+    assert started == []
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -918,8 +958,8 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
         assert set(rho_c) == {"method", "ladder_length"}
         logged, length = len(log.read_text().split()), rho_c["ladder_length"] or 0
         # A walk evaluates each rung up to the last once; a direct tail is
-        # found by bisection over the rung index.
-        assert logged <= 7 if case == "direct-tail" else logged == length
+        # confirmed by its predicted rung and the one below.
+        assert logged == (2 if case == "direct-tail" else length)
         rows = report["row_telemetry"]
         assert [row["rho"] for row in rows] == config["densities"]
         assert all(row["runtime_s"] > 0.0 for row in rows)

@@ -81,6 +81,25 @@ def test_zero_rate_names_offender():
         chemical_potential(separable_kernel("k - 1", "1"), 10)
 
 
+@pytest.mark.parametrize(
+    "b, a, message",
+    [
+        # at l = 1 both rates are K(1,0), named once, with its sign
+        ("k - 40000", "1", "K(1,0) = -39999.0 is not positive"),
+        ("k - 1", "1", "K(1,0) = 0.0 vanishes"),
+        # one rate fails at l = 4 or 3; the positive K(1,3) = 14 or K(3,0) = 7 is not named
+        ("(k - 5)^2 - 2", "1", "K(4,0) = -1.0 is not positive"),
+        ("1", "(j - 3)^2 - 2", "K(1,2) = -1.0 is not positive"),
+        # both fail at l = 3
+        ("(k - 3)^2", "(j - 2)^2", "K(1,2) = 0.0 vanishes and K(3,0) = 0.0 vanishes"),
+    ],
+)
+def test_zero_rate_names_only_the_failing_rates(b, a, message):
+    with pytest.raises(ZeroRateError) as raised:
+        chemical_potential(separable_kernel(b, a), 100)
+    assert str(raised.value) == f"zero-rate: {message}; chemical potential undefined"
+
+
 def test_phi_c_estimates():
     assert estimate_critical_fugacity(constant_kernel()).value == 1.0
     est = estimate_critical_fugacity(condensing_kernel(3.0))

@@ -17,6 +17,7 @@ dense solves with the Jacobian formed from the rate table.
 import math
 import struct
 import sys
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from edgrow.dynamics import (
     _rhs_from_c,
     _RhsWork,
     _Row,
-    _row_dots,
+    _RowsWork,
     _Stepper,
     birth_death_rates,
     geometric_state,
@@ -503,8 +504,9 @@ def test_direct_tail_walk_stops_at_the_first_accepting_rung(monkeypatch):
     assert info.method == "direct-tail" and info.ladder_length == j
     assert (info.last_rung, info.last_increment) == (expected[1][-1], expected[2])
     assert j < len(full[1])  # the walk would stop early
-    # Bisection: each rung once, both neighbours of the step among them.
-    assert len(rungs) == len(set(rungs)) <= 6 < j and {j - 1, j} <= set(rungs)
+    # The predicted rung is the first accepting one: it and the rung below.
+    assert equilibrium._predicted_rung(cp, equilibrium._direct_tail(cp)) == j
+    assert rungs == [j, j - 1]
     tail = full_range_direct_tail(cp)
     assert not any(accepts_direct_tail(tail, r) for r in full[1][: j - 1])
     assert info.tail_defect == pytest.approx(tail[1], rel=1e-12)
@@ -513,15 +515,16 @@ def test_direct_tail_walk_stops_at_the_first_accepting_rung(monkeypatch):
     assert len(rungs) == evaluated  # kept on cp: no second search
 
 
-def test_rho_c_of_the_phase_sweep_potential_takes_at_most_seven_rungs(monkeypatch):
+def test_rho_c_of_the_phase_sweep_potential_takes_rungs_22_and_23(monkeypatch):
     # Condensing c = 3 at k_max = 10^6, the chemical potential of every
     # phase-diagram sweep: the walk took 23 rungs, 15 of them over all 10^6
-    # terms.
+    # terms, and the bisection over the rung index 6.  The size variance at
+    # phi_c predicts rung 23; rung 22 below it rejects.
     rungs = counted_rungs(monkeypatch)
     cp = chemical_potential(condensing_kernel(3.0), 10**6)
     info = critical_density_info(cp)
     assert (info.method, info.ladder_length) == ("direct-tail", 23)
-    assert len(rungs) <= 7
+    assert rungs == [23, 22]
     rungs.clear()
     critical_density_info(cp)
     assert rungs == []
@@ -529,8 +532,9 @@ def test_rho_c_of_the_phase_sweep_potential_takes_at_most_seven_rungs(monkeypatc
 
 def test_bisection_without_an_accepting_rung_falls_back_to_the_walk(monkeypatch):
     # A direct value 1 above every rung: no rung accepts it.  Where it lies
-    # above rho_N(phi_c), the bisection runs first and finds no rung; then
-    # the walk decides, as it does at once where the value lies below.
+    # above rho_N(phi_c), the search for the first accepting rung runs first
+    # and finds none; then the walk decides, as it does at once where the
+    # value lies below.
     direct_tail = equilibrium._direct_tail
     infos = {}
     for name, shift in (("bisected", -1.0), ("walked", 2e-9)):
@@ -586,6 +590,98 @@ def test_first_accepting_rung_is_one_step_and_ends_the_full_walk(cp):
     assert not any(still[k] and still[k + 1] for k in range(first - 2))
 
 
+def moves(a, b) -> bool:
+    return not abs(b - a) / max(abs(b), 1e-300) < 1e-8
+
+
+def bisection_rungs(cp, ladder_length) -> set:
+    """The rungs the plain bisection over rungs 1-48 evaluated for ``cp``,
+    with the walk's rungs ``1..ladder_length`` where it found no accepting
+    rung or the step onto it did not move (the search before the predicted
+    rung)."""
+    phi_c, walk = cp.phi_c_estimate, set(range(1, ladder_length + 1))
+    tail = full_range_direct_tail(cp) if 0.0 < phi_c < math.inf else None
+    if tail is None or tail[0] < tail[2] - 1e-9:
+        return walk
+    evaluated = set()
+
+    def density(j):
+        evaluated.add(j)
+        return full_range_density(cp, phi_c * (1.0 - 0.5**j))
+
+    lo, hi = 0, 49
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accepts_direct_tail(tail, density(mid)):
+            hi = mid
+        else:
+            lo = mid
+    if hi > 48 or (lo and not moves(density(lo), density(hi))):
+        return evaluated | walk
+    return evaluated
+
+
+def assert_no_more_rungs_than_bisection(cp):
+    """:func:`critical_density_info` on a fresh ``cp`` returns the full
+    walk's result and evaluates each rung once, and no more of them than
+    the bisection did."""
+    wrapped = unittest.mock.patch.object(
+        equilibrium, "_ladder_rung", wraps=equilibrium._ladder_rung
+    )
+    with wrapped as rung:
+        got = critical_or_none(cp)
+    rungs = [call.args[1] for call in rung.call_args_list]
+    assert len(rungs) == len(set(rungs))
+    assert_matches_full_walk(cp)
+    if got is not None:
+        assert len(rungs) <= len(bisection_rungs(cp, got[1])), (rungs, bisection_rungs(cp, got[1]))
+    return rungs
+
+
+@pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
+def test_critical_density_takes_no_more_rungs_than_bisection(case):
+    assert_no_more_rungs_than_bisection(chemical_potential(*CRITICAL_CASES[case]))
+
+
+@given(
+    cp=st.one_of(
+        CONDENSING_POTENTIALS,
+        st.sampled_from(sorted(CRITICAL_CASES)).map(lambda case: chemical_potential(*CRITICAL_CASES[case])),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_predicted_rung_takes_no_more_rungs_than_bisection(cp):
+    rungs = assert_no_more_rungs_than_bisection(cp)
+    event(f"{len(rungs)} rungs" if len(rungs) <= 3 else "more than 3 rungs")
+
+
+@pytest.mark.parametrize(
+    "k_max, predicted, first, rungs, bisected",
+    [
+        # the first-order prediction overshoots by one rung: a third rung
+        (20000, 14, 13, [14, 13, 12], 5),
+        # by two: rungs 6 and 5 accept, 3 rejects, 4 settles it; the full
+        # bisection over rungs 1-48 after the first two would take 7 rungs.
+        (200, 7, 5, [7, 6, 5, 3, 4], 6),
+    ],
+)
+def test_predicted_rung_misses_are_searched_next_to_the_guess(
+    monkeypatch, k_max, predicted, first, rungs, bisected
+):
+    # Condensing c = 2.5 at small k_max, where the first-order prediction
+    # misses most: the density's slope in log phi grows toward phi_c, so
+    # the slope there, the variance, predicts a rung at or above the first
+    # accepting one.
+    cp = chemical_potential(condensing_kernel(2.5), k_max)
+    assert equilibrium._predicted_rung(cp, equilibrium._direct_tail(cp)) == predicted
+    evaluated = counted_rungs(monkeypatch)
+    info = critical_density_info(cp)
+    assert (info.method, info.ladder_length) == ("direct-tail", first)
+    assert evaluated == rungs
+    assert len(bisection_rungs(cp, first)) == bisected
+    assert_matches_full_walk(cp)
+
+
 def one_shot_log_q(kernel, k_max) -> np.ndarray:
     """``log_q`` from full-length increments and one cumulative sum."""
     ls = np.arange(1, k_max + 1, dtype=float)
@@ -612,8 +708,11 @@ def test_blocked_chemical_potential_names_a_zero_rate_past_the_first_block():
     assert BLOCK < 100000 <= 2 * BLOCK
     ls = np.arange(1, 150001, dtype=float)
     assert ls[np.argmax(kernel(ls, 0.0) <= 0.0)] == 100000.0
-    with pytest.raises(ZeroRateError, match=r"K\(1,99999\) or K\(100000,0\) vanishes"):
+    with pytest.raises(ZeroRateError) as raised:
         chemical_potential(kernel, 150000)
+    assert str(raised.value) == (
+        "zero-rate: K(100000,0) = 0.0 vanishes; chemical potential undefined"
+    )  # K(1,99999) = 99999^2 is positive, so it is not named
 
 
 def suffix_peaks_oracle(cp) -> tuple:
@@ -1035,7 +1134,43 @@ def test_vecdot_over_rows_matches_dot_per_row(n, rows, seed):
     for block in (states[:, 1:], states[:, :-1]):
         per_row = np.array([np.dot(vector, row) for row in block])
         assert np.vecdot(vector, block).tobytes() == per_row.tobytes()
-        assert _row_dots(vector, block).tobytes() == per_row[:, None].tobytes()
+
+
+@given(
+    name=st.sampled_from(sorted(KERNELS)),
+    rows=st.integers(min_value=2, max_value=8),
+    edges=st.tuples(*[st.sampled_from([math.inf, -math.inf, math.nan, -0.0])] * 2),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_batch_rhs_rows_are_isolated(name, rows, edges, data):
+    # One pass runs over all rows of the batch, so each row's flux pass
+    # also meets its neighbours' sizes 0 and N.  One row holds inf, NaN or
+    # -0.0 there; every other row's dc/dt and rates have the bits its own
+    # single-state right-hand side gives it.
+    kernel = KERNELS[name]
+    states = [data.draw(near_boundary_states())]
+    n = len(states[0]) - 1
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    states += [rng.permutation(states[0]) * rng.uniform(0.5, 2.0) for _ in range(rows - 1)]
+    odd = data.draw(st.integers(min_value=0, max_value=rows - 1))
+    states[odd][0], states[odd][n] = edges
+    padded = np.zeros((rows, n + 2))  # each row ends in its gap slot
+    padded[:, :-1] = states
+    work = _RowsWork(kernel, n, rows)
+    out = np.full_like(padded, np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _rhs_from_c(kernel, padded, out=out, work=work) is out
+        for i, state in enumerate(states):
+            alone = _RhsWork(kernel, n)
+            expected = _rhs_from_c(kernel, state.copy(), work=alone)
+            if i == odd:
+                np.testing.assert_array_equal(out[i, :-1], expected)  # NaN equal to NaN
+                continue
+            assert out[i, :-1].tobytes() == expected.tobytes()  # signed zeros too
+            assert work.a_rates[i, :n].tobytes() == alone.a_rates.tobytes()
+            assert work.b_rates[i, :n].tobytes() == alone.b_rates.tobytes()
+    assert out[:, -1].tobytes() == np.zeros(rows).tobytes()  # every gap stays +0.0
 
 
 BATCH_KERNELS = ("constant", "condensing", "additive", "separable")
@@ -1043,12 +1178,12 @@ BATCH_KERNELS = ("constant", "condensing", "additive", "separable")
 
 @st.composite
 def batch_states(draw) -> list:
-    """One to six states on a common random truncation: monodisperse
+    """One to eight states on a common random truncation: monodisperse
     mixtures, geometric profiles, and random profiles with exact zeros."""
     n = draw(st.integers(min_value=2, max_value=32))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     states = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
         kind = int(rng.integers(0, 3))
         if kind == 0:
             m = int(rng.integers(1, min(n, 4) + 1))
