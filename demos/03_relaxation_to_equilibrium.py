@@ -31,7 +31,7 @@ target = equilibrium_profile(cp, rho=1.0, k_max=256)
 print(f"target equilibrium: fugacity {target.phi}, free energy "
       f"{target.density * math.log(target.phi) - math.log(target.z_value):.6f}")
 
-state0 = monodisperse_state(1.0, 1, 256)
+state0 = monodisperse_state(1.0, 1, n_trunc=256)
 cfg = IntegratorConfig(t_end=60.0, record_every=0.5)
 traj = integrate(kernel, state0, cfg)
 thermo = thermo_series(traj.states, kernel, cp)

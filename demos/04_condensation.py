@@ -29,7 +29,7 @@ cp = chemical_potential(kernel, 200_000)
 n_trunc = 192
 
 print("density 2 = twice the critical density; all mass starts in 4-clusters")
-state0 = monodisperse_state(2.0, 4, n_trunc)
+state0 = monodisperse_state(2.0, 4, n_trunc=n_trunc)
 cfg = IntegratorConfig(t_end=4000.0, record_every=100.0, atol=1e-14)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", RuntimeWarning)  # boundary pile-up expected

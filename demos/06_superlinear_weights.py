@@ -14,7 +14,7 @@ import numpy as np
 from edgrow import geometric_state, monodisperse_state, superlinear_weights
 
 for label, state in (
-    ("single-monomer start (delta_1)", monodisperse_state(1.0, 1, 8)),
+    ("single-monomer start (delta_1)", monodisperse_state(1.0, 1, n_trunc=8)),
     ("geometric profile at fugacity 1/2", geometric_state(0.5, 400)),
 ):
     weights = superlinear_weights(state, 10_000)

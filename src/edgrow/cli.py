@@ -19,12 +19,15 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
+import inspect
 import json
 import math
 import os
 import sys
 import time
-from typing import Any, Mapping, Optional
+import typing
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -56,14 +59,6 @@ def _load_config(path: str) -> dict:
     return config
 
 
-# Integer analysis settings: (default, least value their consumers accept).
-_ANALYSIS_INTS = {
-    "equilibrium_k_max": (10**6, 1), "profile_k_max": (1024, 0), "excess_band_start": (64, 0),
-    "low_band": (10, 0), "audit_k_max": (100, 2), "audit_l_max": (100, 2),
-}
-_ANALYSIS_KEYS = {*_ANALYSIS_INTS, "thermo", "classify", "checkpoint_every"}
-
-
 # The top-level keys each subcommand accepts: those it reads.  One config
 # serves check-kernel, equilibrium and simulate (README), so the first two
 # accept the keys of a simulate config and equilibrium's rho and phi.
@@ -77,38 +72,77 @@ _CONFIG_KEYS = {
 }
 
 
-def _resolve(config: Mapping[str, Any], command: str) -> dict:
-    """Fill defaults so outputs can echo the exact run parameters, and check
-    the top-level keys ``command`` reads and the types and ranges of the
-    fixed settings."""
+def _resolve(config: Mapping[str, Any], command: str) -> tuple:
+    """Check the top-level keys ``command`` reads and ``n_trunc``, and bind
+    ``analysis`` to :class:`~edgrow.diagnostics.AnalysisConfig`.  Returns the
+    config to echo, with ``n_trunc`` and the analysis defaults filled in,
+    and the bound analysis settings."""
     for key in config:
         if key not in _CONFIG_KEYS[command]:
             raise ConfigError(
                 f"{command} reads no config key {key!r}; choose from {sorted(_CONFIG_KEYS[command])}"
             )
-    analysis = config.get("analysis", {})
-    if not isinstance(analysis, Mapping):
-        raise ConfigError("analysis must be a JSON object")
-    for key in analysis:
-        if key not in _ANALYSIS_KEYS:
-            raise ConfigError(f"unknown analysis key {key!r}; choose from {sorted(_ANALYSIS_KEYS)}")
-    analysis = {"thermo": True, "classify": True, "checkpoint_every": None, **analysis}
-    resolved = dict(config)
-    resolved["analysis"] = analysis
-    resolved.setdefault("n_trunc", 256)
-    settings = [("n_trunc", resolved["n_trunc"], 1)]
-    for key, (default, least) in _ANALYSIS_INTS.items():
-        settings.append((f"analysis.{key}", analysis.setdefault(key, default), least))
-    for name, value, least in settings:
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    for key in ("thermo", "classify"):
-        if not isinstance(analysis[key], bool):
-            raise ConfigError(f"analysis.{key} must be true or false, got {analysis[key]!r}")
-    every = analysis["checkpoint_every"]
-    if every is not None and (type(every) not in (int, float) or not every >= 0):
-        raise ConfigError(f"analysis.checkpoint_every must be null or a number >= 0, got {every!r}")
-    return resolved
+    settings = diagnostics.AnalysisConfig
+    analysis = settings(**_bind("analysis", config.get("analysis", {}), settings))
+    resolved = dict(config, analysis=dataclasses.asdict(analysis))
+    n_trunc = resolved.setdefault("n_trunc", 256)
+    if type(n_trunc) is not int or n_trunc < 1:
+        raise ConfigError(f"n_trunc must be an integer >= 1, got {n_trunc!r}")
+    return resolved, analysis
+
+
+def _bind(block: str, spec: Any, target: Callable, supplied: Sequence[str] = ()) -> dict:
+    """The config block ``spec`` as keyword arguments of ``target``, whose
+    parameters in ``supplied`` the run passes itself.  An unknown or supplied
+    key, a missing required one and a value that does not fit its parameter's
+    annotation are a ConfigError naming the key: ``bool`` takes true or false,
+    ``int`` a JSON integer no less than the field's ``least``, ``float`` a
+    finite JSON number >= 0, a sequence a list of those, ``Optional`` also
+    null.  Values are returned as given."""
+    if not isinstance(spec, Mapping):
+        raise ConfigError(f"{block} must be a JSON object")
+    params = inspect.signature(target).parameters
+    keys = sorted(name for name in params if name not in supplied)
+    for key in keys:
+        if key not in spec and params[key].default is inspect.Parameter.empty:
+            raise ConfigError(f"{block} needs key {key!r} for {target.__name__}")
+    hints = typing.get_type_hints(target)
+    least = {f.name: f.metadata.get("least", 0) for f in getattr(target, "__dataclass_fields__", {}).values()}
+    for key, value in spec.items():
+        if key not in keys:
+            why = "is set by the run" if key in supplied else f"is not read by {target.__name__}"
+            raise ConfigError(f"{block} key {key!r} {why}; choose from {keys}")
+        hint = hints[key]
+        if typing.get_origin(hint) is typing.Union:  # Optional[X]: null or X
+            if value is None:
+                continue
+            hint = typing.get_args(hint)[0]
+        if hint is bool:
+            fits, rule = type(value) is bool, "true or false"
+        elif hint is int:
+            floor = least.get(key, 0)
+            fits, rule = type(value) is int and value >= floor, f"an integer >= {floor}"
+        elif hint is float:
+            fits, rule = _is_number(value), "a finite number >= 0"
+        else:
+            fits = isinstance(value, list) and all(map(_is_number, value))
+            rule = "a list of finite numbers >= 0"
+        if not fits:
+            raise ConfigError(f"{block} key {key!r} is {value!r}; {block}.{key} must be {rule}")
+    return dict(spec)
+
+
+def _construct(block: str, target: Callable, kwargs: Mapping[str, Any], **run) -> Any:
+    """``target`` called with the bound ``kwargs`` and the values in ``run``
+    of the parameters it takes; its ValueError names the block's keys."""
+    run = {key: value for key, value in run.items() if key in inspect.signature(target).parameters}
+    if any(value is None for value in run.values()):
+        raise ConfigError(f"{block}: {target.__name__} needs analysis support (a chemical potential)")
+    try:
+        return target(**kwargs, **run)
+    except ValueError as exc:
+        named = f" key {', '.join(map(repr, kwargs))}" if kwargs else ""
+        raise ConfigError(f"{block}{named}: {exc}") from exc
 
 
 def _build_kernel(config: Mapping[str, Any]) -> kernels.Kernel:
@@ -121,80 +155,34 @@ def _build_kernel(config: Mapping[str, Any]) -> kernels.Kernel:
         raise ConfigError(f"bad kernel spec: {exc}") from exc
 
 
-# The keys each type of initial condition reads.
-_INITIAL_CONDITION_KEYS = {
-    "vacuum": {"type"}, "monodisperse": {"type", "rho", "m"}, "geometric": {"type", "phi"},
-    "explicit": {"type", "values"}, "equilibrium": {"type", "rho", "phi"},
+def _tails(values: Sequence[float]) -> np.ndarray:
+    """The ``tails`` weights input: the weighted tails ``C_0, C_1, ...``."""
+    return np.asarray(values, dtype=float)
+
+
+# The constructor of each type of initial condition (and of weights input).
+_STATES = {
+    "vacuum": dynamics.vacuum_state, "monodisperse": dynamics.monodisperse_state,
+    "geometric": dynamics.geometric_state, "explicit": dynamics.state_from_values,
+    "equilibrium": dynamics.equilibrium_state,
 }
 
 
-def _check_initial_condition(spec: Mapping[str, Any]) -> None:
-    """Reject a key that the condition's type does not read and an ``m``
-    that is not a JSON integer, naming it."""
-    kind = spec["type"]
-    keys = _INITIAL_CONDITION_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
-        raise ConfigError(f"unknown initial condition type {kind!r}")
-    for key in spec:
-        if key not in keys:
-            raise ConfigError(
-                f"initial_condition key {key!r} is not read by type {kind!r}; "
-                f"choose from {sorted(keys)}"
-            )
-    if "m" in spec and type(spec["m"]) is not int:
-        raise ConfigError(f"initial_condition key 'm' must be an integer, got {spec['m']!r}")
+def _bind_type(block: str, spec: Any, table: Mapping[str, Callable]) -> tuple:
+    """The constructor ``table`` holds for the block's ``type``, and the other
+    keys bound to it (:func:`_bind`); the run supplies ``n_trunc`` and ``cp``."""
+    kind = spec.get("type") if isinstance(spec, Mapping) else None
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{block} needs a 'type' from {sorted(table)}, got {spec!r}")
+    target = table[kind]
+    params = {key: value for key, value in spec.items() if key != "type"}
+    return target, _bind(block, params, target, ("n_trunc", "cp"))
 
 
-def _is_density(value: Any) -> bool:
+def _is_number(value: Any) -> bool:
     """Whether ``value`` is a finite JSON number >= 0: not NaN, an infinity,
     a bool or a string."""
     return type(value) in (int, float) and 0 <= value <= sys.float_info.max
-
-
-def _build_state(
-    config: Mapping[str, Any],
-    n_trunc: int,
-    cp: Optional[equilibrium.ChemicalPotential] = None,
-) -> dynamics.ConcentrationProfile:
-    spec = config.get("initial_condition", {"type": "vacuum"})
-    if not isinstance(spec, Mapping) or "type" not in spec:
-        raise ConfigError("initial_condition must be a mapping with a 'type'")
-    _check_initial_condition(spec)
-    kind = spec["type"]
-    try:
-        if kind == "vacuum":
-            return dynamics.vacuum_state(n_trunc)
-        if kind == "monodisperse":
-            rho = spec["rho"]
-            if not _is_density(rho):
-                raise ConfigError(f"initial_condition.rho must be a finite number >= 0, got {rho!r}")
-            m = spec.get("m", max(1, math.ceil(rho)))
-            if m < math.ceil(rho):
-                raise ConfigError("monodisperse condition needs m >= ceil(rho)")
-            return dynamics.monodisperse_state(float(rho), m, n_trunc)
-        if kind == "geometric":
-            return dynamics.geometric_state(float(spec["phi"]), n_trunc)
-        if kind == "explicit":
-            return dynamics.state_from_values(spec["values"])
-        if kind == "equilibrium":
-            if cp is None:
-                raise ConfigError("equilibrium initial condition needs analysis support")
-            profile = equilibrium.equilibrium_profile(
-                cp,
-                phi=spec.get("phi"),
-                rho=spec.get("rho"),
-                k_max=n_trunc,
-            )
-            return dynamics.state_from_profile(profile, n_trunc)
-    except ConfigError:
-        raise
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad initial condition: {exc}") from exc
-    raise AssertionError("unreachable")
-
-
-def _analysis_config(analysis: Mapping[str, Any]) -> diagnostics.AnalysisConfig:
-    return diagnostics.AnalysisConfig(analysis["excess_band_start"], analysis["low_band"])
 
 
 def _build_integrator(config: Mapping[str, Any]) -> dynamics.IntegratorConfig:
@@ -230,10 +218,9 @@ def _ensure_out(out_dir: str) -> str:
 
 def cmd_check_kernel(config: dict, out_dir: str) -> int:
     """Audit the configured kernel and gate on linear growth plus curl-freeness."""
-    resolved = _resolve(config, "check-kernel")
+    resolved, analysis = _resolve(config, "check-kernel")
     kernel = _build_kernel(resolved)
-    analysis = resolved["analysis"]
-    report = kernels.audit_assumptions(kernel, analysis["audit_k_max"], analysis["audit_l_max"])
+    report = kernels.audit_assumptions(kernel, analysis.audit_k_max, analysis.audit_l_max)
     bda_holds = math.isfinite(report.bda_max_residual) and (
         report.bda_max_residual <= BDA_PASS_RESIDUAL
     )
@@ -251,9 +238,8 @@ def cmd_equilibrium(
     config: dict, out_dir: str, rho: Optional[float] = None, phi: Optional[float] = None
 ) -> int:
     """Write the equilibrium profile and scalar summary for a density or fugacity."""
-    resolved = _resolve(config, "equilibrium")
+    resolved, analysis = _resolve(config, "equilibrium")
     kernel = _build_kernel(resolved)
-    analysis = resolved["analysis"]
     names = ("--rho", "--phi")
     if rho is None and phi is None:
         rho = resolved.get("rho")
@@ -262,16 +248,16 @@ def cmd_equilibrium(
     if (rho is None) == (phi is None):
         raise ConfigError("specify exactly one of rho and phi")
     for name, value in zip(names, (rho, phi)):
-        if value is not None and not _is_density(value):
+        if value is not None and not _is_number(value):
             raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
-    cp = equilibrium.chemical_potential(kernel, analysis["equilibrium_k_max"])
+    cp = equilibrium.chemical_potential(kernel, analysis.equilibrium_k_max)
     out = _ensure_out(out_dir)
     try:
         profile = equilibrium.equilibrium_profile(
             cp,
             phi=None if phi is None else float(phi),
             rho=None if rho is None else float(rho),
-            k_max=analysis["profile_k_max"],
+            k_max=analysis.profile_k_max,
         )
     except equilibrium.SupercriticalDensityError as exc:
         _write_json(
@@ -320,38 +306,36 @@ def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str, series=None) 
 
 def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> int:
     """Integrate the configured system, writing trajectory, summary, report."""
-    resolved = _resolve(config, "simulate")
-    analysis = resolved["analysis"]
+    resolved, analysis = _resolve(config, "simulate")
     started = time.perf_counter()
     phase_seconds = {"integrate": 0.0, "thermo": 0.0, "write_csv": 0.0, "classify": 0.0}
 
     cfg = _build_integrator(resolved)
+    initial = _bind_type("initial_condition", resolved.get("initial_condition", {"type": "vacuum"}), _STATES)
     if resume is not None:
         # The checkpoint provides the state and clock; the config stays the
         # description of the full run (t_end, tolerances, outputs).
         try:
-            t0, resumed_state, kernel_spec, controller = dynamics.load_checkpoint(resume)
+            t0, state0, kernel_spec, controller = dynamics.load_checkpoint(resume)
             kernel = kernels.kernel_from_spec(kernel_spec)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot resume from {resume!r}: {exc!r}") from exc
         resolved["kernel"] = dict(kernel_spec)
     else:
         t0 = 0.0
-        resumed_state = None
+        state0 = None
         controller = None
         kernel = _build_kernel(resolved)
 
     cp: Optional[equilibrium.ChemicalPotential] = None
-    if analysis["thermo"] or analysis["classify"]:
+    if analysis.thermo or analysis.classify:
         try:
-            cp = equilibrium.chemical_potential(kernel, analysis["equilibrium_k_max"])
+            cp = equilibrium.chemical_potential(kernel, analysis.equilibrium_k_max)
         except kernels.ZeroRateError:
             cp = None
 
-    if resumed_state is not None:
-        state0 = resumed_state
-    else:
-        state0 = _build_state(resolved, resolved["n_trunc"], cp)
+    if state0 is None:
+        state0 = _construct("initial_condition", *initial, n_trunc=resolved["n_trunc"], cp=cp)
     if cp is not None and state0.n_trunc > cp.k_max:
         raise ConfigError(f"analysis.equilibrium_k_max must be >= n_trunc = {state0.n_trunc}")
 
@@ -373,7 +357,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
                 cfg,
                 t0=t0,
                 checkpoint_hook=checkpoint_hook,
-                checkpoint_every=analysis["checkpoint_every"],
+                checkpoint_every=analysis.checkpoint_every,
                 controller=controller,
             )
     except dynamics.IntegratorError as exc:
@@ -385,7 +369,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         return EXIT_INTEGRATOR
 
     series = None
-    if analysis["thermo"] and cp is not None:
+    if analysis.thermo and cp is not None:
         with _phase(phase_seconds, "thermo"):
             series = thermo.thermo_series(traj.states, kernel, cp)
 
@@ -394,11 +378,11 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         _write_summary_csv(traj, os.path.join(out, "summary.csv"), series)
 
     convergence: dict
-    if analysis["classify"] and cp is not None and traj.sample_count >= 10:
+    if analysis.classify and cp is not None and traj.sample_count >= 10:
         try:
             with _phase(phase_seconds, "classify"):
                 report = diagnostics.classify_longtime(
-                    traj, cp, _analysis_config(analysis), series and series.free_energy
+                    traj, cp, analysis, series and series.free_energy
                 )
             convergence = report.as_dict()
             with _phase(phase_seconds, "write_csv"):
@@ -453,10 +437,10 @@ def _sweep_row(kernel: kernels.Kernel, cfg: dynamics.IntegratorConfig, states: l
     return [(result, share) for result in results]
 
 
-def _classify_row(traj: dynamics.TrajectoryRecord, cp, analysis: Mapping[str, Any]) -> dict:
+def _classify_row(traj: dynamics.TrajectoryRecord, cp, analysis: diagnostics.AnalysisConfig) -> dict:
     """The classification cells of one integrated sweep row."""
     try:
-        report = diagnostics.classify_longtime(traj, cp, _analysis_config(analysis))
+        report = diagnostics.classify_longtime(traj, cp, analysis)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         return {"status": f"error: {exc}"}
     return {
@@ -484,7 +468,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     input order.  A chemical-potential error names every row, then come
     integration errors, then classification errors.
     """
-    resolved = _resolve(config, "sweep")
+    resolved, analysis = _resolve(config, "sweep")
     for key in ("thermo", "classify"):
         # A sweep computes no free energy and classifies every integrated row.
         if key in config.get("analysis", {}):
@@ -494,7 +478,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     if densities is None or not isinstance(densities, list):
         raise ConfigError("sweep config needs a 'densities' list")
     for i, rho in enumerate(densities):
-        if not _is_density(rho):
+        if not _is_number(rho):
             raise ConfigError(f"sweep density {i} must be a finite number >= 0, got {rho!r}")
     if len(set(float(r) for r in densities)) != len(densities):
         raise ConfigError("sweep densities must be distinct")
@@ -502,20 +486,20 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     if not isinstance(ic, Mapping) or ic.get("type", "monodisperse") != "monodisperse":
         # Each row sets its own density, which only a monodisperse state carries.
         raise ConfigError("sweep initial_condition must be monodisperse")
-    _check_initial_condition(dict(ic, type="monodisperse"))
+    params = {key: value for key, value in ic.items() if key != "type"}
+    initial = _bind("initial_condition", params, dynamics.monodisperse_state, ("n_trunc", "rho"))
     kernel = _build_kernel(resolved)
     cfg = _build_integrator(resolved) if densities else None
     if parallel is not None and parallel < 1:
         raise ConfigError(f"--parallel must be at least 1, got {parallel}")
-    analysis = resolved["analysis"]
     phase_seconds = {"equilibrium": 0.0, "rows": 0.0, "classify": 0.0}
 
     rhos = [float(rho) for rho in densities]
     states: list = []
-    for rho in rhos:
-        row_ic = dict(ic, type="monodisperse", rho=rho) if rho else {"type": "vacuum"}
+    for rho in rhos:  # a zero density is the vacuum
+        row = {"n_trunc": resolved["n_trunc"], "rho": rho}
         try:
-            states.append(_build_state({"initial_condition": row_ic}, resolved["n_trunc"]))
+            states.append(_construct("initial_condition", dynamics.monodisperse_state, initial, **row))
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             states.append(f"error: {exc}")
     serial = (parallel or 1) == 1
@@ -530,7 +514,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
             rho_c_block = {"method": None, "ladder_length": None}
             with _phase(phase_seconds, "equilibrium"):
                 try:
-                    cp = equilibrium.chemical_potential(kernel, analysis["equilibrium_k_max"])
+                    cp = equilibrium.chemical_potential(kernel, analysis.equilibrium_k_max)
                 except (ValueError, RuntimeError, ArithmeticError) as exc:
                     cp_error = f"error: {exc}"
                 else:  # without rho_c, each row reports the failure as it classifies
@@ -578,23 +562,15 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
 
 def cmd_weights(config: dict, out_dir: str) -> int:
     """Construct superlinear weights for the configured profile or tails."""
-    resolved = _resolve(config, "weights")
-    spec = resolved.get("weights_input")
-    if not isinstance(spec, Mapping) or "type" not in spec:
-        raise ConfigError("weights config needs a 'weights_input' mapping")
+    resolved, _ = _resolve(config, "weights")
+    constructor, params = _bind_type("weights_input", resolved.get("weights_input"), {**_STATES, "tails": _tails})
     k_max = resolved.get("weights_k_max", 10000)
     if type(k_max) is not int or k_max < 1:
         raise ConfigError(f"weights_k_max must be an integer >= 1, got {k_max!r}")
+    source = _construct("weights_input", constructor, params, n_trunc=resolved["n_trunc"], cp=None)
     try:
-        if spec["type"] == "tails":
-            result = diagnostics.superlinear_weights(
-                np.asarray(spec["values"], dtype=float), k_max, is_tail_sequence=True
-            )
-        else:
-            n_state = resolved["n_trunc"]
-            state = _build_state({"initial_condition": spec}, n_state)
-            result = diagnostics.superlinear_weights(state, k_max)
-    except (diagnostics.NotIntegrableError, KeyError, ValueError) as exc:
+        result = diagnostics.superlinear_weights(source, k_max, is_tail_sequence=constructor is _tails)
+    except (diagnostics.NotIntegrableError, ValueError) as exc:
         raise ConfigError(f"bad weights input: {exc}") from exc
     out = _ensure_out(out_dir)
     with open(os.path.join(out, "weights.csv"), "wb") as fh:

@@ -98,10 +98,19 @@ def strong_norm_distance(a: StateLike, b: StateLike) -> float:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Knobs of the long-time classifier."""
+    """The ``analysis`` block of a config: the long-time classifier's bands,
+    then the switches, sizes and checkpoint cadence the CLI reads.  An int
+    field's ``least`` metadata is the least value its consumer takes (else 0)."""
 
     excess_band_start: int = 64
     low_band: int = 10
+    thermo: bool = True
+    classify: bool = True
+    checkpoint_every: Optional[float] = None
+    equilibrium_k_max: int = field(default=10**6, metadata={"least": 1})
+    profile_k_max: int = 1024
+    audit_k_max: int = field(default=100, metadata={"least": 2})
+    audit_l_max: int = field(default=100, metadata={"least": 2})
 
 
 @dataclass

@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .equilibrium import EquilibriumProfile
+from .equilibrium import ChemicalPotential, EquilibriumProfile, equilibrium_profile
 from .kernels import Kernel, _factor_vectors, _is_finite
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "geometric_state",
     "state_from_values",
     "state_from_profile",
+    "equilibrium_state",
     "birth_death_rates",
     "net_fluxes",
     "rhs",
@@ -107,8 +108,10 @@ def vacuum_state(n_trunc: int) -> ConcentrationProfile:
     return ConcentrationProfile(c)
 
 
-def monodisperse_state(rho: float, m: int, n_trunc: int) -> ConcentrationProfile:
-    """Mixture ``(1 - rho/m) delta_0 + (rho/m) delta_m`` carrying density rho."""
+def monodisperse_state(rho: float, m: Optional[int] = None, *, n_trunc: int) -> ConcentrationProfile:
+    """Mixture ``(1 - rho/m) delta_0 + (rho/m) delta_m`` carrying density rho;
+    ``m`` defaults to the least size that can, ``max(1, ceil(rho))``."""
+    m = max(1, math.ceil(rho)) if m is None else m
     if m < 1 or m > n_trunc:
         raise ValueError("monodisperse size m must satisfy 1 <= m <= n_trunc")
     if rho < 0 or rho > m:
@@ -128,7 +131,10 @@ def geometric_state(phi: float, n_trunc: int) -> ConcentrationProfile:
     return ConcentrationProfile(weights / weights.sum())
 
 
-def state_from_values(values: Sequence[float]) -> ConcentrationProfile:
+def state_from_values(values: Sequence[float], n_trunc: int) -> ConcentrationProfile:
+    """The state ``c_0 .. c_N`` from its ``n_trunc + 1`` values, finite and >= 0."""
+    if len(values) != n_trunc + 1:
+        raise ValueError(f"n_trunc = {n_trunc} needs {n_trunc + 1} values, got {len(values)}")
     state = ConcentrationProfile(np.asarray(values, dtype=float))
     state.validate()
     return state
@@ -140,6 +146,14 @@ def state_from_profile(profile: EquilibriumProfile, n_trunc: int) -> Concentrati
     upto = min(n_trunc, profile.k_max)
     c[: upto + 1] = profile.omega[: upto + 1]
     return ConcentrationProfile(c)
+
+
+def equilibrium_state(
+    cp: ChemicalPotential, rho: Optional[float] = None, phi: Optional[float] = None, *, n_trunc: int
+) -> ConcentrationProfile:
+    """The equilibrium of ``cp`` at density ``rho`` or fugacity ``phi``
+    (exactly one), cut at ``n_trunc``."""
+    return state_from_profile(equilibrium_profile(cp, phi=phi, rho=rho, k_max=n_trunc), n_trunc)
 
 
 @dataclass(frozen=True)

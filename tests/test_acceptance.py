@@ -73,7 +73,7 @@ def omega_half(cp_const):
 
 @pytest.fixture(scope="session")
 def run1(const_kernel):
-    state0 = monodisperse_state(1.0, 1, 256)
+    state0 = monodisperse_state(1.0, 1, n_trunc=256)
     cfg = IntegratorConfig(t_end=50.0, record_every=0.5)
     start = time.perf_counter()
     traj = integrate(const_kernel, state0, cfg)
@@ -83,7 +83,7 @@ def run1(const_kernel):
 
 @pytest.fixture(scope="session")
 def run2(const_kernel):
-    state0 = monodisperse_state(1.0, 1, 256)
+    state0 = monodisperse_state(1.0, 1, n_trunc=256)
     cfg = IntegratorConfig(t_end=200.0, record_every=0.1)
     return integrate(const_kernel, state0, cfg)
 
@@ -109,7 +109,7 @@ def run5(cp_condensing):
     c[4] = 0.25  # bulk: density 1 at size 4
     c[500] = 1.0 / 500.0  # condensate: density 1 at size 500
     c[0] = 1.0 - c[4] - c[500]
-    state0 = state_from_values(c)
+    state0 = state_from_values(c, n)
     cfg = IntegratorConfig(t_end=2000.0, record_every=20.0, atol=1e-14)
     start = time.perf_counter()
     with pytest.warns(RuntimeWarning, match="boundary mass"):
@@ -225,7 +225,7 @@ def test_criterion_06_gradient_flow_identity():
 
 
 def test_criterion_07_semigroup(const_kernel):
-    state0 = monodisperse_state(1.0, 1, 256)
+    state0 = monodisperse_state(1.0, 1, n_trunc=256)
     whole = integrate(const_kernel, state0, IntegratorConfig(t_end=2.0, record_every=2.0))
     first = integrate(const_kernel, state0, IntegratorConfig(t_end=1.0, record_every=1.0))
     second = integrate(
@@ -276,7 +276,7 @@ def test_criterion_10_positivity_lower_bound(run2):
 def test_criterion_11_superlinear_weights(cp_const):
     k_max = 10_001
     inputs = {
-        "delta_1": monodisperse_state(1.0, 1, 8),
+        "delta_1": monodisperse_state(1.0, 1, n_trunc=8),
         "geometric": state_from_profile(
             equilibrium_profile(cp_const, phi=0.5, k_max=1500), 1500
         ),
@@ -332,7 +332,7 @@ def test_criterion_13_supercritical_excess_escapes_from_generic_data(cp_condensi
     kernel, n, rho, rho_c, cut = condensing_kernel(3.0), 1024, 2.0, 1.0, 64
     cfg = IntegratorConfig(t_end=2.0e4, record_every=100.0)
     start = time.perf_counter()
-    traj = integrate(kernel, monodisperse_state(rho, 2, n), cfg)
+    traj = integrate(kernel, monodisperse_state(rho, 2, n_trunc=n), cfg)
     elapsed = time.perf_counter() - start
     assert traj.sample_count == 201 and elapsed < 60.0, f"runtime {elapsed:.1f}s"
 

@@ -596,7 +596,7 @@ def test_simulate_reports_integrator_stats(tmp_path):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_simulate_rejects_non_finite_explicit_state(tmp_path, bad):
-    payload = dict(SIM_CONFIG, initial_condition={"type": "explicit", "values": [0.5, bad, 0.0]})
+    payload = dict(SIM_CONFIG, n_trunc=2, initial_condition={"type": "explicit", "values": [0.5, bad, 0.0]})
     cfg = write_config(tmp_path, "c.json", payload)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -693,14 +693,18 @@ def test_equilibrium_rejects_a_target_that_is_not_a_finite_number(tmp_path, caps
         ({"type": "vacuum", "rho": 0.5}, "rho"),
         ({"type": "explicit", "values": [0.5, 0.25], "n_trunc": 1}, "n_trunc"),
         ({"type": "equilibrium", "rho": 0.5, "m": 1}, "m"),
+        ({"type": "explicit", "values": [0.2] * 5}, "values"),
+        ({"type": "explicit", "values": [1.0] + [0.0] * 33}, "values"),
     ],
     ids=[
         "mono-mm", "mono-m-fraction", "mono-m-float", "mono-m-true", "mono-m-text",
         "geometric-rho", "vacuum-rho", "explicit-n_trunc", "equilibrium-m",
+        "explicit-values-short", "explicit-values-long",
     ],
 )
 def test_initial_condition_key_not_read_by_its_type_is_config_error(tmp_path, capsys, initial, key):
-    # "mm": 3 ran with m = 1 and "m": 1.7 ran as m = 1, both exiting 0.
+    # "mm": 3 ran with m = 1 and "m": 1.7 ran as m = 1, both exiting 0; five
+    # explicit values at n_trunc = 32 integrated at N = 4 and exited 0.
     cfg = write_config(tmp_path, "c.json", dict(SIM_CONFIG, initial_condition=initial))
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -709,26 +713,42 @@ def test_initial_condition_key_not_read_by_its_type_is_config_error(tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "rho", [math.inf, math.nan, "0.5", True, -1], ids=["inf", "nan", "text", "true", "negative"]
+    "initial",
+    [
+        *({"type": "monodisperse", "rho": rho} for rho in (math.inf, math.nan, "0.5", True, -1)),
+        *({"type": "geometric", "phi": phi} for phi in ("0.5", True, math.nan)),
+        {"type": "equilibrium", "rho": "0.5"},
+    ],
+    ids=[
+        "inf", "nan", "text", "true", "negative",
+        "geometric-phi-text", "geometric-phi-true", "geometric-phi-nan", "equilibrium-rho-text",
+    ],
 )
-def test_monodisperse_rho_that_is_not_a_finite_number_is_config_error(tmp_path, capsys, rho):
-    # Infinity exited 1 with an OverflowError traceback from ceil, and
-    # "0.5" and true ran as 0.5 and 1.0.
-    initial = {"type": "monodisperse", "rho": rho}
+def test_monodisperse_rho_that_is_not_a_finite_number_is_config_error(tmp_path, capsys, initial):
+    # A monodisperse rho of infinity exited 1 with an OverflowError traceback
+    # from ceil, and "0.5" and true ran as 0.5 and 1.0; so did a geometric
+    # phi of "0.5", and an equilibrium rho of "0.5" exited 1 with a TypeError.
+    key = next(key for key in initial if key != "type")
     cfg = write_config(tmp_path, "c.json", dict(SIM_CONFIG, initial_condition=initial))
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "initial_condition.rho must be a finite number" in capsys.readouterr().err
+    assert f"initial_condition.{key} must be a finite number" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("initial", [{"type": "monodisperse", "mm": 3}, {"m": 2.5}, {"m": True}])
-def test_sweep_initial_condition_key_not_read_is_config_error(tmp_path, initial):
+@pytest.mark.parametrize(
+    "initial",
+    [{"type": "monodisperse", "mm": 3}, {"m": 2.5}, {"m": True}, {"type": "monodisperse", "rho": 0.7}],
+)
+def test_sweep_initial_condition_key_not_read_is_config_error(tmp_path, capsys, initial):
     # A sweep builds its rows' states after the checks, so without this
-    # every row would report the bad key as its own error.
+    # every row would report the bad key as its own error.  Each row sets its
+    # own rho, so a rho in the block used to be echoed and read by no row.
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5], initial_condition=initial))
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    key = next(key for key in initial if key != "type")
+    assert f"initial_condition key {key!r}" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
 
 
@@ -1121,6 +1141,46 @@ def test_weights_cli(tmp_path):
     assert float(rows[2][1]) == pytest.approx(5.0 / 3.0)
     report = json.loads((out / "weights_report.json").read_text())
     assert report["growth_bound_margin"] <= 1e-12
+
+
+def test_weights_input_key_not_read_is_config_error(tmp_path, capsys):
+    # The misspelled "valuse" was ignored and the run exited 0.
+    tails = [2.0**-k for k in range(40)]
+    for spec, key in (({"type": "tails", "values": tails, "valuse": [9]}, "valuse"),
+                      ({"type": "geometric", "phi": 0.5, "rho": 1.0}, "rho")):
+        cfg = write_config(tmp_path, "w.json", {"weights_input": spec})
+        out = tmp_path / "out"
+        assert main(["weights", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"weights_input key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["check-kernel"], {"kernel": CONDENSING}),
+        (["equilibrium"], {"kernel": CONDENSING, "analysis": FAST_ANALYSIS, "rho": 0.5}),
+        (["simulate"], SIM_CONFIG),
+        (["sweep", "--parallel", "1"], dict(SWEEP_CONFIG, densities=[0.5, 2.0])),
+        (["weights"], {"weights_input": {"type": "explicit", "values": [0.5, 0.25, 0.25]}, "n_trunc": 2}),
+    ],
+    ids=["check-kernel", "equilibrium", "simulate", "sweep", "weights"],
+)
+def test_echoed_config_reproduces_itself(tmp_path, command, config):
+    # Outputs are self-describing: a run on the config a run echoes echoes
+    # the same bytes.
+    report = {
+        "check-kernel": "kernel_report.json", "equilibrium": "equilibrium_summary.json",
+        "simulate": "run_report.json", "sweep": "sweep_report.json", "weights": "weights_report.json",
+    }[command[0]]
+    echoes = []
+    for run in ("first", "second"):
+        cfg = write_config(tmp_path, f"{run}.json", echoes[-1] if echoes else config)
+        out = tmp_path / run
+        assert main([command[0], "--config", cfg, "--out", str(out), *command[1:]]) == EXIT_OK
+        echoes.append(json.loads((out / report).read_text())["config"])
+    assert json.dumps(echoes[1], sort_keys=True) == json.dumps(echoes[0], sort_keys=True)
+    assert echoes[0] != config  # the echo fills in defaults
 
 
 def test_unknown_subcommand_is_config_error():

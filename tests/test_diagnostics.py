@@ -36,7 +36,7 @@ def test_tail_mass_examples():
     assert tail_mass(geo, 0) == pytest.approx(1.0, abs=1e-12)
     assert tail_mass(geo, 1) == pytest.approx(1.0, abs=1e-12)
     assert tail_mass(geo, 2) == pytest.approx(0.75, abs=1e-12)
-    assert tail_mass(monodisperse_state(1.0, 1, 8), 2) == 0.0
+    assert tail_mass(monodisperse_state(1.0, 1, n_trunc=8), 2) == 0.0
 
 
 def test_tail_mass_nonincreasing():
@@ -47,11 +47,11 @@ def test_tail_mass_nonincreasing():
 
 def test_distance_examples():
     assert weak_distance(vacuum_state(4), vacuum_state(4)) == 0.0
-    assert weak_distance(vacuum_state(4), monodisperse_state(1.0, 1, 4)) == 2.0
-    assert strong_norm_distance(vacuum_state(4), monodisperse_state(1.0, 1, 4)) == 3.0
+    assert weak_distance(vacuum_state(4), monodisperse_state(1.0, 1, n_trunc=4)) == 2.0
+    assert strong_norm_distance(vacuum_state(4), monodisperse_state(1.0, 1, n_trunc=4)) == 3.0
     # pure swap of unit count between sizes 0 and m
     m = 7
-    assert strong_norm_distance(vacuum_state(8), monodisperse_state(float(m), m, 8)) == 2.0 + m
+    assert strong_norm_distance(vacuum_state(8), monodisperse_state(float(m), m, n_trunc=8)) == 2.0 + m
 
 
 def test_distance_padding():
@@ -78,7 +78,7 @@ def test_weak_below_strong():
 def test_weights_unit_cluster_trace():
     # hand-traced construction for the single-cluster start:
     # tails (2, 2, 0, ...), breakpoints 0, 3, 4, 5, ..., first slope 1/3
-    w = superlinear_weights(monodisperse_state(1.0, 1, 8), 12)
+    w = superlinear_weights(monodisperse_state(1.0, 1, n_trunc=8), 12)
     assert w.g[0] == pytest.approx(1.0)
     assert w.g[1] == pytest.approx(5.0 / 3.0)
     assert w.g[2] == pytest.approx(3.0)
@@ -147,7 +147,7 @@ def subcritical_run():
     kernel = constant_kernel()
     cp = chemical_potential(kernel, 2000)
     traj = integrate(
-        kernel, monodisperse_state(1.0, 1, 128), IntegratorConfig(t_end=80.0, record_every=2.0)
+        kernel, monodisperse_state(1.0, 1, n_trunc=128), IntegratorConfig(t_end=80.0, record_every=2.0)
     )
     return kernel, cp, traj
 
@@ -174,7 +174,7 @@ def test_classify_supercritical():
     c[90] = 1.0 / 90.0  # excess parked high
     c[0] = 1.0 - c[2] - c[90]
     traj = integrate(
-        kernel, state_from_values(c), IntegratorConfig(t_end=30.0, record_every=1.0)
+        kernel, state_from_values(c, n), IntegratorConfig(t_end=30.0, record_every=1.0)
     )
     report = classify_longtime(traj, cp, AnalysisConfig(excess_band_start=32))
     assert report.regime == "supercritical"
@@ -188,7 +188,7 @@ def test_classify_critical_dead_band():
     kernel = condensing_kernel(3.0)
     cp = chemical_potential(kernel, 50_000)
     traj = integrate(
-        kernel, monodisperse_state(1.0, 2, 64), IntegratorConfig(t_end=5.0, record_every=0.5)
+        kernel, monodisperse_state(1.0, 2, n_trunc=64), IntegratorConfig(t_end=5.0, record_every=0.5)
     )
     report = classify_longtime(traj, cp)
     assert report.regime == "critical"

@@ -49,7 +49,7 @@ def explicit(monkeypatch):
 
 
 def test_profile_moments_cached():
-    state = state_from_values([0.2, 0.5, 0.3])
+    state = state_from_values([0.2, 0.5, 0.3], 2)
     assert state.n_trunc == 2
     assert state.zeroth_moment == pytest.approx(1.0)
     assert state.first_moment == pytest.approx(0.5 + 0.6)
@@ -58,19 +58,30 @@ def test_profile_moments_cached():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_state_from_values_rejects_non_finite(bad):
     with pytest.raises(ValueError):
-        state_from_values([0.5, bad])
+        state_from_values([0.5, bad], 1)
 
 
 def test_monodisperse_validation():
     with pytest.raises(ValueError):
-        monodisperse_state(3.0, 2, 16)  # rho > m
-    state = monodisperse_state(1.0, 4, 16)
+        monodisperse_state(3.0, 2, n_trunc=16)  # rho > m
+    state = monodisperse_state(1.0, 4, n_trunc=16)
     assert state.c[0] == 0.75 and state.c[4] == 0.25
+
+
+def test_state_constructors_take_their_defaults_and_truncation():
+    # m defaults to max(1, ceil(rho)); a zero density is the vacuum.
+    assert np.array_equal(monodisperse_state(2.5, n_trunc=8).c, monodisperse_state(2.5, 3, n_trunc=8).c)
+    assert np.array_equal(monodisperse_state(0.0, n_trunc=8).c, vacuum_state(8).c)
+    with pytest.raises(ValueError, match="needs 5 values, got 3"):
+        state_from_values([0.5, 0.25, 0.25], 4)
+    cp = chemical_potential(constant_kernel(), 200)
+    expected = state_from_profile(equilibrium_profile(cp, rho=0.5, k_max=16), 16)
+    assert np.array_equal(dynamics.equilibrium_state(cp, rho=0.5, n_trunc=16).c, expected.c)
 
 
 def test_rates_examples(const):
     # delta_1: A = 1 - c_0 = 1 everywhere, B_k = sum_{l<N} c_l = 1
-    state = monodisperse_state(1.0, 1, 8)
+    state = monodisperse_state(1.0, 1, n_trunc=8)
     rates = birth_death_rates(const, state)
     assert np.allclose(rates.a, 1.0)
     assert np.allclose(rates.b, 1.0)
@@ -105,11 +116,11 @@ def test_fast_path_matches_generic():
 
 def test_net_flux_examples(const):
     # N=1: J_0 = K(1,0) c_1 c_0 - K(1,0) c_0 c_1 = 0 exactly
-    state = state_from_values([0.4, 0.6])
+    state = state_from_values([0.4, 0.6], 1)
     rates = birth_death_rates(const, state)
     assert net_fluxes(rates, state)[0] == 0.0
     # delta_1: J_0 = -1, J_1 = 1
-    d1 = monodisperse_state(1.0, 1, 8)
+    d1 = monodisperse_state(1.0, 1, n_trunc=8)
     flux = net_fluxes(birth_death_rates(const, d1), d1)
     assert flux[0] == -1.0 and flux[1] == 1.0
     assert np.all(flux[2:] == 0.0)
@@ -117,7 +128,7 @@ def test_net_flux_examples(const):
 
 def test_rhs_examples(const):
     assert np.all(rhs(const, vacuum_state(8)) == 0.0)
-    d1 = monodisperse_state(1.0, 1, 8)
+    d1 = monodisperse_state(1.0, 1, n_trunc=8)
     expected = np.zeros(9)
     expected[:3] = [1.0, -2.0, 1.0]
     assert np.allclose(rhs(const, d1), expected)
@@ -155,7 +166,7 @@ def test_step_vacuum_accepts_any_dt(const):
 
 def test_step_euler_consistency(const):
     cfg = IntegratorConfig(t_end=1.0)
-    d1 = monodisperse_state(1.0, 1, 16)
+    d1 = monodisperse_state(1.0, 1, n_trunc=16)
     result = step(const, d1, 1e-5, cfg)
     assert result.state.c[0] == pytest.approx(1e-5, rel=1e-3)
     assert result.state.c[1] == pytest.approx(1.0 - 2e-5, rel=1e-7)
@@ -170,7 +181,7 @@ def test_step_conserves_moments(const):
 
 
 def test_integrate_records_and_conserves(const):
-    state0 = monodisperse_state(1.0, 1, 64)
+    state0 = monodisperse_state(1.0, 1, n_trunc=64)
     traj = integrate(const, state0, IntegratorConfig(t_end=5.0, record_every=0.5))
     assert traj.sample_count == 11
     assert np.all(traj.states >= 0.0)
@@ -187,7 +198,7 @@ def test_integrate_zero_horizon(const):
 def test_integrate_horizon_below_the_time_resolution(const):
     # t_end / 200 underflows to 0, so the default cadence cannot be t_end / 200;
     # t_end is below the clock's resolution, so the run records its start only.
-    traj = integrate(const, monodisperse_state(1.0, 1, 8), IntegratorConfig(t_end=5e-324))
+    traj = integrate(const, monodisperse_state(1.0, 1, n_trunc=8), IntegratorConfig(t_end=5e-324))
     assert traj.sample_count == 1 and traj.stats.accepted == 0
 
 
@@ -235,7 +246,7 @@ def test_integrate_vacuum_is_constant(const):
 
 
 def test_semigroup_property(const):
-    state0 = monodisperse_state(1.0, 1, 256)
+    state0 = monodisperse_state(1.0, 1, n_trunc=256)
     whole = integrate(const, state0, IntegratorConfig(t_end=2.0, record_every=2.0))
     for split in (1.0, 0.5):
         first = integrate(const, state0, IntegratorConfig(t_end=split, record_every=split))
@@ -248,7 +259,7 @@ def test_semigroup_property(const):
 
 def test_moment_identity(const):
     traj = integrate(
-        const, monodisperse_state(1.0, 1, 64), IntegratorConfig(t_end=2.0, record_every=0.005)
+        const, monodisperse_state(1.0, 1, n_trunc=64), IntegratorConfig(t_end=2.0, record_every=0.005)
     )
     n = traj.n_trunc
     assert moment_identity_residual(const, traj, np.ones(n + 1)) <= 1e-9
@@ -263,7 +274,7 @@ def test_moment_identity_needs_samples(const):
 
 
 def test_positivity_bound(const):
-    state0 = monodisperse_state(1.0, 1, 64)
+    state0 = monodisperse_state(1.0, 1, n_trunc=64)
     traj = integrate(const, state0, IntegratorConfig(t_end=3.0, record_every=0.5))
     margin = positivity_bound_margin(traj, 1.0, 1.0, 1.0, 2.0)
     assert margin >= 0.0
@@ -282,11 +293,11 @@ def test_positivity_bound_on_stationary_state(const):
 def test_step_underflow_raises(const):
     cfg = IntegratorConfig(t_end=1.0, rtol=1e-300, atol=1e-300)
     with pytest.raises(IntegratorError, match="underflow"):
-        integrate(const, monodisperse_state(1.0, 1, 32), cfg)
+        integrate(const, monodisperse_state(1.0, 1, n_trunc=32), cfg)
 
 
 def test_checkpoint_round_trip(tmp_path, const):
-    state0 = monodisperse_state(1.0, 1, 32)
+    state0 = monodisperse_state(1.0, 1, n_trunc=32)
     cfg = IntegratorConfig(t_end=1.0, record_every=0.25)
     traj = integrate(const, state0, cfg)
     path = tmp_path / "ckpt.json"
@@ -324,7 +335,7 @@ def test_checkpoint_with_positivity_floor_key_loads(tmp_path):
 def test_checkpoint_survives_failed_rewrite(tmp_path, const, monkeypatch):
     spec = {"family": "constant", "value": 1.0}
     cfg = IntegratorConfig(t_end=1.0, record_every=0.25)
-    first = monodisperse_state(1.0, 1, 32)
+    first = monodisperse_state(1.0, 1, n_trunc=32)
     path = tmp_path / "ckpt.json"
     real_dump = json.dump
     calls = []
@@ -339,7 +350,7 @@ def test_checkpoint_survives_failed_rewrite(tmp_path, const, monkeypatch):
     monkeypatch.setattr(json, "dump", dump_failing_on_second_call)
     save_checkpoint(path, 0.5, first, spec, cfg)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, 1.0, monodisperse_state(1.0, 2, 32), spec, cfg)
+        save_checkpoint(path, 1.0, monodisperse_state(1.0, 2, n_trunc=32), spec, cfg)
     monkeypatch.undo()
 
     assert calls == [0.5, 1.0]
@@ -354,7 +365,7 @@ def test_boundary_mass_warning():
     c = np.zeros(33)
     c[32] = 1.0 / 16.0
     c[0] = 1.0 - c[32]
-    state0 = state_from_values(c)
+    state0 = state_from_values(c, 32)
     with pytest.warns(RuntimeWarning, match="boundary mass"):
         traj = integrate(kernel, state0, IntegratorConfig(t_end=0.5, record_every=0.25))
     assert traj.boundary_contaminated_from is not None
@@ -364,7 +375,7 @@ def stiff_additive_run(n_trunc=64, t_end=2.0, record_every=0.5):
     """Additive kernel with few samples: stiff enough for RODAS4, and on the
     explicit method both error and positivity rejections."""
     cfg = IntegratorConfig(t_end=t_end, record_every=record_every)
-    return integrate(additive_kernel(1.0, 2.0), monodisperse_state(1.0, 1, n_trunc), cfg)
+    return integrate(additive_kernel(1.0, 2.0), monodisperse_state(1.0, 1, n_trunc=n_trunc), cfg)
 
 
 def traced_stiff_additive_run(monkeypatch):
@@ -429,7 +440,7 @@ def test_stepper_calls_module_rhs_once_per_evaluation(monkeypatch, kernel):
     checkpoints = []
     traj = integrate(
         kernel,
-        monodisperse_state(1.0, 1, 48),
+        monodisperse_state(1.0, 1, n_trunc=48),
         IntegratorConfig(t_end=2.0, record_every=0.1),
         checkpoint_hook=lambda t, state, controller: checkpoints.append(t),
         checkpoint_every=0.5,
@@ -498,7 +509,7 @@ def test_rodas4_solution_and_error_orders():
 def test_integrator_stats_of_benchmark_runs(
     explicit, kernel, n_trunc, cfg, accepted, rejected, rhs_evals
 ):
-    stats = integrate(kernel, monodisperse_state(1.0, 1, n_trunc), cfg).stats
+    stats = integrate(kernel, monodisperse_state(1.0, 1, n_trunc=n_trunc), cfg).stats
     assert stats.method == "rkf45"
     assert (stats.accepted, stats.rejected, stats.rhs_evals) == (accepted, rejected, rhs_evals)
 
@@ -506,7 +517,7 @@ def test_integrator_stats_of_benchmark_runs(
 def test_integrator_stats_of_the_stiff_benchmark_run_on_rodas4():
     # stiff-additive at seed 0 as it runs: RODAS4, never rejected
     cfg = IntegratorConfig(t_end=5.0)
-    stats = integrate(additive_kernel(1.0, 2.0), monodisperse_state(1.0, 1, 512), cfg).stats
+    stats = integrate(additive_kernel(1.0, 2.0), monodisperse_state(1.0, 1, n_trunc=512), cfg).stats
     assert stats.method == "rodas4"
     assert (stats.accepted, stats.rejected, stats.rhs_evals) == (263, 0, 1578)
     assert stats.clamp_events == 1
@@ -530,7 +541,7 @@ def stiff_case(name, n_trunc):
     else:
         kernel, t_end, record_every = separable_kernel("k", "1"), 20.0, 2.0
     cfg = IntegratorConfig(t_end=t_end, record_every=record_every)
-    return kernel, monodisperse_state(1.0, 1, n_trunc), cfg
+    return kernel, monodisperse_state(1.0, 1, n_trunc=n_trunc), cfg
 
 
 def explicit_error(monkeypatch, kernel, state0, cfg, run) -> float:
@@ -602,18 +613,18 @@ def assert_resume_repeats_the_run(kernel, state0, method):
 
 
 def test_resume_from_controller_repeats_the_run_exactly(const):
-    assert_resume_repeats_the_run(const, monodisperse_state(1.0, 1, 48), "rkf45")
+    assert_resume_repeats_the_run(const, monodisperse_state(1.0, 1, n_trunc=48), "rkf45")
 
 
 def test_resume_from_controller_repeats_a_rodas4_run_exactly():
     # The additive kernel is stiff at this cadence, so the run takes RODAS4.
-    state0 = monodisperse_state(1.0, 1, 96)
+    state0 = monodisperse_state(1.0, 1, n_trunc=96)
     assert_resume_repeats_the_run(additive_kernel(1.0, 2.0), state0, "rodas4")
 
 
 def test_sample_matrix_is_sized_from_the_grid_and_grows_bit_for_bit(const, monkeypatch):
     cfg = IntegratorConfig(t_end=4.0, record_every=0.25)
-    state0 = monodisperse_state(1.0, 1, 48)
+    state0 = monodisperse_state(1.0, 1, n_trunc=48)
     reserved = integrate(const, state0, cfg)
     assert reserved.sample_count == 17
     assert reserved.states.flags.c_contiguous
@@ -639,22 +650,22 @@ def test_checkpoint_controller_round_trip(tmp_path, const):
     path = tmp_path / "ckpt.json"
     spec = {"family": "constant", "value": 1.0}
     cfg = IntegratorConfig(t_end=2.0)
-    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, n_trunc=8), spec, cfg, controller)
     assert load_checkpoint(path)[3] == controller  # exact floats
     unset = dict(controller, dt_ceiling=None)  # an infinite ceiling is written as null
-    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, unset)
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, n_trunc=8), spec, cfg, unset)
     assert json.loads(path.read_text())["controller"]["dt_ceiling"] is None
     assert load_checkpoint(path)[3] == unset
     # A controller block written before it carried the ceiling loads unset,
     # and one written before it carried the method loads as explicit.
     del controller["dt_ceiling"]
-    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, n_trunc=8), spec, cfg, controller)
     assert load_checkpoint(path)[3] == unset
     del controller["method"]
-    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, controller)
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, n_trunc=8), spec, cfg, controller)
     assert load_checkpoint(path)[3] == dict(unset, method="rkf45")
-    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg, dict(unset, method="rk4"))
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, n_trunc=8), spec, cfg, dict(unset, method="rk4"))
     with pytest.raises(ValueError, match="method"):
         load_checkpoint(path)[3]
-    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, 8), spec, cfg)
+    save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, n_trunc=8), spec, cfg)
     assert load_checkpoint(path)[3] is None

@@ -1187,7 +1187,7 @@ def batch_states(draw) -> list:
         kind = int(rng.integers(0, 3))
         if kind == 0:
             m = int(rng.integers(1, min(n, 4) + 1))
-            states.append(monodisperse_state(float(rng.uniform(0.0, m)), m, n))
+            states.append(monodisperse_state(float(rng.uniform(0.0, m)), m, n_trunc=n))
         elif kind == 1:
             states.append(geometric_state(float(rng.uniform(0.0, 0.9)), n))
         else:
@@ -1246,7 +1246,7 @@ def test_batch_rows_with_positivity_retries_and_failures_match_alone():
     # retries and clamps; a tolerance below every error makes all rows but
     # the vacuum underflow, and the vacuum row still finishes.
     kernel = KERNELS["additive"]
-    states = [monodisperse_state(rho, 1, 64) for rho in (0.5, 1.0, 0.25)] + [vacuum_state(64)]
+    states = [monodisperse_state(rho, 1, n_trunc=64) for rho in (0.5, 1.0, 0.25)] + [vacuum_state(64)]
     stats = assert_batch_matches_integrate(kernel, states, IntegratorConfig(t_end=5.0))
     assert any(s.rejected_positivity and s.clamp_events for s in stats)
     tiny = IntegratorConfig(t_end=1.0, rtol=1e-300, atol=1e-300)

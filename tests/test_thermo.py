@@ -39,7 +39,7 @@ def cp_const(const):
 
 def test_free_energy_examples(const, cp_const):
     assert free_energy(vacuum_state(16), cp_const) == 0.0
-    assert free_energy(monodisperse_state(1.0, 1, 16), cp_const) == 0.0
+    assert free_energy(monodisperse_state(1.0, 1, n_trunc=16), cp_const) == 0.0
     profile = equilibrium_profile(cp_const, phi=0.5, k_max=400)
     state = state_from_profile(profile, 400)
     assert free_energy(state, cp_const) == pytest.approx(-2.0 * math.log(2.0), abs=1e-12)
@@ -49,7 +49,7 @@ def test_relative_entropy_examples(cp_const):
     profile = equilibrium_profile(cp_const, phi=0.5, k_max=400)
     state = state_from_profile(profile, 400)
     assert relative_entropy(state, profile) == pytest.approx(0.0, abs=1e-12)
-    d1 = monodisperse_state(1.0, 1, 400)
+    d1 = monodisperse_state(1.0, 1, n_trunc=400)
     assert relative_entropy(d1, profile) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
@@ -82,7 +82,7 @@ def test_relative_entropy_positive_off_equilibrium(cp_const):
 def test_dissipation_examples(const, cp_const):
     # term check psi(2, 1) = log 2 via a crafted two-size state is implicit in
     # the closed form; here the conventions at the boundary:
-    result = dissipation(const, monodisperse_state(1.0, 1, 16))
+    result = dissipation(const, monodisperse_state(1.0, 1, n_trunc=16))
     assert math.isinf(result.value)
     assert result.infinite_terms >= 1
     profile = equilibrium_profile(cp_const, phi=0.5, k_max=256)
@@ -95,7 +95,7 @@ def test_dissipation_finite_when_flux_products_underflow(const):
     # Strictly positive state whose tail products c_k c_l underflow to 0.0:
     # every flux is positive by support, so no term is infinite.
     traj = integrate(
-        const, monodisperse_state(1.0, 1, 256), IntegratorConfig(t_end=20.0, record_every=20.0)
+        const, monodisperse_state(1.0, 1, n_trunc=256), IntegratorConfig(t_end=20.0, record_every=20.0)
     )
     c = traj.final_state.c
     assert np.all(c > 0.0)
@@ -245,7 +245,7 @@ def test_series_builds_one_dense_table_per_call(monkeypatch):
     # A rank-2 kernel takes the dense pair sum for every row; the table, its
     # support and log K - log K.T come from one kernel_matrix call.
     kernel = additive_kernel(1.0, 2.0)
-    traj = integrate(kernel, monodisperse_state(1.0, 1, 24), IntegratorConfig(t_end=2.0, record_every=0.01))
+    traj = integrate(kernel, monodisperse_state(1.0, 1, n_trunc=24), IntegratorConfig(t_end=2.0, record_every=0.01))
     assert traj.sample_count >= 100
     expected = [dissipation(kernel, ConcentrationProfile(row)) for row in traj.states]
     built = []
