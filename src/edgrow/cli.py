@@ -26,12 +26,12 @@ import math
 import os
 import sys
 import time
-import typing
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import _csv, diagnostics, dynamics, equilibrium, kernels, thermo
+from ._config import ConfigError, bind, bind_choice, judge
 
 __all__ = ["main", "ConfigError"]
 
@@ -42,10 +42,6 @@ EXIT_INTEGRATOR = 4
 EXIT_CONFIG = 64
 
 BDA_PASS_RESIDUAL = 1e-9
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent configuration."""
 
 
 def _load_config(path: str) -> dict:
@@ -68,68 +64,41 @@ _CONFIG_KEYS = {
     "equilibrium": _SIMULATE_KEYS | {"rho", "phi"},
     "simulate": _SIMULATE_KEYS,
     "sweep": _SIMULATE_KEYS | {"densities"},
-    "weights": frozenset({"weights_input", "weights_k_max", "n_trunc", "analysis"}),
+    "weights": frozenset({"weights_input", "weights_k_max", "n_trunc"}),
 }
 
 
+@dataclasses.dataclass(frozen=True)
+class _TopLevel:
+    """The values at the top level of a config besides its blocks; each
+    subcommand reads those of its ``_CONFIG_KEYS``."""
+
+    n_trunc: int = dataclasses.field(default=256, metadata={"least": 1})
+    weights_k_max: int = dataclasses.field(default=10000, metadata={"least": 1})
+    rho: Optional[float] = None
+    phi: Optional[float] = None
+    densities: Optional[list[float]] = None
+
+
 def _resolve(config: Mapping[str, Any], command: str) -> tuple:
-    """Check the top-level keys ``command`` reads and ``n_trunc``, and bind
-    ``analysis`` to :class:`~edgrow.diagnostics.AnalysisConfig`.  Returns the
-    config to echo, with ``n_trunc`` and the analysis defaults filled in,
-    and the bound analysis settings."""
+    """Check the top-level keys ``command`` reads, and bind the top-level
+    values to :class:`_TopLevel` and ``analysis`` (if ``command`` reads it)
+    to :class:`~edgrow.diagnostics.AnalysisConfig`.  Returns the config to
+    echo, with the defaults of both filled in, and the analysis settings."""
+    read = _CONFIG_KEYS[command]
     for key in config:
-        if key not in _CONFIG_KEYS[command]:
-            raise ConfigError(
-                f"{command} reads no config key {key!r}; choose from {sorted(_CONFIG_KEYS[command])}"
-            )
-    settings = diagnostics.AnalysisConfig
-    analysis = settings(**_bind("analysis", config.get("analysis", {}), settings))
-    resolved = dict(config, analysis=dataclasses.asdict(analysis))
-    n_trunc = resolved.setdefault("n_trunc", 256)
-    if type(n_trunc) is not int or n_trunc < 1:
-        raise ConfigError(f"n_trunc must be an integer >= 1, got {n_trunc!r}")
+        if key not in read:
+            raise ConfigError(f"{command} reads no config key {key!r}; choose from {sorted(read)}")
+    fields = dataclasses.fields(_TopLevel)
+    bind("config", {f.name: config[f.name] for f in fields if f.name in config}, _TopLevel)
+    resolved = {f.name: f.default for f in fields if f.name in read and f.default is not None}
+    resolved.update(config)
+    analysis = None
+    if "analysis" in read:
+        settings = diagnostics.AnalysisConfig
+        analysis = settings(**bind("analysis", config.get("analysis", {}), settings))
+        resolved["analysis"] = dataclasses.asdict(analysis)
     return resolved, analysis
-
-
-def _bind(block: str, spec: Any, target: Callable, supplied: Sequence[str] = ()) -> dict:
-    """The config block ``spec`` as keyword arguments of ``target``, whose
-    parameters in ``supplied`` the run passes itself.  An unknown or supplied
-    key, a missing required one and a value that does not fit its parameter's
-    annotation are a ConfigError naming the key: ``bool`` takes true or false,
-    ``int`` a JSON integer no less than the field's ``least``, ``float`` a
-    finite JSON number >= 0, a sequence a list of those, ``Optional`` also
-    null.  Values are returned as given."""
-    if not isinstance(spec, Mapping):
-        raise ConfigError(f"{block} must be a JSON object")
-    params = inspect.signature(target).parameters
-    keys = sorted(name for name in params if name not in supplied)
-    for key in keys:
-        if key not in spec and params[key].default is inspect.Parameter.empty:
-            raise ConfigError(f"{block} needs key {key!r} for {target.__name__}")
-    hints = typing.get_type_hints(target)
-    least = {f.name: f.metadata.get("least", 0) for f in getattr(target, "__dataclass_fields__", {}).values()}
-    for key, value in spec.items():
-        if key not in keys:
-            why = "is set by the run" if key in supplied else f"is not read by {target.__name__}"
-            raise ConfigError(f"{block} key {key!r} {why}; choose from {keys}")
-        hint = hints[key]
-        if typing.get_origin(hint) is typing.Union:  # Optional[X]: null or X
-            if value is None:
-                continue
-            hint = typing.get_args(hint)[0]
-        if hint is bool:
-            fits, rule = type(value) is bool, "true or false"
-        elif hint is int:
-            floor = least.get(key, 0)
-            fits, rule = type(value) is int and value >= floor, f"an integer >= {floor}"
-        elif hint is float:
-            fits, rule = _is_number(value), "a finite number >= 0"
-        else:
-            fits = isinstance(value, list) and all(map(_is_number, value))
-            rule = "a list of finite numbers >= 0"
-        if not fits:
-            raise ConfigError(f"{block} key {key!r} is {value!r}; {block}.{key} must be {rule}")
-    return dict(spec)
 
 
 def _construct(block: str, target: Callable, kwargs: Mapping[str, Any], **run) -> Any:
@@ -146,12 +115,9 @@ def _construct(block: str, target: Callable, kwargs: Mapping[str, Any], **run) -
 
 
 def _build_kernel(config: Mapping[str, Any]) -> kernels.Kernel:
-    spec = config.get("kernel")
-    if spec is None:
-        raise ConfigError("config needs a 'kernel' entry")
     try:
-        return kernels.kernel_from_spec(spec)
-    except (ValueError, TypeError) as exc:
+        return kernels.kernel_from_spec(config.get("kernel"))
+    except ValueError as exc:
         raise ConfigError(f"bad kernel spec: {exc}") from exc
 
 
@@ -168,31 +134,8 @@ _STATES = {
 }
 
 
-def _bind_type(block: str, spec: Any, table: Mapping[str, Callable]) -> tuple:
-    """The constructor ``table`` holds for the block's ``type``, and the other
-    keys bound to it (:func:`_bind`); the run supplies ``n_trunc`` and ``cp``."""
-    kind = spec.get("type") if isinstance(spec, Mapping) else None
-    if not isinstance(kind, str) or kind not in table:
-        raise ConfigError(f"{block} needs a 'type' from {sorted(table)}, got {spec!r}")
-    target = table[kind]
-    params = {key: value for key, value in spec.items() if key != "type"}
-    return target, _bind(block, params, target, ("n_trunc", "cp"))
-
-
-def _is_number(value: Any) -> bool:
-    """Whether ``value`` is a finite JSON number >= 0: not NaN, an infinity,
-    a bool or a string."""
-    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
-
-
-def _build_integrator(config: Mapping[str, Any]) -> dynamics.IntegratorConfig:
-    spec = config.get("integrator")
-    if not isinstance(spec, Mapping) or "t_end" not in spec:
-        raise ConfigError("config needs integrator.t_end")
-    try:
-        return dynamics.IntegratorConfig.from_dict(spec)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad integrator config: {exc}") from exc
+# What the run passes a state's constructor itself.
+_SUPPLIED = ("n_trunc", "cp")
 
 
 def _write_json(path: str, payload: Mapping) -> None:
@@ -240,16 +183,10 @@ def cmd_equilibrium(
     """Write the equilibrium profile and scalar summary for a density or fugacity."""
     resolved, analysis = _resolve(config, "equilibrium")
     kernel = _build_kernel(resolved)
-    names = ("--rho", "--phi")
-    if rho is None and phi is None:
-        rho = resolved.get("rho")
-        phi = resolved.get("phi")
-        names = ("rho", "phi")
+    if rho is None and phi is None:  # a --rho or --phi flag replaces the config's target
+        rho, phi = resolved.get("rho"), resolved.get("phi")
     if (rho is None) == (phi is None):
         raise ConfigError("specify exactly one of rho and phi")
-    for name, value in zip(names, (rho, phi)):
-        if value is not None and not _is_number(value):
-            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     cp = equilibrium.chemical_potential(kernel, analysis.equilibrium_k_max)
     out = _ensure_out(out_dir)
     try:
@@ -310,16 +247,18 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
     started = time.perf_counter()
     phase_seconds = {"integrate": 0.0, "thermo": 0.0, "write_csv": 0.0, "classify": 0.0}
 
-    cfg = _build_integrator(resolved)
-    initial = _bind_type("initial_condition", resolved.get("initial_condition", {"type": "vacuum"}), _STATES)
+    settings = dynamics.IntegratorConfig
+    cfg = _construct("integrator", settings, bind("integrator", resolved.get("integrator", {}), settings))
+    initial_condition = resolved.get("initial_condition", {"type": "vacuum"})
+    initial = bind_choice("initial_condition", initial_condition, _STATES, _SUPPLIED)
     if resume is not None:
         # The checkpoint provides the state and clock; the config stays the
         # description of the full run (t_end, tolerances, outputs).
         try:
             t0, state0, kernel_spec, controller = dynamics.load_checkpoint(resume)
             kernel = kernels.kernel_from_spec(kernel_spec)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot resume from {resume!r}: {exc!r}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot resume from {resume!r}: {exc}") from exc
         resolved["kernel"] = dict(kernel_spec)
     else:
         t0 = 0.0
@@ -474,27 +413,23 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
         if key in config.get("analysis", {}):
             raise ConfigError(f"sweep takes no analysis.{key}")
         del resolved["analysis"][key]  # so the report echoes only keys a sweep reads
-    densities = resolved.get("densities")
-    if densities is None or not isinstance(densities, list):
+    if resolved.get("densities") is None:
         raise ConfigError("sweep config needs a 'densities' list")
-    for i, rho in enumerate(densities):
-        if not _is_number(rho):
-            raise ConfigError(f"sweep density {i} must be a finite number >= 0, got {rho!r}")
-    if len(set(float(r) for r in densities)) != len(densities):
+    rhos = [float(rho) for rho in resolved["densities"]]
+    if len(set(rhos)) != len(rhos):
         raise ConfigError("sweep densities must be distinct")
     ic = resolved.get("initial_condition", {})
-    if not isinstance(ic, Mapping) or ic.get("type", "monodisperse") != "monodisperse":
-        # Each row sets its own density, which only a monodisperse state carries.
-        raise ConfigError("sweep initial_condition must be monodisperse")
-    params = {key: value for key, value in ic.items() if key != "type"}
-    initial = _bind("initial_condition", params, dynamics.monodisperse_state, ("n_trunc", "rho"))
+    # Each row sets its own density, which only a monodisperse state carries.
+    ic = {"type": "monodisperse", **ic} if isinstance(ic, Mapping) else ic
+    monodisperse = {"monodisperse": dynamics.monodisperse_state}
+    _, initial = bind_choice("initial_condition", ic, monodisperse, ("n_trunc", "rho"))
     kernel = _build_kernel(resolved)
-    cfg = _build_integrator(resolved) if densities else None
+    settings = dynamics.IntegratorConfig
+    cfg = _construct("integrator", settings, bind("integrator", resolved.get("integrator", {}), settings))
     if parallel is not None and parallel < 1:
         raise ConfigError(f"--parallel must be at least 1, got {parallel}")
     phase_seconds = {"equilibrium": 0.0, "rows": 0.0, "classify": 0.0}
 
-    rhos = [float(rho) for rho in densities]
     states: list = []
     for rho in rhos:  # a zero density is the vacuum
         row = {"n_trunc": resolved["n_trunc"], "rho": rho}
@@ -510,7 +445,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
         if serial:  # rows first: no two threads run edgrow code at once
             batch.result()
             phase_seconds["rows"] = time.perf_counter() - submitted
-        if densities:
+        if rhos:
             rho_c_block = {"method": None, "ladder_length": None}
             with _phase(phase_seconds, "equilibrium"):
                 try:
@@ -563,10 +498,9 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
 def cmd_weights(config: dict, out_dir: str) -> int:
     """Construct superlinear weights for the configured profile or tails."""
     resolved, _ = _resolve(config, "weights")
-    constructor, params = _bind_type("weights_input", resolved.get("weights_input"), {**_STATES, "tails": _tails})
-    k_max = resolved.get("weights_k_max", 10000)
-    if type(k_max) is not int or k_max < 1:
-        raise ConfigError(f"weights_k_max must be an integer >= 1, got {k_max!r}")
+    table = {**_STATES, "tails": _tails}
+    constructor, params = bind_choice("weights_input", resolved.get("weights_input"), table, _SUPPLIED)
+    k_max = resolved["weights_k_max"]
     source = _construct("weights_input", constructor, params, n_trunc=resolved["n_trunc"], cp=None)
     try:
         result = diagnostics.superlinear_weights(source, k_max, is_tail_sequence=constructor is _tails)
@@ -592,6 +526,15 @@ def cmd_weights(config: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _number(text: str) -> float:
+    """A ``--rho`` or ``--phi`` value, a number as a config's numbers are."""
+    value = float(text)
+    fits, rule = judge(value, float)
+    if not fits:
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgrow",
@@ -608,8 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrium", help="equilibrium profile and constants")
     add_common(p_eq)
-    p_eq.add_argument("--rho", type=float, default=None, help="target density")
-    p_eq.add_argument("--phi", type=float, default=None, help="target fugacity")
+    p_eq.add_argument("--rho", type=_number, default=None, help="target density")
+    p_eq.add_argument("--phi", type=_number, default=None, help="target fugacity")
 
     p_sim = sub.add_parser("simulate", help="integrate the truncated system")
     add_common(p_sim)

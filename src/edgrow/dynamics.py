@@ -35,12 +35,13 @@ import numbers
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Literal, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._config import ConfigError, bind
 from .equilibrium import ChemicalPotential, EquilibriumProfile, equilibrium_profile
-from .kernels import Kernel, _factor_vectors, _is_finite
+from .kernels import Kernel, _factor_vectors
 
 __all__ = [
     "ConcentrationProfile",
@@ -308,11 +309,11 @@ class IntegratorConfig:
     """Adaptive integrator settings; tolerances are componentwise via
     ``rtol * strong_norm(c) + atol``.
 
-    The fields are the whole ``integrator`` block of a config
-    (:meth:`from_dict`).  Each value is a finite real number, not a ``bool``
-    or a string, and is stored as a float; ``record_every`` may be ``None``
-    (every ``t_end / 200``).  No step is longer than the recording cadence:
-    :func:`integrate` ends each one at or before the next grid point.
+    The fields are the whole ``integrator`` block of a config.  Each value
+    is a finite real number, not a ``bool`` or a string, and is stored as a
+    float; ``record_every`` may be ``None`` (every ``t_end / 200``).  No
+    step is longer than the recording cadence: :func:`integrate` ends each
+    one at or before the next grid point.
     """
 
     t_end: float
@@ -324,7 +325,11 @@ class IntegratorConfig:
         for name, value in asdict(self).items():
             if value is None and name == "record_every":
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not _is_finite(value):
+            try:
+                finite = isinstance(value, numbers.Real) and math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if isinstance(value, bool) or not finite:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.rtol <= 0 or self.atol <= 0:
@@ -340,17 +345,6 @@ class IntegratorConfig:
         if self.record_every is not None:
             return self.record_every
         return self.t_end / 200.0 or 1.0  # also where t_end / 200 underflows to 0
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "IntegratorConfig":
-        """The config of an ``integrator`` block, whose keys are the fields;
-        any other key is a ValueError that names it."""
-        for key in data:
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(
-                    f"unknown integrator key {key!r}; choose from {list(cls.__dataclass_fields__)}"
-                )
-        return cls(**data)
 
 
 # Fehlberg 4(5) tableau; the fifth-order solution is propagated and the
@@ -455,32 +449,43 @@ class IntegratorStats:
         }
 
 
+@dataclass(kw_only=True)
+class _Controller:
+    """A checkpoint's ``controller`` block: its keys, their types and
+    defaults.  ``dt_ceiling`` is ``None`` while the ceiling is infinite; a
+    block without it or ``method`` was written before the block held them."""
+
+    method: Literal["rkf45", "rodas4"] = _FEHLBERG.name
+    dt_next: float
+    err_prev_ratio: Optional[float] = None
+    dt_ceiling: Optional[float] = None
+    next_record: float
+    clamp_mass0: float = 0.0
+    clamp_mass1: float = 0.0
+
+
 class _Row:
     """One integrated state: its step-size controller, counters and recording.
 
-    The controller is read from a ``controller`` block (absent keys start
-    afresh): ``method``, ``dt_next``, ``err_prev_ratio``, the positivity
-    ceiling ``dt_ceiling`` and the clamp totals.  ``tol`` is the tolerance
-    at the row's current state; ``dt`` is the length of the attempt in
-    progress (``None`` between steps) and ``retried`` says whether that step
-    took a positivity retry.  ``dt_used``, ``error_estimate`` and
-    ``clamped_mass0/1`` describe the last accepted step; ``error`` holds the
-    exception that ended the row, if any.
+    The fields of a :class:`_Controller` are attributes by their names, but
+    ``method`` is the :class:`_Method` and an unset ``dt_ceiling`` is ``inf``.
+    ``tol`` is the tolerance at the row's current state; ``dt`` is the
+    length of the attempt in progress (``None`` between steps) and
+    ``retried`` says whether that step took a positivity retry.
+    ``dt_used``, ``error_estimate`` and ``clamped_mass0/1`` describe the
+    last accepted step; ``error`` holds the exception that ended the row.
 
     The recording, for :func:`_integrate_rows`: ``index`` among its states,
-    the clock ``t``, the next grid and checkpoint times, and the samples from
-    ``state0`` at ``t0`` on, in the rows of one matrix that :meth:`reserve`
-    sizes from the recording grid and :meth:`record` doubles when it is full.
+    the clock ``t``, the next grid time ``next_record`` and checkpoint time,
+    and the samples from ``state0`` at ``t0`` on, in the rows of one matrix
+    that :meth:`reserve` sizes from the recording grid and :meth:`record`
+    doubles when it is full.
     """
 
-    def __init__(self, controller: Mapping, state0: ConcentrationProfile, t0=0.0, index=0):
-        self.method = _METHODS[controller.get("method", _FEHLBERG.name)]
-        self.dt_next = float(controller.get("dt_next", 0.0))
-        self.err_prev_ratio = controller.get("err_prev_ratio")
-        dt_ceiling = controller.get("dt_ceiling")
-        self.dt_ceiling = math.inf if dt_ceiling is None else dt_ceiling
-        self.clamp_mass0 = float(controller.get("clamp_mass0", 0.0))
-        self.clamp_mass1 = float(controller.get("clamp_mass1", 0.0))
+    def __init__(self, controller: _Controller, state0: ConcentrationProfile, t0=0.0, index=0):
+        vars(self).update(asdict(controller))
+        self.method = _METHODS[controller.method]
+        self.dt_ceiling = math.inf if controller.dt_ceiling is None else controller.dt_ceiling
         self.stats = IntegratorStats(self.method.name)
         self.tol = 0.0
         self.dt: Optional[float] = None
@@ -489,7 +494,7 @@ class _Row:
         self.dt_used = self.error_estimate = self.clamped_mass0 = self.clamped_mass1 = 0.0
         n = state0.n_trunc
         self.index, self.rho0, self.t = index, state0.first_moment, t0
-        self.next_grid = self.next_checkpoint = math.inf
+        self.next_checkpoint = math.inf
         self.boundary_lo = int(math.ceil(0.9 * n))
         self.weights_boundary = np.arange(n + 1, dtype=float)[self.boundary_lo :]
         self.times = [t0]
@@ -565,17 +570,11 @@ class _Row:
         stats.dt_min = min(stats.dt_min, dt)
         stats.dt_max = max(stats.dt_max, dt)
 
-    def controller(self, next_record: float) -> dict:
+    def controller(self) -> dict:
         """The controller block a checkpoint needs to continue this run exactly."""
-        return {
-            "method": self.method.name,
-            "dt_next": self.dt_next,
-            "err_prev_ratio": self.err_prev_ratio,
-            "dt_ceiling": None if math.isinf(self.dt_ceiling) else self.dt_ceiling,
-            "next_record": next_record,
-            "clamp_mass0": self.clamp_mass0,
-            "clamp_mass1": self.clamp_mass1,
-        }
+        block = {name: getattr(self, name) for name in _Controller.__dataclass_fields__}
+        ceiling = None if math.isinf(self.dt_ceiling) else self.dt_ceiling
+        return dict(block, method=self.method.name, dt_ceiling=ceiling)
 
     def _boundary_mass(self, c: np.ndarray) -> float:
         return float(np.dot(self.weights_boundary, c[self.boundary_lo :]))
@@ -757,17 +756,18 @@ class _Stepper:
 
         A row between steps starts one of length ``dt_suggest[i]``; a row
         retrying a rejected attempt ignores its entry.  Each row rejects and
-        retries as :func:`step` documents.  An accepted row clamps, updates
-        its clamp totals and its controller, and takes its new state.  A row whose step underflows,
-        or whose bookkeeping raises ValueError, RuntimeError or
-        ArithmeticError, keeps that exception in ``error`` and is not
-        stepped again.
+        retries as :func:`step` documents.  A suggestion that is not a
+        positive number (NaN too) is a ValueError.  An accepted row clamps,
+        updates its clamp totals and its controller, and takes its new
+        state.  A row whose step underflows, or whose bookkeeping raises
+        ValueError, RuntimeError or ArithmeticError, keeps that exception in
+        ``error`` and is not stepped again.
         """
         rows = self.rows
         for row, suggest in zip(rows, dt_suggest):
             if row.dt is None:
-                if suggest <= 0:
-                    raise ValueError("dt_suggest must be positive")
+                if not suggest > 0:
+                    raise ValueError(f"dt_suggest must be positive, got {suggest!r}")
                 row.dt, row.retried = suggest, False
                 row.stats.rhs_evals += _STEP_EVALS
                 self.stage0_ready = False
@@ -863,16 +863,17 @@ def step(
 ) -> Optional[StepResult]:
     """One accepted explicit embedded RK4(5) step with PI step-size control.
 
-    The first attempt is ``dt_suggest`` long; no setting caps it.  Rejects
-    and halves when the step would not be finite, and shrinks it when the
-    componentwise error exceeds ``rtol * ||c|| + atol``.  When a component
-    would drop below ``-atol`` the step is rejected and ``dt`` scaled by
+    The first attempt is ``dt_suggest`` long, which must be a positive
+    number (NaN is a ValueError); no setting caps it.  Rejects and halves
+    when the step would not be finite, and shrinks it when the componentwise
+    error exceeds ``rtol * ||c|| + atol``.  When a component would drop
+    below ``-atol`` the step is rejected and ``dt`` scaled by
     ``clip(0.9 (c_i + atol) / (c_i - c_new_i), 0.2, 0.9)`` at the worst
     component ``i``; when that ratio is not a positive finite number
-    (``c_i`` already at or below ``-atol``) it is halved.  A step that needed
-    such a retry proposes no larger ``dt_next``.  Accepted components in
-    ``[-atol, 0)`` are clamped to 0 with the clamped mass reported for the
-    drift ledger.
+    (``c_i`` already at or below ``-atol``) it is halved.  A step that
+    needed such a retry proposes no larger ``dt_next``.  Accepted components
+    in ``[-atol, 0)`` are clamped to 0 with the clamped mass reported for
+    the drift ledger.
 
     :func:`integrate` passes its running stepper as ``state`` and one
     suggestion per row as ``dt_suggest``: the stepper advances in place
@@ -882,7 +883,7 @@ def step(
     if isinstance(state, _Stepper):
         state.advance(dt_suggest)
         return None
-    row = _Row({"err_prev_ratio": err_prev_ratio}, state)
+    row = _Row(_Controller(dt_next=dt_suggest, next_record=math.inf, err_prev_ratio=err_prev_ratio), state)
     stepper = _Stepper(kernel, state.c, cfg, [row])
     stepper.advance([dt_suggest])
     if row.error is not None:
@@ -995,10 +996,14 @@ def _integrate_rows(
     """
     if len({state.n_trunc for state in states0}) > 1:
         raise ValueError("the states of a batch must share one truncation")
-    cadence, block = cfg.cadence(), controller
+    cadence = cfg.cadence()
     if controller is None:
         first_dt = min(cadence, cfg.t_end - t0) * 0.05
-        block = {"dt_next": first_dt, "next_record": t0 + cadence}
+        # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
+        # t_end, so a checkpoint names the grid point a longer run records next.
+        block = _Controller(dt_next=first_dt, next_record=t0 + cadence)
+    else:
+        block = _Controller(**controller)
     results: list = [None] * len(states0)
     rows = []
     for i, state0 in enumerate(states0):
@@ -1009,18 +1014,15 @@ def _integrate_rows(
         else:
             row_block = block
             if controller is None:
-                row_block = dict(block, method=_stiff_method(kernel, state0, cfg))
+                row_block = replace(block, method=_stiff_method(kernel, state0, cfg))
             rows.append(_Row(row_block, state0, t0, i))
 
     if cfg.t_end > t0 and rows:
         # The initial sample, the grid points up to t_end and t_end itself.
-        grid = (cfg.t_end - float(block["next_record"])) / cadence
+        grid = (cfg.t_end - block.next_record) / cadence
         samples = 3 + max(0, int(min(grid, _RESERVED_SAMPLES)))
         for row in rows:
             row.reserve(samples)
-            # The recording grid t0 + cadence, t0 + 2 cadence, ... continues past
-            # t_end, so a checkpoint names the grid point a longer run records next.
-            row.next_grid = float(block["next_record"])
             if checkpoint_every and checkpoint_hook:
                 row.next_checkpoint = t0 + checkpoint_every
         time_eps = 1e-12 * max(cfg.t_end, 1.0)
@@ -1036,7 +1038,7 @@ def _integrate_rows(
             live = stepper.rows if t0 < cfg.t_end - time_eps else []
             while live:
                 suggestions = [
-                    min(row.dt_next, min(row.next_grid, cfg.t_end) - row.t) for row in live
+                    min(row.dt_next, min(row.next_record, cfg.t_end) - row.t) for row in live
                 ]
                 step(kernel, stepper, suggestions, cfg)
                 going = []
@@ -1045,16 +1047,14 @@ def _integrate_rows(
                         results[row.index] = row.error
                         continue
                     if row.dt is None:  # accepted a step in this call
-                        next_record = min(row.next_grid, cfg.t_end)
+                        next_sample = min(row.next_record, cfg.t_end)
                         row.t += row.dt_used
-                        if row.t >= next_record - time_eps:
+                        if row.t >= next_sample - time_eps:
                             c = row.record(stepper.state(i))
-                            if row.t >= row.next_grid - time_eps:
-                                row.next_grid += cadence
+                            if row.t >= row.next_record - time_eps:
+                                row.next_record += cadence
                             if row.t >= row.next_checkpoint - time_eps:
-                                checkpoint_hook(
-                                    row.t, ConcentrationProfile(c), row.controller(row.next_grid)
-                                )
+                                checkpoint_hook(row.t, ConcentrationProfile(c), row.controller())
                                 row.next_checkpoint = row.t + checkpoint_every
                         if row.t >= cfg.t_end - time_eps:
                             continue
@@ -1068,7 +1068,7 @@ def _integrate_rows(
             results[row.index] = record = row.trajectory()
             if checkpoint_hook is not None:
                 # The run ends on a sample point, so this is the block of the last sample.
-                final = row.controller(row.next_grid) if cfg.t_end > t0 else controller
+                final = row.controller() if cfg.t_end > t0 else controller
                 checkpoint_hook(float(record.times[-1]), record.final_state, final)
     return results
 
@@ -1146,6 +1146,18 @@ def positivity_bound_margin(
     return margin
 
 
+@dataclass(frozen=True)
+class _Checkpoint:
+    """A checkpoint's keys and types; ``c`` holds ``repr`` strings, ``cfg`` is not read."""
+
+    t: float
+    N: int = field(metadata={"least": 1})
+    c: list[str]
+    kernel_spec: dict
+    cfg: Optional[dict] = None
+    controller: Optional[dict] = None
+
+
 def save_checkpoint(
     path,
     t: float,
@@ -1158,25 +1170,15 @@ def save_checkpoint(
 
     ``cfg`` is echoed so the file describes its run, but
     :func:`load_checkpoint` does not read it back.  ``controller`` is the
-    block :func:`integrate` hands its checkpoint hook: ``method``,
-    ``dt_next``, ``err_prev_ratio``, the positivity ceiling ``dt_ceiling``
-    (``None``, JSON ``null``, while it is infinite), ``next_record`` and the
-    clamp totals ``clamp_mass0``/``clamp_mass1``.  With it a resumed run
-    repeats the uninterrupted one bit for bit.  The file is replaced
-    atomically, so an interrupted write keeps the previous checkpoint
-    loadable.
+    block :func:`integrate` hands its checkpoint hook (:class:`_Controller`);
+    with it a resumed run repeats the uninterrupted one bit for bit.  The
+    file is replaced atomically, so an interrupted write keeps the previous
+    checkpoint loadable.
     """
-    payload = {
-        "t": t,
-        "N": state.n_trunc,
-        "c": [repr(x) for x in state.c.tolist()],
-        "kernel_spec": dict(kernel_spec),
-        "cfg": asdict(cfg),
-    }
-    if controller is not None:
-        payload["controller"] = dict(controller)
+    c = [repr(x) for x in state.c.tolist()]
+    saved = _Checkpoint(t, state.n_trunc, c, dict(kernel_spec), asdict(cfg), controller)
     with _atomic_writer(path) as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(asdict(saved), fh, indent=1)
 
 
 @contextlib.contextmanager
@@ -1201,31 +1203,18 @@ def _atomic_writer(path):
 def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; floats round-trip exactly.
 
-    Returns ``(t, state, kernel_spec, controller)``.  ``controller`` is the
-    checkpoint's controller block, or ``None`` for a checkpoint written
-    without one (the resumed controller then starts afresh).  A block
-    written without ``dt_ceiling`` loads with the ceiling unset, one without
-    ``method`` as the explicit method.  The echoed ``cfg`` is not read: the
-    resuming run's own config describes the run.
+    Returns ``(t, state, kernel_spec, controller)``.  The file is bound to
+    :class:`_Checkpoint`, its ``controller`` block, if any, to
+    :class:`_Controller` (defaults filled in; ``None`` without a block: the
+    controller starts afresh), and ``c`` read by :func:`state_from_values`;
+    a file that breaks that is a :class:`~edgrow._config.ConfigError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    c = np.array([float(x) for x in payload["c"]], dtype=float)
-    if len(c) != payload["N"] + 1:
-        raise ValueError("checkpoint truncation does not match its state length")
-    block, controller = payload.get("controller"), None
-    if block is not None:
-        err_prev_ratio, dt_ceiling = block["err_prev_ratio"], block.get("dt_ceiling")
-        method = block.get("method", _FEHLBERG.name)
-        if method not in _METHODS:
-            raise ValueError(f"unknown stepping method {method!r}")
-        controller = {
-            "method": method,
-            "dt_next": float(block["dt_next"]),
-            "err_prev_ratio": None if err_prev_ratio is None else float(err_prev_ratio),
-            "dt_ceiling": None if dt_ceiling is None else float(dt_ceiling),
-            "next_record": float(block["next_record"]),
-            "clamp_mass0": float(block["clamp_mass0"]),
-            "clamp_mass1": float(block["clamp_mass1"]),
-        }
-    return float(payload["t"]), ConcentrationProfile(c), payload["kernel_spec"], controller
+        saved = _Checkpoint(**bind("checkpoint", json.load(fh), _Checkpoint))
+    try:
+        state = state_from_values([float(x) for x in saved.c], saved.N)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint key 'c': {exc}") from None
+    block = saved.controller
+    controller = None if block is None else asdict(_Controller(**bind("controller", block, _Controller)))
+    return float(saved.t), state, saved.kernel_spec, controller

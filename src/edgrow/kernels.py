@@ -10,10 +10,10 @@ that violates the curl-free (Becker-Doring) condition and is useful as a
 negative control.
 
 A config names a kernel by its family plus the keyword arguments of that
-family's constructor (:func:`kernel_from_spec`).  Each constructor's
-parameters, its spec keys and its ``Kernel.params`` keys are the same
-names, so :func:`kernel_spec` round-trips and every default lives in the
-constructor's signature alone.
+family's constructor (:func:`kernel_from_spec`), bound by the rule of
+:mod:`edgrow._config`.  Each constructor's parameters, its spec keys and its
+``Kernel.params`` keys are the same names, so :func:`kernel_spec`
+round-trips and every default lives in the constructor's signature alone.
 
 The module also hosts executable audits of the structural conditions the
 longtime theory needs: linear growth bounds, discrete regularity, continuity
@@ -23,15 +23,14 @@ audits sample a finite grid and say so; they are evidence, not proofs.
 
 from __future__ import annotations
 
-import inspect
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Mapping, Tuple
+from typing import Any, Callable, Mapping, Tuple, Union
 
 import numpy as np
 
+from ._config import ConfigError, bind_choice
 from ._expr import RateExpressionError, compile_rational
 
 __all__ = [
@@ -150,8 +149,8 @@ def condensing_kernel(c: float = 3.0) -> Kernel:
     )
 
 
-def separable_kernel(b="k", a="1") -> Kernel:
-    """Product kernel ``K(k, j) = b(k) * a(j)`` from rational expressions."""
+def separable_kernel(b: Union[str, float] = "k", a: Union[str, float] = "1") -> Kernel:
+    """Product kernel ``K(k, j) = b(k) * a(j)`` from rational expressions or numbers."""
     kernel = Kernel(
         family="separable",
         terms=((compile_rational(b), compile_rational(a)),),
@@ -197,36 +196,15 @@ _FAMILIES = {
 def kernel_from_spec(spec: Mapping[str, Any]) -> Kernel:
     """Build a kernel from a config mapping like ``{"family": "condensing", "c": 3.0}``.
 
-    The keys besides ``family`` are the keyword arguments of the family's
-    constructor; a key it does not take raises :class:`RateExpressionError`
-    naming the key, as does a numeric value that is not finite (NaN, an
-    infinity); an ill-typed value raises the constructor's own error.
+    ``family`` picks the constructor in ``_FAMILIES``, whose parameters the
+    other keys bind to (:func:`edgrow._config.bind`); a spec that breaks
+    that rule raises :class:`RateExpressionError` naming the key.
     """
-    if not isinstance(spec, Mapping) or "family" not in spec:
-        raise RateExpressionError("kernel spec must be a mapping with a 'family' key")
-    family = spec["family"]
-    if family not in _FAMILIES:
-        raise RateExpressionError(
-            f"unknown kernel family {family!r}; choose from {sorted(_FAMILIES)}"
-        )
-    constructor = _FAMILIES[family]
-    params = {key: value for key, value in spec.items() if key != "family"}
     try:
-        inspect.signature(constructor).bind(**params)
-    except TypeError as exc:
-        raise RateExpressionError(f"{family} kernel: {exc}") from None
-    for key, value in params.items():
-        if isinstance(value, numbers.Real) and not _is_finite(value):
-            raise RateExpressionError(f"{family} kernel: {key} must be finite, got {value!r}")
+        constructor, params = bind_choice("kernel", spec, _FAMILIES, key="family")
+    except ConfigError as exc:
+        raise RateExpressionError(str(exc)) from None
     return constructor(**params)
-
-
-def _is_finite(value: numbers.Real) -> bool:
-    """Whether ``value`` is finite as a float (an int past the float range is not)."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def kernel_spec(kernel: Kernel) -> dict:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import gc
 import json
@@ -164,7 +165,7 @@ UNREAD_KEYS = {
     "equilibrium": ["n_trunk", "seed", "densities", "weights_input"],
     "simulate": ["n_trunk", "seed", "densities", "weights_input", "rho"],
     "sweep": ["n_trunk", "seed", "weights_input", "rho"],
-    "weights": ["n_trunk", "seed", "densities", "rho", "kernel"],
+    "weights": ["n_trunk", "seed", "densities", "rho", "kernel", "analysis"],
 }
 
 
@@ -677,7 +678,8 @@ def test_equilibrium_rejects_a_target_that_is_not_a_finite_number(tmp_path, caps
     cfg = write_config(tmp_path, "c.json", payload)
     out = tmp_path / "out"
     assert main(["equilibrium", "--config", cfg, "--out", str(out), *flags]) == EXIT_CONFIG
-    assert f"{name} must be a finite number" in capsys.readouterr().err
+    # A key's rule reads "config.rho must be ...", a flag's "argument --rho: must be ...".
+    assert re.search(rf"{name}:? must be a finite number", capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -1181,6 +1183,114 @@ def test_echoed_config_reproduces_itself(tmp_path, command, config):
         echoes.append(json.loads((out / report).read_text())["config"])
     assert json.dumps(echoes[1], sort_keys=True) == json.dumps(echoes[0], sort_keys=True)
     assert echoes[0] != config  # the echo fills in defaults
+
+
+# Every block edgrow reads, each bound by one rule: (the block as errors
+# name it, a key of it, the subcommand, where the key sits in the config or,
+# for "resume", in the checkpoint that simulate --resume reads).
+EVERY_BLOCK = [
+    ("kernel", "c", "check-kernel", ("kernel", "c")),
+    ("kernel", "value", "check-kernel", ("kernel", "value")),
+    ("kernel", "b", "check-kernel", ("kernel", "b")),
+    ("integrator", "t_end", "simulate", ("integrator", "t_end")),
+    ("integrator", "record_every", "simulate", ("integrator", "record_every")),
+    ("analysis", "checkpoint_every", "simulate", ("analysis", "checkpoint_every")),
+    ("analysis", "equilibrium_k_max", "equilibrium", ("analysis", "equilibrium_k_max")),
+    ("initial_condition", "rho", "simulate", ("initial_condition", "rho")),
+    ("weights_input", "phi", "weights", ("weights_input", "phi")),
+    ("config", "n_trunc", "simulate", ("n_trunc",)),
+    ("config", "weights_k_max", "weights", ("weights_k_max",)),
+    ("config", "rho", "equilibrium", ("rho",)),
+    ("config", "phi", "check-kernel", ("phi",)),
+    ("config", "densities", "sweep", ("densities",)),
+    ("checkpoint", "t", "resume", ("t",)),
+    ("checkpoint", "N", "resume", ("N",)),
+    ("controller", "dt_next", "resume", ("controller", "dt_next")),
+    ("controller", "method", "resume", ("controller", "method")),
+    ("kernel", "value", "resume", ("kernel_spec", "value")),
+]
+BLOCK_CONFIGS = {
+    "check-kernel": {"kernel": {"family": "constant", "value": 1.0}},
+    "equilibrium": BASE_CONFIGS["equilibrium"],
+    "simulate": dict(SIM_CONFIG, n_trunc=8),
+    "sweep": dict(BASE_CONFIGS["sweep"], n_trunc=8),
+    "weights": {"weights_input": {"type": "geometric", "phi": 0.5}, "weights_k_max": 64},
+    "resume": dict(SIM_CONFIG, n_trunc=8, integrator={"t_end": 2.0}),
+}
+BAD_VALUES = {"true": True, "text": "0.5", "nan": math.nan}
+# The state: each value of "c" is the repr of a float, so a JSON number is out of place.
+BAD_STATE_VALUES = {"true": True, "number": 0.5, "nan": "nan", "negative": "-0.5", "text": "half"}
+
+
+def with_value(document, path, value):
+    """A copy of ``document`` with ``value`` at ``path``, a tuple of keys."""
+    document = copy.deepcopy(document)
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return document
+
+
+@pytest.fixture(scope="module")
+def checkpoint_payload(tmp_path_factory):
+    """The checkpoint of a short run of the ``resume`` config, up to t = 1."""
+    tmp = tmp_path_factory.mktemp("checkpoint")
+    short = dict(BLOCK_CONFIGS["resume"], integrator={"t_end": 1.0})
+    assert main(["simulate", "--config", write_config(tmp, "c.json", short), "--out", str(tmp)]) == EXIT_OK
+    return json.loads((tmp / "checkpoint.json").read_text())
+
+
+def run_block_case(tmp_path, command, document) -> int:
+    """Run ``command`` on ``document``: its config, or for ``resume`` the
+    checkpoint that a simulate run of the ``resume`` config resumes from."""
+    out = str(tmp_path / "out")
+    if command != "resume":
+        return main([command, "--config", write_config(tmp_path, "c.json", document), "--out", out])
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(document))
+    cfg = write_config(tmp_path, "c.json", BLOCK_CONFIGS["resume"])
+    return main(["simulate", "--config", cfg, "--out", out, "--resume", str(checkpoint)])
+
+
+@pytest.mark.parametrize(
+    "block, key, command, path, value",
+    [
+        (block, key, command, path, value)
+        for block, key, command, path in EVERY_BLOCK
+        for value in [*BAD_VALUES.values(), "unknown key"]
+    ],
+    ids=[
+        f"{command}-{'.'.join(path)}-{case}"
+        for block, key, command, path in EVERY_BLOCK
+        for case in [*BAD_VALUES, "unknown-key"]
+    ],
+)
+def test_every_block_rejects_a_bool_a_text_number_nan_and_an_unknown_key(
+    tmp_path, capsys, checkpoint_payload, block, key, command, path, value
+):
+    # One rule for every block: each case exits 64 and names the block and
+    # key.  At the parent, "value": true ran check-kernel to exit 0, a
+    # checkpoint "t": "nan" wrote a sample at t = nan, and "dt_next": "nan"
+    # never returned.
+    document = checkpoint_payload if command == "resume" else BLOCK_CONFIGS[command]
+    assert run_block_case(tmp_path, command, document) == EXIT_OK  # the case is the only fault
+    if value == "unknown key":
+        path, key, value = (*path[:-1], "bogus"), "bogus", 1.0
+    assert run_block_case(tmp_path, command, with_value(document, path, value)) == EXIT_CONFIG
+    # An unknown top-level key reads "<command> reads no config key 'bogus'".
+    assert f"{block} key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", BAD_STATE_VALUES.values(), ids=BAD_STATE_VALUES)
+def test_resumed_state_must_be_finite_nonnegative_float_reprs(tmp_path, capsys, checkpoint_payload, value):
+    # A NaN or negative state ended in an uncaught ValueError (exit 1).
+    values = list(checkpoint_payload["c"])
+    values[1] = value
+    assert run_block_case(tmp_path, "resume", dict(checkpoint_payload, c=values)) == EXIT_CONFIG
+    assert "checkpoint key 'c'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_unknown_subcommand_is_config_error():

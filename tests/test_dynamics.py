@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from edgrow import dynamics
+from edgrow._config import ConfigError, bind
 from edgrow.dynamics import (
     ConcentrationProfile,
     IntegratorConfig,
@@ -207,14 +212,13 @@ def test_recording_grid_too_long_to_count_is_a_value_error(const):
     # not by an OverflowError while the sample matrix is sized.
     with pytest.raises(ValueError, match="record_every"):
         IntegratorConfig(t_end=1e10, record_every=5e-324)
-    with pytest.raises(ValueError, match="record_every"):
-        IntegratorConfig.from_dict({"t_end": 1e10, "record_every": 5e-324})
 
 
 @pytest.mark.parametrize("key", ["max_step", "rtoll", "positivity_floor"])
 def test_integrator_config_rejects_a_key_that_is_not_a_field(key):
-    with pytest.raises(ValueError, match=f"unknown integrator key '{key}'"):
-        IntegratorConfig.from_dict({"t_end": 1.0, key: 0.5})
+    # The integrator block is bound to the fields by the config rule.
+    with pytest.raises(ConfigError, match=f"integrator key '{key}' is not read by IntegratorConfig"):
+        bind("integrator", {"t_end": 1.0, key: 0.5}, IntegratorConfig)
 
 
 @pytest.mark.parametrize(
@@ -229,14 +233,14 @@ def test_integrator_config_rejects_a_key_that_is_not_a_field(key):
 )
 def test_integrator_config_values_must_be_finite_real_numbers(key, value):
     with pytest.raises(ValueError, match=f"{key} must be a finite number"):
-        IntegratorConfig.from_dict({"t_end": 1.0, key: value})
+        IntegratorConfig(**{"t_end": 1.0, key: value})
 
 
 def test_integrator_config_stores_floats_with_defaults_from_its_fields():
-    cfg = IntegratorConfig.from_dict({"t_end": 50, "record_every": np.float32(0.5)})
+    cfg = IntegratorConfig(t_end=50, record_every=np.float32(0.5))
     assert cfg == IntegratorConfig(t_end=50.0, rtol=1e-8, atol=1e-12, record_every=0.5)
     assert all(type(value) is float for value in (cfg.t_end, cfg.rtol, cfg.atol, cfg.record_every))
-    assert IntegratorConfig.from_dict({"t_end": 2, "record_every": None}).record_every is None
+    assert IntegratorConfig(t_end=2, record_every=None).record_every is None
     assert [f for f in IntegratorConfig.__dataclass_fields__] == ["t_end", "rtol", "atol", "record_every"]
 
 
@@ -485,7 +489,7 @@ def test_rodas4_solution_and_error_orders():
         reference = integrate(kernel, state, tight)
         assert reference.stats.method == "rkf45"  # not stiff at this cadence
         exact = reference.states[-1]
-        row = dynamics._Row({"method": "rodas4"}, state)
+        row = dynamics._Row(dynamics._Controller(method="rodas4", dt_next=dt, next_record=math.inf), state)
         stepper = dynamics._Stepper(kernel, state.c, tight, [row])
         estimate = stepper._rodas4(dt).copy()
         solution = stepper.c_new
@@ -669,3 +673,35 @@ def test_checkpoint_controller_round_trip(tmp_path, const):
         load_checkpoint(path)[3]
     save_checkpoint(path, 1.0, monodisperse_state(1.0, 1, n_trunc=8), spec, cfg)
     assert load_checkpoint(path)[3] is None
+
+
+NAN_SUGGESTIONS = {
+    "step": "step(kernel, state, math.nan, cfg)",
+    "integrate": "integrate(kernel, state, cfg, controller={'dt_next': math.nan, 'next_record': 0.25})",
+}
+
+
+@pytest.mark.parametrize("call", NAN_SUGGESTIONS.values(), ids=NAN_SUGGESTIONS)
+def test_nan_step_suggestion_is_a_value_error(call):
+    # NaN passed the test "suggest <= 0" and the underflow floor, and each
+    # rejected attempt halved it, so both calls looped forever.  They run in
+    # a child process, so a regression fails on the timeout instead of
+    # hanging the suite.
+    script = (
+        "import math\n"
+        "from edgrow import IntegratorConfig, constant_kernel, integrate, monodisperse_state, step\n"
+        "kernel, state = constant_kernel(), monodisperse_state(1.0, 1, n_trunc=8)\n"
+        "cfg = IntegratorConfig(t_end=1.0)\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    assert 'dt_suggest must be positive, got nan' in str(exc), exc\n"
+        "else:\n"
+        "    raise SystemExit('no ValueError')\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

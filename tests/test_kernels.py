@@ -318,5 +318,29 @@ def test_depth_cut_does_not_depend_on_the_caller_stack(extra_frames):
     ],
 )
 def test_non_finite_kernel_parameter_names_its_key(spec, key):
-    with pytest.raises(RateExpressionError, match=rf"{spec['family']} kernel: {key} must be finite"):
+    with pytest.raises(RateExpressionError, match=rf"kernel\.{key} must be (a string or )?a finite number"):
         kernel_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"family": "constant", "value": True}, "value"),
+        ({"family": "separable", "b": True}, "b"),
+        ({"family": "separable", "a": False}, "a"),
+        ({"family": "additive", "donor_coeff": "1.0"}, "donor_coeff"),
+        ({"family": "condensing", "c": [3.0]}, "c"),
+    ],
+)
+def test_kernel_parameter_of_the_wrong_type_names_its_key(spec, key):
+    # A bool passed the numbers.Real check: "value": true ran as the rate 1.0
+    # and a separable "b": true compiled to the constant 1.
+    with pytest.raises(RateExpressionError, match=rf"kernel key '{key}' is "):
+        kernel_from_spec(spec)
+
+
+def test_separable_factors_take_an_expression_or_a_number():
+    for b, a in (("k", "1"), (2, 0.5), ("1 + 3/k", 1)):
+        kernel = kernel_from_spec({"family": "separable", "b": b, "a": a})
+        assert kernel(2, 3) == separable_kernel(b, a)(2, 3)
+        assert kernel_spec(kernel) == {"family": "separable", "b": str(b), "a": str(a)}
