@@ -8,28 +8,34 @@ product plus ``a lo``.  As ``x 10^q >= 10^16 > 2^53``, ``p`` is an integer and
 the digits are ``int(p) + floor(r)`` rounded by ``frac(r)``, with an error
 below ``2^-46``; an integer part outside ``[10^16, 10^17)`` moves ``E`` by one.
 Ties within ``2^-30`` of one half, cells unsettled after three passes,
-``-0.0``, NaN and the infinities take Python's own conversion.  A cell is laid
-out in a template of :data:`WIDTH` columns whose unused columns a per-layout
-mask sets to NUL; :func:`write_lines` drops the NULs of a block in one pass.
+``-0.0``, NaN and the infinities take Python's own conversion.
+
+A cell is four 8-byte words: five NULs, the sign, the first digit and the
+dot; the other 16 digits (trailing zeros NUL); and ``e+ddd``.  Each is a
+table lookup or a few integer operations over the whole block.  Other
+fixed-notation cells move their bytes by one gather (``0.000`` before the
+digits, or the integer digits into the dot's column).  Every text lies in
+bytes 5 to 28, and :func:`write_lines` copies those into a block's lines and
+drops their NULs in one pass.
 """
 
 import functools
 
 import numpy as np
 
-WIDTH = 45  # "-", "0.", three zeros, 17 digits each with an optional ".", "e+ddd"
-# The constant characters of the template, 1 where a cell's own character goes.
-_TEMPLATE = np.frombuffer(b"\x010.000" + b"\x01." * 17 + b"e\x01\x01\x01\x01", np.uint8)
+WIDTH = 32  # bytes of a cell's four words
 _TEN16, _TEN17 = 10**16, 10**17
 _Q_LOW = -296  # tables cover q = 16 - E for E in [-328, 312], any double's E (-324..308) ± 4
-_BLOCK = 2048  # float cells per block written
+_E_LOW = -330  # the tables by exponent cover E in [-330, 330]
+_BLOCK = 4096  # float cells formatted at once: the scratch and half the lines stay near 0.55 MiB
+_ROWS = 9  # scratch rows of one float per cell that formatting a block uses
 
 
 @functools.cache
 def _tables() -> tuple:
-    """``(k, hi, hi_big, hi_small, lo, quads, masks)``: the power table by
-    ``q - _Q_LOW`` with ``hi`` split for Dekker's product, the 4-digit ASCII
-    groups as ``uint32``, and the 0/1 column mask of each layout."""
+    """The power table by ``q - _Q_LOW`` with ``hi`` split for Dekker's
+    product, 0000 .. 9999 in a word's low and high half, the words and masks
+    :func:`cells` looks up, and the byte moves of fixed notation."""
     k, words = [], []
     for q in range(_Q_LOW, 345):
         num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
@@ -42,109 +48,130 @@ def _tables() -> tuple:
         t = hi * 134217729.0  # 2^27 + 1
         hi_big = t - (t - hi)
         words.append((hi, hi_big, hi - hi_big, float(m & (2**53 - 1)) * 2.0**-105))
-    quads = np.empty((10, 10, 10, 10, 4), np.uint8)  # ASCII of 0000 .. 9999
-    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
-    for place in range(4):
-        quads[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
-    # Layout row form * 17 + last: forms 0..20 are fixed notation for E = form - 4,
-    # 21 and 22 exponent notation with two and three exponent digits; ``last``
-    # is the last nonzero digit.
-    masks = np.zeros((23, 17, WIDTH), np.uint8)
-    masks[..., 0] = 1
-    for form in range(23):
-        for last in range(17):
-            row = masks[form, last]
-            if form < 21:
-                e = form - 4
-                lim, dot = max(last, e), e
-                if e < 0:
-                    row[1 : 2 - e] = 1  # "0.", then -E - 1 zeros
-            else:
-                lim, dot = last, 0
-                row[40:] = 1
-                row[42] = form == 22
-            row[6 : 7 + 2 * lim : 2] = 1
-            if last > dot >= 0:
-                row[7 + 2 * dot] = 1
-    return (
-        np.array(k, np.intc),
-        *np.array(words).T.copy(),
-        quads.view(np.uint32).ravel(),
-        masks.reshape(-1, WIDTH),
-    )
+    group = np.arange(10**4)
+    quads = sum((48 + group // 10 ** (3 - place) % 10) << 8 * place for place in range(4)).astype(np.uint64)
+    first = [b"\0" * 5 + sign + b"0" + dot for sign in (b"\0", b"-") for dot in (b"\0", b".")]
+    tail = [b"" if -4 <= e < 17 else b"e%+03d" % e for e in range(_E_LOW, 1 - _E_LOW)]
+    movable = np.array([-4 <= e < 17 and e != 0 for e in range(_E_LOW, 1 - _E_LOW)])
+    # A word v of digit values (each byte below 16) has float(v) < 2^(8h + 4)
+    # for its top nonzero byte h: by the biased exponent, the bytes 0 .. h.
+    keep = [0] * 1023 + [2 ** (8 * min(b // 8 + 1, 8)) - 1 for b in range(65)]
+    # Each byte of a cell is taken from its byte ``moves`` (0 is NUL, and 1
+    # and 2 hold "0" and "."), then clipped to [least, most]: integer digits
+    # dropped as trailing zeros come back, and the dot stands before a digit.
+    moves = np.tile(np.arange(WIDTH), (21, 1))
+    moves[:, 1:3], least, most = 0, np.zeros((21, WIDTH), np.uint8), np.full((21, WIDTH), 255, np.uint8)
+    for e in range(1, 17):
+        moves[e + 4, 7 : 8 + e] += 1
+        least[e + 4, 7 : 7 + e], most[e + 4, 7 + e] = ord("0"), ord(".")
+    for e in range(-4, 0):
+        moves[e + 4, 6 : 7 - e], moves[e + 4, 7], moves[e + 4, 7 - e] = 1, 2, 6
+        moves[e + 4, 8 - e : 24 - e] += e
+    first, tail = (np.array([int.from_bytes(t, "little") for t in table], np.uint64) for table in (first, tail))
+    lookups = (quads, quads << np.uint64(32), first, tail, np.array(keep, np.uint64), movable, moves, least, most)
+    return (np.array(k, np.intc), *np.array(words).T.copy(), *lookups)
 
 
-def _scaled(x: np.ndarray, e: np.ndarray) -> tuple:
-    """Integer part and fraction of ``x 10^(16 - e)``."""
+def _scaled(x: np.ndarray, j: np.ndarray, s: np.ndarray) -> tuple:
+    """Integer part and fraction of ``x 10^(16 - e)`` for the table index
+    ``j = 16 - e - _Q_LOW``, in the rows ``s[0]`` (as ``int64``) and ``s[1]``
+    of the scratch ``s``; ``s[2:7]`` is overwritten."""
     k, hi, hi_big, hi_small, lo = _tables()[:5]
-    j = 16 - _Q_LOW - e
-    a = np.ldexp(x, k[j])
-    h, hb, hs = hi[j], hi_big[j], hi_small[j]
-    p = a * h
-    t = a * 134217729.0
-    ab = t - (t - a)
-    a_s = a - ab
-    r = ((ab * hb - p) + ab * hs + a_s * hb) + a_s * hs + a * lo[j]
-    whole = np.floor(r)
-    return p.astype(np.int64) + whole.astype(np.int64), r - whole
+    whole, r, a, p, t, a_s, u = s[0].view(np.int64), *s[1:7]
+    np.ldexp(x, k.take(j, out=s[0].view(np.intc)[: len(x)], mode="clip"), out=a)
+    np.multiply(a, hi.take(j, out=p, mode="clip"), out=p)
+    np.multiply(a, 134217729.0, out=t)
+    np.subtract(t, np.subtract(t, a, out=a_s), out=t)  # ab = t - (t - a)
+    np.subtract(a, t, out=a_s)
+    np.multiply(t, hi_big.take(j, out=u, mode="clip"), out=r)
+    r -= p  # r = ((ab hb - p) + ab hs + a_s hb) + a_s hs + a lo, in this order
+    hs = hi_small.take(j, out=s[0], mode="clip")
+    u *= a_s
+    r += np.multiply(t, hs, out=t)
+    r += u
+    r += np.multiply(a_s, hs, out=a_s)
+    r += np.multiply(lo.take(j, out=t, mode="clip"), a, out=t)
+    np.floor(r, out=t)
+    r -= t
+    whole[...], a.view(np.int64)[...] = p, t
+    whole += a.view(np.int64)
+    return whole, r
 
 
-def decimal(x: np.ndarray) -> tuple:
+def decimal(x: np.ndarray, s=None) -> tuple:
     """``(d, e, exact)`` for positive finite ``x``: ``d`` is the 17-digit
     ``round(x 10^(16-e))`` in ``[10^16, 10^17)`` and ``e`` the decimal
     exponent of the rounded value.  Where ``exact`` is False, Python's
-    conversion must decide instead and ``d`` is a placeholder."""
-    e = np.floor(np.log10(x)).astype(np.int64)
-    d = np.empty(x.shape, np.int64)
+    conversion must decide instead and ``d`` is a placeholder.  ``s`` is
+    scratch of 8 rows of ``len(x)``; ``e`` and ``d`` are its first two."""
+    s = np.empty((8, len(x))) if s is None else s
+    j, d = s[0].view(np.int64), s[1].view(np.int64)
+    j[...] = np.floor(np.log10(x, out=s[2]), out=s[2])
+    np.subtract(16 - _Q_LOW, j, out=j)
     exact = np.empty(x.shape, bool)
-    sel = slice(None)
+    sel, rows = slice(None), s[1:]
     for _ in range(3):
-        whole, frac = _scaled(x[sel], e[sel])
+        whole, frac = _scaled(x[sel], j[sel], rows)
         low, high = whole < _TEN16, whole >= _TEN17
-        e[sel] += high.astype(np.int64) - low
+        j[sel] -= high.astype(np.int64) - low
         d[sel] = whole + (frac > 0.5)
         exact[sel] = np.abs(frac - 0.5) > 2.0**-30
         moved = low | high
         if not moved.any():
             break
         sel = np.flatnonzero(moved) if isinstance(sel, slice) else sel[moved]
+        rows = np.empty((7, len(sel)))
     else:
         exact[sel] = False
     carry = d == _TEN17
-    return np.where(carry | ~exact, _TEN16, d), e + carry, exact
+    d[carry | ~exact] = _TEN16
+    return d, np.subtract(16 - _Q_LOW + carry, j, out=j), exact
 
 
-def cells(x: np.ndarray) -> np.ndarray:
+def cells(x: np.ndarray, s=None) -> np.ndarray:
     """``(len(x), WIDTH)`` bytes whose row ``i``, NUL bytes removed, is
-    ``"%.17g" % x[i]`` for the 1-D float array ``x``."""
+    ``"%.17g" % x[i]`` for the 1-D float array ``x``.  ``s`` is scratch of
+    :data:`_ROWS` contiguous rows of ``len(x)``; the bytes are its rows 5 to 8."""
     x = np.asarray(x, dtype=float)
+    s = np.empty((_ROWS, len(x))) if s is None else s
+    quads, high_quads, first, tail, keep, movable, moves, least, most = _tables()[5:]
     fast = np.isfinite(x) & (x != 0)
-    d, e, exact = decimal(np.where(fast, np.abs(x), 1.0))
-    quads, masks = _tables()[5:]
-    top = d // 10**8  # the first nine digits
-    lower = d - top * 10**8
-    lead = top // 10**8
-    words = np.empty((len(x), 5), np.uint32)
-    words[:, 0] = quads.take(lead)
-    for col, half in zip((1, 3), (top - lead * 10**8, lower)):
-        high = half // 10**4  # ``//`` by a constant is much faster than ``%``
-        words[:, col] = quads.take(high)
-        words[:, col + 1] = quads.take(half - high * 10**4)
-    digits = words.view(np.uint8)[:, 3:]
-    last = 16 - np.argmax(digits[:, ::-1] != 48, axis=1)  # last nonzero digit
-    form = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
-    chars = masks.take(form * 17 + last, axis=0)
-    chars *= _TEMPLATE
-    chars[:, 0] *= (x < 0) * np.uint8(45)
-    chars[:, 6:40:2] *= digits
-    chars[:, 6] -= (x == 0) & ~np.signbit(x)  # +0.0 was computed as 1.0
-    chars[:, 41] *= np.where(e < 0, 45, 43).astype(np.uint8)
-    chars[:, 42:] *= quads.take(np.abs(e)).view(np.uint8).reshape(-1, 4)[:, 1:]
+    ax = np.abs(x, out=s[0])
+    ax[~fast] = 1.0
+    d, e, exact = decimal(ax, s[1:])
+    words = s[5:9].view(np.uint64).reshape(-1, 4)
+    part, lead, ends = s[0].view(np.int64), s[2].view(np.int64), s[3:5].view(np.int64)
+    np.floor_divide(d, 10**8, out=part)  # the first nine digits
+    np.subtract(d, np.multiply(part, 10**8, out=ends[1]), out=ends[1])
+    np.floor_divide(part, 10**8, out=lead)
+    np.subtract(part, np.multiply(lead, 10**8, out=ends[0]), out=ends[0])
+    for word, digits in zip(words.T[1:3], ends):
+        high = np.floor_divide(digits, 10**4, out=part)  # ``//`` by a constant is much faster than ``%``
+        digits -= np.multiply(high, 10**4, out=word.view(np.int64))
+        quads.take(high, out=word, mode="clip")
+        word |= high_quads.take(digits, out=part.view(np.uint64), mode="clip")
+    values = np.subtract(words.T[1:3], np.uint64(0x3030303030303030), out=ends.view(np.uint64))
+    values[0] |= (values[1] != 0).astype(np.uint64) << np.uint64(56)
+    fraction = values[0] != 0  # a nonzero digit after the first
+    np.right_shift(values.astype(float).view(np.uint64), 52, out=values)
+    words.T[1:3] &= keep.take(values, mode="clip")
+    tail.take(np.subtract(e, _E_LOW, out=part), out=words[:, 3], mode="clip")
+    moving = np.flatnonzero(movable.take(part, mode="clip"))
+    first.take(np.add(np.multiply(x < 0, 2, out=part), fraction, out=part), out=words[:, 0], mode="clip")
+    lead -= x == 0  # +0.0 was computed as 1.0
+    words[:, 0] += np.left_shift(lead, 48, out=lead).view(np.uint64)
+    chars = words.view(np.uint8)
+    for start in range(0, moving.size, 256):  # 256 cells bound the gather's index arrays
+        fixed = moving[start : start + 256]
+        form = e[fixed] + 4
+        chars[fixed, 1:3] = ord("0"), ord(".")
+        index = moves.take(form, axis=0)
+        index += (fixed * WIDTH)[:, None]
+        moved = np.maximum(chars.ravel().take(index, mode="clip"), least.take(form, axis=0))
+        chars[fixed] = np.minimum(moved, most.take(form, axis=0), out=moved)
     fallback = np.flatnonzero(~(fast & exact) & ((x != 0) | np.signbit(x)))
     for i, v in zip(fallback, x[fallback].tolist()):
-        text = b"%.17g" % v
-        chars[i] = 0
-        chars[i, : len(text)] = np.frombuffer(text, np.uint8)
+        chars[i] = np.frombuffer((b"\0" * 5 + b"%.17g" % v).ljust(WIDTH, b"\0"), np.uint8)
     return chars
 
 
@@ -155,38 +182,40 @@ def write_lines(fh, *columns) -> None:
     Float columns are written as ``%.17g``, integer columns as ``%d``,
     bytes columns as they are (an empty one leaves the cell empty) and text
     columns as UTF-8, quoted as RFC 4180 asks where a cell holds a comma, a
-    quote or a line break.  Lines are formatted and written in blocks of
-    about 2048 float cells along the first axis.
+    quote or a line break.  The float cells of about :data:`_BLOCK` cells
+    along the first axis are formatted at once, in scratch that every block
+    reuses, and the block's lines are written in two halves.
     """
     columns = [c if c.dtype.kind == "f" else _bytes(c) for c in map(np.asarray, columns)]
     n = np.broadcast_shapes(*(c.shape for c in columns))[0]
     per_row = sum(int(np.prod(c.shape[1:])) for c in columns if c.dtype.kind == "f")
-    step = -(-_BLOCK // max(per_row, 1))
+    step, cut = -(-_BLOCK // max(per_row, 1)), [c.ndim > 0 and len(c) == n for c in columns]
+    scratch = None
     for start in range(0, n, step):
-        block = [c[start : start + step] if c.ndim and len(c) == n else c for c in columns]
+        block = [c[start : start + step] if k else c for c, k in zip(columns, cut)]
         floats = [c.ravel() for c in block if c.dtype.kind == "f"]
-        chars = cells(np.concatenate(floats)) if floats else None
+        if floats:
+            size = sum(map(len, floats))
+            scratch = np.empty((_ROWS + 1) * size) if scratch is None else scratch
+            s = scratch[: (_ROWS + 1) * size].reshape(_ROWS + 1, size)  # the last row: the cells
+            texts = cells(np.concatenate(floats, out=s[_ROWS]), s[:_ROWS])[:, 5:29].view("S24")
         fields, at = [], 0
-        for c in block:
+        for c in block:  # each column's cells as bytes of one width
             if c.dtype.kind == "f":
-                field = chars[at : at + c.size]
-                at += c.size
-                used = field.any(axis=0)
-                field = (field if used.all() else field[:, used]).reshape(c.shape + (-1,))
-            else:
-                field = c.view(np.uint8).reshape(c.shape + (-1,))
-            fields.append(field)
-        shape = np.broadcast_shapes(*(field.shape[:-1] for field in fields))
-        width = sum(field.shape[-1] + 1 for field in fields)
-        buffer = bytearray(int(np.prod(shape)) * width)
-        out = np.frombuffer(buffer, np.uint8).reshape(shape + (width,))
-        at = 0
-        for field in fields:
-            out[..., at : at + field.shape[-1]] = field
-            out[..., at + field.shape[-1]] = 44  # ','
-            at += field.shape[-1] + 1
-        out[..., -1] = 10  # '\n'
-        fh.write(buffer.translate(None, b"\0"))
+                c, at = texts[at : at + c.size].reshape(c.shape), at + c.size
+            fields.append(c)
+        rows, *shape = np.broadcast_shapes(*(field.shape for field in fields))
+        line, half = b",".join(bytes(field.itemsize) for field in fields) + b"\n", -(-rows // 2)
+        for first in range(0, rows, half):
+            part = [f[first : first + half] if k else f for f, k in zip(fields, cut)]
+            lines = min(half, rows - first)
+            buffer = bytearray(line) * (lines * int(np.prod(shape)))
+            out, at = np.frombuffer(buffer, np.uint8).reshape(lines, *shape, len(line)), 0
+            for field in part:
+                out[..., at : at + field.itemsize].view(field.dtype)[..., 0] = field
+                at += field.itemsize + 1
+            fh.write(buffer.translate(None, b"\0"))
+            del out, buffer  # not held while the next block is formatted
 
 
 def _bytes(column: np.ndarray) -> np.ndarray:

@@ -1206,8 +1206,9 @@ def load_checkpoint(path):
     Returns ``(t, state, kernel_spec, controller)``.  The file is bound to
     :class:`_Checkpoint`, its ``controller`` block, if any, to
     :class:`_Controller` (defaults filled in; ``None`` without a block: the
-    controller starts afresh), and ``c`` read by :func:`state_from_values`;
-    a file that breaks that is a :class:`~edgrow._config.ConfigError`.
+    controller starts afresh), and ``c`` read by :func:`state_from_values`.
+    A controller must step forward: ``dt_next > 0`` and ``next_record > t``.
+    A file that breaks that is a :class:`~edgrow._config.ConfigError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         saved = _Checkpoint(**bind("checkpoint", json.load(fh), _Checkpoint))
@@ -1217,4 +1218,7 @@ def load_checkpoint(path):
         raise ConfigError(f"checkpoint key 'c': {exc}") from None
     block = saved.controller
     controller = None if block is None else asdict(_Controller(**bind("controller", block, _Controller)))
+    for key, least in (("dt_next", 0.0), ("next_record", saved.t)):
+        if controller is not None and not controller[key] > least:
+            raise ConfigError(f"controller key {key!r} is {controller[key]!r}; controller.{key} must be > {least!r}")
     return float(saved.t), state, saved.kernel_spec, controller

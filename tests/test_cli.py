@@ -1293,5 +1293,16 @@ def test_resumed_state_must_be_finite_nonnegative_float_reprs(tmp_path, capsys, 
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("dt_next", 0), ("dt_next", 0.0), ("next_record", 1.0), ("next_record", 0.5)])
+def test_resumed_controller_must_step_forward(tmp_path, capsys, checkpoint_payload, key, value):
+    # The checkpoint is at t = 1.  Each value fits the key's own rule; unless
+    # the load rejects it, the run ends in an uncaught ValueError (exit 1).
+    assert checkpoint_payload["t"] == 1.0
+    document = with_value(checkpoint_payload, ("controller", key), value)
+    assert run_block_case(tmp_path, "resume", document) == EXIT_CONFIG
+    assert f"controller key {key!r} is {value!r}; controller.{key} must be >" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate", "--config", "x"]) == EXIT_CONFIG

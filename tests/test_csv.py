@@ -2,19 +2,24 @@
 
 Every case is seeded and fixed: powers of ten and their neighbours (where
 the decimal exponent estimate is off by one and the 17-digit rounding can
-carry into the next power), binade edges, subnormals, constructed exact ties,
-signs, zeros, NaN, the infinities and random bit patterns.  Text cells are
-read back with the ``csv`` module.
+carry into the next power), every fixed-notation exponent with its last
+digit at each place, binade edges, subnormals, constructed exact ties,
+signs, zeros, NaN, the infinities and random bit patterns, alone and as
+fields within lines.  Text cells are read back with the ``csv`` module, and
+the trajectory writer's traced memory has a bound.
 """
 
 import csv
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
 from edgrow import _csv
+from edgrow.cli import _write_trajectory_csv
+from edgrow.dynamics import TrajectoryRecord
 
 
 def formatted(values) -> list:
@@ -82,6 +87,66 @@ def exact_ties(rng) -> list:
     return ties
 
 
+def digit_pattern(x: float) -> tuple:
+    """``(E, last)``: the decimal exponent of ``"%.17g" % x`` and the place,
+    1 to 17, of its last nonzero significant digit."""
+    mantissa, exponent = ("%.16e" % abs(x)).split("e")  # the same 17 digits as %.17g
+    return int(exponent), len(mantissa.replace(".", "").rstrip("0"))
+
+
+def test_every_fixed_notation_exponent_and_last_digit_matches_python():
+    # Cells in [10^-5, 10^17) with their last nonzero digit at each place:
+    # below 1 the digits follow "0.000", from 10 up the dot moves between
+    # them, and integer zeros before it must not read as trailing zeros.
+    rng = np.random.default_rng(17)
+    cases = {}
+    for e in range(-5, 17):
+        for last in range(1, 18):
+            for _ in range(2000):
+                digits = rng.integers(10 ** (last - 1), 10**last) // 10 * 10 + rng.integers(1, 10)
+                x = float(f"{digits}e{e - last + 1}")
+                if digit_pattern(x) == (e, last):
+                    cases[e, last] = x
+                    break
+    # No double reads as one digit times 10^-5: the nearest to each has noise
+    # in its 17th digit.
+    assert sorted(cases) == [(e, last) for e in range(-5, 17) for last in range(1, 18) if (e, last) != (-5, 1)]
+    cells = np.array(list(cases.values()))
+    assert formatted(cells) == python(cells)
+    assert formatted(-cells) == python(-cells)
+
+
+def test_rounding_up_to_the_next_power_of_ten_matches_python():
+    # The doubles around 9.99999999999999995 10^E: 17 digits of 15 nines and
+    # two more just below it, and at it the next power of ten.
+    for e in range(-5, 18):
+        power = float(f"9.99999999999999995e{e}")
+        cells = np.array(neighbours(power, 3))
+        texts = python(cells)
+        assert b"%.17g" % float(f"1e{e + 1}") in texts
+        assert any(("%.16e" % x).startswith("9.99999999999999") for x in cells.tolist())
+        assert formatted(cells) == texts
+        assert formatted(-cells) == python(-cells)
+
+
+def test_cells_written_into_a_slice_of_each_line_match_python():
+    # Float fields sit between others in the line, one broadcast along the
+    # line's second axis, over several blocks, each written in two halves.
+    rng = np.random.default_rng(5)
+    samples, width = 3 * -(-_csv._BLOCK // 9) + 5, 8
+    times = rng.random(samples) * 10.0 ** rng.integers(-6, 18, samples)
+    values = rng.integers(0, 2**64, size=(samples, width), dtype=np.uint64).view(np.float64)
+    values[:, ::2] = rng.random((samples, 4)) * 10.0 ** rng.integers(-6, 18, (samples, 4))
+    fh = io.BytesIO()
+    _csv.write_lines(fh, np.arange(samples)[:, None], times[:, None], np.array(b"x"), values)
+    expected = b"".join(
+        b"%d,%s,x,%s\n" % (i, b"%.17g" % t, b"%.17g" % v)
+        for i, (t, row) in enumerate(zip(times.tolist(), values.tolist()))
+        for v in row
+    )
+    assert fh.getvalue() == expected
+
+
 def test_exact_ties_take_the_fallback_and_round_half_even():
     pairs = exact_ties(np.random.default_rng(7))
     assert len(pairs) > 500
@@ -111,3 +176,26 @@ def test_text_cells_are_utf8_and_quoted_where_csv_needs_it():
     rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
     assert [row[1] for row in rows] == text
     assert all(len(row) == 3 for row in rows)
+
+
+def test_trajectory_writer_holds_a_few_blocks_of_memory(tmp_path):
+    # numpy reports its buffers to tracemalloc.  A relaxation-shaped record
+    # of 2001 samples at N = 256 (514 257 cells, 23 MB of CSV) is written
+    # block by block.  The bound is the 0.57 MiB a 2048-cell block of the
+    # 45-column layout took, with a margin; that layout took 2.2 MiB with
+    # blocks of 8192 cells.
+    sizes = np.arange(257)
+    times = np.arange(2001) * 0.1
+    decay = 0.3 + 0.4 * np.exp(-times / 20.0)
+    states = np.exp(-np.outer(decay, sizes)) * (1.0 - np.exp(-decay))[:, None]
+    zeros = np.zeros(2001)
+    traj = TrajectoryRecord(times, states, 256, zeros, zeros, zeros, zeros, zeros)
+    _write_trajectory_csv(traj, tmp_path / "warm.csv")  # first-call tables outside the trace
+    tracemalloc.start()
+    try:
+        _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trajectory.csv").stat().st_size > 20 * 2**20
+    assert peak <= 0.6 * 2**20

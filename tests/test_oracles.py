@@ -24,7 +24,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edgrow import equilibrium
+from edgrow import _csv, equilibrium
 from edgrow._rodas4 import ShiftedJacobian
 from edgrow.cli import _write_summary_csv, _write_trajectory_csv
 from edgrow.diagnostics import (
@@ -856,11 +856,15 @@ def test_trajectory_and_summary_writers_match_per_cell_format(drawn, tmp_path_fa
 
 
 def test_writers_match_per_cell_format_across_blocks(tmp_path):
-    """N = 512 and 701 samples: the trajectory spans 176 blocks of at most 4
-    samples and the summary 3 blocks of at most 342 rows, the last ones
-    partial."""
+    """Both files span at least three blocks of about ``_csv._BLOCK`` float
+    cells, the last one partial: a block holds the samples of ``_BLOCK``
+    trajectory cells (``t`` and ``N + 1`` states each) and the rows of
+    ``_BLOCK`` summary cells (six float columns)."""
     rng = np.random.default_rng(12)
-    samples, n = 701, 512
+    n = 255
+    rows = [-(-_csv._BLOCK // (n + 2)), -(-_csv._BLOCK // 6)]
+    samples = 2 * max(rows) + 7
+    assert all(samples > 2 * block and samples % block for block in rows)
 
     def series(size):
         values = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
