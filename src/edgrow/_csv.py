@@ -1,4 +1,6 @@
-"""CSV lines whose float cells are exactly the bytes of ``"%.17g" % x``.
+"""How edgrow writes a file: every output (CSV, JSON report, checkpoint)
+through :func:`atomic_writer`, and CSV lines whose float cells are exactly
+the bytes of ``"%.17g" % x``, a whole CSV in one :func:`write` call.
 
 :func:`cells` finds the 17 correctly rounded digits of every cell with
 numpy.  For finite ``x > 0``, ``E = floor(log10 x)`` and ``q = 16 - E``,
@@ -19,7 +21,9 @@ bytes 5 to 28, and :func:`write_lines` copies those into a block's lines and
 drops their NULs in one pass.
 """
 
+import contextlib
 import functools
+import os
 
 import numpy as np
 
@@ -175,6 +179,31 @@ def cells(x: np.ndarray, s=None) -> np.ndarray:
     return chars
 
 
+@contextlib.contextmanager
+def atomic_writer(path, text: bool = False):
+    """Binary handle (UTF-8 text with ``text``) whose contents replace
+    ``path`` only once fully written: writes go to ``<path>.tmp`` beside it
+    and ``os.replace`` swaps it in after the handle closes, so a failure or
+    a kill mid-write leaves the previous file intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w" if text else "wb", encoding="utf-8" if text else None) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write(path, header: str, *columns) -> None:
+    """Replace ``path`` with the line ``header`` and the :func:`write_lines`
+    lines of ``columns``."""
+    with atomic_writer(path) as fh:
+        fh.write(header.encode() + b"\n")
+        write_lines(fh, *columns)
+
+
 def write_lines(fh, *columns) -> None:
     """Write one CSV line per cell of the columns' broadcast shape, in C
     order, to the binary file ``fh``.
@@ -182,15 +211,17 @@ def write_lines(fh, *columns) -> None:
     Float columns are written as ``%.17g``, integer columns as ``%d``,
     bytes columns as they are (an empty one leaves the cell empty) and text
     columns as UTF-8, quoted as RFC 4180 asks where a cell holds a comma, a
-    quote or a line break.  The float cells of about :data:`_BLOCK` cells
-    along the first axis are formatted at once, in scratch that every block
-    reuses, and the block's lines are written in two halves.
+    quote or a line break.  The cells of about :data:`_BLOCK` float cells
+    along the first axis are formatted at once, floats in scratch that every
+    block reuses, and the block's lines are written in two halves.  A column
+    broadcast along the first axis is converted once.
     """
-    columns = [c if c.dtype.kind == "f" else _bytes(c) for c in map(np.asarray, columns)]
+    columns = list(map(np.asarray, columns))
     n = np.broadcast_shapes(*(c.shape for c in columns))[0]
+    cut = [c.ndim > 0 and len(c) == n for c in columns]
+    columns = [c if k or c.dtype.kind in "fS" else _bytes(c) for c, k in zip(columns, cut)]
     per_row = sum(int(np.prod(c.shape[1:])) for c in columns if c.dtype.kind == "f")
-    step, cut = -(-_BLOCK // max(per_row, 1)), [c.ndim > 0 and len(c) == n for c in columns]
-    scratch = None
+    step, scratch = -(-_BLOCK // max(per_row, 1)), None
     for start in range(0, n, step):
         block = [c[start : start + step] if k else c for c, k in zip(columns, cut)]
         floats = [c.ravel() for c in block if c.dtype.kind == "f"]
@@ -203,7 +234,7 @@ def write_lines(fh, *columns) -> None:
         for c in block:  # each column's cells as bytes of one width
             if c.dtype.kind == "f":
                 c, at = texts[at : at + c.size].reshape(c.shape), at + c.size
-            fields.append(c)
+            fields.append(c if c.dtype.kind == "S" else _bytes(c))
         rows, *shape = np.broadcast_shapes(*(field.shape for field in fields))
         line, half = b",".join(bytes(field.itemsize) for field in fields) + b"\n", -(-rows // 2)
         for first in range(0, rows, half):

@@ -139,7 +139,7 @@ _SUPPLIED = ("n_trunc", "cp")
 
 
 def _write_json(path: str, payload: Mapping) -> None:
-    with dynamics._atomic_writer(path) as fh:
+    with _csv.atomic_writer(path, text=True) as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -155,7 +155,10 @@ def _phase(phase_seconds: dict, name: str):
 
 
 def _ensure_out(out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out_dir!r}: {exc}") from exc
     return out_dir
 
 
@@ -217,11 +220,7 @@ def cmd_equilibrium(
 
 def _write_trajectory_csv(traj: dynamics.TrajectoryRecord, path: str) -> None:
     """Long-format ``t,k,c_k`` rows, ``%.17g`` floats, in blocks of whole samples."""
-    with open(path, "wb") as fh:
-        fh.write(b"t,k,c_k\n")
-        _csv.write_lines(
-            fh, traj.times[:, None], np.arange(traj.n_trunc + 1)[None, :], traj.states
-        )
+    _csv.write(path, "t,k,c_k", traj.times[:, None], np.arange(traj.n_trunc + 1)[None, :], traj.states)
 
 
 def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str, series=None) -> None:
@@ -236,9 +235,7 @@ def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str, series=None) 
         columns += [series.free_energy, series.dissipation, series.infinite_terms]
     else:
         columns += [b""] * 3
-    with open(path, "wb") as fh:
-        fh.write(b"t,M0,rho,boundary_mass,F,D,D_infinite_terms\n")
-        _csv.write_lines(fh, *columns)
+    _csv.write(path, "t,M0,rho,boundary_mass,F,D,D_infinite_terms", *columns)
 
 
 def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> int:
@@ -475,7 +472,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
         "rho", "regime", "weak_d_final", "strong_d_final",
         "excess_mass", "f_gap", "boundary_mass", "status",
     ]
-    with open(os.path.join(out, "sweep.csv"), "wb") as fh:
+    with _csv.atomic_writer(os.path.join(out, "sweep.csv")) as fh:
         fh.write(",".join(columns).encode() + b"\n")
         for row in rows:
             _csv.write_lines(fh, *(np.array([row.get(name, "")]) for name in columns))
@@ -507,10 +504,8 @@ def cmd_weights(config: dict, out_dir: str) -> int:
     except (diagnostics.NotIntegrableError, ValueError) as exc:
         raise ConfigError(f"bad weights input: {exc}") from exc
     out = _ensure_out(out_dir)
-    with open(os.path.join(out, "weights.csv"), "wb") as fh:
-        fh.write(b"k,g_k,phi_k\n")
-        n_weights = len(result.g)
-        _csv.write_lines(fh, np.arange(n_weights), result.g, result.phi_steps[:n_weights])
+    columns = (np.arange(len(result.g)), result.g, result.phi_steps[: len(result.g)])
+    _csv.write(os.path.join(out, "weights.csv"), "k,g_k,phi_k", *columns)
     ks = np.arange(len(result.g) - 1, dtype=float)
     bound_margin = float(np.max((ks + 1.0) * np.diff(result.g) - 2.0 * result.g[:-1]))
     _write_json(

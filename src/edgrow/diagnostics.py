@@ -234,16 +234,8 @@ def write_convergence_series_csv(report: ConvergenceReport, path) -> None:
     """Distance/excess series as ``t, weak_d, strong_d, excess_mass, F_gap``,
     every cell ``%.17g``."""
     gap = report.free_energy_series - report.free_energy_limit
-    columns = (
-        report.times,
-        report.weak_distance_series,
-        report.strong_distance_series,
-        report.excess_mass_series,
-        gap,
-    )
-    with open(path, "wb") as fh:
-        fh.write(b"t,weak_d,strong_d,excess_mass,F_gap\n")
-        _csv.write_lines(fh, *columns)
+    distances = (report.weak_distance_series, report.strong_distance_series, report.excess_mass_series)
+    _csv.write(path, "t,weak_d,strong_d,excess_mass,F_gap", report.times, *distances, gap)
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,16 @@ the uninterrupted one bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import numbers
-import os
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Literal, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import _csv
 from ._config import ConfigError, bind
 from .equilibrium import ChemicalPotential, EquilibriumProfile, equilibrium_profile
 from .kernels import Kernel, _factor_vectors
@@ -1172,32 +1171,14 @@ def save_checkpoint(
     :func:`load_checkpoint` does not read it back.  ``controller`` is the
     block :func:`integrate` hands its checkpoint hook (:class:`_Controller`);
     with it a resumed run repeats the uninterrupted one bit for bit.  The
-    file is replaced atomically, so an interrupted write keeps the previous
-    checkpoint loadable.
+    file is written through :func:`edgrow._csv.atomic_writer`, as every
+    output is, so an interrupted write keeps the previous checkpoint
+    loadable.  The fields are dumped as they are (``vars``), not copied.
     """
     c = [repr(x) for x in state.c.tolist()]
     saved = _Checkpoint(t, state.n_trunc, c, dict(kernel_spec), asdict(cfg), controller)
-    with _atomic_writer(path) as fh:
-        json.dump(asdict(saved), fh, indent=1)
-
-
-@contextlib.contextmanager
-def _atomic_writer(path):
-    """Text handle whose contents replace ``path`` only once fully written.
-
-    Writes go to ``<path>.tmp`` in the same directory and ``os.replace``
-    swaps it in after the handle closes, so a failure or a kill mid-write
-    leaves the previous file intact.
-    """
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with _csv.atomic_writer(path, text=True) as fh:
+        json.dump(vars(saved), fh, indent=1)
 
 
 def load_checkpoint(path):

@@ -761,9 +761,7 @@ def tagged_value(x: float) -> dict:
 def profile_to_csv(profile: EquilibriumProfile, cp: ChemicalPotential, path) -> None:
     """Write ``l, omega_l, log_q_l`` rows in full double precision (``%.17g``)."""
     rows = profile.k_max + 1
-    with open(path, "wb") as fh:
-        fh.write(b"l,omega_l,log_q_l\n")
-        _csv.write_lines(fh, np.arange(rows), profile.omega[:rows], cp.log_q[:rows])
+    _csv.write(path, "l,omega_l,log_q_l", np.arange(rows), profile.omega[:rows], cp.log_q[:rows])
 
 
 def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:

@@ -247,7 +247,7 @@ def _pairwise_weights(kernel: Kernel, c: np.ndarray, log_q: np.ndarray):
         0.5 * (forward + backward),
         (forward - backward) / np.where(near, 1.0, delta),
     )
-    return weights, delta
+    return weights
 
 
 def assemble_onsager(
@@ -268,7 +268,7 @@ def assemble_onsager(
         raise BoundaryStateError("boundary state: operator needs c_k > 0 for all k")
     if cp.k_max < n:
         raise ValueError("chemical potential does not cover the truncation range")
-    weights, _ = _pairwise_weights(kernel, c, cp.log_q[: n + 1])
+    weights = _pairwise_weights(kernel, c, cp.log_q[: n + 1])
 
     ks = np.arange(1, n + 1)
     pair_k = np.repeat(ks, n)

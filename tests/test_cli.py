@@ -258,6 +258,15 @@ def test_equilibrium_needs_exactly_one_target(tmp_path):
     assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_out_that_is_a_file_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"kernel": CONDENSING, "analysis": FAST_ANALYSIS})
+    taken = tmp_path / "afile"
+    taken.write_text("kept")
+    assert main(["check-kernel", "--config", cfg, "--out", str(taken)]) == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
 SIM_CONFIG = {
     "kernel": {"family": "constant"},
     "n_trunc": 32,

@@ -5,21 +5,27 @@ the decimal exponent estimate is off by one and the 17-digit rounding can
 carry into the next power), every fixed-notation exponent with its last
 digit at each place, binade edges, subnormals, constructed exact ties,
 signs, zeros, NaN, the infinities and random bit patterns, alone and as
-fields within lines.  Text cells are read back with the ``csv`` module, and
-the trajectory writer's traced memory has a bound.
+fields within lines.  Text cells are read back with the ``csv`` module, the
+traced memory of the trajectory and profile writers has a bound, and every
+output file is written through :func:`edgrow._csv.atomic_writer`.
 """
 
+import ast
 import csv
 import io
 import math
+import pathlib
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from edgrow import _csv
 from edgrow.cli import _write_trajectory_csv
 from edgrow.dynamics import TrajectoryRecord
+from edgrow.equilibrium import chemical_potential, equilibrium_profile, profile_to_csv
+from edgrow.kernels import condensing_kernel
 
 
 def formatted(values) -> list:
@@ -131,17 +137,20 @@ def test_rounding_up_to_the_next_power_of_ten_matches_python():
 
 def test_cells_written_into_a_slice_of_each_line_match_python():
     # Float fields sit between others in the line, one broadcast along the
-    # line's second axis, over several blocks, each written in two halves.
+    # line's second axis, over several blocks, each written in two halves;
+    # the integer and text columns are converted block by block.
     rng = np.random.default_rng(5)
     samples, width = 3 * -(-_csv._BLOCK // 9) + 5, 8
     times = rng.random(samples) * 10.0 ** rng.integers(-6, 18, samples)
     values = rng.integers(0, 2**64, size=(samples, width), dtype=np.uint64).view(np.float64)
     values[:, ::2] = rng.random((samples, 4)) * 10.0 ** rng.integers(-6, 18, (samples, 4))
+    labels = ["a,b" if i % 5 == 0 else "t%d" % i for i in range(samples)]
     fh = io.BytesIO()
-    _csv.write_lines(fh, np.arange(samples)[:, None], times[:, None], np.array(b"x"), values)
+    columns = (np.arange(samples)[:, None], times[:, None], np.array(b"x"), np.array(labels)[:, None], values)
+    _csv.write_lines(fh, *columns)
     expected = b"".join(
-        b"%d,%s,x,%s\n" % (i, b"%.17g" % t, b"%.17g" % v)
-        for i, (t, row) in enumerate(zip(times.tolist(), values.tolist()))
+        b"%d,%s,x,%s,%s\n" % (i, b"%.17g" % t, b'"a,b"' if label == "a,b" else label.encode(), b"%.17g" % v)
+        for i, (t, label, row) in enumerate(zip(times.tolist(), labels, values.tolist()))
         for v in row
     )
     assert fh.getvalue() == expected
@@ -178,24 +187,95 @@ def test_text_cells_are_utf8_and_quoted_where_csv_needs_it():
     assert all(len(row) == 3 for row in rows)
 
 
+def relaxation_record(samples: int = 2001) -> TrajectoryRecord:
+    """A relaxation-shaped record of ``samples`` samples at N = 256."""
+    sizes = np.arange(257)
+    times = np.arange(samples) * 0.1
+    decay = 0.3 + 0.4 * np.exp(-times / 20.0)
+    states = np.exp(-np.outer(decay, sizes)) * (1.0 - np.exp(-decay))[:, None]
+    zeros = np.zeros(samples)
+    return TrajectoryRecord(times, states, 256, zeros, zeros, zeros, zeros, zeros)
+
+
+def traced_peak(write) -> int:
+    """The traced peak, in bytes, of the call ``write()``."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_trajectory_writer_holds_a_few_blocks_of_memory(tmp_path):
     # numpy reports its buffers to tracemalloc.  A relaxation-shaped record
     # of 2001 samples at N = 256 (514 257 cells, 23 MB of CSV) is written
     # block by block.  The bound is the 0.57 MiB a 2048-cell block of the
     # 45-column layout took, with a margin; that layout took 2.2 MiB with
     # blocks of 8192 cells.
-    sizes = np.arange(257)
-    times = np.arange(2001) * 0.1
-    decay = 0.3 + 0.4 * np.exp(-times / 20.0)
-    states = np.exp(-np.outer(decay, sizes)) * (1.0 - np.exp(-decay))[:, None]
-    zeros = np.zeros(2001)
-    traj = TrajectoryRecord(times, states, 256, zeros, zeros, zeros, zeros, zeros)
+    traj = relaxation_record()
     _write_trajectory_csv(traj, tmp_path / "warm.csv")  # first-call tables outside the trace
-    tracemalloc.start()
-    try:
-        _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _write_trajectory_csv(traj, tmp_path / "trajectory.csv"))
     assert (tmp_path / "trajectory.csv").stat().st_size > 20 * 2**20
     assert peak <= 0.6 * 2**20
+
+
+def test_profile_writer_holds_a_few_blocks_of_memory(tmp_path):
+    # A 10^6-row profile: its integer column is formatted block by block, as
+    # its two float columns are.  The bound is the 0.51 MiB those float
+    # columns alone took, with the trajectory test's margin, on top of the
+    # 8-byte row numbers ``np.arange`` hands the writer; formatting the whole
+    # integer column at once took 72 MiB.
+    rows = 10**6 + 1
+    cp = chemical_potential(condensing_kernel(3.0), rows - 1)
+    profile = equilibrium_profile(cp, rho=0.5, k_max=rows - 1)
+    profile_to_csv(profile, cp, tmp_path / "warm.csv")
+    peak = traced_peak(lambda: profile_to_csv(profile, cp, tmp_path / "profile.csv"))
+    lines = (tmp_path / "profile.csv").read_bytes().splitlines()
+    assert len(lines) == rows + 1 and lines[-1].startswith(b"1000000,")
+    assert peak <= 8 * rows + 0.6 * 2**20
+
+
+def test_writer_that_fails_part_way_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "trajectory.csv"
+    _write_trajectory_csv(relaxation_record(41), path)
+    before = path.read_bytes()
+    cells, calls = _csv.cells, []
+
+    def fail_on_second_block(x, s=None):
+        calls.append(len(x))
+        if len(calls) == 2:
+            raise MemoryError("second block")
+        return cells(x, s)
+
+    monkeypatch.setattr(_csv, "cells", fail_on_second_block)
+    with pytest.raises(MemoryError):
+        _write_trajectory_csv(relaxation_record(), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
+
+
+def _writes_a_file(node: ast.Call) -> bool:
+    """Whether ``node`` is ``open(..., mode)`` with a mode that is not a
+    literal read mode, ``os.replace``/``os.rename`` or ``.write_text``/``.write_bytes``."""
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        return any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")) for m in modes)
+    if isinstance(func, ast.Attribute):
+        owner = func.value
+        if isinstance(owner, ast.Name) and owner.id == "os" and func.attr in ("replace", "rename"):
+            return True
+        return func.attr in ("write_text", "write_bytes")
+    return False
+
+
+def test_only_csv_opens_files_for_writing():
+    src = pathlib.Path(_csv.__file__).parent
+    writers = {
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    }
+    assert writers == {"_csv.py"}
