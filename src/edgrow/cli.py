@@ -397,10 +397,11 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     thread of this process.  With ``parallel = 1`` the batch finishes
     before anything else runs; with ``parallel >= 2`` this thread builds the
     sweep's one chemical potential and walks the ``rho_c`` ladder once
-    while the batch runs.  Both sides hold the GIL in most of their numpy
-    calls, so each slows the other (on ``phase-sweep``, 2 vCPU: rows 0.12 s
-    alone and 0.20 s beside the equilibrium phase, which takes 0.07 s alone
-    and 0.16 s beside them).  The trajectories are then classified here in
+    while the batch runs.  Each numpy call on either side hands the GIL
+    over, so each slows the other, and the rows set the wall (on
+    ``phase-sweep``, 2 vCPU: rows about 0.07 s alone and 0.09-0.11 s beside
+    the equilibrium phase, which takes about 0.04 s alone and 0.05-0.07 s
+    beside them).  The trajectories are then classified here in
     input order.  A chemical-potential error names every row, then come
     integration errors, then classification errors.
     """

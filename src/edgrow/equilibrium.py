@@ -23,15 +23,21 @@ below; otherwise the ladder is walked rung by rung.  Either way a process
 evaluates each rung at most once per chemical potential.
 
 A chemical potential keeps one array of length ``k_max``, ``log_q``, built in
-blocks; a full-range sum adds its terms and one scratch array of that length
-(``phase-sweep`` at ``k_max = 10^6``: peak RSS 80.7 -> 57.8 MiB).
+blocks.  A log-sum of more than ``_SUM_BLOCK`` terms is formed in windows of
+about that many sizes that end where nodes of numpy's pairwise summation
+tree end, so it holds no second full-length array and keeps its bytes
+(``phase-sweep`` at ``k_max = 10^6``: peak RSS 80.7 -> 58.2 -> 47 MiB).  The
+first pass at ``phi_c`` keeps per-segment extremes of the series there; they
+size the cut and bound the terms of every fugacity below it.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,6 +278,18 @@ def _geometric_tail(cp: ChemicalPotential, phi: float) -> float:
 _LOG_CUTOFF = math.log(1e-18)
 _CUT_MARGIN = 2.0
 
+# A log-sum of more than _SUM_BLOCK terms is formed block by block
+# (_blocked_log_sums).  np.sum adds pairwise: a node of more than 128 terms
+# is the sum of its first half, rounded down to a multiple of 8 terms, and
+# of the rest.  So the sums of the nodes that fit a block, added back up
+# that tree, are bit-identical to np.sum over the whole sequence.  A scan
+# keeps the extremes of the terms per segment of _SEGMENT sizes (and per
+# dyadic segment below that); they say which segments can hold the peak
+# and which straddle the cutoff, so only those are formed beforehand.
+_SUM_BLOCK = 1 << 17
+_SEGMENT = 1 << 12
+_STREAMS = (0, 1, 1)  # first size of each stream of _terms
+
 
 def _log_sum(values: np.ndarray, overwrite: bool = False) -> float:
     """Log of a sum of exponentials over the terms that can contribute;
@@ -288,24 +306,345 @@ def _log_sum(values: np.ndarray, overwrite: bool = False) -> float:
     return m + math.log(float(np.sum(np.exp(kept, out=kept))))
 
 
+def _tree_nodes(n: int) -> list:
+    """Sizes, in order, of the largest nodes of numpy's pairwise summation
+    tree over ``n`` terms that fit ``_SUM_BLOCK`` terms."""
+    if n <= _SUM_BLOCK:
+        return [n]
+    half = n // 2 - n // 2 % 8
+    return _tree_nodes(half) + _tree_nodes(n - half)
+
+
+def _tree_total(n: int, sums) -> float:
+    """``np.sum`` of ``n`` terms from the sums of the nodes of
+    :func:`_tree_nodes`, taken in order from the iterator ``sums``."""
+    if n <= _SUM_BLOCK:
+        return next(sums)
+    half = n // 2 - n // 2 % 8
+    return _tree_total(half, sums) + _tree_total(n - half, sums)
+
+
+class _TreeSum:
+    """``np.sum`` of ``n`` terms fed in order, in pieces of any length: each
+    node of :func:`_tree_nodes` is summed as it fills, in place when one
+    piece holds it whole, else from a copy."""
+
+    def __init__(self, n: int):
+        self.n, self.nodes, self.sums = n, _tree_nodes(n), []
+        self.buffer, self.filled = None, 0
+
+    def feed(self, values: np.ndarray) -> None:
+        while values.size:
+            size = self.nodes[len(self.sums)]
+            take = min(size - self.filled, values.size)
+            if take == size:
+                self.sums.append(float(np.sum(values[:size])))
+            else:
+                if self.buffer is None:
+                    self.buffer = np.empty(max(self.nodes))
+                self.buffer[self.filled : self.filled + take] = values[:take]
+                self.filled += take
+                if self.filled == size:
+                    self.sums.append(float(np.sum(self.buffer[:size])))
+                    self.filled = 0
+            values = values[take:]
+
+    def total(self) -> float:
+        return _tree_total(self.n, iter(self.sums))
+
+
+def _terms(cp: ChemicalPotential, log_phi: float, a: int, b: int, streams: int = 1) -> np.ndarray:
+    """The first ``streams`` streams of terms at ``log phi`` for the sizes
+    ``a <= l < b``, one row each: ``t_l = l log phi + log_q[l]``, ``t_l +
+    log l`` and ``(t_l + log l) + log l``.  The last two start at size 1
+    (``_STREAMS``); their entries at ``l = 0`` are not terms."""
+    ls = np.arange(a, b, dtype=float)
+    rows = np.empty((streams, b - a))
+    t = np.multiply(ls, log_phi, out=rows[0])
+    t += cp.log_q[a:b]
+    if streams > 1:
+        log_ls = ls[1:] if a == 0 else ls
+        np.log(log_ls, out=log_ls)  # l = 0 stays 0
+        num = np.add(t, ls, out=rows[1])
+        if streams > 2:
+            np.add(num, ls, out=rows[2])
+    return rows
+
+
+class _Scan(NamedTuple):
+    """Extremes of rows of terms per segment: ``maxima[k, g]`` and
+    ``minima[k, g]`` over row ``k`` on the sizes from ``starts[g]`` to the
+    next start (``-inf`` and ``inf`` where the row has no terms)."""
+
+    starts: list
+    maxima: np.ndarray
+    minima: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, rows: int) -> "_Scan":
+        """Segments of the sizes below ``n`` that start at 0, 1, the powers
+        of 2 below ``_SEGMENT`` and its multiples, with nothing seen yet."""
+        starts = [s for s in [0] + [1 << j for j in range(_SEGMENT.bit_length() - 1)] if s < n]
+        starts += range(_SEGMENT, n, _SEGMENT)
+        return cls(starts, np.full((rows, len(starts)), -math.inf), np.full((rows, len(starts)), math.inf))
+
+    def see(self, rows: np.ndarray, a: int) -> None:
+        """Takes in ``rows``, the terms of the sizes from ``a`` on."""
+        g0, g1 = bisect.bisect_right(self.starts, a) - 1, bisect.bisect_left(self.starts, a + rows.shape[1])
+        at = [0] + [s - a for s in self.starts[g0 + 1 : g1]]
+        for extremes, ufunc in ((self.maxima, np.maximum), (self.minima, np.minimum)):
+            ufunc(extremes[:, g0:g1], ufunc.reduceat(rows, at, axis=1), out=extremes[:, g0:g1])
+
+    def done(self, offsets: Sequence[int]) -> "_Scan":
+        """Clears what the rows hold before their first terms."""
+        for k, offset in enumerate(offsets):
+            before = bisect.bisect_left(self.starts, offset)
+            self.maxima[k, :before], self.minima[k, :before] = -math.inf, math.inf
+        return self
+
+
+def _scan(form, n: int, offsets: Sequence[int]) -> _Scan:
+    """The extremes of the rows of terms ``form(a, b)`` makes for the sizes
+    ``a <= l < b``, in blocks of ``_SUM_BLOCK`` sizes below ``n``; row ``k``
+    holds terms from size ``offsets[k]`` (0 or 1) on."""
+    scan = _Scan.empty(n, len(offsets))
+    for a in range(0, n, _SUM_BLOCK):
+        scan.see(form(a, min(a + _SUM_BLOCK, n)), a)
+    return scan.done(offsets)
+
+
+def _runs(flags: np.ndarray, starts: list, ends: list):
+    """Ranges ``[a, b)`` of at most ``_SUM_BLOCK`` sizes that together cover
+    the flagged segments, adjacent ones joined."""
+    a = b = None
+    for g in np.flatnonzero(flags).tolist():
+        if a is not None and starts[g] == b and ends[g] - a <= _SUM_BLOCK:
+            b = ends[g]
+            continue
+        if a is not None:
+            yield a, b
+        a, b = starts[g], ends[g]
+    if a is not None:
+        yield a, b
+
+
+class _Plan(NamedTuple):
+    """What a pass of :func:`_tree_pass` sums, per row ``k``: ``peaks[k]``
+    (not finite: the log-sum is ``-inf``), and for the rows with a finite
+    peak how many terms are kept, and per segment whether every term is
+    kept (``whole``) and whether any may be (``some``)."""
+
+    peaks: list
+    counts: dict
+    whole: dict
+    some: dict
+
+
+def _plan(form, n: int, offsets: Sequence[int], starts: list, hi, top, lo) -> _Plan:
+    """The :class:`_Plan` of the log-sums of the rows of terms ``form(a,
+    b)`` makes below size ``n`` (row ``k`` from size ``offsets[k]`` on).
+
+    ``hi``, ``top`` and ``lo`` bound the terms of row ``k`` in segment
+    ``g`` (from ``starts[g]`` to the next start or ``n``): each lies in
+    ``[lo[k, g], hi[k, g]]`` and one is at least ``top[k, g]``.  The peak
+    is read off the bounds where they are tight and otherwise formed on the
+    segments that can hold it; the kept terms are counted on the segments
+    that straddle the cutoff, and nowhere else.
+    """
+    ends = starts[1:] + [n]
+    first, last = np.array(starts), np.array(ends)
+    sizes = [np.maximum(last - np.maximum(first, offset), 0) for offset in offsets]
+    peaks = np.max(top, axis=1).tolist()
+    unsure, inexact = np.zeros(len(starts), dtype=bool), []
+    for k in range(len(offsets)):
+        holds = hi[k] >= peaks[k]
+        if not np.array_equal(hi[k, holds], top[k, holds]):
+            inexact.append(k)
+            unsure |= holds
+    for a, b in _runs(unsure, starts, ends):
+        rows = form(a, b)
+        for k in inexact:
+            values = rows[k, max(offsets[k] - a, 0) :]
+            if values.size:
+                peaks[k] = max(peaks[k], float(np.max(values)))
+
+    live = [k for k in range(len(offsets)) if math.isfinite(peaks[k])]
+    whole = {k: (lo[k] >= peaks[k] + _LOG_CUTOFF) | (sizes[k] == 0) for k in live}
+    some = {k: (hi[k] >= peaks[k] + _LOG_CUTOFF) & (sizes[k] > 0) for k in live}
+    straddles = np.zeros(len(starts), dtype=bool)
+    for k in live:
+        straddles |= some[k] & ~whole[k]
+    counts = {k: int(np.sum(sizes[k], where=whole[k] & ~straddles)) for k in live}
+    for a, b in _runs(straddles, starts, ends):
+        rows = form(a, b)
+        for k in live:
+            kept = rows[k, max(offsets[k] - a, 0) :] >= peaks[k] + _LOG_CUTOFF
+            counts[k] += int(np.count_nonzero(kept))
+    return _Plan(peaks, counts, whole, some)
+
+
+def _tree_pass(form, n: int, offsets: Sequence[int], starts: list, plan: _Plan, scan=None) -> list:
+    """:func:`_log_sum` of each row of terms ``form(a, b)`` makes below
+    size ``n`` (row ``k`` from size ``offsets[k]`` on), bit for bit, in one
+    pass that follows ``plan`` (see :func:`_plan`) and shows every window
+    it forms to ``scan``, if given.
+
+    Each window ends where the node being filled of one row's summation
+    tree ends (see :class:`_TreeSum`), so nodes are summed in place; a
+    window is at most about ``_SUM_BLOCK`` sizes long.  A row masks only
+    where a segment may drop terms and skips segments it drops whole.
+    """
+    rows_count, live = len(offsets), list(plan.counts)
+
+    def segments(a: int, b: int) -> Tuple[int, int]:  # those that meet [a, b)
+        return bisect.bisect_right(starts, a) - 1, bisect.bisect_left(starts, b)
+
+    trees = {k: _TreeSum(plan.counts[k]) for k in live}
+    dropping = {k: [0] + np.cumsum(~plan.whole[k]).tolist() for k in live}
+    holding = {k: np.flatnonzero(plan.some[k]).tolist() for k in live}
+    floors = {k: plan.peaks[k] + _LOG_CUTOFF for k in live}
+    shift = np.array([[plan.peaks[k] if k in trees else 0.0] for k in range(rows_count)])
+    at = {k: offsets[k] for k in live}
+    while True:
+        for k in list(at):  # skip the segments a row drops
+            tree, (g, _) = trees[k], segments(at[k], at[k] + 1)
+            i = bisect.bisect_left(holding[k], g)
+            if len(tree.sums) == len(tree.nodes) or i == len(holding[k]):
+                del at[k]
+            else:
+                at[k] = max(at[k], starts[holding[k][i]])
+        if not at:
+            break
+        lo, targets = min(at.values()), {}
+        for k, a in at.items():  # where the node being filled ends, if it drops no term
+            end = a + trees[k].nodes[len(trees[k].sums)] - trees[k].filled
+            g0, g1 = segments(a, end)
+            targets[k] = end if end <= n and dropping[k][g1] == dropping[k][g0] else a + _SUM_BLOCK
+        hi = min(max(targets.values()), lo + _SUM_BLOCK + _SEGMENT, n)
+        rows = form(lo, hi)
+        if scan is not None:
+            scan.see(rows, lo)
+        for k in range(rows_count):
+            if k not in trees:
+                rows[k] = 0.0
+        pieces = {}
+        for k, a in at.items():
+            b = min(targets[k], hi)
+            if a < b:
+                g0, g1 = segments(a, b)
+                masked = dropping[k][g1] > dropping[k][g0]
+                pieces[k] = (a - lo, b - lo, rows[k, a - lo : b - lo] >= floors[k] if masked else None)
+                at[k] = b
+        rows -= shift
+        np.exp(rows, out=rows)
+        for k, (a, b, mask) in pieces.items():
+            trees[k].feed(rows[k, a:b] if mask is None else rows[k, a:b][mask])
+        del rows, pieces  # before the next window is formed
+    return [plan.peaks[k] + math.log(trees[k].total()) if k in trees else -math.inf for k in range(rows_count)]
+
+
+def _blocked_log_sums(form, n: int, offsets: Sequence[int], starts: list, hi, top, lo) -> list:
+    """:func:`_log_sum` of each row of terms ``form(a, b)`` makes below
+    size ``n`` (row ``k`` from size ``offsets[k]`` on), bit for bit, with
+    at most about ``_SUM_BLOCK`` sizes formed at once; the bounds are those
+    of :func:`_plan`."""
+    return _tree_pass(form, n, offsets, starts, _plan(form, n, offsets, starts, hi, top, lo))
+
+
+def _phi_c_scan(cp: ChemicalPotential) -> _Scan:
+    """The scan of the three rows of :func:`_terms` at ``phi_c`` over the
+    full range; needs a finite positive ``phi_c``.  Kept on ``cp``."""
+    if "phi_c_scan" not in cp._memo:
+        form = partial(_terms, cp, _log_phi_c(cp), streams=3)
+        cp._memo["phi_c_scan"] = _scan(form, cp.k_max + 1, _STREAMS)
+    return cp._memo["phi_c_scan"]
+
+
+def _phi_c_pass(cp: ChemicalPotential) -> list:
+    """The sums of :func:`_phi_c_sums` beyond one block, and the scan of
+    :func:`_phi_c_scan` with them when it is not kept yet.
+
+    Then the sums and the scan take one pass: each row's peak is guessed
+    from its terms below ``_SEGMENT`` and every term is taken as kept.  The
+    scan confirms both (a series that decays from its start, as at a
+    condensing ``phi_c``), or the sums take a second pass on its bounds.
+    """
+    n, form = cp.k_max + 1, partial(_terms, cp, _log_phi_c(cp), streams=3)
+    if "phi_c_scan" in cp._memo:
+        scan = cp._memo["phi_c_scan"]
+        return _blocked_log_sums(form, n, _STREAMS, scan.starts, scan.maxima, scan.maxima, scan.minima)
+    scan = _Scan.empty(n, len(_STREAMS))
+    head = form(0, _SEGMENT)
+    peaks = [float(np.max(row[offset:])) for row, offset in zip(head, _STREAMS)]
+    everything = np.ones(len(scan.starts), dtype=bool)
+    counts = {k: n - offset for k, offset in enumerate(_STREAMS)}
+    plan = _Plan(peaks, counts, dict.fromkeys(counts, everything), dict.fromkeys(counts, everything))
+    sums = _tree_pass(form, n, _STREAMS, scan.starts, plan, scan)
+    cp._memo["phi_c_scan"] = scan.done(_STREAMS)
+    floors = np.array(peaks) + _LOG_CUTOFF
+    if np.array_equal(np.max(scan.maxima, axis=1), peaks) and np.all(np.min(scan.minima, axis=1) >= floors):
+        return sums
+    return _phi_c_pass(cp)
+
+
+def _bounds(cp: ChemicalPotential, log_phi: float, n: int, streams: int) -> tuple:
+    """``(starts, hi, top, lo)`` of :func:`_blocked_log_sums` for the first
+    ``streams`` streams of :func:`_terms` at ``log phi`` below size ``n``.
+
+    With a finite positive ``phi_c`` they come from :func:`_phi_c_scan`:
+    each term is the one at ``phi_c`` plus ``l (log phi - log phi_c)``, up
+    to rounding that ``eps`` covers with room to spare (2^-46 of the
+    magnitudes involved, against the few ulps of them the two evaluations
+    and the bound itself can round off), and ``eps`` is 0 at ``phi_c``,
+    where the bounds are the extremes.  A segment cut short by ``n`` keeps
+    its bounds but no ``top``.  Without ``phi_c`` the terms are scanned.
+    """
+    log_phi_c = _log_phi_c(cp)
+    step = log_phi - log_phi_c
+    if math.isfinite(step):
+        scan = _phi_c_scan(cp)
+        s_abs = max(abs(float(np.max(scan.maxima[0]))), abs(float(np.min(scan.minima[0]))))
+        magnitude = cp.k_max * (abs(log_phi) + 3.0 * abs(log_phi_c)) + 2.0 * s_abs + math.log(n)
+        eps = 2.0**-46 * magnitude if step else 0.0
+        if math.isfinite(eps):
+            count = bisect.bisect_left(scan.starts, n)
+            starts = scan.starts[:count]
+            first = np.array(starts, dtype=float) * step
+            last = (np.array(starts[1:] + [n], dtype=float) - 1.0) * step
+            rise, fall = np.maximum(first, last) + eps, np.minimum(first, last) - eps
+            maxima = scan.maxima[:streams, :count]
+            top = maxima + fall
+            if (scan.starts + [cp.k_max + 1])[count] > n:
+                top[:, -1] = -math.inf
+            return starts, maxima + rise, top, scan.minima[:streams, :count] + fall
+    scan = _scan(partial(_terms, cp, log_phi, streams=streams), n, _STREAMS[:streams])
+    return scan.starts, scan.maxima, scan.maxima, scan.minima
+
+
+def _log_sums(cp: ChemicalPotential, log_phi: float, n: int, streams: int) -> list:
+    """:func:`_log_sum` of the first ``streams`` streams of :func:`_terms`
+    at ``log phi`` below size ``n``: in one block, or by
+    :func:`_blocked_log_sums`."""
+    form = partial(_terms, cp, log_phi, streams=streams)
+    if n <= _SUM_BLOCK:
+        rows = form(0, n)
+        return [_log_sum(rows[k, offset:], overwrite=True) for k, offset in enumerate(_STREAMS[:streams])]
+    return _blocked_log_sums(form, n, _STREAMS[:streams], *_bounds(cp, log_phi, n, streams))
+
+
 def _suffix_peaks(cp: ChemicalPotential) -> Tuple[Tuple[int, float, float], ...]:
     """``(L, max_{l >= L} s_l, max_{l >= L} (s_l + log l))`` on the dyadic
     ladder ``L = 2, 4, ... <= k_max``, with ``s_l = log_q[l] + l log phi_c``.
 
-    Needs a finite positive ``phi_c``.  Built once per chemical potential and
-    kept on it; only O(log k_max) floats are kept.
+    Needs a finite positive ``phi_c``.  Read off :func:`_phi_c_scan`, whose
+    segments start at every ``L``, and kept on ``cp``.
     """
     if "suffix_peaks" not in cp._memo:
-        starts = [1 << j for j in range(1, cp.k_max.bit_length())]
-        ls = np.arange(cp.k_max + 1, dtype=float)
-        s = ls * math.log(cp.phi_c_estimate)
-        s += cp.log_q
-        blocks = [np.maximum.reduceat(s, starts)]
-        with np.errstate(divide="ignore"):
-            s += np.log(ls, out=ls)  # s_l + log l, in the buffer of s
-        blocks.append(np.maximum.reduceat(s, starts))
-        peaks = [np.maximum.accumulate(b[::-1])[::-1].tolist() for b in blocks]
-        cp._memo["suffix_peaks"] = tuple(zip(starts, *peaks))
+        scan = _phi_c_scan(cp)
+        ladder = [1 << j for j in range(1, cp.k_max.bit_length())]
+        at = [bisect.bisect_left(scan.starts, length) for length in ladder]
+        suffix = np.maximum.accumulate(scan.maxima[:2, ::-1], axis=1)[:, ::-1]
+        cp._memo["suffix_peaks"] = tuple(zip(ladder, *suffix[:, at].tolist()))
     return cp._memo["suffix_peaks"]
 
 
@@ -338,33 +677,26 @@ def _series(
     with the logs of ``sum exp(t_l)`` and (if ``weighted``, else NaN) of
     ``sum l exp(t_l)``.
 
-    Returns at least ``n_terms`` terms.  Both sums are bit-identical to
+    Returns the first ``n_terms`` terms.  Both sums are bit-identical to
     summing all ``k_max + 1`` terms: they run over every term that can pass
     the cutoff of the log-sum (see ``_LOG_CUTOFF``), and at ``phi_c``, where
-    that is the full range, they come from :func:`_phi_c_sums`, so only the
-    ``n_terms`` requested terms are formed.
+    that is the full range, they come from :func:`_phi_c_sums`.
     """
     n = max(_series_length(cp, log_phi), n_terms)
     if n > cp.k_max and log_phi == _log_phi_c(cp):
-        t = np.arange(n_terms, dtype=float) * log_phi + cp.log_q[:n_terms]
         log_den, log_num, _ = _phi_c_sums(cp)
-        return t, log_den, log_num if weighted else math.nan
-    return _summed_terms(cp, log_phi, n, weighted)
+        return _terms(cp, log_phi, 0, n_terms)[0], log_den, log_num if weighted else math.nan
+    return _summed_terms(cp, log_phi, n, weighted, n_terms)
 
 
 def _summed_terms(
-    cp: ChemicalPotential, log_phi: float, n: int, weighted: bool = True
+    cp: ChemicalPotential, log_phi: float, n: int, weighted: bool = True, n_terms: int = 0
 ) -> Tuple[np.ndarray, float, float]:
-    """The first ``n`` terms at ``log phi`` and the log-sums of :func:`_series`."""
-    t = np.arange(n, dtype=float)
-    t *= log_phi
-    t += cp.log_q[:n]
-    log_den, log_num = _log_sum(t), math.nan
-    if weighted:  # t_l + log l, formed in the buffer of log l
-        log_ls = np.arange(1, n, dtype=float)
-        np.log(log_ls, out=log_ls)
-        log_num = _log_sum(np.add(t[1:], log_ls, out=log_ls), overwrite=True)
-    return t, log_den, log_num
+    """The first ``n_terms`` terms at ``log phi`` and the log-sums of
+    :func:`_series` over the first ``n``."""
+    sums = _log_sums(cp, log_phi, n, 2 if weighted else 1)
+    t = _terms(cp, log_phi, 0, n_terms)[0] if n_terms else np.empty(0)
+    return t, sums[0], sums[1] if weighted else math.nan
 
 
 def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float, float]:
@@ -374,19 +706,13 @@ def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float, float]:
     Kept on ``cp`` and shared by the direct tail and the predicted rung of
     :func:`critical_density_info`, ``rho_hi`` of :func:`fugacity_for_density`,
     and :func:`partition_sum` and :func:`equilibrium_profile` at ``phi_c``.
-    The first two are the sums :func:`_summed_terms` forms; the terms of
-    the third, ``t_l + 2 log l``, are ``(t_l + log l) + log l``, in the
-    buffer of ``log l``, so it holds no further full-length array.
+    Beyond one block the three sums take one pass, bounded by the extremes
+    of :func:`_phi_c_scan`.
     """
     if "phi_c_sums" not in cp._memo:
         n = cp.k_max + 1
-        t, log_den, _ = _summed_terms(cp, _log_phi_c(cp), n, weighted=False)
-        log_ls = np.arange(1, n, dtype=float)
-        np.log(log_ls, out=log_ls)
-        t_num = np.add(t[1:], log_ls, out=t[1:])
-        t_second = np.add(t_num, log_ls, out=log_ls)
-        log_num = _log_sum(t_num, overwrite=True)
-        cp._memo["phi_c_sums"] = (log_den, log_num, _log_sum(t_second, overwrite=True))
+        sums = _log_sums(cp, _log_phi_c(cp), n, 3) if n <= _SUM_BLOCK else _phi_c_pass(cp)
+        cp._memo["phi_c_sums"] = tuple(sums)
     return cp._memo["phi_c_sums"]
 
 

@@ -244,8 +244,9 @@ def test_serialization(tmp_path, cp_condensing):
 
 
 def test_chemical_potentials_are_freed_with_what_they_derived():
-    # One potential with a direct tail (suffix peaks, phi_c sums, a stopped
-    # ladder) and one without (a full ladder, no sums at phi_c).
+    # One potential with a direct tail (the scan at phi_c and its suffix
+    # peaks, phi_c sums, a stopped ladder) and one without (a full ladder,
+    # no sums at phi_c).
     built = [chemical_potential(kernel, 2000) for kernel in (condensing_kernel(3.0), constant_kernel())]
     refs = [weakref.ref(cp) for cp in built]
     assert [critical_density_info(cp).method for cp in built] == ["direct-tail", "ladder-ceiling"]
@@ -254,7 +255,7 @@ def test_chemical_potentials_are_freed_with_what_they_derived():
             partition_sum(cp, phi)
             density_at_fugacity(cp, phi)
             equilibrium_profile(cp, phi=phi)
-        assert set(cp._memo) == {"suffix_peaks", "phi_c_sums", "info"}
+        assert set(cp._memo) == {"phi_c_scan", "suffix_peaks", "phi_c_sums", "info"}
     del cp, built
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
@@ -267,10 +268,10 @@ def test_critical_density_forms_no_unused_full_range_sum(monkeypatch):
     summed = equilibrium._summed_terms
     full_range = []
 
-    def counting(cp_, log_phi, n, weighted=True):
+    def counting(cp_, log_phi, n, *args):
         if n == cp_.k_max + 1:
             full_range.append(log_phi)
-        return summed(cp_, log_phi, n, weighted)
+        return summed(cp_, log_phi, n, *args)
 
     monkeypatch.setattr(equilibrium, "_summed_terms", counting)
     profile = equilibrium_profile(cp, phi=0.5 * cp.phi_c_estimate, k_max=64)
@@ -281,21 +282,23 @@ def test_critical_density_forms_no_unused_full_range_sum(monkeypatch):
 def test_chemical_potential_and_rho_c_hold_few_full_length_arrays():
     # numpy reports its buffers to tracemalloc.  At k_max = 10^6 one array is
     # 7.6 MiB: the build keeps log_q and a few blocks (10.6 MiB measured;
-    # 45.8 with full-length temporaries), and rho_c adds at most two arrays
-    # to it (22.9 MiB measured; 30.5 with three).
+    # 45.8 with full-length temporaries).  The scan at phi_c, rho_c and a
+    # near-critical inversion add only windows of about 2^17 terms to log_q
+    # (11.7 MiB measured; 22.9, 22.9 and 29.7 with full-length sums).
     kernel = condensing_kernel(3.0)
     chemical_potential(kernel, 1000)  # first-call set-up outside the trace
     tracemalloc.start()
     try:
         cp = chemical_potential(kernel, 10**6)
-        build_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        critical_density_info(cp)
-        info_peak = tracemalloc.get_traced_memory()[1]
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        for step in (equilibrium._suffix_peaks, critical_density_info, lambda cp: fugacity_for_density(cp, 0.999)):
+            tracemalloc.reset_peak()
+            step(cp)
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert build_peak <= 12 * 2**20
-    assert info_peak <= 26 * 2**20
+    assert peaks[0] <= 12 * 2**20
+    assert max(peaks[1:]) <= 12 * 2**20
 
 
 def test_critical_density_survives_sums_at_phi_c_that_overflow():

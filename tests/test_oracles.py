@@ -745,9 +745,16 @@ def summed_terms_oracle(cp, log_phi, n, weighted) -> tuple:
     return t, log_sum(t), log_num
 
 
-@pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
+BLOCKED_CASES = {  # more terms than one block of a log-sum holds
+    "direct-tail, c = 3": (condensing_kernel(3.0), 2 * equilibrium._SUM_BLOCK + 1, None),
+    "ladder-ceiling": (constant_kernel(1.0), equilibrium._SUM_BLOCK + 7, None),
+    "infinite-radius": (separable_kernel("k", "1"), equilibrium._SUM_BLOCK, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRITICAL_CASES) + sorted(BLOCKED_CASES))
 def test_summed_terms_match_one_buffer_per_intermediate(case):
-    cp = chemical_potential(*CRITICAL_CASES[case])
+    cp = chemical_potential(*{**CRITICAL_CASES, **BLOCKED_CASES}[case])
     phi_c = cp.phi_c_estimate
     if 0.0 < phi_c < math.inf:
         phis = [phi_c] + [phi_c * (1.0 - 0.5**j) for j in range(1, 49)]
@@ -757,9 +764,10 @@ def test_summed_terms_match_one_buffer_per_intermediate(case):
         log_phi = math.log(phi)
         for n in {cp.k_max + 1, equilibrium._series_length(cp, log_phi)}:
             for weighted in (True, False):
-                t, log_den, log_num = equilibrium._summed_terms(cp, log_phi, n, weighted)
+                n_terms = n // 3  # the caller's leading terms, as a profile asks for them
+                t, log_den, log_num = equilibrium._summed_terms(cp, log_phi, n, weighted, n_terms)
                 t_ref, den_ref, num_ref = summed_terms_oracle(cp, log_phi, n, weighted)
-                assert t.tobytes() == t_ref.tobytes()
+                assert t.tobytes() == t_ref[:n_terms].tobytes()
                 assert same((log_den, log_num), (den_ref, num_ref)), (phi, n, weighted)
 
 
@@ -1397,3 +1405,56 @@ def test_rodas4_attempt_matches_attempt_with_dense_solves(name, c, g_log10):
     bound = 1e-13 * np.linalg.cond(dense_shifted_jacobian(kernel, c, g), 1) * scale
     assert strong_norm(fast - slow) <= bound
     assert strong_norm(fast_err - slow_err) <= bound
+
+
+def test_numpy_sum_is_the_pairwise_tree_of_its_block_nodes():
+    # The blocked log-sums rest on this: np.sum of n terms equals the sums of
+    # the nodes of its pairwise tree that fit one block, added back up the
+    # tree.  A numpy that sums otherwise fails here, not in moved bytes.
+    rng = np.random.default_rng(0)
+    block = equilibrium._SUM_BLOCK
+    for n in (block, block + 1, 2 * block + 8, 3 * block - 1, 10**6 + 1):
+        x = np.exp(8.0 * rng.normal(size=n))
+        edges = np.cumsum([0] + equilibrium._tree_nodes(n)).tolist()
+        sums = iter([float(np.sum(x[a:b])) for a, b in zip(edges, edges[1:])])
+        assert equilibrium._tree_total(n, sums) == float(np.sum(x))
+        tree = equilibrium._TreeSum(n)
+        for piece in np.array_split(x, 7):  # pieces that do not align with the nodes
+            tree.feed(piece.copy())
+        assert tree.total() == float(np.sum(x))
+
+
+@given(
+    n=st.integers(min_value=1025, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 10.0, 100.0]),
+    slope=st.sampled_from([0.0, -1e-3, -0.05, 0.02]),
+    widen=st.sampled_from([0.0, 1e-9, 3.0]),
+)
+@example(n=2056, seed=0, scale=1.0, slope=-0.05, widen=3.0)  # a split point of the tree
+@settings(max_examples=60, deadline=None)
+def test_blocked_log_sum_matches_one_buffer(n, seed, scale, slope, widen):
+    # Blocks of 1024 terms and segments of 256 make a few thousand terms
+    # span several nodes; the slopes put terms below the cutoff or not, and
+    # widened bounds make the peak and the kept count be formed.
+    values = scale * np.random.default_rng(seed).normal(size=n) + slope * np.arange(n)
+    form = lambda a, b: values[None, a:b].copy()  # noqa: E731
+    with unittest.mock.patch.multiple(equilibrium, _SUM_BLOCK=1024, _SEGMENT=256):
+        scan = equilibrium._scan(form, n, (0,))
+        bounds = (scan.maxima + widen, scan.maxima - widen, scan.minima - widen)
+        got = equilibrium._blocked_log_sums(form, n, (0,), scan.starts, *bounds)
+    event(f"dropped terms: {bool(np.min(values) < np.max(values) + math.log(1e-18))}")
+    assert got == [equilibrium._log_sum(values.copy())]
+
+
+@pytest.mark.parametrize("k_max", [equilibrium._SUM_BLOCK, 2 * equilibrium._SUM_BLOCK + 1])
+@pytest.mark.parametrize(
+    "kernel",
+    [condensing_kernel(c) for c in (2.06, 2.5, 3.0, 4.0)]
+    + [constant_kernel(1.0), separable_kernel("1 + 1e8/k^4", "1")],
+    ids=["c=2.06", "c=2.5", "c=3", "c=4", "constant", "separable"],
+)
+def test_critical_density_beyond_one_block_matches_full_range_sums(kernel, k_max):
+    # Direct tails, a ladder-ceiling and a ladder, each with more terms than
+    # one block of a log-sum holds.
+    assert_matches_full_walk(chemical_potential(kernel, k_max))
