@@ -39,7 +39,9 @@ _ROWS = 9  # scratch rows of one float per cell that formatting a block uses
 def _tables() -> tuple:
     """The power table by ``q - _Q_LOW`` with ``hi`` split for Dekker's
     product, 0000 .. 9999 in a word's low and high half, the words and masks
-    :func:`cells` looks up, and the byte moves of fixed notation."""
+    :func:`cells` looks up, the byte moves of fixed notation, and the four
+    digits of 0 .. 9999 for :func:`_integers`: zero-padded, with leading
+    zeros NUL, and so but for the units digit."""
     k, words = [], []
     for q in range(_Q_LOW, 345):
         num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
@@ -53,7 +55,12 @@ def _tables() -> tuple:
         hi_big = t - (t - hi)
         words.append((hi, hi_big, hi - hi_big, float(m & (2**53 - 1)) * 2.0**-105))
     group = np.arange(10**4)
-    quads = sum((48 + group // 10 ** (3 - place) % 10) << 8 * place for place in range(4)).astype(np.uint64)
+
+    def digits(least: list) -> np.ndarray:  # place p shows a digit where group >= least[p], else NUL
+        return sum(np.where(group >= low, 48 + group // 10 ** (3 - p) % 10, 0) << 8 * p for p, low in enumerate(least))
+
+    quads = digits([0] * 4).astype(np.uint64)
+    groups = np.concatenate([digits([0] * 4), digits([1000, 100, 10, 1]), digits([1000, 100, 10, 0])])
     first = [b"\0" * 5 + sign + b"0" + dot for sign in (b"\0", b"-") for dot in (b"\0", b".")]
     tail = [b"" if -4 <= e < 17 else b"e%+03d" % e for e in range(_E_LOW, 1 - _E_LOW)]
     movable = np.array([-4 <= e < 17 and e != 0 for e in range(_E_LOW, 1 - _E_LOW)])
@@ -73,7 +80,7 @@ def _tables() -> tuple:
         moves[e + 4, 8 - e : 24 - e] += e
     first, tail = (np.array([int.from_bytes(t, "little") for t in table], np.uint64) for table in (first, tail))
     lookups = (quads, quads << np.uint64(32), first, tail, np.array(keep, np.uint64), movable, moves, least, most)
-    return (np.array(k, np.intc), *np.array(words).T.copy(), *lookups)
+    return (np.array(k, np.intc), *np.array(words).T.copy(), *lookups, groups.astype(np.uint32))
 
 
 def _scaled(x: np.ndarray, j: np.ndarray, s: np.ndarray) -> tuple:
@@ -138,7 +145,7 @@ def cells(x: np.ndarray, s=None) -> np.ndarray:
     :data:`_ROWS` contiguous rows of ``len(x)``; the bytes are its rows 5 to 8."""
     x = np.asarray(x, dtype=float)
     s = np.empty((_ROWS, len(x))) if s is None else s
-    quads, high_quads, first, tail, keep, movable, moves, least, most = _tables()[5:]
+    quads, high_quads, first, tail, keep, movable, moves, least, most = _tables()[5:-1]
     fast = np.isfinite(x) & (x != 0)
     ax = np.abs(x, out=s[0])
     ax[~fast] = 1.0
@@ -208,22 +215,24 @@ def write_lines(fh, *columns) -> None:
     """Write one CSV line per cell of the columns' broadcast shape, in C
     order, to the binary file ``fh``.
 
-    Float columns are written as ``%.17g``, integer columns as ``%d``,
-    bytes columns as they are (an empty one leaves the cell empty) and text
-    columns as UTF-8, quoted as RFC 4180 asks where a cell holds a comma, a
-    quote or a line break.  The cells of about :data:`_BLOCK` float cells
-    along the first axis are formatted at once, floats in scratch that every
-    block reuses, and the block's lines are written in two halves.  A column
-    broadcast along the first axis is converted once.
+    Float columns are written as ``%.17g``, integer columns (a ``range``
+    too, made per block) as ``%d``, bytes columns as they are (an empty one
+    leaves the cell empty) and text columns as UTF-8, quoted as RFC 4180 asks
+    where a cell holds a comma, a quote or a line break.  The cells of about
+    :data:`_BLOCK` float cells along the first axis are formatted at once,
+    floats in scratch that every block reuses, and the block's lines are
+    written in two halves.  A column broadcast along the first axis is
+    converted once.
     """
-    columns = list(map(np.asarray, columns))
-    n = np.broadcast_shapes(*(c.shape for c in columns))[0]
-    cut = [c.ndim > 0 and len(c) == n for c in columns]
+    columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
+    n = np.broadcast_shapes(*((len(c),) if isinstance(c, range) else c.shape for c in columns))[0]
+    cut = [isinstance(c, range) or (c.ndim > 0 and len(c) == n) for c in columns]
     columns = [c if k or c.dtype.kind in "fS" else _bytes(c) for c, k in zip(columns, cut)]
-    per_row = sum(int(np.prod(c.shape[1:])) for c in columns if c.dtype.kind == "f")
+    per_row = sum(int(np.prod(c.shape[1:])) for c in columns if not isinstance(c, range) and c.dtype.kind == "f")
     step, scratch = -(-_BLOCK // max(per_row, 1)), None
     for start in range(0, n, step):
         block = [c[start : start + step] if k else c for c, k in zip(columns, cut)]
+        block = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c for c in block]
         floats = [c.ravel() for c in block if c.dtype.kind == "f"]
         if floats:
             size = sum(map(len, floats))
@@ -253,6 +262,8 @@ def _bytes(column: np.ndarray) -> np.ndarray:
     """A non-float column's cells as bytes: integers as ``%d``, bytes as they
     are, text as UTF-8, quoted where a cell holds a comma, a quote or a line
     break (RFC 4180)."""
+    if column.dtype.kind == "i":
+        return _integers(column)
     if column.dtype.kind != "U":
         return np.asarray(column.astype(bytes).tolist())
     cells = []
@@ -261,3 +272,26 @@ def _bytes(column: np.ndarray) -> np.ndarray:
             cell = '"' + cell.replace('"', '""') + '"'
         cells.append(cell.encode("utf-8"))
     return np.array(cells, dtype=bytes).reshape(column.shape)
+
+
+def _integers(column: np.ndarray) -> np.ndarray:
+    """``%d`` of each cell of an integer column, as bytes of one width: five
+    four-digit groups of :func:`_tables` with leading zeros NUL, and a ``-``
+    in the first byte of a negative cell."""
+    groups = _tables()[-1]
+    magnitude = column.astype(np.int64).reshape(-1).view(np.uint64)
+    negative = magnitude >= np.uint64(1 << 63)
+    np.negative(magnitude, out=magnitude, where=negative)  # |v| modulo 2^64: exact for -2^63 too
+    width = len(str(int(np.max(magnitude, initial=0)))) + bool(negative.any())
+    words = np.empty((len(magnitude), 5), np.uint32)
+    high, index = np.empty_like(magnitude), np.empty_like(magnitude)
+    table = 2 * 10**4  # the units digit of a cell is written even when 0
+    for word in words.T[::-1]:
+        np.floor_divide(magnitude, np.uint64(10**4), out=high)
+        np.subtract(magnitude, np.multiply(high, np.uint64(10**4), out=index), out=index)
+        np.add(index, np.uint64(table), out=index, where=high == 0)  # the leading group
+        groups.take(index, out=word, mode="clip")
+        magnitude, high, table = high, magnitude, 10**4
+    chars = words.view(np.uint8)[:, 4 * 5 - width :]
+    chars[negative, 0] = ord("-")
+    return chars.view(f"S{width}").reshape(column.shape)

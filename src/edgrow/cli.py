@@ -505,7 +505,7 @@ def cmd_weights(config: dict, out_dir: str) -> int:
     except (diagnostics.NotIntegrableError, ValueError) as exc:
         raise ConfigError(f"bad weights input: {exc}") from exc
     out = _ensure_out(out_dir)
-    columns = (np.arange(len(result.g)), result.g, result.phi_steps[: len(result.g)])
+    columns = (range(len(result.g)), result.g, result.phi_steps[: len(result.g)])
     _csv.write(os.path.join(out, "weights.csv"), "k,g_k,phi_k", *columns)
     ks = np.arange(len(result.g) - 1, dtype=float)
     bound_margin = float(np.max((ks + 1.0) * np.diff(result.g) - 2.0 * result.g[:-1]))

@@ -310,9 +310,10 @@ class IntegratorConfig:
 
     The fields are the whole ``integrator`` block of a config.  Each value
     is a finite real number, not a ``bool`` or a string, and is stored as a
-    float; ``record_every`` may be ``None`` (every ``t_end / 200``).  No
-    step is longer than the recording cadence: :func:`integrate` ends each
-    one at or before the next grid point.
+    float; ``record_every`` may be ``None`` (every ``t_end / 200``) and
+    otherwise exceeds the clock's :meth:`resolution`.  No step is longer
+    than the recording cadence: :func:`integrate` ends each one at or before
+    the next grid point.
     """
 
     t_end: float
@@ -337,13 +338,21 @@ class IntegratorConfig:
             raise ValueError("t_end must be nonnegative")
         if self.record_every is not None and self.record_every <= 0:
             raise ValueError("record_every must be positive")
-        if not math.isfinite(self.t_end / self.cadence()):
-            raise ValueError("t_end / record_every must be finite: the recording grid is too long")
+        if self.record_every is not None and self.record_every <= self.resolution():
+            raise ValueError(
+                f"record_every must exceed the clock's resolution 1e-12 * t_end = {self.resolution()!r}"
+            )
 
     def cadence(self) -> float:
         if self.record_every is not None:
             return self.record_every
         return self.t_end / 200.0 or 1.0  # also where t_end / 200 underflows to 0
+
+    def resolution(self) -> float:
+        """Times closer than this are one time: 1e-12 of the horizon, and
+        no step is shorter than 1e-14 of it.  A run whose resolution
+        underflows to 0 records its start only."""
+        return 1e-12 * self.t_end
 
 
 # Fehlberg 4(5) tableau; the fifth-order solution is propagated and the
@@ -770,11 +779,11 @@ class _Stepper:
                 row.dt, row.retried = suggest, False
                 row.stats.rhs_evals += _STEP_EVALS
                 self.stage0_ready = False
-        t_scale = max(self.cfg.t_end, 1.0)
+        floor = 1e-14 * self.cfg.t_end  # see IntegratorConfig.resolution
         attempt_round = self._single_round if self.c.ndim == 1 else self._batch_round
         while True:
             for row in rows:
-                if row.error is None and row.dt < 1e-14 * t_scale:
+                if row.error is None and row.dt < floor:
                     row.error = IntegratorError(f"step underflow: dt={row.dt!r}")
             if attempt_round():
                 return
@@ -1024,7 +1033,7 @@ def _integrate_rows(
             row.reserve(samples)
             if checkpoint_every and checkpoint_hook:
                 row.next_checkpoint = t0 + checkpoint_every
-        time_eps = 1e-12 * max(cfg.t_end, 1.0)
+        time_eps = cfg.resolution()
         groups = [[row] for row in rows if row.method is _RODAS4]
         explicit = [row for row in rows if row.method is _FEHLBERG]
         if explicit:
@@ -1034,7 +1043,7 @@ def _integrate_rows(
             stepper = _Stepper(
                 kernel, states[0] if len(group) == 1 else np.array(states), cfg, group
             )
-            live = stepper.rows if t0 < cfg.t_end - time_eps else []
+            live = stepper.rows if 0.0 < time_eps and t0 < cfg.t_end - time_eps else []
             while live:
                 suggestions = [
                     min(row.dt_next, min(row.next_record, cfg.t_end) - row.t) for row in live

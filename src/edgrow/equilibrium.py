@@ -579,7 +579,8 @@ def _phi_c_pass(cp: ChemicalPotential) -> list:
     everything = np.ones(len(scan.starts), dtype=bool)
     counts = {k: n - offset for k, offset in enumerate(_STREAMS)}
     plan = _Plan(peaks, counts, dict.fromkeys(counts, everything), dict.fromkeys(counts, everything))
-    sums = _tree_pass(form, n, _STREAMS, scan.starts, plan, scan)
+    with np.errstate(over="ignore"):  # a wrong guess is found below, its sums dropped
+        sums = _tree_pass(form, n, _STREAMS, scan.starts, plan, scan)
     cp._memo["phi_c_scan"] = scan.done(_STREAMS)
     floors = np.array(peaks) + _LOG_CUTOFF
     if np.array_equal(np.max(scan.maxima, axis=1), peaks) and np.all(np.min(scan.minima, axis=1) >= floors):
@@ -1087,7 +1088,7 @@ def tagged_value(x: float) -> dict:
 def profile_to_csv(profile: EquilibriumProfile, cp: ChemicalPotential, path) -> None:
     """Write ``l, omega_l, log_q_l`` rows in full double precision (``%.17g``)."""
     rows = profile.k_max + 1
-    _csv.write(path, "l,omega_l,log_q_l", np.arange(rows), profile.omega[:rows], cp.log_q[:rows])
+    _csv.write(path, "l,omega_l,log_q_l", range(rows), profile.omega[:rows], cp.log_q[:rows])
 
 
 def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:

@@ -623,6 +623,15 @@ def test_simulate_integrator_failure(tmp_path):
     assert "underflow" in report["error"]
 
 
+def test_simulate_rejects_cadence_below_the_clock_resolution(tmp_path, capsys):
+    payload = dict(SIM_CONFIG, integrator={"t_end": 1.0, "record_every": 5e-15})
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "resolution" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_simulate_rejects_recording_grid_too_long_to_count(tmp_path, capsys):
     payload = dict(SIM_CONFIG, integrator={"t_end": 1e10, "record_every": 5e-324})
     cfg = write_config(tmp_path, "c.json", payload)

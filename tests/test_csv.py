@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from edgrow import _csv
 from edgrow.cli import _write_trajectory_csv
@@ -221,11 +222,11 @@ def test_trajectory_writer_holds_a_few_blocks_of_memory(tmp_path):
 
 
 def test_profile_writer_holds_a_few_blocks_of_memory(tmp_path):
-    # A 10^6-row profile: its integer column is formatted block by block, as
-    # its two float columns are.  The bound is the 0.51 MiB those float
-    # columns alone took, with the trajectory test's margin, on top of the
-    # 8-byte row numbers ``np.arange`` hands the writer; formatting the whole
-    # integer column at once took 72 MiB.
+    # A 10^6-row profile: its row numbers are made and formatted block by
+    # block, as its two float columns are.  The bound is the 0.51 MiB those
+    # float columns alone took, with the trajectory test's margin; formatting
+    # the whole integer column at once took 72 MiB, and handing the writer
+    # the row numbers as one array 8.1 MiB.
     rows = 10**6 + 1
     cp = chemical_potential(condensing_kernel(3.0), rows - 1)
     profile = equilibrium_profile(cp, rho=0.5, k_max=rows - 1)
@@ -233,7 +234,14 @@ def test_profile_writer_holds_a_few_blocks_of_memory(tmp_path):
     peak = traced_peak(lambda: profile_to_csv(profile, cp, tmp_path / "profile.csv"))
     lines = (tmp_path / "profile.csv").read_bytes().splitlines()
     assert len(lines) == rows + 1 and lines[-1].startswith(b"1000000,")
-    assert peak <= 8 * rows + 0.6 * 2**20
+    assert peak <= 0.6 * 2**20
+
+
+@given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=40))
+@example([0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63), 10**18, 10**18 - 1, -(10**4)])
+def test_integer_cells_match_python(values):
+    got = _csv._integers(np.array(values, dtype=np.int64))
+    assert [cell.replace(b"\0", b"") for cell in got.tolist()] == [b"%d" % v for v in values]
 
 
 def test_writer_that_fails_part_way_keeps_the_previous_file(tmp_path, monkeypatch):

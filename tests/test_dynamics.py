@@ -207,6 +207,25 @@ def test_integrate_horizon_below_the_time_resolution(const):
     assert traj.sample_count == 1 and traj.stats.accepted == 0
 
 
+@pytest.mark.parametrize("t_end", [2e-12, 7.75e-12, 4e-11, 1e-10])
+def test_short_horizon_records_its_whole_grid(const, t_end):
+    # The clock resolves 1e-12 of the horizon.  On a clock of 1e-12 absolute
+    # time the first two runs underflowed their first step, and the last two
+    # stopped up to 2.5 % short of t_end with 196 and 200 samples.
+    state = ConcentrationProfile(np.array([1.0, 0.0, 0.0]))
+    traj = integrate(const, state, IntegratorConfig(t_end=t_end))
+    assert traj.sample_count == 201
+    assert abs(traj.times[-1] - t_end) <= 1e-12 * t_end
+
+
+def test_cadence_at_or_below_the_clock_resolution_is_a_value_error(const):
+    # Grid points 5e-15 apart at t_end = 1 are one time to the clock; the
+    # run used to start and underflow its first step.
+    with pytest.raises(ValueError, match="resolution"):
+        IntegratorConfig(t_end=1.0, record_every=5e-15)
+    assert IntegratorConfig(t_end=1.0, record_every=2e-12).record_every == 2e-12
+
+
 def test_recording_grid_too_long_to_count_is_a_value_error(const):
     # (t_end - t0) / record_every overflows; the grid is rejected up front,
     # not by an OverflowError while the sample matrix is sized.

@@ -18,6 +18,7 @@ import math
 import struct
 import sys
 import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -1241,8 +1242,8 @@ def assert_batch_matches_integrate(kernel, states, cfg) -> list:
     record_every=st.one_of(st.none(), st.floats(min_value=0.05, max_value=1.0)),
     rtol=st.sampled_from([1e-8, 1e-5, 1e-3]),
 )
-# The horizon below 1e-11 underflows the step in the batch and alone (a
-# failed row, None), which the loop once read as stats.
+# A horizon below 1e-11 once underflowed the step in the batch and alone (a
+# failed row, None), which the loop read as stats; it now steps to t_end.
 @example(
     name="constant", states=[ConcentrationProfile(np.array([1.0, 0.0, 0.0]))],
     t_end=7.752286955672728e-12, record_every=None, rtol=1e-8,
@@ -1445,6 +1446,19 @@ def test_blocked_log_sum_matches_one_buffer(n, seed, scale, slope, widen):
         got = equilibrium._blocked_log_sums(form, n, (0,), scan.starts, *bounds)
     event(f"dropped terms: {bool(np.min(values) < np.max(values) + math.log(1e-18))}")
     assert got == [equilibrium._log_sum(values.copy())]
+
+
+def test_sums_at_a_phi_c_past_the_radius_are_exact_and_silent():
+    # The first pass at phi_c guesses each peak from the first segment.  At
+    # a phi_c past the radius the series rises thousands of nats beyond that
+    # guess, so the guess pass overflows; it is redone, and says nothing.
+    cp = chemical_potential(constant_kernel(1.0), 2 * equilibrium._SUM_BLOCK + 1, phi_c=1.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = equilibrium._phi_c_sums(cp)
+    t, log_den, log_num = summed_terms_oracle(cp, math.log(1.01), cp.k_max + 1, True)
+    log_ls = np.log(np.arange(1, cp.k_max + 1, dtype=float))
+    assert same(got, (log_den, log_num, log_sum(t[1:] + log_ls + log_ls)))
 
 
 @pytest.mark.parametrize("k_max", [equilibrium._SUM_BLOCK, 2 * equilibrium._SUM_BLOCK + 1])
