@@ -39,9 +39,7 @@ _ROWS = 9  # scratch rows of one float per cell that formatting a block uses
 def _tables() -> tuple:
     """The power table by ``q - _Q_LOW`` with ``hi`` split for Dekker's
     product, 0000 .. 9999 in a word's low and high half, the words and masks
-    :func:`cells` looks up, the byte moves of fixed notation, and the four
-    digits of 0 .. 9999 for :func:`_integers`: zero-padded, with leading
-    zeros NUL, and so but for the units digit."""
+    :func:`cells` looks up, and the byte moves of fixed notation."""
     k, words = [], []
     for q in range(_Q_LOW, 345):
         num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
@@ -55,12 +53,7 @@ def _tables() -> tuple:
         hi_big = t - (t - hi)
         words.append((hi, hi_big, hi - hi_big, float(m & (2**53 - 1)) * 2.0**-105))
     group = np.arange(10**4)
-
-    def digits(least: list) -> np.ndarray:  # place p shows a digit where group >= least[p], else NUL
-        return sum(np.where(group >= low, 48 + group // 10 ** (3 - p) % 10, 0) << 8 * p for p, low in enumerate(least))
-
-    quads = digits([0] * 4).astype(np.uint64)
-    groups = np.concatenate([digits([0] * 4), digits([1000, 100, 10, 1]), digits([1000, 100, 10, 0])])
+    quads = sum((48 + group // 10 ** (3 - place) % 10) << 8 * place for place in range(4)).astype(np.uint64)
     first = [b"\0" * 5 + sign + b"0" + dot for sign in (b"\0", b"-") for dot in (b"\0", b".")]
     tail = [b"" if -4 <= e < 17 else b"e%+03d" % e for e in range(_E_LOW, 1 - _E_LOW)]
     movable = np.array([-4 <= e < 17 and e != 0 for e in range(_E_LOW, 1 - _E_LOW)])
@@ -80,7 +73,7 @@ def _tables() -> tuple:
         moves[e + 4, 8 - e : 24 - e] += e
     first, tail = (np.array([int.from_bytes(t, "little") for t in table], np.uint64) for table in (first, tail))
     lookups = (quads, quads << np.uint64(32), first, tail, np.array(keep, np.uint64), movable, moves, least, most)
-    return (np.array(k, np.intc), *np.array(words).T.copy(), *lookups, groups.astype(np.uint32))
+    return (np.array(k, np.intc), *np.array(words).T.copy(), *lookups)
 
 
 def _scaled(x: np.ndarray, j: np.ndarray, s: np.ndarray) -> tuple:
@@ -145,7 +138,7 @@ def cells(x: np.ndarray, s=None) -> np.ndarray:
     :data:`_ROWS` contiguous rows of ``len(x)``; the bytes are its rows 5 to 8."""
     x = np.asarray(x, dtype=float)
     s = np.empty((_ROWS, len(x))) if s is None else s
-    quads, high_quads, first, tail, keep, movable, moves, least, most = _tables()[5:-1]
+    quads, high_quads, first, tail, keep, movable, moves, least, most = _tables()[5:]
     fast = np.isfinite(x) & (x != 0)
     ax = np.abs(x, out=s[0])
     ax[~fast] = 1.0
@@ -228,7 +221,8 @@ def write_lines(fh, *columns) -> None:
     n = np.broadcast_shapes(*((len(c),) if isinstance(c, range) else c.shape for c in columns))[0]
     cut = [isinstance(c, range) or (c.ndim > 0 and len(c) == n) for c in columns]
     columns = [c if k or c.dtype.kind in "fS" else _bytes(c) for c, k in zip(columns, cut)]
-    per_row = sum(int(np.prod(c.shape[1:])) for c in columns if not isinstance(c, range) and c.dtype.kind == "f")
+    float_columns = [c for c in columns if not isinstance(c, range) and c.dtype.kind == "f"]
+    per_row = sum(int(np.prod(c.shape[1:])) for c in float_columns)
     step, scratch = -(-_BLOCK // max(per_row, 1)), None
     for start in range(0, n, step):
         block = [c[start : start + step] if k else c for c, k in zip(columns, cut)]
@@ -274,11 +268,25 @@ def _bytes(column: np.ndarray) -> np.ndarray:
     return np.array(cells, dtype=bytes).reshape(column.shape)
 
 
+@functools.cache
+def _groups() -> np.ndarray:
+    """The four digits of 0 .. 9999 for :func:`_integers`: zero-padded (from
+    :func:`_tables`), with leading zeros NUL (0 all NUL), and with leading
+    zeros NUL but for the units digit, one table after the other."""
+    quads = _tables()[5]
+    group = np.arange(10**4)
+    blank = 8 * (3 - (group >= 10) - (group >= 100) - (group >= 1000))  # bits before the first digit
+    units = quads & np.uint64(2**32 - 1) >> blank.astype(np.uint64) << blank.astype(np.uint64)
+    lead = units.copy()
+    lead[0] = 0
+    return np.concatenate([quads, lead, units]).astype(np.uint32)
+
+
 def _integers(column: np.ndarray) -> np.ndarray:
     """``%d`` of each cell of an integer column, as bytes of one width: five
-    four-digit groups of :func:`_tables` with leading zeros NUL, and a ``-``
+    four-digit groups of :func:`_groups` with leading zeros NUL, and a ``-``
     in the first byte of a negative cell."""
-    groups = _tables()[-1]
+    groups = _groups()
     magnitude = column.astype(np.int64).reshape(-1).view(np.uint64)
     negative = magnitude >= np.uint64(1 << 63)
     np.negative(magnitude, out=magnitude, where=negative)  # |v| modulo 2^64: exact for -2^63 too
