@@ -399,9 +399,9 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     sweep's one chemical potential and walks the ``rho_c`` ladder once
     while the batch runs.  Each numpy call on either side hands the GIL
     over, so each slows the other, and the rows set the wall (on
-    ``phase-sweep``, 2 vCPU: rows about 0.07 s alone and 0.09-0.11 s beside
-    the equilibrium phase, which takes about 0.04 s alone and 0.05-0.07 s
-    beside them).  The trajectories are then classified here in
+    ``phase-sweep``, 2 vCPU, 10 runs each: rows 0.072-0.082 s alone and
+    0.072-0.090 s beside the equilibrium phase, which takes 0.003 s alone
+    and 0.003-0.008 s beside them).  The trajectories are then classified here in
     input order.  A chemical-potential error names every row, then come
     integration errors, then classification errors.
     """
@@ -444,7 +444,8 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
             batch.result()
             phase_seconds["rows"] = time.perf_counter() - submitted
         if rhos:
-            rho_c_block = {"method": None, "ladder_length": None}
+            keys = ("method", "ladder_length", *equilibrium.FAR_FIELDS)
+            rho_c_block = dict.fromkeys(keys)
             with _phase(phase_seconds, "equilibrium"):
                 try:
                     cp = equilibrium.chemical_potential(kernel, analysis.equilibrium_k_max)
@@ -453,7 +454,7 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
                 else:  # without rho_c, each row reports the failure as it classifies
                     with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
                         info = equilibrium.critical_density_info(cp)
-                        rho_c_block = {"method": info.method, "ladder_length": info.ladder_length}
+                        rho_c_block = {key: getattr(info, key) for key in keys}
         results = batch.result()
         if not serial:
             phase_seconds["rows"] = time.perf_counter() - submitted

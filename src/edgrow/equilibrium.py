@@ -3,32 +3,25 @@
 Product-form stationary states are indexed by a fugacity ``phi``: the weight
 of size ``l`` is ``phi**l * Q_l / Z(phi)`` where ``Q_l`` multiplies the
 forward/backward rate ratios of successive monomer attachments and
-``Z(phi)`` is the normalizing power series.  The radius of convergence
-``phi_c`` and the density reachable at it, ``rho_c``, organize the phase
-diagram: densities up to ``rho_c`` are carried by a normalizable state,
-anything beyond condenses.
+``Z(phi)`` is the normalizing power series, cut at ``k_max``.  The radius of
+convergence ``phi_c`` and the density reachable at it, ``rho_c``, organize
+the phase diagram: densities up to ``rho_c`` are carried by a normalizable
+state, anything beyond condenses.
 
-Everything is computed in log space: the weights ``Q_l`` span hundreds of
-orders of magnitude already for geometric-type kernels.  Every quantity at
-a fugacity comes from one evaluator, ``_series``, which forms and log-sums
-only the prefix of the series that can pass the log-sum cutoff.
+Everything is computed in log space.  A chemical potential keeps its kernel
+and forms ``log_q`` on demand.  A sum of at most ``_SUM_BLOCK = 2^17`` terms
+is formed term by term, cut where no term can pass the log-sum cutoff.  A
+longer one takes the sizes up to ``_PREFIX = 2^12`` so and the rest from the
+kernel's asymptotic expansion ``log Q_l + l log phi_c = C - s log l + sum_i
+a_i l^-i`` (:mod:`edgrow._far`), which also completes the sums at ``phi_c``
+beyond ``k_max``: ``rho_c`` is finite exactly when ``s > 2``.  Where no
+expansion fits (an infinite, zero or unconverged ``phi_c``, or a given one
+that is not the kernel's radius) a long sum is formed block by block.
 
-What is derived once from a chemical potential (the suffix peaks that size
-the cut, the sums at ``phi_c``, the ``rho_c`` decision) is kept on that
-object, so it is freed with it.  :func:`critical_density_info` decides
-``rho_c`` on the dyadic fugacity ladder.  Where the direct tail at
-``phi_c`` settles it, the first rung that confirms that value is predicted
-from the size variance at ``phi_c`` and checked with that rung and the one
-below; otherwise the ladder is walked rung by rung.  Either way a process
-evaluates each rung at most once per chemical potential.
-
-A chemical potential keeps one array of length ``k_max``, ``log_q``, built in
-blocks.  A log-sum of more than ``_SUM_BLOCK`` terms is formed in windows of
-about that many sizes that end where nodes of numpy's pairwise summation
-tree end, so it holds no second full-length array and keeps its bytes
-(``phase-sweep`` at ``k_max = 10^6``: peak RSS 80.7 -> 58.2 -> 47 MiB).  The
-first pass at ``phi_c`` keeps per-segment extremes of the series there; they
-size the cut and bound the terms of every fugacity below it.
+What is derived from a chemical potential (``log_q``, the expansion, the
+sums at ``phi_c``, the ``rho_c`` decision) is kept on it.
+:func:`critical_density_info` decides ``rho_c`` on the dyadic fugacity
+ladder, evaluating each rung at most once per chemical potential.
 """
 
 from __future__ import annotations
@@ -36,13 +29,12 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _csv
+from . import _csv, _far
 from .kernels import Kernel, ZeroRateError
 
 __all__ = [
@@ -64,6 +56,7 @@ __all__ = [
     "equilibrium_free_energy",
     "profile_to_csv",
     "profile_summary",
+    "FAR_FIELDS",
     "tagged_value",
 ]
 
@@ -92,16 +85,12 @@ class PhiCEstimate(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ChemicalPotential:
-    """Log-space prefix products of attachment-rate ratios.
+    """Log weights of ``kernel``: ``log_q[l]`` for ``l <= k_max``, with
+    ``log_q[0] = 0`` and increments ``log K(1, l-1) - log K(l, 0)``, formed
+    on demand.  ``phi_c_estimate`` is the radius of convergence of the power
+    series (may be ``inf``); ``_memo`` holds what this module derives."""
 
-    ``log_q[l]`` is the log weight of size ``l`` with ``log_q[0] = 0`` and
-    increments ``log K(1, l-1) - log K(l, 0)``.  ``phi_c_estimate`` is the
-    sampled radius of convergence of the associated power series (may be
-    ``inf``).  ``_memo`` holds what this module derives from the instance
-    (suffix peaks, phi_c sums, the critical density).
-    """
-
-    log_q: np.ndarray
+    kernel: Kernel
     phi_c_estimate: float
     phi_c_converged: bool
     k_max: int
@@ -110,10 +99,20 @@ class ChemicalPotential:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.log_q[0] != 0.0:
-            raise ValueError("log_q[0] must be 0 (unit weight at size 0)")
-        if len(self.log_q) != self.k_max + 1:
-            raise ValueError("log_q must cover sizes 0..k_max")
+
+    @property
+    def log_q(self) -> np.ndarray:
+        """``log_q`` of the sizes ``0..k_max``."""
+        return self.log_q_prefix(self.k_max + 1)
+
+    def log_q_prefix(self, n: int) -> np.ndarray:
+        """``log_q`` of the sizes below ``n`` (at most ``k_max + 1`` of
+        them), formed on from what is kept, at least doubling it."""
+        formed = self._memo.get("log_q")
+        if formed is None or formed.size < min(n, self.k_max + 1):
+            size = min(self.k_max + 1, max(n, 0 if formed is None else 2 * formed.size))
+            formed = self._memo["log_q"] = _log_q(self.kernel, size, formed)
+        return formed[:n]
 
 
 @dataclass(frozen=True)
@@ -146,18 +145,13 @@ def estimate_critical_fugacity(kernel: Kernel) -> PhiCEstimate:
 
     The ratio ``r_k = K(k, 0) / K(1, k-1)`` is sampled on a dyadic ladder up
     to ``k = 2^16`` and extrapolated to ``k -> infinity`` by Richardson steps
-    (rate families built from rational expressions have exact expansions in
-    ``1/k``, so the extrapolation reaches machine precision).  A plain tail
-    average cannot resolve ``1/k`` corrections to the accuracy the critical
-    constants need, which is why the ladder is extrapolated instead of
-    averaged.  A ratio that grows monotonically and substantially across the
-    ladder is flagged as a divergent (infinite) radius.
+    (rational rate families have exact expansions in ``1/k``, which a plain
+    tail average cannot resolve).  A ratio that grows monotonically and
+    substantially across the ladder is flagged as an infinite radius.
     """
     k0, levels = _PROBE_K, _PROBE_LEVELS
     nodes = np.array([k0 >> (levels - 1 - i) for i in range(levels)], dtype=float)
-    r = np.array(
-        [kernel(int(k), 0) / kernel(1, int(k) - 1) for k in nodes], dtype=float
-    )
+    r = np.array([kernel(int(k), 0) / kernel(1, int(k) - 1) for k in nodes], dtype=float)
 
     increasing = bool(np.all(np.diff(r) > 0))
     if r[-1] > 1e12 or (increasing and r[-1] >= 8.0 * max(r[0], 1e-300)):
@@ -175,20 +169,19 @@ def estimate_critical_fugacity(kernel: Kernel) -> PhiCEstimate:
     return PhiCEstimate(max(value, 0.0), bool(converged))
 
 
-_BLOCK = 1 << 16  # sizes per block of chemical_potential
+_BLOCK = 1 << 16  # sizes per block of log_q
 
 
-def chemical_potential(
-    kernel: Kernel, k_max: int, phi_c: Optional[float] = None
-) -> ChemicalPotential:
-    """Accumulate ``log_q`` for sizes ``0..k_max`` in blocks of ``_BLOCK``
-    sizes, each cumsum carried on from ``log_q[a - 1]`` with the add a
-    one-shot cumsum makes (same bytes), and attach a ``phi_c`` estimate."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    log_q = np.zeros(k_max + 1)
-    for a in range(1, k_max + 1, _BLOCK):
-        ls = np.arange(a, min(a + _BLOCK, k_max + 1), dtype=float)
+def _log_q(kernel: Kernel, n: int, formed: Optional[np.ndarray] = None) -> np.ndarray:
+    """``log_q`` of the sizes below ``n``, carrying on from ``formed`` (a
+    shorter one) in blocks of ``_BLOCK`` sizes, each cumsum carried on from
+    the size before with the add a one-shot cumsum makes (same bytes)."""
+    log_q = np.zeros(n)
+    start = 1 if formed is None else formed.size
+    if formed is not None:
+        log_q[:start] = formed
+    for a in range(start, n, _BLOCK):
+        ls = np.arange(a, min(a + _BLOCK, n), dtype=float)
         attach = kernel(np.ones(1), ls - 1.0)  # K(1, l-1)
         detach = kernel(ls, np.zeros(1))  # K(l, 0)
         bad = np.nonzero((attach <= 0.0) | (detach <= 0.0))[0]
@@ -199,14 +192,25 @@ def chemical_potential(
         increments -= np.log(detach, out=detach)
         increments[0] += log_q[a - 1]
         np.cumsum(increments, out=log_q[a : a + ls.size])
+    return log_q
+
+
+def chemical_potential(kernel: Kernel, k_max: int, phi_c: Optional[float] = None) -> ChemicalPotential:
+    """Attach a ``phi_c`` estimate to ``kernel`` and form ``log_q`` as far as
+    sums read it term by term (:func:`_prefix_end`), so a vanishing rate is
+    named here unless the far expansion stands in for it."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    log_q = _log_q(kernel, (_PREFIX if k_max >= _SUM_BLOCK else k_max) + 1)
     if phi_c is None:
         estimate = estimate_critical_fugacity(kernel)
         phi_c_value, converged = estimate.value, estimate.converged
     else:
         phi_c_value, converged = float(phi_c), True
-    return ChemicalPotential(
-        log_q=log_q, phi_c_estimate=phi_c_value, phi_c_converged=converged, k_max=int(k_max)
-    )
+    cp = ChemicalPotential(kernel, phi_c_value, converged, int(k_max))
+    cp._memo["log_q"] = log_q
+    cp.log_q_prefix(_prefix_end(cp) + 1)
+    return cp
 
 
 def _failing_rates(l: int, attach: float, detach: float) -> str:
@@ -225,20 +229,12 @@ def _check_fugacity(cp: ChemicalPotential, phi: float) -> None:
     if phi < 0.0:
         raise ValueError("fugacity must be nonnegative")
     if math.isfinite(cp.phi_c_estimate) and phi > cp.phi_c_estimate * (1.0 + 1e-9):
-        raise DivergentSeriesError(
-            f"divergent: phi={phi!r} exceeds phi_c={cp.phi_c_estimate!r}"
-        )
+        raise DivergentSeriesError(f"divergent: phi={phi!r} exceeds phi_c={cp.phi_c_estimate!r}")
 
 
 def partition_sum(cp: ChemicalPotential, phi: float) -> Tuple[float, float]:
-    """Normalizing series and a tail bound for its truncation.
-
-    Returns ``(z_value, tail_bound)``.  The bound is geometric, computed from
-    the largest term ratio seen on the top decile of the range together with
-    ``phi/phi_c``; when that ratio reaches 1 (e.g. exactly at the critical
-    fugacity) the remainder has no geometric majorant and the bound is
-    reported as ``inf`` rather than invented.
-    """
+    """``(z_value, tail_bound)``: the normalizing series and a geometric
+    bound of what its cut leaves out (:func:`_geometric_tail`)."""
     _check_fugacity(cp, phi)
     if phi == 0.0:
         return 1.0, 0.0
@@ -248,46 +244,36 @@ def partition_sum(cp: ChemicalPotential, phi: float) -> Tuple[float, float]:
 
 
 def _geometric_tail(cp: ChemicalPotential, phi: float) -> float:
-    """Geometric majorant of the series beyond ``k_max``, from the terms of
-    the top decile of the range only."""
-    start = int(0.9 * cp.k_max)
-    t = np.arange(start, cp.k_max + 1, dtype=float) * math.log(phi) + cp.log_q[start:]
-    ratios = np.exp(np.diff(t))
-    q = float(np.max(ratios))
+    """Geometric majorant of the series beyond ``k_max``: its last term times
+    ``q / (1 - q)``, with ``q`` the larger of ``phi / phi_c`` and the first
+    term ratio past the range, ``phi K(1, k_max) / K(k_max + 1, 0)``; ``inf``
+    when ``q`` reaches 1 (e.g. at ``phi_c``), rather than an invented bound."""
+    detach = cp.kernel(cp.k_max + 1, 0)
+    q = phi * cp.kernel(1, cp.k_max) / detach if detach > 0.0 else math.inf
     if math.isfinite(cp.phi_c_estimate) and cp.phi_c_estimate > 0.0:
         q = max(q, phi / cp.phi_c_estimate)
     if q >= 1.0 - 1e-12:
         return math.inf
-    last = math.exp(t[-1])
-    return last * q / (1.0 - q)
+    return math.exp(_last_term(cp, math.log(phi))) * q / (1.0 - q)
 
 
 # Series terms below this fraction of the peak cannot move the sum by an ulp,
-# so _log_sum drops them.  _series goes one step further and does not
-# evaluate a suffix of the series whose every term is certain to be
-# dropped: for 0 < phi < phi_c the terms are ``t_l = s_l + l log(phi/phi_c)``
-# with ``s_l = log_q[l] + l log phi_c``, so ``max_{l >= L} s_l + L log(phi/phi_c)``
-# bounds every term from size L on.  A suffix is skipped when that bound lies
-# _CUT_MARGIN nats below ``peak bound + _LOG_CUTOFF``; the peak is at least
-# t_0 = 0 for the normalization and its first term t_1 for the size-weighted
-# sum.  The margin covers the rounding of ``l log phi + log_q[l]`` and
-# ``l log phi_c + log_q[l]``, a few ulps of their magnitude (under 1e-6 nats
-# for k_max <= 10**6 and |log_q| < 1e9), so every skipped term is one
-# _log_sum would drop, and the kept terms, their order and their sum are
-# bit-identical to the full range.
+# so _log_sum drops them, and _series does not form a suffix whose every
+# term is certain to be dropped: for 0 < phi < phi_c the terms are ``t_l =
+# s_l + l log(phi/phi_c)`` with ``s_l = log_q[l] + l log phi_c``, so
+# ``max_{l >= L} s_l + L log(phi/phi_c)`` bounds every term from size L on.
+# A suffix is skipped when that bound lies _CUT_MARGIN nats below the peak
+# (at least t_0 = 0, and t_1 for the size-weighted sum) plus _LOG_CUTOFF.
+# The margin covers the rounding of the terms (under 1e-6 nats for k_max <=
+# 10**6 and |log_q| < 1e9) and the far expansion's error (smaller), so the
+# kept terms, their order and their sum are bit-identical to the full range.
 _LOG_CUTOFF = math.log(1e-18)
 _CUT_MARGIN = 2.0
 
-# A log-sum of more than _SUM_BLOCK terms is formed block by block
-# (_blocked_log_sums).  np.sum adds pairwise: a node of more than 128 terms
-# is the sum of its first half, rounded down to a multiple of 8 terms, and
-# of the rest.  So the sums of the nodes that fit a block, added back up
-# that tree, are bit-identical to np.sum over the whole sequence.  A scan
-# keeps the extremes of the terms per segment of _SEGMENT sizes (and per
-# dyadic segment below that); they say which segments can hold the peak
-# and which straddle the cutoff, so only those are formed beforehand.
+# A log-sum of more than _SUM_BLOCK terms takes those past _PREFIX from the
+# far expansion, or without one is formed block by block.
 _SUM_BLOCK = 1 << 17
-_SEGMENT = 1 << 12
+_PREFIX = 1 << 12
 _STREAMS = (0, 1, 1)  # first size of each stream of _terms
 
 
@@ -306,62 +292,14 @@ def _log_sum(values: np.ndarray, overwrite: bool = False) -> float:
     return m + math.log(float(np.sum(np.exp(kept, out=kept))))
 
 
-def _tree_nodes(n: int) -> list:
-    """Sizes, in order, of the largest nodes of numpy's pairwise summation
-    tree over ``n`` terms that fit ``_SUM_BLOCK`` terms."""
-    if n <= _SUM_BLOCK:
-        return [n]
-    half = n // 2 - n // 2 % 8
-    return _tree_nodes(half) + _tree_nodes(n - half)
-
-
-def _tree_total(n: int, sums) -> float:
-    """``np.sum`` of ``n`` terms from the sums of the nodes of
-    :func:`_tree_nodes`, taken in order from the iterator ``sums``."""
-    if n <= _SUM_BLOCK:
-        return next(sums)
-    half = n // 2 - n // 2 % 8
-    return _tree_total(half, sums) + _tree_total(n - half, sums)
-
-
-class _TreeSum:
-    """``np.sum`` of ``n`` terms fed in order, in pieces of any length: each
-    node of :func:`_tree_nodes` is summed as it fills, in place when one
-    piece holds it whole, else from a copy."""
-
-    def __init__(self, n: int):
-        self.n, self.nodes, self.sums = n, _tree_nodes(n), []
-        self.buffer, self.filled = None, 0
-
-    def feed(self, values: np.ndarray) -> None:
-        while values.size:
-            size = self.nodes[len(self.sums)]
-            take = min(size - self.filled, values.size)
-            if take == size:
-                self.sums.append(float(np.sum(values[:size])))
-            else:
-                if self.buffer is None:
-                    self.buffer = np.empty(max(self.nodes))
-                self.buffer[self.filled : self.filled + take] = values[:take]
-                self.filled += take
-                if self.filled == size:
-                    self.sums.append(float(np.sum(self.buffer[:size])))
-                    self.filled = 0
-            values = values[take:]
-
-    def total(self) -> float:
-        return _tree_total(self.n, iter(self.sums))
-
-
 def _terms(cp: ChemicalPotential, log_phi: float, a: int, b: int, streams: int = 1) -> np.ndarray:
-    """The first ``streams`` streams of terms at ``log phi`` for the sizes
-    ``a <= l < b``, one row each: ``t_l = l log phi + log_q[l]``, ``t_l +
-    log l`` and ``(t_l + log l) + log l``.  The last two start at size 1
-    (``_STREAMS``); their entries at ``l = 0`` are not terms."""
+    """Rows of terms at ``log phi`` for the sizes ``a <= l < b``: ``t_l = l
+    log phi + log_q[l]``, ``t_l + log l`` and ``(t_l + log l) + log l``, the
+    first ``streams`` of them (the last two start at size 1, ``_STREAMS``)."""
     ls = np.arange(a, b, dtype=float)
     rows = np.empty((streams, b - a))
     t = np.multiply(ls, log_phi, out=rows[0])
-    t += cp.log_q[a:b]
+    t += cp.log_q_prefix(b)[a:]
     if streams > 1:
         log_ls = ls[1:] if a == 0 else ls
         np.log(log_ls, out=log_ls)  # l = 0 stays 0
@@ -371,282 +309,70 @@ def _terms(cp: ChemicalPotential, log_phi: float, a: int, b: int, streams: int =
     return rows
 
 
-class _Scan(NamedTuple):
-    """Extremes of rows of terms per segment: ``maxima[k, g]`` and
-    ``minima[k, g]`` over row ``k`` on the sizes from ``starts[g]`` to the
-    next start (``-inf`` and ``inf`` where the row has no terms)."""
-
-    starts: list
-    maxima: np.ndarray
-    minima: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int, rows: int) -> "_Scan":
-        """Segments of the sizes below ``n`` that start at 0, 1, the powers
-        of 2 below ``_SEGMENT`` and its multiples, with nothing seen yet."""
-        starts = [s for s in [0] + [1 << j for j in range(_SEGMENT.bit_length() - 1)] if s < n]
-        starts += range(_SEGMENT, n, _SEGMENT)
-        return cls(starts, np.full((rows, len(starts)), -math.inf), np.full((rows, len(starts)), math.inf))
-
-    def see(self, rows: np.ndarray, a: int) -> None:
-        """Takes in ``rows``, the terms of the sizes from ``a`` on."""
-        g0, g1 = bisect.bisect_right(self.starts, a) - 1, bisect.bisect_left(self.starts, a + rows.shape[1])
-        at = [0] + [s - a for s in self.starts[g0 + 1 : g1]]
-        for extremes, ufunc in ((self.maxima, np.maximum), (self.minima, np.minimum)):
-            ufunc(extremes[:, g0:g1], ufunc.reduceat(rows, at, axis=1), out=extremes[:, g0:g1])
-
-    def done(self, offsets: Sequence[int]) -> "_Scan":
-        """Clears what the rows hold before their first terms."""
-        for k, offset in enumerate(offsets):
-            before = bisect.bisect_left(self.starts, offset)
-            self.maxima[k, :before], self.minima[k, :before] = -math.inf, math.inf
-        return self
+def _far_series(cp: ChemicalPotential) -> Optional[_far.FarSeries]:
+    """The far expansion of ``cp``, matched to ``log_q`` at ``_PREFIX`` when
+    the series is longer than one block of a log-sum and at ``k_max``
+    otherwise; ``None`` without a converged finite positive ``phi_c`` or a
+    fit."""
+    if "far" not in cp._memo:
+        far, phi_c = None, cp.phi_c_estimate
+        if cp.phi_c_converged and 0.0 < phi_c < math.inf:
+            end = _PREFIX if cp.k_max >= _SUM_BLOCK else cp.k_max
+            s_end = float(cp.log_q_prefix(end + 1)[end]) + end * math.log(phi_c)
+            far = _far.fit(cp.kernel, phi_c, end, s_end)
+        cp._memo["far"] = far
+    return cp._memo["far"]
 
 
-def _scan(form, n: int, offsets: Sequence[int]) -> _Scan:
-    """The extremes of the rows of terms ``form(a, b)`` makes for the sizes
-    ``a <= l < b``, in blocks of ``_SUM_BLOCK`` sizes below ``n``; row ``k``
-    holds terms from size ``offsets[k]`` (0 or 1) on."""
-    scan = _Scan.empty(n, len(offsets))
-    for a in range(0, n, _SUM_BLOCK):
-        scan.see(form(a, min(a + _SUM_BLOCK, n)), a)
-    return scan.done(offsets)
-
-
-def _runs(flags: np.ndarray, starts: list, ends: list):
-    """Ranges ``[a, b)`` of at most ``_SUM_BLOCK`` sizes that together cover
-    the flagged segments, adjacent ones joined."""
-    a = b = None
-    for g in np.flatnonzero(flags).tolist():
-        if a is not None and starts[g] == b and ends[g] - a <= _SUM_BLOCK:
-            b = ends[g]
-            continue
-        if a is not None:
-            yield a, b
-        a, b = starts[g], ends[g]
-    if a is not None:
-        yield a, b
-
-
-class _Plan(NamedTuple):
-    """What a pass of :func:`_tree_pass` sums, per row ``k``: ``peaks[k]``
-    (not finite: the log-sum is ``-inf``), and for the rows with a finite
-    peak how many terms are kept, and per segment whether every term is
-    kept (``whole``) and whether any may be (``some``)."""
-
-    peaks: list
-    counts: dict
-    whole: dict
-    some: dict
-
-
-def _plan(form, n: int, offsets: Sequence[int], starts: list, hi, top, lo) -> _Plan:
-    """The :class:`_Plan` of the log-sums of the rows of terms ``form(a,
-    b)`` makes below size ``n`` (row ``k`` from size ``offsets[k]`` on).
-
-    ``hi``, ``top`` and ``lo`` bound the terms of row ``k`` in segment
-    ``g`` (from ``starts[g]`` to the next start or ``n``): each lies in
-    ``[lo[k, g], hi[k, g]]`` and one is at least ``top[k, g]``.  The peak
-    is read off the bounds where they are tight and otherwise formed on the
-    segments that can hold it; the kept terms are counted on the segments
-    that straddle the cutoff, and nowhere else.
-    """
-    ends = starts[1:] + [n]
-    first, last = np.array(starts), np.array(ends)
-    sizes = [np.maximum(last - np.maximum(first, offset), 0) for offset in offsets]
-    peaks = np.max(top, axis=1).tolist()
-    unsure, inexact = np.zeros(len(starts), dtype=bool), []
-    for k in range(len(offsets)):
-        holds = hi[k] >= peaks[k]
-        if not np.array_equal(hi[k, holds], top[k, holds]):
-            inexact.append(k)
-            unsure |= holds
-    for a, b in _runs(unsure, starts, ends):
-        rows = form(a, b)
-        for k in inexact:
-            values = rows[k, max(offsets[k] - a, 0) :]
-            if values.size:
-                peaks[k] = max(peaks[k], float(np.max(values)))
-
-    live = [k for k in range(len(offsets)) if math.isfinite(peaks[k])]
-    whole = {k: (lo[k] >= peaks[k] + _LOG_CUTOFF) | (sizes[k] == 0) for k in live}
-    some = {k: (hi[k] >= peaks[k] + _LOG_CUTOFF) & (sizes[k] > 0) for k in live}
-    straddles = np.zeros(len(starts), dtype=bool)
-    for k in live:
-        straddles |= some[k] & ~whole[k]
-    counts = {k: int(np.sum(sizes[k], where=whole[k] & ~straddles)) for k in live}
-    for a, b in _runs(straddles, starts, ends):
-        rows = form(a, b)
-        for k in live:
-            kept = rows[k, max(offsets[k] - a, 0) :] >= peaks[k] + _LOG_CUTOFF
-            counts[k] += int(np.count_nonzero(kept))
-    return _Plan(peaks, counts, whole, some)
-
-
-def _tree_pass(form, n: int, offsets: Sequence[int], starts: list, plan: _Plan, scan=None) -> list:
-    """:func:`_log_sum` of each row of terms ``form(a, b)`` makes below
-    size ``n`` (row ``k`` from size ``offsets[k]`` on), bit for bit, in one
-    pass that follows ``plan`` (see :func:`_plan`) and shows every window
-    it forms to ``scan``, if given.
-
-    Each window ends where the node being filled of one row's summation
-    tree ends (see :class:`_TreeSum`), so nodes are summed in place; a
-    window is at most about ``_SUM_BLOCK`` sizes long.  A row masks only
-    where a segment may drop terms and skips segments it drops whole.
-    """
-    rows_count, live = len(offsets), list(plan.counts)
-
-    def segments(a: int, b: int) -> Tuple[int, int]:  # those that meet [a, b)
-        return bisect.bisect_right(starts, a) - 1, bisect.bisect_left(starts, b)
-
-    trees = {k: _TreeSum(plan.counts[k]) for k in live}
-    dropping = {k: [0] + np.cumsum(~plan.whole[k]).tolist() for k in live}
-    holding = {k: np.flatnonzero(plan.some[k]).tolist() for k in live}
-    floors = {k: plan.peaks[k] + _LOG_CUTOFF for k in live}
-    shift = np.array([[plan.peaks[k] if k in trees else 0.0] for k in range(rows_count)])
-    at = {k: offsets[k] for k in live}
-    while True:
-        for k in list(at):  # skip the segments a row drops
-            tree, (g, _) = trees[k], segments(at[k], at[k] + 1)
-            i = bisect.bisect_left(holding[k], g)
-            if len(tree.sums) == len(tree.nodes) or i == len(holding[k]):
-                del at[k]
-            else:
-                at[k] = max(at[k], starts[holding[k][i]])
-        if not at:
-            break
-        lo, targets = min(at.values()), {}
-        for k, a in at.items():  # where the node being filled ends, if it drops no term
-            end = a + trees[k].nodes[len(trees[k].sums)] - trees[k].filled
-            g0, g1 = segments(a, end)
-            targets[k] = end if end <= n and dropping[k][g1] == dropping[k][g0] else a + _SUM_BLOCK
-        hi = min(max(targets.values()), lo + _SUM_BLOCK + _SEGMENT, n)
-        rows = form(lo, hi)
-        if scan is not None:
-            scan.see(rows, lo)
-        for k in range(rows_count):
-            if k not in trees:
-                rows[k] = 0.0
-        pieces = {}
-        for k, a in at.items():
-            b = min(targets[k], hi)
-            if a < b:
-                g0, g1 = segments(a, b)
-                masked = dropping[k][g1] > dropping[k][g0]
-                pieces[k] = (a - lo, b - lo, rows[k, a - lo : b - lo] >= floors[k] if masked else None)
-                at[k] = b
-        rows -= shift
-        np.exp(rows, out=rows)
-        for k, (a, b, mask) in pieces.items():
-            trees[k].feed(rows[k, a:b] if mask is None else rows[k, a:b][mask])
-        del rows, pieces  # before the next window is formed
-    return [plan.peaks[k] + math.log(trees[k].total()) if k in trees else -math.inf for k in range(rows_count)]
-
-
-def _blocked_log_sums(form, n: int, offsets: Sequence[int], starts: list, hi, top, lo) -> list:
-    """:func:`_log_sum` of each row of terms ``form(a, b)`` makes below
-    size ``n`` (row ``k`` from size ``offsets[k]`` on), bit for bit, with
-    at most about ``_SUM_BLOCK`` sizes formed at once; the bounds are those
-    of :func:`_plan`."""
-    return _tree_pass(form, n, offsets, starts, _plan(form, n, offsets, starts, hi, top, lo))
-
-
-def _phi_c_scan(cp: ChemicalPotential) -> _Scan:
-    """The scan of the three rows of :func:`_terms` at ``phi_c`` over the
-    full range; needs a finite positive ``phi_c``.  Kept on ``cp``."""
-    if "phi_c_scan" not in cp._memo:
-        form = partial(_terms, cp, _log_phi_c(cp), streams=3)
-        cp._memo["phi_c_scan"] = _scan(form, cp.k_max + 1, _STREAMS)
-    return cp._memo["phi_c_scan"]
-
-
-def _phi_c_pass(cp: ChemicalPotential) -> list:
-    """The sums of :func:`_phi_c_sums` beyond one block, and the scan of
-    :func:`_phi_c_scan` with them when it is not kept yet.
-
-    Then the sums and the scan take one pass: each row's peak is guessed
-    from its terms below ``_SEGMENT`` and every term is taken as kept.  The
-    scan confirms both (a series that decays from its start, as at a
-    condensing ``phi_c``), or the sums take a second pass on its bounds.
-    """
-    n, form = cp.k_max + 1, partial(_terms, cp, _log_phi_c(cp), streams=3)
-    if "phi_c_scan" in cp._memo:
-        scan = cp._memo["phi_c_scan"]
-        return _blocked_log_sums(form, n, _STREAMS, scan.starts, scan.maxima, scan.maxima, scan.minima)
-    scan = _Scan.empty(n, len(_STREAMS))
-    head = form(0, _SEGMENT)
-    peaks = [float(np.max(row[offset:])) for row, offset in zip(head, _STREAMS)]
-    everything = np.ones(len(scan.starts), dtype=bool)
-    counts = {k: n - offset for k, offset in enumerate(_STREAMS)}
-    plan = _Plan(peaks, counts, dict.fromkeys(counts, everything), dict.fromkeys(counts, everything))
-    with np.errstate(over="ignore"):  # a wrong guess is found below, its sums dropped
-        sums = _tree_pass(form, n, _STREAMS, scan.starts, plan, scan)
-    cp._memo["phi_c_scan"] = scan.done(_STREAMS)
-    floors = np.array(peaks) + _LOG_CUTOFF
-    if np.array_equal(np.max(scan.maxima, axis=1), peaks) and np.all(np.min(scan.minima, axis=1) >= floors):
-        return sums
-    return _phi_c_pass(cp)
-
-
-def _bounds(cp: ChemicalPotential, log_phi: float, n: int, streams: int) -> tuple:
-    """``(starts, hi, top, lo)`` of :func:`_blocked_log_sums` for the first
-    ``streams`` streams of :func:`_terms` at ``log phi`` below size ``n``.
-
-    With a finite positive ``phi_c`` they come from :func:`_phi_c_scan`:
-    each term is the one at ``phi_c`` plus ``l (log phi - log phi_c)``, up
-    to rounding that ``eps`` covers with room to spare (2^-46 of the
-    magnitudes involved, against the few ulps of them the two evaluations
-    and the bound itself can round off), and ``eps`` is 0 at ``phi_c``,
-    where the bounds are the extremes.  A segment cut short by ``n`` keeps
-    its bounds but no ``top``.  Without ``phi_c`` the terms are scanned.
-    """
-    log_phi_c = _log_phi_c(cp)
-    step = log_phi - log_phi_c
-    if math.isfinite(step):
-        scan = _phi_c_scan(cp)
-        s_abs = max(abs(float(np.max(scan.maxima[0]))), abs(float(np.min(scan.minima[0]))))
-        magnitude = cp.k_max * (abs(log_phi) + 3.0 * abs(log_phi_c)) + 2.0 * s_abs + math.log(n)
-        eps = 2.0**-46 * magnitude if step else 0.0
-        if math.isfinite(eps):
-            count = bisect.bisect_left(scan.starts, n)
-            starts = scan.starts[:count]
-            first = np.array(starts, dtype=float) * step
-            last = (np.array(starts[1:] + [n], dtype=float) - 1.0) * step
-            rise, fall = np.maximum(first, last) + eps, np.minimum(first, last) - eps
-            maxima = scan.maxima[:streams, :count]
-            top = maxima + fall
-            if (scan.starts + [cp.k_max + 1])[count] > n:
-                top[:, -1] = -math.inf
-            return starts, maxima + rise, top, scan.minima[:streams, :count] + fall
-    scan = _scan(partial(_terms, cp, log_phi, streams=streams), n, _STREAMS[:streams])
-    return scan.starts, scan.maxima, scan.maxima, scan.minima
+def _prefix_end(cp: ChemicalPotential) -> int:
+    """The last size every log-sum takes term by term: ``_PREFIX`` where
+    the far expansion takes over, else ``k_max``."""
+    far = _far_series(cp) if cp.k_max >= _SUM_BLOCK else None
+    return cp.k_max if far is None else far.end
 
 
 def _log_sums(cp: ChemicalPotential, log_phi: float, n: int, streams: int) -> list:
-    """:func:`_log_sum` of the first ``streams`` streams of :func:`_terms`
-    at ``log phi`` below size ``n``: in one block, or by
-    :func:`_blocked_log_sums`."""
-    form = partial(_terms, cp, log_phi, streams=streams)
+    """Log-sums of the first ``streams`` rows of :func:`_terms` at ``log
+    phi`` over the sizes below ``n``: past ``_SUM_BLOCK`` terms the prefix
+    and the far expansion, or ``_SUM_BLOCK`` terms at a time."""
+    offsets = _STREAMS[:streams]
     if n <= _SUM_BLOCK:
-        rows = form(0, n)
-        return [_log_sum(rows[k, offset:], overwrite=True) for k, offset in enumerate(_STREAMS[:streams])]
-    return _blocked_log_sums(form, n, _STREAMS[:streams], *_bounds(cp, log_phi, n, streams))
+        rows = _terms(cp, log_phi, 0, n, streams)
+        return [_log_sum(rows[k, offset:], overwrite=True) for k, offset in enumerate(offsets)]
+    end = _prefix_end(cp)
+    if end < cp.k_max:
+        head = _log_sums(cp, log_phi, end + 1, streams)
+        far = _far_series(cp).log_sums(log_phi - _log_phi_c(cp), end + 1, n - 1, streams)
+        return np.logaddexp(head, far).tolist()
+    sums = np.full(streams, -math.inf)
+    for a in range(0, n, _SUM_BLOCK):
+        rows = _terms(cp, log_phi, a, min(a + _SUM_BLOCK, n), streams)
+        block = [_log_sum(rows[k, max(offset - a, 0) :], overwrite=True) for k, offset in enumerate(offsets)]
+        sums = np.logaddexp(sums, block)
+    return sums.tolist()
 
 
-def _suffix_peaks(cp: ChemicalPotential) -> Tuple[Tuple[int, float, float], ...]:
-    """``(L, max_{l >= L} s_l, max_{l >= L} (s_l + log l))`` on the dyadic
-    ladder ``L = 2, 4, ... <= k_max``, with ``s_l = log_q[l] + l log phi_c``.
-
-    Needs a finite positive ``phi_c``.  Read off :func:`_phi_c_scan`, whose
-    segments start at every ``L``, and kept on ``cp``.
-    """
-    if "suffix_peaks" not in cp._memo:
-        scan = _phi_c_scan(cp)
+def _peak_bounds(cp: ChemicalPotential) -> Tuple[Tuple[int, float, float], ...]:
+    """``(L, max_{l >= L} s_l, max_{l >= L} (s_l + log l))`` for ``L = 2,
+    4, ... <= k_max``, with ``s_l = log_q[l] + l log phi_c``: exact over the
+    prefix, and past it from the far expansion at ``end + 1``, the ladder's
+    sizes and ``k_max``, between which it is monotone."""
+    if "peaks" not in cp._memo:
+        end = _prefix_end(cp)
+        ls = np.arange(end + 1, dtype=float)
+        s = cp.log_q_prefix(end + 1) + ls * _log_phi_c(cp)
+        with np.errstate(divide="ignore"):
+            rows = np.stack([s, s + np.log(ls)])
         ladder = [1 << j for j in range(1, cp.k_max.bit_length())]
-        at = [bisect.bisect_left(scan.starts, length) for length in ladder]
-        suffix = np.maximum.accumulate(scan.maxima[:2, ::-1], axis=1)[:, ::-1]
-        cp._memo["suffix_peaks"] = tuple(zip(ladder, *suffix[:, at].tolist()))
-    return cp._memo["suffix_peaks"]
+        sizes = [end + 1] + [length for length in ladder if length > end + 1] + [cp.k_max]
+        if end < cp.k_max:
+            ls = np.array(sizes, dtype=float)
+            far = _far_series(cp)
+            rows = np.concatenate([rows, [far.log_terms(ls, 0, 0.0), far.log_terms(ls, 1, 0.0)]], axis=1)
+        suffix = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
+        at = [length if length <= end else end + 1 + bisect.bisect_left(sizes, length) for length in ladder]
+        cp._memo["peaks"] = tuple(zip(ladder, *suffix[:, at].tolist()))
+    return cp._memo["peaks"]
 
 
 def _series_length(cp: ChemicalPotential, log_phi: float) -> int:
@@ -654,12 +380,12 @@ def _series_length(cp: ChemicalPotential, log_phi: float) -> int:
     the cutoff of :func:`_log_sum` (see ``_LOG_CUTOFF``)."""
     full = cp.k_max + 1
     step = log_phi - _log_phi_c(cp)
-    if not step < 0.0:  # also NaN: no finite positive phi_c
+    if not step < 0.0 or _prefix_end(cp) >= _SUM_BLOCK:  # also NaN: no finite positive phi_c
         return full
     # The peaks are at least t_0 = 0 (denominator) and t_1 (numerator).
     floor_den = _LOG_CUTOFF - _CUT_MARGIN
-    floor_num = log_phi + float(cp.log_q[1]) + floor_den
-    for length, peak, peak_num in _suffix_peaks(cp):
+    floor_num = log_phi + float(cp.log_q_prefix(2)[1]) + floor_den
+    for length, peak, peak_num in _peak_bounds(cp):
         if peak + length * step < floor_den and peak_num + length * step < floor_num:
             return length
     return full
@@ -671,18 +397,20 @@ def _log_phi_c(cp: ChemicalPotential) -> float:
     return math.log(phi_c) if math.isfinite(phi_c) and phi_c > 0.0 else math.nan
 
 
-def _series(
-    cp: ChemicalPotential, log_phi: float, n_terms: int = 0, weighted: bool = True
-) -> Tuple[np.ndarray, float, float]:
-    """Leading terms ``t_l = l log phi + log_q[l]`` at ``phi = exp(log_phi) > 0``
-    with the logs of ``sum exp(t_l)`` and (if ``weighted``, else NaN) of
-    ``sum l exp(t_l)``.
+def _last_term(cp: ChemicalPotential, log_phi: float) -> float:
+    """``t_{k_max} = k_max log phi + log_q[k_max]``, from the far expansion
+    where it takes over."""
+    end = _prefix_end(cp)
+    if end == cp.k_max:
+        return cp.k_max * log_phi + float(cp.log_q_prefix(end + 1)[end])
+    return float(_far_series(cp).log_terms(np.array([float(cp.k_max)]), 0, log_phi - _log_phi_c(cp))[0])
 
-    Returns the first ``n_terms`` terms.  Both sums are bit-identical to
-    summing all ``k_max + 1`` terms: they run over every term that can pass
-    the cutoff of the log-sum (see ``_LOG_CUTOFF``), and at ``phi_c``, where
-    that is the full range, they come from :func:`_phi_c_sums`.
-    """
+
+def _series(cp: ChemicalPotential, log_phi: float, n_terms: int = 0, weighted: bool = True) -> tuple:
+    """The first ``n_terms`` terms ``t_l = l log phi + log_q[l]`` with the
+    logs of ``sum exp(t_l)`` and (if ``weighted``, else NaN) of ``sum l
+    exp(t_l)`` over ``l <= k_max``, taken over the terms that can pass the
+    cutoff (see ``_LOG_CUTOFF``) and kept at ``phi_c`` (:func:`_phi_c_sums`)."""
     n = max(_series_length(cp, log_phi), n_terms)
     if n > cp.k_max and log_phi == _log_phi_c(cp):
         log_den, log_num, _ = _phi_c_sums(cp)
@@ -690,9 +418,7 @@ def _series(
     return _summed_terms(cp, log_phi, n, weighted, n_terms)
 
 
-def _summed_terms(
-    cp: ChemicalPotential, log_phi: float, n: int, weighted: bool = True, n_terms: int = 0
-) -> Tuple[np.ndarray, float, float]:
+def _summed_terms(cp: ChemicalPotential, log_phi: float, n: int, weighted: bool = True, n_terms: int = 0) -> tuple:
     """The first ``n_terms`` terms at ``log phi`` and the log-sums of
     :func:`_series` over the first ``n``."""
     sums = _log_sums(cp, log_phi, n, 2 if weighted else 1)
@@ -702,18 +428,9 @@ def _summed_terms(
 
 def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float, float]:
     """``log sum l^i exp(t_l)`` for ``i = 0, 1, 2`` over the full range at
-    ``phi_c``, the one sum no cut shortens; needs a finite positive ``phi_c``.
-
-    Kept on ``cp`` and shared by the direct tail and the predicted rung of
-    :func:`critical_density_info`, ``rho_hi`` of :func:`fugacity_for_density`,
-    and :func:`partition_sum` and :func:`equilibrium_profile` at ``phi_c``.
-    Beyond one block the three sums take one pass, bounded by the extremes
-    of :func:`_phi_c_scan`.
-    """
+    ``phi_c`` (finite and positive), the one sum no cut shortens."""
     if "phi_c_sums" not in cp._memo:
-        n = cp.k_max + 1
-        sums = _log_sums(cp, _log_phi_c(cp), n, 3) if n <= _SUM_BLOCK else _phi_c_pass(cp)
-        cp._memo["phi_c_sums"] = tuple(sums)
+        cp._memo["phi_c_sums"] = tuple(_log_sums(cp, _log_phi_c(cp), cp.k_max + 1, 3))
     return cp._memo["phi_c_sums"]
 
 
@@ -728,12 +445,9 @@ def density_at_fugacity(cp: ChemicalPotential, phi: float) -> float:
 
 def fugacity_for_density(cp: ChemicalPotential, rho: float) -> float:
     """Invert the strictly increasing density map by bisection, to a density
-    error of at most ``1e-10 max(1, rho)``.
-
-    Densities at (or numerically indistinguishable from) the critical value
-    return the critical fugacity exactly.  Raises
-    :class:`SupercriticalDensityError` beyond it.
-    """
+    error of at most ``1e-10 max(1, rho)``.  Densities at (or numerically
+    indistinguishable from) the critical value return the critical fugacity
+    exactly; beyond it :class:`SupercriticalDensityError` is raised."""
     if not 0.0 <= rho < math.inf:
         raise ValueError(f"density must be finite and nonnegative, got {rho!r}")
     if rho == 0.0:
@@ -746,19 +460,14 @@ def fugacity_for_density(cp: ChemicalPotential, rho: float) -> float:
     if math.isfinite(phi_c):
         hi = phi_c
         rho_hi = density_at_fugacity(cp, hi)
-        if rho >= rho_hi:
-            # At the truncation in use, no fugacity below phi_c reaches rho;
-            # the requested density is certified subcritical, so the critical
-            # fugacity is the inverse.
+        if rho >= rho_hi:  # no fugacity below phi_c reaches rho at this cut
             return phi_c
     else:
         hi = 1.0
         while density_at_fugacity(cp, hi) < rho:
             hi *= 2.0
             if hi > 1e12:
-                raise InconclusiveDensityError(
-                    "could not bracket the requested density"
-                )
+                raise InconclusiveDensityError("could not bracket the requested density")
     lo = 0.0
     target_tol = 1e-10 * max(1.0, rho)
     for _ in range(200):
@@ -775,24 +484,23 @@ def fugacity_for_density(cp: ChemicalPotential, rho: float) -> float:
             break
     if abs(value - rho) <= 10.0 * target_tol:
         return phi
-    raise InconclusiveDensityError(
-        f"bisection stalled at phi={phi!r} with density error {value - rho!r}"
-    )
+    raise InconclusiveDensityError(f"bisection stalled at phi={phi!r} with density error {value - rho!r}")
 
 
 @dataclass(frozen=True)
 class CriticalDensityInfo:
     """How the critical density was obtained.
 
-    The dyadic fugacity ladder has rungs ``phi_j = phi_c (1 - 2^-j)``,
-    ``j = 1, 2, ...``; ``ladder_length`` is the index of the rung that
-    decided the value (0 when there is no ladder), ``last_rung`` its density
-    (NaN without a ladder) and ``last_increment`` that density less the
-    previous rung's (NaN below two rungs).  ``method`` is one of
-    ``"infinite-radius"``, ``"direct-tail"``, ``"ladder"`` or
-    ``"ladder-ceiling"``.  ``tail_defect`` is the part ``num_tail / den`` of
-    a ``"direct-tail"`` value that the algebraic tail beyond ``k_max``
-    carries (NaN for the other methods).
+    The dyadic fugacity ladder has rungs ``phi_j = phi_c (1 - 2^-j)``;
+    ``ladder_length`` is the index of the rung that decided the value (0
+    without a ladder), ``last_rung`` its density (NaN without a ladder) and
+    ``last_increment`` that density less the previous rung's (NaN below two
+    rungs).  ``method`` is ``"infinite-radius"``, ``"direct-tail"``,
+    ``"ladder"`` or ``"ladder-ceiling"``; ``tail_defect`` is the part ``num_tail
+    / den`` of a ``"direct-tail"`` value carried beyond ``k_max``.  The far
+    expansion's exponent ``s`` and its error (``None`` without one), the last
+    size summed term by term (``prefix``) and whether the expansion carried
+    the sums at ``phi_c`` past it (``far_series``) are :data:`FAR_FIELDS`.
     """
 
     value: float
@@ -801,43 +509,29 @@ class CriticalDensityInfo:
     last_increment: float
     method: str
     tail_defect: float = math.nan
+    exponent: Optional[float] = None
+    exponent_error: Optional[float] = None
+    prefix: int = 0
+    far_series: bool = False
 
 
-def _algebraic_tail(t_half: float, t_n: float, n: int) -> Optional[float]:
-    """Tail estimate for an eventually algebraically decaying positive series.
-
-    Fits the local power ``p`` from the log terms ``t_half`` at ``n // 2``
-    and ``t_n`` at the truncation ``n`` and integrates ``C l^-p`` beyond it.
-    Returns ``None`` when the terms do not decay algebraically.
-    """
-    half = n // 2
-    if half < 2 or not (math.isfinite(t_n) and math.isfinite(t_half)) or t_n >= t_half:
-        return None
-    p = (t_half - t_n) / math.log(n / half)
-    if p <= 1.05:
-        return None
-    return math.exp(t_n) * n / (p - 1.0)
+FAR_FIELDS = ("exponent", "exponent_error", "prefix", "far_series")
 
 
 def _direct_tail(cp: ChemicalPotential) -> Optional[Tuple[float, float, float]]:
-    """The density at ``phi_c`` from the full-range sums completed by
-    algebraic tails: ``(direct, num_tail / den, rho_N(phi_c))``, the last
-    being the truncated density at ``phi_c``, which bounds every ladder rung
-    from above.  ``None`` when a tail does not fit or the sums overflow a
-    float."""
-    log_phi_c = math.log(cp.phi_c_estimate)
-    ends = np.array([cp.k_max // 2, cp.k_max])
-    den_ends = ends * log_phi_c + cp.log_q[ends]
-    with np.errstate(divide="ignore"):  # k_max // 2 is 0 when k_max = 1
-        num_ends = den_ends + np.log(ends)
+    """``(direct, num_tail / den, rho_N(phi_c))``: the density at ``phi_c``
+    with the sums completed beyond ``k_max`` by the far expansion, and the
+    truncated density there, which bounds every rung.  ``None`` unless the
+    exponent lies above 2 by more than its error, or when a sum overflows."""
+    far = _far_series(cp)
+    if far is None or not far.s - far.s_error > 2.0:
+        return None
     with contextlib.suppress(OverflowError):
-        num_tail = _algebraic_tail(*num_ends, cp.k_max)
-        den_tail = _algebraic_tail(*den_ends, cp.k_max)
-        if num_tail is not None and den_tail is not None:
-            log_den, log_num, _ = _phi_c_sums(cp)
-            den = math.exp(log_den) + den_tail
-            direct = (math.exp(log_num) + num_tail) / den
-            return direct, num_tail / den, math.exp(log_num - log_den)
+        log_den_tail, log_num_tail = far.log_sums(0.0, cp.k_max + 1, math.inf, 2)
+        log_den, log_num, _ = _phi_c_sums(cp)
+        den = math.exp(log_den) + math.exp(log_den_tail)
+        num_tail = math.exp(log_num_tail)
+        return (math.exp(log_num) + num_tail) / den, num_tail / den, math.exp(log_num - log_den)
     return None
 
 
@@ -888,19 +582,15 @@ def _predicted_rung(cp: ChemicalPotential, direct_tail: Tuple[float, float, floa
     )
 
 
-def _first_accepting_rung(
-    cp: ChemicalPotential, rung, direct_tail: Tuple[float, float, float]
-) -> Optional[int]:
+def _first_accepting_rung(cp: ChemicalPotential, rung, direct_tail: Tuple[float, float, float]) -> Optional[int]:
     """The first rung ``j <= _LADDER_RUNGS`` that accepts the direct tail,
     with ``rung(j)``, for acceptance that is monotone in ``j``; ``None`` when
-    no rung accepts or the step onto ``j`` does not move.  With steps that
-    do not grow along the ladder, a moving step rules out a walk that
-    stabilizes before rung ``j``.
+    no rung accepts or the step onto ``j`` does not move (with steps that do
+    not grow, a moving step rules out a walk that stabilizes before ``j``).
 
-    The search starts at :func:`_predicted_rung`, then tries the rungs 1, 2,
-    4, ... away from it on the side still open, and bisects what is left
-    once a rung falls on the other side.  A right prediction takes that
-    rung and the one below it; one that is a rung too high takes a third.
+    The search starts at :func:`_predicted_rung`, tries the rungs 1, 2, 4,
+    ... away from it on the side still open, and bisects what is left once
+    a rung falls on the other side.
     """
     guess = _predicted_rung(cp, direct_tail)
     lo, hi = 0, _LADDER_RUNGS + 1  # rung lo rejects (0: no rung), rung hi accepts
@@ -919,12 +609,7 @@ def _first_accepting_rung(
     return hi
 
 
-def _critical_density_decision(
-    cp: ChemicalPotential,
-    length: int,
-    rung,
-    direct_tail: Optional[Tuple[float, float, float]],
-) -> CriticalDensityInfo:
+def _critical_density_decision(cp: ChemicalPotential, length: int, rung, direct_tail) -> CriticalDensityInfo:
     """The critical density from the ladder's rungs ``rung(j)`` up to
     ``length`` and the direct tail at ``phi_c`` (see
     :func:`critical_density_info`); accepting the direct tail reads only the
@@ -943,7 +628,7 @@ def _critical_density_decision(
     # A ladder that flattens out may have hit the truncation ceiling rather
     # than a genuine limit: the density series at the last rung must have
     # decayed within the available range for the plateau to mean anything.
-    last_term = cp.k_max * log_phi_last + cp.log_q[-1] + np.log(cp.k_max)
+    last_term = _last_term(cp, log_phi_last) + math.log(cp.k_max)
     truncation_clean = (last_term - log_num_last) < math.log(1e-10)
     ladder = [rung(j)[0] for j in range(1, length + 1)]
     if _stabilized(ladder) and truncation_clean:
@@ -954,46 +639,34 @@ def _critical_density_decision(
     # arithmetic (mass piled at k_max) can differ relatively by a few ulps
     # of that magnitude, and a ladder is monotone up to that slack.
     log_phi_max = max(abs(rung(j)[1]) for j in range(1, length + 1))
-    magnitude = cp.k_max * log_phi_max + float(np.max(np.abs(cp.log_q)))
+    log_q_max = max(float(np.max(np.abs(cp.log_q_prefix(_prefix_end(cp) + 1)))), abs(_last_term(cp, 0.0)))
+    magnitude = cp.k_max * log_phi_max + log_q_max
     slack = 4.0 * math.ulp(max(magnitude, 1.0))
     if not truncation_clean and all(b >= a * (1.0 - slack) for a, b in zip(ladder, ladder[1:])):
         # The ladder kept climbing until the series overflowed the truncation
         # window; in the untruncated system it would climb without bound.
         return CriticalDensityInfo(math.inf, length, last, last_inc, "ladder-ceiling")
-    raise InconclusiveDensityError(
-        "inconclusive: fugacity ladder did not stabilize and the critical-point "
-        "series offers no algebraic tail"
-    )
+    raise InconclusiveDensityError("inconclusive: fugacity ladder did not stabilize and no tail completes it")
 
 
 def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     """Supremum of the density map on ``[0, phi_c]`` with extrapolation detail.
 
-    The dyadic ladder establishes whether the supremum is finite (a ladder
-    that climbs until the series overflows the truncation window means an
-    infinite critical density; a truncated density is a mean of sizes
-    ``<= k_max``, so the ladder itself stays finite).  When the series
-    still converges at ``phi_c`` itself, the truncated direct sums are
-    completed with an algebraic tail estimate.  For the condensing kernel
-    ``1 + c/k`` the relative error then falls as about ``k_max^(1-c)``:
-    as ``1/k_max^2`` only at ``c = 3`` (at ``k_max = 10^4``, 2.5e-7 at
-    ``c = 3``, 2.0e-5 at ``c = 2.5`` and 2.0e-3 at ``c = 2.1``).
+    The dyadic ladder establishes whether the supremum is finite: a ladder
+    that climbs until the series overflows the cut means an infinite
+    critical density.  When the series still converges at ``phi_c`` (far
+    exponent ``s > 2``, beyond its error), the sums are completed past
+    ``k_max`` by the far expansion (:func:`_direct_tail`).
 
-    The ladder is walked rung by rung until its last two steps each move
-    the density by less than a relative 1e-8, or for ``_LADDER_RUNGS``
-    rungs.  When the direct tail exists and is at least the truncated
-    density ``rho_N(phi_c)`` less 1e-9, the walk would stop at the first
-    rung that accepts it: the density increases with ``phi``, so every later
-    rung lies between that rung and ``rho_N(phi_c)`` and would accept the
-    same value.  Acceptance is then monotone in the rung index.  The
-    density expanded to first order about ``phi_c``, whose slope in ``log
-    phi`` is the truncated size variance there, predicts that rung; the
-    predicted rung and the one below it confirm it (2 rung evaluations at
-    condensing ``c = 3``, ``k_max = 10^6``), and a miss is searched next to
-    the prediction (:func:`_first_accepting_rung`).  The ladder is walked
-    only where the search finds no rung.  The result, or an inconclusive
-    verdict, is kept on ``cp``, so each rung is evaluated at most once per
-    chemical potential.
+    The ladder is walked until its last two steps each move the density by
+    less than a relative 1e-8, or for ``_LADDER_RUNGS`` rungs.  A direct
+    value at least ``rho_N(phi_c)`` less 1e-9 would stop the walk at the
+    first rung that accepts it, and acceptance is then monotone in the rung
+    index: the density expanded to first order about ``phi_c`` (slope: the
+    size variance there) predicts that rung, which the rung below confirms
+    (:func:`_first_accepting_rung`; 2 rungs at condensing ``c = 3``,
+    ``k_max = 10^6``).  The result, or an inconclusive verdict, is kept on
+    ``cp``.
     """
     if "info" not in cp._memo:
         rungs: dict = {}
@@ -1016,7 +689,10 @@ def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
                         break
                 length = len(ladder)
         try:
-            cp._memo["info"] = _critical_density_decision(cp, length, rung, direct_tail)
+            info = _critical_density_decision(cp, length, rung, direct_tail)
+            far, end = _far_series(cp), _prefix_end(cp)
+            far_fields = (far and far.s, far and far.s_error, end, end < cp.k_max)
+            cp._memo["info"] = replace(info, **dict(zip(FAR_FIELDS, far_fields)))
         except InconclusiveDensityError as exc:
             cp._memo["info"] = exc
     if isinstance(cp._memo["info"], InconclusiveDensityError):
@@ -1030,10 +706,7 @@ def critical_density(cp: ChemicalPotential) -> float:
 
 
 def equilibrium_profile(
-    cp: ChemicalPotential,
-    phi: Optional[float] = None,
-    rho: Optional[float] = None,
-    k_max: Optional[int] = None,
+    cp: ChemicalPotential, phi: Optional[float] = None, rho: Optional[float] = None, k_max: Optional[int] = None
 ) -> EquilibriumProfile:
     """Normalized equilibrium state for a given fugacity or density.
 
@@ -1050,25 +723,15 @@ def equilibrium_profile(
     if phi == 0.0:
         omega = np.zeros(k_prof + 1)
         omega[0] = 1.0
-        return EquilibriumProfile(
-            omega=omega, phi=0.0, z_value=1.0, log_z=0.0, density=0.0,
-            truncation_tail_bound=0.0, k_max=k_prof,
-        )
+        return EquilibriumProfile(omega, 0.0, 1.0, 0.0, 0.0, 0.0, k_prof)
     t, log_z, log_num = _series(cp, math.log(phi), k_prof + 1)
     omega = np.exp(t[: k_prof + 1] - log_z)
     mass_defect = max(0.0, 1.0 - float(np.sum(omega)))
     series_tail = _geometric_tail(cp, phi)
     z = math.exp(log_z)
     tail_bound = mass_defect + (series_tail / z if math.isfinite(series_tail) else math.inf)
-    return EquilibriumProfile(
-        omega=omega,
-        phi=float(phi),
-        z_value=z if log_z < 709.0 else math.inf,
-        log_z=log_z,
-        density=math.exp(log_num - log_z),
-        truncation_tail_bound=tail_bound,
-        k_max=k_prof,
-    )
+    z_value = z if log_z < 709.0 else math.inf
+    return EquilibriumProfile(omega, float(phi), z_value, log_z, math.exp(log_num - log_z), tail_bound, k_prof)
 
 
 def equilibrium_free_energy(profile: EquilibriumProfile) -> float:
@@ -1088,7 +751,7 @@ def tagged_value(x: float) -> dict:
 def profile_to_csv(profile: EquilibriumProfile, cp: ChemicalPotential, path) -> None:
     """Write ``l, omega_l, log_q_l`` rows in full double precision (``%.17g``)."""
     rows = profile.k_max + 1
-    _csv.write(path, "l,omega_l,log_q_l", range(rows), profile.omega[:rows], cp.log_q[:rows])
+    _csv.write(path, "l,omega_l,log_q_l", range(rows), profile.omega[:rows], cp.log_q_prefix(rows))
 
 
 def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
@@ -1098,7 +761,8 @@ def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
     the ``phi_c`` convergence flag and the ``rho_c`` method, ladder length and
     last ladder increment (``None`` when the ladder has fewer than two rungs);
     for a ``"direct-tail"`` value also its tail defect and its gap above the
-    last rung (``None`` for the other methods).
+    last rung (``None`` for the other methods); and the far expansion's
+    :data:`FAR_FIELDS`.
     """
     info = critical_density_info(cp)
     last = info.last_increment
@@ -1113,6 +777,7 @@ def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
         "rho_c_last_increment": None if math.isnan(last) else tagged_value(last),
         "rho_c_tail_defect": info.tail_defect if direct else None,
         "rho_c_direct_gap": info.value - info.last_rung if direct else None,
+        **{f"rho_c_{key}": getattr(info, key) for key in FAR_FIELDS},
         "phi_c": tagged_value(cp.phi_c_estimate),
         "phi_c_converged": cp.phi_c_converged,
         "truncation_tail_bound": tagged_value(profile.truncation_tail_bound),

@@ -89,7 +89,7 @@ def thermo_series(
     if cp is not None:
         if size - 1 > cp.k_max:
             raise ValueError("chemical potential does not cover the truncation range")
-        log_q, f_values = cp.log_q[:size], np.empty(rows)
+        log_q, f_values = cp.log_q_prefix(size), np.empty(rows)
     if kernel is not None:
         finite_part, infinite_terms = np.empty(rows), np.zeros(rows, dtype=np.int64)
         (b_vals, a_vals), *rest = _factor_vectors(kernel, size - 1)
@@ -268,7 +268,7 @@ def assemble_onsager(
         raise BoundaryStateError("boundary state: operator needs c_k > 0 for all k")
     if cp.k_max < n:
         raise ValueError("chemical potential does not cover the truncation range")
-    weights = _pairwise_weights(kernel, c, cp.log_q[: n + 1])
+    weights = _pairwise_weights(kernel, c, cp.log_q_prefix(n + 1))
 
     ks = np.arange(1, n + 1)
     pair_k = np.repeat(ks, n)
@@ -297,6 +297,6 @@ def gradient_flow_residual(
     if np.any(c <= 0.0):
         raise BoundaryStateError("boundary state: residual needs c_k > 0 for all k")
     operator = assemble_onsager(kernel, state, cp)
-    differential = np.log(c) - cp.log_q[: len(c)]
+    differential = np.log(c) - cp.log_q_prefix(len(c))
     flow = -operator.matrix @ differential
     return float(np.max(np.abs(_rhs_from_c(kernel, c) - flow)))

@@ -243,6 +243,27 @@ def test_equilibrium_summary_records_how_constants_were_obtained(tmp_path):
     assert summary["rho_c_ladder_length"] == 0
     assert summary["rho_c_last_increment"] is None
     assert summary["rho_c_tail_defect"] is None and summary["rho_c_direct_gap"] is None
+    assert summary["rho_c_exponent"] is None and summary["rho_c_exponent_error"] is None
+    assert (summary["rho_c_prefix"], summary["rho_c_far_series"]) == (20000, False)
+
+
+def test_summaries_record_the_far_series_of_the_phase_sweep_potential(tmp_path):
+    # Condensing c = 3 at k_max = 10^6, the potential of every phase-diagram
+    # sweep: sizes past 4096 come from the far expansion, whose exponent is
+    # c = 3 to far better than its stated error of at most 1e-9.
+    analysis = {"equilibrium_k_max": 10**6, "profile_k_max": 64}
+    cfg = write_config(tmp_path, "c.json", {"kernel": CONDENSING, "analysis": analysis})
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq"), "--rho", "0.5"]) == EXIT_OK
+    summary = json.loads((tmp_path / "eq" / "equilibrium_summary.json").read_text())
+    config = dict(SWEEP_CONFIG, densities=[0.5], integrator={"t_end": 5.0, "record_every": 0.25}, analysis=analysis)
+    cfg = write_config(tmp_path, "s.json", config)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"), "--parallel", "1"]) == EXIT_OK
+    rho_c = json.loads((tmp_path / "sw" / "sweep_report.json").read_text())["rho_c"]
+    assert rho_c == {key: summary[f"rho_c_{key}"] for key in rho_c}
+    assert (rho_c["method"], rho_c["ladder_length"]) == ("direct-tail", 23)
+    assert (rho_c["prefix"], rho_c["far_series"]) == (4096, True)
+    assert abs(rho_c["exponent"] - 3.0) <= rho_c["exponent_error"] <= 1e-9
+    assert summary["rho_c"]["value"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equilibrium_supercritical_exit(tmp_path, capsys):
@@ -995,7 +1016,7 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
         assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
         report = json.loads((out / "sweep_report.json").read_text())
         rho_c = report["rho_c"]
-        assert set(rho_c) == {"method", "ladder_length"}
+        assert set(rho_c) == {"method", "ladder_length", "exponent", "exponent_error", "prefix", "far_series"}
         logged, length = len(log.read_text().split()), rho_c["ladder_length"] or 0
         # A walk evaluates each rung up to the last once; a direct tail is
         # confirmed by its predicted rung and the one below.
@@ -1004,12 +1025,20 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
         assert [row["rho"] for row in rows] == config["densities"]
         assert all(row["runtime_s"] > 0.0 for row in rows)
         if case == "rows fail":
-            assert rho_c["method"] is None and rho_c["ladder_length"] is None
+            assert set(rho_c.values()) == {None}
             assert all(row["status"].startswith("error: zero-rate") for row in rows)
             assert all(row["integrator"] is None for row in rows)
         else:
             assert rho_c["method"] == case
             assert all(row["status"] == "ok" for row in rows)
+            # k_max = 20000: every sum is formed term by term.  The far
+            # exponent is c = 3, or 0 for the constant kernel (no tail);
+            # an infinite radius has no expansion.
+            assert (rho_c["prefix"], rho_c["far_series"]) == (20000, False)
+            if case == "infinite-radius":
+                assert rho_c["exponent"] is None
+            else:
+                assert rho_c["exponent"] == pytest.approx(3.0 if case == "direct-tail" else 0.0, abs=1e-9)
             assert all(row["integrator"]["accepted"] > 0 for row in rows)
         # A status holding commas is one quoted cell: every row has the 8
         # columns of the header and the status of the report.

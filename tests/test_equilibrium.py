@@ -244,9 +244,9 @@ def test_serialization(tmp_path, cp_condensing):
 
 
 def test_chemical_potentials_are_freed_with_what_they_derived():
-    # One potential with a direct tail (the scan at phi_c and its suffix
-    # peaks, phi_c sums, a stopped ladder) and one without (a full ladder,
-    # no sums at phi_c).
+    # One potential with a direct tail (log_q, its far expansion, the peak
+    # bounds of the cut, phi_c sums, a stopped ladder) and one without (a
+    # full ladder, no sums at phi_c until the profile there asks).
     built = [chemical_potential(kernel, 2000) for kernel in (condensing_kernel(3.0), constant_kernel())]
     refs = [weakref.ref(cp) for cp in built]
     assert [critical_density_info(cp).method for cp in built] == ["direct-tail", "ladder-ceiling"]
@@ -255,7 +255,7 @@ def test_chemical_potentials_are_freed_with_what_they_derived():
             partition_sum(cp, phi)
             density_at_fugacity(cp, phi)
             equilibrium_profile(cp, phi=phi)
-        assert set(cp._memo) == {"phi_c_scan", "suffix_peaks", "phi_c_sums", "info"}
+        assert set(cp._memo) == {"log_q", "far", "peaks", "phi_c_sums", "info"}
     del cp, built
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
@@ -281,17 +281,18 @@ def test_critical_density_forms_no_unused_full_range_sum(monkeypatch):
 
 def test_chemical_potential_and_rho_c_hold_few_full_length_arrays():
     # numpy reports its buffers to tracemalloc.  At k_max = 10^6 one array is
-    # 7.6 MiB: the build keeps log_q and a few blocks (10.6 MiB measured;
-    # 45.8 with full-length temporaries).  The scan at phi_c, rho_c and a
-    # near-critical inversion add only windows of about 2^17 terms to log_q
-    # (11.7 MiB measured; 22.9, 22.9 and 29.7 with full-length sums).
+    # 7.6 MiB; none is formed.  The build keeps log_q to the prefix (0.19 MiB
+    # measured; 10.6 when it formed all of log_q), rho_c adds the far
+    # expansion's sums (0.20), and a near-critical inversion sums up to 2^17
+    # terms one by one, forming log_q that far (6.5; 22.9, 22.9 and 29.7
+    # with full-length sums).
     kernel = condensing_kernel(3.0)
     chemical_potential(kernel, 1000)  # first-call set-up outside the trace
     tracemalloc.start()
     try:
         cp = chemical_potential(kernel, 10**6)
         peaks = [tracemalloc.get_traced_memory()[1]]
-        for step in (equilibrium._suffix_peaks, critical_density_info, lambda cp: fugacity_for_density(cp, 0.999)):
+        for step in (critical_density_info, lambda cp: fugacity_for_density(cp, 0.999)):
             tracemalloc.reset_peak()
             step(cp)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -299,6 +300,28 @@ def test_chemical_potential_and_rho_c_hold_few_full_length_arrays():
         tracemalloc.stop()
     assert peaks[0] <= 12 * 2**20
     assert max(peaks[1:]) <= 12 * 2**20
+
+
+def test_phase_sweep_equilibrium_phase_forms_only_the_prefix():
+    # The equilibrium phase of a phase-diagram sweep at condensing c = 3,
+    # k_max = 10^6: rho_c, the inversions of its subcritical rows and the
+    # profile at rho_c its supercritical rows compare with.  Only log_q up to
+    # the prefix is formed, and the traced peak is 0.20 MiB (11.6 MiB when
+    # every sum at phi_c ran over all 10^6 terms).
+    kernel = condensing_kernel(3.0)
+    chemical_potential(kernel, 1000)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        cp = chemical_potential(kernel, 10**6)
+        rho_c = critical_density(cp)
+        for rho in (0.25, 0.5, 0.75):
+            fugacity_for_density(cp, rho)
+        equilibrium_profile(cp, rho=rho_c, k_max=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    assert cp._memo["log_q"].size == equilibrium._PREFIX + 1
 
 
 def test_critical_density_survives_sums_at_phi_c_that_overflow():
@@ -329,3 +352,82 @@ def test_inconclusive_critical_density_walks_the_ladder_once(monkeypatch):
         with pytest.raises(InconclusiveDensityError, match="inconclusive: test"):
             critical_density_info(cp)
     assert rungs == list(range(1, len(rungs) + 1)) and len(rungs) > 1
+
+
+# Closed forms of the condensing kernel 1 + c/k: Q_l phi_c^l = Gamma(1+c) l! /
+# Gamma(l+1+c) with phi_c = 1/(1+c), so Z(phi_c) = c/(c-1) and rho_c =
+# 1/(c-2) for c > 2, inf for c <= 2.  Each bound is the relative error the
+# code had before the far expansion (k_max = 10^3 ... 10^6), rounded up to
+# two digits; the rho_c rows are those of the roadmap's table (2.06 filled
+# in, 5 added).  Before: rho_c from full-range sums plus a tail C l^-p with p
+# fitted between k_max/2 and k_max.  Z_N(phi_c) is the sum cut at k_max,
+# which no tail completes.
+CLOSED_FORM_K_MAX = (10**3, 10**4, 10**5, 10**6)
+RHO_C_BOUNDS = {
+    2.06: (5.7e-2, 4.6e-3, 4.0e-4, 3.5e-5),
+    2.1: (2.7e-2, 2.1e-3, 1.7e-4, 1.3e-5),
+    2.5: (6.4e-4, 2.0e-5, 6.3e-7, 2.0e-8),
+    3.0: (2.5e-5, 2.5e-7, 2.5e-9, 2.5e-11),
+    4.0: (8.8e-8, 8.8e-11, 1.0e-13, 1.8e-14),
+    5.0: (4.8e-10, 4.8e-14, 2.4e-15, 2.0e-14),
+}
+Z_N_BOUNDS = {
+    2.06: (6.8e-4, 6.0e-5, 5.2e-6, 4.5e-7),
+    2.1: (5.3e-4, 4.2e-5, 3.4e-6, 2.7e-7),
+    2.5: (4.2e-5, 1.4e-6, 4.3e-8, 1.4e-9),
+    3.0: (2.0e-6, 2.0e-8, 2.0e-10, 2.0e-12),
+    4.0: (6.0e-9, 6.0e-12, 1.8e-14, 1.8e-14),
+    5.0: (2.4e-11, 2.5e-15, 2.4e-15, 2.4e-15),
+}
+
+
+@pytest.mark.parametrize("c", sorted(RHO_C_BOUNDS))
+def test_condensing_constants_match_closed_forms(c):
+    kernel = condensing_kernel(c)
+    for k_max, rho_bound, z_bound in zip(CLOSED_FORM_K_MAX, RHO_C_BOUNDS[c], Z_N_BOUNDS[c]):
+        cp = chemical_potential(kernel, k_max)
+        info = critical_density_info(cp)
+        assert info.method == "direct-tail"
+        assert abs(info.value - 1.0 / (c - 2.0)) * (c - 2.0) <= rho_bound, (k_max, info.value)
+        z_n, _ = partition_sum(cp, cp.phi_c_estimate)
+        assert abs(z_n - c / (c - 1.0)) / (c / (c - 1.0)) <= z_bound, (k_max, z_n)
+        # Z_N completed by the far expansion's sum beyond k_max: 1.2e-14 at
+        # worst (c = 4, k_max = 10^5) once it exists; nothing completed it before.
+        far = equilibrium._far_series(cp)
+        tail = far.log_sums(0.0, k_max + 1, math.inf, 1)[0]
+        z = math.exp(equilibrium._phi_c_sums(cp)[0]) + math.exp(tail)
+        assert abs(z - c / (c - 1.0)) / (c / (c - 1.0)) <= 1e-13, (k_max, z)
+
+
+@pytest.mark.parametrize("c, rho_c", [(2.01, 100.0), (2.03, 100.0 / 3.0), (2.05, 20.0)])
+@pytest.mark.parametrize("k_max", [10**4, 10**6])
+def test_rho_c_is_finite_just_above_c_2(c, rho_c, k_max):
+    # The size-weighted terms decay as l^(1-c), so most of rho_c lies past
+    # k_max.  The far expansion's tail carries it (1.4e-9 relative measured
+    # at worst, c = 2.01); a tail fitted between k_max/2 and k_max took
+    # powers below 1.05 for no tail, and the ladder then ran to its ceiling
+    # and reported inf.
+    info = critical_density_info(chemical_potential(condensing_kernel(c), k_max))
+    assert info.method == "direct-tail"
+    assert info.value == pytest.approx(rho_c, rel=1e-6)
+
+
+@pytest.mark.parametrize("c", [1.5, 2.0])
+@pytest.mark.parametrize("k_max", [10**3, 10**4, 10**6])
+def test_rho_c_is_infinite_up_to_c_2(c, k_max):
+    # At c = 2 the far exponent is 2 within its error, which leaves the
+    # ladder to decide: it climbs to the truncation ceiling.
+    info = critical_density_info(chemical_potential(condensing_kernel(c), k_max))
+    assert math.isinf(info.value) and info.method == "ladder-ceiling"
+    assert abs(info.exponent - c) <= max(info.exponent_error, 1e-9)
+
+
+@pytest.mark.parametrize("phi, bound", [(0.5, 1e-16), (0.9, 4.0e-16), (0.99, 1.1e-15), (0.999, 4.6e-16), (0.9999, 2.1e-15)])
+def test_constant_kernel_density_is_phi_over_one_minus_phi(phi, bound):
+    # rho(phi) = phi / (1 - phi) where phi^(10^6) leaves no mass at the cut.
+    # Bounds: the relative error before the far expansion, rounded up.  At
+    # 0.9999 the sum has more than one block of terms and the far series
+    # carries it (1.8e-16 measured).
+    cp = chemical_potential(constant_kernel(1.0), 10**6)
+    exact = phi / (1.0 - phi)
+    assert abs(density_at_fugacity(cp, phi) - exact) / exact <= bound
