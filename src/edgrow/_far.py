@@ -53,13 +53,15 @@ class FarSeries(NamedTuple):
         ends = np.array([a, b] if math.isfinite(b) else [a], dtype=float)
         sides = np.array([-1.0, 1.0])[: ends.size]
         u, i = 1.0 / ends, np.arange(1.0, self.a.size + 1.0)
-        power = lambda weights: np.polyval(np.append((weights * self.a)[::-1], 0.0), u)  # noqa: E731
+        # sum_i w_i a_i u^i with the weights w_i of the first three derivatives of sum_i a_i l^-i
+        weights = (i, i * (i + 1.0), i * (i + 1.0) * (i + 2.0))
+        w1, w2, w3 = (np.polyval(np.append((w * self.a)[::-1], 0.0), u) for w in weights)
         sums = []
         for k in range(streams):
             p = k - self.s  # g' g'' g''' at the ends, for f' = g' f and f''' = (g''' + 3 g' g'' + g'^3) f
-            d1 = u * (p - power(i)) + log_x
-            d2 = u * u * (power(i * (i + 1.0)) - p)
-            d3 = u**3 * (2.0 * p - power(i * (i + 1.0) * (i + 2.0)))
+            d1 = u * (p - w1) + log_x
+            d2 = u * u * (w2 - p)
+            d3 = u**3 * (2.0 * p - w3)
             g = self.log_terms(ends, k, log_x)
             integral = self._log_integral(k, log_x, float(a), float(b))
             top = max(integral, float(np.max(g)))
