@@ -52,6 +52,6 @@ kernel = condensing_kernel(3.0)
 cp = chemical_potential(kernel, 400)
 state = state_from_profile(equilibrium_profile(cp, rho=0.5, k_max=64), 64)
 operator = assemble_onsager(kernel, state, cp)
-differential = np.log(state.c) - cp.log_q[:65]
+differential = np.log(state.c) - cp.log_q_prefix(65)
 print(f"  |K[w] dF[w]|_max = {np.max(np.abs(operator.matrix @ differential)):.3e}")
 print(f"  |dc/dt|_max at the profile = {np.max(np.abs(rhs(kernel, state))):.3e}")

@@ -147,8 +147,9 @@ def fit(kernel, phi_c: float, end: int, s_end: float) -> Optional[FarSeries]:
     ``s log(1 - 1/m) + sum_i a_i (m^-i - (m-1)^-i)``, which telescopes to the
     expansion.  The error of ``s`` is its change when two powers are
     dropped, plus the ratios' rounding amplified as the fit amplifies it
-    (50-100 times the start times the residual, measured on condensing
-    kernels).
+    (300 times the start times the residual: with 100 the error fell short
+    of the exact exponent of ``(1 + b/k)(1 + g/(j + 1))`` by up to 1.35
+    times in 2 % of 1500 random draws).
     """
     if end < 4:
         return None
@@ -168,7 +169,7 @@ def fit(kernel, phi_c: float, end: int, s_end: float) -> Optional[FarSeries]:
     else:
         return None
     s, a = float(fits[0][0] * start), fits[0][1:] * float(start) ** (i + 1.0)
-    s_error = abs(s - fits[1][0] * start) + 100.0 * start * max(residual, 2.0**-52)
+    s_error = abs(s - fits[1][0] * start) + 300.0 * start * max(residual, 2.0**-52)
     c0 = s_end + s * math.log(end) - float(np.polyval(np.append(a[::-1], 0.0), 1.0 / end))
     beta = [1.0]  # j beta_j = sum_r r a_r beta_(j-r), from (exp P)' = P' exp P
     for j in range(1, EXP_TERMS):

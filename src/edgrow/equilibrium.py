@@ -9,14 +9,16 @@ the phase diagram: densities up to ``rho_c`` are carried by a normalizable
 state, anything beyond condenses.
 
 Everything is computed in log space.  A chemical potential keeps its kernel
-and forms ``log_q`` on demand.  A sum of at most ``_SUM_BLOCK = 2^17`` terms
-is formed term by term, cut where no term can pass the log-sum cutoff.  A
-longer one takes the sizes up to ``_PREFIX = 2^12`` so and the rest from the
-kernel's asymptotic expansion ``log Q_l + l log phi_c = C - s log l + sum_i
-a_i l^-i`` (:mod:`edgrow._far`), which also completes the sums at ``phi_c``
-beyond ``k_max``: ``rho_c`` is finite exactly when ``s > 2``.  Where no
-expansion fits (an infinite, zero or unconverged ``phi_c``, or a given one
-that is not the kernel's radius) a long sum is formed block by block.
+and forms ``log_q`` on demand.  Below a finite ``phi_c`` a series is cut
+where no term can pass the log-sum cutoff.  A sum of at most ``_SUM_BLOCK =
+2^17`` terms is formed term by term.  A longer one takes the sizes up to
+``_PREFIX = 2^12`` term by term and the rest from the kernel's asymptotic
+expansion ``log Q_l + l log phi_c = C - s log l + sum_i a_i l^-i``
+(:mod:`edgrow._far`), which also completes the sums at ``phi_c`` beyond
+``k_max``: ``rho_c`` is finite exactly when ``s > 2``.  Where no expansion
+fits (an infinite, zero or unconverged ``phi_c``, a given one that is not
+the kernel's radius, or a kernel that settles too late for the fit) a long
+sum is formed block by block.
 
 What is derived from a chemical potential (``log_q``, the expansion, the
 sums at ``phi_c``, the ``rho_c`` decision) is kept on it.
@@ -26,7 +28,6 @@ ladder, evaluating each rung at most once per chemical potential.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 from dataclasses import dataclass, field, replace
@@ -99,11 +100,6 @@ class ChemicalPotential:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-
-    @property
-    def log_q(self) -> np.ndarray:
-        """``log_q`` of the sizes ``0..k_max``."""
-        return self.log_q_prefix(self.k_max + 1)
 
     def log_q_prefix(self, n: int) -> np.ndarray:
         """``log_q`` of the sizes below ``n`` (at most ``k_max + 1`` of
@@ -355,23 +351,31 @@ def _log_sums(cp: ChemicalPotential, log_phi: float, n: int, streams: int) -> li
 def _peak_bounds(cp: ChemicalPotential) -> Tuple[Tuple[int, float, float], ...]:
     """``(L, max_{l >= L} s_l, max_{l >= L} (s_l + log l))`` for ``L = 2,
     4, ... <= k_max``, with ``s_l = log_q[l] + l log phi_c``: exact over the
-    prefix, and past it from the far expansion at ``end + 1``, the ladder's
-    sizes and ``k_max``, between which it is monotone."""
+    sizes summed term by term, read ``_SUM_BLOCK`` sizes at a time from the
+    last block back, and past them from the far expansion at ``end + 1``,
+    the ladder's sizes and ``k_max``, between which it is monotone."""
     if "peaks" not in cp._memo:
-        end = _prefix_end(cp)
-        ls = np.arange(end + 1, dtype=float)
-        s = cp.log_q_prefix(end + 1) + ls * _log_phi_c(cp)
-        with np.errstate(divide="ignore"):
-            rows = np.stack([s, s + np.log(ls)])
+        end, log_phi_c = _prefix_end(cp), _log_phi_c(cp)
         ladder = [1 << j for j in range(1, cp.k_max.bit_length())]
-        sizes = [end + 1] + [length for length in ladder if length > end + 1] + [cp.k_max]
+        pieces = [np.arange(a, min(a + _SUM_BLOCK, end + 1), dtype=float) for a in range(0, end + 1, _SUM_BLOCK)]
         if end < cp.k_max:
-            ls = np.array(sizes, dtype=float)
-            far = _far_series(cp)
-            rows = np.concatenate([rows, [far.log_terms(ls, 0, 0.0), far.log_terms(ls, 1, 0.0)]], axis=1)
-        suffix = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
-        at = [length if length <= end else end + 1 + bisect.bisect_left(sizes, length) for length in ladder]
-        cp._memo["peaks"] = tuple(zip(ladder, *suffix[:, at].tolist()))
+            sizes = [end + 1] + [length for length in ladder if length > end + 1] + [cp.k_max]
+            pieces.append(np.array(sizes, dtype=float))
+        peaks, after = {}, np.full((2, 1), -math.inf)
+        for ls in reversed(pieces):
+            if ls[0] > end:
+                far = _far_series(cp)
+                rows = np.stack([far.log_terms(ls, 0, 0.0), far.log_terms(ls, 1, 0.0)])
+            else:
+                s = cp.log_q_prefix(end + 1)[int(ls[0]) : int(ls[-1]) + 1] + ls * log_phi_c
+                with np.errstate(divide="ignore"):
+                    rows = np.stack([s, s + np.log(ls)])
+            suffix = np.maximum(np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1], after)
+            for length in ladder:
+                if ls[0] <= length <= ls[-1]:
+                    peaks[length] = suffix[:, int(np.searchsorted(ls, length))].tolist()
+            after = suffix[:, :1]
+        cp._memo["peaks"] = tuple((length, *peaks[length]) for length in ladder)
     return cp._memo["peaks"]
 
 
@@ -380,7 +384,7 @@ def _series_length(cp: ChemicalPotential, log_phi: float) -> int:
     the cutoff of :func:`_log_sum` (see ``_LOG_CUTOFF``)."""
     full = cp.k_max + 1
     step = log_phi - _log_phi_c(cp)
-    if not step < 0.0 or _prefix_end(cp) >= _SUM_BLOCK:  # also NaN: no finite positive phi_c
+    if not step < 0.0:  # also NaN: no finite positive phi_c
         return full
     # The peaks are at least t_0 = 0 (denominator) and t_1 (numerator).
     floor_den = _LOG_CUTOFF - _CUT_MARGIN

@@ -48,25 +48,26 @@ def cp_condensing():
 
 
 def test_log_q_constant(cp_constant):
-    assert np.allclose(cp_constant.log_q, 0.0)
-    assert cp_constant.log_q[0] == 0.0
+    assert np.allclose(cp_constant.log_q_prefix(cp_constant.k_max + 1), 0.0)
+    assert cp_constant.log_q_prefix(1)[0] == 0.0
 
 
 def test_log_q_condensing_q3(cp_condensing):
     # direct product (4/4) * (4/2.5) * (4/2)
-    assert math.exp(cp_condensing.log_q[3]) == pytest.approx(3.2, rel=1e-12)
+    assert math.exp(cp_condensing.log_q_prefix(4)[3]) == pytest.approx(3.2, rel=1e-12)
 
 
 def test_log_q_factorial():
     cp = chemical_potential(separable_kernel("k", "1"), 100)
-    assert math.exp(cp.log_q[4]) == pytest.approx(1.0 / 24.0, rel=1e-12)
+    assert math.exp(cp.log_q_prefix(5)[4]) == pytest.approx(1.0 / 24.0, rel=1e-12)
 
 
 def test_log_q_increments(cp_condensing):
     kernel = condensing_kernel(3.0)
     for l in (1, 5, 40):
         expected = math.log(kernel(1, l - 1)) - math.log(kernel(l, 0))
-        got = cp_condensing.log_q[l] - cp_condensing.log_q[l - 1]
+        log_q = cp_condensing.log_q_prefix(l + 1)
+        got = log_q[l] - log_q[l - 1]
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -181,7 +182,7 @@ def test_round_trip_constant(cp_constant, rho):
 
 def test_weight_root_approaches_inverse_radius(cp_condensing):
     k = 2000
-    value = math.exp(cp_condensing.log_q[k] / k) * cp_condensing.phi_c_estimate
+    value = math.exp(cp_condensing.log_q_prefix(k + 1)[k] / k) * cp_condensing.phi_c_estimate
     assert abs(value - 1.0) <= 0.05
 
 
