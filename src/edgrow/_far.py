@@ -169,7 +169,7 @@ def fit(kernel, phi_c: float, end: int, s_end: float) -> Optional[FarSeries]:
     else:
         return None
     s, a = float(fits[0][0] * start), fits[0][1:] * float(start) ** (i + 1.0)
-    s_error = abs(s - fits[1][0] * start) + 300.0 * start * max(residual, 2.0**-52)
+    s_error = abs(s - float(fits[1][0]) * start) + 300.0 * start * max(residual, 2.0**-52)
     c0 = s_end + s * math.log(end) - float(np.polyval(np.append(a[::-1], 0.0), 1.0 / end))
     beta = [1.0]  # j beta_j = sum_r r a_r beta_(j-r), from (exp P)' = P' exp P
     for j in range(1, EXP_TERMS):

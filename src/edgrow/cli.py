@@ -396,13 +396,13 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     The rows integrate as one lockstep batch (see :func:`_sweep_row`) on one
     thread of this process.  With ``parallel = 1`` the batch finishes
     before anything else runs; with ``parallel >= 2`` this thread builds the
-    sweep's one chemical potential and walks the ``rho_c`` ladder once
-    while the batch runs.  Each numpy call on either side hands the GIL
-    over, so each slows the other, and the rows set the wall (on
-    ``phase-sweep``, 2 vCPU, 10 runs each: rows 0.072-0.082 s alone and
-    0.072-0.090 s beside the equilibrium phase, which takes 0.003 s alone
-    and 0.003-0.008 s beside them).  The trajectories are then classified here in
-    input order.  A chemical-potential error names every row, then come
+    sweep's one chemical potential and decides ``rho_c`` (walking the
+    ladder at most once) while the batch runs.  Each numpy call on either
+    side hands the GIL over, so each slows the other, and the rows set the
+    wall (on ``phase-sweep``, 2 vCPU, 10 runs each: rows 0.072-0.082 s
+    alone and 0.072-0.090 s beside the equilibrium phase, which takes 0.003
+    s alone and 0.003-0.008 s beside them).  The trajectories are then
+    classified here in input order.  A chemical-potential error names every row, then come
     integration errors, then classification errors.
     """
     resolved, analysis = _resolve(config, "sweep")

@@ -22,8 +22,9 @@ sum is formed block by block.
 
 What is derived from a chemical potential (``log_q``, the expansion, the
 sums at ``phi_c``, the ``rho_c`` decision) is kept on it.
-:func:`critical_density_info` decides ``rho_c`` on the dyadic fugacity
-ladder, evaluating each rung at most once per chemical potential.
+:func:`critical_density_info` takes ``rho_c`` from those sums where the
+expansion's exponent shows ``s > 2``, and otherwise decides it on the
+dyadic fugacity ladder.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ _CUT_MARGIN = 2.0
 # far expansion, or without one is formed block by block.
 _SUM_BLOCK = 1 << 17
 _PREFIX = 1 << 12
-_STREAMS = (0, 1, 1)  # first size of each stream of _terms
+_STREAMS = (0, 1)  # first size of each stream of _terms
 
 
 def _log_sum(values: np.ndarray, overwrite: bool = False) -> float:
@@ -290,8 +291,8 @@ def _log_sum(values: np.ndarray, overwrite: bool = False) -> float:
 
 def _terms(cp: ChemicalPotential, log_phi: float, a: int, b: int, streams: int = 1) -> np.ndarray:
     """Rows of terms at ``log phi`` for the sizes ``a <= l < b``: ``t_l = l
-    log phi + log_q[l]``, ``t_l + log l`` and ``(t_l + log l) + log l``, the
-    first ``streams`` of them (the last two start at size 1, ``_STREAMS``)."""
+    log phi + log_q[l]`` and ``t_l + log l``, the first ``streams`` of them
+    (the second starts at size 1, ``_STREAMS``)."""
     ls = np.arange(a, b, dtype=float)
     rows = np.empty((streams, b - a))
     t = np.multiply(ls, log_phi, out=rows[0])
@@ -299,9 +300,7 @@ def _terms(cp: ChemicalPotential, log_phi: float, a: int, b: int, streams: int =
     if streams > 1:
         log_ls = ls[1:] if a == 0 else ls
         np.log(log_ls, out=log_ls)  # l = 0 stays 0
-        num = np.add(t, ls, out=rows[1])
-        if streams > 2:
-            np.add(num, ls, out=rows[2])
+        np.add(t, ls, out=rows[1])
     return rows
 
 
@@ -417,7 +416,7 @@ def _series(cp: ChemicalPotential, log_phi: float, n_terms: int = 0, weighted: b
     cutoff (see ``_LOG_CUTOFF``) and kept at ``phi_c`` (:func:`_phi_c_sums`)."""
     n = max(_series_length(cp, log_phi), n_terms)
     if n > cp.k_max and log_phi == _log_phi_c(cp):
-        log_den, log_num, _ = _phi_c_sums(cp)
+        log_den, log_num = _phi_c_sums(cp)
         return _terms(cp, log_phi, 0, n_terms)[0], log_den, log_num if weighted else math.nan
     return _summed_terms(cp, log_phi, n, weighted, n_terms)
 
@@ -430,11 +429,11 @@ def _summed_terms(cp: ChemicalPotential, log_phi: float, n: int, weighted: bool 
     return t, sums[0], sums[1] if weighted else math.nan
 
 
-def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float, float]:
-    """``log sum l^i exp(t_l)`` for ``i = 0, 1, 2`` over the full range at
+def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float]:
+    """``log sum l^i exp(t_l)`` for ``i = 0, 1`` over the full range at
     ``phi_c`` (finite and positive), the one sum no cut shortens."""
     if "phi_c_sums" not in cp._memo:
-        cp._memo["phi_c_sums"] = tuple(_log_sums(cp, _log_phi_c(cp), cp.k_max + 1, 3))
+        cp._memo["phi_c_sums"] = tuple(_log_sums(cp, _log_phi_c(cp), cp.k_max + 1, 2))
     return cp._memo["phi_c_sums"]
 
 
@@ -496,12 +495,13 @@ class CriticalDensityInfo:
     """How the critical density was obtained.
 
     The dyadic fugacity ladder has rungs ``phi_j = phi_c (1 - 2^-j)``;
-    ``ladder_length`` is the index of the rung that decided the value (0
-    without a ladder), ``last_rung`` its density (NaN without a ladder) and
-    ``last_increment`` that density less the previous rung's (NaN below two
-    rungs).  ``method`` is ``"infinite-radius"``, ``"direct-tail"``,
-    ``"ladder"`` or ``"ladder-ceiling"``; ``tail_defect`` is the part ``num_tail
-    / den`` of a ``"direct-tail"`` value carried beyond ``k_max``.  The far
+    ``ladder_length`` is the index of the last rung walked (0 without a
+    walk), ``last_rung`` its density and ``last_increment`` that density
+    less the previous rung's (both NaN without a walk, except that
+    ``last_increment`` is 0 at ``phi_c = 0``).  ``method`` is
+    ``"infinite-radius"``, ``"direct-tail"``, ``"ladder"`` or
+    ``"ladder-ceiling"``; ``tail_defect`` is the part ``num_tail / den`` of
+    a ``"direct-tail"`` value carried beyond ``k_max``.  The far
     expansion's exponent ``s`` and its error (``None`` without one), the last
     size summed term by term (``prefix``) and whether the expansion carried
     the sums at ``phi_c`` past it (``far_series``) are :data:`FAR_FIELDS`.
@@ -524,27 +524,20 @@ FAR_FIELDS = ("exponent", "exponent_error", "prefix", "far_series")
 
 def _direct_tail(cp: ChemicalPotential) -> Optional[Tuple[float, float, float]]:
     """``(direct, num_tail / den, rho_N(phi_c))``: the density at ``phi_c``
-    with the sums completed beyond ``k_max`` by the far expansion, and the
-    truncated density there, which bounds every rung.  ``None`` unless the
-    exponent lies above 2 by more than its error, or when a sum overflows."""
+    with the sums completed beyond ``k_max`` by the far expansion, the part
+    of it the completion carries, and the truncated density there, which
+    bounds every rung.  ``None`` unless the exponent lies above 2 by more
+    than its error, or when a sum overflows."""
     far = _far_series(cp)
     if far is None or not far.s - far.s_error > 2.0:
         return None
     with contextlib.suppress(OverflowError):
         log_den_tail, log_num_tail = far.log_sums(0.0, cp.k_max + 1, math.inf, 2)
-        log_den, log_num, _ = _phi_c_sums(cp)
+        log_den, log_num = _phi_c_sums(cp)
         den = math.exp(log_den) + math.exp(log_den_tail)
         num_tail = math.exp(log_num_tail)
         return (math.exp(log_num) + num_tail) / den, num_tail / den, math.exp(log_num - log_den)
     return None
-
-
-def _accepts_direct_tail(direct_tail: Tuple[float, float, float], rung: float) -> bool:
-    """Whether the direct-tail value agrees with a ladder that ends at
-    density ``rung``: at most 1e-9 below it, and above it by at most three
-    tail defects plus a relative 1e-6."""
-    direct, defect, _ = direct_tail
-    return direct >= rung - 1e-9 and direct - rung <= 3.0 * defect + 1e-6 * max(1.0, direct)
 
 
 _LADDER_RUNGS = 48
@@ -561,80 +554,23 @@ def _ladder_rung(cp: ChemicalPotential, j: int) -> Tuple[float, float, float]:
 def _stabilized(ladder: Sequence[float]) -> bool:
     """Whether the last two ladder steps each moved the density by less
     than a relative ``1e-8``."""
-    return len(ladder) >= 3 and not any(map(_moves, ladder[-3:-1], ladder[-2:]))
+    steps = zip(ladder[-3:-1], ladder[-2:])
+    return len(ladder) >= 3 and all(abs(b - a) / max(abs(b), 1e-300) < 1e-8 for a, b in steps)
 
 
-def _moves(a: float, b: float) -> bool:
-    """Whether the ladder step from density ``a`` to ``b`` is at least the
-    relative ``1e-8`` of :func:`_stabilized`."""
-    return not abs(b - a) / max(abs(b), 1e-300) < 1e-8
-
-
-def _predicted_rung(cp: ChemicalPotential, direct_tail: Tuple[float, float, float]) -> int:
-    """The first rung ``j`` at which the density, expanded to first order
-    about ``phi_c``, accepts the direct tail: ``rho_N(phi_c) + sigma^2 log(1
-    - 2^-j)`` is at least the direct value less three tail defects and a
-    relative 1e-6, where ``sigma^2 = d rho / d log phi`` is the truncated
-    size variance at ``phi_c`` (``_LADDER_RUNGS`` if no rung does)."""
-    direct, defect, rho_n = direct_tail
-    log_den, _, log_second = _phi_c_sums(cp)
-    variance = math.exp(log_second - log_den) - rho_n * rho_n
-    floor = direct - 3.0 * defect - 1e-6 * max(1.0, direct)
-    return next(
-        (j for j in range(1, _LADDER_RUNGS) if rho_n + variance * math.log1p(-0.5**j) >= floor),
-        _LADDER_RUNGS,
-    )
-
-
-def _first_accepting_rung(cp: ChemicalPotential, rung, direct_tail: Tuple[float, float, float]) -> Optional[int]:
-    """The first rung ``j <= _LADDER_RUNGS`` that accepts the direct tail,
-    with ``rung(j)``, for acceptance that is monotone in ``j``; ``None`` when
-    no rung accepts or the step onto ``j`` does not move (with steps that do
-    not grow, a moving step rules out a walk that stabilizes before ``j``).
-
-    The search starts at :func:`_predicted_rung`, tries the rungs 1, 2, 4,
-    ... away from it on the side still open, and bisects what is left once
-    a rung falls on the other side.
-    """
-    guess = _predicted_rung(cp, direct_tail)
-    lo, hi = 0, _LADDER_RUNGS + 1  # rung lo rejects (0: no rung), rung hi accepts
-    j, reach = guess, 1
-    while hi - lo > 1:
-        if _accepts_direct_tail(direct_tail, rung(j)[0]):
-            hi = j
-        else:
-            lo = j
-        j = guess - reach if hi <= guess else guess + reach
-        if not lo < j < hi:
-            j = (lo + hi) // 2
-        reach *= 2
-    if hi > _LADDER_RUNGS or (lo and not _moves(rung(lo)[0], rung(hi)[0])):
-        return None
-    return hi
-
-
-def _critical_density_decision(cp: ChemicalPotential, length: int, rung, direct_tail) -> CriticalDensityInfo:
-    """The critical density from the ladder's rungs ``rung(j)`` up to
-    ``length`` and the direct tail at ``phi_c`` (see
-    :func:`critical_density_info`); accepting the direct tail reads only the
-    last two rungs."""
-    if not length:  # no ladder: phi_c is infinite or zero
-        if math.isinf(cp.phi_c_estimate):
-            return CriticalDensityInfo(math.inf, 0, math.nan, math.nan, "infinite-radius")
-        return CriticalDensityInfo(0.0, 0, math.nan, 0.0, "ladder")
-    last, log_phi_last, log_num_last = rung(length)
-    last_inc = abs(last - rung(length - 1)[0]) if length >= 2 else math.nan
-    if direct_tail is not None and _accepts_direct_tail(direct_tail, last):
-        direct, defect, _ = direct_tail
-        direct, defect = float(direct), float(defect)
-        return CriticalDensityInfo(direct, length, last, last_inc, "direct-tail", defect)
+def _critical_density_decision(cp: ChemicalPotential, rungs: Sequence[tuple]) -> CriticalDensityInfo:
+    """The critical density from the walked rungs ``(density, log phi_j,
+    log sum l exp(t_l))``, ``j = 1, 2, ...`` (see
+    :func:`critical_density_info`)."""
+    ladder = [density for density, _, _ in rungs]
+    last, log_phi_last, log_num_last = rungs[-1]
+    length, last_inc = len(ladder), abs(last - ladder[-2])
 
     # A ladder that flattens out may have hit the truncation ceiling rather
     # than a genuine limit: the density series at the last rung must have
     # decayed within the available range for the plateau to mean anything.
     last_term = _last_term(cp, log_phi_last) + math.log(cp.k_max)
     truncation_clean = (last_term - log_num_last) < math.log(1e-10)
-    ladder = [rung(j)[0] for j in range(1, length + 1)]
     if _stabilized(ladder) and truncation_clean:
         return CriticalDensityInfo(last, length, last, last_inc, "ladder")
     # A rung density is exp(log_num - log_den), a difference of log-sums as
@@ -642,7 +578,7 @@ def _critical_density_decision(cp: ChemicalPotential, length: int, rung, direct_
     # about an ulp of its magnitude.  So rungs that are equal in exact
     # arithmetic (mass piled at k_max) can differ relatively by a few ulps
     # of that magnitude, and a ladder is monotone up to that slack.
-    log_phi_max = max(abs(rung(j)[1]) for j in range(1, length + 1))
+    log_phi_max = max(abs(log_phi) for _, log_phi, _ in rungs)
     log_q_max = max(float(np.max(np.abs(cp.log_q_prefix(_prefix_end(cp) + 1)))), abs(_last_term(cp, 0.0)))
     magnitude = cp.k_max * log_phi_max + log_q_max
     slack = 4.0 * math.ulp(max(magnitude, 1.0))
@@ -653,47 +589,41 @@ def _critical_density_decision(cp: ChemicalPotential, length: int, rung, direct_
     raise InconclusiveDensityError("inconclusive: fugacity ladder did not stabilize and no tail completes it")
 
 
+def _critical_density(cp: ChemicalPotential) -> CriticalDensityInfo:
+    """The critical density without the far expansion's fields (see
+    :func:`critical_density_info`)."""
+    if math.isinf(cp.phi_c_estimate):
+        return CriticalDensityInfo(math.inf, 0, math.nan, math.nan, "infinite-radius")
+    if cp.phi_c_estimate <= 0.0:
+        return CriticalDensityInfo(0.0, 0, math.nan, 0.0, "ladder")
+    direct_tail = _direct_tail(cp)
+    if direct_tail is not None and direct_tail[0] >= direct_tail[2] - 1e-9:
+        direct, defect, _ = direct_tail
+        return CriticalDensityInfo(direct, 0, math.nan, math.nan, "direct-tail", defect)
+    rungs: list = []
+    while len(rungs) < _LADDER_RUNGS and not _stabilized([density for density, _, _ in rungs]):
+        rungs.append(_ladder_rung(cp, len(rungs) + 1))
+    return _critical_density_decision(cp, rungs)
+
+
 def critical_density_info(cp: ChemicalPotential) -> CriticalDensityInfo:
     """Supremum of the density map on ``[0, phi_c]`` with extrapolation detail.
 
-    The dyadic ladder establishes whether the supremum is finite: a ladder
-    that climbs until the series overflows the cut means an infinite
-    critical density.  When the series still converges at ``phi_c`` (far
-    exponent ``s > 2``, beyond its error), the sums are completed past
-    ``k_max`` by the far expansion (:func:`_direct_tail`).
+    When the far exponent lies above 2 by more than its error, the series
+    still converges at ``phi_c``: the sums there are completed past
+    ``k_max`` by the far expansion (:func:`_direct_tail`), and that value is
+    ``rho_c`` unless it lies more than 1e-9 below the truncated density at
+    ``phi_c``, which bounds every rung.  No rung is evaluated then.
 
-    The ladder is walked until its last two steps each move the density by
-    less than a relative 1e-8, or for ``_LADDER_RUNGS`` rungs.  A direct
-    value at least ``rho_N(phi_c)`` less 1e-9 would stop the walk at the
-    first rung that accepts it, and acceptance is then monotone in the rung
-    index: the density expanded to first order about ``phi_c`` (slope: the
-    size variance there) predicts that rung, which the rung below confirms
-    (:func:`_first_accepting_rung`; 2 rungs at condensing ``c = 3``,
-    ``k_max = 10^6``).  The result, or an inconclusive verdict, is kept on
-    ``cp``.
+    Otherwise the dyadic ladder decides.  It is walked until its last two
+    steps each move the density by less than a relative 1e-8, or for
+    ``_LADDER_RUNGS`` rungs; a ladder that climbs until the series
+    overflows the cut means an infinite critical density.  The result, or
+    an inconclusive verdict, is kept on ``cp``.
     """
     if "info" not in cp._memo:
-        rungs: dict = {}
-
-        def rung(j: int) -> Tuple[float, float, float]:
-            if j not in rungs:
-                rungs[j] = _ladder_rung(cp, j)
-            return rungs[j]
-
-        length, direct_tail = 0, None
-        if not (math.isinf(cp.phi_c_estimate) or cp.phi_c_estimate <= 0.0):
-            direct_tail = _direct_tail(cp)
-            stops = direct_tail is not None and direct_tail[0] >= direct_tail[2] - 1e-9
-            length = _first_accepting_rung(cp, rung, direct_tail) if stops else None
-            if length is None:  # walk the ladder
-                ladder: list = []
-                while len(ladder) < _LADDER_RUNGS and not _stabilized(ladder):
-                    ladder.append(rung(len(ladder) + 1)[0])
-                    if stops and _accepts_direct_tail(direct_tail, ladder[-1]):
-                        break
-                length = len(ladder)
         try:
-            info = _critical_density_decision(cp, length, rung, direct_tail)
+            info = _critical_density(cp)
             far, end = _far_series(cp), _prefix_end(cp)
             far_fields = (far and far.s, far and far.s_error, end, end < cp.k_max)
             cp._memo["info"] = replace(info, **dict(zip(FAR_FIELDS, far_fields)))
@@ -763,14 +693,12 @@ def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
 
     Besides the values it records how ``phi_c`` and ``rho_c`` were obtained:
     the ``phi_c`` convergence flag and the ``rho_c`` method, ladder length and
-    last ladder increment (``None`` when the ladder has fewer than two rungs);
-    for a ``"direct-tail"`` value also its tail defect and its gap above the
-    last rung (``None`` for the other methods); and the far expansion's
-    :data:`FAR_FIELDS`.
+    last ladder increment (``None`` without a walked ladder); for a
+    ``"direct-tail"`` value also its tail defect (``None`` for the other
+    methods); and the far expansion's :data:`FAR_FIELDS`.
     """
     info = critical_density_info(cp)
     last = info.last_increment
-    direct = info.method == "direct-tail"
     return {
         "phi": profile.phi,
         "z": tagged_value(profile.z_value),
@@ -779,8 +707,7 @@ def profile_summary(profile: EquilibriumProfile, cp: ChemicalPotential) -> dict:
         "rho_c_method": info.method,
         "rho_c_ladder_length": info.ladder_length,
         "rho_c_last_increment": None if math.isnan(last) else tagged_value(last),
-        "rho_c_tail_defect": info.tail_defect if direct else None,
-        "rho_c_direct_gap": info.value - info.last_rung if direct else None,
+        "rho_c_tail_defect": info.tail_defect if info.method == "direct-tail" else None,
         **{f"rho_c_{key}": getattr(info, key) for key in FAR_FIELDS},
         "phi_c": tagged_value(cp.phi_c_estimate),
         "phi_c_converged": cp.phi_c_converged,

@@ -219,15 +219,12 @@ def test_equilibrium_summary_records_how_constants_were_obtained(tmp_path):
     assert main(["equilibrium", "--config", cfg, "--out", str(out), "--rho", "0.5"]) == EXIT_OK
     summary = json.loads((out / "equilibrium_summary.json").read_text())
     assert summary["phi_c_converged"] is True
+    # The far exponent settles rho_c: no ladder is walked.
     assert summary["rho_c_method"] == "direct-tail"
-    assert summary["rho_c_last_increment"]["finite"] is True
-    rho_c, defect = summary["rho_c"]["value"], summary["rho_c_tail_defect"]
-    gap, bound = summary["rho_c_direct_gap"], 3.0 * defect + 1e-6 * max(1.0, rho_c)
-    assert -1e-9 <= gap <= bound
-    # The ladder ends at its first rung that accepts the direct tail.
+    assert (summary["rho_c_ladder_length"], summary["rho_c_last_increment"]) == (0, None)
     cp = equilibrium.chemical_potential(kernels.condensing_kernel(3.0), FAST_ANALYSIS["equilibrium_k_max"])
-    accepts = [-1e-9 <= rho_c - equilibrium._ladder_rung(cp, j)[0] <= bound for j in range(1, 49)]
-    assert summary["rho_c_ladder_length"] == accepts.index(True) + 1 >= 3
+    assert summary["rho_c_tail_defect"] == equilibrium._direct_tail(cp)[1] > 0.0
+    assert "rho_c_direct_gap" not in summary
 
     # separable b = k, a = 1: the rate ratio grows without bound, phi_c = inf
     cfg = write_config(
@@ -242,7 +239,7 @@ def test_equilibrium_summary_records_how_constants_were_obtained(tmp_path):
     assert summary["phi_c"] == {"finite": False, "value": None}
     assert summary["rho_c_ladder_length"] == 0
     assert summary["rho_c_last_increment"] is None
-    assert summary["rho_c_tail_defect"] is None and summary["rho_c_direct_gap"] is None
+    assert summary["rho_c_tail_defect"] is None
     assert summary["rho_c_exponent"] is None and summary["rho_c_exponent_error"] is None
     assert (summary["rho_c_prefix"], summary["rho_c_far_series"]) == (20000, False)
 
@@ -260,7 +257,7 @@ def test_summaries_record_the_far_series_of_the_phase_sweep_potential(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"), "--parallel", "1"]) == EXIT_OK
     rho_c = json.loads((tmp_path / "sw" / "sweep_report.json").read_text())["rho_c"]
     assert rho_c == {key: summary[f"rho_c_{key}"] for key in rho_c}
-    assert (rho_c["method"], rho_c["ladder_length"]) == ("direct-tail", 23)
+    assert (rho_c["method"], rho_c["ladder_length"]) == ("direct-tail", 0)
     assert (rho_c["prefix"], rho_c["far_series"]) == (4096, True)
     assert abs(rho_c["exponent"] - 3.0) <= rho_c["exponent_error"] <= 1e-9
     assert summary["rho_c"]["value"] == pytest.approx(1.0, abs=1e-12)
@@ -992,7 +989,7 @@ SWEEP_KERNELS = {
 @pytest.mark.parametrize("case", sorted(SWEEP_KERNELS))
 def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypatch, case):
     # Every rung evaluation, from any thread, is logged: the sweep walks the
-    # ladder once, whether or not the rows run alongside it.
+    # ladder at most once, whether or not the rows run alongside it.
     log = tmp_path / "rungs.log"
     rung = equilibrium._ladder_rung
 
@@ -1018,9 +1015,9 @@ def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypat
         rho_c = report["rho_c"]
         assert set(rho_c) == {"method", "ladder_length", "exponent", "exponent_error", "prefix", "far_series"}
         logged, length = len(log.read_text().split()), rho_c["ladder_length"] or 0
-        # A walk evaluates each rung up to the last once; a direct tail is
-        # confirmed by its predicted rung and the one below.
-        assert logged == (2 if case == "direct-tail" else length)
+        # A walk evaluates each rung up to the last once; a direct tail
+        # walks none.
+        assert logged == length
         rows = report["row_telemetry"]
         assert [row["rho"] for row in rows] == config["densities"]
         assert all(row["runtime_s"] > 0.0 for row in rows)

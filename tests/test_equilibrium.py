@@ -333,6 +333,12 @@ def test_critical_density_survives_sums_at_phi_c_that_overflow():
     assert info.value == pytest.approx(760.77, rel=1e-6)
 
 
+def test_far_exponent_and_its_error_are_plain_floats():
+    # They reach equilibrium_summary.json and sweep_report.json as they are.
+    info = critical_density_info(chemical_potential(condensing_kernel(3.0), 2000))
+    assert type(info.exponent) is float and type(info.exponent_error) is float
+
+
 def test_inconclusive_critical_density_walks_the_ladder_once(monkeypatch):
     # The verdict is kept on the chemical potential like a value: asking
     # again raises it again without a second walk.
