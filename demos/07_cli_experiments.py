@@ -65,7 +65,7 @@ sweep_config.write_text(json.dumps({
     "analysis": {"equilibrium_k_max": 20000, "excess_band_start": 32},
 }, indent=1))
 run("phase-diagram sweep across the critical density",
-    ["sweep", "--config", str(sweep_config), "--out", str(scratch / "sweep"), "--parallel", "2"])
+    ["sweep", "--config", str(sweep_config), "--out", str(scratch / "sweep")])
 print("  " + (scratch / "sweep" / "sweep.csv").read_text().splitlines()[0])
 for line in (scratch / "sweep" / "sweep.csv").read_text().splitlines()[1:]:
     cells = line.split(",")

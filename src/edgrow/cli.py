@@ -17,7 +17,6 @@ subcritical one is required, 4 integrator failure, 64 config error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import inspect
@@ -393,17 +392,13 @@ def _classify_row(traj: dynamics.TrajectoryRecord, cp, analysis: diagnostics.Ana
 def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int:
     """Run one simulation per density and aggregate the phase-diagram rows.
 
-    The rows integrate as one lockstep batch (see :func:`_sweep_row`) on one
-    thread of this process.  With ``parallel = 1`` the batch finishes
-    before anything else runs; with ``parallel >= 2`` this thread builds the
-    sweep's one chemical potential and decides ``rho_c`` (walking the
-    ladder at most once) while the batch runs.  Each numpy call on either
-    side hands the GIL over, so each slows the other, and the rows set the
-    wall (on ``phase-sweep``, 2 vCPU, 10 runs each: rows 0.072-0.082 s
-    alone and 0.072-0.090 s beside the equilibrium phase, which takes 0.003
-    s alone and 0.003-0.008 s beside them).  The trajectories are then
-    classified here in input order.  A chemical-potential error names every row, then come
-    integration errors, then classification errors.
+    Three phases run in order on the calling thread: the rows integrate as
+    one lockstep batch (see :func:`_sweep_row`), then the sweep builds its
+    one chemical potential and decides ``rho_c`` (walking the ladder at
+    most once), then the trajectories are classified in input order.
+    ``parallel`` (at least 1) selects nothing; it is accepted for the
+    benchmark's invocation.  A chemical-potential error names every row,
+    then come integration errors, then classification errors.
     """
     resolved, analysis = _resolve(config, "sweep")
     for key in ("thermo", "classify"):
@@ -416,6 +411,8 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     rhos = [float(rho) for rho in resolved["densities"]]
     if len(set(rhos)) != len(rhos):
         raise ConfigError("sweep densities must be distinct")
+    if analysis.equilibrium_k_max < resolved["n_trunc"]:  # every row would fail to classify
+        raise ConfigError(f"analysis.equilibrium_k_max must be >= n_trunc = {resolved['n_trunc']}")
     ic = resolved.get("initial_condition", {})
     # Each row sets its own density, which only a monodisperse state carries.
     ic = {"type": "monodisperse", **ic} if isinstance(ic, Mapping) else ic
@@ -435,29 +432,21 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
             states.append(_construct("initial_condition", dynamics.monodisperse_state, initial, **row))
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             states.append(f"error: {exc}")
-    serial = (parallel or 1) == 1
+    with _phase(phase_seconds, "rows"):
+        results = _sweep_row(kernel, cfg, states)  # through the module, which a tracer may wrap
     cp = cp_error = rho_c_block = None
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as thread:
-        submitted = time.perf_counter()
-        batch = thread.submit(_sweep_row, kernel, cfg, states)
-        if serial:  # rows first: no two threads run edgrow code at once
-            batch.result()
-            phase_seconds["rows"] = time.perf_counter() - submitted
-        if rhos:
-            keys = ("method", "ladder_length", *equilibrium.FAR_FIELDS)
-            rho_c_block = dict.fromkeys(keys)
-            with _phase(phase_seconds, "equilibrium"):
-                try:
-                    cp = equilibrium.chemical_potential(kernel, analysis.equilibrium_k_max)
-                except (ValueError, RuntimeError, ArithmeticError) as exc:
-                    cp_error = f"error: {exc}"
-                else:  # without rho_c, each row reports the failure as it classifies
-                    with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
-                        info = equilibrium.critical_density_info(cp)
-                        rho_c_block = {key: getattr(info, key) for key in keys}
-        results = batch.result()
-        if not serial:
-            phase_seconds["rows"] = time.perf_counter() - submitted
+    if rhos:
+        keys = ("method", "ladder_length", *equilibrium.FAR_FIELDS)
+        rho_c_block = dict.fromkeys(keys)
+        with _phase(phase_seconds, "equilibrium"):
+            try:
+                cp = equilibrium.chemical_potential(kernel, analysis.equilibrium_k_max)
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
+                cp_error = f"error: {exc}"
+            else:  # without rho_c, each row reports the failure as it classifies
+                with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
+                    info = equilibrium.critical_density_info(cp)
+                    rho_c_block = {key: getattr(info, key) for key in keys}
 
     rows = []
     with _phase(phase_seconds, "classify"):
@@ -557,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="density sweep")
     add_common(p_sweep)
-    p_sweep.add_argument("--parallel", type=int, default=None, help="2+: rows beside equilibrium")
+    p_sweep.add_argument("--parallel", type=int, default=None, help="no effect; kept for the benchmark")
 
     p_w = sub.add_parser("weights", help="superlinear weight construction")
     add_common(p_w)

@@ -6,7 +6,6 @@ import math
 import multiprocessing
 import os
 import re
-import sys
 import threading
 import time
 import weakref
@@ -851,10 +850,8 @@ def test_sweep_row_independence(tmp_path):
 
 
 def test_sweep_builds_one_chemical_potential_in_the_sweep_process(tmp_path, monkeypatch):
-    # Builds are logged from any thread; the row thread builds none.  The
-    # row thread and the equilibrium share the kernel and its cached factor
-    # tables, so --parallel 2 switches threads every microsecond: the bytes
-    # must still be the serial ones.
+    # Each build is logged with its process and thread: the sweep builds
+    # one, on the calling thread, and --parallel changes no byte.
     builds = []
     build = equilibrium.chemical_potential
 
@@ -865,16 +862,10 @@ def test_sweep_builds_one_chemical_potential_in_the_sweep_process(tmp_path, monk
     monkeypatch.setattr(equilibrium, "chemical_potential", logged_build)
     cfg = write_config(tmp_path, "s.json", dict(SWEEP_CONFIG, densities=[0.5, 1.0, 2.0]))
     outputs = []
-    interval = sys.getswitchinterval()
-    for degree, switch in ((1, interval), (2, 1e-6)):
+    for degree in (1, 2):
         builds.clear()
         out = tmp_path / f"p{degree}"
-        sys.setswitchinterval(switch)
-        try:
-            argv = ["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]
-            assert main(argv) == EXIT_OK
-        finally:
-            sys.setswitchinterval(interval)
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
         assert builds == [(os.getpid(), threading.get_ident())], degree
         outputs.append((out / "sweep.csv").read_bytes())
     assert outputs[0] == outputs[1]
@@ -899,7 +890,9 @@ def test_sweep_calls_the_row_function_once_per_density(tmp_path, monkeypatch):
         assert calls == [config["densities"]]
 
 
-def test_sweep_starts_no_child_process_and_one_row_thread(tmp_path, monkeypatch):
+def test_sweep_starts_no_thread_or_process(tmp_path, monkeypatch):
+    # --parallel is accepted and selects nothing: every phase runs on the
+    # calling thread, and the output does not depend on it.
     def no_process(*args, **kwargs):
         raise AssertionError("a sweep started a process")
 
@@ -920,7 +913,7 @@ def test_sweep_starts_no_child_process_and_one_row_thread(tmp_path, monkeypatch)
         started.clear()
         out = tmp_path / f"p{degree}"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", str(degree)]) == EXIT_OK
-        assert len(started) == 1, degree
+        assert started == [], degree
         outputs.append((out / "sweep.csv").read_bytes())
     assert outputs[1:] == outputs[:-1]
     # --parallel is the one setting; a "parallelism" key is a config error.
@@ -950,10 +943,8 @@ def test_sweep_reports_phase_times(tmp_path, monkeypatch, degree):
     assert phases["equilibrium"] > 0.0 and phases["rows"] > 0.0 and phases["classify"] >= 0.1
     runtimes = [row["runtime_s"] for row in report["row_telemetry"]]
     assert all(runtime >= 0.05 for runtime in runtimes)
-    if degree == 1:  # rows run here, one after another, before the equilibrium phase
-        assert sum(runtimes) <= phases["rows"] + phases["classify"]
-    else:  # the row thread overlaps the equilibrium phase
-        assert phases["rows"] >= phases["equilibrium"]
+    # The phases run one after another, so the rows' shares fit inside them.
+    assert sum(runtimes) <= phases["rows"] + phases["classify"]
     cfg = write_config(tmp_path, "e.json", dict(SWEEP_CONFIG, densities=[]))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--parallel", str(degree)]) == EXIT_OK
     report = json.loads((tmp_path / "sweep_report.json").read_text())
@@ -988,8 +979,8 @@ SWEEP_KERNELS = {
 
 @pytest.mark.parametrize("case", sorted(SWEEP_KERNELS))
 def test_sweep_pool_matches_serial_and_walks_the_ladder_once(tmp_path, monkeypatch, case):
-    # Every rung evaluation, from any thread, is logged: the sweep walks the
-    # ladder at most once, whether or not the rows run alongside it.
+    # Every rung evaluation is logged: the sweep walks the ladder at most
+    # once, at every --parallel, with the same bytes.
     log = tmp_path / "rungs.log"
     rung = equilibrium._ladder_rung
 
@@ -1053,7 +1044,7 @@ def test_sweep_row_programming_error_propagates(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate_batch", broken)
     config = dict(SWEEP_CONFIG, densities=[0.5])
-    for degree in (1, 2):  # raised on the row thread, re-raised by the sweep
+    for degree in (1, 2):  # raised by the row batch, through the sweep
         with pytest.raises(TypeError, match="broken integrator call"):
             cli.cmd_sweep(config, str(tmp_path / "out"), parallel=degree)
         assert not (tmp_path / "out" / "sweep.csv").exists()
@@ -1167,6 +1158,21 @@ def test_sweep_rejects_parallel_below_one(tmp_path, parallel):
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", parallel]) == EXIT_CONFIG
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_rejects_equilibrium_k_max_below_n_trunc_before_integrating(tmp_path, capsys, monkeypatch):
+    # Every row would integrate and then fail to classify, as simulate's
+    # would: the sweep exits 64 as simulate does, and integrates nothing.
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was integrated")
+
+    monkeypatch.setattr(dynamics, "integrate_batch", no_rows)
+    payload = dict(SWEEP_CONFIG, n_trunc=64, densities=[0.5], analysis={"equilibrium_k_max": 10})
+    cfg = write_config(tmp_path, "s.json", payload)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "analysis.equilibrium_k_max must be >= n_trunc = 64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_weights_cli(tmp_path):
