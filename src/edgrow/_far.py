@@ -45,11 +45,11 @@ class FarSeries(NamedTuple):
         series = np.polyval(np.append(self.a[::-1], 0.0), 1.0 / ls)
         return self.c0 + (k - self.s) * np.log(ls) + series + ls * log_x
 
-    def log_sums(self, log_x: float, a: int, b: float, streams: int) -> list:
-        """``log sum_{l=a}^{b} l^k exp(s_l + l log x)`` for ``k < streams``
-        and ``end < a``; ``b = inf`` (at ``log x = 0``) sums to infinity."""
+    def log_sums(self, log_x: float, a: int, b: float) -> list:
+        """``log sum_{l=a}^{b} l^k exp(s_l + l log x)`` for ``k = 0, 1`` and
+        ``end < a``; ``b = inf`` (at ``log x = 0``) sums to infinity."""
         if a > b:
-            return [-math.inf] * streams
+            return [-math.inf] * 2
         ends = np.array([a, b] if math.isfinite(b) else [a], dtype=float)
         sides = np.array([-1.0, 1.0])[: ends.size]
         u, i = 1.0 / ends, np.arange(1.0, self.a.size + 1.0)
@@ -57,7 +57,7 @@ class FarSeries(NamedTuple):
         weights = (i, i * (i + 1.0), i * (i + 1.0) * (i + 2.0))
         w1, w2, w3 = (np.polyval(np.append((w * self.a)[::-1], 0.0), u) for w in weights)
         sums = []
-        for k in range(streams):
+        for k in (0, 1):
             p = k - self.s  # g' g'' g''' at the ends, for f' = g' f and f''' = (g''' + 3 g' g'' + g'^3) f
             d1 = u * (p - w1) + log_x
             d2 = u * u * (w2 - p)

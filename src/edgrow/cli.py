@@ -313,7 +313,7 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         _write_summary_csv(traj, os.path.join(out, "summary.csv"), series)
 
     convergence: dict
-    if analysis.classify and cp is not None and traj.sample_count >= 10:
+    if analysis.classify and cp is not None and traj.sample_count >= diagnostics.MIN_SAMPLES:
         try:
             with _phase(phase_seconds, "classify"):
                 report = diagnostics.classify_longtime(
@@ -421,6 +421,11 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     kernel = _build_kernel(resolved)
     settings = dynamics.IntegratorConfig
     cfg = _construct("integrator", settings, bind("integrator", resolved.get("integrator", {}), settings))
+    if (samples := cfg.sample_count()) < diagnostics.MIN_SAMPLES:  # every row would fail to classify
+        raise ConfigError(
+            f"the integrator grid records {samples} samples; "
+            f"a sweep classifies each row from at least {diagnostics.MIN_SAMPLES}"
+        )
     if parallel is not None and parallel < 1:
         raise ConfigError(f"--parallel must be at least 1, got {parallel}")
     phase_seconds = {"equilibrium": 0.0, "rows": 0.0, "classify": 0.0}

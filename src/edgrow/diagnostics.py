@@ -50,6 +50,7 @@ __all__ = [
 StateLike = Union[ConcentrationProfile, np.ndarray, Sequence[float]]
 # Densities within this of rho_c classify as critical.
 _DEAD_BAND = 1e-6
+MIN_SAMPLES = 10  # recorded samples a run needs to be classified
 
 
 class NotIntegrableError(ValueError):
@@ -168,8 +169,8 @@ def classify_longtime(
 ) -> ConvergenceReport:
     """Compare a recorded run against the phase diagram of its kernel; the
     run's free energy per sample (from ``cp``) is computed unless given."""
-    if traj.sample_count < 10:
-        raise ValueError("need at least 10 recorded samples to classify")
+    if traj.sample_count < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} recorded samples to classify")
     rho = float(traj.first_moments[0])
     try:
         rho_c = critical_density(cp)

@@ -354,6 +354,20 @@ class IntegratorConfig:
         underflows to 0 records its start only."""
         return 1e-12 * self.t_end
 
+    def sample_count(self, t0: float = 0.0) -> int:
+        """The samples :func:`integrate` records from ``t0`` without a
+        checkpoint's controller: the start, each grid point ``t0 + cadence,
+        + cadence, ...`` (summed in that order) below ``t_end -
+        resolution``, and the end; the start alone when the resolution is 0
+        or ``t0`` is within it of ``t_end``."""
+        cadence, end = self.cadence(), self.t_end - self.resolution()
+        if self.resolution() == 0.0 or t0 >= end:
+            return 1
+        count, point = 2, t0 + cadence
+        while point < end:
+            count, point = count + 1, point + cadence
+        return count
+
 
 # Fehlberg 4(5) tableau; the fifth-order solution is propagated and the
 # difference of the embedded orders drives the error estimate.
@@ -368,11 +382,6 @@ _RK_A = (
 _RK_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
 _RK_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
 _RK_ERR = _RK_B5 - _RK_B4
-
-# Right-hand sides per step, for both methods: stage 0 once (rejected
-# attempts retry from the same state and share it) and the other five stages
-# once per attempt.
-_STEP_EVALS, _ATTEMPT_EVALS = 1, 5
 
 
 @dataclass(frozen=True)
@@ -420,10 +429,7 @@ class IntegratorStats:
     """Where the steps of an integration went.
 
     ``method`` is ``"rkf45"`` (explicit Fehlberg 4(5)) or ``"rodas4"``.
-    ``rhs_evals`` counts right-hand-side evaluations, for both methods one
-    per accepted step for stage 0, which rejected attempts share (RODAS4's
-    Jacobian too), and five per attempt, so it equals ``6 * accepted + 5 *
-    rejected``.  ``dt_min``/``dt_max`` range over accepted steps; ``clamp_events`` counts
+    ``dt_min``/``dt_max`` range over accepted steps; ``clamp_events`` counts
     accepted steps that clamped at least one component to zero.
     """
 
@@ -432,7 +438,6 @@ class IntegratorStats:
     rejected_error: int = 0
     rejected_positivity: int = 0
     rejected_non_finite: int = 0
-    rhs_evals: int = 0
     dt_min: float = math.inf
     dt_max: float = 0.0
     clamp_events: int = 0
@@ -440,6 +445,13 @@ class IntegratorStats:
     @property
     def rejected(self) -> int:
         return self.rejected_error + self.rejected_positivity + self.rejected_non_finite
+
+    @property
+    def rhs_evals(self) -> int:
+        """Right-hand-side evaluations, for both methods: stage 0 once per
+        accepted step, which rejected attempts share (RODAS4's Jacobian
+        too), and the other five stages once per attempt."""
+        return 6 * self.accepted + 5 * self.rejected
 
     def as_dict(self) -> dict:
         return {
@@ -511,12 +523,12 @@ class _Row:
         self.boundary = [self._boundary_mass(state0.c)]
         self.contaminated_from: Optional[float] = None
 
-    def judge(self, err: float, min_c: float, c: np.ndarray, k: int, atol: float) -> bool:
+    def judge(self, err: float, min_c: float, c: np.ndarray, c_new: np.ndarray, i: int, atol: float) -> bool:
         """Whether the attempt is accepted: its error is ``err`` and its least
-        new component ``min_c``, at index ``k``, was ``c[k]`` before the
-        attempt.  A rejection is counted and shrinks ``dt``."""
+        new component ``min_c``; the row is row ``i`` of the states ``c``
+        before and ``c_new`` after it (one state, or a batch).  A rejection
+        is counted and shrinks ``dt``."""
         stats = self.stats
-        stats.rhs_evals += _ATTEMPT_EVALS
         if not math.isfinite(err):
             stats.rejected_non_finite += 1
             self.dt *= 0.5
@@ -532,7 +544,9 @@ class _Row:
             # Linear in dt, the worst component reaches -atol at this
             # fraction of the attempt.  Without headroom above -atol (or
             # if the fraction underflows) there is nothing to size by: halve.
-            c_worst = float(c[k])
+            # A batch row's gap slot holds 0 > min_c, so it is never the worst.
+            before, after = np.atleast_2d(c, c_new)
+            c_worst = float(before[i, after[i].argmin()])
             headroom = c_worst + atol
             ratio = _SAFETY * headroom / (c_worst - min_c) if headroom > 0.0 else 0.0
             self.dt *= max(_FAC_MIN, min(_SAFETY, ratio)) if ratio > 0.0 else 0.5
@@ -647,10 +661,12 @@ class _Stepper:
     lengths ``dt_rows`` are C-contiguous and every elementwise numpy call is
     one contiguous pass over all rows.  Each row's dot products are the ones
     its state takes alone, so every row steps bit for bit as it would alone.
-    A round's tolerances are one ``abs`` and one ``vecdot`` for all rows, its
-    least components one gather, and a round in which every row accepts
-    swaps the state buffers.  A step allocates no size-``N`` array unless it
-    clamps.
+    One round (:meth:`_round`) serves both layouts: only its read-out of
+    each row's error and least component differs, scalars for one state and
+    one reduction each for a batch.  Then each row is judged, clamped and,
+    after one ``abs`` and ``vecdot`` pass for the tolerances of all rows,
+    booked; a round in which every row accepts swaps the state buffers.  A
+    step allocates no size-``N`` array unless it clamps.
 
     The positivity ceiling starts at ``inf``.  A step accepted after a
     positivity retry sets it to its own ``dt`` and proposes no larger next
@@ -689,7 +705,6 @@ class _Stepper:
         else:
             self.rhs_work = _RowsWork(self.kernel, c.shape[1] - 2, len(c))
             self.dt_rows = np.empty_like(c)
-            self.row_index = np.arange(len(c))
         # Tableau coefficients shaped to scale whole stages.
         shape = (-1,) + (1,) * c.ndim
         self.a_columns = tuple(np.reshape(row, shape) for row in _RK_A[1:])
@@ -777,57 +792,38 @@ class _Stepper:
                 if not suggest > 0:
                     raise ValueError(f"dt_suggest must be positive, got {suggest!r}")
                 row.dt, row.retried = suggest, False
-                row.stats.rhs_evals += _STEP_EVALS
                 self.stage0_ready = False
         floor = 1e-14 * self.cfg.t_end  # see IntegratorConfig.resolution
-        attempt_round = self._single_round if self.c.ndim == 1 else self._batch_round
         while True:
             for row in rows:
                 if row.error is None and row.dt < floor:
                     row.error = IntegratorError(f"step underflow: dt={row.dt!r}")
-            if attempt_round():
+            if self._round():
                 return
 
-    def _single_round(self) -> bool:
-        """One attempt of the one state; whether it accepted or failed."""
-        (row,) = self.rows
-        c, c_new = self.c, self.c_new
-        err_vec = self.attempt(row.dt)
-        err = float(np.abs(err_vec, out=err_vec).max())
-        k = int(c_new.argmin())
-        if row.error is not None:
-            return True
-        min_c = float(c_new[k])
-        try:
-            if not row.judge(err, min_c, c, k, self.cfg.atol):
-                return False
-            # Accepted, so no component is below -atol: every negative one clamps.
-            clamped = _clamp(row, c_new) if min_c < 0.0 else (0.0, 0.0)
-            row.accept(err, self._tolerances(c_new)[0], clamped)
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            row.error = exc
-            return True
-        self.c, self.c_new = c_new, c
-        return True
-
-    def _batch_round(self) -> bool:
+    def _round(self) -> bool:
         """One lockstep attempt of every row; whether any accepted or failed."""
         rows, c, c_new = self.rows, self.c, self.c_new
-        self.dt_rows.T[...] = [row.dt for row in rows]
-        err_vec = self.attempt(self.dt_rows)
-        errs = np.abs(err_vec, out=err_vec).max(axis=1).tolist()
-        sizes = c_new[:, :-1]
-        worst = sizes.argmin(axis=1)
-        least = sizes[self.row_index, worst].tolist()
+        if c.ndim == 1:
+            err_vec = self.attempt(rows[0].dt)
+            np.abs(err_vec, out=err_vec)
+            # On one row, arg-reductions and a lookup cost less than max() and min().
+            errs, least = [float(err_vec[err_vec.argmax()])], [float(c_new[c_new.argmin()])]
+        else:
+            self.dt_rows.T[...] = [row.dt for row in rows]
+            err_vec = self.attempt(self.dt_rows)
+            errs = np.abs(err_vec, out=err_vec).max(axis=1).tolist()
+            least = c_new[:, :-1].min(axis=1).tolist()
         judged, ended = [], False
-        for i, (row, err, k, min_c) in enumerate(zip(rows, errs, worst.tolist(), least)):
+        for i, (row, err, min_c) in enumerate(zip(rows, errs, least)):
             if row.error is not None:
                 ended = True
                 continue
             try:
-                if not row.judge(err, min_c, c[i], k, self.cfg.atol):
+                if not row.judge(err, min_c, c, c_new, i, self.cfg.atol):
                     continue
-                clamped = _clamp(row, sizes[i]) if min_c < 0.0 else (0.0, 0.0)
+                # Accepted, so no component is below -atol: every negative one clamps.
+                clamped = _clamp(row, np.atleast_2d(c_new)[i]) if min_c < 0.0 else (0.0, 0.0)
             except (ValueError, RuntimeError, ArithmeticError) as exc:
                 row.error, ended = exc, True
                 continue

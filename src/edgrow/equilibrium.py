@@ -235,7 +235,7 @@ def partition_sum(cp: ChemicalPotential, phi: float) -> Tuple[float, float]:
     _check_fugacity(cp, phi)
     if phi == 0.0:
         return 1.0, 0.0
-    _, log_z, _ = _series(cp, math.log(phi), weighted=False)
+    _, log_z, _ = _series(cp, math.log(phi))
     z = math.exp(log_z) if log_z < 709.0 else math.inf
     return z, _geometric_tail(cp, phi)
 
@@ -271,7 +271,6 @@ _CUT_MARGIN = 2.0
 # far expansion, or without one is formed block by block.
 _SUM_BLOCK = 1 << 17
 _PREFIX = 1 << 12
-_STREAMS = (0, 1)  # first size of each stream of _terms
 
 
 def _log_sum(values: np.ndarray, overwrite: bool = False) -> float:
@@ -289,18 +288,16 @@ def _log_sum(values: np.ndarray, overwrite: bool = False) -> float:
     return m + math.log(float(np.sum(np.exp(kept, out=kept))))
 
 
-def _terms(cp: ChemicalPotential, log_phi: float, a: int, b: int, streams: int = 1) -> np.ndarray:
+def _terms(cp: ChemicalPotential, log_phi: float, a: int, b: int) -> np.ndarray:
     """Rows of terms at ``log phi`` for the sizes ``a <= l < b``: ``t_l = l
-    log phi + log_q[l]`` and ``t_l + log l``, the first ``streams`` of them
-    (the second starts at size 1, ``_STREAMS``)."""
+    log phi + log_q[l]`` and ``t_l + log l`` (whose sum starts at size 1)."""
     ls = np.arange(a, b, dtype=float)
-    rows = np.empty((streams, b - a))
+    rows = np.empty((2, b - a))
     t = np.multiply(ls, log_phi, out=rows[0])
     t += cp.log_q_prefix(b)[a:]
-    if streams > 1:
-        log_ls = ls[1:] if a == 0 else ls
-        np.log(log_ls, out=log_ls)  # l = 0 stays 0
-        np.add(t, ls, out=rows[1])
+    log_ls = ls[1:] if a == 0 else ls
+    np.log(log_ls, out=log_ls)  # l = 0 stays 0
+    np.add(t, ls, out=rows[1])
     return rows
 
 
@@ -326,23 +323,18 @@ def _prefix_end(cp: ChemicalPotential) -> int:
     return cp.k_max if far is None else far.end
 
 
-def _log_sums(cp: ChemicalPotential, log_phi: float, n: int, streams: int) -> list:
-    """Log-sums of the first ``streams`` rows of :func:`_terms` at ``log
-    phi`` over the sizes below ``n``: past ``_SUM_BLOCK`` terms the prefix
-    and the far expansion, or ``_SUM_BLOCK`` terms at a time."""
-    offsets = _STREAMS[:streams]
-    if n <= _SUM_BLOCK:
-        rows = _terms(cp, log_phi, 0, n, streams)
-        return [_log_sum(rows[k, offset:], overwrite=True) for k, offset in enumerate(offsets)]
-    end = _prefix_end(cp)
-    if end < cp.k_max:
-        head = _log_sums(cp, log_phi, end + 1, streams)
-        far = _far_series(cp).log_sums(log_phi - _log_phi_c(cp), end + 1, n - 1, streams)
+def _log_sums(cp: ChemicalPotential, log_phi: float, n: int) -> list:
+    """Log-sums of the two rows of :func:`_terms` at ``log phi`` over the
+    sizes below ``n``: past ``_SUM_BLOCK`` terms the prefix and the far
+    expansion, or ``_SUM_BLOCK`` terms at a time."""
+    if n > _SUM_BLOCK and (end := _prefix_end(cp)) < cp.k_max:
+        head = _log_sums(cp, log_phi, end + 1)
+        far = _far_series(cp).log_sums(log_phi - _log_phi_c(cp), end + 1, n - 1)
         return np.logaddexp(head, far).tolist()
-    sums = np.full(streams, -math.inf)
+    sums = np.full(2, -math.inf)
     for a in range(0, n, _SUM_BLOCK):
-        rows = _terms(cp, log_phi, a, min(a + _SUM_BLOCK, n), streams)
-        block = [_log_sum(rows[k, max(offset - a, 0) :], overwrite=True) for k, offset in enumerate(offsets)]
+        t, t_num = _terms(cp, log_phi, a, min(a + _SUM_BLOCK, n))
+        block = [_log_sum(t, overwrite=True), _log_sum(t_num[1 if a == 0 else 0 :], overwrite=True)]
         sums = np.logaddexp(sums, block)
     return sums.tolist()
 
@@ -409,31 +401,30 @@ def _last_term(cp: ChemicalPotential, log_phi: float) -> float:
     return float(_far_series(cp).log_terms(np.array([float(cp.k_max)]), 0, log_phi - _log_phi_c(cp))[0])
 
 
-def _series(cp: ChemicalPotential, log_phi: float, n_terms: int = 0, weighted: bool = True) -> tuple:
+def _series(cp: ChemicalPotential, log_phi: float, n_terms: int = 0) -> tuple:
     """The first ``n_terms`` terms ``t_l = l log phi + log_q[l]`` with the
-    logs of ``sum exp(t_l)`` and (if ``weighted``, else NaN) of ``sum l
-    exp(t_l)`` over ``l <= k_max``, taken over the terms that can pass the
-    cutoff (see ``_LOG_CUTOFF``) and kept at ``phi_c`` (:func:`_phi_c_sums`)."""
+    logs of ``sum exp(t_l)`` and of ``sum l exp(t_l)`` over ``l <= k_max``,
+    taken over the terms that can pass the cutoff (see ``_LOG_CUTOFF``) and
+    kept at ``phi_c`` (:func:`_phi_c_sums`)."""
     n = max(_series_length(cp, log_phi), n_terms)
     if n > cp.k_max and log_phi == _log_phi_c(cp):
         log_den, log_num = _phi_c_sums(cp)
-        return _terms(cp, log_phi, 0, n_terms)[0], log_den, log_num if weighted else math.nan
-    return _summed_terms(cp, log_phi, n, weighted, n_terms)
+        return _terms(cp, log_phi, 0, n_terms)[0], log_den, log_num
+    return _summed_terms(cp, log_phi, n, n_terms)
 
 
-def _summed_terms(cp: ChemicalPotential, log_phi: float, n: int, weighted: bool = True, n_terms: int = 0) -> tuple:
+def _summed_terms(cp: ChemicalPotential, log_phi: float, n: int, n_terms: int = 0) -> tuple:
     """The first ``n_terms`` terms at ``log phi`` and the log-sums of
     :func:`_series` over the first ``n``."""
-    sums = _log_sums(cp, log_phi, n, 2 if weighted else 1)
-    t = _terms(cp, log_phi, 0, n_terms)[0] if n_terms else np.empty(0)
-    return t, sums[0], sums[1] if weighted else math.nan
+    sums = _log_sums(cp, log_phi, n)
+    return (_terms(cp, log_phi, 0, n_terms)[0] if n_terms else np.empty(0), *sums)
 
 
 def _phi_c_sums(cp: ChemicalPotential) -> Tuple[float, float]:
     """``log sum l^i exp(t_l)`` for ``i = 0, 1`` over the full range at
     ``phi_c`` (finite and positive), the one sum no cut shortens."""
     if "phi_c_sums" not in cp._memo:
-        cp._memo["phi_c_sums"] = tuple(_log_sums(cp, _log_phi_c(cp), cp.k_max + 1, 2))
+        cp._memo["phi_c_sums"] = tuple(_log_sums(cp, _log_phi_c(cp), cp.k_max + 1))
     return cp._memo["phi_c_sums"]
 
 
@@ -532,7 +523,7 @@ def _direct_tail(cp: ChemicalPotential) -> Optional[Tuple[float, float, float]]:
     if far is None or not far.s - far.s_error > 2.0:
         return None
     with contextlib.suppress(OverflowError):
-        log_den_tail, log_num_tail = far.log_sums(0.0, cp.k_max + 1, math.inf, 2)
+        log_den_tail, log_num_tail = far.log_sums(0.0, cp.k_max + 1, math.inf)
         log_den, log_num = _phi_c_sums(cp)
         den = math.exp(log_den) + math.exp(log_den_tail)
         num_tail = math.exp(log_num_tail)

@@ -1175,6 +1175,22 @@ def test_sweep_rejects_equilibrium_k_max_below_n_trunc_before_integrating(tmp_pa
     assert not out.exists()
 
 
+def test_sweep_rejects_a_grid_of_too_few_samples_before_integrating(tmp_path, capsys, monkeypatch):
+    # The grid records t = 0, 0.5, 1, 1.5 and 2: every row integrated and
+    # then failed to classify, and the sweep exited 0.
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was integrated")
+
+    monkeypatch.setattr(dynamics, "integrate_batch", no_rows)
+    integrator = {"t_end": 2.0, "record_every": 0.5}
+    payload = dict(SWEEP_CONFIG, n_trunc=64, densities=[0.5, 2.0], integrator=integrator)
+    cfg = write_config(tmp_path, "s.json", payload)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "the integrator grid records 5 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_weights_cli(tmp_path):
     cfg = write_config(
         tmp_path,

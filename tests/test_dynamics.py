@@ -4,10 +4,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from edgrow import dynamics
 from edgrow._config import ConfigError, bind
@@ -231,6 +233,26 @@ def test_recording_grid_too_long_to_count_is_a_value_error(const):
     # not by an OverflowError while the sample matrix is sized.
     with pytest.raises(ValueError, match="record_every"):
         IntegratorConfig(t_end=1e10, record_every=5e-324)
+
+
+@given(
+    t_end=st.floats(min_value=0.0, max_value=10.0),
+    grid=st.one_of(st.none(), st.integers(min_value=1, max_value=40), st.floats(min_value=0.02, max_value=1.5)),
+    t0_share=st.floats(min_value=0.0, max_value=1.2),
+)
+@example(t_end=5e-324, grid=0.5, t0_share=0.0)  # the resolution underflows to 0
+@example(t_end=3.0, grid=30, t0_share=0.0)  # grid points land on t_end
+@example(t_end=1.0, grid=0.1, t0_share=0.3)
+@settings(max_examples=60, deadline=None)
+def test_sample_count_is_what_integrate_records(const, t_end, grid, t0_share):
+    # An integer grid is that many cadences to t_end, a float one a share of it.
+    record_every = None
+    if grid is not None:  # 0 at t_end = 0 or on underflow: the default cadence
+        record_every = (t_end / grid if isinstance(grid, int) else grid * t_end) or None
+    cfg = IntegratorConfig(t_end=t_end, record_every=record_every)
+    t0 = t0_share * t_end
+    traj = integrate(const, monodisperse_state(1.0, 1, n_trunc=16), cfg, t0=t0)
+    assert cfg.sample_count(t0) == traj.sample_count
 
 
 @pytest.mark.parametrize("key", ["max_step", "rtoll", "positivity_floor"])
@@ -472,6 +494,60 @@ def test_stepper_calls_module_rhs_once_per_evaluation(monkeypatch, kernel):
     assert len({id(work) for work in works}) == 1
     assert isinstance(works[0], dynamics._RhsWork)
     assert len(checkpoints) == 5  # t = 0.5, 1, 1.5, 2 and the end of the run
+
+
+def fresh_stepper(kernel, states, cfg, dt):
+    """A stepper of ``states`` (one state runs on 1-D arrays), each row's
+    controller fresh with ``dt_next = dt``."""
+    rows = [dynamics._Row(dynamics._Controller(dt_next=dt, next_record=math.inf), state) for state in states]
+    c = states[0].c if len(states) == 1 else np.array([state.c for state in states])
+    return dynamics._Stepper(kernel, c, cfg, rows)
+
+
+def test_non_finite_attempts_are_rejected_alike_alone_and_in_a_batch(monkeypatch):
+    # A first attempt of 1e300 overflows: 981 attempts are rejected as not
+    # finite, each halving dt, and 10 for error before one accepts, one
+    # state and each row of a batch alike.  rhs_evals, derived from those
+    # counts, is what the one state evaluates.
+    kernel, state = additive_kernel(1.0, 2.0), monodisperse_state(1.0, 1, n_trunc=16)
+    calls = []
+    real_rhs = dynamics._rhs_from_c
+
+    def counted_rhs(*args, **kwargs):
+        calls.append(kwargs["work"])
+        return real_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_rhs_from_c", counted_rhs)
+    stats = []
+    for rows in (1, 2):
+        stepper = fresh_stepper(kernel, [state] * rows, IntegratorConfig(t_end=1.0), 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepper.advance([1e300] * rows)
+        stats += [row.stats for row in stepper.rows]
+        if rows == 1:
+            assert len(calls) == stats[0].rhs_evals == 4961
+    first = stats[0]
+    assert (first.accepted, first.rejected_error, first.rejected_non_finite) == (1, 10, 981)
+    assert first.rejected_positivity == 0
+    assert stats == [first] * 3
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_steps_without_a_clamp_allocate_no_state_sized_array(const, rows):
+    # numpy reports its buffers to tracemalloc.  The batch's read-out of its
+    # least components copied every state each round (98 952 bytes at peak).
+    n = 4096
+    states = [geometric_state(phi, n) for phi in (0.9, 0.91, 0.92)[:rows]]
+    stepper = fresh_stepper(const, states, IntegratorConfig(t_end=1.0), 1e-3)
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            stepper.advance([1e-3] * rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.stats.accepted == 200 and row.stats.clamp_events == 0 for row in stepper.rows)
+    assert peak < 8 * (n + 1), peak
 
 
 def test_integrator_stats_report(explicit):

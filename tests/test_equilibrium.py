@@ -401,7 +401,7 @@ def test_condensing_constants_match_closed_forms(c):
         # Z_N completed by the far expansion's sum beyond k_max: 1.2e-14 at
         # worst (c = 4, k_max = 10^5) once it exists; nothing completed it before.
         far = equilibrium._far_series(cp)
-        tail = far.log_sums(0.0, k_max + 1, math.inf, 1)[0]
+        tail = far.log_sums(0.0, k_max + 1, math.inf)[0]
         z = math.exp(equilibrium._phi_c_sums(cp)[0]) + math.exp(tail)
         assert abs(z - c / (c - 1.0)) / (c / (c - 1.0)) <= 1e-13, (k_max, z)
 

@@ -653,13 +653,12 @@ def test_blocked_chemical_potential_names_a_zero_rate_past_the_first_block():
     )  # K(1,99999) = 99999^2 is positive, so it is not named
 
 
-def summed_terms_oracle(cp, log_phi, n, weighted) -> tuple:
+def summed_terms_oracle(cp, log_phi, n) -> tuple:
     """The first ``n`` terms and their log-sums as formed with one buffer per
     intermediate: ``l``, ``t_l`` and ``t_l + log l``."""
     ls = np.arange(n, dtype=float)
     t = ls * log_phi + cp.log_q_prefix(n)
-    log_num = log_sum(t[1:] + np.log(ls[1:])) if weighted else math.nan
-    return t, log_sum(t), log_num
+    return t, log_sum(t), log_sum(t[1:] + np.log(ls[1:]))
 
 
 @pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
@@ -673,12 +672,11 @@ def test_summed_terms_match_one_buffer_per_intermediate(case):
     for phi in phis:
         log_phi = math.log(phi)
         for n in {cp.k_max + 1, equilibrium._series_length(cp, log_phi)}:
-            for weighted in (True, False):
-                n_terms = n // 3  # the caller's leading terms, as a profile asks for them
-                t, log_den, log_num = equilibrium._summed_terms(cp, log_phi, n, weighted, n_terms)
-                t_ref, den_ref, num_ref = summed_terms_oracle(cp, log_phi, n, weighted)
-                assert t.tobytes() == t_ref[:n_terms].tobytes()
-                assert same((log_den, log_num), (den_ref, num_ref)), (phi, n, weighted)
+            n_terms = n // 3  # the caller's leading terms, as a profile asks for them
+            t, log_den, log_num = equilibrium._summed_terms(cp, log_phi, n, n_terms)
+            t_ref, den_ref, num_ref = summed_terms_oracle(cp, log_phi, n)
+            assert t.tobytes() == t_ref[:n_terms].tobytes()
+            assert same((log_den, log_num), (den_ref, num_ref)), (phi, n)
 
 
 def test_walk_runs_to_its_end_when_the_direct_value_is_below_the_truncated_density(monkeypatch):
@@ -1332,7 +1330,7 @@ def test_sums_at_a_phi_c_past_the_radius_stream_close_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = equilibrium._phi_c_sums(cp)
-    _, log_den, log_num = summed_terms_oracle(cp, math.log(1.01), cp.k_max + 1, True)
+    _, log_den, log_num = summed_terms_oracle(cp, math.log(1.01), cp.k_max + 1)
     expected = (log_den, log_num)
     assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(got, expected)), (got, expected)
 
@@ -1359,7 +1357,7 @@ def test_sums_without_a_far_expansion_are_cut_past_one_block(kernel, phi_c, leng
         log_phi = math.log(cp.phi_c_estimate * (1.0 - 0.5**j))
         assert equilibrium._series_length(cp, log_phi) == n, j
         if n <= equilibrium._SUM_BLOCK:
-            _, log_den, log_num = summed_terms_oracle(cp, log_phi, cp.k_max + 1, True)
+            _, log_den, log_num = summed_terms_oracle(cp, log_phi, cp.k_max + 1)
             assert equilibrium._summed_terms(cp, log_phi, n)[1:] == (log_den, log_num), j
     if method is not None:
         info = critical_density_info(cp)
@@ -1413,8 +1411,8 @@ def test_far_series_sums_match_one_buffer_sums(kernel, k_max, ratio):
     assert equilibrium._prefix_end(cp) == equilibrium._PREFIX
     log_phi = math.log(ratio * cp.phi_c_estimate)
     n = equilibrium._series_length(cp, log_phi)
-    got = equilibrium._log_sums(cp, log_phi, n, 2)
-    _, log_den, log_num = summed_terms_oracle(cp, log_phi, cp.k_max + 1, True)
+    got = equilibrium._log_sums(cp, log_phi, n)
+    _, log_den, log_num = summed_terms_oracle(cp, log_phi, cp.k_max + 1)
     expected = [log_den, log_num]
     if n <= equilibrium._SUM_BLOCK:  # term by term, cut where no term counts
         event("one block")
