@@ -1,6 +1,7 @@
 """How edgrow writes a file: every output (CSV, JSON report, checkpoint)
 through :func:`atomic_writer`, and CSV lines whose float cells are exactly
-the bytes of ``"%.17g" % x``, a whole CSV in one :func:`write` call.
+the bytes of ``"%.17g" % x``, a whole CSV in one :func:`write` call or
+block by block through one :class:`Writer`.
 
 :func:`cells` finds the 17 correctly rounded digits of every cell with
 numpy.  For finite ``x > 0``, ``E = floor(log10 x)`` and ``q = 16 - E``,
@@ -17,7 +18,7 @@ dot; the other 16 digits (trailing zeros NUL); and ``e+ddd``.  Each is a
 table lookup or a few integer operations over the whole block.  Other
 fixed-notation cells move their bytes by one gather (``0.000`` before the
 digits, or the integer digits into the dot's column).  Every text lies in
-bytes 5 to 28, and :func:`write_lines` copies those into a block's lines and
+bytes 5 to 28, and :meth:`Writer.write` copies those into a block's lines and
 drops their NULs in one pass.
 """
 
@@ -197,59 +198,68 @@ def atomic_writer(path, text: bool = False):
 
 
 def write(path, header: str, *columns) -> None:
-    """Replace ``path`` with the line ``header`` and the :func:`write_lines`
+    """Replace ``path`` with the line ``header`` and the :meth:`Writer.write`
     lines of ``columns``."""
     with atomic_writer(path) as fh:
         fh.write(header.encode() + b"\n")
-        write_lines(fh, *columns)
+        Writer(fh).write(*columns)
 
 
-def write_lines(fh, *columns) -> None:
-    """Write one CSV line per cell of the columns' broadcast shape, in C
-    order, to the binary file ``fh``.
+class Writer:
+    """CSV lines to the binary file ``fh``, one :meth:`write` call per run
+    of whole lines, so a file can be written block by block as its data
+    arrive; the float scratch is kept from call to call."""
 
-    Float columns are written as ``%.17g``, integer columns (a ``range``
-    too, made per block) as ``%d``, bytes columns as they are (an empty one
-    leaves the cell empty) and text columns as UTF-8, quoted as RFC 4180 asks
-    where a cell holds a comma, a quote or a line break.  The cells of about
-    :data:`_BLOCK` float cells along the first axis are formatted at once,
-    floats in scratch that every block reuses, and the block's lines are
-    written in two halves.  A column broadcast along the first axis is
-    converted once.
-    """
-    columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
-    n = np.broadcast_shapes(*((len(c),) if isinstance(c, range) else c.shape for c in columns))[0]
-    cut = [isinstance(c, range) or (c.ndim > 0 and len(c) == n) for c in columns]
-    columns = [c if k or c.dtype.kind in "fS" else _bytes(c) for c, k in zip(columns, cut)]
-    float_columns = [c for c in columns if not isinstance(c, range) and c.dtype.kind == "f"]
-    per_row = sum(int(np.prod(c.shape[1:])) for c in float_columns)
-    step, scratch = -(-_BLOCK // max(per_row, 1)), None
-    for start in range(0, n, step):
-        block = [c[start : start + step] if k else c for c, k in zip(columns, cut)]
-        block = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c for c in block]
-        floats = [c.ravel() for c in block if c.dtype.kind == "f"]
-        if floats:
-            size = sum(map(len, floats))
-            scratch = np.empty((_ROWS + 1) * size) if scratch is None else scratch
-            s = scratch[: (_ROWS + 1) * size].reshape(_ROWS + 1, size)  # the last row: the cells
-            texts = cells(np.concatenate(floats, out=s[_ROWS]), s[:_ROWS])[:, 5:29].view("S24")
-        fields, at = [], 0
-        for c in block:  # each column's cells as bytes of one width
-            if c.dtype.kind == "f":
-                c, at = texts[at : at + c.size].reshape(c.shape), at + c.size
-            fields.append(c if c.dtype.kind == "S" else _bytes(c))
-        rows, *shape = np.broadcast_shapes(*(field.shape for field in fields))
-        line, half = b",".join(bytes(field.itemsize) for field in fields) + b"\n", -(-rows // 2)
-        for first in range(0, rows, half):
-            part = [f[first : first + half] if k else f for f, k in zip(fields, cut)]
-            lines = min(half, rows - first)
-            buffer = bytearray(line) * (lines * int(np.prod(shape)))
-            out, at = np.frombuffer(buffer, np.uint8).reshape(lines, *shape, len(line)), 0
-            for field in part:
-                out[..., at : at + field.itemsize].view(field.dtype)[..., 0] = field
-                at += field.itemsize + 1
-            fh.write(buffer.translate(None, b"\0"))
-            del out, buffer  # not held while the next block is formatted
+    def __init__(self, fh):
+        self.fh, self.scratch = fh, np.empty(0)
+
+    def write(self, *columns) -> None:
+        """Write one CSV line per cell of the columns' broadcast shape, in C
+        order.
+
+        Float columns are written as ``%.17g``, integer columns (a ``range``
+        too, made per block) as ``%d``, bytes columns as they are (an empty
+        one leaves the cell empty) and text columns as UTF-8, quoted as RFC
+        4180 asks where a cell holds a comma, a quote or a line break.  The
+        cells of about :data:`_BLOCK` float cells along the first axis are
+        formatted at once, floats in the scratch, and the block's lines are
+        written in two halves.  A column broadcast along the first axis is
+        converted once a call (a bytes column never).
+        """
+        columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
+        n = np.broadcast_shapes(*((len(c),) if isinstance(c, range) else c.shape for c in columns))[0]
+        cut = [isinstance(c, range) or (c.ndim > 0 and len(c) == n) for c in columns]
+        columns = [c if k or c.dtype.kind in "fS" else _bytes(c) for c, k in zip(columns, cut)]
+        float_columns = [c for c in columns if not isinstance(c, range) and c.dtype.kind == "f"]
+        per_row = sum(int(np.prod(c.shape[1:])) for c in float_columns)
+        step = -(-_BLOCK // max(per_row, 1))
+        for start in range(0, n, step):
+            block = [c[start : start + step] if k else c for c, k in zip(columns, cut)]
+            block = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c for c in block]
+            floats = [c.ravel() for c in block if c.dtype.kind == "f"]
+            if floats:
+                size = sum(map(len, floats))
+                if len(self.scratch) < (_ROWS + 1) * size:
+                    self.scratch = np.empty((_ROWS + 1) * size)
+                s = self.scratch[: (_ROWS + 1) * size].reshape(_ROWS + 1, size)  # the last row: the cells
+                texts = cells(np.concatenate(floats, out=s[_ROWS]), s[:_ROWS])[:, 5:29].view("S24")
+            fields, at = [], 0
+            for c in block:  # each column's cells as bytes of one width
+                if c.dtype.kind == "f":
+                    c, at = texts[at : at + c.size].reshape(c.shape), at + c.size
+                fields.append(c if c.dtype.kind == "S" else _bytes(c))
+            rows, *shape = np.broadcast_shapes(*(field.shape for field in fields))
+            line, half = b",".join(bytes(field.itemsize) for field in fields) + b"\n", -(-rows // 2)
+            for first in range(0, rows, half):
+                part = [f[first : first + half] if k else f for f, k in zip(fields, cut)]
+                lines = min(half, rows - first)
+                buffer = bytearray(line) * (lines * int(np.prod(shape)))
+                out, at = np.frombuffer(buffer, np.uint8).reshape(lines, *shape, len(line)), 0
+                for field in part:
+                    out[..., at : at + field.itemsize].view(field.dtype)[..., 0] = field
+                    at += field.itemsize + 1
+                self.fh.write(buffer.translate(None, b"\0"))
+                del out, buffer  # not held while the next block is formatted
 
 
 def _bytes(column: np.ndarray) -> np.ndarray:

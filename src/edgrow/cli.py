@@ -222,6 +222,28 @@ def _write_trajectory_csv(traj: dynamics.TrajectoryRecord, path: str) -> None:
     _csv.write(path, "t,k,c_k", traj.times[:, None], np.arange(traj.n_trunc + 1)[None, :], traj.states)
 
 
+def _stream(fh, n_trunc: int, phase_seconds: dict, passes: dict) -> tuple:
+    """``(sink, results)``: ``sink(times, states)`` writes a block's ``t,k,c_k``
+    lines (``%.17g`` floats, after the header) to ``fh`` through one writer,
+    and each pass ``name: (phase, function)`` maps its states to per-sample
+    arrays, each part booked to its phase; ``results()`` joins each pass's
+    arrays of all blocks (a ``None`` field stays ``None``)."""
+    fh.write(b"t,k,c_k\n")
+    writer, ks, parts = _csv.Writer(fh), _csv._integers(np.arange(n_trunc + 1)[None, :]), {name: [] for name in passes}
+
+    def sink(times: np.ndarray, states: np.ndarray) -> None:
+        with _phase(phase_seconds, "write_csv"):
+            writer.write(times[:, None], ks, states)
+        for name, (phase, function) in passes.items():
+            with _phase(phase_seconds, phase):
+                parts[name].append(function(states))
+
+    def results() -> dict:
+        return {name: [None if f[0] is None else np.concatenate(f) for f in zip(*b)] for name, b in parts.items()}
+
+    return sink, results
+
+
 def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str, series=None) -> None:
     """``t,M0,rho,boundary_mass,F,D,D_infinite_terms`` rows.
 
@@ -238,7 +260,13 @@ def _write_summary_csv(traj: dynamics.TrajectoryRecord, path: str, series=None) 
 
 
 def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> int:
-    """Integrate the configured system, writing trajectory, summary, report."""
+    """Integrate the configured system, writing trajectory, summary, report.
+
+    Each block of ``thermo.BLOCK_ROWS`` samples feeds :func:`_stream` as it
+    is recorded: ``trajectory.csv.tmp`` (renamed when the run ends), ``F``/``D``
+    and the distances to the equilibrium that the initial density fixes, so
+    only per-sample scalars outlive a block.
+    """
     resolved, analysis = _resolve(config, "simulate")
     started = time.perf_counter()
     phase_seconds = {"integrate": 0.0, "thermo": 0.0, "write_csv": 0.0, "classify": 0.0}
@@ -284,17 +312,28 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
             checkpoint_path, t, state, kernels.kernel_spec(kernel), cfg, controller
         )
 
+    passes, target_error = {}, None
+    if cp is not None and (analysis.thermo or analysis.classify):
+        phase = "thermo" if analysis.thermo else "classify"  # classify alone needs F
+        with _phase(phase_seconds, phase):
+            passes["thermo"] = phase, thermo._thermo_pass(state0.n_trunc + 1, kernel if analysis.thermo else None, cp)
+    if cp is not None and analysis.classify:
+        try:
+            with _phase(phase_seconds, "classify"):
+                distances, classified = diagnostics._classify_target(state0.c, cp, analysis)
+            passes["distances"] = "classify", distances
+        except diagnostics.RhoCUnavailableError as exc:
+            target_error = exc
+
     try:
-        with _phase(phase_seconds, "integrate"):
+        with _csv.atomic_writer(os.path.join(out, "trajectory.csv")) as fh:
+            sink, joined = _stream(fh, state0.n_trunc, phase_seconds, passes)
+            run_started, booked = time.perf_counter(), sum(phase_seconds.values())
             traj = dynamics.integrate(
-                kernel,
-                state0,
-                cfg,
-                t0=t0,
-                checkpoint_hook=checkpoint_hook,
-                checkpoint_every=analysis.checkpoint_every,
-                controller=controller,
+                kernel, state0, cfg, t0, checkpoint_hook, analysis.checkpoint_every, controller, sink
             )
+            # What the sink booked to its phases is not stepping.
+            phase_seconds["integrate"] = time.perf_counter() - run_started - (sum(phase_seconds.values()) - booked)
     except dynamics.IntegratorError as exc:
         _write_json(
             os.path.join(out, "run_report.json"),
@@ -303,29 +342,23 @@ def cmd_simulate(config: dict, out_dir: str, resume: Optional[str] = None) -> in
         print(f"integrator failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
 
-    series = None
-    if analysis.thermo and cp is not None:
-        with _phase(phase_seconds, "thermo"):
-            series = thermo.thermo_series(traj.states, kernel, cp)
-
+    results = joined()
+    series = thermo.ThermoSeries(*results["thermo"]) if "thermo" in results else None
     with _phase(phase_seconds, "write_csv"):
-        _write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-        _write_summary_csv(traj, os.path.join(out, "summary.csv"), series)
+        _write_summary_csv(traj, os.path.join(out, "summary.csv"), series if analysis.thermo else None)
 
     convergence: dict
     if analysis.classify and cp is not None and traj.sample_count >= diagnostics.MIN_SAMPLES:
-        try:
+        if target_error is not None:
+            convergence = {"error": str(target_error)}
+        else:
             with _phase(phase_seconds, "classify"):
-                report = diagnostics.classify_longtime(
-                    traj, cp, analysis, series and series.free_energy
-                )
+                report = classified(traj, results["distances"], series.free_energy)
             convergence = report.as_dict()
             with _phase(phase_seconds, "write_csv"):
                 diagnostics.write_convergence_series_csv(
                     report, os.path.join(out, "distances.csv")
                 )
-        except diagnostics.RhoCUnavailableError as exc:
-            convergence = {"error": str(exc)}
     else:
         convergence = {"skipped": True}
     _write_json(os.path.join(out, "convergence.json"), convergence)
@@ -470,8 +503,9 @@ def cmd_sweep(config: dict, out_dir: str, parallel: Optional[int] = None) -> int
     ]
     with _csv.atomic_writer(os.path.join(out, "sweep.csv")) as fh:
         fh.write(",".join(columns).encode() + b"\n")
+        writer = _csv.Writer(fh)
         for row in rows:
-            _csv.write_lines(fh, *(np.array([row.get(name, "")]) for name in columns))
+            writer.write(*(np.array([row.get(name, "")]) for name in columns))
     _write_json(
         os.path.join(out, "sweep_report.json"),
         {

@@ -171,49 +171,48 @@ def classify_longtime(
     run's free energy per sample (from ``cp``) is computed unless given."""
     if traj.sample_count < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} recorded samples to classify")
-    rho = float(traj.first_moments[0])
+    distances, report = _classify_target(traj.states[0], cp, cfg)
+    if free_energy_series is None:
+        free_energy_series = thermo_series(traj.states, cp=cp).free_energy
+    return report(traj, distances(traj.states), free_energy_series)
+
+
+def _classify_target(state0: np.ndarray, cp: ChemicalPotential, cfg: AnalysisConfig) -> tuple:
+    """``(distances, report)`` of a run from ``state0``, whose density fixes
+    ``rho_c``, the regime and ``omega = equilibrium at min(rho, rho_c)``
+    (or raises :class:`RhoCUnavailableError`).  ``distances(states)`` is
+    :func:`_distance_series` to ``omega`` of each row, any block of a run;
+    ``report(traj, distance_series, free_energy_series)`` needs no ``states``."""
+    n_trunc = len(state0) - 1
+    rho = float(np.vecdot(state0, np.arange(n_trunc + 1, dtype=float)))  # the record's rho, bit for bit
     try:
         rho_c = critical_density(cp)
     except InconclusiveDensityError as exc:
         raise RhoCUnavailableError("rho_c unavailable") from exc
-
     if rho > rho_c + _DEAD_BAND:
         regime = "supercritical"
     elif math.isfinite(rho_c) and rho >= rho_c - _DEAD_BAND:
         regime = "critical"
     else:
         regime = "subcritical"
-
-    target = min(rho, rho_c)
-    profile = equilibrium_profile(cp, rho=target, k_max=max(traj.n_trunc, cfg.low_band))
-    omega = state_from_profile(profile, traj.n_trunc).c
-    weak, strong, low, excess = _distance_series(
-        traj.states, omega, cfg.low_band, min(cfg.excess_band_start, traj.n_trunc)
-    )
-    if free_energy_series is None:
-        free_energy_series = thermo_series(traj.states, cp=cp).free_energy
-
+    profile = equilibrium_profile(cp, rho=min(rho, rho_c), k_max=max(n_trunc, cfg.low_band))
+    omega = state_from_profile(profile, n_trunc).c
     f_limit = equilibrium_free_energy(profile)
     if regime == "supercritical":
         f_limit += (rho - rho_c) * math.log(cp.phi_c_estimate)
-    gap = float(free_energy_series[-1] - f_limit)
 
-    return ConvergenceReport(
-        target_density=rho,
-        rho_c=rho_c,
-        regime=regime,
-        times=traj.times.copy(),
-        weak_distance_series=weak,
-        strong_distance_series=strong,
-        low_band_distance_series=low,
-        excess_mass_series=excess,
-        free_energy_series=free_energy_series,
-        free_energy_limit=f_limit,
-        free_energy_limit_gap=gap,
-        boundary_mass_series=traj.boundary_mass.copy(),
-        truncation_contaminated_from=traj.boundary_contaminated_from,
-        config=cfg,
-    )
+    def distances(states: np.ndarray) -> tuple:
+        return _distance_series(states, omega, cfg.low_band, min(cfg.excess_band_start, n_trunc))
+
+    def report(traj: TrajectoryRecord, distance_series: Sequence[np.ndarray], free_energy_series) -> ConvergenceReport:
+        weak, strong, low, excess = distance_series
+        gap = float(free_energy_series[-1] - f_limit)
+        return ConvergenceReport(
+            rho, rho_c, regime, traj.times.copy(), weak, strong, low, excess, free_energy_series,
+            f_limit, gap, traj.boundary_mass.copy(), traj.boundary_contaminated_from, cfg,
+        )
+
+    return distances, report
 
 
 def _distance_series(states: np.ndarray, omega: np.ndarray, band: int, tail_start: int) -> tuple:

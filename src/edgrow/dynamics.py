@@ -410,8 +410,9 @@ _STIFF_THRESHOLD = 20.0
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 # Growth per accepted step of the positivity ceiling on ``dt``.
 _CEILING_RELAX = 1.05
-# Most sample rows reserved up front; a longer recording grows by doubling.
-_RESERVED_SAMPLES = 1 << 16
+# Samples a row hands on at once, and rows per pass of the thermo and
+# distance series: a block is 131 KiB at N = 256.
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -497,12 +498,13 @@ class _Row:
 
     The recording, for :func:`_integrate_rows`: ``index`` among its states,
     the clock ``t``, the next grid time ``next_record`` and checkpoint time,
-    and the samples from ``state0`` at ``t0`` on, in the rows of one matrix
-    that :meth:`reserve` sizes from the recording grid and :meth:`record`
-    doubles when it is full.
+    and the samples from ``state0`` at ``t0`` on, in blocks of ``rows``
+    (default ``BLOCK_ROWS``) handed to ``sink(times, states)``, or kept in
+    ``blocks`` without one, and never written again.  Each block's
+    ``series`` holds the times, clamp totals, boundary mass and moments.
     """
 
-    def __init__(self, controller: _Controller, state0: ConcentrationProfile, t0=0.0, index=0):
+    def __init__(self, controller: _Controller, state0: ConcentrationProfile, t0=0.0, index=0, sink=None, rows=None):
         vars(self).update(asdict(controller))
         self.method = _METHODS[controller.method]
         self.dt_ceiling = math.inf if controller.dt_ceiling is None else controller.dt_ceiling
@@ -516,12 +518,12 @@ class _Row:
         self.index, self.rho0, self.t = index, state0.first_moment, t0
         self.next_checkpoint = math.inf
         self.boundary_lo = int(math.ceil(0.9 * n))
-        self.weights_boundary = np.arange(n + 1, dtype=float)[self.boundary_lo :]
-        self.times = [t0]
-        self.samples = state0.c[None, :].copy()
-        self.clamp0, self.clamp1 = [self.clamp_mass0], [self.clamp_mass1]
-        self.boundary = [self._boundary_mass(state0.c)]
+        self.sizes = np.arange(n + 1, dtype=float)
+        self.block_rows, self.filled, self.count = rows or BLOCK_ROWS, 0, 0
+        self.blocks, self.series = [], []
+        self.sink = sink or (lambda times, part, kept=self.blocks: kept.append(part))
         self.contaminated_from: Optional[float] = None
+        self.record(state0.c)
 
     def judge(self, err: float, min_c: float, c: np.ndarray, c_new: np.ndarray, i: int, atol: float) -> bool:
         """Whether the attempt is accepted: its error is ``err`` and its least
@@ -598,29 +600,20 @@ class _Row:
         ceiling = None if math.isinf(self.dt_ceiling) else self.dt_ceiling
         return dict(block, method=self.method.name, dt_ceiling=ceiling)
 
-    def _boundary_mass(self, c: np.ndarray) -> float:
-        return float(np.dot(self.weights_boundary, c[self.boundary_lo :]))
-
-    def reserve(self, rows: int) -> None:
-        """Make room for ``rows`` samples in all."""
-        if rows > len(self.samples):
-            samples = np.empty((rows, self.samples.shape[1]))
-            samples[: len(self.times)] = self.samples[: len(self.times)]
-            self.samples = samples
-
     def record(self, state: np.ndarray) -> np.ndarray:
         """Copy ``state`` in as the sample at the row's time, with its clamp
-        totals, and return the stored sample."""
-        if len(self.times) == len(self.samples):
-            self.reserve(2 * len(self.samples))
-        c = self.samples[len(self.times)]
+        totals, and return the stored sample; a full block goes on.  Samples
+        after the initial one are checked for boundary mass."""
+        if not self.filled:
+            self.block, self.values = np.empty((self.block_rows, len(state))), np.empty((6, self.block_rows))
+        self.last = c = self.block[self.filled]
         c[...] = state
-        self.times.append(self.t)
-        self.clamp0.append(self.clamp_mass0)
-        self.clamp1.append(self.clamp_mass1)
-        b_mass = self._boundary_mass(c)
-        self.boundary.append(b_mass)
-        if self.contaminated_from is None and self.rho0 > 0 and b_mass > 0.01 * self.rho0:
+        b_mass = float(np.dot(self.sizes[self.boundary_lo :], c[self.boundary_lo :]))
+        self.values[:4, self.filled] = self.t, self.clamp_mass0, self.clamp_mass1, b_mass
+        self.filled, self.count = self.filled + 1, self.count + 1
+        if self.filled == self.block_rows:
+            self.flush()
+        if self.contaminated_from is None and self.count > 1 and self.rho0 > 0 and b_mass > 0.01 * self.rho0:
             self.contaminated_from = self.t
             warnings.warn(
                 f"boundary mass {b_mass:.3g} exceeds 1% of the density at t={self.t:.6g}; "
@@ -630,21 +623,25 @@ class _Row:
             )
         return c
 
+    def flush(self) -> None:
+        """Hand on the samples since the last flush, with their moments: per
+        row sums and ``vecdot`` (ddot, not gemv), whose bits do not depend on
+        where a block is cut, so a resumed run's ``rho`` cells keep theirs."""
+        if self.filled:
+            part, values, self.filled = self.block[: self.filled], self.values[:, : self.filled], 0
+            np.sum(part, axis=1, out=values[4])
+            np.vecdot(part, self.sizes, out=values[5])
+            self.series.append(values)
+            self.sink(values[0], part)
+
     def trajectory(self) -> "TrajectoryRecord":
-        samples = self.samples[: len(self.times)]
-        return TrajectoryRecord(
-            times=np.asarray(self.times),
-            states=samples,
-            n_trunc=samples.shape[1] - 1,
-            zeroth_moments=np.sum(samples, axis=1),
-            # ddot per row, not gemv: a resumed run's rho cells keep their bits
-            first_moments=np.vecdot(samples, np.arange(samples.shape[1], dtype=float)),
-            clamp_mass0=np.asarray(self.clamp0),
-            clamp_mass1=np.asarray(self.clamp1),
-            boundary_mass=np.asarray(self.boundary),
-            boundary_contaminated_from=self.contaminated_from,
-            stats=self.stats,
-        )
+        """The record, once the last samples are handed on; its ``states``
+        are the kept blocks, ``None`` with a sink."""
+        self.flush()
+        states = None if not self.blocks else self.blocks[0] if len(self.blocks) == 1 else np.concatenate(self.blocks)
+        times, clamp0, clamp1, boundary, m0, m1 = np.concatenate(self.series, axis=1)
+        n, ended = len(self.sizes) - 1, self.contaminated_from
+        return TrajectoryRecord(times, states, n, m0, m1, clamp0, clamp1, boundary, ended, self.stats)
 
 
 class _Stepper:
@@ -887,7 +884,8 @@ def step(
     if isinstance(state, _Stepper):
         state.advance(dt_suggest)
         return None
-    row = _Row(_Controller(dt_next=dt_suggest, next_record=math.inf, err_prev_ratio=err_prev_ratio), state)
+    controller = _Controller(dt_next=dt_suggest, next_record=math.inf, err_prev_ratio=err_prev_ratio)
+    row = _Row(controller, state, rows=1)
     stepper = _Stepper(kernel, state.c, cfg, [row])
     stepper.advance([dt_suggest])
     if row.error is not None:
@@ -906,7 +904,8 @@ def step(
 class TrajectoryRecord:
     """Time-stamped samples of an integration with conservation bookkeeping.
 
-    ``states`` holds one sample per row.  ``clamp_mass0/1`` are the
+    ``states`` holds one sample per row (``None`` when the samples went to
+    a sink instead, see :func:`integrate`).  ``clamp_mass0/1`` are the
     cumulative moment deficits introduced by positivity clamping up to each
     sample, counted from the start of the run
     (a resumed run starts from the totals its checkpoint carried); they bound
@@ -915,7 +914,7 @@ class TrajectoryRecord:
     """
 
     times: np.ndarray
-    states: np.ndarray
+    states: Optional[np.ndarray]
     n_trunc: int
     zeroth_moments: np.ndarray
     first_moments: np.ndarray
@@ -950,6 +949,7 @@ def integrate(
     checkpoint_hook: Optional[CheckpointHook] = None,
     checkpoint_every: Optional[float] = None,
     controller: Optional[Mapping] = None,
+    sink: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> TrajectoryRecord:
     """Integrate to ``cfg.t_end`` recording at the configured cadence.
 
@@ -961,9 +961,14 @@ def integrate(
     continues, by its method, exactly as the run that wrote it would have.
     Without one the controller starts afresh and the run chooses its method
     (:func:`_stiff_method`).
+
+    With a ``sink``, each block of ``BLOCK_ROWS`` samples goes to ``sink(times,
+    states)`` as soon as it is full (the last one partial), and the record's
+    ``states`` is ``None``: the run holds O(N) floats and its per-sample
+    scalars.  A sink may keep a block but not write into it.
     """
     (result,) = _integrate_rows(
-        kernel, [state0], cfg, t0, checkpoint_hook, checkpoint_every, controller
+        kernel, [state0], cfg, t0, checkpoint_hook, checkpoint_every, controller, sink
     )
     if isinstance(result, Exception):
         raise result
@@ -992,9 +997,10 @@ def _integrate_rows(
     checkpoint_hook: Optional[CheckpointHook] = None,
     checkpoint_every: Optional[float] = None,
     controller: Optional[Mapping] = None,
+    sink: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> list:
     """:func:`integrate` of every state of ``states0``, the explicit ones on
-    one stepper.
+    one stepper (with a ``sink``: one state).
 
     Returns one entry per state: its record, or the exception that ended it.
     """
@@ -1009,6 +1015,8 @@ def _integrate_rows(
     else:
         block = _Controller(**controller)
     results: list = [None] * len(states0)
+    # Kept samples fill one block of the grid's count, exactly without a controller.
+    block_rows = None if sink else cfg.sample_count(t0)
     rows = []
     for i, state0 in enumerate(states0):
         try:
@@ -1019,14 +1027,10 @@ def _integrate_rows(
             row_block = block
             if controller is None:
                 row_block = replace(block, method=_stiff_method(kernel, state0, cfg))
-            rows.append(_Row(row_block, state0, t0, i))
+            rows.append(_Row(row_block, state0, t0, i, sink, block_rows))
 
     if cfg.t_end > t0 and rows:
-        # The initial sample, the grid points up to t_end and t_end itself.
-        grid = (cfg.t_end - block.next_record) / cadence
-        samples = 3 + max(0, int(min(grid, _RESERVED_SAMPLES)))
         for row in rows:
-            row.reserve(samples)
             if checkpoint_every and checkpoint_hook:
                 row.next_checkpoint = t0 + checkpoint_every
         time_eps = cfg.resolution()
@@ -1035,7 +1039,7 @@ def _integrate_rows(
         if explicit:
             groups.insert(0, explicit)
         for group in groups:
-            states = [row.samples[0] for row in group]
+            states = [states0[row.index].c for row in group]
             stepper = _Stepper(
                 kernel, states[0] if len(group) == 1 else np.array(states), cfg, group
             )
@@ -1073,7 +1077,7 @@ def _integrate_rows(
             if checkpoint_hook is not None:
                 # The run ends on a sample point, so this is the block of the last sample.
                 final = row.controller() if cfg.t_end > t0 else controller
-                checkpoint_hook(float(record.times[-1]), record.final_state, final)
+                checkpoint_hook(float(record.times[-1]), ConcentrationProfile(row.last), final)
     return results
 
 

@@ -13,7 +13,7 @@ for ``x > 0`` and is reported as an infinity marker with a count of such
 terms; the logarithmic mean satisfies ``L(s, s) = s`` and ``L(s, 0) = 0``.
 Whether a flux is zero is read from the support of the kernel and the
 state, never from the floating-point product, which may underflow.
-:func:`thermo_series` gives ``F`` and ``D`` of every recorded sample at once.
+:func:`thermo_series` gives ``F`` and ``D`` of many samples at once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import ConcentrationProfile, _rhs_from_c
+from .dynamics import BLOCK_ROWS, ConcentrationProfile, _rhs_from_c
 from .equilibrium import ChemicalPotential, EquilibriumProfile
 from .kernels import Kernel, _factor_vectors, kernel_matrix
 
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 ONSAGER_SIZE_CAP = 512
-BLOCK_ROWS = 64  # rows per pass: a block's temporaries are ~130 KiB at N = 256
 
 
 class BoundaryStateError(ValueError):
@@ -81,17 +80,22 @@ def thermo_series(
     elementwise work and ``np.sum(..., axis=1)`` (each row's own pairwise sum)
     but one dot product per row (a matrix product rounds differently); other
     rows, and ``D`` for kernels of rank >= 2 or with a zero factor, take the
-    single-row formulas.  The bits are those of the single-row formulas.
+    single-row formulas.  The bits are those of the single-row formulas,
+    however the rows are split between calls of a :func:`_thermo_pass`.
     """
     states = np.asarray(states, dtype=float)
-    rows, size = states.shape
-    f_values = d_values = infinite_terms = finite_part = factors = None
+    return _thermo_pass(states.shape[1], kernel, cp)(states)
+
+
+def _thermo_pass(size: int, kernel: Optional[Kernel] = None, cp: Optional[ChemicalPotential] = None):
+    """:func:`thermo_series` of rows of ``size`` values as a function, its
+    set-up (``log_q``, factor logs, dense tables for rank >= 2) formed once."""
+    log_q = factors = pair_sum = None
     if cp is not None:
         if size - 1 > cp.k_max:
             raise ValueError("chemical potential does not cover the truncation range")
-        log_q, f_values = cp.log_q_prefix(size), np.empty(rows)
+        log_q = cp.log_q_prefix(size)
     if kernel is not None:
-        finite_part, infinite_terms = np.empty(rows), np.zeros(rows, dtype=np.int64)
         (b_vals, a_vals), *rest = _factor_vectors(kernel, size - 1)
         pair_sum, pair_data = _rank1_pair_sum, (b_vals, a_vals)
         if rest:  # K, K > 0 and log K - log K.T once for every row
@@ -101,28 +105,36 @@ def thermo_series(
                 pair_sum, pair_data = _dense_pair_sum, (table, table > 0.0, log_table - log_table.T)
         elif np.all(b_vals > 0.0) and np.all(a_vals > 0.0):
             factors = b_vals, a_vals, np.log(b_vals), np.log(a_vals)
-    for start in range(0, rows, BLOCK_ROWS):
-        block = states[start : start + BLOCK_ROWS]
-        full = np.all(block > 0.0, axis=1)
-        c = block[full]
-        log_c = np.log(c)
-        rows_full, rows_zero = start + np.flatnonzero(full), start + np.flatnonzero(~full)
-        if cp is not None:
-            f_values[rows_full] = np.sum(c * (log_c - log_q), axis=1)
-            for i in rows_zero:
-                mask = states[i] > 0.0
-                f_values[i] = np.sum(states[i][mask] * (np.log(states[i][mask]) - log_q[mask]))
-        if factors is not None:
-            b_vals, a_vals, log_b, log_a = factors
-            x, y = b_vals * c[:, 1:], a_vals * c[:, :-1]
-            u = log_b + log_c[:, 1:] - log_a - log_c[:, :-1]
-            finite_part[rows_full] = _centred_sums(x, y, u)
-        if kernel is not None:
-            for i in rows_zero if factors is not None else range(start, start + len(block)):
-                infinite_terms[i], finite_part[i] = pair_sum(*pair_data, states[i])
-    if kernel is not None:
-        d_values = np.where(infinite_terms > 0, math.inf, finite_part)
-    return ThermoSeries(f_values, d_values, infinite_terms, finite_part)
+
+    def series(states: np.ndarray) -> ThermoSeries:
+        rows = len(states)
+        f_values = None if log_q is None else np.empty(rows)
+        finite_part = infinite_terms = None
+        if pair_sum is not None:
+            finite_part, infinite_terms = np.empty(rows), np.zeros(rows, dtype=np.int64)
+        for start in range(0, rows, BLOCK_ROWS):
+            block = states[start : start + BLOCK_ROWS]
+            full = np.all(block > 0.0, axis=1)
+            c = block[full]
+            log_c = np.log(c)
+            rows_full, rows_zero = start + np.flatnonzero(full), start + np.flatnonzero(~full)
+            if log_q is not None:
+                f_values[rows_full] = np.sum(c * (log_c - log_q), axis=1)
+                for i in rows_zero:
+                    mask = states[i] > 0.0
+                    f_values[i] = np.sum(states[i][mask] * (np.log(states[i][mask]) - log_q[mask]))
+            if factors is not None:
+                b_vals, a_vals, log_b, log_a = factors
+                x, y = b_vals * c[:, 1:], a_vals * c[:, :-1]
+                u = log_b + log_c[:, 1:] - log_a - log_c[:, :-1]
+                finite_part[rows_full] = _centred_sums(x, y, u)
+            if pair_sum is not None:
+                for i in rows_zero if factors is not None else range(start, start + len(block)):
+                    infinite_terms[i], finite_part[i] = pair_sum(*pair_data, states[i])
+        d_values = None if pair_sum is None else np.where(infinite_terms > 0, math.inf, finite_part)
+        return ThermoSeries(f_values, d_values, infinite_terms, finite_part)
+
+    return series
 
 
 def free_energy(state: ConcentrationProfile, cp: ChemicalPotential) -> float:
@@ -203,7 +215,7 @@ def _centred_sums(x: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _dense_pair_sum(table, table_positive, log_kernel_delta, c: np.ndarray) -> tuple:
-    """Pair sum of ``c`` from the tables :func:`thermo_series` builds once per call."""
+    """Pair sum of ``c`` from the tables :func:`_thermo_pass` builds once."""
     positive = c > 0.0
     pos_f = table_positive & positive[1:, None] & positive[None, :-1]
     infinite_terms = int(np.count_nonzero(pos_f ^ pos_f.T))

@@ -6,8 +6,10 @@ import math
 import multiprocessing
 import os
 import re
+import shutil
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -327,8 +329,9 @@ def test_simulate_reports_phase_times(tmp_path):
     report = json.loads((out / "run_report.json").read_text())
     phases = report["phase_seconds"]
     assert sorted(phases) == ["classify", "integrate", "thermo", "write_csv"]
-    assert all(value >= 0.0 for value in phases.values())
-    assert phases["thermo"] > 0.0
+    # Each block's F/D, CSV lines and distances are booked to their own
+    # phases as the run records them, so integrate is stepping alone.
+    assert all(value > 0.0 for value in phases.values())
     assert sum(phases.values()) <= report["runtime_seconds"]
 
     # Without the thermo columns the F/D pass does not run.
@@ -339,6 +342,41 @@ def test_simulate_reports_phase_times(tmp_path):
     report = json.loads((out / "run_report.json").read_text())
     assert report["phase_seconds"]["thermo"] == 0.0
     assert read_rows(out / "summary.csv")[1][-3:] == ["", "", ""]
+
+
+def traced_simulate_peak(tmp_path, samples: int) -> int:
+    """The traced peak, in bytes, of a thermo-and-classify ``simulate`` at
+    N = 256 that records ``samples`` samples, one step each; its outputs
+    are removed afterwards.  Its states are positive from the start, so
+    every block takes the block-wide thermo pass, whose temporaries are the
+    largest part of a block's work."""
+    payload = dict(
+        SIM_CONFIG,
+        n_trunc=256,
+        initial_condition={"type": "geometric", "phi": 0.5},
+        integrator={"t_end": (samples - 1) / 100.0, "record_every": 0.01},
+        analysis={"equilibrium_k_max": 2000},
+    )
+    cfg = write_config(tmp_path, f"c{samples}.json", payload)
+    out = tmp_path / f"out{samples}"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((out / "run_report.json").read_text())["samples"] == samples
+    shutil.rmtree(out)  # the trajectory of 5000 samples is 57 MB
+    return peak
+
+
+def test_simulate_memory_does_not_grow_with_the_sample_count(tmp_path):
+    # numpy reports its buffers to tracemalloc.  A run that held its samples
+    # grew by the 257 floats of each (2056 bytes); a streamed run keeps
+    # about 14 floats a sample, with their lists and copies at the end.
+    traced_simulate_peak(tmp_path, 20)  # first-call tables outside the comparison
+    short, long = traced_simulate_peak(tmp_path, 500), traced_simulate_peak(tmp_path, 5000)
+    assert (long - short) / 4500 <= 256
 
 
 def test_write_json_keeps_previous_file_when_dump_fails(tmp_path, monkeypatch):
@@ -630,7 +668,7 @@ def test_simulate_rejects_non_finite_explicit_state(tmp_path, bad):
     assert not (out / "trajectory.csv").exists()
 
 
-def test_simulate_integrator_failure(tmp_path):
+def test_simulate_integrator_failure(tmp_path, monkeypatch):
     payload = dict(SIM_CONFIG)
     payload["integrator"] = {"t_end": 1.0, "rtol": 1e-300, "atol": 1e-300}
     cfg = write_config(tmp_path, "c.json", payload)
@@ -638,6 +676,35 @@ def test_simulate_integrator_failure(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INTEGRATOR
     report = json.loads((out / "run_report.json").read_text())
     assert "underflow" in report["error"]
+
+    # A failure after the third sample, each sample a block whose lines are
+    # written as it is recorded: the run reports the error as above, leaves
+    # no temporary file, and the earlier trajectory.csv in --out stays.
+    cfg = write_config(tmp_path, "ok.json", SIM_CONFIG)
+    out = tmp_path / "streamed"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    before = (out / "trajectory.csv").read_bytes()
+    record, write, blocks = dynamics._Row.record, cli._csv.Writer.write, []
+
+    def record_then_fail(row, state):
+        stored = record(row, state)
+        if row.count == 3:
+            row.error = dynamics.IntegratorError("injected after the third sample")
+        return stored
+
+    def counted_write(writer, *columns):
+        blocks.append(len(columns[0]))
+        return write(writer, *columns)
+
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 1)
+    monkeypatch.setattr(dynamics._Row, "record", record_then_fail)
+    monkeypatch.setattr(cli._csv.Writer, "write", counted_write)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INTEGRATOR
+    assert blocks == [1, 1, 1]  # the lines of three samples were written
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["error"] == "injected after the third sample"
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+    assert (out / "trajectory.csv").read_bytes() == before
 
 
 def test_simulate_rejects_cadence_below_the_clock_resolution(tmp_path, capsys):

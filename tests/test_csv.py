@@ -148,7 +148,7 @@ def test_cells_written_into_a_slice_of_each_line_match_python():
     labels = ["a,b" if i % 5 == 0 else "t%d" % i for i in range(samples)]
     fh = io.BytesIO()
     columns = (np.arange(samples)[:, None], times[:, None], np.array(b"x"), np.array(labels)[:, None], values)
-    _csv.write_lines(fh, *columns)
+    _csv.Writer(fh).write(*columns)
     expected = b"".join(
         b"%d,%s,x,%s,%s\n" % (i, b"%.17g" % t, b'"a,b"' if label == "a,b" else label.encode(), b"%.17g" % v)
         for i, (t, label, row) in enumerate(zip(times.tolist(), labels, values.tolist()))
@@ -180,7 +180,7 @@ def test_text_cells_are_utf8_and_quoted_where_csv_needs_it():
     text = ["ok", "error: K(1,0)", 'say "hi"', "line\nbreak", "crlf\r", "\u00e9t\u00e9", ""]
     fh = io.BytesIO()
     marks = np.array([b"", b"x"] * 3 + [b""])
-    _csv.write_lines(fh, np.arange(len(text)) / 4.0, np.array(text), marks)
+    _csv.Writer(fh).write(np.arange(len(text)) / 4.0, np.array(text), marks)
     raw = fh.getvalue()
     assert raw.startswith(b"0,ok,\n0.25,\"error: K(1,0)\",x\n")  # plain cells keep their bytes
     rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))

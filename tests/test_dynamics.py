@@ -721,19 +721,19 @@ def test_resume_from_controller_repeats_a_rodas4_run_exactly():
     assert_resume_repeats_the_run(additive_kernel(1.0, 2.0), state0, "rodas4")
 
 
-def test_sample_matrix_is_sized_from_the_grid_and_grows_bit_for_bit(const, monkeypatch):
+def test_samples_are_collected_from_blocks_of_any_size_bit_for_bit(const, monkeypatch):
     cfg = IntegratorConfig(t_end=4.0, record_every=0.25)
     state0 = monodisperse_state(1.0, 1, n_trunc=48)
-    reserved = integrate(const, state0, cfg)
-    assert reserved.sample_count == 17
-    assert reserved.states.flags.c_contiguous
-    assert len(reserved.states.base) - reserved.sample_count <= 2
-    monkeypatch.setattr(dynamics, "_RESERVED_SAMPLES", 2)
-    grown = integrate(const, state0, cfg)
-    assert np.array_equal(grown.times, reserved.times)
-    assert np.array_equal(grown.states, reserved.states)
-    assert np.array_equal(grown.first_moments, reserved.first_moments)
-    assert np.array_equal(grown.boundary_mass, reserved.boundary_mass)
+    one_block = integrate(const, state0, cfg)
+    assert one_block.sample_count == cfg.sample_count() == 17
+    # One block of the grid's count holds the samples: no copy, no spare row.
+    assert one_block.states.flags.c_contiguous and one_block.states.base.shape == (17, 49)
+    # Blocks of two samples, as a run whose count outgrows the grid's takes.
+    monkeypatch.setattr(IntegratorConfig, "sample_count", lambda self, t0=0.0: 2)
+    blocks = integrate(const, state0, cfg)
+    assert blocks.states.shape == (17, 49) and blocks.states.flags.c_contiguous
+    for name in ("times", "states", "zeroth_moments", "first_moments", "clamp_mass0", "boundary_mass"):
+        assert np.array_equal(getattr(blocks, name), getattr(one_block, name)), name
 
 
 def test_checkpoint_controller_round_trip(tmp_path, const):

@@ -7,7 +7,9 @@ sample matrices (free energy, dissipation, the classifier's distance
 series) against the per-sample formulas bit for bit, every equilibrium
 quantity from the cut series against sums over the full range, the
 blocked chemical-potential build against one cumulative sum, the bulk
-CSV writers against per-cell formatting, and the in-place RK stepper and
+CSV writers against per-cell formatting, simulate's streamed files and
+series, whatever the block size, against the one-shot writers and passes on
+a held matrix, and the in-place RK stepper and
 right-hand side against an allocate-everything Fehlberg step, a lockstep
 batch against integrating each of its states alone, and the blocked
 tridiagonal + Woodbury solve, alone and inside a RODAS4 attempt, against
@@ -27,7 +29,7 @@ from hypothesis.extra.numpy import arrays
 
 from edgrow import _csv, equilibrium
 from edgrow._rodas4 import ShiftedJacobian
-from edgrow.cli import _write_summary_csv, _write_trajectory_csv
+from edgrow.cli import _stream, _write_summary_csv, _write_trajectory_csv
 from edgrow.diagnostics import (
     ConvergenceReport,
     _distance_series,
@@ -78,7 +80,7 @@ from edgrow.kernels import (
     kernel_matrix,
     separable_kernel,
 )
-from edgrow.thermo import BLOCK_ROWS, ThermoSeries, dissipation, free_energy, thermo_series
+from edgrow.thermo import BLOCK_ROWS, ThermoSeries, _thermo_pass, dissipation, free_energy, thermo_series
 
 KERNELS = {
     "constant": constant_kernel(2.0),
@@ -251,6 +253,60 @@ def test_series_passes_match_per_sample_formulas(name, states, band, data):
     ]
     for got, want in zip(_distance_series(states, omega, band, tail_start), zip(*expected)):
         assert np.array_equal(got, want)
+
+
+@given(
+    name=st.sampled_from(sorted(KERNELS)),
+    states=sample_matrices(40),
+    band=st.integers(min_value=0, max_value=50),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_streamed_outputs_do_not_depend_on_the_block_size(name, states, band, data, tmp_path_factory):
+    # A held sample matrix goes through a row's recording and simulate's
+    # stream in blocks of 1, 7, 16, 64 and all samples; the CSV bytes and the
+    # series equal the one-shot writers' and passes' on the whole matrix.
+    kernel = KERNELS[name]
+    rows, size = states.shape
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    times = np.cumsum(rng.random(rows) * 10.0 ** rng.uniform(-3.0, 3.0))
+    omega = rng.random(size) * 10.0 ** rng.uniform(-30.0, 0.0, size=size)
+    tail_start = data.draw(st.integers(min_value=0, max_value=size - 1))
+    lo, sizes = math.ceil(0.9 * (size - 1)), np.arange(size, dtype=float)
+    zeros = np.zeros(rows)
+    held = TrajectoryRecord(
+        times, states, size - 1, np.sum(states, axis=1), np.vecdot(states, sizes),
+        zeros, zeros, np.array([float(np.dot(sizes[lo:], c[lo:])) for c in states]),
+    )
+    series = thermo_series(states, kernel, SERIES_CP)
+    distances = _distance_series(states, omega, band, tail_start)
+    out = tmp_path_factory.mktemp("held")
+    _write_trajectory_csv(held, out / "trajectory.csv")
+    _write_summary_csv(held, out / "summary.csv", series)
+
+    for block in (1, 7, 16, BLOCK_ROWS, rows):
+        streamed = tmp_path_factory.mktemp(f"block{block}")
+        passes = {
+            "thermo": ("thermo", _thermo_pass(size, kernel, SERIES_CP)),
+            "distances": ("classify", lambda part: _distance_series(part, omega, band, tail_start)),
+        }
+        phases = dict.fromkeys(("thermo", "write_csv", "classify"), 0.0)
+        with _csv.atomic_writer(streamed / "trajectory.csv") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # boundary mass
+            sink, results = _stream(fh, size - 1, phases, passes)
+            controller = _Controller(dt_next=1.0, next_record=math.inf)
+            row = _Row(controller, ConcentrationProfile(states[0]), times[0], sink=sink, rows=block)
+            for t, c in zip(times[1:], states[1:]):
+                row.t = t
+                row.record(c)
+            record = row.trajectory()
+        assert record.states is None and record.sample_count == rows
+        got = results()
+        _write_summary_csv(record, streamed / "summary.csv", ThermoSeries(*got["thermo"]))
+        for file in ("trajectory.csv", "summary.csv"):
+            assert (streamed / file).read_bytes() == (out / file).read_bytes(), (block, file)
+        for got_field, field in zip(got["thermo"] + got["distances"], series + distances):
+            assert np.array_equal(got_field, field), block
 
 
 def log_sum(values) -> float:
